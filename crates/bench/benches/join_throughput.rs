@@ -604,10 +604,11 @@ fn main() {
     let var = |v: u32| QTerm::Var(Var(v));
     let head = vec![var(0), var(2)];
     let mixed_runs = runs.max(3);
+    let delta_args = [var(0), QTerm::Const(Id(1_000_000)), var(1)];
     let atoms = vec![
         MixedAtom::View(ViewAtom {
             table: &delta,
-            args: vec![var(0), QTerm::Const(Id(1_000_000)), var(1)],
+            args: &delta_args,
         }),
         MixedAtom::Store(Atom([var(1), QTerm::Const(Id(1_000_001)), var(2)])),
     ];

@@ -20,8 +20,10 @@ impl Answers {
 
     /// Builds from possibly-duplicated tuples.
     pub fn from_tuples(arity: usize, tuples: impl IntoIterator<Item = Vec<Id>>) -> Self {
-        let set: FxHashSet<Vec<Id>> = tuples.into_iter().collect();
-        Self::from_set(arity, set)
+        let mut tuples: Vec<Vec<Id>> = tuples.into_iter().collect();
+        tuples.sort_unstable();
+        tuples.dedup();
+        Self { arity, tuples }
     }
 
     /// Builds from tuples the caller guarantees are already distinct
@@ -66,9 +68,26 @@ impl Answers {
     /// Merges two answer sets (set union); arities must agree.
     pub fn union(self, other: Answers) -> Answers {
         debug_assert_eq!(self.arity, other.arity);
-        let mut set: FxHashSet<Vec<Id>> = self.tuples.into_iter().collect();
-        set.extend(other.tuples);
-        Answers::from_set(other.arity, set)
+        Answers::union_all(other.arity, [self, other])
+    }
+
+    /// The set union of any number of answer sets of one arity. Each input
+    /// is already distinct and sorted, so a single input — every
+    /// one-branch plan — is returned as it is; several are concatenated,
+    /// sorted and deduplicated once.
+    pub fn union_all(arity: usize, runs: impl IntoIterator<Item = Answers>) -> Answers {
+        let mut runs = runs.into_iter();
+        let mut tuples = runs.next().map_or_else(Vec::new, |first| first.tuples);
+        let sorted = tuples.len();
+        for run in runs {
+            debug_assert_eq!(run.arity, arity);
+            tuples.extend(run.tuples);
+        }
+        if tuples.len() > sorted {
+            tuples.sort_unstable();
+            tuples.dedup();
+        }
+        Answers { arity, tuples }
     }
 
     /// Consumes into the sorted tuple list.

@@ -1,4 +1,4 @@
-//! The compiled, index-native join core.
+//! The compiled, index-native, projection-aware join core.
 //!
 //! [`compile`] turns a query into a [`CompiledPlan`] once: variables get
 //! dense slot numbers (so the bindings frame is a flat vector plus an undo
@@ -8,13 +8,26 @@
 //! * store atoms iterate **directly** over `Arc`-shared sorted index
 //!   ranges ([`TripleStore::pattern_range`]) — no per-node `Vec<Triple>`
 //!   materialization;
-//! * view atoms probe the table's cached hash indexes
-//!   ([`ViewTable::index_for_mask`]) and iterate row ids in place; a fully
-//!   unbound view atom walks rows directly instead of collecting row ids;
+//! * view atoms probe the table's resident hash indexes
+//!   ([`ViewTable::index_for_mask`], a lock-free lookup) and walk the
+//!   matching bucket — full rows in one contiguous slice — in place; a
+//!   fully unbound view atom walks the table's rows directly;
 //! * the atom order is chosen **adaptively per depth**: the atom with the
 //!   smallest bound-prefix extent (`match_count` / index-bucket length)
 //!   under the current bindings runs next, and a zero-extent atom prunes
 //!   the subtree immediately;
+//! * **enumeration stops where the answer is decided.** Queries are
+//!   conjunctive under set semantics, so once every head term is a
+//!   constant or a bound slot the atoms still to run can only say whether
+//!   the head tuple in hand has *a* witness, not produce another one.
+//!   Every step therefore reports whether its subtree found a witness,
+//!   and below the point of decision each row loop ends at the first one.
+//!   A boolean query (empty head) is decided from the start and stops at
+//!   its first match; a head variable missing from the body is never
+//!   bound, so the rule never fires and emitting panics as documented.
+//!   The same head tuple can still be reached from different bindings of
+//!   variables bound *before* the decision, so output still goes through
+//!   the dedup set;
 //! * per-column bind/check ops are computed once per recursion node, so
 //!   the per-row work is a handful of array reads — **no heap allocation
 //!   in the inner loop** (frame, trail, keys and output staging all come
@@ -24,7 +37,7 @@ use rdf_model::{FxHashMap, Id, StorePattern, TripleStore};
 use rdf_query::{QTerm, Var};
 
 use super::scratch::{ColAction, EvalScratch};
-use super::EvalAtom;
+use super::{EvalAtom, EvalStats};
 use crate::answers::Answers;
 use crate::view_table::ViewTable;
 
@@ -103,10 +116,12 @@ pub(super) fn compile<'a>(atoms: Vec<EvalAtom<'a>>, head: &[QTerm]) -> CompiledP
     }
 }
 
-/// Runs a compiled plan with pooled scratch memory.
-pub(super) fn execute(store: &TripleStore, plan: &CompiledPlan) -> Answers {
+/// Runs a compiled plan with pooled scratch memory. `stats.engine` is set
+/// by the caller; the visited-row count accumulates here.
+pub(super) fn execute(store: &TripleStore, plan: &CompiledPlan, stats: &mut EvalStats) -> Answers {
     let mut scratch = EvalScratch::take(plan.n_slots, plan.atoms.len());
-    recurse(store, plan, &mut scratch, 0);
+    recurse(store, plan, &mut scratch, 0, false);
+    stats.rows_visited += scratch.rows_visited;
     let answers = Answers::from_distinct(plan.head.len(), scratch.drain_out());
     scratch.release();
     answers
@@ -129,11 +144,21 @@ fn store_pattern(terms: &[CTerm; 3], frame: &[Option<Id>]) -> StorePattern {
     )
 }
 
-fn recurse(store: &TripleStore, plan: &CompiledPlan, s: &mut EvalScratch, depth: usize) {
+/// Joins the atoms still unplaced at `depth` and reports whether any
+/// binding satisfied them all. `decided` says an ancestor already found
+/// every head term bound; once it holds here, the first witness ends the
+/// row loop.
+fn recurse(
+    store: &TripleStore,
+    plan: &CompiledPlan,
+    s: &mut EvalScratch,
+    depth: usize,
+    decided: bool,
+) -> bool {
     let n = plan.atoms.len();
     if depth == n {
         emit(plan, s);
-        return;
+        return true;
     }
     if depth + 1 < n {
         // Adaptive per-depth ordering: pick the remaining atom with the
@@ -174,14 +199,39 @@ fn recurse(store: &TripleStore, plan: &CompiledPlan, s: &mut EvalScratch, depth:
         if best_est == 0 {
             // Some atom has no matches under the current bindings: the
             // whole subtree is dead, whatever order the others run in.
-            return;
+            return false;
         }
         s.order.swap(depth, best_pos);
     }
+    let decided = decided || plan.head.iter().all(|t| value_of(*t, &s.frame).is_some());
     match &plan.atoms[s.order[depth] as usize] {
-        CAtom::Store { terms } => iter_store(store, plan, s, depth, terms),
-        CAtom::View { table, terms } => iter_view(store, plan, s, depth, table, terms),
+        CAtom::Store { terms } => iter_store(store, plan, s, depth, decided, terms),
+        CAtom::View { table, terms } => iter_view(store, plan, s, depth, decided, table, terms),
     }
+}
+
+/// Applies `rows` one by one and reports whether any led to a witness —
+/// stopping at the first when the head tuple is already `decided`.
+#[inline]
+fn apply_rows<'r>(
+    store: &TripleStore,
+    plan: &CompiledPlan,
+    s: &mut EvalScratch,
+    depth: usize,
+    decided: bool,
+    acts: &[ColAction],
+    rows: impl Iterator<Item = &'r [Id]>,
+) -> bool {
+    let mut found = false;
+    for row in rows {
+        if apply_row(store, plan, s, depth, decided, acts, row) {
+            if decided {
+                return true;
+            }
+            found = true;
+        }
+    }
+    found
 }
 
 /// Iterates a store atom over the matching sorted-index range. The range
@@ -192,8 +242,9 @@ fn iter_store(
     plan: &CompiledPlan,
     s: &mut EvalScratch,
     depth: usize,
+    decided: bool,
     terms: &[CTerm; 3],
-) {
+) -> bool {
     let pat = store_pattern(terms, &s.frame);
     let range = store.pattern_range(&pat);
     let mut acts = [ColAction::Skip; 3];
@@ -211,21 +262,21 @@ fn iter_store(
             }
         }
     }
-    for t in range.as_slice() {
-        apply_row(store, plan, s, depth, &acts, t);
-    }
+    let rows = range.as_slice().iter().map(|t| &t[..]);
+    apply_rows(store, plan, s, depth, decided, &acts, rows)
 }
 
-/// Iterates a view atom over the cached hash index for its bound-column
-/// mask — or directly over the rows when nothing is bound yet.
+/// Iterates a view atom over its bucket in the hash index for the
+/// bound-column mask — or directly over the rows when nothing is bound yet.
 fn iter_view(
     store: &TripleStore,
     plan: &CompiledPlan,
     s: &mut EvalScratch,
     depth: usize,
+    decided: bool,
     table: &ViewTable,
     terms: &[CTerm],
-) {
+) -> bool {
     let mut key = std::mem::take(&mut s.keys[depth]);
     let mut acts = std::mem::take(&mut s.actions[depth]);
     key.clear();
@@ -247,33 +298,32 @@ fn iter_view(
             });
         }
     }
-    if mask == 0 {
-        // Fully unbound scan: walk the rows directly — no `(0..len)`
-        // row-id collection, no hash index.
-        for r in 0..table.len() {
-            apply_row(store, plan, s, depth, &acts, table.row(r));
-        }
+    let found = if mask == 0 {
+        // Fully unbound scan: walk the rows directly, no hash index.
+        apply_rows(store, plan, s, depth, decided, &acts, table.rows())
     } else {
-        let idx = table.index_for_mask(mask);
-        for &r in idx.rows_for(&key) {
-            apply_row(store, plan, s, depth, &acts, table.row(r as usize));
-        }
-    }
+        let rows = table.index_for_mask(mask).rows_for(&key);
+        apply_rows(store, plan, s, depth, decided, &acts, rows)
+    };
     s.keys[depth] = key;
     s.actions[depth] = acts;
+    found
 }
 
 /// Applies one row under the node's precomputed column ops, recursing on
-/// success and unwinding the trail either way. No allocation.
+/// success and unwinding the trail either way; reports whether the row led
+/// to a witness. No allocation.
 #[inline]
 fn apply_row(
     store: &TripleStore,
     plan: &CompiledPlan,
     s: &mut EvalScratch,
     depth: usize,
+    decided: bool,
     acts: &[ColAction],
     values: &[Id],
-) {
+) -> bool {
+    s.rows_visited += 1;
     let mark = s.trail.len();
     let mut ok = true;
     for (c, act) in acts.iter().enumerate() {
@@ -291,14 +341,13 @@ fn apply_row(
             }
         }
     }
-    if ok {
-        recurse(store, plan, s, depth + 1);
-    }
+    let found = ok && recurse(store, plan, s, depth + 1, decided);
     while s.trail.len() > mark {
         // xlint: allow(X001, reason = "mark was captured from this trail's len before the pushes")
         let slot = s.trail.pop().expect("trail mark within bounds");
         s.frame[slot as usize] = None;
     }
+    found
 }
 
 /// Emits the current head tuple into the output staging set.

@@ -24,7 +24,7 @@ impl EvalAtom<'_> {
     fn args(&self) -> Vec<QTerm> {
         match self {
             EvalAtom::Store { atom } => atom.terms().to_vec(),
-            EvalAtom::View { args, .. } => args.clone(),
+            EvalAtom::View { args, .. } => args.to_vec(),
         }
     }
 
@@ -170,7 +170,7 @@ impl Ctx<'_, '_> {
             }
             EvalAtom::View { table, args } => {
                 let table = *table;
-                let args = args.clone();
+                let args = *args;
                 let mut bound_cols: Vec<usize> = Vec::new();
                 let mut key: Vec<Id> = Vec::new();
                 let mut mask = 0u64;
@@ -205,7 +205,7 @@ impl Ctx<'_, '_> {
                 for r in row_ids {
                     let row: Vec<Id> = table.row(r).to_vec();
                     let mut trail: Vec<Var> = Vec::new();
-                    if self.unify(&args, &row, &mut trail) {
+                    if self.unify(args, &row, &mut trail) {
                         self.recurse(depth + 1);
                     }
                     for v in trail {

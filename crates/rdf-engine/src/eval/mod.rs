@@ -7,10 +7,11 @@
 //! core in [`compiled`]: each query is compiled once into dense
 //! variable slots and per-atom access paths, atoms iterate directly over
 //! `Arc`-shared sorted index ranges, the join order is picked adaptively
-//! per depth from bound-prefix `match_count`s, and all working memory
-//! (bindings frame, trail, key buffers, output staging) comes from a
-//! thread-local [`scratch`] pool so the inner loop performs no per-row
-//! heap allocation.
+//! per depth from bound-prefix `match_count`s, enumeration stops at the
+//! first witness once every head term is bound (the remaining atoms can
+//! no longer change the answer), and all working memory (bindings frame,
+//! trail, key buffers, output staging) comes from a thread-local
+//! [`scratch`] pool so the inner loop performs no per-row heap allocation.
 //!
 //! Cyclic queries (triangles, diamonds, k-cycles) are routed to the
 //! worst-case-optimal leapfrog triejoin in [`wcoj`] instead: it joins one
@@ -34,20 +35,21 @@ mod legacy;
 pub(crate) mod scratch;
 mod wcoj;
 
-use rdf_model::{FxHashSet, Id, TripleStore};
+use rdf_model::TripleStore;
 use rdf_query::{Atom, ConjunctiveQuery, QTerm, UnionQuery};
 
 use crate::answers::Answers;
 use crate::view_table::ViewTable;
 
 /// One rewriting atom: a view table applied to argument terms. Constants
-/// encode selections; repeated variables encode joins.
-#[derive(Debug, Clone)]
+/// encode selections; repeated variables encode joins. Both parts are
+/// borrowed: a plan's argument lists reach the join core without a copy.
+#[derive(Debug, Clone, Copy)]
 pub struct ViewAtom<'a> {
     /// The materialized view being scanned.
     pub table: &'a ViewTable,
     /// One term per view head column.
-    pub args: Vec<QTerm>,
+    pub args: &'a [QTerm],
 }
 
 /// Which join core actually answered a query (recorded in [`EvalStats`]).
@@ -75,14 +77,19 @@ impl Engine {
     }
 }
 
-/// Per-call evaluation statistics: which engine ran, and — for the
-/// leapfrog engine — how many galloping seeks it performed and how many
-/// (pre-dedup) head tuples it emitted. Benches and routing tests assert
-/// against these.
+/// Per-call evaluation statistics: which engine ran, how many rows the
+/// compiled core visited, and — for the leapfrog engine — how many
+/// galloping seeks it performed and how many (pre-dedup) head tuples it
+/// emitted. Benches and routing tests assert against these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalStats {
     /// The core that answered the call.
     pub engine: Engine,
+    /// Rows (index-range triples, view-bucket rows) the compiled core
+    /// tried to extend the current bindings with, over all join depths —
+    /// the work a projecting query saves by stopping at its first witness
+    /// (0 for the other engines).
+    pub rows_visited: u64,
     /// Leapfrog galloping seeks (0 for the other engines).
     pub lf_seeks: u64,
     /// Head tuples emitted by the leapfrog executor before deduplication
@@ -94,6 +101,7 @@ impl EvalStats {
     fn new(engine: Engine) -> Self {
         Self {
             engine,
+            rows_visited: 0,
             lf_seeks: 0,
             lf_emitted: 0,
         }
@@ -213,11 +221,7 @@ pub fn evaluate_with_stats(
 /// Evaluates a union of conjunctive queries (set-union of branch answers).
 pub fn evaluate_union(store: &TripleStore, ucq: &UnionQuery) -> Answers {
     let arity = ucq.branches().first().map_or(0, |b| b.head.len());
-    let mut set: FxHashSet<Vec<Id>> = FxHashSet::default();
-    for branch in ucq.branches() {
-        set.extend(evaluate(store, branch).into_tuples());
-    }
-    Answers::from_set(arity, set)
+    Answers::union_all(arity, ucq.branches().iter().map(|b| evaluate(store, b)))
 }
 
 /// One atom of a mixed evaluation: a triple-table atom or a view scan.
@@ -226,7 +230,7 @@ pub fn evaluate_union(store: &TripleStore, ucq: &UnionQuery) -> Answers {
 /// one atom position ranges over the Δ set — materialized as a small
 /// 3-column [`ViewTable`] and probed through its cached hash indexes —
 /// while every other atom ranges over the store.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum MixedAtom<'a> {
     /// An atom answered from the triple store's permutation indexes.
     Store(Atom),
@@ -254,13 +258,7 @@ pub fn evaluate_mixed_stats(
         .iter()
         .map(|ma| match ma {
             MixedAtom::Store(atom) => EvalAtom::Store { atom: *atom },
-            MixedAtom::View(va) => {
-                assert_eq!(va.args.len(), va.table.arity(), "view atom arity mismatch");
-                EvalAtom::View {
-                    table: va.table,
-                    args: va.args.clone(),
-                }
-            }
+            MixedAtom::View(va) => EvalAtom::view(va),
         })
         .collect();
     run_with(store, eval_atoms, head, &EvalOptions::default())
@@ -268,16 +266,7 @@ pub fn evaluate_mixed_stats(
 
 /// Evaluates a rewriting: a conjunctive query whose atoms are view scans.
 pub fn evaluate_over_views(atoms: &[ViewAtom<'_>], head: &[QTerm]) -> Answers {
-    let eval_atoms: Vec<EvalAtom> = atoms
-        .iter()
-        .map(|va| {
-            assert_eq!(va.args.len(), va.table.arity(), "view atom arity mismatch");
-            EvalAtom::View {
-                table: va.table,
-                args: va.args.clone(),
-            }
-        })
-        .collect();
+    let eval_atoms: Vec<EvalAtom> = atoms.iter().map(EvalAtom::view).collect();
     // The store is unused for pure view rewritings; an empty one satisfies
     // the evaluator's signature.
     thread_local! {
@@ -293,8 +282,18 @@ pub(crate) enum EvalAtom<'a> {
     },
     View {
         table: &'a ViewTable,
-        args: Vec<QTerm>,
+        args: &'a [QTerm],
     },
+}
+
+impl<'a> EvalAtom<'a> {
+    fn view(va: &ViewAtom<'a>) -> Self {
+        assert_eq!(va.args.len(), va.table.arity(), "view atom arity mismatch");
+        EvalAtom::View {
+            table: va.table,
+            args: va.args,
+        }
+    }
 }
 
 fn run_with(
@@ -326,10 +325,9 @@ fn run_with(
         let answers = wcoj::execute(store, &plan, &mut stats);
         (answers, stats)
     } else {
-        (
-            compiled::execute(store, &plan),
-            EvalStats::new(Engine::Compiled),
-        )
+        let mut stats = EvalStats::new(Engine::Compiled);
+        let answers = compiled::execute(store, &plan, &mut stats);
+        (answers, stats)
     }
 }
 
@@ -458,14 +456,15 @@ mod tests {
         let x = Var(0);
         let y = Var(1);
         let z = Var(2);
-        let atoms = vec![
+        let (xy, yz) = ([x.into(), y.into()], [y.into(), z.into()]);
+        let atoms = [
             ViewAtom {
                 table: &t1,
-                args: vec![x.into(), y.into()],
+                args: &xy,
             },
             ViewAtom {
                 table: &t2,
-                args: vec![y.into(), z.into()],
+                args: &yz,
             },
         ];
         let via_views = evaluate_over_views(&atoms, &[x.into(), z.into()]);
@@ -485,9 +484,10 @@ mod tests {
         let t = materialize(db.store(), &v.query);
         let guernica = db.dict().lookup_uri("guernica").unwrap();
         let x = Var(0);
-        let atoms = vec![ViewAtom {
+        let args = [x.into(), guernica.into()];
+        let atoms = [ViewAtom {
             table: &t,
-            args: vec![x.into(), guernica.into()],
+            args: &args,
         }];
         let a = evaluate_over_views(&atoms, &[x.into()]);
         assert_eq!(a.len(), 1);
@@ -514,7 +514,7 @@ mod tests {
                     if j == i {
                         MixedAtom::View(ViewAtom {
                             table: &delta,
-                            args: a.terms().to_vec(),
+                            args: a.terms(),
                         })
                     } else {
                         MixedAtom::Store(*a)
@@ -544,7 +544,7 @@ mod tests {
             MixedAtom::Store(q.atoms[0]),
             MixedAtom::View(ViewAtom {
                 table: &delta,
-                args: q.atoms[1].terms().to_vec(),
+                args: q.atoms[1].terms(),
             }),
         ];
         let first = evaluate_mixed(db.store(), &atoms, &q.head);
@@ -583,14 +583,15 @@ mod tests {
         let t = materialize(db.store(), &v.query);
         let a = Var(0);
         let b = Var(1);
-        let atoms = vec![
+        let (args_a, args_b) = ([a.into()], [b.into()]);
+        let atoms = [
             ViewAtom {
                 table: &t,
-                args: vec![a.into()],
+                args: &args_a,
             },
             ViewAtom {
                 table: &t,
-                args: vec![b.into()],
+                args: &args_b,
             },
         ];
         let ans = evaluate_over_views(&atoms, &[a.into(), b.into()]);
@@ -646,6 +647,68 @@ mod tests {
             "chain keeps the compiled core"
         );
         assert_eq!((stats.lf_seeks, stats.lf_emitted), (0, 0));
+    }
+
+    #[test]
+    fn projection_stops_at_the_first_witness() {
+        // q(X) :- t(X, p, Y), t(X, q, Z) over N subjects with fan-out F on
+        // both properties. Whichever atom runs first binds X, which decides
+        // the head; the other atom is then an existence check that stops at
+        // its first row — N·F + N·F rows, not N·F + N·F².
+        const N: u64 = 40;
+        const F: u64 = 12;
+        let mut db = Dataset::new();
+        for s in 0..N {
+            for o in 0..F {
+                for p in ["p", "q"] {
+                    db.insert_terms(
+                        Term::uri(format!("s{s}")),
+                        Term::uri(p),
+                        Term::uri(format!("{p}{o}")),
+                    );
+                }
+            }
+        }
+        let q = parse_query("q(X) :- t(X, <p>, Y), t(X, <q>, Z)", db.dict_mut())
+            .unwrap()
+            .query;
+        let (a, stats) = evaluate_with_stats(db.store(), &q, &EvalOptions::default());
+        assert_eq!(stats.engine, Engine::Compiled);
+        assert_eq!(a.len() as u64, N);
+        assert!(
+            stats.rows_visited <= 2 * N * F,
+            "{} rows",
+            stats.rows_visited
+        );
+        assert_eq!(
+            a,
+            evaluate_with(db.store(), &q, &EvalOptions::scan_baseline())
+        );
+
+        // With Z in the head nothing is decided before the last atom, and
+        // the full N·F² enumeration is the answer.
+        let full = parse_query("q(X, Z) :- t(X, <p>, Y), t(X, <q>, Z)", db.dict_mut())
+            .unwrap()
+            .query;
+        let (a, stats) = evaluate_with_stats(db.store(), &full, &EvalOptions::default());
+        assert_eq!(a.len() as u64, N * F);
+        assert!(
+            stats.rows_visited >= N * F * F,
+            "{} rows",
+            stats.rows_visited
+        );
+
+        // A boolean query is decided before its first row.
+        let any = parse_query("q() :- t(X, <p>, Y), t(X, <q>, Z)", db.dict_mut())
+            .unwrap()
+            .query;
+        let (a, stats) = evaluate_with_stats(db.store(), &any, &EvalOptions::default());
+        assert_eq!(a.len(), 1);
+        assert!(stats.rows_visited <= 2, "{} rows", stats.rows_visited);
+
+        // The other engines do not count.
+        let (_, stats) = evaluate_with_stats(db.store(), &q, &EvalOptions::wcoj());
+        assert_eq!(stats.rows_visited, 0);
     }
 
     #[test]
@@ -719,14 +782,15 @@ mod tests {
         let t = materialize(db.store(), &v.query);
         let e = db.dict().lookup_uri("e").unwrap();
         let (x, y, z) = (Var(0), Var(1), Var(2));
+        let (xy, yz) = ([x.into(), y.into()], [y.into(), z.into()]);
         let atoms: Vec<MixedAtom> = vec![
             MixedAtom::View(ViewAtom {
                 table: &t,
-                args: vec![x.into(), y.into()],
+                args: &xy,
             }),
             MixedAtom::View(ViewAtom {
                 table: &t,
-                args: vec![y.into(), z.into()],
+                args: &yz,
             }),
             MixedAtom::Store(Atom([z.into(), QTerm::Const(e), x.into()])),
         ];

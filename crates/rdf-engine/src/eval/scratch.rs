@@ -72,7 +72,7 @@ impl Default for DedupSet {
     }
 }
 
-fn hash_ids(tuple: &[Id]) -> u64 {
+pub(crate) fn hash_ids(tuple: &[Id]) -> u64 {
     let mut h = FxHasher::default();
     for id in tuple {
         h.write_u32(id.0);
@@ -169,6 +169,8 @@ pub(crate) struct EvalScratch {
     pub tuple: Vec<Id>,
     /// Output staging: distinct answer tuples.
     pub out: DedupSet,
+    /// Rows the compiled core handed to its per-row step this call.
+    pub rows_visited: u64,
     /// Leapfrog range stacks, flat: cursor `c` keeps its per-trie-depth
     /// `[lo, hi)` windows at `roff(c) + depth` (offsets assigned at setup).
     pub lf_ranges: Vec<[u32; 2]>,
@@ -202,6 +204,7 @@ impl EvalScratch {
             s.actions.resize_with(n_atoms, Vec::new);
         }
         s.tuple.clear();
+        s.rows_visited = 0;
         debug_assert!(s.out.is_empty(), "pooled scratch must be drained");
         s
     }

@@ -36,8 +36,6 @@
 //! core (its adaptive ordering is strictly better on selective chains);
 //! cyclic ones route here.
 
-use std::sync::Arc;
-
 use rdf_model::{Id, IndexOrder, IndexRange, StorePattern, Triple, TripleStore};
 
 use super::compiled::{CAtom, CTerm, CompiledPlan};
@@ -122,7 +120,7 @@ enum CursorData<'a> {
     /// the projection; the constant prefix fixes the initial window).
     Rows {
         table: &'a ViewTable,
-        idx: Arc<ViewSortedIndex>,
+        idx: &'a ViewSortedIndex,
     },
     /// A view atom with an intra-atom repeated variable, pre-filtered.
     RowsOwned { table: &'a ViewTable, ids: Vec<u32> },
@@ -344,7 +342,7 @@ pub(super) fn execute(store: &TripleStore, plan: &CompiledPlan, stats: &mut Eval
                     let present = if mask == 0 {
                         !table.is_empty()
                     } else {
-                        !table.index_for_mask(mask).rows_for(&key).is_empty()
+                        table.index_for_mask(mask).rows_for(&key).len() > 0
                     };
                     if !present {
                         return empty(plan);

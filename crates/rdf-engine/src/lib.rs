@@ -16,8 +16,8 @@
 //!   reformulated views);
 //! * [`evaluate_over_views`] — rewritings, i.e. conjunctive queries whose
 //!   atoms range over view tables (selections encoded by constants in the
-//!   arguments, joins by repeated variables), with hash-indexes built on
-//!   demand per bound-column set;
+//!   arguments, joins by repeated variables), with hash indexes built on
+//!   demand per bound-column set and kept in the table;
 //! * [`evaluate_mixed`] — atoms mixing store scans and table scans: the
 //!   delta-join shape of set-at-a-time view maintenance ([`maintain`]),
 //!   where one atom position is bound to the whole update batch.
@@ -28,7 +28,8 @@
 //! ## Evaluation internals
 //!
 //! All entry points funnel into one backtracking join core. The default
-//! engine is the **compiled index-native core** (`eval::compiled`):
+//! engine is the **compiled index-native core** (`eval::compiled`), built
+//! so that a read does the work its answer needs and no more:
 //!
 //! * each query is compiled once — variables get dense slot numbers, so
 //!   the bindings frame is a flat vector plus an undo trail instead of a
@@ -38,16 +39,36 @@
 //!   per-node match materialization — and the chosen permutation covers
 //!   all bound columns as a sort prefix, so bound columns need no per-row
 //!   re-check;
-//! * view atoms probe [`ViewIndex`]es resident in their [`ViewTable`]
-//!   (built once per bound-column mask, `Arc`-shared, surviving across
-//!   evaluator calls — see [`ViewTable::index_for_mask`]);
+//! * view atoms probe [`ViewIndex`]es resident in their [`ViewTable`],
+//!   one per bound-column mask. An index keeps the table's rows
+//!   *clustered by key* behind one open-addressing array, so a probe
+//!   returns a contiguous slice of full rows and the walk over a bucket
+//!   touches memory in order. The per-table cache is an append-only chain
+//!   of write-once nodes: finding a built index is a few acquire loads —
+//!   no lock, no reference count — so any number of reader threads probe
+//!   the same table without writing to memory they share (see
+//!   [`ViewTable::index_for_mask`]);
 //! * the join order is chosen adaptively at each depth from bound-prefix
 //!   match counts, pruning any subtree with a zero-extent atom;
+//! * the join is **projection-aware**. Queries are conjunctive under set
+//!   semantics, and the rewritings the planner stores mostly project
+//!   (their heads are strict subsets of their body variables). Once every
+//!   head term is bound, the atoms that remain can only confirm that the
+//!   head tuple has a witness, so each row loop below that point stops at
+//!   the first one; a boolean query stops at its first match.
+//!   [`EvalStats::rows_visited`] counts the rows the core tried, which is
+//!   how tests hold the rule to its bound;
 //! * all working memory comes from a thread-local scratch pool, so the
-//!   inner loop performs no per-row heap allocation; output deduplication
-//!   is a generation-tagged open-addressing table whose clear is O(1), so
-//!   a pooled scratch that once served a million-answer query costs a
-//!   microsecond-scale query nothing.
+//!   inner loop performs no per-row heap allocation (the store's range
+//!   lookup keeps its key in a fixed array for the same reason); output
+//!   deduplication is a generation-tagged open-addressing table whose
+//!   clear is O(1), so a pooled scratch that once served a million-answer
+//!   query costs a microsecond-scale query nothing;
+//! * answers leave the core distinct and sorted and stay that way:
+//!   [`Answers::union_all`] hands a single branch's answers through
+//!   untouched and merges several by one concatenate-sort-dedup, which is
+//!   what [`evaluate_union`] and the deployment layer's plan executor
+//!   use.
 //!
 //! **Cyclic queries run a worst-case-optimal leapfrog triejoin instead**
 //! (`eval::wcoj`). The compiled core expands one *atom* at a time, so on a
@@ -61,7 +82,8 @@
 //!   variable's column(s) consecutively
 //!   ([`rdf_model::IndexOrder::for_groups`]), view atoms through a cached
 //!   sorted-row projection ([`ViewTable::sorted_index_for_order`], built
-//!   once per column sequence like the hash indexes);
+//!   once per column sequence and kept in the same kind of lock-free
+//!   chain as the hash indexes);
 //! * each level intersects the participating cursors by leapfrog:
 //!   galloping (exponential-probe + binary-search) seeks to the current
 //!   maximum until all agree, then bind, narrow each cursor to its
@@ -71,7 +93,9 @@
 //!   shapes (triangles, diamonds, k-cycles) route to leapfrog, acyclic
 //!   ones keep the compiled core, and [`EvalStats::engine`] (from
 //!   [`evaluate_with_stats`] / [`evaluate_mixed_stats`]) records the
-//!   decision along with seek/emit counters.
+//!   decision along with seek/emit counters. Its search loop enumerates
+//!   every binding of every variable; the early exit above is the
+//!   compiled core's alone.
 //!
 //! The pre-compiled collect-per-node core survives in `eval::legacy` as a
 //! measured baseline, selectable via [`EvalOptions::legacy_indexed`]

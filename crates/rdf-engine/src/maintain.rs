@@ -193,7 +193,7 @@ impl MaintainedView {
                     if j == i {
                         MixedAtom::View(ViewAtom {
                             table: &delta.table,
-                            args: a.terms().to_vec(),
+                            args: a.terms(),
                         })
                     } else {
                         MixedAtom::Store(*a)

@@ -1,52 +1,157 @@
-//! Materialized view tables.
+//! Materialized view tables and their resident indexes.
+//!
+//! A [`ViewTable`] is immutable once built, which is what lets its indexes
+//! be shared without locks:
+//!
+//! * a [`ViewIndex`] answers "which rows have these values in these
+//!   columns" for one bound-column mask. It stores the table's rows a
+//!   second time, **clustered by key**: one open-addressing slot array
+//!   points at a flat array of distinct keys, each key owns a contiguous
+//!   run of full rows. A probe is one hash, one or two slot reads, one key
+//!   compare — and the bucket it returns is a single row-major slice the
+//!   join core walks front to back, with no row-id indirection back into
+//!   the table. The copy costs `arity × 4` bytes per row per mask, less
+//!   than a heap-allocated key and row-id list per distinct key would;
+//! * a [`ViewSortedIndex`] is the leapfrog join's trie view of the table:
+//!   row numbers sorted by a column sequence;
+//! * both kinds live in an append-only chain of write-once nodes per
+//!   table. A lookup walks the chain with acquire loads only — no lock,
+//!   no reference-count traffic — so reader threads probing the same
+//!   table never write to a cache line they share. A thread that finds
+//!   the chain's end builds the index and publishes it with one
+//!   compare-and-set; if another thread got there first it re-examines
+//!   the slot and adopts that one, so every `(table, key)` has exactly
+//!   one published index and [`ViewTable::index_builds`] counts exactly
+//!   those.
+//!
+//! Maintenance never mutates a table: it produces a *new* one, which
+//! starts with an empty chain. A cloned table re-links the `Arc`s of the
+//! original's chain, so a cloned deployment stays warm.
 
+use std::borrow::Borrow;
+use std::slice::ChunksExact;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, OnceLock};
 
-/// Locks an index-cache `RwLock`, recovering from poison. The caches are
-/// insert-only maps of completed `Arc` entries: a thread that panics
-/// mid-build can at worst leave an entry unwritten, never half-written,
-/// so a recovered guard always observes a valid cache.
-fn read_unpoisoned<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Write-lock counterpart of [`read_unpoisoned`].
-fn write_unpoisoned<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-use rdf_model::{FxHashMap, Id};
+use rdf_model::Id;
 
 use crate::answers::Answers;
+use crate::eval::scratch::hash_ids;
 
-/// A hash index over one column subset of a [`ViewTable`]: maps the key
-/// values (in ascending column order) to the matching row numbers.
-///
-/// Indexes are built once per `(table, column mask)` and `Arc`-shared —
-/// the join core probes them without holding any table lock.
+/// A hash index over one column subset of a [`ViewTable`], holding the
+/// table's rows clustered by their values in those columns.
 #[derive(Debug)]
 pub struct ViewIndex {
     cols: Vec<usize>,
-    map: FxHashMap<Vec<Id>, Vec<u32>>,
+    /// Row width; `max(1)` so a chunked walk of an empty bucket is defined.
+    arity: usize,
+    /// Open-addressing table: 0 is vacant, `k + 1` names distinct key `k`.
+    /// Its length is a power of two at most half full.
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: a key's home slot is its hash's *high*
+    /// bits (the multiplicative hash mixes upward; its low bits are weak).
+    shift: u32,
+    /// Distinct keys, flat: key `k` is `keys[k * cols.len()..][..cols.len()]`.
+    keys: Vec<Id>,
+    /// Key `k` owns rows `offsets[k]..offsets[k + 1]` of `rows`.
+    offsets: Vec<u32>,
+    /// Full rows, row-major, grouped by key.
+    rows: Vec<Id>,
 }
 
 impl ViewIndex {
+    fn build(table: &ViewTable, mask: u64) -> Self {
+        let arity = table.arity.max(1);
+        let cols: Vec<usize> = (0..table.arity)
+            .filter(|&c| mask & (1u64 << c) != 0)
+            .collect();
+        let width = cols.len();
+        let n = table.len();
+        let cap = (n * 2).next_power_of_two().max(2);
+        let shift = 64 - cap.trailing_zeros();
+        let mut slots = vec![0u32; cap];
+        let mut keys: Vec<Id> = Vec::new();
+        // Pass 1: number the distinct keys and count each one's rows.
+        let mut key_of_row: Vec<u32> = Vec::with_capacity(n);
+        let mut counts: Vec<u32> = Vec::new();
+        let mut key: Vec<Id> = Vec::with_capacity(width);
+        for row in table.rows() {
+            key.clear();
+            key.extend(cols.iter().map(|&c| row[c]));
+            let mut pos = (hash_ids(&key) >> shift) as usize;
+            let k = loop {
+                match slots[pos] {
+                    0 => {
+                        let k = counts.len() as u32;
+                        slots[pos] = k + 1;
+                        keys.extend_from_slice(&key);
+                        counts.push(0);
+                        break k;
+                    }
+                    s if keys[(s - 1) as usize * width..][..width] == key[..] => break s - 1,
+                    _ => pos = (pos + 1) & (cap - 1),
+                }
+            };
+            counts[k as usize] += 1;
+            key_of_row.push(k);
+        }
+        // Pass 2: prefix sums give each key its run; scatter the rows.
+        let mut offsets: Vec<u32> = Vec::with_capacity(counts.len() + 1);
+        let mut total = 0u32;
+        offsets.push(0);
+        for c in &counts {
+            total += c;
+            offsets.push(total);
+        }
+        let mut next: Vec<u32> = offsets[..counts.len()].to_vec();
+        let mut rows = vec![Id(0); n * arity];
+        for (row, &k) in table.rows().zip(&key_of_row) {
+            let at = next[k as usize] as usize * arity;
+            rows[at..at + arity].copy_from_slice(row);
+            next[k as usize] += 1;
+        }
+        Self {
+            cols,
+            arity,
+            slots,
+            shift,
+            keys,
+            offsets,
+            rows,
+        }
+    }
+
     /// The indexed columns, ascending.
     pub fn cols(&self) -> &[usize] {
         &self.cols
     }
 
-    /// The row numbers whose key columns equal `key` (values in the same
-    /// order as [`ViewIndex::cols`]); empty when no row matches.
+    /// The rows whose key columns equal `key` (values in the same order as
+    /// [`ViewIndex::cols`]), as full rows out of one contiguous run; empty
+    /// when no row matches. `.len()` is the bucket's row count.
     #[inline]
-    pub fn rows_for(&self, key: &[Id]) -> &[u32] {
-        self.map.get(key).map_or(&[], |rows| rows.as_slice())
+    pub fn rows_for(&self, key: &[Id]) -> ChunksExact<'_, Id> {
+        let width = self.cols.len();
+        debug_assert_eq!(key.len(), width);
+        let mut pos = (hash_ids(key) >> self.shift) as usize;
+        let run = loop {
+            match self.slots[pos] {
+                0 => break 0..0,
+                s => {
+                    let k = (s - 1) as usize;
+                    if self.keys[k * width..][..width] == *key {
+                        break self.offsets[k] as usize..self.offsets[k + 1] as usize;
+                    }
+                    pos = (pos + 1) & (self.slots.len() - 1);
+                }
+            }
+        };
+        self.rows[run.start * self.arity..run.end * self.arity].chunks_exact(self.arity)
     }
 
     /// Number of distinct keys.
     pub fn key_count(&self) -> usize {
-        self.map.len()
+        self.offsets.len() - 1
     }
 }
 
@@ -57,8 +162,7 @@ impl ViewIndex {
 /// This is the view-table analogue of the triple store's permutation
 /// indexes: the leapfrog join walks `rows` as a trie whose level `k` is
 /// column `cols[k]`, narrowing `[lo, hi)` windows by galloping binary
-/// search. Built once per `(table, column sequence)` and `Arc`-shared,
-/// under the same build-counter discipline as [`ViewTable::index_for_mask`].
+/// search.
 #[derive(Debug)]
 pub struct ViewSortedIndex {
     cols: Vec<usize>,
@@ -66,6 +170,24 @@ pub struct ViewSortedIndex {
 }
 
 impl ViewSortedIndex {
+    fn build(table: &ViewTable, cols: &[usize]) -> Self {
+        let mut rows: Vec<u32> = (0..table.len() as u32).collect();
+        rows.sort_unstable_by(|&a, &b| {
+            let (ra, rb) = (table.row(a as usize), table.row(b as usize));
+            for &c in cols {
+                match ra[c].cmp(&rb[c]) {
+                    std::cmp::Ordering::Equal => continue,
+                    other => return other,
+                }
+            }
+            a.cmp(&b)
+        });
+        Self {
+            cols: cols.to_vec(),
+            rows,
+        }
+    }
+
     /// The sort-column sequence (outermost first).
     pub fn cols(&self) -> &[usize] {
         &self.cols
@@ -99,17 +221,93 @@ impl ViewSortedIndex {
     }
 }
 
-/// The per-table index cache: one [`ViewIndex`] per bound-column mask,
-/// built on first probe and reused for the table's whole lifetime. A
-/// `ViewTable` is immutable after construction, so the cache never goes
-/// stale: maintenance produces *new* tables (the deployment layer's
-/// version-stamped rebuild), and each fresh table starts a fresh cache —
-/// one build per `(table, mask, version)`, mirroring the triple store's
-/// `IndexSnapshot` idiom.
+/// One published index of a [`Chain`].
+#[derive(Debug)]
+struct Node<K, V> {
+    key: K,
+    index: Arc<V>,
+    next: OnceLock<Box<Node<K, V>>>,
+}
+
+/// An append-only list of write-once nodes: the lock-free index cache.
+/// Nodes are never removed or changed, so a reference into the chain
+/// lives as long as the table does.
+#[derive(Debug)]
+struct Chain<K, V> {
+    head: OnceLock<Box<Node<K, V>>>,
+}
+
+impl<K, V> Default for Chain<K, V> {
+    fn default() -> Self {
+        Self {
+            head: OnceLock::new(),
+        }
+    }
+}
+
+impl<K: Clone, V> Clone for Chain<K, V> {
+    /// A fresh chain over the same `Arc`s, in the same order.
+    fn clone(&self) -> Self {
+        let mut entries = Vec::new();
+        let mut cur = self.head.get();
+        while let Some(node) = cur {
+            entries.push((node.key.clone(), Arc::clone(&node.index)));
+            cur = node.next.get();
+        }
+        let mut head = OnceLock::new();
+        for (key, index) in entries.into_iter().rev() {
+            head = OnceLock::from(Box::new(Node {
+                key,
+                index,
+                next: head,
+            }));
+        }
+        Self { head }
+    }
+}
+
+impl<K, V> Chain<K, V> {
+    /// The index published under `key`, building and publishing it when
+    /// the chain has none. `builds` ticks once per *published* node: a
+    /// thread that loses the publication race keeps its build in hand,
+    /// re-examines the slot, and drops the build if the winner's key is
+    /// the one it wanted.
+    fn get_or_build<Q>(&self, key: &Q, builds: &AtomicUsize, build: impl Fn() -> V) -> &V
+    where
+        K: Borrow<Q>,
+        Q: ?Sized + PartialEq + ToOwned<Owned = K>,
+    {
+        let mut built: Option<Arc<V>> = None;
+        let mut slot = &self.head;
+        loop {
+            match slot.get() {
+                Some(node) if node.key.borrow() == key => return &node.index,
+                Some(node) => slot = &node.next,
+                None => {
+                    let node = Box::new(Node {
+                        key: key.to_owned(),
+                        index: built.take().unwrap_or_else(|| Arc::new(build())),
+                        next: OnceLock::new(),
+                    });
+                    match slot.set(node) {
+                        Ok(()) => {
+                            builds.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(node) => built = Some(node.index),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The per-table index cache: one [`ViewIndex`] per bound-column mask and
+/// one [`ViewSortedIndex`] per column sequence, each built on first probe
+/// and kept for the table's lifetime.
 #[derive(Debug, Default)]
 struct IndexCache {
-    by_mask: RwLock<FxHashMap<u64, Arc<ViewIndex>>>,
-    by_order: RwLock<FxHashMap<Vec<usize>, Arc<ViewSortedIndex>>>,
+    by_mask: Chain<u64, ViewIndex>,
+    by_order: Chain<Vec<usize>, ViewSortedIndex>,
     builds: AtomicUsize,
 }
 
@@ -117,11 +315,9 @@ impl Clone for IndexCache {
     fn clone(&self) -> Self {
         // The data is identical in the clone, so the built indexes remain
         // valid; sharing them keeps a cloned deployment warm.
-        let masks = read_unpoisoned(&self.by_mask);
-        let orders = read_unpoisoned(&self.by_order);
         Self {
-            by_mask: RwLock::new(masks.clone()),
-            by_order: RwLock::new(orders.clone()),
+            by_mask: self.by_mask.clone(),
+            by_order: self.by_order.clone(),
             builds: AtomicUsize::new(self.builds.load(Ordering::Relaxed)),
         }
     }
@@ -129,9 +325,9 @@ impl Clone for IndexCache {
 
 /// A materialized view: a fixed-arity table of id tuples, stored flat.
 ///
-/// Hash indexes over arbitrary column subsets are built on demand, cached
-/// inside the table (interior mutability), and shared via `Arc`; rewriting
-/// evaluation and maintenance delta joins probe them for join lookups.
+/// Indexes over arbitrary column subsets are built on demand and cached
+/// inside the table; rewriting evaluation and maintenance delta joins
+/// probe them for join lookups.
 #[derive(Debug, Clone, Default)]
 pub struct ViewTable {
     arity: usize,
@@ -194,71 +390,31 @@ impl ViewTable {
         self.data.len()
     }
 
-    /// The cached hash index for the column set `mask` (bit `c` set ⇔
-    /// column `c` is a key column). Built on first use, then shared — a
-    /// maintenance batch or a repeated `answer_query` probing the same
-    /// table with the same bound columns pays the build exactly once.
-    pub fn index_for_mask(&self, mask: u64) -> Arc<ViewIndex> {
+    /// The hash index for the column set `mask` (bit `c` set ⇔ column `c`
+    /// is a key column). Built on first use, then served by acquire loads
+    /// alone — a maintenance batch or a repeated `answer_query` probing
+    /// the same table with the same bound columns pays the build exactly
+    /// once, and concurrent readers of a built index share no writes.
+    pub fn index_for_mask(&self, mask: u64) -> &ViewIndex {
         debug_assert!(self.arity <= 64, "mask-indexed tables cap at 64 columns");
-        {
-            let guard = read_unpoisoned(&self.cache.by_mask);
-            if let Some(idx) = guard.get(&mask) {
-                return Arc::clone(idx);
-            }
-        }
-        let cols: Vec<usize> = (0..self.arity).filter(|c| mask & (1 << c) != 0).collect();
-        let mut map: FxHashMap<Vec<Id>, Vec<u32>> = FxHashMap::default();
-        for r in 0..self.len() {
-            let row = self.row(r);
-            let key: Vec<Id> = cols.iter().map(|&c| row[c]).collect();
-            map.entry(key).or_default().push(r as u32);
-        }
-        let idx = Arc::new(ViewIndex { cols, map });
-        let mut guard = write_unpoisoned(&self.cache.by_mask);
-        // Two threads may race to build the same mask; keep the first.
-        let entry = guard.entry(mask).or_insert_with(|| {
-            self.cache.builds.fetch_add(1, Ordering::Relaxed);
-            Arc::clone(&idx)
-        });
-        Arc::clone(entry)
+        self.cache
+            .by_mask
+            .get_or_build(&mask, &self.cache.builds, || ViewIndex::build(self, mask))
     }
 
-    /// The cached sorted projection for the column sequence `cols` — the
-    /// leapfrog join's trie view of the table (constant columns first, then
-    /// one column per join variable in global order). Built on first use
-    /// and `Arc`-shared, exactly like [`ViewTable::index_for_mask`]:
-    /// repeated evaluations over the same table pay each sort once, and
-    /// every build ticks the same [`ViewTable::index_builds`] counter.
-    pub fn sorted_index_for_order(&self, cols: &[usize]) -> Arc<ViewSortedIndex> {
+    /// The sorted projection for the column sequence `cols` — the leapfrog
+    /// join's trie view of the table (constant columns first, then one
+    /// column per join variable in global order). Cached exactly like
+    /// [`ViewTable::index_for_mask`]: repeated evaluations over the same
+    /// table pay each sort once, and every build ticks the same
+    /// [`ViewTable::index_builds`] counter.
+    pub fn sorted_index_for_order(&self, cols: &[usize]) -> &ViewSortedIndex {
         debug_assert!(cols.iter().all(|&c| c < self.arity), "column out of range");
-        {
-            let guard = read_unpoisoned(&self.cache.by_order);
-            if let Some(idx) = guard.get(cols) {
-                return Arc::clone(idx);
-            }
-        }
-        let mut rows: Vec<u32> = (0..self.len() as u32).collect();
-        rows.sort_unstable_by(|&a, &b| {
-            let (ra, rb) = (self.row(a as usize), self.row(b as usize));
-            for &c in cols {
-                match ra[c].cmp(&rb[c]) {
-                    std::cmp::Ordering::Equal => continue,
-                    other => return other,
-                }
-            }
-            a.cmp(&b)
-        });
-        let idx = Arc::new(ViewSortedIndex {
-            cols: cols.to_vec(),
-            rows,
-        });
-        let mut guard = write_unpoisoned(&self.cache.by_order);
-        // Two threads may race to build the same order; keep the first.
-        let entry = guard.entry(cols.to_vec()).or_insert_with(|| {
-            self.cache.builds.fetch_add(1, Ordering::Relaxed);
-            Arc::clone(&idx)
-        });
-        Arc::clone(entry)
+        self.cache
+            .by_order
+            .get_or_build(cols, &self.cache.builds, || {
+                ViewSortedIndex::build(self, cols)
+            })
     }
 
     /// How many resident indexes this table has built so far — one per
@@ -309,9 +465,33 @@ mod tests {
         assert_eq!(idx.cols(), &[1]);
         assert_eq!(idx.rows_for(&[Id(10)]).len(), 2);
         assert_eq!(idx.rows_for(&[Id(20)]).len(), 1);
-        assert!(idx.rows_for(&[Id(99)]).is_empty());
+        assert_eq!(idx.rows_for(&[Id(99)]).len(), 0);
+        let bucket: Vec<&[Id]> = idx.rows_for(&[Id(20)]).collect();
+        assert_eq!(bucket, [&[Id(1), Id(20)]], "buckets hold full rows");
         let idx2 = t.index_for_mask(0b11);
         assert_eq!(idx2.key_count(), 3);
+    }
+
+    #[test]
+    fn index_handles_empty_table_and_64_column_mask() {
+        let empty = ViewTable::from_rows(2, Vec::new());
+        let idx = empty.index_for_mask(0b01);
+        assert_eq!(idx.key_count(), 0);
+        assert_eq!(idx.rows_for(&[Id(1)]).len(), 0);
+
+        // 64 columns, every one a key column: the widest mask there is.
+        let wide = |seed: u32| -> Vec<Id> { (0..64).map(|c| Id(seed * 100 + c)).collect() };
+        let t = ViewTable::from_rows(64, vec![wide(1), wide(2), wide(3)]);
+        let idx = t.index_for_mask(u64::MAX);
+        assert_eq!(idx.cols().len(), 64);
+        assert_eq!(idx.key_count(), 3);
+        let hit: Vec<&[Id]> = idx.rows_for(&wide(2)).collect();
+        assert_eq!(hit, [wide(2).as_slice()]);
+        // The top bit alone keys on the last column.
+        let last = t.index_for_mask(1 << 63);
+        assert_eq!(last.cols(), &[63]);
+        assert_eq!(last.rows_for(&[Id(363)]).len(), 1);
+        assert_eq!(last.rows_for(&[Id(364)]).len(), 0);
     }
 
     #[test]
@@ -320,12 +500,47 @@ mod tests {
         assert_eq!(t.index_builds(), 0);
         let a = t.index_for_mask(1);
         let b = t.index_for_mask(1);
-        assert!(Arc::ptr_eq(&a, &b), "same mask shares one index");
+        assert!(std::ptr::eq(a, b), "same mask shares one index");
         assert_eq!(t.index_builds(), 1);
         t.index_for_mask(0b10);
         assert_eq!(t.index_builds(), 2);
         t.index_for_mask(1);
         assert_eq!(t.index_builds(), 2, "cache hit is not a build");
+    }
+
+    #[test]
+    fn racing_first_probes_publish_one_index_per_mask() {
+        // Eight threads released together onto a fresh table, each probing
+        // the same three masks in a different rotation: whoever loses a
+        // publication race must adopt the winner's index, and only
+        // published indexes count as builds.
+        let t = ViewTable::from_rows(3, (0..500u32).map(|i| vec![Id(i % 7), Id(i % 11), Id(i)]));
+        let masks = [0b001u64, 0b010, 0b011];
+        let start = std::sync::Barrier::new(8);
+        let seen: Vec<Vec<(u64, usize)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|i| {
+                    let (t, start) = (&t, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..3)
+                            .map(|j| masks[(i + j) % 3])
+                            .map(|m| (m, t.index_for_mask(m) as *const ViewIndex as usize))
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for &m in &masks {
+            let published = t.index_for_mask(m) as *const ViewIndex as usize;
+            for (mask, ptr) in seen.iter().flatten() {
+                if *mask == m {
+                    assert_eq!(*ptr, published, "mask {m:#b}: one pointer for all");
+                }
+            }
+        }
+        assert_eq!(t.index_builds(), 3, "lost races are not builds");
     }
 
     #[test]
@@ -357,7 +572,7 @@ mod tests {
         let t = table();
         let a = t.sorted_index_for_order(&[0, 1]);
         let b = t.sorted_index_for_order(&[0, 1]);
-        assert!(Arc::ptr_eq(&a, &b), "same order shares one index");
+        assert!(std::ptr::eq(a, b), "same order shares one index");
         assert_eq!(t.index_builds(), 1);
         t.sorted_index_for_order(&[1, 0]);
         assert_eq!(t.index_builds(), 2);
@@ -375,7 +590,16 @@ mod tests {
         t.index_for_mask(1);
         let cl = t.clone();
         assert_eq!(cl.index_builds(), 1);
-        cl.index_for_mask(1);
-        assert_eq!(cl.index_builds(), 1, "clone reuses the built index");
+        assert!(
+            std::ptr::eq(cl.index_for_mask(1), t.index_for_mask(1)),
+            "clone reuses the built index"
+        );
+        assert_eq!(cl.index_builds(), 1, "a warm probe is not a build");
+        cl.index_for_mask(0b10);
+        assert_eq!(
+            (cl.index_builds(), t.index_builds()),
+            (2, 1),
+            "chains diverge"
+        );
     }
 }

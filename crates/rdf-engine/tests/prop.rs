@@ -1,11 +1,15 @@
 //! Property tests for the evaluation engine: the index-backed evaluator,
 //! the scan-only evaluator and a reference naive join must all agree; view
 //! rewritings of a decomposed query must equal direct evaluation; the
-//! maintenance deltas must keep views equal to rematerialization.
+//! maintenance deltas must keep views equal to rematerialization; a view
+//! index must return exactly the rows a filter would.
 
 use proptest::prelude::*;
 use rdf_engine::maintain::MaintainedView;
-use rdf_engine::{evaluate, evaluate_with, evaluate_with_stats, Engine, EvalOptions};
+use rdf_engine::{
+    evaluate, evaluate_mixed, evaluate_with, evaluate_with_stats, materialize, Engine, EvalOptions,
+    MixedAtom, ViewAtom, ViewTable,
+};
 use rdf_model::{Id, TripleStore};
 use rdf_query::{Atom, ConjunctiveQuery, QTerm, Var};
 
@@ -72,6 +76,36 @@ fn cq(atoms: Vec<Atom>) -> ConjunctiveQuery {
         }
     }
     ConjunctiveQuery::new(head, atoms)
+}
+
+/// Half the time, replaces the head of a generated query — which lists
+/// every body variable — by a projection: a strict subset of the
+/// variables, nothing at all (a boolean query), a subset with one variable
+/// repeated, or a subset with a constant column. These are the heads under
+/// which the compiled core stops enumerating before its last atom.
+fn projected(
+    inner: impl Strategy<Value = ConjunctiveQuery>,
+) -> impl Strategy<Value = ConjunctiveQuery> {
+    (inner, any::<bool>(), any::<u64>(), 0u32..4).prop_map(|(q, project, bits, mode)| {
+        if !project {
+            return q;
+        }
+        let mut head: Vec<QTerm> = (q.head.iter().enumerate())
+            .filter(|(i, _)| bits >> i & 1 == 1)
+            .map(|(_, t)| *t)
+            .collect();
+        if head.len() == q.head.len() {
+            head.pop();
+        }
+        let at = (bits >> 32) as usize % (head.len() + 1);
+        match mode {
+            0 => {}
+            1 => head.clear(),
+            2 => head.insert(at, *head.first().unwrap_or(&q.head[0])),
+            _ => head.insert(at, QTerm::Const(Id(7))),
+        }
+        ConjunctiveQuery::new(head, q.atoms)
+    })
 }
 
 /// Shaped queries that stress specific join-core paths: stars (one shared
@@ -195,7 +229,7 @@ proptest! {
     #[test]
     fn indexed_and_scan_only_agree(
         triples in triples_strategy(),
-        q in query_strategy(),
+        q in projected(query_strategy()),
     ) {
         let store = store_from(&triples);
         let a = evaluate(&store, &q);
@@ -206,7 +240,7 @@ proptest! {
     #[test]
     fn compiled_core_matches_baselines_on_shaped_queries(
         triples in triples_strategy(),
-        q in shaped_query_strategy(),
+        q in projected(shaped_query_strategy()),
     ) {
         // Differential test across all four engines: the full-scan
         // baseline, the pre-compiled indexed core, the compiled
@@ -214,8 +248,8 @@ proptest! {
         // runs the acyclic shapes the selector would route elsewhere).
         // Shapes cover stars, chains, repeated variables, constant
         // selections, cartesian products and the cyclic tier (triangles,
-        // diamonds, 4-cycles). The adaptive default must agree too,
-        // whichever engine it picked.
+        // diamonds, 4-cycles), under full and projecting heads. The
+        // adaptive default must agree too, whichever engine it picked.
         let store = store_from(&triples);
         let scan = evaluate_with(&store, &q, &EvalOptions::scan_baseline());
         let legacy = evaluate_with(&store, &q, &EvalOptions::legacy_indexed());
@@ -229,10 +263,83 @@ proptest! {
     }
 
     #[test]
+    fn mixed_atoms_over_views_match_the_scan_baseline(
+        triples in triples_strategy(),
+        q in projected(shaped_query_strategy()),
+        sources in any::<u64>(),
+    ) {
+        // Every atom is answered, by the draw, from the store, from a
+        // 3-column table of all triples (the atom's constants select), or
+        // from its own materialized view (one column per distinct
+        // variable; a ground atom has none and stays on the store) — so
+        // the view-index probes, the bucket walk and the early exit over
+        // buckets face the same oracle as the store path.
+        let store = store_from(&triples);
+        let all = ViewTable::from_rows(3, store.triples().iter().map(|t| t.to_vec()));
+        let own: Vec<(Vec<QTerm>, ViewTable)> = q
+            .atoms
+            .iter()
+            .map(|a| {
+                let view = cq(vec![*a]);
+                let table = materialize(&store, &view);
+                (view.head, table)
+            })
+            .collect();
+        let atoms: Vec<MixedAtom> = q
+            .atoms
+            .iter()
+            .zip(&own)
+            .enumerate()
+            .map(|(i, (a, (head, table)))| match sources >> (2 * i) & 3 {
+                0 => MixedAtom::Store(*a),
+                1 => MixedAtom::View(ViewAtom { table: &all, args: a.terms() }),
+                _ if head.is_empty() => MixedAtom::Store(*a),
+                _ => MixedAtom::View(ViewAtom { table, args: head }),
+            })
+            .collect();
+        let mixed = evaluate_mixed(&store, &atoms, &q.head);
+        prop_assert_eq!(mixed, evaluate_with(&store, &q, &EvalOptions::scan_baseline()));
+    }
+
+    #[test]
+    fn view_index_returns_what_a_filter_would(
+        arity in 1usize..5,
+        rows in prop::collection::vec([0u32..4, 0u32..4, 0u32..4, 0u32..4], 0..60),
+        mask_bits in any::<u64>(),
+    ) {
+        let table = ViewTable::from_rows(
+            arity,
+            rows.iter().map(|r| r[..arity].iter().map(|&v| Id(v)).collect()),
+        );
+        let mask = mask_bits % (1 << arity);
+        let idx = table.index_for_mask(mask);
+        let cols: Vec<usize> = (0..arity).filter(|c| mask >> c & 1 == 1).collect();
+        prop_assert_eq!(idx.cols(), &cols[..]);
+        // Every key over the value domain plus one value no row has:
+        // present keys return their rows, absent ones nothing.
+        let mut distinct = 0;
+        for code in 0..5usize.pow(cols.len() as u32) {
+            let key: Vec<Id> = (0..cols.len())
+                .map(|k| Id((code / 5usize.pow(k as u32) % 5) as u32))
+                .collect();
+            let mut got: Vec<&[Id]> = idx.rows_for(&key).collect();
+            let mut want: Vec<&[Id]> = table
+                .rows()
+                .filter(|row| cols.iter().zip(&key).all(|(&c, k)| row[c] == *k))
+                .collect();
+            got.sort_unstable();
+            want.sort_unstable();
+            distinct += usize::from(!want.is_empty());
+            prop_assert_eq!(got, want);
+        }
+        prop_assert_eq!(idx.key_count(), distinct);
+    }
+
+    #[test]
     fn maintenance_equals_rematerialization(
         base in triples_strategy(),
         feed in prop::collection::vec([0u32..10, 20u32..24, 0u32..10], 1..20),
-        q in query_strategy(),
+        q in projected(query_strategy()),
     ) {
         let mut store = store_from(&base);
         let mut view = MaintainedView::new(&store, q.clone());
@@ -253,7 +360,7 @@ proptest! {
             (any::<bool>(), prop::collection::vec([0u32..10, 20u32..24, 0u32..10], 1..12)),
             1..8,
         ),
-        q in query_strategy(),
+        q in projected(query_strategy()),
     ) {
         // Random interleaved insert/delete batches through the
         // set-at-a-time delta joins: after every batch the maintained view

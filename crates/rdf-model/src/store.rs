@@ -106,8 +106,10 @@ impl IndexOrder {
     }
 
     /// Picks the order whose sort prefix covers the pattern's bound columns,
-    /// and returns it with the key values in comparison order.
-    pub fn for_pattern(pat: &StorePattern) -> (IndexOrder, Vec<Id>) {
+    /// and returns it with the key values in comparison order: the first
+    /// `len` entries of the array (a fixed array, so the per-probe hot path
+    /// of the join core does not allocate).
+    pub fn for_pattern(pat: &StorePattern) -> (IndexOrder, [Id; 3], usize) {
         let slots = pat.slots();
         let order = match (pat.s.is_some(), pat.p.is_some(), pat.o.is_some()) {
             (true, true, _) => IndexOrder::Spo,
@@ -118,8 +120,13 @@ impl IndexOrder {
             (false, false, true) => IndexOrder::Osp,
             (false, false, false) => IndexOrder::Spo,
         };
-        let key: Vec<Id> = order.perm().iter().map_while(|&col| slots[col]).collect();
-        (order, key)
+        let mut key = [Id(0); 3];
+        let mut len = 0;
+        for id in order.perm().iter().map_while(|&col| slots[col]) {
+            key[len] = id;
+            len += 1;
+        }
+        (order, key, len)
     }
 
     /// Picks an order whose sort sequence lists the given column `groups`
@@ -550,8 +557,8 @@ impl TripleStore {
     /// making the range exact (no post-filtering needed). An all-free
     /// pattern ranges over the whole SPO snapshot.
     pub fn pattern_range(&self, pat: &StorePattern) -> IndexRange {
-        let (order, key) = IndexOrder::for_pattern(pat);
-        self.range(order, &key)
+        let (order, key, len) = IndexOrder::for_pattern(pat);
+        self.range(order, &key[..len])
     }
 
     /// Calls `f` for every triple matching `pat`, using the best index.

@@ -30,8 +30,9 @@
 //!                                    query from it (wait-free reads on a
 //!                                    fixed store version)
 //!   --stats                          (query mode) print per-branch
-//!                                    evaluation statistics (engine,
-//!                                    leapfrog seeks/emitted) per query
+//!                                    evaluation statistics (engine, rows
+//!                                    visited, leapfrog seeks/emitted)
+//!                                    per query
 //!   --mode plain|saturate|pre|post   entailment handling (default: plain;
 //!                                    all but plain extract the RDFS from
 //!                                    the data triples)
@@ -523,8 +524,9 @@ fn main() -> ExitCode {
                     if args.stats {
                         for (i, s) in stats.iter().enumerate() {
                             println!(
-                                "#   branch {i}: engine {}, {} leapfrog seeks, {} tuples emitted",
+                                "#   branch {i}: engine {}, {} rows visited, {} leapfrog seeks, {} tuples emitted",
                                 s.engine.as_str(),
+                                s.rows_visited,
                                 s.lf_seeks,
                                 s.lf_emitted
                             );

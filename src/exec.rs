@@ -114,7 +114,7 @@ pub fn answer_query(state: &State, mv: &MaterializedViews, query_idx: usize) -> 
         .iter()
         .map(|a| ViewAtom {
             table: mv.table(a.view),
-            args: a.args.clone(),
+            args: &a.args,
         })
         .collect();
     evaluate_over_views(&atoms, &r.head)
@@ -633,18 +633,17 @@ impl SnapshotReader {
 }
 
 /// Executes every branch of a plan against one generation (a pinned
-/// store + its view tables) and unions the branch answers set-wise. The
-/// shared execution core of [`Deployment::answer_query`] and
-/// [`DeploymentSnapshot::answer_query`].
+/// store + its view tables) and unions the branch answers set-wise — a
+/// one-branch plan's answers, already distinct and sorted, pass through
+/// untouched. The shared execution core of [`Deployment::answer_query`]
+/// and [`DeploymentSnapshot::answer_query`].
 fn execute_plan(
     store: &TripleStore,
     tables: &MaterializedViews,
     plan: &QueryPlan,
 ) -> (Answers, Vec<EvalStats>) {
-    let arity = plan.query.head.len();
-    let mut set: FxHashSet<Vec<Id>> = FxHashSet::default();
     let mut stats = Vec::with_capacity(plan.branches.len());
-    for b in &plan.branches {
+    let runs = plan.branches.iter().map(|b| {
         let atoms: Vec<MixedAtom<'_>> = b
             .plan
             .atoms
@@ -652,16 +651,17 @@ fn execute_plan(
             .map(|pa| match pa {
                 PlanAtom::View(ra) => MixedAtom::View(ViewAtom {
                     table: tables.table(ra.view),
-                    args: ra.args.clone(),
+                    args: &ra.args,
                 }),
                 PlanAtom::Base(a) => MixedAtom::Store(*a),
             })
             .collect();
         let (answers, branch_stats) = evaluate_mixed_stats(store, &atoms, &b.plan.head);
-        set.extend(answers.into_tuples());
         stats.push(branch_stats);
-    }
-    (Answers::from_set(arity, set), stats)
+        answers
+    });
+    let answers = Answers::union_all(plan.query.head.len(), runs);
+    (answers, stats)
 }
 
 impl Deployment {
