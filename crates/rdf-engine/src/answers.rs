@@ -1,41 +1,52 @@
-//! Query answers under set semantics.
+//! Query answers under set semantics, stored flat.
+//!
+//! An answer set is one row-major `Vec<Id>`: row `r` is
+//! `data[r * arity..][..arity]`, rows are distinct and in lexicographic
+//! order. There is no vector per tuple, so building, comparing, cloning
+//! and dropping an answer set are each one pass over one allocation, and a
+//! [`ViewTable`](crate::ViewTable) — which has the same layout — takes the
+//! buffer over as it is. The row count is kept beside the buffer because a
+//! boolean query's answers have no columns: `len` is what tells its one
+//! empty tuple from none.
+//!
+//! Ordering rows means comparing them, and a slice compare per step of a
+//! sort is a loop behind two pointers. Ids are 32 bits wide, so a row of up
+//! to four of them fits an integer whose numeric order *is* the row order:
+//! such rows are packed, sorted as integers and unpacked. Wider rows sort
+//! their row numbers and are gathered once.
 
-use rdf_model::{FxHashSet, Id};
+use rdf_model::Id;
 
 /// A set of answer tuples, kept sorted for deterministic iteration and
 /// cheap equality.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Answers {
     arity: usize,
-    tuples: Vec<Vec<Id>>,
+    len: usize,
+    data: Vec<Id>,
 }
 
 impl Answers {
-    /// Builds from a deduplicated set of tuples.
-    pub fn from_set(arity: usize, set: FxHashSet<Vec<Id>>) -> Self {
-        let mut tuples: Vec<Vec<Id>> = set.into_iter().collect();
-        tuples.sort_unstable();
-        Self { arity, tuples }
+    /// Builds from possibly-duplicated tuples, each of `arity` ids.
+    pub fn from_tuples<T: AsRef<[Id]>>(arity: usize, tuples: impl IntoIterator<Item = T>) -> Self {
+        let mut data = Vec::new();
+        let mut len = 0;
+        for tuple in tuples {
+            let tuple = tuple.as_ref();
+            assert_eq!(tuple.len(), arity, "answer tuple of the wrong width");
+            data.extend_from_slice(tuple);
+            len += 1;
+        }
+        Self::from_flat(arity, len, data, false)
     }
 
-    /// Builds from possibly-duplicated tuples.
-    pub fn from_tuples(arity: usize, tuples: impl IntoIterator<Item = Vec<Id>>) -> Self {
-        let mut tuples: Vec<Vec<Id>> = tuples.into_iter().collect();
-        tuples.sort_unstable();
-        tuples.dedup();
-        Self { arity, tuples }
-    }
-
-    /// Builds from tuples the caller guarantees are already distinct
-    /// (e.g. drained from a dedup set) — skips the re-hashing pass that
-    /// [`Answers::from_tuples`] would pay.
-    pub fn from_distinct(arity: usize, mut tuples: Vec<Vec<Id>>) -> Self {
-        tuples.sort_unstable();
-        debug_assert!(
-            tuples.windows(2).all(|w| w[0] != w[1]),
-            "from_distinct caller passed duplicates"
-        );
-        Self { arity, tuples }
+    /// Builds from `len` row-major rows. `distinct` is the caller's promise
+    /// that no row repeats (rows drained from a dedup set), which saves the
+    /// pass that drops duplicates.
+    pub(crate) fn from_flat(arity: usize, len: usize, mut data: Vec<Id>, distinct: bool) -> Self {
+        debug_assert_eq!(data.len(), len * arity);
+        let len = sort_rows(arity, len, &mut data, distinct);
+        Self { arity, len, data }
     }
 
     /// Number of head columns.
@@ -45,24 +56,38 @@ impl Answers {
 
     /// Number of distinct tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.len
     }
 
     /// Whether there are no answers.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.len == 0
     }
 
-    /// The tuples, sorted.
-    pub fn tuples(&self) -> &[Vec<Id>] {
-        &self.tuples
+    /// The tuples in order, borrowed from the flat buffer — no allocation.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Id]> + Clone {
+        let (arity, data) = (self.arity, &self.data);
+        (0..self.len).map(move |r| &data[r * arity..(r + 1) * arity])
+    }
+
+    /// The tuples in order, as a vector of row slices built for the call:
+    /// the indexable form (`a.tuples()[i][c]`). Loops want [`Answers::rows`].
+    pub fn tuples(&self) -> Vec<&[Id]> {
+        self.rows().collect()
     }
 
     /// Membership test (binary search).
     pub fn contains(&self, tuple: &[Id]) -> bool {
-        self.tuples
-            .binary_search_by(|t| t.as_slice().cmp(tuple))
-            .is_ok()
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.data[mid * self.arity..(mid + 1) * self.arity].cmp(tuple) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return true,
+            }
+        }
+        false
     }
 
     /// Merges two answer sets (set union); arities must agree.
@@ -77,28 +102,97 @@ impl Answers {
     /// sorted and deduplicated once.
     pub fn union_all(arity: usize, runs: impl IntoIterator<Item = Answers>) -> Answers {
         let mut runs = runs.into_iter();
-        let mut tuples = runs.next().map_or_else(Vec::new, |first| first.tuples);
-        let sorted = tuples.len();
+        let Some(first) = runs.next() else {
+            return Answers::from_flat(arity, 0, Vec::new(), true);
+        };
+        debug_assert_eq!(first.arity, arity);
+        let (mut len, mut data) = (first.len, first.data);
+        let sorted = len;
         for run in runs {
             debug_assert_eq!(run.arity, arity);
-            tuples.extend(run.tuples);
+            len += run.len;
+            data.extend_from_slice(&run.data);
         }
-        if tuples.len() > sorted {
-            tuples.sort_unstable();
-            tuples.dedup();
+        if len == sorted {
+            return Answers { arity, len, data };
         }
-        Answers { arity, tuples }
+        Answers::from_flat(arity, len, data, false)
     }
 
-    /// Consumes into the sorted tuple list.
-    pub fn into_tuples(self) -> Vec<Vec<Id>> {
-        self.tuples
+    /// Consumes into the row-major buffer (the layout of a view table).
+    pub(crate) fn into_flat(self) -> Vec<Id> {
+        self.data
     }
+}
+
+/// Puts `len` row-major rows of `arity` ids into lexicographic order,
+/// dropping repeats unless the rows are `distinct`; returns how many remain.
+fn sort_rows(arity: usize, len: usize, data: &mut Vec<Id>, distinct: bool) -> usize {
+    match arity {
+        // The empty tuple is its own only duplicate.
+        0 => len.min(1),
+        1 => {
+            data.sort_unstable();
+            if !distinct {
+                data.dedup();
+            }
+            data.len()
+        }
+        2 => sort_packed(
+            arity,
+            data,
+            distinct,
+            |row| row.iter().fold(0u64, |k, id| k << 32 | u64::from(id.0)),
+            |k, c| Id((k >> (32 * c)) as u32),
+        ),
+        3 | 4 => sort_packed(
+            arity,
+            data,
+            distinct,
+            |row| row.iter().fold(0u128, |k, id| k << 32 | u128::from(id.0)),
+            |k, c| Id((k >> (32 * c)) as u32),
+        ),
+        _ => {
+            let row = |r: &u32| &data[*r as usize * arity..][..arity];
+            let mut order: Vec<u32> = (0..len as u32).collect();
+            order.sort_unstable_by(|a, b| row(a).cmp(row(b)));
+            if !distinct {
+                order.dedup_by(|a, b| row(a) == row(b));
+            }
+            *data = order.iter().flat_map(row).copied().collect();
+            order.len()
+        }
+    }
+}
+
+/// [`sort_rows`] for rows narrow enough to `pack` into an integer that
+/// orders as the row does. `unpack(k, c)` is the id `c` columns from the
+/// right of `k` — a narrowing cast that keeps exactly that id's 32 bits.
+fn sort_packed<K: Ord + Copy>(
+    arity: usize,
+    data: &mut Vec<Id>,
+    distinct: bool,
+    pack: impl Fn(&[Id]) -> K,
+    unpack: impl Fn(K, usize) -> Id,
+) -> usize {
+    let mut keys: Vec<K> = data.chunks_exact(arity).map(pack).collect();
+    keys.sort_unstable();
+    if !distinct {
+        keys.dedup();
+    }
+    data.truncate(keys.len() * arity);
+    for (k, row) in keys.iter().zip(data.chunks_exact_mut(arity)) {
+        for (c, id) in row.iter_mut().rev().enumerate() {
+            *id = unpack(*k, c);
+        }
+    }
+    keys.len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn dedup_and_sort() {
@@ -107,7 +201,7 @@ mod tests {
             vec![vec![Id(2), Id(1)], vec![Id(1), Id(1)], vec![Id(2), Id(1)]],
         );
         assert_eq!(a.len(), 2);
-        assert_eq!(a.tuples()[0], vec![Id(1), Id(1)]);
+        assert_eq!(a.tuples()[0], [Id(1), Id(1)]);
         assert!(a.contains(&[Id(2), Id(1)]));
         assert!(!a.contains(&[Id(9), Id(9)]));
     }
@@ -123,9 +217,83 @@ mod tests {
     #[test]
     fn boolean_answers() {
         // Arity-0: at most one tuple (the empty tuple).
-        let yes = Answers::from_tuples(0, vec![vec![]]);
+        let yes = Answers::from_tuples(0, vec![Vec::<Id>::new(), Vec::new()]);
         let no = Answers::from_tuples(0, Vec::<Vec<Id>>::new());
         assert_eq!(yes.len(), 1);
+        assert!(yes.contains(&[]));
+        assert_eq!(yes.tuples(), [&[] as &[Id]]);
         assert!(no.is_empty());
+        assert!(!no.contains(&[]));
+        assert_ne!(yes, no);
+        assert_eq!(yes.clone().union(no.clone()), yes);
+        assert_eq!(Answers::union_all(0, [no.clone(), no.clone()]), no);
+        assert_eq!(Answers::union_all(0, [yes.clone(), yes.clone()]).len(), 1);
+    }
+
+    /// SplitMix64: a reproducible stream without a dependency.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Every packing path (arity 0, 1, `u64`, `u128` at both of its widths,
+    /// row-number sort) against a `BTreeSet<Vec<Id>>`: order, `len`,
+    /// `contains`, equality and `union_all`. Ids are drawn from a handful
+    /// of values that includes 0 and `u32::MAX`, so rows repeat and every
+    /// column meets both ends of its 32 bits.
+    #[test]
+    fn flat_answers_match_a_btree_set_for_every_arity() {
+        const IDS: [u32; 5] = [0, 1, 0x8000_0000, u32::MAX - 1, u32::MAX];
+        let mut rng = 0x5eed_u64;
+        for arity in 0..=6usize {
+            for round in 0..40 {
+                let n = (next(&mut rng) % 60) as usize * usize::from(round > 0);
+                let mut draw = |n: usize| -> Vec<Vec<Id>> {
+                    (0..n)
+                        .map(|_| {
+                            (0..arity)
+                                .map(|_| Id(IDS[(next(&mut rng) % 5) as usize]))
+                                .collect()
+                        })
+                        .collect()
+                };
+                let (left, right) = (draw(n), draw(n / 2));
+                let oracle: BTreeSet<Vec<Id>> = left.iter().cloned().collect();
+                let a = Answers::from_tuples(arity, &left);
+                assert_eq!(a.arity(), arity);
+                assert_eq!(a.len(), oracle.len(), "arity {arity}");
+                assert_eq!(a.is_empty(), oracle.is_empty());
+                assert!(a.rows().eq(oracle.iter().map(Vec::as_slice)), "order");
+                assert_eq!(a.tuples().len(), a.len());
+                assert_eq!(a.rows().len(), a.len());
+                for t in left.iter().chain(&right) {
+                    assert_eq!(a.contains(t), oracle.contains(t), "contains {t:?}");
+                }
+                // The same set from another order and multiplicity is equal.
+                let mut again: Vec<&Vec<Id>> = left.iter().rev().chain(&left).collect();
+                again.rotate_left(n / 3);
+                assert_eq!(Answers::from_tuples(arity, again), a);
+                // A dedup set's drain takes the `distinct` route.
+                let flat: Vec<Id> = oracle.iter().rev().flatten().copied().collect();
+                assert_eq!(Answers::from_flat(arity, oracle.len(), flat, true), a);
+
+                let b = Answers::from_tuples(arity, &right);
+                let both: BTreeSet<Vec<Id>> = oracle.iter().chain(&right).cloned().collect();
+                let u = Answers::union_all(arity, [a.clone(), b.clone(), a.clone()]);
+                assert_eq!(u.len(), both.len());
+                assert!(u.rows().eq(both.iter().map(Vec::as_slice)), "union order");
+                assert_eq!(u, b.clone().union(a.clone()));
+                assert_eq!(Answers::union_all(arity, [a.clone()]), a);
+                if arity == 0 {
+                    assert!(a.len() <= 1 && u.len() <= 1);
+                }
+                if !right.is_empty() && both.len() > oracle.len() {
+                    assert_ne!(u, a);
+                }
+            }
+        }
     }
 }

@@ -17,38 +17,35 @@
 use rdf_model::{FxHashMap, FxHashSet, Id, StorePattern, TripleStore};
 use rdf_query::{QTerm, Var};
 
-use super::EvalAtom;
+use super::{MixedAtom, ViewAtom};
 use crate::answers::Answers;
 
-impl EvalAtom<'_> {
-    fn args(&self) -> Vec<QTerm> {
-        match self {
-            EvalAtom::Store { atom } => atom.terms().to_vec(),
-            EvalAtom::View { args, .. } => args.to_vec(),
-        }
+fn args<'a>(atom: &'a MixedAtom<'_>) -> &'a [QTerm] {
+    match atom {
+        MixedAtom::Store(atom) => atom.terms(),
+        MixedAtom::View(va) => va.args,
     }
+}
 
-    /// Extent estimate ignoring variable bindings, used by the static
-    /// ordering.
-    fn base_count(&self, store: &TripleStore) -> usize {
-        match self {
-            EvalAtom::Store { atom } => {
-                let [s, p, o] = atom.terms();
-                let pat = StorePattern::new(s.as_const(), p.as_const(), o.as_const());
-                store.match_count(&pat)
-            }
-            EvalAtom::View { table, .. } => table.len(),
+/// Extent estimate ignoring variable bindings, used by the static ordering.
+fn base_count(atom: &MixedAtom<'_>, store: &TripleStore) -> usize {
+    match atom {
+        MixedAtom::Store(atom) => {
+            let [s, p, o] = atom.terms();
+            let pat = StorePattern::new(s.as_const(), p.as_const(), o.as_const());
+            store.match_count(&pat)
         }
+        MixedAtom::View(va) => va.table.len(),
     }
 }
 
 pub(super) fn run(
     store: &TripleStore,
-    atoms: Vec<EvalAtom>,
+    atoms: &[MixedAtom<'_>],
     head: &[QTerm],
     use_indexes: bool,
 ) -> Answers {
-    let order = plan_order(store, &atoms);
+    let order = plan_order(store, atoms);
     let mut ctx = Ctx {
         store,
         atoms,
@@ -60,14 +57,14 @@ pub(super) fn run(
         use_indexes,
     };
     ctx.recurse(0);
-    Answers::from_set(head.len(), ctx.out)
+    Answers::from_tuples(head.len(), ctx.out)
 }
 
 /// Greedy static join order: fewest unbound variables first, breaking ties
 /// by estimated extent.
-fn plan_order(store: &TripleStore, atoms: &[EvalAtom]) -> Vec<usize> {
+fn plan_order(store: &TripleStore, atoms: &[MixedAtom<'_>]) -> Vec<usize> {
     let n = atoms.len();
-    let counts: Vec<usize> = atoms.iter().map(|a| a.base_count(store)).collect();
+    let counts: Vec<usize> = atoms.iter().map(|a| base_count(a, store)).collect();
     let mut chosen = vec![false; n];
     let mut bound: FxHashSet<Var> = FxHashSet::default();
     let mut order = Vec::with_capacity(n);
@@ -77,8 +74,7 @@ fn plan_order(store: &TripleStore, atoms: &[EvalAtom]) -> Vec<usize> {
             if chosen[i] {
                 continue;
             }
-            let unbound = atom
-                .args()
+            let unbound = args(atom)
                 .iter()
                 .filter_map(|t| t.as_var())
                 .collect::<FxHashSet<_>>()
@@ -93,9 +89,9 @@ fn plan_order(store: &TripleStore, atoms: &[EvalAtom]) -> Vec<usize> {
         // xlint: allow(X001, reason = "the loop runs while unchosen atoms remain, so a best always exists")
         let (i, _) = best.expect("atom available");
         chosen[i] = true;
-        for t in atoms[i].args() {
+        for t in args(&atoms[i]) {
             if let QTerm::Var(v) = t {
-                bound.insert(v);
+                bound.insert(*v);
             }
         }
         order.push(i);
@@ -105,7 +101,7 @@ fn plan_order(store: &TripleStore, atoms: &[EvalAtom]) -> Vec<usize> {
 
 struct Ctx<'a, 'h> {
     store: &'a TripleStore,
-    atoms: Vec<EvalAtom<'a>>,
+    atoms: &'h [MixedAtom<'a>],
     order: Vec<usize>,
     head: &'h [QTerm],
     bindings: FxHashMap<Var, Id>,
@@ -137,9 +133,8 @@ impl Ctx<'_, '_> {
             return;
         }
         let atom_idx = self.order[depth];
-        match &self.atoms[atom_idx] {
-            EvalAtom::Store { atom } => {
-                let atom = *atom;
+        match self.atoms[atom_idx] {
+            MixedAtom::Store(atom) => {
                 let [s, p, o] = atom.terms();
                 let slot = |t: &QTerm| match t {
                     QTerm::Const(c) => Some(*c),
@@ -168,9 +163,7 @@ impl Ctx<'_, '_> {
                     }
                 }
             }
-            EvalAtom::View { table, args } => {
-                let table = *table;
-                let args = *args;
+            MixedAtom::View(ViewAtom { table, args }) => {
                 let mut bound_cols: Vec<usize> = Vec::new();
                 let mut key: Vec<Id> = Vec::new();
                 let mut mask = 0u64;

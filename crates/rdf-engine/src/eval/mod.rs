@@ -4,14 +4,16 @@
 //! the triple table (atoms answered through the store's six permutation
 //! indexes) and rewritings over materialized views (atoms answered through
 //! the tables' cached hash indexes). The default engine is the *compiled*
-//! core in [`compiled`]: each query is compiled once into dense
-//! variable slots and per-atom access paths, atoms iterate directly over
-//! `Arc`-shared sorted index ranges, the join order is picked adaptively
-//! per depth from bound-prefix `match_count`s, enumeration stops at the
-//! first witness once every head term is bound (the remaining atoms can
-//! no longer change the answer), and all working memory (bindings frame,
-//! trail, key buffers, output staging) comes from a thread-local
-//! [`scratch`] pool so the inner loop performs no per-row heap allocation.
+//! core in [`compiled`]: each query is compiled once into dense variable
+//! slots; every atom's matching rows under the current bindings are looked
+//! up once, as a borrowed slice with its row count, which both sizes the
+//! atom for the adaptive choice of the next one and is what that atom then
+//! walks; everything about a join node that does not depend on the row in
+//! hand is worked out once per node, as a small program; enumeration stops
+//! at the first witness once every head term is bound (the remaining atoms
+//! can no longer change the answer); and all working memory comes from a
+//! thread-local [`scratch`] pool, answers being staged flat, so a call
+//! allocates nothing per row and nothing per tuple.
 //!
 //! Cyclic queries (triangles, diamonds, k-cycles) are routed to the
 //! worst-case-optimal leapfrog triejoin in [`wcoj`] instead: it joins one
@@ -78,9 +80,10 @@ impl Engine {
 }
 
 /// Per-call evaluation statistics: which engine ran, how many rows the
-/// compiled core visited, and — for the leapfrog engine — how many
-/// galloping seeks it performed and how many (pre-dedup) head tuples it
-/// emitted. Benches and routing tests assert against these.
+/// compiled core visited and how many index lookups it made, and — for the
+/// leapfrog engine — how many galloping seeks it performed and how many
+/// (pre-dedup) head tuples it emitted. Benches and routing tests assert
+/// against these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalStats {
     /// The core that answered the call.
@@ -90,6 +93,11 @@ pub struct EvalStats {
     /// the work a projecting query saves by stopping at its first witness
     /// (0 for the other engines).
     pub rows_visited: u64,
+    /// Index lookups by the compiled core: view-bucket probes plus store
+    /// range searches, constants' included. An atom is looked up once per
+    /// binding of its variables, so this grows with the bindings tried,
+    /// not with the atoms left at each of them (0 for the other engines).
+    pub probes: u64,
     /// Leapfrog galloping seeks (0 for the other engines).
     pub lf_seeks: u64,
     /// Head tuples emitted by the leapfrog executor before deduplication
@@ -102,6 +110,7 @@ impl EvalStats {
         Self {
             engine,
             rows_visited: 0,
+            probes: 0,
             lf_seeks: 0,
             lf_emitted: 0,
         }
@@ -210,12 +219,8 @@ pub fn evaluate_with_stats(
     q: &ConjunctiveQuery,
     opts: &EvalOptions,
 ) -> (Answers, EvalStats) {
-    let atoms: Vec<EvalAtom> = q
-        .atoms
-        .iter()
-        .map(|a| EvalAtom::Store { atom: *a })
-        .collect();
-    run_with(store, atoms, &q.head, opts)
+    let atoms: Vec<MixedAtom> = q.atoms.iter().map(|a| MixedAtom::Store(*a)).collect();
+    run_with(store, &atoms, &q.head, opts)
 }
 
 /// Evaluates a union of conjunctive queries (set-union of branch answers).
@@ -254,51 +259,23 @@ pub fn evaluate_mixed_stats(
     atoms: &[MixedAtom<'_>],
     head: &[QTerm],
 ) -> (Answers, EvalStats) {
-    let eval_atoms: Vec<EvalAtom> = atoms
-        .iter()
-        .map(|ma| match ma {
-            MixedAtom::Store(atom) => EvalAtom::Store { atom: *atom },
-            MixedAtom::View(va) => EvalAtom::view(va),
-        })
-        .collect();
-    run_with(store, eval_atoms, head, &EvalOptions::default())
+    run_with(store, atoms, head, &EvalOptions::default())
 }
 
 /// Evaluates a rewriting: a conjunctive query whose atoms are view scans.
 pub fn evaluate_over_views(atoms: &[ViewAtom<'_>], head: &[QTerm]) -> Answers {
-    let eval_atoms: Vec<EvalAtom> = atoms.iter().map(EvalAtom::view).collect();
+    let atoms: Vec<MixedAtom> = atoms.iter().map(|va| MixedAtom::View(*va)).collect();
     // The store is unused for pure view rewritings; an empty one satisfies
     // the evaluator's signature.
     thread_local! {
         static EMPTY: TripleStore = TripleStore::new();
     }
-    EMPTY.with(|store| run_with(store, eval_atoms, head, &EvalOptions::default()).0)
-}
-
-/// The evaluator-internal atom form shared by both cores.
-pub(crate) enum EvalAtom<'a> {
-    Store {
-        atom: Atom,
-    },
-    View {
-        table: &'a ViewTable,
-        args: &'a [QTerm],
-    },
-}
-
-impl<'a> EvalAtom<'a> {
-    fn view(va: &ViewAtom<'a>) -> Self {
-        assert_eq!(va.args.len(), va.table.arity(), "view atom arity mismatch");
-        EvalAtom::View {
-            table: va.table,
-            args: va.args,
-        }
-    }
+    EMPTY.with(|store| run_with(store, &atoms, head, &EvalOptions::default()).0)
 }
 
 fn run_with(
     store: &TripleStore,
-    atoms: Vec<EvalAtom>,
+    atoms: &[MixedAtom<'_>],
     head: &[QTerm],
     opts: &EvalOptions,
 ) -> (Answers, EvalStats) {
@@ -709,6 +686,104 @@ mod tests {
         // The other engines do not count.
         let (_, stats) = evaluate_with_stats(db.store(), &q, &EvalOptions::wcoj());
         assert_eq!(stats.rows_visited, 0);
+    }
+
+    #[test]
+    fn an_atom_is_probed_once_per_binding() {
+        // q(X) :- t(X, p, A), t(X, q, B), t(X, r, C) over N subjects: three
+        // probes place the constants, each row of the first atom binds X
+        // and probes the other two, and the atom that runs second binds
+        // nothing the third contains, so the third keeps the extent it
+        // has. Sizing and reading an atom by separate lookups, and looking
+        // the last one up again, would make it 4 per subject.
+        const N: u64 = 50;
+        let mut db = Dataset::new();
+        for s in 0..N {
+            for p in ["p", "q", "r"] {
+                db.insert_terms(
+                    Term::uri(format!("s{s}")),
+                    Term::uri(p),
+                    Term::uri(format!("{p}{s}")),
+                );
+            }
+        }
+        let q = parse_query(
+            "q(X) :- t(X, <p>, A), t(X, <q>, B), t(X, <r>, C)",
+            db.dict_mut(),
+        )
+        .unwrap()
+        .query;
+        let (a, stats) = evaluate_with_stats(db.store(), &q, &EvalOptions::default());
+        assert_eq!(stats.engine, Engine::Compiled);
+        assert_eq!(a.len() as u64, N);
+        assert_eq!(stats.rows_visited, 3 * N);
+        assert!(stats.probes <= 2 * N + 3, "{} probes", stats.probes);
+        for opts in [EvalOptions::wcoj(), EvalOptions::legacy_indexed()] {
+            let (b, stats) = evaluate_with_stats(db.store(), &q, &opts);
+            assert_eq!(
+                (b, stats.probes),
+                (a.clone(), 0),
+                "only the compiled core counts"
+            );
+        }
+    }
+
+    #[test]
+    fn a_choice_that_flips_on_every_row_rebuilds_its_program() {
+        // q(X, V, W) :- t(X, a, U), t(U, b, V), t(U, c, W). The first atom
+        // is the smallest and its rows come in the order of X; U has one
+        // b-edge and two c-edges for even X and the reverse for odd X, so
+        // the atom chosen second changes with every row and no row finds
+        // the program of the row before it. The answers and the row count
+        // must be what they would be had each node been planned afresh:
+        // per X, its own row, the one row of the smaller atom, and under
+        // it the two rows of the larger.
+        const N: u64 = 64;
+        let mut db = Dataset::new();
+        for i in 0..N {
+            db.insert_terms(
+                Term::uri(format!("x{i:02}")),
+                Term::uri("a"),
+                Term::uri(format!("u{i:02}")),
+            );
+        }
+        for i in 0..N {
+            for (p, fan) in [("b", 1 + i % 2), ("c", 2 - i % 2)] {
+                for k in 0..fan {
+                    db.insert_terms(
+                        Term::uri(format!("u{i:02}")),
+                        Term::uri(p),
+                        Term::uri(format!("{p}{i:02}_{k}")),
+                    );
+                }
+            }
+        }
+        let q = parse_query(
+            "q(X, V, W) :- t(X, <a>, U), t(U, <b>, V), t(U, <c>, W)",
+            db.dict_mut(),
+        )
+        .unwrap()
+        .query;
+        let (a, stats) = evaluate_with_stats(db.store(), &q, &EvalOptions::default());
+        assert_eq!(stats.engine, Engine::Compiled);
+        assert_eq!(
+            a,
+            evaluate_with(db.store(), &q, &EvalOptions::scan_baseline())
+        );
+        assert_eq!(a.len() as u64, 2 * N);
+        assert_eq!(stats.rows_visited, N + N + 2 * N);
+        assert_eq!(stats.probes, 3 + 2 * N);
+    }
+
+    #[test]
+    #[should_panic(expected = "unsafe query: unbound head variable")]
+    fn a_head_variable_missing_from_the_body_panics_at_the_first_answer() {
+        let mut db = family();
+        let q = parse_query("q(X) :- t(X, <hasPainted>, Y)", db.dict_mut())
+            .unwrap()
+            .query;
+        let unsafe_q = ConjunctiveQuery::new(vec![q.head[0], Var(99).into()], q.atoms);
+        evaluate(db.store(), &unsafe_q);
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Reusable evaluator working memory.
 //!
 //! A maintenance batch or a workload materialization makes thousands of
-//! evaluator calls; allocating the bindings frame, trail, key buffers and
-//! output staging afresh each time would dominate small joins. Instead a
-//! thread-local pool hands out [`EvalScratch`] values whose buffers keep
-//! their capacity across calls — the `VisitedPool` idiom: take on entry,
-//! clear-and-return on exit, never shrink below the high-water mark (with
-//! a cap so one pathological query cannot pin unbounded memory).
+//! evaluator calls, most of them visiting a handful of rows; allocating
+//! the bindings frame, the node programs, the extent levels and the output
+//! staging afresh each time would cost such a call more than its join.
+//! Instead a thread-local pool hands out [`EvalScratch`] values whose
+//! buffers keep their capacity across calls — the `VisitedPool` idiom: take
+//! on entry, clear-and-return on exit, never shrink below the high-water
+//! mark (with a cap so one pathological query cannot pin unbounded memory).
+//! Buffers whose elements borrow from a call's tables are pooled empty,
+//! under `'static` (see `compiled::park`).
 //!
 //! Output deduplication uses a [`DedupSet`]: a generation-tagged
 //! open-addressing table whose clear is a generation bump (O(1), never a
@@ -14,33 +17,24 @@
 //! O(capacity), so a pooled scratch that once served a million-answer
 //! query would tax every later microsecond-scale query with a full sweep
 //! of the empty table — exactly the `anchored_chain2` regression the
-//! bench guards against.
+//! bench guards against. The tuples themselves are staged in one flat
+//! arena, row after row: a tuple is compared where it lies and never
+//! becomes a vector of its own, and the arena, handed over whole, is
+//! already the layout [`Answers`](crate::Answers) keeps.
 
 use std::cell::RefCell;
 use std::hash::Hasher;
 
 use rdf_model::{FxHasher, Id};
 
-/// One per-column action of the inner join loop, precomputed per recursion
-/// node (never per row). Bound columns need no action at all: the access
-/// path (index range prefix / hash key) already guarantees them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ColAction {
-    /// Value guaranteed by the access path (index range prefix / hash key).
-    Skip,
-    /// First occurrence of an unbound variable: bind the slot, trail it.
-    Bind(u32),
-    /// Later occurrence of a variable bound by an earlier column of this
-    /// atom (repeated variable): compare against the just-bound slot.
-    Check(u32),
-}
+use super::compiled::{CTerm, ColOp, Extent, Program, Step};
 
 /// A distinct-tuple staging set with O(1) clear.
 ///
 /// Open addressing with linear probing; each slot stores the generation it
-/// was last written in, the tuple's full hash, and its index in the staged
-/// tuple list. Clearing bumps the generation (stale slots read as vacant),
-/// and draining hands the staged tuples over by move — neither operation
+/// was last written in, the tuple's full hash, and the tuple's row number
+/// in the arena. Clearing bumps the generation (stale slots read as
+/// vacant), and draining hands the arena over by move — neither operation
 /// touches the slot array, so a pooled set keeps a large capacity without
 /// taxing small queries.
 #[derive(Debug)]
@@ -51,12 +45,16 @@ pub(crate) struct DedupSet {
     /// Per-slot tuple hash, valid while the generation matches; grows
     /// rehash from here instead of re-hashing tuples.
     hashes: Vec<u64>,
-    /// Per-slot index into `tuples`, valid while the generation matches.
+    /// Per-slot row number in `arena`, valid while the generation matches.
     idxs: Vec<u32>,
     gen: u64,
+    /// Distinct tuples staged this generation. Kept apart from the arena's
+    /// length, which cannot count tuples without columns.
     len: usize,
-    /// The staged distinct tuples, in insertion order.
-    tuples: Vec<Vec<Id>>,
+    /// Width of the tuples staged this generation.
+    arity: usize,
+    /// The staged distinct tuples, row-major, in insertion order.
+    arena: Vec<Id>,
 }
 
 impl Default for DedupSet {
@@ -67,7 +65,8 @@ impl Default for DedupSet {
             idxs: Vec::new(),
             gen: 1,
             len: 0,
-            tuples: Vec::new(),
+            arity: 0,
+            arena: Vec::new(),
         }
     }
 }
@@ -92,8 +91,11 @@ impl DedupSet {
         self.len == 0
     }
 
-    /// Inserts a tuple, returning whether it was new this generation.
+    /// Inserts a tuple, returning whether it was new this generation. All
+    /// tuples of one generation have one width.
     pub fn insert(&mut self, tuple: &[Id]) -> bool {
+        debug_assert!(self.len == 0 || self.arity == tuple.len());
+        self.arity = tuple.len();
         if (self.len + 1) * 8 >= self.gens.len() * 7 {
             self.grow();
         }
@@ -104,25 +106,28 @@ impl DedupSet {
             if self.gens[pos] != self.gen {
                 self.gens[pos] = self.gen;
                 self.hashes[pos] = hash;
-                self.idxs[pos] = self.tuples.len() as u32;
-                self.tuples.push(tuple.to_vec());
+                self.idxs[pos] = self.len as u32;
+                self.arena.extend_from_slice(tuple);
                 self.len += 1;
                 return true;
             }
-            if self.hashes[pos] == hash && self.tuples[self.idxs[pos] as usize] == tuple {
+            let at = self.idxs[pos] as usize * self.arity;
+            if self.hashes[pos] == hash && self.arena[at..at + self.arity] == *tuple {
                 return false;
             }
             pos = (pos + 1) & mask;
         }
     }
 
-    /// Takes the staged tuples (insertion order, distinct) and clears the
-    /// set by bumping the generation — no slot sweep, whatever the
-    /// capacity.
-    pub fn drain(&mut self) -> Vec<Vec<Id>> {
+    /// Takes the staged tuples — how many, and the arena that holds them
+    /// row-major in insertion order — and clears the set by bumping the
+    /// generation: no slot sweep, whatever the capacity.
+    pub fn drain(&mut self) -> (usize, Vec<Id>) {
         self.gen += 1;
-        self.len = 0;
-        std::mem::take(&mut self.tuples)
+        (
+            std::mem::take(&mut self.len),
+            std::mem::take(&mut self.arena),
+        )
     }
 
     fn grow(&mut self) {
@@ -153,24 +158,31 @@ impl DedupSet {
 /// The evaluator's reusable working memory.
 #[derive(Debug, Default)]
 pub(crate) struct EvalScratch {
-    /// Flat bindings frame, indexed by dense variable slot.
-    pub frame: Vec<Option<Id>>,
-    /// Undo trail: slots bound since entry, unwound on backtrack.
-    pub trail: Vec<u32>,
+    /// Flat bindings frame, indexed by dense variable slot. Which slots
+    /// hold a binding is a matter of where the join stands, which the code
+    /// reading the frame knows statically; a stale value is never read.
+    pub frame: Vec<Id>,
     /// Remaining-atom permutation: `order[depth..]` are the atoms not yet
     /// placed; the adaptive planner swaps its pick into `order[depth]`.
     pub order: Vec<u32>,
-    /// Per-depth key buffers for view-index probes.
-    pub keys: Vec<Vec<Id>>,
-    /// Per-depth column-action buffers for view atoms (store atoms use a
-    /// fixed-size stack array).
-    pub actions: Vec<Vec<ColAction>>,
+    /// The key of the view-index lookup under way.
+    pub key: Vec<Id>,
     /// Staging buffer for the current head tuple.
     pub tuple: Vec<Id>,
     /// Output staging: distinct answer tuples.
     pub out: DedupSet,
-    /// Rows the compiled core handed to its per-row step this call.
-    pub rows_visited: u64,
+    /// The cached node program of each depth (see `compiled::Program`),
+    /// and, one stretch per program: its column ops, the sources of its
+    /// steps' lookup keys, its steps.
+    pub(super) programs: Vec<Program>,
+    pub(super) ops: Vec<ColOp>,
+    pub(super) srcs: Vec<CTerm>,
+    pub(super) steps: Vec<Step<'static>>,
+    /// Per slot, which depth's atom binds it — the working set of a
+    /// program build.
+    pub stamps: Vec<u32>,
+    /// The extents of the unplaced atoms, one level per depth.
+    pub(super) levels: Vec<Extent<'static>>,
     /// Leapfrog range stacks, flat: cursor `c` keeps its per-trie-depth
     /// `[lo, hi)` windows at `roff(c) + depth` (offsets assigned at setup).
     pub lf_ranges: Vec<[u32; 2]>,
@@ -189,29 +201,16 @@ thread_local! {
 
 impl EvalScratch {
     /// Takes a scratch value from the thread-local pool (or a fresh one),
-    /// sized for `n_slots` variables and `n_atoms` atoms.
+    /// sized for `n_slots` variables and `n_atoms` atoms. The compiled
+    /// core sizes its program buffers itself.
     pub fn take(n_slots: usize, n_atoms: usize) -> Self {
         let mut s = POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
         s.frame.clear();
-        s.frame.resize(n_slots, None);
-        s.trail.clear();
+        s.frame.resize(n_slots, Id(0));
         s.order.clear();
         s.order.extend(0..n_atoms as u32);
-        if s.keys.len() < n_atoms {
-            s.keys.resize_with(n_atoms, Vec::new);
-        }
-        if s.actions.len() < n_atoms {
-            s.actions.resize_with(n_atoms, Vec::new);
-        }
-        s.tuple.clear();
-        s.rows_visited = 0;
         debug_assert!(s.out.is_empty(), "pooled scratch must be drained");
         s
-    }
-
-    /// Drains the staged output (an O(1) handover, not a bucket sweep).
-    pub fn drain_out(&mut self) -> Vec<Vec<Id>> {
-        self.out.drain()
     }
 
     /// Returns the scratch to the pool for the next evaluator call.
@@ -238,12 +237,12 @@ mod tests {
         let mut s = EvalScratch::take(4, 3);
         assert_eq!(s.frame.len(), 4);
         assert_eq!(s.order, vec![0, 1, 2]);
-        s.trail.reserve(1000);
-        let cap = s.trail.capacity();
+        s.key.reserve(1000);
+        let cap = s.key.capacity();
         s.release();
         let s2 = EvalScratch::take(2, 1);
         assert!(
-            s2.trail.capacity() >= cap,
+            s2.key.capacity() >= cap,
             "pooled buffers keep their capacity"
         );
         assert_eq!(s2.frame.len(), 2);
@@ -252,14 +251,12 @@ mod tests {
     }
 
     #[test]
-    fn drain_out_empties_but_keeps_slots() {
+    fn drain_empties_but_keeps_slots() {
         let mut s = EvalScratch::take(0, 0);
         s.out.insert(&[Id(1)]);
         s.out.insert(&[Id(2)]);
         assert_eq!(s.out.len(), 2);
-        let mut tuples = s.drain_out();
-        tuples.sort_unstable();
-        assert_eq!(tuples, vec![vec![Id(1)], vec![Id(2)]]);
+        assert_eq!(s.out.drain(), (2, vec![Id(1), Id(2)]));
         assert!(s.out.is_empty());
         s.release();
     }
@@ -271,11 +268,21 @@ mod tests {
         assert!(!d.insert(&[Id(1), Id(2)]));
         assert!(d.insert(&[Id(2), Id(1)]));
         assert_eq!(d.len(), 2);
-        let drained = d.drain();
-        assert_eq!(drained, vec![vec![Id(1), Id(2)], vec![Id(2), Id(1)]]);
-        // A new generation accepts the old tuples again.
-        assert!(d.insert(&[Id(1), Id(2)]));
-        assert_eq!(d.len(), 1);
+        assert_eq!(d.drain(), (2, vec![Id(1), Id(2), Id(2), Id(1)]));
+        // A new generation accepts the old tuples again, at another width.
+        assert!(d.insert(&[Id(1)]));
+        assert!(d.insert(&[Id(2)]));
+        assert!(!d.insert(&[Id(1)]));
+        assert_eq!(d.len(), 2);
+    }
+
+    #[test]
+    fn dedup_set_counts_the_empty_tuple_once() {
+        let mut d = DedupSet::default();
+        assert!(d.insert(&[]));
+        assert!(!d.insert(&[]));
+        assert_eq!(d.drain(), (1, Vec::new()));
+        assert!(d.is_empty());
     }
 
     #[test]
@@ -288,7 +295,8 @@ mod tests {
             assert!(!d.insert(&[Id(i % 5_000), Id(i)]), "duplicate {i} slipped");
         }
         assert_eq!(d.len(), 10_000);
-        assert_eq!(d.drain().len(), 10_000);
+        let (len, arena) = d.drain();
+        assert_eq!((len, arena.len()), (10_000, 20_000));
         assert!(d.is_empty());
     }
 }

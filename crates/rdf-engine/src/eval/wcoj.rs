@@ -38,7 +38,7 @@
 
 use rdf_model::{Id, IndexOrder, IndexRange, StorePattern, Triple, TripleStore};
 
-use super::compiled::{CAtom, CTerm, CompiledPlan};
+use super::compiled::{emit, CAtom, CTerm, CompiledPlan};
 use super::scratch::EvalScratch;
 use super::EvalStats;
 use crate::answers::Answers;
@@ -50,6 +50,9 @@ use crate::view_table::{ViewSortedIndex, ViewTable};
 /// survives. (Triangles, diamonds and k-cycles survive; chains, stars and
 /// every ≤2-atom query reduce to nothing.)
 pub(super) fn is_cyclic(plan: &CompiledPlan) -> bool {
+    if plan.atoms.len() < 3 {
+        return false;
+    }
     let mut sets: Vec<Vec<u32>> = plan
         .atoms
         .iter()
@@ -141,7 +144,7 @@ struct Cursor<'a> {
 }
 
 /// Immutable per-call context: cursors, per-level participants, the
-/// variable order and the head template.
+/// variable order and the plan whose head is emitted.
 struct Ctx<'a, 'p> {
     cursors: Vec<Cursor<'a>>,
     /// Per level: `(cursor, trie depth)` of every atom containing the
@@ -149,7 +152,7 @@ struct Ctx<'a, 'p> {
     parts: Vec<Vec<(u32, u32)>>,
     /// The variable slot joined at each level.
     slots: Vec<u32>,
-    head: &'p [CTerm],
+    plan: &'p CompiledPlan<'a>,
 }
 
 impl Ctx<'_, '_> {
@@ -209,7 +212,7 @@ fn const_pattern(terms: &[CTerm; 3]) -> StorePattern {
 }
 
 fn empty(plan: &CompiledPlan) -> Answers {
-    Answers::from_distinct(plan.head.len(), Vec::new())
+    Answers::from_flat(plan.head.len(), 0, Vec::new(), true)
 }
 
 /// Runs a compiled plan with the leapfrog executor. `stats.engine` is set
@@ -413,19 +416,20 @@ pub(super) fn execute(store: &TripleStore, plan: &CompiledPlan, stats: &mut Eval
         cursors,
         parts,
         slots,
-        head: &plan.head,
+        plan,
     };
     join(&ctx, &mut s, stats, 0);
-    let answers = Answers::from_distinct(plan.head.len(), s.drain_out());
+    let (len, data) = s.out.drain();
     s.release();
-    answers
+    Answers::from_flat(plan.head.len(), len, data, true)
 }
 
 /// Joins one variable level: leapfrog the participants to agreement, bind,
 /// narrow, descend, advance — until any participant exhausts its window.
 fn join(ctx: &Ctx, s: &mut EvalScratch, stats: &mut EvalStats, level: usize) {
     if level == ctx.slots.len() {
-        emit(ctx.head, s, stats);
+        stats.lf_emitted += 1;
+        emit(ctx.plan, s);
         return;
     }
     let slot = ctx.slots[level] as usize;
@@ -473,7 +477,7 @@ fn join(ctx: &Ctx, s: &mut EvalScratch, stats: &mut EvalStats, level: usize) {
             continue;
         }
         // Agreement: bind the value, narrow each participant to its run.
-        s.frame[slot] = Some(max);
+        s.frame[slot] = max;
         for &(c, d) in parts {
             let cu = c as usize;
             let cur = &ctx.cursors[cu];
@@ -484,7 +488,6 @@ fn join(ctx: &Ctx, s: &mut EvalScratch, stats: &mut EvalStats, level: usize) {
             s.lf_ranges[roff + 1] = [s.lf_pos[cu], end];
         }
         join(ctx, s, stats, level + 1);
-        s.frame[slot] = None;
         // Advance past the run; any exhaustion ends the level.
         max = Id(0);
         for &(c, d) in parts {
@@ -504,30 +507,14 @@ fn join(ctx: &Ctx, s: &mut EvalScratch, stats: &mut EvalStats, level: usize) {
     }
 }
 
-/// Emits the current head tuple into the output staging set.
-fn emit(head: &[CTerm], s: &mut EvalScratch, stats: &mut EvalStats) {
-    stats.lf_emitted += 1;
-    s.tuple.clear();
-    for t in head {
-        s.tuple.push(match t {
-            CTerm::Const(c) => *c,
-            CTerm::Slot(slot) => {
-                // xlint: allow(X001, reason = "compile() rejects unsafe queries, so head slots are bound at emit depth")
-                s.frame[*slot as usize].expect("unsafe query: unbound head variable")
-            }
-        });
-    }
-    s.out.insert(&s.tuple);
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::compiled;
-    use super::super::EvalAtom;
+    use super::super::MixedAtom;
     use super::*;
     use rdf_query::{Atom, QTerm, Var};
 
-    fn store_atoms(shape: &[[i64; 3]]) -> Vec<EvalAtom<'static>> {
+    fn store_atoms(shape: &[[i64; 3]]) -> Vec<MixedAtom<'static>> {
         // Negative entries are constants, non-negative are variables.
         shape
             .iter()
@@ -539,15 +526,13 @@ mod tests {
                         QTerm::Var(Var(x as u32))
                     }
                 };
-                EvalAtom::Store {
-                    atom: Atom([term(t[0]), term(t[1]), term(t[2])]),
-                }
+                MixedAtom::Store(Atom([term(t[0]), term(t[1]), term(t[2])]))
             })
             .collect()
     }
 
     fn cyclic(shape: &[[i64; 3]]) -> bool {
-        let plan = compiled::compile(store_atoms(shape), &[]);
+        let plan = compiled::compile(&store_atoms(shape), &[]);
         is_cyclic(&plan)
     }
 

@@ -29,46 +29,66 @@
 //!
 //! All entry points funnel into one backtracking join core. The default
 //! engine is the **compiled index-native core** (`eval::compiled`), built
-//! so that a read does the work its answer needs and no more:
+//! so that a read does the work its answer needs and no more — per query,
+//! per join node, per row and per answer tuple:
 //!
-//! * each query is compiled once — variables get dense slot numbers, so
-//!   the bindings frame is a flat vector plus an undo trail instead of a
-//!   hash map, and every atom becomes a pre-resolved access path;
-//! * store atoms iterate directly over `Arc`-shared sorted permutation
-//!   index ranges ([`rdf_model::TripleStore::pattern_range`]) — no
-//!   per-node match materialization — and the chosen permutation covers
-//!   all bound columns as a sort prefix, so bound columns need no per-row
-//!   re-check;
-//! * view atoms probe [`ViewIndex`]es resident in their [`ViewTable`],
-//!   one per bound-column mask. An index keeps the table's rows
-//!   *clustered by key* behind one open-addressing array, so a probe
-//!   returns a contiguous slice of full rows and the walk over a bucket
-//!   touches memory in order. The per-table cache is an append-only chain
-//!   of write-once nodes: finding a built index is a few acquire loads —
-//!   no lock, no reference count — so any number of reader threads probe
-//!   the same table without writing to memory they share (see
-//!   [`ViewTable::index_for_mask`]);
-//! * the join order is chosen adaptively at each depth from bound-prefix
-//!   match counts, pruning any subtree with a zero-extent atom;
+//! * **per query**, variables get dense slot numbers, so the bindings
+//!   frame is a flat vector of ids. Store queries, view rewritings and
+//!   delta joins all arrive as [`MixedAtom`]s and are compiled from that
+//!   one form;
+//! * **an atom's matching rows are looked up once per binding of its
+//!   variables.** The lookup yields a borrowed row-major slice together
+//!   with its row count: the count is what the adaptive choice of the next
+//!   atom compares, the slice is what the chosen atom walks, so sizing an
+//!   atom and reading it are one probe, and an atom that the row in hand
+//!   binds nothing of keeps the slice it already has. A view atom's slice
+//!   is a bucket of a [`ViewIndex`] resident in its [`ViewTable`], one per
+//!   bound-column mask: the index keeps the table's rows *clustered by
+//!   key* behind one open-addressing array, and the per-table cache is an
+//!   append-only chain of write-once nodes, so finding a built index is a
+//!   few acquire loads (see [`ViewTable::index_for_mask`]). A store atom's
+//!   slice is a binary-searched range
+//!   ([`rdf_model::prefix_range`]) of the permutation run whose sort
+//!   prefix covers its bound columns; a call fetches each run it needs
+//!   from the store once and searches the borrowed slice from then on.
+//!   Inside the join there is no lock and no reference count, on either
+//!   kind of atom, so any number of reader threads share nothing they
+//!   write;
+//! * **per join node**, everything that depends on which atoms are placed
+//!   rather than on the row — which columns of the running atom bind a
+//!   slot, which re-check one, whether the head is decided, how each
+//!   remaining atom's lookup key is assembled or that it keeps its slice —
+//!   is worked out once, as a small *node program*, and reused for every
+//!   row of the node. One program is cached per depth; a row that chooses
+//!   another next atom than the row before rebuilds it. A program fixes
+//!   which slots are bound, so the frame needs no `Option` and no undo
+//!   trail;
+//! * the join order is chosen adaptively at each node from those row
+//!   counts, and the first remaining atom found empty abandons the row
+//!   before the others are looked up;
 //! * the join is **projection-aware**. Queries are conjunctive under set
 //!   semantics, and the rewritings the planner stores mostly project
 //!   (their heads are strict subsets of their body variables). Once every
 //!   head term is bound, the atoms that remain can only confirm that the
 //!   head tuple has a witness, so each row loop below that point stops at
-//!   the first one; a boolean query stops at its first match.
-//!   [`EvalStats::rows_visited`] counts the rows the core tried, which is
-//!   how tests hold the rule to its bound;
-//! * all working memory comes from a thread-local scratch pool, so the
-//!   inner loop performs no per-row heap allocation (the store's range
-//!   lookup keeps its key in a fixed array for the same reason); output
-//!   deduplication is a generation-tagged open-addressing table whose
-//!   clear is O(1), so a pooled scratch that once served a million-answer
-//!   query costs a microsecond-scale query nothing;
-//! * answers leave the core distinct and sorted and stay that way:
-//!   [`Answers::union_all`] hands a single branch's answers through
+//!   the first one; a boolean query stops at its first match;
+//! * **per answer tuple, nothing is allocated.** Head tuples are staged
+//!   row after row in one flat arena behind a generation-tagged
+//!   open-addressing table (whose clear is O(1), so a pooled scratch that
+//!   once served a million-answer query costs a microsecond-scale query
+//!   nothing); the arena becomes the [`Answers`] as it is, sorted by
+//!   packing each row into an integer that orders as the row does; and a
+//!   [`ViewTable`], which has the same layout, takes an answer buffer by
+//!   move. [`Answers::union_all`] hands a single branch's answers through
 //!   untouched and merges several by one concatenate-sort-dedup, which is
-//!   what [`evaluate_union`] and the deployment layer's plan executor
-//!   use.
+//!   what [`evaluate_union`] and the deployment layer's plan executor use;
+//! * all working memory — frame, programs, slices, staging — comes from a
+//!   thread-local scratch pool, so a call that visits two rows costs about
+//!   as much as its two rows.
+//!
+//! [`EvalStats::rows_visited`] counts the rows the core tried and
+//! [`EvalStats::probes`] the index lookups it made, which is how tests
+//! hold the early exit and the once-per-binding rule to their bounds.
 //!
 //! **Cyclic queries run a worst-case-optimal leapfrog triejoin instead**
 //! (`eval::wcoj`). The compiled core expands one *atom* at a time, so on a

@@ -79,7 +79,7 @@ impl DeltaSet {
     pub fn new(batch: &[Triple]) -> Self {
         Self {
             triples: batch.to_vec(),
-            table: ViewTable::from_rows(3, batch.iter().map(|t| t.to_vec())),
+            table: ViewTable::from_rows(3, batch),
         }
     }
 
@@ -127,7 +127,7 @@ impl DeleteDelta {
 impl MaintainedView {
     /// Materializes the view over the current store.
     pub fn new(store: &TripleStore, def: ConjunctiveQuery) -> Self {
-        let rows: FxHashSet<Vec<Id>> = evaluate(store, &def).into_tuples().into_iter().collect();
+        let rows = evaluate(store, &def).rows().map(<[Id]>::to_vec).collect();
         Self { def, rows }
     }
 
@@ -166,12 +166,12 @@ impl MaintainedView {
 
     /// Snapshot as a [`ViewTable`].
     pub fn to_table(&self) -> ViewTable {
-        ViewTable::from_rows(self.def.head.len(), self.rows.iter().cloned())
+        ViewTable::from_rows(self.def.head.len(), &self.rows)
     }
 
     /// Snapshot as sorted [`Answers`].
     pub fn to_answers(&self) -> Answers {
-        Answers::from_tuples(self.def.head.len(), self.rows.iter().cloned())
+        Answers::from_tuples(self.def.head.len(), &self.rows)
     }
 
     /// The delta-set join: Δv = ⋃_i π_head(a₁ ⋈ … ⋈ Δaᵢ ⋈ … ⋈ aₙ), with Δ
@@ -200,7 +200,8 @@ impl MaintainedView {
                     }
                 })
                 .collect();
-            delta_set.extend(evaluate_mixed(store, &atoms, &self.def.head).into_tuples());
+            let delta = evaluate_mixed(store, &atoms, &self.def.head);
+            delta_set.extend(delta.rows().map(<[Id]>::to_vec));
         }
         delta_set
     }

@@ -127,10 +127,11 @@ impl ViewIndex {
     }
 
     /// The rows whose key columns equal `key` (values in the same order as
-    /// [`ViewIndex::cols`]), as full rows out of one contiguous run; empty
-    /// when no row matches. `.len()` is the bucket's row count.
+    /// [`ViewIndex::cols`]): one contiguous row-major run of full rows, and
+    /// how many there are — read off the key's offsets, so that sizing a
+    /// bucket costs no division. Empty when no row matches.
     #[inline]
-    pub fn rows_for(&self, key: &[Id]) -> ChunksExact<'_, Id> {
+    pub fn bucket(&self, key: &[Id]) -> (&[Id], usize) {
         let width = self.cols.len();
         debug_assert_eq!(key.len(), width);
         let mut pos = (hash_ids(key) >> self.shift) as usize;
@@ -146,7 +147,16 @@ impl ViewIndex {
                 }
             }
         };
-        self.rows[run.start * self.arity..run.end * self.arity].chunks_exact(self.arity)
+        (
+            &self.rows[run.start * self.arity..run.end * self.arity],
+            run.len(),
+        )
+    }
+
+    /// [`ViewIndex::bucket`] row by row. `.len()` is the bucket's row count.
+    #[inline]
+    pub fn rows_for(&self, key: &[Id]) -> ChunksExact<'_, Id> {
+        self.bucket(key).0.chunks_exact(self.arity)
     }
 
     /// Number of distinct keys.
@@ -337,23 +347,19 @@ pub struct ViewTable {
 }
 
 impl ViewTable {
-    /// Builds a table from answers (already deduplicated).
+    /// Builds a table from answers, whose buffer — distinct rows, row-major
+    /// — becomes the table's own.
     pub fn from_answers(arity: usize, answers: Answers) -> Self {
-        let tuples = answers.into_tuples();
-        let mut data = Vec::with_capacity(tuples.len() * arity);
-        for t in &tuples {
-            debug_assert_eq!(t.len(), arity);
-            data.extend_from_slice(t);
-        }
+        debug_assert_eq!(answers.arity(), arity);
         Self {
             arity,
-            data,
+            data: answers.into_flat(),
             cache: IndexCache::default(),
         }
     }
 
-    /// Builds a table from raw rows (deduplicating).
-    pub fn from_rows(arity: usize, rows: impl IntoIterator<Item = Vec<Id>>) -> Self {
+    /// Builds a table from raw rows (deduplicating), owned or borrowed.
+    pub fn from_rows<T: AsRef<[Id]>>(arity: usize, rows: impl IntoIterator<Item = T>) -> Self {
         Self::from_answers(arity, Answers::from_tuples(arity, rows))
     }
 
@@ -388,6 +394,11 @@ impl ViewTable {
     /// weighting).
     pub fn cell_count(&self) -> usize {
         self.data.len()
+    }
+
+    /// Every row, row-major, as one slice.
+    pub(crate) fn cells(&self) -> &[Id] {
+        &self.data
     }
 
     /// The hash index for the column set `mask` (bit `c` set ⇔ column `c`
@@ -451,6 +462,30 @@ mod tests {
     }
 
     #[test]
+    fn a_table_takes_an_answer_buffer_as_it_is() {
+        // Answers and tables share one layout, so the buffer moves: the
+        // table built from answers and the one built row by row from the
+        // same rows (here shuffled and repeated) are the same table.
+        for arity in 1..=5usize {
+            let rows: Vec<Vec<Id>> = (0..40u32)
+                .map(|r| {
+                    (0..arity as u32)
+                        .map(|c| Id((r * 7 + c * 3) % 11))
+                        .collect()
+                })
+                .collect();
+            let answers = Answers::from_tuples(arity, &rows);
+            let n = answers.len();
+            let moved = ViewTable::from_answers(arity, answers.clone());
+            let built = ViewTable::from_rows(arity, rows.iter().rev().chain(&rows));
+            assert_eq!((moved.arity(), moved.len()), (arity, n));
+            assert_eq!(moved.cell_count(), n * arity);
+            assert!(moved.rows().eq(built.rows()));
+            assert!(moved.rows().eq(answers.rows()));
+        }
+    }
+
+    #[test]
     fn row_access_and_iteration() {
         let t = table();
         let rows: Vec<&[Id]> = t.rows().collect();
@@ -474,7 +509,7 @@ mod tests {
 
     #[test]
     fn index_handles_empty_table_and_64_column_mask() {
-        let empty = ViewTable::from_rows(2, Vec::new());
+        let empty = ViewTable::from_rows(2, Vec::<Vec<Id>>::new());
         let idx = empty.index_for_mask(0b01);
         assert_eq!(idx.key_count(), 0);
         assert_eq!(idx.rows_for(&[Id(1)]).len(), 0);

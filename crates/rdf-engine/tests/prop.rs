@@ -309,7 +309,7 @@ proptest! {
     ) {
         let table = ViewTable::from_rows(
             arity,
-            rows.iter().map(|r| r[..arity].iter().map(|&v| Id(v)).collect()),
+            rows.iter().map(|r| r[..arity].iter().map(|&v| Id(v)).collect::<Vec<_>>()),
         );
         let mask = mask_bits % (1 << arity);
         let idx = table.index_for_mask(mask);

@@ -197,6 +197,28 @@ impl IndexRange {
     }
 }
 
+/// The positions of `sorted` — a run in `order`, such as
+/// [`TripleStore::index`] returns — whose leading sort columns equal `key`,
+/// found by binary search. A caller that holds a run for many probes (a
+/// join) searches the borrowed slice with this and never goes back to the
+/// store; [`TripleStore::range`] is the same search behind one fetch.
+pub fn prefix_range(sorted: &[Triple], order: IndexOrder, key: &[Id]) -> std::ops::Range<usize> {
+    let perm = order.perm();
+    let cmp_prefix = |t: &Triple| -> std::cmp::Ordering {
+        for (k, &key_val) in key.iter().enumerate() {
+            match t[perm[k]].cmp(&key_val) {
+                std::cmp::Ordering::Equal => continue,
+                other => return other,
+            }
+        }
+        std::cmp::Ordering::Equal
+    };
+    let start = sorted.partition_point(|t| cmp_prefix(t) == std::cmp::Ordering::Less);
+    let end =
+        start + sorted[start..].partition_point(|t| cmp_prefix(t) == std::cmp::Ordering::Equal);
+    start..end
+}
+
 /// The in-memory triple table.
 ///
 /// The triple list and membership set are `Arc`-shared so that clones and
@@ -532,19 +554,7 @@ impl TripleStore {
     /// `key` (a prefix in the order's comparison sequence), binary-searched.
     pub fn range(&self, order: IndexOrder, key: &[Id]) -> IndexRange {
         let idx = self.index(order);
-        let perm = order.perm();
-        let cmp_prefix = |t: &Triple| -> std::cmp::Ordering {
-            for (k, &key_val) in key.iter().enumerate() {
-                match t[perm[k]].cmp(&key_val) {
-                    std::cmp::Ordering::Equal => continue,
-                    other => return other,
-                }
-            }
-            std::cmp::Ordering::Equal
-        };
-        let start = idx.partition_point(|t| cmp_prefix(t) == std::cmp::Ordering::Less);
-        let end =
-            start + idx[start..].partition_point(|t| cmp_prefix(t) == std::cmp::Ordering::Equal);
+        let std::ops::Range { start, end } = prefix_range(&idx, order, key);
         IndexRange {
             sorted: idx,
             start,

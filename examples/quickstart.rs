@@ -77,7 +77,7 @@ fn main() -> Result<(), SelectionError> {
 
     let answers = deployment.answer(0)?;
     println!("\n== q1 answers (from views only) ==");
-    for t in answers.tuples() {
+    for t in answers.rows() {
         let x = db.dict().term(t[0]);
         let z = db.dict().term(t[1]);
         println!("  X = {x}, Z = {z}");

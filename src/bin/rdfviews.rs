@@ -506,7 +506,7 @@ fn main() -> ExitCode {
             match outcome {
                 Ok((answers, stats)) => {
                     println!("# answers: {}", answers.len());
-                    for row in answers.tuples().iter().take(5) {
+                    for row in answers.rows().take(5) {
                         let rendered: Vec<String> = row
                             .iter()
                             .map(|&id| {
@@ -524,9 +524,10 @@ fn main() -> ExitCode {
                     if args.stats {
                         for (i, s) in stats.iter().enumerate() {
                             println!(
-                                "#   branch {i}: engine {}, {} rows visited, {} leapfrog seeks, {} tuples emitted",
+                                "#   branch {i}: engine {}, {} rows visited, {} index probes, {} leapfrog seeks, {} tuples emitted",
                                 s.engine.as_str(),
                                 s.rows_visited,
+                                s.probes,
                                 s.lf_seeks,
                                 s.lf_emitted
                             );

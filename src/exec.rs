@@ -12,13 +12,13 @@
 //! `rdf_engine::maintain`. The free functions below are the stateless
 //! building blocks, kept for direct use and backward compatibility.
 
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 use rdf_engine::{
     evaluate_mixed_stats, evaluate_over_views, materialize_union, Answers, DeleteDelta, DeltaSet,
     EvalStats, MaintainedView, MaintenanceStats, MixedAtom, ViewAtom, ViewTable,
 };
-use rdf_model::{Dictionary, FxHashMap, FxHashSet, Id, StoreSnapshot, Triple, TripleStore};
+use rdf_model::{Dictionary, FxHashMap, FxHashSet, StoreSnapshot, Triple, TripleStore};
 use rdf_query::minimize;
 use rdf_query::ConjunctiveQuery;
 use rdf_reform::{reformulate_with_limit, ReformLimit};
@@ -319,18 +319,10 @@ struct DeployedView {
 }
 
 impl DeployedView {
-    /// The branch-union table (deduplicated across branches).
+    /// The branch-union table: the branches' rows, borrowed, sorted and
+    /// deduplicated in one pass.
     fn merged_table(&self) -> ViewTable {
-        match self.branches.as_slice() {
-            [single] => single.to_table(),
-            branches => {
-                let mut rows: FxHashSet<Vec<Id>> = FxHashSet::default();
-                for b in branches {
-                    rows.extend(b.to_table().rows().map(|r| r.to_vec()));
-                }
-                ViewTable::from_rows(self.arity, rows)
-            }
-        }
+        ViewTable::from_rows(self.arity, self.branches.iter().flat_map(|b| b.rows()))
     }
 }
 
@@ -405,13 +397,6 @@ pub struct Deployment {
     /// pin) and then run wait-free; the writer publishes by one
     /// assignment. Shared with every [`SnapshotReader`].
     current: Arc<RwLock<Arc<Generation>>>,
-    /// Cached plans of the stored workload rewritings, keyed by original
-    /// query index — [`Deployment::answer`] serves repeated calls from
-    /// here instead of re-assembling (and re-estimating) the plan. Plan
-    /// structure is generation-independent, so entries survive generation
-    /// swaps: their version stamp is re-synced to the published snapshot
-    /// identity on each use instead of thrashing the cache.
-    workload_plans: FxHashMap<usize, QueryPlan>,
     /// Per-branch engine decisions and leapfrog counters from the most
     /// recent [`Deployment::answer_query`] call — see
     /// [`Deployment::last_eval_stats`].
@@ -435,7 +420,6 @@ impl Clone for Deployment {
             // A fresh generation slot: the two deployments diverge from
             // here, so the clone must publish to its own readers only.
             current: Arc::new(RwLock::new(self.current_generation())),
-            workload_plans: self.workload_plans.clone(),
             last_eval: self.last_eval.clone(),
         }
     }
@@ -468,6 +452,14 @@ struct PlanCtx {
     /// plans can never execute against a reloaded deployment). Initially
     /// equal to `deployment_id`.
     lineage: u64,
+    /// The plan of each original workload query, assembled (and its cost
+    /// estimated) the first time any generation reads it: one write-once
+    /// slot per query index. Plan structure does not depend on the
+    /// generation — stored rewritings plus the recommendation's static
+    /// catalog — so every snapshot executes these by reference; the
+    /// version stamp they carry is a placeholder that
+    /// [`PlanCtx::plan_workload`] overwrites in the copy it hands out.
+    workload_plans: Vec<OnceLock<Option<QueryPlan>>>,
 }
 
 /// One published read generation: an immutable pinned store plus the
@@ -580,10 +572,11 @@ impl DeploymentSnapshot {
     }
 
     /// Answers original workload query `query_idx` from the pinned
-    /// generation.
+    /// generation, by the plan the deployment keeps for it.
     pub fn answer(&self, query_idx: usize) -> Result<Answers, SelectionError> {
-        let plan = self.plan_workload(query_idx)?;
-        self.answer_query(&plan)
+        let plan = self.ctx.workload_plan(query_idx)?;
+        let generation = &self.generation;
+        Ok(execute_plan(&generation.store, &generation.tables, plan).0)
     }
 
     /// Plans and answers an ad-hoc query against the pinned generation
@@ -694,12 +687,7 @@ impl Deployment {
             tables: Arc::new(tables.clone()),
         });
         Self {
-            ctx: Arc::new(PlanCtx {
-                rec,
-                reform: None,
-                deployment_id: id,
-                lineage: id,
-            }),
+            ctx: Arc::new(PlanCtx::new(rec, None, id, id)),
             store,
             views,
             tables,
@@ -708,7 +696,6 @@ impl Deployment {
             maintained_version,
             strict: false,
             current: Arc::new(RwLock::new(generation)),
-            workload_plans: FxHashMap::default(),
             last_eval: Vec::new(),
         }
     }
@@ -945,34 +932,22 @@ impl Deployment {
         self.tables.index_builds()
     }
 
-    /// Answers original workload query `query_idx` from the views alone —
-    /// a thin delegate that plans the stored workload rewriting
-    /// ([`Deployment::plan_workload`]) and executes it through
-    /// [`Deployment::answer_query`]. In strict mode this fails with
-    /// [`SelectionError::StaleSession`] after unmaintained direct writes;
-    /// by default it answers from the published generation.
+    /// Answers original workload query `query_idx` from the views alone,
+    /// executing the plan of its stored rewriting
+    /// ([`Deployment::plan_workload`]) against the published generation.
+    /// The plan is built once per deployment and shared with every
+    /// snapshot; generation swaps do not touch it. In strict mode this
+    /// fails with [`SelectionError::StaleSession`] after unmaintained
+    /// direct writes; by default it answers from the published generation.
     pub fn answer(&mut self, query_idx: usize) -> Result<Answers, SelectionError> {
         if self.strict {
             self.ensure_fresh()?;
         }
-        // Serve repeated calls from the plan cache. Plan structure is
-        // generation-independent (stored rewritings + static catalog), so
-        // a cached entry is re-stamped with the current snapshot identity
-        // instead of re-planned: generation swaps neither thrash the
-        // cache nor let a plan carry a foreign generation's stamp.
-        let version = self.maintained_version;
-        let plan = match self.workload_plans.get_mut(&query_idx) {
-            Some(p) => {
-                p.store_version = version;
-                p.clone()
-            }
-            None => {
-                let plan = self.ctx.plan_workload(query_idx, version)?;
-                self.workload_plans.insert(query_idx, plan.clone());
-                plan
-            }
-        };
-        self.answer_query(&plan)
+        let plan = self.ctx.workload_plan(query_idx)?;
+        let generation = self.current_generation();
+        let (answers, stats) = execute_plan(&generation.store, &generation.tables, plan);
+        self.last_eval = stats;
+        Ok(answers)
     }
 
     /// Plans original workload query `query_idx` from its **stored**
@@ -1027,9 +1002,48 @@ impl Deployment {
 }
 
 impl PlanCtx {
+    fn new(
+        rec: Recommendation,
+        reform: Option<(Schema, VocabIds)>,
+        deployment_id: u64,
+        lineage: u64,
+    ) -> Self {
+        let workload_plans = vec![OnceLock::new(); rec.original_query_count()];
+        Self {
+            rec,
+            reform,
+            deployment_id,
+            lineage,
+            workload_plans,
+        }
+    }
+
+    /// The kept plan of original workload query `query_idx`, assembled
+    /// from its stored rewriting(s) on first use.
+    fn workload_plan(&self, query_idx: usize) -> Result<&QueryPlan, SelectionError> {
+        self.workload_plans
+            .get(query_idx)
+            .and_then(|slot| {
+                slot.get_or_init(|| self.build_workload_plan(query_idx))
+                    .as_ref()
+            })
+            .ok_or(SelectionError::UnknownQuery {
+                index: query_idx,
+                len: self.workload_plans.len(),
+            })
+    }
+
     /// [`Deployment::plan_workload`], parameterized by the snapshot
-    /// identity to stamp into the plan.
+    /// identity to stamp into the plan: a stamped copy of the kept plan.
     fn plan_workload(&self, query_idx: usize, version: u64) -> Result<QueryPlan, SelectionError> {
+        let mut plan = self.workload_plan(query_idx)?.clone();
+        plan.store_version = version;
+        Ok(plan)
+    }
+
+    /// One views-only branch per stored rewriting of `query_idx`; `None`
+    /// when the recommendation has none.
+    fn build_workload_plan(&self, query_idx: usize) -> Option<QueryPlan> {
         let state = &self.rec.outcome.best_state;
         let mut branches = Vec::new();
         for (eff, &orig) in self.rec.branch_of.iter().enumerate() {
@@ -1043,17 +1057,11 @@ impl PlanCtx {
             };
             branches.push(self.branch_of_plan(self.rec.workload[eff].clone(), plan));
         }
-        if branches.is_empty() {
-            return Err(SelectionError::UnknownQuery {
-                index: query_idx,
-                len: self.rec.original_query_count(),
-            });
-        }
-        Ok(QueryPlan {
-            query: branches[0].query.clone(),
+        Some(QueryPlan {
+            query: branches.first()?.query.clone(),
             branches,
             policy: AnswerPolicy::ViewsOnly,
-            store_version: version,
+            store_version: 0,
             deployment: self.deployment_id,
         })
     }
@@ -1904,16 +1912,17 @@ mod tests {
         );
     }
 
-    /// The workload-plan cache is keyed by snapshot identity: generation
-    /// swaps re-stamp the cached plan instead of thrashing the cache or
-    /// serving a stale version stamp.
+    /// The kept workload plans belong to the deployment, not to a
+    /// generation: every snapshot, before and after a swap, executes the
+    /// one plan object, and the copies handed out carry the asker's stamp.
     #[test]
     fn workload_plan_cache_survives_generation_swaps() {
         let mut db = db();
         let rec = recommend(&mut db);
         let mut dep = Deployment::new(db.store(), rec);
+        assert!(dep.ctx.workload_plans[0].get().is_none(), "built on demand");
         dep.answer(0).unwrap();
-        assert_eq!(dep.workload_plans.len(), 1);
+        let kept = dep.ctx.workload_plan(0).unwrap() as *const QueryPlan;
         let p = db.dict().lookup_uri("p").unwrap();
         let qq = db.dict().lookup_uri("q").unwrap();
         let o1 = db.dict().lookup_uri("o1").unwrap();
@@ -1921,16 +1930,19 @@ mod tests {
         for i in 0..3 {
             let s = db.dict_mut().intern_uri(&format!("swap{i}"));
             dep.insert_batch(&[[s, p, o1], [s, qq, c]]);
-            let answers = dep.answer(0).unwrap();
-            assert!(answers.contains(&[s]));
-            // One cached entry, re-stamped to the current snapshot
-            // identity — never duplicated, never left on an old stamp.
-            assert_eq!(dep.workload_plans.len(), 1);
+            let snap = dep.snapshot();
+            assert!(snap.answer(0).unwrap().contains(&[s]));
+            assert!(dep.answer(0).unwrap().contains(&[s]));
+            assert!(std::ptr::eq(snap.ctx.workload_plan(0).unwrap(), kept));
             assert_eq!(
-                dep.workload_plans[&0].store_version(),
+                snap.plan_workload(0).unwrap().store_version(),
                 dep.maintained_version()
             );
         }
+        assert_eq!(
+            dep.ctx.workload_plan(1).unwrap_err(),
+            SelectionError::UnknownQuery { index: 1, len: 1 }
+        );
     }
 
     /// The reader handle is shareable across threads by construction.

@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rdf_model::{Term, TermKind};
+use rdf_model::{Id, Term, TermKind};
 use rdf_query::{Atom, QTerm, UnionQuery, Var};
 use rdf_schema::SchemaStatement;
 use rdf_stats::{AtomKey, KeySlot, StatsCatalog};
@@ -821,14 +821,14 @@ impl Deployment {
             tables: Arc::new(tables.clone()),
         });
         let dep = Deployment {
-            ctx: Arc::new(PlanCtx {
+            // Fresh process-scoped id: plans from the pre-crash process
+            // must not execute against the reloaded deployment.
+            ctx: Arc::new(PlanCtx::new(
                 rec,
                 reform,
-                // Fresh process-scoped id: plans from the pre-crash process
-                // must not execute against the reloaded deployment.
-                deployment_id: DEPLOYMENT_IDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+                DEPLOYMENT_IDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
                 lineage,
-            }),
+            )),
             store,
             views,
             tables,
@@ -837,7 +837,6 @@ impl Deployment {
             maintained_version,
             strict: false,
             current: Arc::new(RwLock::new(generation)),
-            workload_plans: FxHashMap::default(),
             last_eval: Vec::new(),
         };
         Ok((dep, dict, state_hash))

@@ -362,6 +362,7 @@
 //! | ad-hoc file formats, panics on bad bytes | `Err(SelectionError::Io \| CorruptBundle \| WalTornTail)` |
 //! | `answer_query(&plan)` refused after any maintenance | executes against the current published generation by default; `deployment.set_strict(true)` restores the `StaleSession` refusal |
 //! | *(not possible: reads block on writes)* | `deployment.snapshot()` / `deployment.reader()` — wait-free pinned reads on COW generations ([`DeploymentSnapshot`](exec::DeploymentSnapshot), [`SnapshotReader`](exec::SnapshotReader)) |
+//! | `answers.tuples()` as `&[Vec<Id>]`, `answers.into_tuples()`, `Answers::from_set(..)` | answers are one flat buffer: loop over `answers.rows()` (borrowed `&[Id]` rows, no allocation); `answers.tuples()` still indexes (`tuples()[i][c]`) but is now a `Vec<&[Id]>` built for the call; `into_tuples`/`from_set` are gone — collect `rows()`, or build with `Answers::from_tuples(arity, rows)`, which like `ViewTable::from_rows` takes owned or borrowed rows |
 //!
 //! The workspace crates map to the paper's components:
 //!
