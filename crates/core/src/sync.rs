@@ -1,7 +1,7 @@
-//! Poison-tolerant locking for the parallel search core and the
-//! deployment generation-swap sites.
+//! Poison-tolerant locking for the parallel search core. (The `RwLock`
+//! counterparts live in `rdf_model::sync`, beside their first user.)
 
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Locks `m`, recovering the guard when the mutex is poisoned.
 ///
@@ -18,22 +18,4 @@ use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockW
 /// [`SelectionError::SearchPanicked`]: crate::error::SelectionError::SearchPanicked
 pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Read-locks `l`, recovering the guard when the lock is poisoned.
-///
-/// Used by the deployment layer's generation slot: the protected value is
-/// a whole `Arc` to an immutable generation, swapped in a single
-/// assignment, so a panicked writer can at worst leave the *previous*
-/// complete generation behind — never a torn one. Recovering the guard
-/// keeps snapshot readers wait-free instead of cascading one panic into
-/// every concurrent read.
-pub fn read_unpoisoned<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Write-lock counterpart of [`read_unpoisoned`], for publishing a new
-/// generation `Arc` into the slot.
-pub fn write_unpoisoned<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(PoisonError::into_inner)
 }

@@ -5,18 +5,28 @@
 //!
 //! ```text
 //! magic            b"RDFVSNAP"                      8 bytes
-//! format version   u32 (currently 1)
+//! format version   u32 (currently 2)
 //! section count    u32
 //! per section:     tag u32 | len u64 | payload | crc32(payload) u32
 //! trailer:         bundle hash u128 over every preceding byte,
 //!                  domain "rdfviews.bundle.v1"
 //! ```
 //!
-//! Validation order on load: magic → format version → trailer hash →
+//! The container frames payloads and knows nothing of what is in them;
+//! the format version counts changes to the *payloads* too, because a
+//! reader must never interpret a section written under another layout.
+//! Version 2 is the first whose payloads are a function of the state
+//! alone: triples and view rows are written sorted, as
+//! [`crate::wire::Writer::varint`] deltas (see `src/exec_persist.rs`),
+//! where version 1 wrote them in insertion order at four bytes an id.
+//!
+//! Validation order on load: magic → trailer hash → format version →
 //! per-section CRC → section framing. A bundle produced by a different
 //! format version fails before any section is interpreted, so mixed
 //! versions are a load-time [`DurabilityError::Corrupt`], never a
-//! query-time surprise.
+//! query-time surprise. No older version is read: a version 1 file is
+//! refused with that message and the deployment is made again from its
+//! data.
 
 use crate::crc::crc32;
 use crate::hash::hash128;
@@ -26,7 +36,7 @@ use crate::{DurabilityError, Result};
 /// First bytes of every snapshot bundle.
 pub const MAGIC: [u8; 8] = *b"RDFVSNAP";
 /// The current bundle format version.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 /// Domain string for the whole-bundle trailer hash.
 pub const BUNDLE_DOMAIN: &str = "rdfviews.bundle.v1";
 

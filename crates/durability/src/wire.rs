@@ -2,8 +2,10 @@
 //!
 //! Canonical means: the same value always produces the same bytes. Fixed
 //! integer widths, `u64` length prefixes for every variable-length field,
-//! floats as IEEE-754 bit patterns. Callers are responsible for ordering
-//! unordered collections (hash maps/sets) before encoding.
+//! floats as IEEE-754 bit patterns, and LEB128 varints in their shortest
+//! form only (the reader refuses any other spelling of a number). Callers
+//! are responsible for ordering unordered collections (hash maps/sets)
+//! before encoding.
 
 use crate::{DurabilityError, Result};
 
@@ -57,6 +59,17 @@ impl Writer {
     /// Writes a `usize` as a `u64` length.
     pub fn len_prefix(&mut self, v: usize) {
         self.u64(v as u64);
+    }
+
+    /// Writes `v` as an unsigned LEB128 varint: seven bits a byte, low
+    /// bits first, the high bit set on every byte but the last — one byte
+    /// below 128, at most ten for a `u64`.
+    pub fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
     }
 
     /// Writes an `f64` as its IEEE-754 bit pattern (exact round-trip).
@@ -183,6 +196,29 @@ impl<'a> Reader<'a> {
         Ok(n as usize)
     }
 
+    /// Reads an unsigned LEB128 varint. Only the shortest spelling is
+    /// accepted: a final zero byte after a continuation (an overlong
+    /// varint) and bits beyond the 64th are corruption, so every number has
+    /// exactly one encoding.
+    pub fn varint(&mut self, what: &str) -> Result<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.u8(what)?;
+            let bits = u64::from(byte & 0x7F);
+            if bits << shift >> shift != bits || (byte == 0 && shift > 0) {
+                break;
+            }
+            v |= bits << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(DurabilityError::corrupt(format!(
+            "{what}: overlong or overflowing varint ending at offset {}",
+            self.pos
+        )))
+    }
+
     /// Reads an `f64` bit pattern.
     pub fn f64(&mut self, what: &str) -> Result<f64> {
         Ok(f64::from_bits(self.u64(what)?))
@@ -238,6 +274,60 @@ mod tests {
         assert!(r.bool("f").unwrap());
         assert_eq!(r.str("g").unwrap(), "héllo");
         r.expect_exhausted("trailer").unwrap();
+    }
+
+    #[test]
+    fn varints_round_trip_in_their_shortest_form() {
+        let values = [
+            0u64,
+            1,
+            127,
+            128,
+            300,
+            (1 << 14) - 1,
+            1 << 14,
+            u64::from(u32::MAX),
+            1 << 63,
+            u64::MAX,
+        ];
+        let mut w = Writer::new();
+        for &v in &values {
+            w.varint(v);
+        }
+        let bytes = w.into_bytes();
+        // 1, 1, 1, 2, 2, 2, 3, 5, 10, 10 bytes.
+        assert_eq!(bytes.len(), 37);
+        let mut r = Reader::new(&bytes);
+        for &v in &values {
+            assert_eq!(r.varint("v").unwrap(), v);
+        }
+        r.expect_exhausted("varints").unwrap();
+    }
+
+    #[test]
+    fn non_canonical_varints_are_refused() {
+        let corrupt = |bytes: &[u8]| {
+            matches!(
+                Reader::new(bytes).varint("v"),
+                Err(DurabilityError::Corrupt { .. })
+            )
+        };
+        assert!(corrupt(&[0x80, 0x00]), "overlong zero");
+        assert!(corrupt(&[0xFF, 0x80, 0x00]), "overlong three-byte form");
+        assert!(corrupt(&[0x80]), "truncated after a continuation");
+        assert!(corrupt(&[]), "empty input");
+        // Ten bytes whose last carries more than the 64th bit.
+        let mut wide = [0xFF; 10];
+        wide[9] = 0x02;
+        assert!(corrupt(&wide), "65th bit set");
+        // Eleven bytes: a continuation on the tenth.
+        let mut long = [0x80; 11];
+        long[10] = 0x01;
+        assert!(corrupt(&long), "more than ten bytes");
+        // The largest value is still fine.
+        let mut max = [0xFF; 10];
+        max[9] = 0x01;
+        assert_eq!(Reader::new(&max).varint("v").unwrap(), u64::MAX);
     }
 
     #[test]

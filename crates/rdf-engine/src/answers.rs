@@ -49,6 +49,23 @@ impl Answers {
         Self { arity, len, data }
     }
 
+    /// Adopts `len` row-major rows that are already distinct and in
+    /// order — what a decoder has read back from a canonical encoding —
+    /// without sorting them. `None` if they are not: a wrong cell count, a
+    /// row that does not sort strictly after the one before it, or more
+    /// than one empty tuple.
+    pub fn from_sorted(arity: usize, len: usize, data: Vec<Id>) -> Option<Self> {
+        if len.checked_mul(arity) != Some(data.len()) {
+            return None;
+        }
+        let this = Self { arity, len, data };
+        let ordered = match arity {
+            0 => len <= 1,
+            _ => this.rows().zip(this.rows().skip(1)).all(|(a, b)| a < b),
+        };
+        ordered.then_some(this)
+    }
+
     /// Number of head columns.
     pub fn arity(&self) -> usize {
         self.arity
@@ -76,18 +93,96 @@ impl Answers {
         self.rows().collect()
     }
 
-    /// Membership test (binary search).
-    pub fn contains(&self, tuple: &[Id]) -> bool {
-        let (mut lo, mut hi) = (0, self.len);
+    /// Row `r`.
+    fn row(&self, r: usize) -> &[Id] {
+        &self.data[r * self.arity..(r + 1) * self.arity]
+    }
+
+    /// The first row at or after `from` that does not sort before `tuple`
+    /// (binary search), and whether it is `tuple`.
+    fn seek(&self, from: usize, tuple: &[Id]) -> (usize, bool) {
+        let (mut lo, mut hi) = (from, self.len);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            match self.data[mid * self.arity..(mid + 1) * self.arity].cmp(tuple) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return true,
+            if self.row(mid) < tuple {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
         }
-        false
+        (lo, lo < self.len && self.row(lo) == tuple)
+    }
+
+    /// Membership test (binary search).
+    pub fn contains(&self, tuple: &[Id]) -> bool {
+        self.seek(0, tuple).1
+    }
+
+    /// Adds the rows of `delta` (set union, in place); returns how many
+    /// were new. Each delta row's place is found by binary search in the
+    /// rows not yet passed and the stretch before it is copied whole:
+    /// O(|delta| log n) compares and one copy of the buffer, where
+    /// re-sorting the union would compare every row.
+    pub fn insert_all(&mut self, delta: &Answers) -> usize {
+        self.splice(delta, true)
+    }
+
+    /// Removes the rows of `doomed` (set difference, in place); returns
+    /// how many were present. The counterpart of [`Answers::insert_all`].
+    pub fn remove_all(&mut self, doomed: &Answers) -> usize {
+        self.splice(doomed, false)
+    }
+
+    /// One pass over `delta` in order: after it, each of its rows is
+    /// present (`insert`) or absent. Returns how many rows changed sides.
+    fn splice(&mut self, delta: &Answers, insert: bool) -> usize {
+        debug_assert_eq!(self.arity, delta.arity);
+        let before = self.len;
+        if self.arity == 0 {
+            // The empty tuple, there or not.
+            self.len = match insert {
+                true => before.max(delta.len),
+                false => before - before.min(delta.len),
+            };
+            return before.abs_diff(self.len);
+        }
+        if delta.is_empty() {
+            return 0;
+        }
+        let arity = self.arity;
+        let mut out = Vec::with_capacity(self.data.len() + delta.data.len() * usize::from(insert));
+        let mut at = 0;
+        for row in delta.rows() {
+            let (next, found) = self.seek(at, row);
+            out.extend_from_slice(&self.data[at * arity..next * arity]);
+            at = next + usize::from(found && !insert);
+            if insert && !found {
+                out.extend_from_slice(row);
+            }
+        }
+        out.extend_from_slice(&self.data[at * arity..]);
+        self.len = out.len() / arity;
+        self.data = out;
+        before.abs_diff(self.len)
+    }
+
+    /// Keeps the rows `keep` accepts, in order.
+    pub fn retain(&mut self, mut keep: impl FnMut(&[Id]) -> bool) {
+        if self.arity == 0 {
+            self.len = usize::from(self.len == 1 && keep(&[]));
+            return;
+        }
+        let arity = self.arity;
+        let mut kept = 0;
+        for r in 0..self.len {
+            if keep(&self.data[r * arity..(r + 1) * arity]) {
+                self.data
+                    .copy_within(r * arity..(r + 1) * arity, kept * arity);
+                kept += 1;
+            }
+        }
+        self.data.truncate(kept * arity);
+        self.len = kept;
     }
 
     /// Merges two answer sets (set union); arities must agree.
@@ -292,6 +387,39 @@ mod tests {
                 }
                 if !right.is_empty() && both.len() > oracle.len() {
                     assert_ne!(u, a);
+                }
+
+                // In-place splices agree with the set operations, and the
+                // ordered constructor accepts exactly the ordered buffers.
+                let mut grown = a.clone();
+                assert_eq!(grown.insert_all(&b), both.len() - oracle.len());
+                assert_eq!(grown, u);
+                assert_eq!(grown.insert_all(&b), 0, "a second union adds nothing");
+                let less: BTreeSet<Vec<Id>> = oracle
+                    .iter()
+                    .filter(|t| !right.contains(t))
+                    .cloned()
+                    .collect();
+                let mut shrunk = a.clone();
+                assert_eq!(shrunk.remove_all(&b), oracle.len() - less.len());
+                assert_eq!(shrunk, Answers::from_tuples(arity, &less));
+                assert_eq!(shrunk.remove_all(&b), 0);
+                let mut kept = a.clone();
+                kept.retain(|t| !right.iter().any(|r| r.as_slice() == t));
+                assert_eq!(kept, shrunk);
+                let flat: Vec<Id> = oracle.iter().flatten().copied().collect();
+                assert_eq!(
+                    Answers::from_sorted(arity, oracle.len(), flat.clone()),
+                    Some(a.clone())
+                );
+                if oracle.len() > 1 {
+                    let reversed: Vec<Id> = oracle.iter().rev().flatten().copied().collect();
+                    assert_eq!(Answers::from_sorted(arity, oracle.len(), reversed), None);
+                    let twice = [&flat[..arity], &flat[..]].concat();
+                    assert_eq!(Answers::from_sorted(arity, oracle.len() + 1, twice), None);
+                }
+                if arity > 0 || !oracle.is_empty() {
+                    assert_eq!(Answers::from_sorted(arity, oracle.len() + 1, flat), None);
                 }
             }
         }

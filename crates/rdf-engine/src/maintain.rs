@@ -21,8 +21,15 @@
 //! are two-phase (delete-and-rederive): candidates are collected while Δ⁻
 //! is still stored, the triples leave the store, and each candidate is
 //! re-derived against the shrunken store.
+//!
+//! A view's rows, a delta and a candidate set are all [`Answers`]: one
+//! row-major buffer of distinct rows in order, no vector per row. That is
+//! the layout the join core emits, the layout a [`ViewTable`] serves from
+//! and the order a snapshot bundle writes, so rows pass from one to the
+//! next without being re-sorted, and a delta is spliced into the rows at
+//! binary-searched positions.
 
-use rdf_model::{FxHashMap, FxHashSet, Id, Triple, TripleStore};
+use rdf_model::{FxHashMap, Id, Triple, TripleStore};
 use rdf_query::{ConjunctiveQuery, QTerm, Var};
 
 use crate::answers::Answers;
@@ -33,7 +40,7 @@ use crate::view_table::ViewTable;
 #[derive(Debug, Clone)]
 pub struct MaintainedView {
     def: ConjunctiveQuery,
-    rows: FxHashSet<Vec<Id>>,
+    rows: Answers,
 }
 
 /// Counters for one maintenance operation.
@@ -113,13 +120,13 @@ pub struct DeleteDelta {
     /// builds carry just the candidates.
     #[cfg(debug_assertions)]
     triples: Vec<Triple>,
-    candidates: Vec<Vec<Id>>,
+    candidates: Answers,
 }
 
 impl DeleteDelta {
     /// Candidate rows identified in the prepare phase (deduplicated across
     /// atom positions and batch triples).
-    pub fn candidates(&self) -> &[Vec<Id>] {
+    pub fn candidates(&self) -> &Answers {
         &self.candidates
     }
 }
@@ -127,7 +134,7 @@ impl DeleteDelta {
 impl MaintainedView {
     /// Materializes the view over the current store.
     pub fn new(store: &TripleStore, def: ConjunctiveQuery) -> Self {
-        let rows = evaluate(store, &def).rows().map(<[Id]>::to_vec).collect();
+        let rows = evaluate(store, &def);
         Self { def, rows }
     }
 
@@ -136,17 +143,15 @@ impl MaintainedView {
     /// the view's extension at the store version they were serialized
     /// with. Recovery relies on this: a snapshot restores tables directly,
     /// then replays the write-ahead log through the normal delta joins.
-    pub fn from_parts(def: ConjunctiveQuery, rows: impl IntoIterator<Item = Vec<Id>>) -> Self {
-        Self {
-            def,
-            rows: rows.into_iter().collect(),
-        }
+    pub fn from_parts(def: ConjunctiveQuery, rows: Answers) -> Self {
+        debug_assert_eq!(def.head.len(), rows.arity());
+        Self { def, rows }
     }
 
-    /// The materialized rows, in arbitrary order. Serializers must impose
-    /// their own canonical order.
-    pub fn rows(&self) -> impl Iterator<Item = &Vec<Id>> {
-        self.rows.iter()
+    /// The materialized rows, distinct and in lexicographic order — the
+    /// order a serializer wants, so it writes them as they lie.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Id]> + Clone {
+        self.rows.rows()
     }
 
     /// The view definition.
@@ -164,26 +169,28 @@ impl MaintainedView {
         self.rows.is_empty()
     }
 
-    /// Snapshot as a [`ViewTable`].
+    /// Snapshot as a [`ViewTable`]: one copy of the buffer, no sort.
     pub fn to_table(&self) -> ViewTable {
-        ViewTable::from_rows(self.def.head.len(), &self.rows)
+        ViewTable::from_answers(self.def.head.len(), self.to_answers())
     }
 
     /// Snapshot as sorted [`Answers`].
     pub fn to_answers(&self) -> Answers {
-        Answers::from_tuples(self.def.head.len(), &self.rows)
+        self.rows.clone()
     }
 
     /// The delta-set join: Δv = ⋃_i π_head(a₁ ⋈ … ⋈ Δaᵢ ⋈ … ⋈ aₙ), with Δ
     /// materialized as a 3-column table whose hash indexes are built on
     /// demand per bound-column set — one join pass per atom position.
     /// Returns the distinct delta tuples.
-    fn delta_join(&self, store: &TripleStore, delta: &DeltaSet) -> FxHashSet<Vec<Id>> {
-        let mut delta_set: FxHashSet<Vec<Id>> = FxHashSet::default();
-        if delta.is_empty() {
-            return delta_set;
-        }
-        for i in 0..self.def.atoms.len() {
+    fn delta_join(&self, store: &TripleStore, delta: &DeltaSet) -> Answers {
+        // An empty batch joins with nothing, at every position.
+        let positions = if delta.is_empty() {
+            0
+        } else {
+            self.def.atoms.len()
+        };
+        let per_position = (0..positions).map(|i| {
             let atoms: Vec<MixedAtom> = self
                 .def
                 .atoms
@@ -200,10 +207,9 @@ impl MaintainedView {
                     }
                 })
                 .collect();
-            let delta = evaluate_mixed(store, &atoms, &self.def.head);
-            delta_set.extend(delta.rows().map(<[Id]>::to_vec));
-        }
-        delta_set
+            evaluate_mixed(store, &atoms, &self.def.head)
+        });
+        Answers::union_all(self.def.head.len(), per_position)
     }
 
     /// Applies a batch of insertions (already present in `store`) from a
@@ -215,14 +221,12 @@ impl MaintainedView {
         store: &TripleStore,
         delta: &DeltaSet,
     ) -> MaintenanceStats {
-        let mut stats = MaintenanceStats::default();
-        for tuple in self.delta_join(store, delta) {
-            stats.delta_tuples += 1;
-            if self.rows.insert(tuple) {
-                stats.added += 1;
-            }
+        let delta = self.delta_join(store, delta);
+        MaintenanceStats {
+            delta_tuples: delta.len(),
+            added: self.rows.insert_all(&delta),
+            ..MaintenanceStats::default()
         }
-        stats
     }
 
     /// Applies a batch of insertions (already present in `store`),
@@ -252,7 +256,7 @@ impl MaintainedView {
         DeleteDelta {
             #[cfg(debug_assertions)]
             triples: delta.triples.clone(),
-            candidates: self.delta_join(store, delta).into_iter().collect(),
+            candidates: self.delta_join(store, delta),
         }
     }
 
@@ -275,18 +279,13 @@ impl MaintainedView {
             delta.triples.iter().all(|&t| !store.contains(t)),
             "commit_delete_batch runs after the batch leaves the store"
         );
-        let mut stats = MaintenanceStats::default();
-        for row in &delta.candidates {
-            stats.delta_tuples += 1;
-            if !self.rows.contains(row.as_slice()) {
-                continue;
-            }
-            if !self.rederivable(store, row) {
-                self.rows.remove(row.as_slice());
-                stats.removed += 1;
-            }
+        let mut lost = delta.candidates.clone();
+        lost.retain(|row| self.rows.contains(row) && !self.rederivable(store, row));
+        MaintenanceStats {
+            delta_tuples: delta.candidates.len(),
+            removed: self.rows.remove_all(&lost),
+            ..MaintenanceStats::default()
         }
-        stats
     }
 
     /// Phase 1 of a single-triple deletion: a thin delegate over a

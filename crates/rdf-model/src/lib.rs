@@ -35,6 +35,7 @@ pub mod fxhash;
 pub mod ntriples;
 pub mod pattern;
 pub mod store;
+pub mod sync;
 pub mod term;
 pub mod vocab;
 

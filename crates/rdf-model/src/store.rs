@@ -1,43 +1,47 @@
 //! The triple table and its six permutation indexes.
 //!
-//! The store keeps every distinct triple once (insertion order preserved)
-//! and lazily materializes up to six sorted copies — one per column
-//! permutation — so that any pattern with 1–3 bound columns is answered by a
-//! binary-searched range over the best index. This mirrors the sextuple
-//! indexing of Hexastore [23] and the "indexed the encoded triple table on
-//! s, p, o, and all two- and three-column combinations" layout of the
-//! paper's evaluation platform.
+//! The store keeps every distinct triple once, in insertion order, beside
+//! a membership set, and lazily materializes up to six sorted copies — one
+//! per column permutation — so that any pattern with 1–3 bound columns is
+//! answered by a binary-searched range over the best index. This mirrors
+//! the sextuple indexing of Hexastore [23] and the "indexed the encoded
+//! triple table on s, p, o, and all two- and three-column combinations"
+//! layout of the paper's evaluation platform.
 //!
-//! Index snapshots are `Arc`-shared and version-stamped: single-triple
-//! mutations invalidate them lazily (the next scan rebuilds only the
-//! orders it actually needs), while the batch entry points carry every
-//! already-built run forward — a merge (insert) or filter (remove) pass
-//! producing a **new** `Arc` per run, so the old runs stay untouched for
-//! anyone still holding them.
+//! A sorted run is an immutable `Arc<Vec<Triple>>` stamped with the store
+//! version it is valid at. What a mutation does to the built runs decides
+//! what a write costs, because a sort of the whole table is three orders
+//! of magnitude dearer than a small batch:
 //!
-//! The triple list and membership set are `Arc`-shared too, which makes
+//! * the batch entry points ([`TripleStore::insert_batch`],
+//!   [`TripleStore::remove_batch`]) bump the version **once** and carry
+//!   every built run across by *splice*: each delta triple's position in
+//!   the old run is found by binary search and the stretches between
+//!   positions are copied whole — O(|Δ| log n) compares and one `memcpy`
+//!   of the run, into a **new** `Arc`, so anyone still holding the old
+//!   run keeps it untouched;
+//! * the single-triple entry points bump the version and leave the runs
+//!   behind; the next scan re-sorts only the orders it needs. They are for
+//!   loading, not for feeds.
+//!
+//! The insertion-order list is kept because callers depend on it: the
+//! workload generators draw triples by position and the N-Triples writer
+//! emits the list as it lies, so a different order is a different
+//! benchmark input. A store rebuilt by [`TripleStore::from_parts`] from a
+//! sorted list shares that one allocation between the list and its `Spo`
+//! run.
+//!
+//! The list and the membership set are `Arc`-shared too, which makes
 //! generations copy-on-write: [`TripleStore::snapshot`] pins the current
 //! contents as an immutable [`StoreSnapshot`] in O(built runs) time, and
 //! the next mutation clones the shared parts once (`Arc::make_mut`)
 //! instead of blocking or invalidating the pinned readers.
 
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// Locks a snapshot-cache `RwLock`, recovering from poison: the caches
-/// hold complete `(version, value)` entries that are swapped in whole,
-/// so a panicked writer can at worst leave a stale entry behind — the
-/// version check re-validates it either way.
-fn read_unpoisoned<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Write-lock counterpart of [`read_unpoisoned`].
-fn write_unpoisoned<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::{Arc, RwLock};
 
 use crate::fxhash::FxHashSet;
 use crate::pattern::StorePattern;
+use crate::sync::{read_unpoisoned, write_unpoisoned};
 use crate::term::Id;
 
 /// An encoded triple in `(s, p, o)` order.
@@ -219,6 +223,40 @@ pub fn prefix_range(sorted: &[Triple], order: IndexOrder, key: &[Id]) -> std::op
     start..end
 }
 
+/// A triple's columns in the comparison sequence of `perm`: runs of that
+/// permutation are sorted by this key.
+#[inline]
+fn sort_key(perm: [usize; 3], t: &Triple) -> Triple {
+    [t[perm[0]], t[perm[1]], t[perm[2]]]
+}
+
+/// Carries a sorted run across a batch: `old` with `delta` merged in
+/// (`insert`; no triple of `delta` is in `old`) or taken out (every triple
+/// of `delta` is in `old`, once). Both are sorted in `perm` order. Each
+/// delta triple's place is found by binary search in what remains of
+/// `old`, and the stretch before it is copied whole.
+fn splice(old: &[Triple], delta: &[Triple], perm: [usize; 3], insert: bool) -> Vec<Triple> {
+    let mut out = Vec::with_capacity(match insert {
+        true => old.len() + delta.len(),
+        false => old.len() - delta.len(),
+    });
+    let mut rest = old;
+    for d in delta {
+        let d_key = sort_key(perm, d);
+        let at = rest.partition_point(|t| sort_key(perm, t) < d_key);
+        out.extend_from_slice(&rest[..at]);
+        if insert {
+            out.push(*d);
+            rest = &rest[at..];
+        } else {
+            debug_assert_eq!(rest.get(at), Some(d), "a removed triple is in every run");
+            rest = &rest[at + 1..];
+        }
+    }
+    out.extend_from_slice(rest);
+    out
+}
+
 /// The in-memory triple table.
 ///
 /// The triple list and membership set are `Arc`-shared so that clones and
@@ -295,13 +333,25 @@ impl TripleStore {
         }
     }
 
-    /// Reconstructs a store from persisted parts: the triple list (already
-    /// deduplicated, in insertion order) and the version stamp it carried
-    /// when serialized. The seen-set is rebuilt; index snapshots start
-    /// cold. Restoring the *same* version matters for durability: sessions
-    /// and plans pinned to the persisted store remain valid after a
-    /// reload, and write-ahead-log records stamped with pre-apply versions
-    /// replay against the exact counter they were logged under.
+    /// Reconstructs a store from persisted parts: the distinct triples and
+    /// the version stamp the store carried when serialized. The seen-set
+    /// is rebuilt. Restoring the *same* version matters for durability:
+    /// sessions and plans pinned to the persisted store remain valid after
+    /// a reload, and write-ahead-log records stamped with pre-apply
+    /// versions replay against the exact counter they were logged under.
+    ///
+    /// The list is taken as the store's insertion order. A snapshot bundle
+    /// stores triples sorted, so a reopened store's [`TripleStore::triples`]
+    /// starts in `Spo` order and appends from there — not in the order the
+    /// triples first arrived. Nothing compares lists across a recovery:
+    /// the state hash and the answer checks are set-based, and the workload
+    /// generators only ever see freshly loaded stores.
+    ///
+    /// A list that is strictly `Spo`-sorted — what a bundle decoder has
+    /// just verified — *is* the `Spo` run, so it is adopted as one: a
+    /// single allocation shared by the list and the run until the first
+    /// mutation un-shares them, instead of a sort of the whole store on
+    /// the first probe after a recovery.
     pub fn from_parts(triples: Vec<Triple>, version: u64) -> Self {
         let seen: FxHashSet<Triple> = triples.iter().copied().collect();
         debug_assert_eq!(
@@ -309,11 +359,19 @@ impl TripleStore {
             triples.len(),
             "persisted triples must be distinct"
         );
+        let triples = Arc::new(triples);
+        let mut indexes: [Option<IndexSnapshot>; 6] = Default::default();
+        if triples.windows(2).all(|w| w[0] < w[1]) {
+            indexes[IndexOrder::Spo.slot()] = Some(IndexSnapshot {
+                version,
+                sorted: Arc::clone(&triples),
+            });
+        }
         Self {
-            triples: Arc::new(triples),
+            triples,
             seen: Arc::new(seen),
             version,
-            indexes: RwLock::new(Default::default()),
+            indexes: RwLock::new(indexes),
             distinct: RwLock::new(None),
         }
     }
@@ -361,9 +419,10 @@ impl TripleStore {
     }
 
     /// Inserts a triple; returns `true` if it was not present before.
-    /// Built index runs are invalidated lazily (version mismatch) — the
-    /// batch entry points instead carry them forward, so saturation-style
-    /// hot loops of single inserts pay nothing for index maintenance.
+    /// Built index runs are left behind (version mismatch) and re-sorted
+    /// by the next scan that wants them, so a loader's loop of single
+    /// inserts pays nothing for index maintenance — and a feed should use
+    /// [`TripleStore::insert_batch`], which carries the runs forward.
     pub fn insert(&mut self, t: Triple) -> bool {
         if self.seen.contains(&t) {
             return false;
@@ -377,10 +436,11 @@ impl TripleStore {
     /// Inserts a batch of triples, deduplicating against the triple set
     /// (and within the batch). Returns the triples that were actually new,
     /// in batch order. The version stamp is bumped **once** for the whole
-    /// batch, and every already-built index run is carried forward by a
-    /// two-way merge with the sorted batch — O(n + |Δ| log |Δ|) per run
-    /// instead of a fresh O(n log n) sort — published as a **new** `Arc`
-    /// at the new version, leaving pinned snapshots' runs untouched.
+    /// batch, and every already-built index run is carried forward by
+    /// splicing the sorted batch into it — O(|Δ| log n) compares and one
+    /// copy per run instead of a fresh O(n log n) sort — published as a
+    /// **new** `Arc` at the new version, leaving pinned snapshots' runs
+    /// untouched.
     pub fn insert_batch(&mut self, batch: &[Triple]) -> Vec<Triple> {
         let mut added = Vec::new();
         for &t in batch {
@@ -388,70 +448,37 @@ impl TripleStore {
                 continue;
             }
             Arc::make_mut(&mut self.seen).insert(t);
-            Arc::make_mut(&mut self.triples).push(t);
             added.push(t);
         }
         if !added.is_empty() {
-            self.advance_indexes_insert(&added);
+            self.advance_indexes(&added, true);
+            Arc::make_mut(&mut self.triples).extend_from_slice(&added);
             self.version += 1;
         }
         added
     }
 
-    /// Carries every index run built at the current version forward across
-    /// an insert batch, stamping the merged runs `version + 1`. Must be
+    /// Carries every index run built at the current version across an
+    /// insert (`insert`) or remove batch by [`splice`], stamping the new
+    /// runs `version + 1`. Must be
     /// called immediately **before** the batch's version bump; runs built
-    /// at any other version are dropped.
-    fn advance_indexes_insert(&self, added: &[Triple]) {
+    /// at any other version are dropped. Runs go first and the list after
+    /// them, so a run that still shares the list's allocation (see
+    /// [`TripleStore::from_parts`]) is replaced before the list is written
+    /// and the list is then mutated in place, not cloned.
+    fn advance_indexes(&self, delta: &[Triple], insert: bool) {
         let mut guard = write_unpoisoned(&self.indexes);
+        let mut delta = delta.to_vec();
         for (slot, entry) in guard.iter_mut().enumerate() {
             let Some(snap) = entry.take() else { continue };
             if snap.version != self.version {
-                continue; // stale run: drop instead of merging garbage
+                continue; // stale run: drop instead of carrying garbage
             }
             let perm = IndexOrder::ALL[slot].perm();
-            let key = |t: &Triple| [t[perm[0]], t[perm[1]], t[perm[2]]];
-            let mut delta = added.to_vec();
-            delta.sort_unstable_by_key(key);
-            let old = &snap.sorted;
-            let mut merged = Vec::with_capacity(old.len() + delta.len());
-            let (mut i, mut j) = (0, 0);
-            while i < old.len() && j < delta.len() {
-                if key(&old[i]) <= key(&delta[j]) {
-                    merged.push(old[i]);
-                    i += 1;
-                } else {
-                    merged.push(delta[j]);
-                    j += 1;
-                }
-            }
-            merged.extend_from_slice(&old[i..]);
-            merged.extend_from_slice(&delta[j..]);
+            delta.sort_unstable_by_key(|t| sort_key(perm, t));
             *entry = Some(IndexSnapshot {
                 version: self.version + 1,
-                sorted: Arc::new(merged),
-            });
-        }
-    }
-
-    /// Filter-pass counterpart of [`TripleStore::advance_indexes_insert`]
-    /// for remove batches: surviving triples keep their index order.
-    fn advance_indexes_remove(&self, doomed: &FxHashSet<Triple>) {
-        let mut guard = write_unpoisoned(&self.indexes);
-        for entry in guard.iter_mut() {
-            let Some(snap) = entry.take() else { continue };
-            if snap.version != self.version {
-                continue;
-            }
-            let kept: Vec<Triple> = snap
-                .sorted
-                .iter()
-                .copied()
-                .filter(|t| !doomed.contains(t))
-                .collect();
-            *entry = Some(IndexSnapshot {
-                version: self.version + 1,
-                sorted: Arc::new(kept),
+                sorted: Arc::new(splice(&snap.sorted, &delta, perm, insert)),
             });
         }
     }
@@ -483,11 +510,13 @@ impl TripleStore {
 
     /// Removes a batch of triples. Returns the triples that were actually
     /// present (deduplicated), in batch order. Unlike repeated
-    /// [`TripleStore::remove`] calls — O(n) each — the surviving triple
-    /// list is rebuilt in **one** retain pass, the version stamp is
-    /// bumped once for the whole batch, and every already-built index run
-    /// is carried forward by a filter pass (new `Arc`s; pinned snapshots'
-    /// runs stay untouched).
+    /// [`TripleStore::remove`] calls — O(n) each — the version stamp is
+    /// bumped once for the whole batch, every already-built index run is
+    /// carried forward by splicing the batch out of it (new `Arc`s; pinned
+    /// snapshots' runs stay untouched), and the insertion-order list is
+    /// searched from its end only as far back as the earliest doomed
+    /// triple: a feed retracts what it recently asserted, so the long
+    /// prefix before that position is never examined.
     pub fn remove_batch(&mut self, batch: &[Triple]) -> Vec<Triple> {
         let mut removed = Vec::new();
         for &t in batch {
@@ -500,9 +529,27 @@ impl TripleStore {
         if removed.is_empty() {
             return removed;
         }
+        self.advance_indexes(&removed, false);
         let doomed: FxHashSet<Triple> = removed.iter().copied().collect();
-        self.advance_indexes_remove(&doomed);
-        Arc::make_mut(&mut self.triples).retain(|t| !doomed.contains(t));
+        let (mut first, mut left) = (self.triples.len(), doomed.len());
+        while left > 0 {
+            first -= 1;
+            left -= usize::from(doomed.contains(&self.triples[first]));
+        }
+        let tail: Vec<Triple> = self.triples[first..]
+            .iter()
+            .copied()
+            .filter(|t| !doomed.contains(t))
+            .collect();
+        match Arc::get_mut(&mut self.triples) {
+            Some(list) => {
+                list.truncate(first);
+                list.extend_from_slice(&tail);
+            }
+            // Shared with a pinned generation: build the new list from
+            // the two kept stretches instead of cloning it to cut it.
+            None => self.triples = Arc::new([&self.triples[..first], &tail[..]].concat()),
+        }
         self.version += 1;
         removed
     }
@@ -540,7 +587,7 @@ impl TripleStore {
         }
         let perm = order.perm();
         let mut sorted = (*self.triples).clone();
-        sorted.sort_unstable_by_key(|t| [t[perm[0]], t[perm[1]], t[perm[2]]]);
+        sorted.sort_unstable_by_key(|t| sort_key(perm, t));
         let sorted = Arc::new(sorted);
         let mut guard = write_unpoisoned(&self.indexes);
         guard[slot] = Some(IndexSnapshot {
@@ -923,7 +970,7 @@ mod tests {
     fn batch_mutations_advance_built_index_runs() {
         let mut st = store_with(9);
         // Build every run, then batch-mutate: runs must be carried forward
-        // (merge / filter), not rebuilt, and must equal a fresh sort.
+        // (spliced), not rebuilt, and must equal a fresh sort.
         for order in IndexOrder::ALL {
             st.index(order);
         }

@@ -1,8 +1,27 @@
 //! Property tests for the store: every index order must agree with a
 //! linear scan, for arbitrary triple sets and patterns.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
-use rdf_model::{Id, StorePattern, TripleStore};
+use rdf_model::{Id, IndexOrder, StorePattern, Triple, TripleStore};
+
+fn ids(t: &[u32; 3]) -> Triple {
+    [Id(t[0]), Id(t[1]), Id(t[2])]
+}
+
+/// Every run of `store`, as a fresh sort of its triple list would give it.
+fn fresh_runs(store: &TripleStore) -> Vec<Vec<Triple>> {
+    IndexOrder::ALL
+        .iter()
+        .map(|order| {
+            let perm = order.perm();
+            let mut run = store.triples().to_vec();
+            run.sort_unstable_by_key(|t| [t[perm[0]], t[perm[1]], t[perm[2]]]);
+            run
+        })
+        .collect()
+}
 
 fn triples_strategy() -> impl Strategy<Value = Vec<[u32; 3]>> {
     prop::collection::vec([0u32..12, 0u32..6, 0u32..12], 0..120)
@@ -88,5 +107,114 @@ proptest! {
                 .count();
             prop_assert_eq!(store.match_count(&pat), expected);
         }
+    }
+
+    /// Runs carried across batches by splice equal a fresh sort, whatever
+    /// the batch holds: a triple at the first and one at the last position
+    /// of every run (`(0, 0, 0)` sorts before and `(40, 40, 40)` after all
+    /// that is drawn, in every order), repeats within a batch, triples
+    /// already present (insert) or absent (remove). The insertion-order list agrees with a model `Vec`, and a
+    /// snapshot pinned before each batch keeps the very runs it had.
+    #[test]
+    fn runs_carried_by_splice_equal_a_fresh_sort(
+        base in triples_strategy(),
+        batches in prop::collection::vec((any::<bool>(), triples_strategy()), 1..6),
+        ends in any::<bool>(),
+    ) {
+        let mut store = TripleStore::new();
+        let mut model: Vec<Triple> = Vec::new();
+        for t in base.iter().map(ids) {
+            if store.insert(t) {
+                model.push(t);
+            }
+        }
+        for (insert, batch) in &batches {
+            let mut batch: Vec<Triple> = batch.iter().map(ids).collect();
+            if ends {
+                batch.push([Id(0), Id(0), Id(0)]);
+                batch.push([Id(40), Id(40), Id(40)]);
+                batch.extend_from_within(..batch.len().min(3));
+            }
+            // Build every run so that each is carried, and pin them.
+            let before: Vec<Arc<Vec<Triple>>> =
+                IndexOrder::ALL.iter().map(|&o| store.index(o)).collect();
+            let pinned = store.snapshot();
+            let pinned_runs = fresh_runs(&pinned);
+            let version = store.version();
+
+            let mut changed = Vec::new();
+            if *insert {
+                for &t in &batch {
+                    if !model.contains(&t) {
+                        model.push(t);
+                        changed.push(t);
+                    }
+                }
+                prop_assert_eq!(store.insert_batch(&batch), changed.clone());
+            } else {
+                for &t in &batch {
+                    if model.contains(&t) && !changed.contains(&t) {
+                        changed.push(t);
+                    }
+                }
+                model.retain(|t| !changed.contains(t));
+                prop_assert_eq!(store.remove_batch(&batch), changed.clone());
+            }
+            prop_assert_eq!(store.triples(), &model[..]);
+            prop_assert_eq!(store.version(), version + u64::from(!changed.is_empty()));
+            for ((order, fresh), old) in IndexOrder::ALL.iter().zip(fresh_runs(&store)).zip(&before) {
+                let carried = store.index(*order);
+                prop_assert_eq!(&*carried, &fresh, "order {:?}", order);
+                // A batch that changed something published a new run.
+                prop_assert_eq!(Arc::ptr_eq(&carried, old), changed.is_empty());
+            }
+            for t in &changed {
+                prop_assert_eq!(store.contains(*t), *insert);
+            }
+            // The pin still answers from the runs it shared.
+            prop_assert_eq!(pinned.version(), version);
+            for ((order, was), old) in IndexOrder::ALL.iter().zip(&pinned_runs).zip(&before) {
+                prop_assert!(Arc::ptr_eq(&pinned.index(*order), old));
+                prop_assert_eq!(&**old, was, "pinned order {:?}", order);
+            }
+        }
+    }
+
+    /// A store rebuilt from a strictly `Spo`-sorted list serves its `Spo`
+    /// run from that very allocation; from any other list it sorts one.
+    /// Either way it then behaves as the store it was rebuilt from.
+    #[test]
+    fn from_parts_adopts_a_sorted_list_as_the_spo_run(
+        triples in triples_strategy(),
+        batch in triples_strategy(),
+    ) {
+        let mut original = TripleStore::new();
+        for t in triples.iter().map(ids) {
+            original.insert(t);
+        }
+        let sorted = (*original.index(IndexOrder::Spo)).clone();
+        let mut reopened = TripleStore::from_parts(sorted.clone(), original.version());
+        prop_assert_eq!(reopened.triples(), &sorted[..]);
+        prop_assert_eq!(
+            reopened.index(IndexOrder::Spo).as_ptr(),
+            reopened.triples().as_ptr(),
+            "the list is the run"
+        );
+        let unsorted = TripleStore::from_parts(original.triples().to_vec(), original.version());
+        prop_assert_eq!(&*unsorted.index(IndexOrder::Spo), &sorted);
+
+        // The first mutation un-shares list and run; both stay right.
+        let pinned = reopened.snapshot();
+        let batch: Vec<Triple> = batch.iter().map(ids).collect();
+        reopened.insert_batch(&batch);
+        original.insert_batch(&batch);
+        reopened.remove_batch(&sorted[..sorted.len() / 2]);
+        original.remove_batch(&sorted[..sorted.len() / 2]);
+        for order in IndexOrder::ALL {
+            prop_assert_eq!(&*reopened.index(order), &*original.index(order));
+        }
+        prop_assert_eq!(reopened.len(), original.len());
+        prop_assert_eq!(pinned.triples(), &sorted[..]);
+        prop_assert_eq!(&*pinned.index(IndexOrder::Spo), &sorted);
     }
 }

@@ -18,14 +18,14 @@ use rdf_engine::{
     evaluate_mixed_stats, evaluate_over_views, materialize_union, Answers, DeleteDelta, DeltaSet,
     EvalStats, MaintainedView, MaintenanceStats, MixedAtom, ViewAtom, ViewTable,
 };
+use rdf_model::sync::{read_unpoisoned, write_unpoisoned};
 use rdf_model::{Dictionary, FxHashMap, FxHashSet, StoreSnapshot, Triple, TripleStore};
 use rdf_query::minimize;
 use rdf_query::ConjunctiveQuery;
 use rdf_reform::{reformulate_with_limit, ReformLimit};
-use rdf_schema::{saturate, saturated_copy, Schema, VocabIds};
+use rdf_schema::{entailed_delta, retracted_delta, Schema, VocabIds};
 use rdf_stats::{estimate_conjunction, CardinalityEstimator, RelAtom};
 use rdfviews_core::rewrite::{self, PlanAtom, RewritePlan};
-use rdfviews_core::sync::{read_unpoisoned, write_unpoisoned};
 use rdfviews_core::{Recommendation, SelectionError, State, ViewId};
 
 #[path = "exec_persist.rs"]
@@ -319,10 +319,12 @@ struct DeployedView {
 }
 
 impl DeployedView {
-    /// The branch-union table: the branches' rows, borrowed, sorted and
-    /// deduplicated in one pass.
+    /// The branch-union table. A one-branch view's rows are already the
+    /// table — distinct and in order — and are handed over as they are;
+    /// several branches are concatenated, sorted and deduplicated once.
     fn merged_table(&self) -> ViewTable {
-        ViewTable::from_rows(self.arity, self.branches.iter().flat_map(|b| b.rows()))
+        let branches = self.branches.iter().map(MaintainedView::to_answers);
+        ViewTable::from_answers(self.arity, Answers::union_all(self.arity, branches))
     }
 }
 
@@ -1312,29 +1314,29 @@ impl Deployment {
 
     /// Applies a batch of deletions, set-at-a-time. Under saturation
     /// reasoning the entailment-loss set is computed **once** for the
-    /// whole batch (one re-saturation of the explicit store); either way
-    /// every view runs **one** two-phase delta pass — candidates collected
-    /// with each atom position bound to the whole doomed set, then one
-    /// re-derivation sweep against the shrunken store — so retraction
-    /// feeds should prefer this over per-triple [`Deployment::delete`].
-    /// `stats.batches` counts 1 per call that reached the delta joins.
+    /// whole batch, by delete-and-rederive over the delta
+    /// ([`rdf_schema::retracted_delta`]: only the forward closure of the
+    /// removed explicit triples is examined, each candidate by a backward
+    /// walk to the explicit triples that could still derive it); either
+    /// way every view runs **one** two-phase delta pass — candidates
+    /// collected with each atom position bound to the whole doomed set,
+    /// then one re-derivation sweep against the shrunken store — so
+    /// retraction feeds should prefer this over per-triple
+    /// [`Deployment::delete`]. `stats.batches` counts 1 per call that
+    /// reached the delta joins.
     pub fn delete_batch(&mut self, batch: &[Triple]) -> MaintenanceStats {
         let was_fresh = !self.is_stale();
         let mut total = MaintenanceStats::default();
         let doomed: Vec<Triple> = match &mut self.entailment {
             Some(ent) => {
-                if ent.explicit.remove_batch(batch).is_empty() {
-                    return total;
-                }
-                // Everything in the saturated base that the remaining
-                // explicit triples no longer entail must go.
-                let still = saturated_copy(&ent.explicit, &ent.schema, &ent.vocab);
-                self.store
-                    .triples()
-                    .iter()
-                    .copied()
-                    .filter(|&x| !still.contains(x))
-                    .collect()
+                let removed = ent.explicit.remove_batch(batch);
+                retracted_delta(
+                    &ent.explicit,
+                    &self.store,
+                    &removed,
+                    &ent.schema,
+                    &ent.vocab,
+                )
             }
             None => {
                 let mut seen: FxHashSet<Triple> = FxHashSet::default();
@@ -1380,30 +1382,27 @@ impl Deployment {
     }
 
     /// Applies a batch of insertions, set-at-a-time. Under saturation
-    /// reasoning the RDFS fixpoint runs **once** for the whole batch
-    /// (semi-naive: the consequences of all new explicit triples are
-    /// derived together); then every view runs **one** delta-set join per
-    /// atom position — Δv = ⋃ᵢ π_head(a₁ ⋈ … ⋈ Δaᵢ ⋈ … ⋈ aₙ) with Δ the
-    /// whole batch, hash-indexed — instead of |Δ| per-triple passes.
-    /// `stats.batches` counts 1 per call that reached the delta joins; a
-    /// fully-duplicate batch is a no-op.
+    /// reasoning the batch's consequences are derived from the batch
+    /// alone ([`rdf_schema::entailed_delta`] — each RDFS rule has one
+    /// instance premise, so no other triple of the database takes part)
+    /// and enter the base store together with it, as one write; then every
+    /// view runs **one** delta-set join per atom position —
+    /// Δv = ⋃ᵢ π_head(a₁ ⋈ … ⋈ Δaᵢ ⋈ … ⋈ aₙ) with Δ the whole batch,
+    /// hash-indexed — instead of |Δ| per-triple passes. `stats.batches`
+    /// counts 1 per call that reached the delta joins; a fully-duplicate
+    /// batch is a no-op.
     pub fn insert_batch(&mut self, batch: &[Triple]) -> MaintenanceStats {
         let was_fresh = !self.is_stale();
         let mut total = MaintenanceStats::default();
         let added: Vec<Triple> = match &mut self.entailment {
             Some(ent) => {
-                let newly_explicit = ent.explicit.insert_batch(batch);
-                if newly_explicit.is_empty() {
-                    return total;
-                }
-                let mut added = self.store.insert_batch(&newly_explicit);
-                // One semi-naive fixpoint for the whole batch: saturation
-                // is monotone, so the consequences of the new triples are
-                // exactly the triples saturate() appends.
-                let before = self.store.len();
-                saturate(&mut self.store, &ent.schema, &ent.vocab);
-                added.extend_from_slice(&self.store.triples()[before..]);
-                added
+                // What the base store gains: the newly explicit triples it
+                // did not already entail, and what follows from those.
+                let mut gained = ent.explicit.insert_batch(batch);
+                gained.retain(|&t| !self.store.contains(t));
+                let entailed = entailed_delta(&self.store, &gained, &ent.schema, &ent.vocab);
+                gained.extend(entailed);
+                self.store.insert_batch(&gained)
             }
             None => self.store.insert_batch(batch),
         };

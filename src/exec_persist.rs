@@ -15,12 +15,36 @@
 //!   **before** the in-memory apply, so a crash at any instant loses at
 //!   most an un-applied (and un-acknowledged) batch.
 //!
+//! The bundle records the **state, not the history**. Triples and view
+//! rows — nearly all of its bytes — are sets, so they are written in their
+//! one sorted order and, being sorted, as small differences:
+//!
+//! * a store is its version, its count and its `Spo` run as LEB128
+//!   varints, each triple against the one before it: Δs; then p and o
+//!   whole if s moved, else Δp; then o whole if p moved, else Δo, which is
+//!   then at least 1 (the first triple is written as if s moved);
+//! * the explicit store of a saturation deployment is a subset of the
+//!   saturated one, so it is its version, its count and one bit per triple
+//!   of the saturated run;
+//! * a view branch's rows are written in order, the first column as a
+//!   difference from the row before, the others whole.
+//!
+//! The encoding is a bijection between states and byte strings, and the
+//! decoder is total: an id outside the dictionary, a sum that overflows, a
+//! triple or row that does not sort strictly after its predecessor, a
+//! varint in anything but its shortest form, a set padding bit, a bit count
+//! that disagrees with the stored count — each is a
+//! [`SelectionError::CorruptBundle`], so every accepted file re-encodes to
+//! itself. Two deployments that reach the same triples and rows by
+//! different histories therefore write the same bytes and have the same
+//! state hash.
+//!
 //! Recovery ([`Deployment::recover`]) loads the snapshot and replays the
 //! WAL suffix through the ordinary set-at-a-time maintenance path — the
-//! same joins, the same saturation fixpoint — which makes it
+//! same joins, the same entailment deltas — which makes it
 //! *deterministic*: the recovered state reproduces the pre-crash state
 //! bit-for-bit, proven by the 128-bit **state hash** (domain
-//! `rdfviews.state.v1`, over the canonical semantic sections). Torn tail
+//! `rdfviews.state.v2`, over the canonical semantic sections). Torn tail
 //! records are dropped gracefully; records already absorbed by a newer
 //! snapshot (a crash between checkpoint and WAL reset) are skipped by
 //! their version stamps.
@@ -29,7 +53,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rdf_model::{Id, Term, TermKind};
+use rdf_model::{Id, IndexOrder, Term, TermKind};
 use rdf_query::{Atom, QTerm, UnionQuery, Var};
 use rdf_schema::SchemaStatement;
 use rdf_stats::{AtomKey, KeySlot, StatsCatalog};
@@ -46,7 +70,7 @@ pub const SNAPSHOT_FILE: &str = "snapshot.rdfb";
 pub const WAL_FILE: &str = "wal.rdfl";
 
 /// Domain string of the semantic state hash (see [`Deployment::content_hash`]).
-const STATE_DOMAIN: &str = "rdfviews.state.v1";
+const STATE_DOMAIN: &str = "rdfviews.state.v2";
 
 // Section tags, in their required file order.
 const SEC_DICT: u32 = 1;
@@ -77,9 +101,10 @@ fn corrupt(detail: impl Into<String>) -> DurabilityError {
 type DResult<T> = Result<T, DurabilityError>;
 
 // ---------------------------------------------------------------------
-// Canonical encoding of the domain types. Unordered collections (view
-// rows, catalog counts) are sorted before encoding so that equal states
-// always produce equal bytes — the property the state hash relies on.
+// Canonical encoding of the domain types. Sets are written in sorted
+// order (triples and view rows are kept that way; catalog counts are
+// sorted here) so that equal states always produce equal bytes — the
+// property the state hash relies on.
 // ---------------------------------------------------------------------
 
 fn enc_term(w: &mut Writer, t: &Term) {
@@ -129,38 +154,132 @@ fn dec_dict(bytes: &[u8]) -> DResult<Dictionary> {
     Ok(dict)
 }
 
+/// Reads one varint and adds it to `base`: an id, which must fall inside
+/// the dictionary.
+fn dec_id(r: &mut Reader<'_>, base: Id, dict_len: usize, what: &str) -> DResult<Id> {
+    let delta = r.varint(what)?;
+    u64::from(base.0)
+        .checked_add(delta)
+        .filter(|&id| id < dict_len as u64)
+        .and_then(|id| u32::try_from(id).ok())
+        .map(Id)
+        .ok_or_else(|| {
+            corrupt(format!(
+                "{what}: {} + {delta} is outside the dictionary of {dict_len} terms",
+                base.0
+            ))
+        })
+}
+
+/// Writes a strictly `Spo`-sorted run, each triple as its difference from
+/// the one before: Δs; p and o whole if s moved, else Δp; o whole if p
+/// moved, else Δo. The first triple is written as if s moved.
+fn enc_run_into(w: &mut Writer, run: &[Triple]) {
+    let mut prev: Option<Triple> = None;
+    for &[s, p, o] in run {
+        match prev {
+            Some([ps, pp, po]) if ps == s => {
+                w.varint(0);
+                w.varint(u64::from(p.0 - pp.0));
+                w.varint(u64::from(if pp == p { o.0 - po.0 } else { o.0 }));
+            }
+            _ => {
+                w.varint(u64::from(s.0 - prev.map_or(0, |t| t[0].0)));
+                w.varint(u64::from(p.0));
+                w.varint(u64::from(o.0));
+            }
+        }
+        prev = Some([s, p, o]);
+    }
+}
+
+/// Reads back `n` triples of [`enc_run_into`]; strictly increasing by
+/// construction, every id checked against the dictionary.
+fn dec_run(r: &mut Reader<'_>, n: usize, dict_len: usize) -> DResult<Vec<Triple>> {
+    const ZERO: Id = Id(0);
+    let mut run: Vec<Triple> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let [ps, pp, po] = run.last().copied().unwrap_or([ZERO; 3]);
+        let s = dec_id(r, ps, dict_len, "triple subject")?;
+        let t = if run.is_empty() || s != ps {
+            let p = dec_id(r, ZERO, dict_len, "triple property")?;
+            [s, p, dec_id(r, ZERO, dict_len, "triple object")?]
+        } else {
+            let p = dec_id(r, pp, dict_len, "triple property")?;
+            if p != pp {
+                [s, p, dec_id(r, ZERO, dict_len, "triple object")?]
+            } else {
+                let o = dec_id(r, po, dict_len, "triple object")?;
+                if o == po {
+                    return Err(corrupt("store run repeats a triple"));
+                }
+                [s, p, o]
+            }
+        };
+        run.push(t);
+    }
+    Ok(run)
+}
+
 fn enc_store_into(w: &mut Writer, store: &TripleStore) {
     w.u64(store.version());
     w.len_prefix(store.len());
-    for t in store.triples() {
-        for &id in t {
-            w.u32(id.0);
-        }
-    }
+    enc_run_into(w, &store.index(IndexOrder::Spo));
 }
 
 fn dec_store(r: &mut Reader<'_>, dict_len: usize) -> DResult<TripleStore> {
     let version = r.u64("store version")?;
-    let n = r.len_prefix("store triple count", 12)?;
-    let mut triples = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut t = [Id(0); 3];
-        for slot in &mut t {
-            let raw = r.u32("triple id")?;
-            if raw as usize >= dict_len {
-                return Err(corrupt(format!(
-                    "triple id {raw} outside dictionary of {dict_len} terms"
-                )));
-            }
-            *slot = Id(raw);
+    // Three varints a triple, a byte each at least.
+    let n = r.len_prefix("store triple count", 3)?;
+    Ok(TripleStore::from_parts(dec_run(r, n, dict_len)?, version))
+}
+
+/// Writes `explicit` — a subset of the store whose `Spo` run is `run` —
+/// as its version, its count and one bit per triple of `run`, low bit
+/// first. The subset relation is the saturation deployment's invariant;
+/// should it not hold the bundle could not be read back, so it is refused
+/// here.
+fn enc_subset_into(w: &mut Writer, explicit: &TripleStore, run: &[Triple]) -> DResult<()> {
+    w.u64(explicit.version());
+    w.len_prefix(explicit.len());
+    let members = explicit.index(IndexOrder::Spo);
+    let mut members = members.iter().peekable();
+    let mut bits = vec![0u8; run.len().div_ceil(8)];
+    for (i, t) in run.iter().enumerate() {
+        if members.next_if_eq(&t).is_some() {
+            bits[i / 8] |= 1 << (i % 8);
         }
-        triples.push(t);
     }
-    let store = TripleStore::from_parts(triples, version);
-    if store.len() != n {
-        return Err(corrupt("store section contains duplicate triples"));
+    if let Some(stray) = members.next() {
+        return Err(corrupt(format!(
+            "explicit triple {stray:?} is missing from the saturated store"
+        )));
     }
-    Ok(store)
+    w.raw(&bits);
+    Ok(())
+}
+
+fn dec_subset(r: &mut Reader<'_>, run: &[Triple]) -> DResult<TripleStore> {
+    let version = r.u64("explicit store version")?;
+    let n = r.len_prefix("explicit triple count", 0)?;
+    let bits = r.raw(run.len().div_ceil(8), "explicit store bitmap")?;
+    let members: Vec<Triple> = run
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| bits[i / 8] >> (i % 8) & 1 == 1)
+        .map(|(_, &t)| t)
+        .collect();
+    let set_bits: u64 = bits.iter().map(|b| u64::from(b.count_ones())).sum();
+    if set_bits != members.len() as u64 {
+        return Err(corrupt("explicit store bitmap has padding bits set"));
+    }
+    if members.len() != n {
+        return Err(corrupt(format!(
+            "explicit store bitmap marks {} triples, its count says {n}",
+            members.len()
+        )));
+    }
+    Ok(TripleStore::from_parts(members, version))
 }
 
 fn enc_qterm(w: &mut Writer, t: QTerm) {
@@ -549,12 +668,17 @@ fn enc_deployed_views(views: &[DeployedView]) -> Vec<u8> {
         w.len_prefix(dv.branches.len());
         for b in &dv.branches {
             enc_cq(&mut w, b.definition());
-            let mut rows: Vec<&Vec<Id>> = b.rows().collect();
-            rows.sort_unstable();
-            w.len_prefix(rows.len());
-            for row in rows {
-                for &id in row {
-                    w.u32(id.0);
+            // Rows lie distinct and in order: the first column is written
+            // as its difference from the row before, the others whole.
+            w.len_prefix(b.len());
+            let mut above = Id(0);
+            for row in b.rows() {
+                if let [first, rest @ ..] = row {
+                    w.varint(u64::from(first.0 - above.0));
+                    above = *first;
+                    for id in rest {
+                        w.varint(u64::from(id.0));
+                    }
                 }
             }
         }
@@ -562,7 +686,7 @@ fn enc_deployed_views(views: &[DeployedView]) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn dec_deployed_views(bytes: &[u8]) -> DResult<Vec<DeployedView>> {
+fn dec_deployed_views(bytes: &[u8], dict_len: usize) -> DResult<Vec<DeployedView>> {
     let mut r = Reader::new(bytes);
     let n = r.len_prefix("deployed views", 20)?;
     let mut views = Vec::with_capacity(n);
@@ -576,20 +700,27 @@ fn dec_deployed_views(bytes: &[u8]) -> DResult<Vec<DeployedView>> {
             if def.head.len() != arity {
                 return Err(corrupt("branch arity does not match its view"));
             }
-            let rn = r.len_prefix("branch rows", arity.max(1) * 4)?;
-            let mut rows = Vec::with_capacity(rn);
+            // A varint a cell, a byte each at least; a row without columns
+            // takes no bytes, and there is only one such row.
+            let rn = r.len_prefix("branch rows", arity)?;
+            if arity == 0 && rn > 1 {
+                return Err(corrupt("a boolean branch has at most one row"));
+            }
+            let mut cells = Vec::with_capacity(rn * arity);
+            let mut above = Id(0);
             for _ in 0..rn {
-                let mut row = Vec::with_capacity(arity);
-                for _ in 0..arity {
-                    row.push(Id(r.u32("branch row id")?));
+                for col in 0..arity {
+                    let base = if col == 0 { above } else { Id(0) };
+                    let id = dec_id(&mut r, base, dict_len, "branch row id")?;
+                    if col == 0 {
+                        above = id;
+                    }
+                    cells.push(id);
                 }
-                rows.push(row);
             }
-            let mv = MaintainedView::from_parts(def, rows);
-            if mv.len() != rn {
-                return Err(corrupt("branch rows contain duplicates"));
-            }
-            branches.push(mv);
+            let rows = Answers::from_sorted(arity, rn, cells)
+                .ok_or_else(|| corrupt("branch rows are not strictly increasing"))?;
+            branches.push(MaintainedView::from_parts(def, rows));
         }
         views.push(DeployedView {
             id,
@@ -680,7 +811,7 @@ fn state_hash_of(semantic: &[&[u8]], maintained_version: u64) -> u128 {
 }
 
 impl Deployment {
-    fn encode_bundle(&self, dict: &Dictionary) -> EncodedBundle {
+    fn encode_bundle(&self, dict: &Dictionary) -> DResult<EncodedBundle> {
         let dict_bytes = enc_dict(dict);
         let mut store_w = Writer::new();
         enc_store_into(&mut store_w, &self.store);
@@ -693,7 +824,8 @@ impl Deployment {
                 Some(ent) => {
                     w.bool(true);
                     enc_schema_into(&mut w, &ent.schema, &ent.vocab);
-                    enc_store_into(&mut w, &ent.explicit);
+                    let run = self.store.index(IndexOrder::Spo);
+                    enc_subset_into(&mut w, &ent.explicit, &run)?;
                 }
                 None => w.bool(false),
             }
@@ -724,7 +856,7 @@ impl Deployment {
         let mut meta_w = Writer::new();
         meta_w.u64(self.maintained_version);
         meta_w.u64(self.ctx.lineage);
-        EncodedBundle {
+        Ok(EncodedBundle {
             sections: vec![
                 (SEC_DICT, dict_bytes),
                 (SEC_STORE, store_bytes),
@@ -735,7 +867,7 @@ impl Deployment {
                 (SEC_META, meta_w.into_bytes()),
             ],
             state_hash,
-        }
+        })
     }
 
     fn decode_bundle(bytes: &[u8]) -> DResult<(Deployment, Dictionary, u128)> {
@@ -761,12 +893,12 @@ impl Deployment {
         let store = dec_store(&mut store_r, dict.len())?;
         store_r.expect_exhausted("store section")?;
         let rec = dec_rec(&sections[2].1)?;
-        let views = dec_deployed_views(&sections[3].1)?;
+        let views = dec_deployed_views(&sections[3].1, dict.len())?;
 
         let mut ent_r = Reader::new(&sections[4].1);
         let entailment = if ent_r.bool("entailment flag")? {
             let (schema, vocab) = dec_schema(&mut ent_r)?;
-            let explicit = dec_store(&mut ent_r, dict.len())?;
+            let explicit = dec_subset(&mut ent_r, &store.index(IndexOrder::Spo))?;
             Some(EntailmentBase {
                 schema,
                 vocab,
@@ -849,12 +981,15 @@ impl Deployment {
     ///
     /// Fails with [`SelectionError::StaleSession`] while unmaintained
     /// direct writes are pending (a snapshot must never capture views that
-    /// lag their store), and with [`SelectionError::Io`] on filesystem
-    /// failures.
+    /// lag their store), with [`SelectionError::Io`] on filesystem
+    /// failures, and with [`SelectionError::CorruptBundle`] if a
+    /// saturation deployment's explicit store is not a subset of its base
+    /// store — the bundle stores it as one, and a file that cannot be read
+    /// back is never written.
     pub fn persist(&self, dir: &Path, dict: &Dictionary) -> Result<u128, SelectionError> {
         self.ensure_fresh()?;
         fsutil::ensure_dir(dir).map_err(lift)?;
-        let encoded = self.encode_bundle(dict);
+        let encoded = self.encode_bundle(dict).map_err(lift)?;
         let bytes = bundle::encode(&encoded.sections);
         fsutil::atomic_write(&dir.join(SNAPSHOT_FILE), &bytes).map_err(lift)?;
         Ok(encoded.state_hash)
@@ -873,19 +1008,21 @@ impl Deployment {
     }
 
     /// The deployment's canonical 128-bit content fingerprint (domain
-    /// `rdfviews.state.v1`), over the same canonical encoding
+    /// `rdfviews.state.v2`), over the same canonical encoding
     /// [`Deployment::persist`] writes — equal hashes mean equal
-    /// dictionary, store, recommendation, and view tables. The lineage id
-    /// is excluded, so a live deployment and its recovered twin compare
-    /// equal.
+    /// dictionary, store, recommendation, and view tables, **however they
+    /// were reached**: the encoding is of the state (sorted sets and
+    /// version counters), not of the order in which batches arrived. The
+    /// lineage id is excluded, so a live deployment and its recovered twin
+    /// compare equal.
     pub fn content_hash(&self, dict: &Dictionary) -> Result<u128, SelectionError> {
         self.ensure_fresh()?;
-        Ok(self.encode_bundle(dict).state_hash)
+        Ok(self.encode_bundle(dict).map_err(lift)?.state_hash)
     }
 
     /// Recovers a deployment from `dir`: loads the snapshot, then replays
     /// the write-ahead log suffix through the ordinary batch-maintenance
-    /// path (the same delta joins and saturation fixpoint the live
+    /// path (the same delta joins and entailment deltas the live
     /// deployment ran). A torn tail record — the signature of a crash
     /// mid-append — is dropped gracefully and reported; records already
     /// absorbed by a newer snapshot are skipped by their version stamps;
@@ -1245,5 +1382,344 @@ impl DurableDeployment {
         self.wal.reset().map_err(lift)?;
         self.persisted_dict_len = self.dict.len();
         Ok(hash)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// SplitMix64: a reproducible stream without a dependency.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    const DICT_LEN: usize = 300;
+
+    fn is_corrupt<T: std::fmt::Debug>(r: DResult<T>) -> bool {
+        matches!(r.map_err(lift), Err(SelectionError::CorruptBundle { .. }))
+    }
+
+    /// Stores over ids `0..DICT_LEN`: the shapes a delta coder can get
+    /// wrong, then random ones. Built by single inserts in a scrambled
+    /// order, so the list is *not* the run.
+    fn stores() -> Vec<TripleStore> {
+        let last = Id(DICT_LEN as u32 - 1);
+        let mut shapes: Vec<Vec<Triple>> = vec![
+            vec![],
+            vec![[Id(0), Id(0), Id(0)]],
+            vec![[last, last, last]],
+            vec![[Id(0), Id(0), Id(0)], [last, last, last]],
+            // Every subject distinct; one subject and one property; one
+            // subject, every property distinct.
+            (0..200).map(|i| [Id(i), Id(7), Id(200 - i)]).collect(),
+            (0..200).map(|i| [Id(5), Id(7), Id(i)]).collect(),
+            (0..200).map(|i| [Id(5), Id(i), Id(9)]).collect(),
+        ];
+        let mut rng = 0xb0d1e_u64;
+        for round in 0..20 {
+            let n = next(&mut rng) % 400;
+            let spread = [3, 40, DICT_LEN as u64][round % 3];
+            shapes.push(
+                (0..n)
+                    .map(|_| [(); 3].map(|()| Id((next(&mut rng) % spread) as u32)))
+                    .collect(),
+            );
+        }
+        shapes
+            .into_iter()
+            .map(|mut triples| {
+                triples.reverse();
+                let mut store = TripleStore::new();
+                for t in triples {
+                    store.insert(t);
+                }
+                store
+            })
+            .collect()
+    }
+
+    #[test]
+    fn store_sections_round_trip_and_reencode_byte_for_byte() {
+        for store in stores() {
+            let mut w = Writer::new();
+            enc_store_into(&mut w, &store);
+            let bytes = w.into_bytes();
+            let mut r = Reader::new(&bytes);
+            let back = dec_store(&mut r, DICT_LEN).unwrap();
+            r.expect_exhausted("store").unwrap();
+            assert_eq!(back.version(), store.version());
+            let run = store.index(IndexOrder::Spo);
+            assert_eq!(back.triples(), &run[..], "decoded in Spo order");
+            assert_eq!(
+                back.index(IndexOrder::Spo).as_ptr(),
+                back.triples().as_ptr(),
+                "the decoded list is adopted as the Spo run"
+            );
+            let mut again = Writer::new();
+            enc_store_into(&mut again, &back);
+            assert_eq!(again.into_bytes(), bytes);
+            // 16 bytes of header, then at most 3 varints of 2 bytes a triple.
+            assert!(bytes.len() <= 16 + 6 * store.len());
+            // One term fewer in the dictionary and the largest id is out.
+            let top = run.iter().flatten().max().map_or(0, |id| id.index());
+            assert_eq!(
+                is_corrupt(dec_store(&mut Reader::new(&bytes), top)),
+                !store.is_empty()
+            );
+        }
+    }
+
+    /// A store section spelled by hand: `count`, then the varints given.
+    fn store_section(count: u64, varints: &[u64]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u64(9);
+        w.u64(count);
+        for &v in varints {
+            w.varint(v);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn non_canonical_store_sections_are_refused() {
+        let dec = |bytes: &[u8]| {
+            let mut r = Reader::new(bytes);
+            dec_store(&mut r, DICT_LEN).and_then(|s| r.expect_exhausted("store").map(|()| s))
+        };
+        // The canonical spelling of {(1,2,3), (1,2,5), (1,4,0), (2,0,0)}.
+        let good = store_section(4, &[1, 2, 3, 0, 0, 2, 0, 2, 0, 1, 0, 0]);
+        let store = dec(&good).unwrap();
+        assert_eq!(
+            store.triples(),
+            &[
+                [Id(1), Id(2), Id(3)],
+                [Id(1), Id(2), Id(5)],
+                [Id(1), Id(4), Id(0)],
+                [Id(2), Id(0), Id(0)],
+            ]
+        );
+        let big = DICT_LEN as u64;
+        for (why, bytes) in [
+            (
+                "Δo = 0 repeats a triple",
+                store_section(2, &[1, 2, 3, 0, 0, 0]),
+            ),
+            (
+                "subject outside the dictionary",
+                store_section(1, &[big, 0, 0]),
+            ),
+            (
+                "property outside the dictionary",
+                store_section(1, &[0, big, 0]),
+            ),
+            (
+                "object outside the dictionary",
+                store_section(1, &[0, 0, big]),
+            ),
+            (
+                "Δs past the dictionary",
+                store_section(2, &[1, 0, 0, big - 1, 0, 0]),
+            ),
+            (
+                "Δp past the dictionary",
+                store_section(2, &[1, 5, 0, 0, big - 5, 0]),
+            ),
+            (
+                "Δo past the dictionary",
+                store_section(2, &[1, 5, 5, 0, 0, big - 5]),
+            ),
+            (
+                "Δs overflows u64",
+                store_section(2, &[1, 0, 0, u64::MAX, 0, 0]),
+            ),
+            (
+                "Δs overflows u32",
+                store_section(2, &[1, 0, 0, 1 << 32, 0, 0]),
+            ),
+            (
+                "fewer triples than counted",
+                store_section(3, &[1, 2, 3, 0, 0, 2]),
+            ),
+            (
+                "more triples than counted",
+                store_section(1, &[1, 2, 3, 0, 0, 2]),
+            ),
+            (
+                "a count the bytes cannot hold",
+                store_section(u64::MAX / 2, &[1, 2, 3]),
+            ),
+        ] {
+            assert!(is_corrupt(dec(&bytes)), "{why}");
+        }
+        // An overlong varint: 3 spelled in two bytes.
+        let mut overlong = store_section(1, &[1, 2]);
+        overlong.extend_from_slice(&[0x83, 0x00]);
+        assert!(is_corrupt(dec(&overlong)), "overlong varint");
+    }
+
+    #[test]
+    fn explicit_stores_round_trip_as_bitmaps_of_the_saturated_run() {
+        let mut rng = 0x5ab5e7_u64;
+        for saturated in stores() {
+            let run = saturated.index(IndexOrder::Spo);
+            for keep_one_in in [1, 2, 9, u64::MAX] {
+                let members: Vec<Triple> = run
+                    .iter()
+                    .copied()
+                    .filter(|_| next(&mut rng).is_multiple_of(keep_one_in))
+                    .collect();
+                let mut explicit = TripleStore::new();
+                explicit.insert_batch(&members);
+                let mut w = Writer::new();
+                enc_subset_into(&mut w, &explicit, &run).unwrap();
+                let bytes = w.into_bytes();
+                assert_eq!(bytes.len(), 16 + run.len().div_ceil(8), "a bit a triple");
+                let mut r = Reader::new(&bytes);
+                let back = dec_subset(&mut r, &run).unwrap();
+                r.expect_exhausted("explicit").unwrap();
+                assert_eq!(back.version(), explicit.version());
+                assert_eq!(back.triples(), &members[..]);
+                let mut again = Writer::new();
+                enc_subset_into(&mut again, &back, &run).unwrap();
+                assert_eq!(again.into_bytes(), bytes);
+
+                // The stored count must be the population count ...
+                let mut miscounted = bytes.clone();
+                miscounted[8] ^= 1;
+                assert!(is_corrupt(dec_subset(&mut Reader::new(&miscounted), &run)));
+                // ... and the bits past the run's end must be clear.
+                if !run.len().is_multiple_of(8) {
+                    let mut padded = bytes.clone();
+                    *padded.last_mut().unwrap() |= 0x80;
+                    assert!(is_corrupt(dec_subset(&mut Reader::new(&padded), &run)));
+                }
+                // A member the saturated store lacks cannot be written.
+                explicit.insert([Id(299), Id(298), Id(297)]);
+                if !saturated.contains([Id(299), Id(298), Id(297)]) {
+                    assert!(is_corrupt(enc_subset_into(
+                        &mut Writer::new(),
+                        &explicit,
+                        &run
+                    )));
+                }
+            }
+        }
+    }
+
+    /// A deployed view of `arity` columns over `rows`, one branch.
+    fn deployed(arity: usize, rows: &[Vec<Id>]) -> DeployedView {
+        let var = |v: u32| QTerm::Var(Var(v));
+        let def = ConjunctiveQuery::new(
+            (0..arity as u32).map(var).collect(),
+            vec![
+                Atom([var(0), var(1), var(2)]),
+                Atom([var(2), var(3), var(4)]),
+            ],
+        );
+        DeployedView {
+            id: ViewId(arity as u32),
+            arity,
+            branches: vec![MaintainedView::from_parts(
+                def,
+                Answers::from_tuples(arity, rows),
+            )],
+        }
+    }
+
+    #[test]
+    fn view_sections_round_trip_for_every_arity() {
+        let mut rng = 0x71e5_u64;
+        let last = DICT_LEN as u64 - 1;
+        for arity in 0..=4usize {
+            for round in 0..12 {
+                let n = [0, 1, 2, 50, 300][round % 5];
+                let spread = [2, 30, DICT_LEN as u64][round % 3];
+                let mut rows: Vec<Vec<Id>> = (0..n)
+                    .map(|_| {
+                        (0..arity)
+                            .map(|_| Id((next(&mut rng) % spread) as u32))
+                            .collect()
+                    })
+                    .collect();
+                if round > 5 && n > 0 {
+                    rows.push(vec![Id(0); arity]);
+                    rows.push(vec![Id(last as u32); arity]);
+                }
+                let views = vec![deployed(arity, &rows), deployed(arity, &[])];
+                let bytes = enc_deployed_views(&views);
+                let back = dec_deployed_views(&bytes, DICT_LEN).unwrap();
+                assert_eq!(back.len(), 2);
+                for (a, b) in views.iter().zip(&back) {
+                    assert_eq!((a.id, a.arity), (b.id, b.arity));
+                    assert_eq!(a.branches[0].definition(), b.branches[0].definition());
+                    assert_eq!(a.branches[0].to_answers(), b.branches[0].to_answers());
+                }
+                assert_eq!(enc_deployed_views(&back), bytes);
+            }
+        }
+    }
+
+    #[test]
+    fn non_canonical_view_rows_are_refused() {
+        // The bytes of a two-column view with no rows, re-spelled with a
+        // row count and cells of our choosing.
+        let empty = enc_deployed_views(&[deployed(2, &[])]);
+        let with_rows = |arity: usize, count: u64, varints: &[u64]| {
+            let template = enc_deployed_views(&[deployed(arity, &[])]);
+            let mut w = Writer::new();
+            w.raw(&template[..template.len() - 8]);
+            w.u64(count);
+            for &v in varints {
+                w.varint(v);
+            }
+            w.into_bytes()
+        };
+        assert_eq!(with_rows(2, 0, &[]), empty);
+        let rows_of = |bytes: &[u8]| {
+            dec_deployed_views(bytes, DICT_LEN).map(|views| views[0].branches[0].to_answers())
+        };
+        // (3,9), (3,10), (7,0): the first column is a difference.
+        let good = rows_of(&with_rows(2, 3, &[3, 9, 0, 10, 4, 0])).unwrap();
+        assert_eq!(
+            good,
+            Answers::from_tuples(2, [[Id(3), Id(9)], [Id(3), Id(10)], [Id(7), Id(0)]])
+        );
+        let big = DICT_LEN as u64;
+        for (why, bytes) in [
+            ("a row repeated", with_rows(2, 2, &[3, 9, 0, 9])),
+            ("rows out of order", with_rows(2, 2, &[3, 9, 0, 8])),
+            (
+                "first column outside the dictionary",
+                with_rows(2, 1, &[big, 0]),
+            ),
+            (
+                "first column summed past the dictionary",
+                with_rows(2, 2, &[9, 0, big - 9, 0]),
+            ),
+            (
+                "other column outside the dictionary",
+                with_rows(2, 1, &[0, big]),
+            ),
+            (
+                "a difference that overflows",
+                with_rows(2, 2, &[9, 0, u64::MAX, 0]),
+            ),
+            ("fewer rows than counted", with_rows(2, 2, &[3, 9])),
+            ("more rows than counted", with_rows(2, 1, &[3, 9, 0, 10])),
+            ("two empty tuples", with_rows(0, 2, &[])),
+            (
+                "a row count the bytes cannot hold",
+                with_rows(0, u64::MAX, &[]),
+            ),
+            ("one-column rows repeated", with_rows(1, 2, &[4, 0])),
+        ] {
+            assert!(is_corrupt(rows_of(&bytes)), "{why}");
+        }
+        assert_eq!(rows_of(&with_rows(0, 1, &[])).unwrap().len(), 1);
     }
 }

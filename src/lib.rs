@@ -201,10 +201,13 @@
 //! ## Maintenance quickstart: batched updates and writable stores
 //!
 //! Update feeds go through [`Deployment::insert_batch`] /
-//! [`Deployment::delete_batch`] (exec::Deployment): the whole batch runs
-//! **one** RDFS saturation fixpoint and **one** set-at-a-time delta join
-//! per view — Δv = ⋃ᵢ π_head(a₁ ⋈ … ⋈ Δaᵢ ⋈ … ⋈ aₙ), the Δ set
-//! hash-indexed — instead of one pass per triple. The returned
+//! [`Deployment::delete_batch`] (exec::Deployment): the whole batch
+//! derives its RDFS consequences **once, from the batch alone** (each rule
+//! has a single instance premise, so an insertion adds the forward closure
+//! of its triples and a deletion re-checks only that closure), writes the
+//! base store **once**, and runs **one** set-at-a-time delta join per view
+//! — Δv = ⋃ᵢ π_head(a₁ ⋈ … ⋈ Δaᵢ ⋈ … ⋈ aₙ), the Δ set hash-indexed —
+//! instead of one pass per triple. The returned
 //! [`MaintenanceStats`](engine::MaintenanceStats) stamps `batches` so the
 //! one-pass contract is observable; per-triple `insert`/`delete` are thin
 //! delegates over singleton batches.
@@ -330,11 +333,14 @@
 //! # Ok::<(), rdfviews::core::SelectionError>(())
 //! ```
 //!
-//! Bundles carry a format version (currently 1): a bundle written by a
-//! different, incompatible format version — or any flipped bit, anywhere
-//! in the file — is refused at load time with the typed
+//! Bundles carry a format version (currently 2): a bundle written by a
+//! different format version — or any flipped bit, anywhere in the file —
+//! is refused at load time with the typed
 //! [`SelectionError::CorruptBundle`](core::SelectionError::CorruptBundle),
-//! never a wrong answer at query time. All filesystem failures surface as
+//! never a wrong answer at query time. A bundle records the state and not
+//! the history: triples and view rows are written sorted, as varint
+//! differences, so the file is about a quarter of its in-memory size and
+//! deployments that hold the same data hash equal however they got there. All filesystem failures surface as
 //! [`SelectionError::Io`](core::SelectionError::Io); a strict WAL check
 //! ([`Deployment::verify_wal`](exec::Deployment::verify_wal)) reports a
 //! torn tail as
@@ -362,6 +368,9 @@
 //! | ad-hoc file formats, panics on bad bytes | `Err(SelectionError::Io \| CorruptBundle \| WalTornTail)` |
 //! | `answer_query(&plan)` refused after any maintenance | executes against the current published generation by default; `deployment.set_strict(true)` restores the `StaleSession` refusal |
 //! | *(not possible: reads block on writes)* | `deployment.snapshot()` / `deployment.reader()` — wait-free pinned reads on COW generations ([`DeploymentSnapshot`](exec::DeploymentSnapshot), [`SnapshotReader`](exec::SnapshotReader)) |
+//! | a `snapshot.rdfb` written by format version 1 | refused with `CorruptBundle` ("unsupported bundle format version 1"); no older layout is read — deploy again from the data (`advisor.deploy_durable(rec, dir)?`); the write-ahead log format is unchanged |
+//! | `MaintainedView::rows()` as `&Vec<Id>`, `from_parts(def, Vec<Vec<Id>>)`, `DeleteDelta::candidates()` as `&[Vec<Id>]` | maintained rows are one flat sorted buffer: `rows()` yields `&[Id]` in order, `from_parts(def, Answers)` (build with `Answers::from_tuples` or the checked `Answers::from_sorted`), `candidates()` is an `&Answers` |
+//! | `rdfviews::core::sync::{read_unpoisoned, write_unpoisoned}` | `rdfviews::model::sync::{read_unpoisoned, write_unpoisoned}` (one copy) |
 //! | `answers.tuples()` as `&[Vec<Id>]`, `answers.into_tuples()`, `Answers::from_set(..)` | answers are one flat buffer: loop over `answers.rows()` (borrowed `&[Id]` rows, no allocation); `answers.tuples()` still indexes (`tuples()[i][c]`) but is now a `Vec<&[Id]>` built for the call; `into_tuples`/`from_set` are gone — collect `rows()`, or build with `Answers::from_tuples(arity, rows)`, which like `ViewTable::from_rows` takes owned or borrowed rows |
 //!
 //! The workspace crates map to the paper's components:

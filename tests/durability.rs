@@ -15,15 +15,22 @@
 //! * **Compaction** — checkpoints absorb the log crash-safely: a newer
 //!   snapshot with a stale un-reset WAL (the crash window between the two
 //!   steps) recovers by skipping the absorbed records.
-//! * **Golden fixture** — a committed v1 bundle keeps loading, and
+//! * **Golden fixtures** — a committed v2 bundle keeps loading, and
 //!   re-encoding it reproduces its bytes exactly (format stability; an
-//!   intentional format change must bump the version and regenerate).
+//!   intentional format change must bump the version and regenerate); the
+//!   committed v1 bundle is refused at the version check.
+//! * **The state, not the history** — deployments that reach the same
+//!   triples and rows by different batch orders have one content hash,
+//!   and a section that spells its state any other way than the canonical
+//!   one is a `CorruptBundle`.
 //! * **Proptest** — random feeds round-trip: live hash == recovered hash.
 
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 
+use rdfviews::durability::bundle;
+use rdfviews::durability::wire::Writer;
 use rdfviews::engine::evaluate;
 use rdfviews::exec::{SNAPSHOT_FILE, WAL_FILE};
 use rdfviews::model::Triple;
@@ -439,15 +446,30 @@ fn recovered_handle_keeps_logging_durably() {
 }
 
 // ---------------------------------------------------------------------
-// Golden fixture: format stability.
+// Golden fixtures: format stability.
 // ---------------------------------------------------------------------
 
-fn golden_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v1.rdfb")
+fn golden_path(version: u32) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/fixtures/golden_v{version}.rdfb"))
 }
 
-/// Regenerates `tests/fixtures/golden_v1.rdfb`. Run explicitly after an
-/// *intentional* format change (with a `FORMAT_VERSION` bump):
+/// Opens a committed fixture from a scratch directory.
+fn open_golden(
+    version: u32,
+    tag: &str,
+) -> (Vec<u8>, Result<(Deployment, Dictionary), SelectionError>) {
+    let fixture = std::fs::read(golden_path(version)).unwrap_or_else(|e| {
+        panic!("tests/fixtures/golden_v{version}.rdfb must be committed (see regenerate_golden_fixture): {e}")
+    });
+    let tmp = TempDir::new(tag);
+    std::fs::create_dir_all(tmp.path()).unwrap();
+    std::fs::write(tmp.path().join(SNAPSHOT_FILE), &fixture).unwrap();
+    (fixture, Deployment::open(tmp.path()))
+}
+
+/// Regenerates `tests/fixtures/golden_v2.rdfb`. Run explicitly after an
+/// *intentional* format change (with a `FORMAT_VERSION` bump and a new
+/// file name; the old fixture stays, to be refused):
 /// `cargo test --test durability regenerate_golden_fixture -- --ignored`
 #[test]
 #[ignore = "writes the committed fixture; run only to regenerate it"]
@@ -455,19 +477,15 @@ fn regenerate_golden_fixture() {
     let tmp = TempDir::new("golden-gen");
     let (dep, dict) = deployed(6);
     dep.persist(tmp.path(), &dict).unwrap();
-    std::fs::create_dir_all(golden_path().parent().unwrap()).unwrap();
-    std::fs::copy(tmp.path().join(SNAPSHOT_FILE), golden_path()).unwrap();
+    let path = golden_path(bundle::FORMAT_VERSION);
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    std::fs::copy(tmp.path().join(SNAPSHOT_FILE), path).unwrap();
 }
 
 #[test]
 fn golden_fixture_still_loads_and_reencodes_byte_for_byte() {
-    let fixture = std::fs::read(golden_path())
-        .expect("tests/fixtures/golden_v1.rdfb must be committed (see regenerate_golden_fixture)");
-    let tmp = TempDir::new("golden");
-    std::fs::create_dir_all(tmp.path()).unwrap();
-    std::fs::write(tmp.path().join(SNAPSHOT_FILE), &fixture).unwrap();
-
-    let (mut dep, dict) = Deployment::open(tmp.path()).unwrap();
+    let (fixture, opened) = open_golden(2, "golden");
+    let (mut dep, dict) = opened.unwrap();
     assert!(dep.view_count() > 0);
     // Structural sanity: the fixture deployment still answers.
     for idx in 0..dep.recommendation().workload.len() {
@@ -483,6 +501,140 @@ fn golden_fixture_still_loads_and_reencodes_byte_for_byte() {
         "re-encoding the golden bundle changed its bytes — a format change \
          requires a FORMAT_VERSION bump and a regenerated fixture"
     );
+}
+
+/// No decoder is kept for an older layout: the v1 fixture is intact (its
+/// trailer hash and checksums still verify) and is refused by its format
+/// version, before any section is read.
+#[test]
+fn golden_v1_fixture_is_refused_at_the_version_check() {
+    let (_, opened) = open_golden(1, "golden-v1");
+    match opened {
+        Err(SelectionError::CorruptBundle { detail }) => assert!(
+            detail.contains("unsupported bundle format version 1")
+                && detail.contains("this build reads 2"),
+            "detail: {detail}"
+        ),
+        other => panic!("expected the version refusal, got {other:?}"),
+    }
+}
+
+// ---------------------------------------------------------------------
+// The state, not the history.
+// ---------------------------------------------------------------------
+
+/// The same final state reached by different batch orders — and through
+/// different interleavings of deletes — has one content hash and one
+/// snapshot file; a different state has another.
+#[test]
+fn same_state_by_different_histories_has_one_content_hash() {
+    let (dep, mut dict) = deployed(12);
+    let a = feed(&mut dict, 3000, 5);
+    let b = feed(&mut dict, 3100, 4);
+    let c = feed(&mut dict, 3200, 3);
+
+    // Three batches each, so the version counters agree too.
+    let mut forward = dep.clone();
+    forward.insert_batch(&a);
+    forward.insert_batch(&b);
+    forward.insert_batch(&c);
+    let mut backward = dep.clone();
+    backward.insert_batch(&c);
+    backward.insert_batch(&b);
+    backward.insert_batch(&a);
+    // All at once, then one triple taken out and put back.
+    let mut detour = dep.clone();
+    let all: Vec<Triple> = b.iter().chain(&c).chain(&a).copied().collect();
+    detour.insert_batch(&all);
+    detour.delete_batch(&b[..1]);
+    detour.insert_batch(&b[..1]);
+
+    let hash = forward.content_hash(&dict).unwrap();
+    assert_eq!(backward.content_hash(&dict).unwrap(), hash);
+    assert_eq!(detour.content_hash(&dict).unwrap(), hash);
+    assert_ne!(
+        forward.store().triples(),
+        backward.store().triples(),
+        "the histories do differ: the insertion orders are not the same"
+    );
+    let files: Vec<Vec<u8>> = [&forward, &backward, &detour]
+        .iter()
+        .enumerate()
+        .map(|(i, dep)| {
+            let tmp = TempDir::new(&format!("history{i}"));
+            assert_eq!(dep.persist(tmp.path(), &dict).unwrap(), hash);
+            std::fs::read(tmp.path().join(SNAPSHOT_FILE)).unwrap()
+        })
+        .collect();
+    assert_eq!(files[0], files[1]);
+    assert_eq!(files[0], files[2]);
+
+    let mut other = dep.clone();
+    other.insert_batch(&a);
+    other.insert_batch(&b);
+    other.insert_batch(&c[1..]);
+    assert_ne!(other.content_hash(&dict).unwrap(), hash);
+}
+
+/// The store section's tag, as `src/exec_persist.rs` numbers it.
+const SEC_STORE: u32 = 2;
+
+/// A bundle whose container is sound — hash, checksums, framing — but
+/// whose store section spells its state in some other way than the
+/// canonical one is a `CorruptBundle` from `open`. (The codec's own tests
+/// in `src/exec_persist.rs` do the same for every section kind.)
+#[test]
+fn non_canonical_sections_are_corrupt_bundles() {
+    let tmp = TempDir::new("noncanon");
+    let (dep, dict) = deployed(8);
+    dep.persist(tmp.path(), &dict).unwrap();
+    let snapshot = tmp.path().join(SNAPSHOT_FILE);
+    let pristine = bundle::decode(&std::fs::read(&snapshot).unwrap()).unwrap();
+    let open_with = |tag: u32, payload: Vec<u8>| {
+        let mut sections = pristine.clone();
+        sections.iter_mut().find(|s| s.0 == tag).unwrap().1 = payload;
+        std::fs::write(&snapshot, bundle::encode(&sections)).unwrap();
+        Deployment::open(tmp.path())
+    };
+    // Unchanged sections re-frame to a bundle that opens.
+    let (tag, payload) = pristine[1].clone();
+    assert_eq!(tag, SEC_STORE);
+    open_with(SEC_STORE, payload).unwrap();
+
+    let store = |count: u64, varints: &[u64], tail: &[u8]| {
+        let mut w = Writer::new();
+        w.u64(dep.store().version());
+        w.u64(count);
+        for &v in varints {
+            w.varint(v);
+        }
+        w.raw(tail);
+        w.into_bytes()
+    };
+    let big = dict.len() as u64;
+    for (why, payload) in [
+        ("a repeated triple", store(2, &[1, 2, 3, 0, 0, 0], &[])),
+        ("an id outside the dictionary", store(1, &[1, big, 3], &[])),
+        (
+            "a difference past the dictionary",
+            store(2, &[1, 2, 3, big, 0, 0], &[]),
+        ),
+        (
+            "a difference that overflows",
+            store(2, &[1, 2, 3, u64::MAX, 0, 0], &[]),
+        ),
+        ("an overlong varint", store(1, &[1, 2], &[0x83, 0x00])),
+        ("trailing bytes", store(1, &[1, 2, 3], &[0x00])),
+        (
+            "a count the bytes cannot hold",
+            store(u64::MAX, &[1, 2, 3], &[]),
+        ),
+    ] {
+        match open_with(SEC_STORE, payload) {
+            Err(SelectionError::CorruptBundle { .. }) => {}
+            other => panic!("{why}: expected CorruptBundle, got {other:?}"),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
