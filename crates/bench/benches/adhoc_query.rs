@@ -94,7 +94,8 @@ fn main() {
 
     let mut advisor = Advisor::builder(&db).build().expect("plain advisor");
     let rec = advisor.recommend(&workload).expect("recommendation");
-    let mut dep = advisor.deploy(rec).expect("fresh session deploys");
+    let dep = advisor.deploy(rec).expect("fresh session deploys");
+    let snap = dep.snapshot();
     println!(
         "# adhoc_query: {} triples, {} views deployed, {} coverable + {} hybrid ad-hoc queries{}",
         db.len(),
@@ -107,13 +108,13 @@ fn main() {
     // -- Correctness gates before any timing. -----------------------------
     let mut views_only_plans: Vec<(QueryPlan, usize)> = Vec::new();
     for (qi, q) in coverable.iter().enumerate() {
-        let plan = dep
+        let plan = snap
             .plan_with(q, AnswerPolicy::ViewsOnly)
             .expect("coverable query must be views-only plannable");
         assert!(plan.is_views_only());
         let direct = evaluate(db.store(), q);
         assert_eq!(
-            dep.answer_query(&plan).expect("fresh"),
+            snap.answer_query(&plan).expect("fresh"),
             direct,
             "views-only answers must match direct evaluation (query {qi})"
         );
@@ -121,10 +122,10 @@ fn main() {
     }
     let mut hybrid_plans: Vec<QueryPlan> = Vec::new();
     for q in coverable.iter().chain(hybrid_only.iter()) {
-        let plan = dep.plan_with(q, AnswerPolicy::Hybrid).expect("plannable");
+        let plan = snap.plan_with(q, AnswerPolicy::Hybrid).expect("plannable");
         let direct = evaluate(db.store(), q);
         assert_eq!(
-            dep.answer_query(&plan).expect("fresh"),
+            snap.answer_query(&plan).expect("fresh"),
             direct,
             "hybrid answers must match direct evaluation"
         );
@@ -133,7 +134,7 @@ fn main() {
     for q in &hybrid_only {
         assert!(
             matches!(
-                dep.plan_with(q, AnswerPolicy::ViewsOnly),
+                snap.plan_with(q, AnswerPolicy::ViewsOnly),
                 Err(SelectionError::NoViewsOnlyPlan { .. })
             ),
             "untuned predicate must be a typed views-only error"
@@ -145,21 +146,21 @@ fn main() {
     let t_plan = time_it(|| {
         for _ in 0..repeats {
             for q in &all {
-                let _ = dep.plan(q).expect("plannable");
+                let _ = snap.plan(q).expect("plannable");
             }
         }
     });
     let t_views = time_it(|| {
         for _ in 0..repeats {
             for (plan, _) in &views_only_plans {
-                dep.answer_query(plan).expect("fresh");
+                snap.answer_query(plan).expect("fresh");
             }
         }
     });
     let t_hybrid = time_it(|| {
         for _ in 0..repeats {
             for plan in &hybrid_plans {
-                dep.answer_query(plan).expect("fresh");
+                snap.answer_query(plan).expect("fresh");
             }
         }
     });

@@ -7,10 +7,12 @@
 //! (smaller workload ⇒ smaller space) and ends lower (paper: 2.7× for Q1,
 //! 22× for Q2); the gap widens with workload size.
 
-use rdfviews::core::{select_views, ReasoningMode, SearchConfig, SelectionOptions};
+use rdfviews::core::{
+    try_select_views, ReasoningMode, SearchConfig, SelectionError, SelectionOptions,
+};
 use rdfviews_bench::{env_secs, env_usize, reform_bench, Table};
 
-fn main() {
+fn main() -> Result<(), SelectionError> {
     let budget = env_secs("RDFVIEWS_BUDGET_SECS", 4);
     let triples = env_usize("RDFVIEWS_FIG8_TRIPLES", 40_000);
     let rb = reform_bench(triples / 10, triples);
@@ -34,7 +36,7 @@ fn main() {
             ("pre", ReasoningMode::PreReformulation),
             ("post", ReasoningMode::PostReformulation),
         ] {
-            let rec = select_views(
+            let rec = try_select_views(
                 rb.data.db.store(),
                 rb.data.db.dict(),
                 Some((&rb.data.schema, &rb.data.vocab)),
@@ -48,7 +50,7 @@ fn main() {
                     },
                     ..Default::default()
                 },
-            );
+            )?;
             let trace = &rec.outcome.stats.best_cost_trace;
             let t_best = trace.last().map_or(0.0, |p| p.0);
             table.row(&[
@@ -75,4 +77,5 @@ fn main() {
         }
     }
     println!("expected shape: post ≤ pre everywhere; the gap grows with the workload.");
+    Ok(())
 }

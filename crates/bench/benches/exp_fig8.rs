@@ -17,9 +17,11 @@
 
 use std::time::{Duration, Instant};
 
-use rdfviews::core::{select_views, ReasoningMode, SearchConfig, SelectionOptions};
+use rdfviews::core::{
+    try_select_views, ReasoningMode, SearchConfig, SelectionError, SelectionOptions,
+};
 use rdfviews::engine::{evaluate_with, EvalOptions};
-use rdfviews::exec::{materialize_recommendation, materialize_state, try_answer_original_query};
+use rdfviews::exec::Deployment;
 use rdfviews::model::{StorePattern, TripleStore};
 use rdfviews::schema::saturated_copy;
 use rdfviews_bench::{env_secs, env_usize, reform_bench_selective, Table};
@@ -37,7 +39,7 @@ fn time_it(mut f: impl FnMut()) -> Duration {
     samples[runs / 2]
 }
 
-fn main() {
+fn main() -> Result<(), SelectionError> {
     let budget = env_secs("RDFVIEWS_BUDGET_SECS", 4);
     let triples = env_usize("RDFVIEWS_FIG8_TRIPLES", 40_000);
     let rb = reform_bench_selective(triples / 10, triples);
@@ -78,14 +80,15 @@ fn main() {
         ..Default::default()
     };
     let t0 = Instant::now();
-    let rec_post = select_views(
+    let rec_post = try_select_views(
         rb.data.db.store(),
         rb.data.db.dict(),
         Some((&rb.data.schema, &rb.data.vocab)),
         &rb.q1,
         &opts(ReasoningMode::PostReformulation),
-    );
-    let mv_post = materialize_recommendation(rb.data.db.store(), &rec_post);
+    )?;
+    let post = Deployment::new(rb.data.db.store(), rec_post).snapshot();
+    let mv_post = post.tables();
     println!(
         "post-reformulation: {} views / {} cells materialized in {:.2}s ({:.1}% of base)",
         mv_post.len(),
@@ -94,14 +97,15 @@ fn main() {
         100.0 * mv_post.total_cells() as f64 / (rb.data.db.len() * 3) as f64
     );
     let t0 = Instant::now();
-    let rec_pre = select_views(
+    let rec_pre = try_select_views(
         rb.data.db.store(),
         rb.data.db.dict(),
         Some((&rb.data.schema, &rb.data.vocab)),
         &rb.q1,
         &opts(ReasoningMode::PreReformulation),
-    );
-    let mv_pre = materialize_recommendation(rb.data.db.store(), &rec_pre);
+    )?;
+    let pre = Deployment::new(rb.data.db.store(), rec_pre).snapshot();
+    let mv_pre = pre.tables();
     println!(
         "pre-reformulation : {} views / {} cells materialized in {:.2}s ({:.1}% of base)",
         mv_pre.len(),
@@ -112,7 +116,7 @@ fn main() {
 
     // Initial state: materialize the (reformulated) query results
     // themselves — a plain scan at query time.
-    let rec_init = select_views(
+    let rec_init = try_select_views(
         rb.data.db.store(),
         rb.data.db.dict(),
         Some((&rb.data.schema, &rb.data.vocab)),
@@ -126,9 +130,8 @@ fn main() {
             },
             ..Default::default()
         },
-    );
-    let mv_init = materialize_recommendation(rb.data.db.store(), &rec_init);
-    let _ = materialize_state; // alternative entry point, used in tests
+    )?;
+    let init = Deployment::new(rb.data.db.store(), rec_init).snapshot();
 
     println!();
     let table = Table::new(
@@ -149,25 +152,16 @@ fn main() {
         let nq = q.normalized();
         // Correctness first: all configurations agree.
         let truth = evaluate_with(&saturated, &nq, &indexed);
-        assert_eq!(
-            try_answer_original_query(&rec_post, &mv_post, qi).unwrap(),
-            truth
-        );
-        assert_eq!(
-            try_answer_original_query(&rec_pre, &mv_pre, qi).unwrap(),
-            truth
-        );
-        assert_eq!(
-            try_answer_original_query(&rec_init, &mv_init, qi).unwrap(),
-            truth
-        );
+        assert_eq!(post.answer(qi)?, truth);
+        assert_eq!(pre.answer(qi)?, truth);
+        assert_eq!(init.answer(qi)?, truth);
         assert_eq!(evaluate_with(&restricted, &nq, &indexed), truth);
 
         let t_pre = time_it(|| {
-            let _ = try_answer_original_query(&rec_pre, &mv_pre, qi);
+            let _ = pre.answer(qi);
         });
         let t_post = time_it(|| {
-            let _ = try_answer_original_query(&rec_post, &mv_post, qi);
+            let _ = post.answer(qi);
         });
         let t_sat = time_it(|| {
             evaluate_with(&saturated, &nq, &scan_only);
@@ -179,7 +173,7 @@ fn main() {
             evaluate_with(&saturated, &nq, &indexed);
         });
         let t_init = time_it(|| {
-            let _ = try_answer_original_query(&rec_init, &mv_init, qi);
+            let _ = init.answer(qi);
         });
         table.row(&[
             &format!("Q1.{}", qi + 1),
@@ -195,4 +189,5 @@ fn main() {
         "\nexpected shape: views ≫ faster than the scanned triple table (even restricted);\n\
          views in the same range as the index-backed reference; initial state fastest."
     );
+    Ok(())
 }

@@ -54,15 +54,16 @@ fn run_at(
         delete.merge(dep.delete_batch(chunk));
     }
     let wall = t0.elapsed().as_secs_f64();
+    let snap = dep.snapshot();
     let answers = (0..query_count)
-        .map(|qi| dep.answer(qi).expect("maintained deployment answers"))
+        .map(|qi| snap.answer(qi).expect("maintained deployment answers"))
         .collect();
     RunResult {
         insert,
         delete,
         wall,
-        total_rows: dep.total_rows().expect("fresh"),
-        total_cells: dep.total_cells().expect("fresh"),
+        total_rows: snap.tables().total_rows(),
+        total_cells: snap.tables().total_cells(),
         answers,
     }
 }

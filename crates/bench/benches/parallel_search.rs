@@ -1,6 +1,6 @@
 //! Parallel search core: explorer threads on a **single sharing group**.
 //!
-//! `select_views_partitioned` already parallelizes *across* groups, but a
+//! `try_select_views_partitioned` already parallelizes *across* groups, but a
 //! Barton-style workload routinely collapses into one big group that used
 //! to pin a single core. Two sections:
 //!

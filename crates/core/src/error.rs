@@ -66,15 +66,13 @@ pub enum SelectionError {
         reason: String,
     },
     /// A query plan was executed on a deployment other than the one that
-    /// produced it. Plans bind the view ids (and store version) of their
-    /// own deployment; running them elsewhere could silently read the
-    /// wrong view tables.
+    /// produced it. Plans bind the view ids of their own deployment;
+    /// running them elsewhere could silently read the wrong view tables.
     ForeignPlan,
-    /// The store changed after the session's statistics were prepared (its
-    /// version stamp moved), so running against the cached preparation
-    /// would silently compute on stale statistics — or answer from views
-    /// that no longer reflect the data. Re-prepare via the session's
-    /// `refresh()` path (or rematerialize the deployment) and retry.
+    /// The store changed after an advisor session's statistics were
+    /// prepared (its version stamp moved), so running against the cached
+    /// preparation would silently compute on stale statistics. Re-prepare
+    /// via the session's `refresh()` path and retry.
     StaleSession {
         /// The store version the session was prepared against.
         prepared: u64,

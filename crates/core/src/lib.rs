@@ -32,7 +32,7 @@
 //! * [`rewrite`] — bucket/MiniCon-style rewriting of **ad-hoc** queries
 //!   over an already-selected view set (views-only covers verified by
 //!   unfolding equivalence, plus hybrid view/base plans), the engine
-//!   behind the facade's `Deployment::plan` / `answer_query`.
+//!   behind the facade's `DeploymentSnapshot::plan` / `answer_query`.
 //!
 //! ```
 //! use rdf_model::Dataset;
@@ -76,12 +76,11 @@ pub mod unfold;
 pub use cost::{CostBreakdown, CostModel, CostWeights};
 pub use error::SelectionError;
 pub use partition::{
-    partition_workload, select_views_partitioned, select_views_partitioned_session,
-    try_select_views_partitioned,
+    partition_workload, select_views_partitioned_session, try_select_views_partitioned,
 };
 pub use pipeline::{
-    search_session, select_views, select_views_session, try_select_views, Preparation,
-    ReasoningMode, Recommendation, SelectionOptions,
+    search_session, select_views_session, try_select_views, Preparation, ReasoningMode,
+    Recommendation, SelectionOptions,
 };
 pub use rewrite::{
     base_plan, rewrite_best, rewrite_hybrid, rewrite_views_only, unfold_plan, PlanAtom, RewritePlan,

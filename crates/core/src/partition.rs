@@ -259,21 +259,6 @@ pub fn try_select_views_partitioned(
     select_views_partitioned_session(&mut prep, store, schema, workload, options, parallel)
 }
 
-/// Backward-compatible wrapper over [`try_select_views_partitioned`];
-/// panics on misconfiguration.
-pub fn select_views_partitioned(
-    store: &rdf_model::TripleStore,
-    dict: &rdf_model::Dictionary,
-    schema: Option<(&Schema, &VocabIds)>,
-    workload: &[ConjunctiveQuery],
-    options: &SelectionOptions,
-    parallel: bool,
-) -> Recommendation {
-    try_select_views_partitioned(store, dict, schema, workload, options, parallel)
-        // xlint: allow(X001, reason = "documented panicking compatibility wrapper over the fallible API")
-        .unwrap_or_else(|e| panic!("select_views_partitioned: {e}"))
-}
-
 fn merge_recommendations(groups: &[Vec<usize>], recs: Vec<Recommendation>) -> Recommendation {
     let mut merged_state: Option<State> = None;
     let mut workload: Vec<ConjunctiveQuery> = Vec::new();
@@ -331,7 +316,7 @@ fn merge_recommendations(groups: &[Vec<usize>], recs: Vec<Recommendation>) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::select_views;
+    use crate::pipeline::try_select_views;
     use crate::search::SearchConfig;
     use rdf_model::{Dataset, Term};
     use rdf_query::parser::parse_query;
@@ -411,7 +396,7 @@ mod tests {
                 .query,
         ];
         for parallel in [false, true] {
-            let rec = select_views_partitioned(
+            let rec = try_select_views_partitioned(
                 db.store(),
                 db.dict(),
                 None,
@@ -425,7 +410,8 @@ mod tests {
                     ..Default::default()
                 },
                 parallel,
-            );
+            )
+            .unwrap();
             rec.outcome.best_state.check_invariants().unwrap();
             assert_eq!(rec.branch_of.len(), 3);
             // Every original query must be answerable.
@@ -491,14 +477,16 @@ mod tests {
                 .query,
         ];
         // NOTE: q0 is non-minimal by construction? No: t(X,p0,o0) and
-        // t(X,p0,Y) — Y folds onto o0; minimization inside select_views
+        // t(X,p0,Y) — Y folds onto o0; minimization inside try_select_views
         // reduces it to one atom. Both groups stay independent.
         let opts = SelectionOptions {
             calibrate_cm: false,
             ..Default::default()
         };
-        let joint = select_views(db.store(), db.dict(), None, &queries, &opts);
-        let parted = select_views_partitioned(db.store(), db.dict(), None, &queries, &opts, false);
+        let joint = try_select_views(db.store(), db.dict(), None, &queries, &opts).unwrap();
+        let parted =
+            try_select_views_partitioned(db.store(), db.dict(), None, &queries, &opts, false)
+                .unwrap();
         let rel = (joint.outcome.best_cost - parted.outcome.best_cost).abs()
             / joint.outcome.best_cost.max(1e-9);
         assert!(

@@ -13,9 +13,8 @@
 //!    reformulation branches where applicable, tops up the catalog, runs
 //!    the configured search and packages a [`Recommendation`].
 //!
-//! The one-shot entry points remain: [`try_select_views`] builds a
-//! throwaway [`Preparation`] and runs once; [`select_views`] is the
-//! original panicking signature kept for backward compatibility.
+//! The one-shot entry point remains: [`try_select_views`] builds a
+//! throwaway [`Preparation`] and runs once.
 //!
 //! Reasoning modes ([`ReasoningMode`], Section 4.3):
 //!
@@ -65,7 +64,7 @@ impl ReasoningMode {
     }
 }
 
-/// Options for [`select_views`].
+/// Options for [`try_select_views`] / [`select_views_session`].
 #[derive(Debug, Clone, Default)]
 pub struct SelectionOptions {
     /// Cost weights (`cs`, `cr`, `cm`, `c1`, `c2`, `f`).
@@ -500,23 +499,6 @@ pub fn try_select_views(
     select_views_session(&mut prep, store, schema, workload, options)
 }
 
-/// Runs view selection over a store and workload.
-///
-/// Backward-compatible wrapper over [`try_select_views`]; panics on
-/// misconfiguration (missing schema, empty workload). New code should use
-/// [`try_select_views`] or the `Advisor` session API.
-pub fn select_views(
-    store: &TripleStore,
-    dict: &Dictionary,
-    schema: Option<(&Schema, &VocabIds)>,
-    workload: &[ConjunctiveQuery],
-    options: &SelectionOptions,
-) -> Recommendation {
-    try_select_views(store, dict, schema, workload, options)
-        // xlint: allow(X001, reason = "documented panicking compatibility wrapper over the fallible API")
-        .unwrap_or_else(|e| panic!("select_views: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -560,13 +542,14 @@ mod tests {
     fn plain_selection_runs() {
         let (mut db, _schema, _vocab) = museum_db();
         let queries = workload(&mut db);
-        let rec = select_views(
+        let rec = try_select_views(
             db.store(),
             db.dict(),
             None,
             &queries,
             &SelectionOptions::recommended(),
-        );
+        )
+        .unwrap();
         assert!(!rec.views.is_empty());
         assert_eq!(rec.branch_of, vec![0]);
         assert!(rec.rcr() >= 0.0);
@@ -577,7 +560,7 @@ mod tests {
     fn post_reformulation_reformulates_views() {
         let (mut db, schema, vocab) = museum_db();
         let queries = workload(&mut db);
-        let rec = select_views(
+        let rec = try_select_views(
             db.store(),
             db.dict(),
             Some((&schema, &vocab)),
@@ -587,7 +570,8 @@ mod tests {
                 calibrate_cm: true,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         // At least one materialization union must have multiple branches
         // (the workload touches both the class and the property hierarchy).
         assert!(rec.materialization.iter().any(|u| u.len() > 1));
@@ -597,7 +581,7 @@ mod tests {
     fn pre_reformulation_expands_workload() {
         let (mut db, schema, vocab) = museum_db();
         let queries = workload(&mut db);
-        let rec = select_views(
+        let rec = try_select_views(
             db.store(),
             db.dict(),
             Some((&schema, &vocab)),
@@ -607,7 +591,8 @@ mod tests {
                 calibrate_cm: true,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert!(rec.workload.len() > 1, "reformulation adds branches");
         assert!(rec.branch_of.iter().all(|&b| b == 0));
         // Every branch keeps a rewriting in the best state.
@@ -629,20 +614,22 @@ mod tests {
             calibrate_cm: false,
             ..Default::default()
         };
-        let sat = select_views(
+        let sat = try_select_views(
             db.store(),
             db.dict(),
             Some((&schema, &vocab)),
             &queries,
             &mk(ReasoningMode::Saturation),
-        );
-        let post = select_views(
+        )
+        .unwrap();
+        let post = try_select_views(
             db.store(),
             db.dict(),
             Some((&schema, &vocab)),
             &queries,
             &mk(ReasoningMode::PostReformulation),
-        );
+        )
+        .unwrap();
         let rel = (sat.outcome.best_cost - post.outcome.best_cost).abs()
             / sat.outcome.best_cost.max(1e-9);
         assert!(

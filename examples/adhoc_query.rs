@@ -75,22 +75,23 @@ fn main() -> Result<(), SelectionError> {
         workload.len(),
         rec.rcr()
     );
-    let mut deployment = advisor.deploy(rec)?;
+    let deployment = advisor.deploy(rec)?;
+    let snapshot = deployment.snapshot();
 
     // -- 3. Ad-hoc query #1: fully view-covered. ---------------------------
-    let plan = deployment.plan(&covered)?;
+    let plan = snapshot.plan(&covered)?;
     println!("\nad-hoc #1 — works of artist3 and where they hang:");
     print!("{}", plan.describe(db.dict()));
     assert!(
         plan.is_views_only(),
         "the deployed views cover every atom of this query"
     );
-    let answers = deployment.answer_query(&plan)?;
+    let answers = snapshot.answer_query(&plan)?;
     println!("answers: {}", answers.len());
     assert_eq!(answers, evaluate(db.store(), &covered));
 
     // -- 4. Ad-hoc query #2: hybrid (bornIn was never in any view). --------
-    let plan = deployment.plan(&hybrid)?;
+    let plan = snapshot.plan(&hybrid)?;
     println!("\nad-hoc #2 — paintings and their artist's birth city:");
     print!("{}", plan.describe(db.dict()));
     assert!(!plan.is_views_only() && plan.residual_atoms() > 0);
@@ -98,13 +99,13 @@ fn main() -> Result<(), SelectionError> {
         !plan.views_used().is_empty(),
         "the paintedBy atom still scans a view"
     );
-    let answers = deployment.answer_query(&plan)?;
+    let answers = snapshot.answer_query(&plan)?;
     println!("answers: {}", answers.len());
     assert_eq!(answers, evaluate(db.store(), &hybrid));
 
     // Under the strict views-only policy the same query is a typed error,
     // never a wrong (or silently empty) result.
-    let err = deployment
+    let err = snapshot
         .plan_with(&hybrid, AnswerPolicy::ViewsOnly)
         .unwrap_err();
     println!("\nviews-only policy on ad-hoc #2: {err}");

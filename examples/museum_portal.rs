@@ -85,12 +85,12 @@ fn main() -> Result<(), SelectionError> {
         let rec = advisor.recommend(&workload)?;
         let view_count = rec.views.len();
         let rcr = rec.rcr();
-        let mut deployment = advisor.deploy(rec)?;
-        let answers = deployment.answer(0)?;
+        let snapshot = advisor.deploy(rec)?.snapshot();
+        let answers = snapshot.answer(0)?;
         println!(
             "{mode:?}: {} views, {} rows materialized, rcr {:.2}, answers {}",
             view_count,
-            deployment.total_rows()?,
+            snapshot.tables().total_rows(),
             rcr,
             answers.len()
         );

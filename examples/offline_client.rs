@@ -48,14 +48,15 @@ fn main() -> Result<(), SelectionError> {
     );
 
     let started = Instant::now();
-    let mut client = advisor.deploy(rec)?;
+    let client = advisor.deploy(rec)?;
+    let served = client.snapshot();
     println!(
         "deployed {} views / {} rows in {:.2}s — this is ALL the client needs",
         client.view_count(),
-        client.total_rows()?,
+        served.tables().total_rows(),
         started.elapsed().as_secs_f64()
     );
-    let view_cells = client.total_cells()?;
+    let view_cells = served.tables().total_cells();
     let base_cells = data.db.len() * 3;
     println!(
         "client footprint: {view_cells} cells vs {base_cells} cells in the full triple table \
@@ -69,7 +70,7 @@ fn main() -> Result<(), SelectionError> {
     println!("\nper-query latency (views vs saturated triple table):");
     for i in 0..workload.len() {
         let t0 = Instant::now();
-        let offline = client.answer(i)?;
+        let offline = served.answer(i)?;
         let t_views = t0.elapsed();
         let t0 = Instant::now();
         let direct = evaluate(&saturated, &client.recommendation().workload[i]);
@@ -97,16 +98,17 @@ fn main() -> Result<(), SelectionError> {
     );
 
     let started = Instant::now();
-    let (mut shipped, shipped_dict) = Deployment::open(&dir)?;
+    let (shipped, shipped_dict) = Deployment::open(&dir)?;
     println!(
         "reopened it in {:.2}s — every byte checksummed on the way in",
         started.elapsed().as_secs_f64()
     );
     assert_eq!(shipped.content_hash(&shipped_dict)?, hash);
+    let reopened = shipped.snapshot();
     for i in 0..workload.len() {
         assert_eq!(
-            shipped.answer(i)?,
-            client.answer(i)?,
+            reopened.answer(i)?,
+            served.answer(i)?,
             "the shipped deployment must answer exactly like the live one"
         );
     }

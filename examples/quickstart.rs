@@ -67,15 +67,16 @@ fn main() -> Result<(), SelectionError> {
     println!("\n(second recommend() reused all {collected} cached atom counts)");
 
     // -- 4. Deploy: materialize and answer the workload offline. ---------
-    let mut deployment = advisor.deploy(rec)?;
+    let deployment = advisor.deploy(rec)?;
+    let snapshot = deployment.snapshot();
     println!("\n== deployment ==");
     println!(
         "{} views, {} total rows",
         deployment.view_count(),
-        deployment.total_rows()?
+        snapshot.tables().total_rows()
     );
 
-    let answers = deployment.answer(0)?;
+    let answers = snapshot.answer(0)?;
     println!("\n== q1 answers (from views only) ==");
     for t in answers.rows() {
         let x = db.dict().term(t[0]);

@@ -31,7 +31,7 @@ fn main() -> Result<(), SelectionError> {
     // -- 2. Deploy twice: one batched, one per-triple control. ------------
     let mut deployment = advisor.deploy(rec)?;
     let mut per_triple = deployment.clone();
-    let initial_rows = deployment.total_rows()?;
+    let initial_rows = deployment.snapshot().tables().total_rows();
     println!(
         "deployed {initial_rows} rows across {} views",
         deployment.view_count()
@@ -113,8 +113,9 @@ fn main() -> Result<(), SelectionError> {
     assert_eq!(bdel.removed, sdel.removed);
 
     // -- 5. Both deployments still answer the workload exactly. -----------
+    let control = per_triple.snapshot();
     for qi in 0..workload.len() {
-        let from_views = deployment.answer(qi)?;
+        let from_views = live.answer(qi)?;
         let direct = evaluate(
             deployment.store(),
             &deployment.recommendation().workload[qi],
@@ -122,7 +123,7 @@ fn main() -> Result<(), SelectionError> {
         assert_eq!(from_views, direct, "query {qi} diverged after maintenance");
         assert_eq!(
             from_views,
-            per_triple.answer(qi)?,
+            control.answer(qi)?,
             "batched and per-triple deployments diverged on query {qi}"
         );
         println!(

@@ -21,8 +21,8 @@
 //!
 //! let mut advisor = Advisor::builder(&db).build().unwrap();
 //! let rec = advisor.recommend(&[q.query]).unwrap();
-//! let mut deployment = advisor.deploy(rec).unwrap();
-//! let answers = deployment.answer(0).unwrap();
+//! let deployment = advisor.deploy(rec).unwrap();
+//! let answers = deployment.snapshot().answer(0).unwrap();
 //! assert_eq!(answers, rdfviews::engine::evaluate(db.store(), &deployment.recommendation().workload[0]));
 //! ```
 
@@ -576,12 +576,12 @@ mod tests {
         advisor.refresh().unwrap();
         assert!(!advisor.is_stale());
         let rec = advisor.recommend(std::slice::from_ref(&q)).unwrap();
-        let mut deployment = advisor.deploy(rec).unwrap();
+        let deployment = advisor.deploy(rec).unwrap();
         let direct = rdf_engine::evaluate(
             advisor.dataset().store(),
             &deployment.recommendation().workload[0],
         );
-        assert_eq!(deployment.answer(0).unwrap(), direct);
+        assert_eq!(deployment.snapshot().answer(0).unwrap(), direct);
     }
 
     #[test]

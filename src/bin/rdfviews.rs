@@ -8,10 +8,10 @@
 //! rdfviews recover <dir> [--query "<q>"]... [--policy ...]
 //!
 //! The `query` subcommand tunes on the workload, deploys the recommended
-//! views, then answers **ad-hoc** queries against the deployment — from
-//! repeated `--query` arguments, or one query per stdin line when none is
-//! given — printing each chosen plan (view scans vs base scans) and its
-//! answers.
+//! views, pins one snapshot generation of the deployment, then answers
+//! **ad-hoc** queries from it — from repeated `--query` arguments, or one
+//! query per stdin line when none is given — printing the pinned store
+//! version, each chosen plan (view scans vs base scans) and its answers.
 //!
 //! The durability subcommands: `save` tunes and persists the deployment
 //! into `<dir>` (snapshot bundle + write-ahead log), printing its content
@@ -25,10 +25,6 @@
 //!                                    answer; repeatable
 //!   --policy views|hybrid|base       (query mode) answer policy for atoms
 //!                                    no view covers (default: hybrid)
-//!   --pin                            (query mode) pin one snapshot
-//!                                    generation up front and answer every
-//!                                    query from it (wait-free reads on a
-//!                                    fixed store version)
 //!   --stats                          (query mode) print per-branch
 //!                                    evaluation statistics (engine, rows
 //!                                    visited, leapfrog seeks/emitted)
@@ -79,8 +75,6 @@ struct Args {
     /// Ad-hoc queries from `--query` (stdin when empty in query mode).
     adhoc: Vec<String>,
     policy: AnswerPolicy,
-    /// Query mode: answer everything from one pinned snapshot generation.
-    pin: bool,
     /// Query mode: print per-branch evaluation statistics.
     stats: bool,
 }
@@ -90,7 +84,7 @@ fn usage() -> ExitCode {
         "usage: rdfviews [query] <data.nt> <workload.rq> [--mode plain|saturate|pre|post] \
          [--strategy dfs|gstr|exnaive|exstr|pruning|greedy|heuristic] \
          [--budget SECONDS] [--max-states N] [--strict-budget] [--partition] [--threads N] \
-         [--materialize] [--query QUERY]... [--policy views|hybrid|base] [--pin] [--stats]\n\
+         [--materialize] [--query QUERY]... [--policy views|hybrid|base] [--stats]\n\
          \x20      rdfviews save <data.nt> <workload.rq> <dir> [tuning options]\n\
          \x20      rdfviews load <dir> [--query QUERY]... [--policy views|hybrid|base]\n\
          \x20      rdfviews recover <dir> [--query QUERY]... [--policy views|hybrid|base]"
@@ -115,7 +109,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         query_mode: false,
         adhoc: Vec::new(),
         policy: AnswerPolicy::Hybrid,
-        pin: false,
         stats: false,
     };
     let mut it = std::env::args().skip(1).peekable();
@@ -178,7 +171,6 @@ fn parse_args() -> Result<Args, ExitCode> {
             "--strict-budget" => args.strict_budget = true,
             "--partition" => args.partition = true,
             "--materialize" => args.materialize = true,
-            "--pin" => args.pin = true,
             "--stats" => args.stats = true,
             "--help" | "-h" => return Err(usage()),
             other => positional.push(other.to_string()),
@@ -225,7 +217,7 @@ fn run_open(replay_wal: bool) -> ExitCode {
     let Some(dir) = dir else { return usage() };
     let dir = std::path::Path::new(&dir);
 
-    let (mut deployment, mut dict) = if replay_wal {
+    let (deployment, mut dict) = if replay_wal {
         match Deployment::recover(dir) {
             Ok((dep, dict, report)) => {
                 println!(
@@ -269,6 +261,7 @@ fn run_open(replay_wal: bool) -> ExitCode {
         }
     }
 
+    let snapshot = deployment.snapshot();
     for text in &adhoc {
         println!("#\n# query: {text}");
         let q = match parse_query(text, &mut dict) {
@@ -278,7 +271,7 @@ fn run_open(replay_wal: bool) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let plan = match deployment.plan_with(&q, policy) {
+        let plan = match snapshot.plan_with(&q, policy) {
             Ok(p) => p,
             Err(e) => {
                 println!("#   no plan: {e}");
@@ -286,7 +279,7 @@ fn run_open(replay_wal: bool) -> ExitCode {
             }
         };
         print!("{}", plan.describe(&dict));
-        match deployment.answer_query(&plan) {
+        match snapshot.answer_query(&plan) {
             Ok(answers) => println!("# answers: {}", answers.len()),
             Err(e) => {
                 eprintln!("error: {e}");
@@ -463,7 +456,7 @@ fn main() -> ExitCode {
     }
 
     if args.query_mode {
-        let mut deployment = match advisor.deploy(rec) {
+        let deployment = match advisor.deploy(rec) {
             Ok(dep) => dep,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -476,20 +469,14 @@ fn main() -> ExitCode {
             adhoc_queries.len(),
             args.policy
         );
-        // --pin: answer every query from one generation pinned up front;
-        // the deployment could keep absorbing maintenance batches while
-        // these reads run, without perturbing the pinned answers.
-        let pinned = args.pin.then(|| deployment.snapshot());
-        if let Some(snap) = &pinned {
-            println!("# pinned generation: store version {}", snap.version());
-        }
+        // Every query is answered from one generation pinned up front; the
+        // deployment could keep absorbing maintenance batches while these
+        // reads run, without perturbing the pinned answers.
+        let snapshot = deployment.snapshot();
+        println!("# pinned generation: store version {}", snapshot.version());
         for (text, q) in &adhoc_queries {
             println!("#\n# query: {text}");
-            let planned = match &pinned {
-                Some(snap) => snap.plan_with(q, args.policy),
-                None => deployment.plan_with(q, args.policy),
-            };
-            let plan = match planned {
+            let plan = match snapshot.plan_with(q, args.policy) {
                 Ok(p) => p,
                 Err(e) => {
                     println!("#   no plan: {e}");
@@ -497,13 +484,7 @@ fn main() -> ExitCode {
                 }
             };
             print!("{}", plan.describe(db.dict()));
-            let outcome = match &pinned {
-                Some(snap) => snap.answer_query_stats(&plan),
-                None => deployment
-                    .answer_query(&plan)
-                    .map(|answers| (answers, deployment.last_eval_stats().to_vec())),
-            };
-            match outcome {
+            match snapshot.answer_query_stats(&plan) {
                 Ok((answers, stats)) => {
                     println!("# answers: {}", answers.len());
                     for row in answers.rows().take(5) {
@@ -544,16 +525,17 @@ fn main() -> ExitCode {
     }
 
     if args.materialize {
-        let mut deployment = match advisor.deploy(rec) {
+        let deployment = match advisor.deploy(rec) {
             Ok(dep) => dep,
             Err(e) => {
                 eprintln!("error: {e}");
                 return ExitCode::FAILURE;
             }
         };
+        let snapshot = deployment.snapshot();
         let (rows, cells) = (
-            deployment.total_rows().expect("freshly deployed"),
-            deployment.total_cells().expect("freshly deployed"),
+            snapshot.tables().total_rows(),
+            snapshot.tables().total_cells(),
         );
         println!(
             "#\n# deployed: {} views, {} rows, {} cells ({:.1}% of the triple table)",

@@ -3,14 +3,17 @@
 //! are stored at the client, no connection is needed and the application
 //! can run off-line", Section 1).
 //!
-//! The centerpiece is [`Deployment`]: a self-contained bundle of a
-//! [`Recommendation`], its materialized views and a maintenance base copy
-//! of the store. It answers workload queries from the views alone
-//! ([`Deployment::answer`]) and keeps the views consistent under triple
-//! insertions and deletions ([`Deployment::insert`] /
-//! [`Deployment::delete`]) via the incremental deltas of
-//! `rdf_engine::maintain`. The free functions below are the stateless
-//! building blocks, kept for direct use and backward compatibility.
+//! Two handles split the work. [`Deployment`] is the writer: a
+//! self-contained bundle of a [`Recommendation`], its materialized views
+//! and a maintenance base copy of the store, which keeps the views
+//! consistent under triple insertions and deletions
+//! ([`Deployment::insert_batch`] / [`Deployment::delete_batch`]) via the
+//! incremental deltas of `rdf_engine::maintain`. [`DeploymentSnapshot`]
+//! is the reader: every plan and every answer comes from a pinned,
+//! immutable generation ([`Deployment::snapshot`] /
+//! [`Deployment::reader`]), so reads never wait on or observe a batch in
+//! flight. The free functions below materialize and answer search states
+//! directly, without a deployment.
 
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -120,52 +123,8 @@ pub fn answer_query(state: &State, mv: &MaterializedViews, query_idx: usize) -> 
     evaluate_over_views(&atoms, &r.head)
 }
 
-/// Answers an *original* workload query: in pre-reformulation mode this is
-/// the union of its branch rewritings; otherwise a single rewriting.
-/// Returns [`SelectionError::UnknownQuery`] for an out-of-range index.
-pub fn try_answer_original_query(
-    rec: &Recommendation,
-    mv: &MaterializedViews,
-    original_idx: usize,
-) -> Result<Answers, SelectionError> {
-    let state = &rec.outcome.best_state;
-    let mut result: Option<Answers> = None;
-    for (eff_idx, &orig) in rec.branch_of.iter().enumerate() {
-        if orig != original_idx {
-            continue;
-        }
-        let a = answer_query(state, mv, eff_idx);
-        result = Some(match result {
-            None => a,
-            Some(prev) => prev.union(a),
-        });
-    }
-    result.ok_or(SelectionError::UnknownQuery {
-        index: original_idx,
-        len: rec.original_query_count(),
-    })
-}
-
-/// Panicking wrapper over [`try_answer_original_query`], kept for
-/// backward compatibility.
-#[deprecated(
-    since = "0.2.0",
-    note = "panics on a bad index; use `Deployment::answer(idx)` (or \
-            `try_answer_original_query`) for the Result-returning path, and \
-            `Deployment::plan`/`answer_query` for ad-hoc queries"
-)]
-pub fn answer_original_query(
-    rec: &Recommendation,
-    mv: &MaterializedViews,
-    original_idx: usize,
-) -> Answers {
-    try_answer_original_query(rec, mv, original_idx)
-        // xlint: allow(X001, reason = "deprecated panicking wrapper kept for seed-API migration")
-        .unwrap_or_else(|e| panic!("answer_original_query: {e}"))
-}
-
-/// How [`Deployment::plan`] treats query atoms the deployed views cannot
-/// cover.
+/// How [`DeploymentSnapshot::plan_with`] treats query atoms the deployed
+/// views cannot cover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AnswerPolicy {
     /// Fail with [`SelectionError::NoViewsOnlyPlan`] unless the whole
@@ -202,24 +161,19 @@ pub struct PlannedBranch {
 /// [`Deployment`] — which views cover which atoms, which atoms fall back
 /// to base-store scans, and what evaluation is estimated to cost.
 ///
-/// Produced by [`Deployment::plan`] / [`Deployment::plan_with`] (or their
-/// [`DeploymentSnapshot`] counterparts), executed by
-/// [`Deployment::answer_query`] / [`DeploymentSnapshot::answer_query`].
-/// Planning records the snapshot identity it was made against — the
-/// published generation's store version. Plan *structure* is
+/// Produced by [`DeploymentSnapshot::plan`] /
+/// [`DeploymentSnapshot::plan_with`] /
+/// [`DeploymentSnapshot::plan_workload`], executed by
+/// [`DeploymentSnapshot::answer_query`]. Plan *structure* is
 /// generation-independent (stored rewritings plus the recommendation's
-/// static statistics catalog), so under the default policy a plan from an
-/// older generation of the **same** deployment executes fine against the
-/// current one; under [`Deployment::set_strict`] execution refuses a
-/// version mismatch with [`SelectionError::StaleSession`] instead. A plan
-/// from a different deployment lineage is always refused
-/// ([`SelectionError::ForeignPlan`]).
+/// static statistics catalog), so a plan made on one snapshot executes on
+/// any other snapshot of the **same** deployment. A plan from a different
+/// deployment lineage is refused ([`SelectionError::ForeignPlan`]).
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
     query: ConjunctiveQuery,
     branches: Vec<PlannedBranch>,
     policy: AnswerPolicy,
-    store_version: u64,
     /// The deployment lineage that produced the plan — plans bind view
     /// ids of their own deployment and are refused elsewhere
     /// ([`SelectionError::ForeignPlan`]).
@@ -240,12 +194,6 @@ impl QueryPlan {
     /// The policy the plan was made under.
     pub fn policy(&self) -> AnswerPolicy {
         self.policy
-    }
-
-    /// The snapshot identity the plan was made against: the published
-    /// generation's store version at planning time.
-    pub fn store_version(&self) -> u64 {
-        self.store_version
     }
 
     /// Whether every branch answers from the views alone.
@@ -338,31 +286,23 @@ struct EntailmentBase {
     explicit: TripleStore,
 }
 
-/// A deployed recommendation: the views materialized, a maintenance base
-/// copy of the store, and the machinery to answer the workload from the
-/// views alone while absorbing updates.
+/// A deployed recommendation — the writer handle: the views materialized,
+/// a maintenance base copy of the store, and the machinery to keep the
+/// views consistent while absorbing updates.
 ///
 /// This is the paper's three-tier / offline client bundle: once built, it
 /// no longer needs the advisor or the original database. Triple ids keep
 /// referring to the dictionary the recommendation was built with.
 ///
 /// Updates flow through [`Deployment::insert_batch`] /
-/// [`Deployment::delete_batch`]: one set-at-a-time delta join per view per
-/// batch keeps the views exactly consistent, and each completed batch
-/// atomically **publishes** a new read generation — an immutable
-/// [`StoreSnapshot`] plus `Arc`-shared view tables — swapped under a
-/// light `RwLock` while pinned readers ([`Deployment::snapshot`] /
-/// [`Deployment::reader`]) run wait-free on their own generations.
-///
-/// The base store is also directly writable ([`Deployment::store_mut`]);
-/// such writes bypass maintenance, so no new generation is published and
-/// reads keep serving the last *consistent* one until
-/// [`Deployment::rematerialize`] absorbs them. Under the default policy
-/// that is the entire contract — reads never refuse; opt into the
-/// pre-snapshot refuse-on-mismatch behavior with
-/// [`Deployment::set_strict`], which restores
-/// [`SelectionError::StaleSession`] on every read entry point while the
-/// views lag the store.
+/// [`Deployment::delete_batch`] — the only ways to change a deployment:
+/// one set-at-a-time delta join per view per batch keeps the views
+/// exactly consistent, and each batch that changes the store atomically
+/// **publishes** a new read generation — an immutable [`StoreSnapshot`]
+/// plus `Arc`-shared view tables — swapped under a light `RwLock`. Every
+/// read goes through a pinned generation ([`Deployment::snapshot`] /
+/// [`Deployment::reader`]), which runs wait-free and answers as-of its
+/// generation forever.
 ///
 /// Under saturation reasoning the deployment also carries the schema and
 /// the explicit store, so updates stay entailment-aware: an inserted
@@ -379,30 +319,12 @@ pub struct Deployment {
     ctx: Arc<PlanCtx>,
     store: TripleStore,
     views: Vec<DeployedView>,
-    /// The live working tables maintenance rebuilds in place; published
-    /// generations clone this map (one `Arc` bump per view), so unchanged
-    /// tables — with their warm index caches — are shared across
-    /// generations.
-    tables: MaterializedViews,
-    dirty: FxHashSet<ViewId>,
     entailment: Option<EntailmentBase>,
-    /// The store version the views are maintained to; diverges from
-    /// `store.version()` only through direct `store_mut` writes. Always
-    /// equal to the published generation's version.
-    maintained_version: u64,
-    /// Opt-in strictness: when set, every read entry point refuses with
-    /// [`SelectionError::StaleSession`] while the views lag the store or
-    /// a plan's version stamp mismatches — the pre-snapshot contract.
-    strict: bool,
     /// The published read generation, swapped whole under a light
     /// `RwLock`: readers clone the `Arc` (one read-lock acquisition per
     /// pin) and then run wait-free; the writer publishes by one
     /// assignment. Shared with every [`SnapshotReader`].
     current: Arc<RwLock<Arc<Generation>>>,
-    /// Per-branch engine decisions and leapfrog counters from the most
-    /// recent [`Deployment::answer_query`] call — see
-    /// [`Deployment::last_eval_stats`].
-    last_eval: Vec<EvalStats>,
 }
 
 impl Clone for Deployment {
@@ -414,15 +336,10 @@ impl Clone for Deployment {
             ctx: Arc::clone(&self.ctx),
             store: self.store.clone(),
             views: self.views.clone(),
-            tables: self.tables.clone(),
-            dirty: self.dirty.clone(),
             entailment: self.entailment.clone(),
-            maintained_version: self.maintained_version,
-            strict: self.strict,
             // A fresh generation slot: the two deployments diverge from
             // here, so the clone must publish to its own readers only.
             current: Arc::new(RwLock::new(self.current_generation())),
-            last_eval: self.last_eval.clone(),
         }
     }
 }
@@ -458,9 +375,7 @@ struct PlanCtx {
     /// estimated) the first time any generation reads it: one write-once
     /// slot per query index. Plan structure does not depend on the
     /// generation — stored rewritings plus the recommendation's static
-    /// catalog — so every snapshot executes these by reference; the
-    /// version stamp they carry is a placeholder that
-    /// [`PlanCtx::plan_workload`] overwrites in the copy it hands out.
+    /// catalog — so every snapshot executes these by reference.
     workload_plans: Vec<OnceLock<Option<QueryPlan>>>,
 }
 
@@ -475,6 +390,19 @@ struct Generation {
 }
 
 impl Generation {
+    /// The first generation of a built or reloaded deployment: every
+    /// table assembled from its maintained branches.
+    fn assemble(store: &TripleStore, views: &[DeployedView]) -> Self {
+        let tables = views
+            .iter()
+            .map(|dv| (dv.id, Arc::new(dv.merged_table())))
+            .collect();
+        Self {
+            store: store.snapshot(),
+            tables: Arc::new(MaterializedViews { tables }),
+        }
+    }
+
     fn version(&self) -> u64 {
         self.store.version()
     }
@@ -489,8 +417,8 @@ static DEPLOYMENT_IDS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU
 /// takes `&self`, so a snapshot can be shared across threads and answers
 /// wait-free — no locks are taken after the pin, and writer batches
 /// publishing new generations never touch this one. Answers are as-of
-/// [`DeploymentSnapshot::version`] forever; [`SelectionError::StaleSession`]
-/// cannot occur on a snapshot.
+/// [`DeploymentSnapshot::version`] forever. This is the one way to plan
+/// and answer on a deployment.
 ///
 /// Memory: a retained snapshot keeps its whole generation alive — the
 /// pinned store (triple list + built index runs) and every view table of
@@ -504,8 +432,7 @@ pub struct DeploymentSnapshot {
 }
 
 impl DeploymentSnapshot {
-    /// The pinned generation's store version — the snapshot identity
-    /// stamped into plans made from this snapshot.
+    /// The pinned generation's store version — the snapshot identity.
     pub fn version(&self) -> u64 {
         self.generation.version()
     }
@@ -525,40 +452,68 @@ impl DeploymentSnapshot {
         &self.generation.tables
     }
 
-    /// Plans original workload query `query_idx` from its stored
-    /// rewriting(s) against this snapshot — see
-    /// [`Deployment::plan_workload`].
+    /// Plans original workload query `query_idx` from its **stored**
+    /// rewriting(s) — no cover search needed: the recommendation already
+    /// carries one views-only rewriting per effective query (several
+    /// branches in pre-reformulation mode). The resulting plan is always
+    /// views-only, and a copy of the one the deployment keeps.
     pub fn plan_workload(&self, query_idx: usize) -> Result<QueryPlan, SelectionError> {
-        self.ctx.plan_workload(query_idx, self.version())
+        self.ctx.workload_plan(query_idx).cloned()
     }
 
-    /// Plans an ad-hoc query against this snapshot under the default
-    /// ([`AnswerPolicy::Hybrid`]) policy — see [`Deployment::plan`].
+    /// Plans an **ad-hoc** conjunctive query — any query, registered in
+    /// the tuned workload or not — under the default
+    /// ([`AnswerPolicy::Hybrid`]) policy. See
+    /// [`DeploymentSnapshot::plan_with`].
     pub fn plan(&self, q: &ConjunctiveQuery) -> Result<QueryPlan, SelectionError> {
         self.plan_with(q, AnswerPolicy::default())
     }
 
-    /// Plans an ad-hoc query against this snapshot under `policy` — see
-    /// [`Deployment::plan_with`].
+    /// Plans an ad-hoc conjunctive query under `policy`.
+    ///
+    /// The query is minimized, then the bucket/MiniCon-style cover search
+    /// of `rdfviews_core::rewrite` looks for a **complete views-only
+    /// rewriting** (verified equivalent through its unfolding). Such a
+    /// plan answers the query in every reasoning mode without
+    /// reformulation — the view tables already hold the saturated
+    /// extensions (Theorem 4.2). When atoms stay uncovered:
+    ///
+    /// * [`AnswerPolicy::ViewsOnly`] fails with
+    ///   [`SelectionError::NoViewsOnlyPlan`];
+    /// * [`AnswerPolicy::Hybrid`] mixes view scans with base-store scans;
+    /// * [`AnswerPolicy::BaseFallback`] evaluates the whole query on the
+    ///   base store.
+    ///
+    /// On deployments of pre/post-reformulation recommendations the base
+    /// store is the *original* (unsaturated) one, so plans with base
+    /// atoms first split the query into its reformulation branches
+    /// (Theorem 4.1) — one [`PlannedBranch`] each — keeping base scans
+    /// entailment-complete; branch answers union at execution.
     pub fn plan_with(
         &self,
         q: &ConjunctiveQuery,
         policy: AnswerPolicy,
     ) -> Result<QueryPlan, SelectionError> {
-        self.ctx.plan_with(q, policy, self.version())
+        self.ctx.plan_with(q, policy)
     }
 
-    /// Executes a plan against the pinned generation. Plans from any
-    /// generation of the same deployment are accepted (plan structure is
-    /// generation-independent); a plan from a different deployment fails
-    /// with [`SelectionError::ForeignPlan`].
+    /// Executes a plan against the pinned generation: every branch runs
+    /// through the shared join pipeline (`evaluate_mixed_stats` — view
+    /// scans probe the materialized tables through resident indexes, base
+    /// atoms the store's permutation indexes), and branch answers union
+    /// set-wise. Plans from any generation of the same deployment are
+    /// accepted (plan structure is generation-independent); a plan from a
+    /// different deployment fails with [`SelectionError::ForeignPlan`] —
+    /// view ids only mean something within their own lineage.
     pub fn answer_query(&self, plan: &QueryPlan) -> Result<Answers, SelectionError> {
         Ok(self.answer_query_stats(plan)?.0)
     }
 
     /// Like [`DeploymentSnapshot::answer_query`], also returning the
-    /// per-branch engine decisions and leapfrog counters (the snapshot is
-    /// immutable, so the stats are returned rather than stored).
+    /// per-branch evaluation statistics: which join engine the adaptive
+    /// selector picked for each union branch — cyclic branch shapes route
+    /// to the worst-case-optimal leapfrog triejoin, acyclic ones to the
+    /// compiled backtracking core — plus leapfrog seek/emit counters.
     pub fn answer_query_stats(
         &self,
         plan: &QueryPlan,
@@ -604,8 +559,7 @@ impl DeploymentSnapshot {
 /// most recently published (one read-lock acquisition, then wait-free).
 /// Clone one per reader thread; the writer keeps mutating the
 /// [`Deployment`] concurrently, and each pin observes a complete,
-/// consistent generation — never a torn one, never
-/// [`SelectionError::StaleSession`].
+/// consistent generation — never a torn one.
 #[derive(Debug, Clone)]
 pub struct SnapshotReader {
     ctx: Arc<PlanCtx>,
@@ -630,8 +584,8 @@ impl SnapshotReader {
 /// Executes every branch of a plan against one generation (a pinned
 /// store + its view tables) and unions the branch answers set-wise — a
 /// one-branch plan's answers, already distinct and sorted, pass through
-/// untouched. The shared execution core of [`Deployment::answer_query`]
-/// and [`DeploymentSnapshot::answer_query`].
+/// untouched. The execution core of [`DeploymentSnapshot::answer`] and
+/// [`DeploymentSnapshot::answer_query_stats`].
 fn execute_plan(
     store: &TripleStore,
     tables: &MaterializedViews,
@@ -678,27 +632,14 @@ impl Deployment {
                     .collect(),
             })
             .collect();
-        let mut tables = MaterializedViews::default();
-        for dv in &views {
-            tables.tables.insert(dv.id, Arc::new(dv.merged_table()));
-        }
-        let maintained_version = store.version();
         let id = DEPLOYMENT_IDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let generation = Arc::new(Generation {
-            store: store.snapshot(),
-            tables: Arc::new(tables.clone()),
-        });
+        let generation = Generation::assemble(&store, &views);
         Self {
             ctx: Arc::new(PlanCtx::new(rec, None, id, id)),
             store,
             views,
-            tables,
-            dirty: FxHashSet::default(),
             entailment: None,
-            maintained_version,
-            strict: false,
-            current: Arc::new(RwLock::new(generation)),
-            last_eval: Vec::new(),
+            current: Arc::new(RwLock::new(Arc::new(generation))),
         }
     }
 
@@ -747,22 +688,6 @@ impl Deployment {
         &self.ctx.rec
     }
 
-    /// Whether strict (refuse-on-mismatch) read semantics are enabled.
-    pub fn strict(&self) -> bool {
-        self.strict
-    }
-
-    /// Opts into the pre-snapshot strictness contract: while direct
-    /// `store_mut` writes leave the views behind the store — or when a
-    /// plan's version stamp mismatches the current store — read entry
-    /// points refuse with [`SelectionError::StaleSession`] instead of
-    /// serving the last published consistent generation. Use this when a
-    /// silently as-of answer is worse than no answer (e.g. read-your-own-
-    /// writes tests against bulk loads).
-    pub fn set_strict(&mut self, strict: bool) {
-        self.strict = strict;
-    }
-
     /// Pins the current published generation as an immutable
     /// [`DeploymentSnapshot`]: answers stay as-of this generation no
     /// matter what maintenance applies afterwards. O(1) — one read-lock
@@ -789,15 +714,23 @@ impl Deployment {
         Arc::clone(&read_unpoisoned(&self.current))
     }
 
-    /// Publishes the current (fresh) store + tables as the new read
-    /// generation: pinned readers keep their old `Arc`s, new pins get
-    /// this one. Must only be called when the views are maintained to the
-    /// store (`!is_stale()`), so every published generation is consistent.
-    fn publish(&mut self) {
-        self.rebuild_dirty();
+    /// Publishes the current store as the new read generation, with the
+    /// tables of the views at indexes `changed` rebuilt: pinned readers
+    /// keep their old `Arc`s, new pins get this one. Every other table is
+    /// the previous generation's `Arc` (one bump per view), so unchanged
+    /// tables — with their warm index caches — are shared across
+    /// generations. Called once at the end of every batch that changed the
+    /// store, when the views are maintained to it, so every published
+    /// generation is consistent.
+    fn publish(&mut self, changed: &[usize]) {
+        let mut tables = MaterializedViews::clone(&self.current_generation().tables);
+        for &i in changed {
+            let dv = &self.views[i];
+            tables.tables.insert(dv.id, Arc::new(dv.merged_table()));
+        }
         let generation = Arc::new(Generation {
             store: self.store.snapshot(),
-            tables: Arc::new(self.tables.clone()),
+            tables: Arc::new(tables),
         });
         *write_unpoisoned(&self.current) = generation;
     }
@@ -807,199 +740,19 @@ impl Deployment {
         &self.store
     }
 
-    /// Direct writable access to the maintenance base store — the
-    /// versioned writable-store escape hatch for bulk loads that bypass
-    /// incremental maintenance. After direct writes the views no longer
-    /// reflect the store, and every read entry point returns
-    /// [`SelectionError::StaleSession`] until [`Deployment::rematerialize`]
-    /// runs. Returns `None` for entailment-aware deployments, whose
-    /// explicit/saturated invariant direct writes would corrupt
-    /// undetectably — feed those through [`Deployment::insert_batch`] /
-    /// [`Deployment::delete_batch`] instead.
-    pub fn store_mut(&mut self) -> Option<&mut TripleStore> {
-        match self.entailment {
-            Some(_) => None,
-            None => Some(&mut self.store),
-        }
-    }
-
-    /// The store version the views are currently maintained to.
-    pub fn maintained_version(&self) -> u64 {
-        self.maintained_version
-    }
-
-    /// Whether direct writes have desynchronized the views from the base
-    /// store.
-    pub fn is_stale(&self) -> bool {
-        self.store.version() != self.maintained_version
-    }
-
-    /// Refuses reads while the views lag behind the base store.
-    fn ensure_fresh(&self) -> Result<(), SelectionError> {
-        if self.is_stale() {
-            return Err(SelectionError::StaleSession {
-                prepared: self.maintained_version,
-                current: self.store.version(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Re-syncs the version stamp and publishes the new read generation
-    /// after a maintenance pass — but only when the deployment was fresh
-    /// going in. A batch applied on top of unabsorbed direct `store_mut`
-    /// writes maintains the views for *its* triples only, so the
-    /// deployment must stay stale (and keep serving the last consistent
-    /// generation) until [`Deployment::rematerialize`] picks up the
-    /// direct writes too.
-    fn sync_version(&mut self, was_fresh: bool) {
-        // `was_fresh` means the published generation matched the store at
-        // batch start; republish only if the batch actually moved it.
-        if was_fresh && self.maintained_version != self.store.version() {
-            self.maintained_version = self.store.version();
-            self.publish();
-        }
-    }
-
-    /// Rebuilds every view from scratch over the current base store,
-    /// re-syncs the version stamp, and publishes the result as the new
-    /// read generation — the recovery path after direct writes through
-    /// [`Deployment::store_mut`].
-    pub fn rematerialize(&mut self) {
-        for dv in &mut self.views {
-            for b in &mut dv.branches {
-                *b = MaintainedView::new(&self.store, b.definition().clone());
-            }
-        }
-        self.dirty.clear();
-        for dv in &self.views {
-            self.tables
-                .tables
-                .insert(dv.id, Arc::new(dv.merged_table()));
-        }
-        self.maintained_version = self.store.version();
-        self.publish();
-    }
-
     /// Number of deployed views.
     pub fn view_count(&self) -> usize {
         self.views.len()
     }
 
-    /// Rebuilds the tables of views whose rows changed since the last
-    /// publish: each rebuilt table gets a fresh `Arc`, so generations
-    /// already published keep the pre-batch tables untouched.
-    fn rebuild_dirty(&mut self) {
-        if self.dirty.is_empty() {
-            return;
-        }
-        for dv in &self.views {
-            if self.dirty.remove(&dv.id) {
-                self.tables
-                    .tables
-                    .insert(dv.id, Arc::new(dv.merged_table()));
-            }
-        }
-    }
-
-    /// The current view tables (refreshed if updates arrived). In strict
-    /// mode fails with [`SelectionError::StaleSession`] after unmaintained
-    /// direct writes; otherwise the tables reflect the last maintained
-    /// (published) generation.
-    pub fn tables(&mut self) -> Result<&MaterializedViews, SelectionError> {
-        if self.strict {
-            self.ensure_fresh()?;
-        }
-        self.rebuild_dirty();
-        Ok(&self.tables)
-    }
-
-    /// Total rows across all views — the measured counterpart of VSO.
-    pub fn total_rows(&mut self) -> Result<usize, SelectionError> {
-        Ok(self.tables()?.total_rows())
-    }
-
-    /// Total cells (rows × columns) across all views.
-    pub fn total_cells(&mut self) -> Result<usize, SelectionError> {
-        Ok(self.tables()?.total_cells())
-    }
-
-    /// Total hash-index builds across the deployment's current view
+    /// Total hash-index builds across the published generation's view
     /// tables. Rewriting execution builds each `(table, bound-column
     /// mask)` index on first probe and then reuses it, so repeatedly
     /// answering the same plans leaves this constant; maintenance that
     /// rebuilds a table starts that table's count afresh (new version,
-    /// new cache). Does not force a rebuild of dirty tables.
+    /// new cache).
     pub fn view_index_builds(&self) -> usize {
-        self.tables.index_builds()
-    }
-
-    /// Answers original workload query `query_idx` from the views alone,
-    /// executing the plan of its stored rewriting
-    /// ([`Deployment::plan_workload`]) against the published generation.
-    /// The plan is built once per deployment and shared with every
-    /// snapshot; generation swaps do not touch it. In strict mode this
-    /// fails with [`SelectionError::StaleSession`] after unmaintained
-    /// direct writes; by default it answers from the published generation.
-    pub fn answer(&mut self, query_idx: usize) -> Result<Answers, SelectionError> {
-        if self.strict {
-            self.ensure_fresh()?;
-        }
-        let plan = self.ctx.workload_plan(query_idx)?;
-        let generation = self.current_generation();
-        let (answers, stats) = execute_plan(&generation.store, &generation.tables, plan);
-        self.last_eval = stats;
-        Ok(answers)
-    }
-
-    /// Plans original workload query `query_idx` from its **stored**
-    /// rewriting(s) — no cover search needed: the recommendation already
-    /// carries one views-only rewriting per effective query (several
-    /// branches in pre-reformulation mode). The resulting plan is always
-    /// views-only.
-    pub fn plan_workload(&self, query_idx: usize) -> Result<QueryPlan, SelectionError> {
-        if self.strict {
-            self.ensure_fresh()?;
-        }
-        self.ctx.plan_workload(query_idx, self.maintained_version)
-    }
-
-    /// Plans an **ad-hoc** conjunctive query — any query, registered in
-    /// the tuned workload or not — under the default
-    /// ([`AnswerPolicy::Hybrid`]) policy. See [`Deployment::plan_with`].
-    pub fn plan(&self, q: &ConjunctiveQuery) -> Result<QueryPlan, SelectionError> {
-        self.plan_with(q, AnswerPolicy::default())
-    }
-
-    /// Plans an ad-hoc conjunctive query under `policy`.
-    ///
-    /// The query is minimized, then the bucket/MiniCon-style cover search
-    /// of `rdfviews_core::rewrite` looks for a **complete views-only
-    /// rewriting** (verified equivalent through its unfolding). Such a
-    /// plan answers the query in every reasoning mode without
-    /// reformulation — the view tables already hold the saturated
-    /// extensions (Theorem 4.2). When atoms stay uncovered:
-    ///
-    /// * [`AnswerPolicy::ViewsOnly`] fails with
-    ///   [`SelectionError::NoViewsOnlyPlan`];
-    /// * [`AnswerPolicy::Hybrid`] mixes view scans with base-store scans;
-    /// * [`AnswerPolicy::BaseFallback`] evaluates the whole query on the
-    ///   base store.
-    ///
-    /// On deployments of pre/post-reformulation recommendations the base
-    /// store is the *original* (unsaturated) one, so plans with base
-    /// atoms first split the query into its reformulation branches
-    /// (Theorem 4.1) — one [`PlannedBranch`] each — keeping base scans
-    /// entailment-complete; branch answers union at execution.
-    pub fn plan_with(
-        &self,
-        q: &ConjunctiveQuery,
-        policy: AnswerPolicy,
-    ) -> Result<QueryPlan, SelectionError> {
-        if self.strict {
-            self.ensure_fresh()?;
-        }
-        self.ctx.plan_with(q, policy, self.maintained_version)
+        self.current_generation().tables.index_builds()
     }
 }
 
@@ -1035,14 +788,6 @@ impl PlanCtx {
             })
     }
 
-    /// [`Deployment::plan_workload`], parameterized by the snapshot
-    /// identity to stamp into the plan: a stamped copy of the kept plan.
-    fn plan_workload(&self, query_idx: usize, version: u64) -> Result<QueryPlan, SelectionError> {
-        let mut plan = self.workload_plan(query_idx)?.clone();
-        plan.store_version = version;
-        Ok(plan)
-    }
-
     /// One views-only branch per stored rewriting of `query_idx`; `None`
     /// when the recommendation has none.
     fn build_workload_plan(&self, query_idx: usize) -> Option<QueryPlan> {
@@ -1063,18 +808,16 @@ impl PlanCtx {
             query: branches.first()?.query.clone(),
             branches,
             policy: AnswerPolicy::ViewsOnly,
-            store_version: 0,
             deployment: self.deployment_id,
         })
     }
 
-    /// [`Deployment::plan_with`], parameterized by the snapshot identity
-    /// to stamp into the plan.
+    /// [`DeploymentSnapshot::plan_with`]: planning reads only the view
+    /// definitions and the static catalog, never a generation.
     fn plan_with(
         &self,
         q: &ConjunctiveQuery,
         policy: AnswerPolicy,
-        version: u64,
     ) -> Result<QueryPlan, SelectionError> {
         if q.atoms.is_empty() {
             return Err(SelectionError::UnsupportedQuery {
@@ -1106,7 +849,6 @@ impl PlanCtx {
                 query: minimized,
                 branches: vec![branch],
                 policy,
-                store_version: version,
                 deployment: self.deployment_id,
             });
         }
@@ -1148,7 +890,6 @@ impl PlanCtx {
             query: minimized,
             branches,
             policy,
-            store_version: version,
             deployment: self.deployment_id,
         })
     }
@@ -1227,72 +968,6 @@ impl PlanCtx {
 }
 
 impl Deployment {
-    /// Executes a plan produced by [`Deployment::plan`] /
-    /// [`Deployment::plan_workload`]: every branch runs through the shared
-    /// join pipeline (`evaluate_mixed_stats` — view scans probe the
-    /// materialized tables through resident indexes, base atoms the
-    /// store's permutation indexes; cyclic branch shapes route to the
-    /// worst-case-optimal leapfrog engine, see
-    /// [`Deployment::last_eval_stats`]), and branch answers union
-    /// set-wise. Execution runs against the **published generation** —
-    /// the views and store of the last completed maintenance pass — so
-    /// plans from any generation of this deployment execute consistently
-    /// even while direct writes are pending.
-    ///
-    /// In strict mode ([`Deployment::set_strict`]) this instead fails
-    /// with [`SelectionError::StaleSession`] when the deployment is stale
-    /// **or** when the plan was made against an older store version:
-    /// maintenance between planning and execution then requires
-    /// re-planning, never a silently as-of read. A plan produced by a
-    /// *different* deployment always fails with
-    /// [`SelectionError::ForeignPlan`] — view ids only mean something
-    /// within their own lineage.
-    pub fn answer_query(&mut self, plan: &QueryPlan) -> Result<Answers, SelectionError> {
-        if plan.deployment != self.ctx.deployment_id {
-            return Err(SelectionError::ForeignPlan);
-        }
-        if self.strict {
-            self.ensure_fresh()?;
-            if plan.store_version != self.store.version() {
-                return Err(SelectionError::StaleSession {
-                    prepared: plan.store_version,
-                    current: self.store.version(),
-                });
-            }
-        }
-        let generation = self.current_generation();
-        let (answers, stats) = execute_plan(&generation.store, &generation.tables, plan);
-        self.last_eval = stats;
-        Ok(answers)
-    }
-
-    /// Per-branch evaluation statistics from the most recent
-    /// [`Deployment::answer_query`] (and thus [`Deployment::answer`] /
-    /// [`Deployment::answer_adhoc`]) call: which join engine the adaptive
-    /// selector picked for each union branch — cyclic branch shapes route
-    /// to the worst-case-optimal leapfrog triejoin, acyclic ones to the
-    /// compiled backtracking core — plus leapfrog seek/emit counters.
-    /// Empty until a query has been answered.
-    pub fn last_eval_stats(&self) -> &[EvalStats] {
-        &self.last_eval
-    }
-
-    /// Plans and answers an ad-hoc query in one call under the default
-    /// ([`AnswerPolicy::Hybrid`]) policy.
-    pub fn answer_adhoc(&mut self, q: &ConjunctiveQuery) -> Result<Answers, SelectionError> {
-        self.answer_adhoc_with(q, AnswerPolicy::default())
-    }
-
-    /// Plans and answers an ad-hoc query in one call under `policy`.
-    pub fn answer_adhoc_with(
-        &mut self,
-        q: &ConjunctiveQuery,
-        policy: AnswerPolicy,
-    ) -> Result<Answers, SelectionError> {
-        let plan = self.plan_with(q, policy)?;
-        self.answer_query(&plan)
-    }
-
     /// Applies a triple insertion: updates the base store and every view
     /// via its incremental delta. Under saturation reasoning the RDFS
     /// consequences of the new triple are derived and maintained too.
@@ -1325,7 +1000,6 @@ impl Deployment {
     /// [`Deployment::delete`]. `stats.batches` counts 1 per call that
     /// reached the delta joins.
     pub fn delete_batch(&mut self, batch: &[Triple]) -> MaintenanceStats {
-        let was_fresh = !self.is_stale();
         let mut total = MaintenanceStats::default();
         let doomed: Vec<Triple> = match &mut self.entailment {
             Some(ent) => {
@@ -1366,18 +1040,19 @@ impl Deployment {
             .collect();
         self.store.remove_batch(&doomed);
         // Phase 2: one re-derivation sweep per branch over the candidates.
-        for (dv, branch_deltas) in self.views.iter_mut().zip(deltas) {
-            let mut changed = false;
+        let mut changed = Vec::new();
+        for (i, (dv, branch_deltas)) in self.views.iter_mut().zip(deltas).enumerate() {
+            let mut shrank = false;
             for (b, delta) in dv.branches.iter_mut().zip(branch_deltas) {
                 let s = b.commit_delete_batch(&self.store, &delta);
-                changed |= s.removed > 0;
+                shrank |= s.removed > 0;
                 total.merge(s);
             }
-            if changed {
-                self.dirty.insert(dv.id);
+            if shrank {
+                changed.push(i);
             }
         }
-        self.sync_version(was_fresh);
+        self.publish(&changed);
         total
     }
 
@@ -1392,7 +1067,6 @@ impl Deployment {
     /// counts 1 per call that reached the delta joins; a fully-duplicate
     /// batch is a no-op.
     pub fn insert_batch(&mut self, batch: &[Triple]) -> MaintenanceStats {
-        let was_fresh = !self.is_stale();
         let mut total = MaintenanceStats::default();
         let added: Vec<Triple> = match &mut self.entailment {
             Some(ent) => {
@@ -1409,25 +1083,25 @@ impl Deployment {
         if added.is_empty() {
             // Newly-explicit triples that were already entailed: the base
             // store (and the views) did not change.
-            self.sync_version(was_fresh);
             return total;
         }
         total.batches = 1;
         // One shared delta set, one join pass per view branch against the
         // fully-updated base store.
         let delta_set = DeltaSet::new(&added);
-        for dv in &mut self.views {
-            let mut changed = false;
+        let mut changed = Vec::new();
+        for (i, dv) in self.views.iter_mut().enumerate() {
+            let mut grew = false;
             for b in &mut dv.branches {
                 let s = b.apply_insert_delta(&self.store, &delta_set);
-                changed |= s.added > 0;
+                grew |= s.added > 0;
                 total.merge(s);
             }
-            if changed {
-                self.dirty.insert(dv.id);
+            if grew {
+                changed.push(i);
             }
         }
-        self.sync_version(was_fresh);
+        self.publish(&changed);
         total
     }
 }
@@ -1437,7 +1111,7 @@ mod tests {
     use super::*;
     use rdf_model::{Dataset, Term};
     use rdf_query::parser::parse_query;
-    use rdfviews_core::{select_views, SelectionOptions};
+    use rdfviews_core::{try_select_views, SelectionOptions};
 
     fn db() -> Dataset {
         let mut db = Dataset::new();
@@ -1457,13 +1131,14 @@ mod tests {
         let q = parse_query("q(X) :- t(X, <p>, <o1>), t(X, <q>, <c>)", db.dict_mut())
             .unwrap()
             .query;
-        select_views(
+        try_select_views(
             db.store(),
             db.dict(),
             None,
             &[q],
             &SelectionOptions::recommended(),
         )
+        .unwrap()
     }
 
     #[test]
@@ -1472,8 +1147,11 @@ mod tests {
         let rec = recommend(&mut db);
         let mv = materialize_recommendation(db.store(), &rec);
         assert_eq!(mv.len(), rec.views.len());
-        let from_views = try_answer_original_query(&rec, &mv, 0).unwrap();
         let direct = rdf_engine::evaluate(db.store(), &rec.workload[0]);
+        let from_views = Deployment::new(db.store(), rec)
+            .snapshot()
+            .answer(0)
+            .unwrap();
         assert_eq!(from_views, direct);
         assert_eq!(from_views.len(), 10); // s1, s4, …, s28
     }
@@ -1496,9 +1174,10 @@ mod tests {
     fn unknown_query_index_is_an_error() {
         let mut db = db();
         let rec = recommend(&mut db);
-        let mv = materialize_recommendation(db.store(), &rec);
-        let err = try_answer_original_query(&rec, &mv, 7).unwrap_err();
+        let snap = Deployment::new(db.store(), rec).snapshot();
+        let err = snap.answer(7).unwrap_err();
         assert_eq!(err, SelectionError::UnknownQuery { index: 7, len: 1 });
+        assert_eq!(snap.plan_workload(7).unwrap_err(), err);
     }
 
     #[test]
@@ -1507,14 +1186,14 @@ mod tests {
         let rec = recommend(&mut db);
         let mut dep = Deployment::new(db.store(), rec);
         let direct = rdf_engine::evaluate(db.store(), &dep.recommendation().workload[0]);
-        assert_eq!(dep.answer(0).unwrap(), direct);
+        assert_eq!(dep.snapshot().answer(0).unwrap(), direct);
         assert_eq!(
-            dep.answer(3).unwrap_err(),
+            dep.snapshot().answer(3).unwrap_err(),
             SelectionError::UnknownQuery { index: 3, len: 1 }
         );
 
         // Insert a fresh qualifying subject: answers must grow.
-        let before = dep.answer(0).unwrap().len();
+        let before = dep.snapshot().answer(0).unwrap().len();
         let s = db.dict_mut().intern_uri("fresh");
         let p = db.dict().lookup_uri("p").unwrap();
         let q = db.dict().lookup_uri("q").unwrap();
@@ -1522,20 +1201,20 @@ mod tests {
         let c = db.dict().lookup_uri("c").unwrap();
         dep.insert([s, p, o1]);
         dep.insert([s, q, c]);
-        let after = dep.answer(0).unwrap();
+        let after = dep.snapshot().answer(0).unwrap();
         assert_eq!(after.len(), before + 1);
         assert!(after.contains(&[s]));
 
         // Delete one of its triples: the subject disappears again.
         dep.delete([s, q, c]);
-        let reverted = dep.answer(0).unwrap();
+        let reverted = dep.snapshot().answer(0).unwrap();
         assert_eq!(reverted.len(), before);
         assert!(!reverted.contains(&[s]));
 
         // The deployment's answers always match evaluation over its own
         // (maintained) base store.
         let fresh = rdf_engine::evaluate(dep.store(), &dep.recommendation().workload[0]);
-        assert_eq!(dep.answer(0).unwrap(), fresh);
+        assert_eq!(dep.snapshot().answer(0).unwrap(), fresh);
     }
 
     #[test]
@@ -1545,12 +1224,13 @@ mod tests {
         // reused, so the build count is flat after the first call.
         let mut db = db();
         let rec = recommend(&mut db);
-        let mut dep = Deployment::new(db.store(), rec);
-        let plan = dep.plan_workload(0).unwrap();
-        let first = dep.answer_query(&plan).unwrap();
+        let dep = Deployment::new(db.store(), rec);
+        let snap = dep.snapshot();
+        let plan = snap.plan_workload(0).unwrap();
+        let first = snap.answer_query(&plan).unwrap();
         let builds = dep.view_index_builds();
         for _ in 0..5 {
-            assert_eq!(dep.answer_query(&plan).unwrap(), first);
+            assert_eq!(dep.snapshot().answer_query(&plan).unwrap(), first);
         }
         assert_eq!(
             dep.view_index_builds(),
@@ -1575,7 +1255,7 @@ mod tests {
         db.store_mut().insert([b, p, c]);
         db.store_mut().insert([c, p, a]);
         let rec = recommend(&mut db);
-        let mut dep = Deployment::new(db.store(), rec);
+        let snap = Deployment::new(db.store(), rec).snapshot();
 
         // Base-fallback keeps the whole query on the store, so the branch
         // shape is the query shape: the triangle routes to leapfrog...
@@ -1585,12 +1265,10 @@ mod tests {
         )
         .unwrap()
         .query;
-        let got = dep
-            .answer_adhoc_with(&tri, AnswerPolicy::BaseFallback)
-            .unwrap();
-        assert_eq!(got, rdf_engine::evaluate(dep.store(), &tri));
+        let plan = snap.plan_with(&tri, AnswerPolicy::BaseFallback).unwrap();
+        let (got, stats) = snap.answer_query_stats(&plan).unwrap();
+        assert_eq!(got, rdf_engine::evaluate(snap.store(), &tri));
         assert!(got.contains(&[a, b, c]));
-        let stats = dep.last_eval_stats();
         assert_eq!(stats.len(), 1);
         assert_eq!(stats[0].engine, Engine::Wcoj);
         assert!(stats[0].lf_seeks > 0);
@@ -1600,11 +1278,9 @@ mod tests {
         let chain = parse_query("q(X, Z) :- t(X, <p>, Y), t(Y, <p>, Z)", db.dict_mut())
             .unwrap()
             .query;
-        let got = dep
-            .answer_adhoc_with(&chain, AnswerPolicy::BaseFallback)
-            .unwrap();
-        assert_eq!(got, rdf_engine::evaluate(dep.store(), &chain));
-        let stats = dep.last_eval_stats();
+        let plan = snap.plan_with(&chain, AnswerPolicy::BaseFallback).unwrap();
+        let (got, stats) = snap.answer_query_stats(&plan).unwrap();
+        assert_eq!(got, rdf_engine::evaluate(snap.store(), &chain));
         assert!(!stats.is_empty());
         assert!(stats.iter().all(|s| s.engine == Engine::Compiled));
     }
@@ -1616,20 +1292,21 @@ mod tests {
         let mv = materialize_recommendation(db.store(), &rec);
         let mut dep = Deployment::new(db.store(), rec);
         assert_eq!(dep.view_count(), mv.len());
-        assert_eq!(dep.total_rows().unwrap(), mv.total_rows());
-        assert_eq!(dep.total_cells().unwrap(), mv.total_cells());
+        assert_eq!(dep.snapshot().tables().total_rows(), mv.total_rows());
+        assert_eq!(dep.snapshot().tables().total_cells(), mv.total_cells());
         let s = db.dict_mut().intern_uri("extra");
         let p = db.dict().lookup_uri("p").unwrap();
         let o1 = db.dict().lookup_uri("o1").unwrap();
         let stats = dep.insert([s, p, o1]);
         if stats.added > 0 {
-            assert!(dep.total_rows().unwrap() > mv.total_rows());
+            assert!(dep.snapshot().tables().total_rows() > mv.total_rows());
         }
         // Rematerializing over the maintained store agrees with the
         // incremental tables.
         let remat = materialize_recommendation(dep.store(), dep.recommendation());
-        assert_eq!(dep.total_rows().unwrap(), remat.total_rows());
-        assert_eq!(dep.total_cells().unwrap(), remat.total_cells());
+        let snap = dep.snapshot();
+        assert_eq!(snap.tables().total_rows(), remat.total_rows());
+        assert_eq!(snap.tables().total_cells(), remat.total_cells());
     }
 
     /// One batch = one maintenance pass: the `batches` counter makes the
@@ -1662,11 +1339,9 @@ mod tests {
         assert_eq!(pstats.batches, feed.len(), "one pass per triple");
         assert_eq!(bstats.added, pstats.added);
         assert!(bstats.delta_tuples <= pstats.delta_tuples);
-        assert_eq!(batched.answer(0).unwrap(), per_triple.answer(0).unwrap());
-        assert_eq!(
-            batched.total_rows().unwrap(),
-            per_triple.total_rows().unwrap()
-        );
+        let (bsnap, psnap) = (batched.snapshot(), per_triple.snapshot());
+        assert_eq!(bsnap.answer(0).unwrap(), psnap.answer(0).unwrap());
+        assert_eq!(bsnap.tables().total_rows(), psnap.tables().total_rows());
 
         // Deletion side: one batch pass equals sequential deletes.
         let doomed: Vec<Triple> = feed.iter().copied().step_by(3).collect();
@@ -1678,126 +1353,13 @@ mod tests {
         }
         assert_eq!(bdel.removed, pdel.removed);
         assert!(bdel.delta_tuples <= pdel.delta_tuples);
-        assert_eq!(batched.answer(0).unwrap(), per_triple.answer(0).unwrap());
+        assert_eq!(
+            batched.snapshot().answer(0).unwrap(),
+            per_triple.snapshot().answer(0).unwrap()
+        );
         // A fully-duplicate batch is a no-op with no pass (feed[0] was
         // retracted above; feed[1..3] are still present).
         assert_eq!(batched.insert_batch(&feed[1..3]).batches, 0);
-    }
-
-    /// The versioned writable store under the opt-in strict policy:
-    /// direct writes stale the deployment's reads until it
-    /// rematerializes (the pre-snapshot contract).
-    #[test]
-    fn direct_writes_stale_reads_until_rematerialize() {
-        let mut db = db();
-        let rec = recommend(&mut db);
-        let mut dep = Deployment::new(db.store(), rec);
-        dep.set_strict(true);
-        assert!(dep.strict());
-        let baseline = dep.answer(0).unwrap();
-        assert!(!dep.is_stale());
-
-        let s = db.dict_mut().intern_uri("sideloaded");
-        let p = db.dict().lookup_uri("p").unwrap();
-        let qq = db.dict().lookup_uri("q").unwrap();
-        let o1 = db.dict().lookup_uri("o1").unwrap();
-        let c = db.dict().lookup_uri("c").unwrap();
-        let store = dep.store_mut().expect("plain deployments are writable");
-        store.insert_batch(&[[s, p, o1], [s, qq, c]]);
-
-        assert!(dep.is_stale());
-        let prepared = dep.maintained_version();
-        let current = dep.store().version();
-        for err in [
-            dep.answer(0).unwrap_err(),
-            dep.tables().map(|_| ()).unwrap_err(),
-            dep.total_rows().map(|_| ()).unwrap_err(),
-            dep.total_cells().map(|_| ()).unwrap_err(),
-        ] {
-            assert_eq!(err, SelectionError::StaleSession { prepared, current });
-        }
-
-        dep.rematerialize();
-        assert!(!dep.is_stale());
-        let refreshed = dep.answer(0).unwrap();
-        assert_eq!(refreshed.len(), baseline.len() + 1);
-        let direct = rdf_engine::evaluate(dep.store(), &dep.recommendation().workload[0]);
-        assert_eq!(refreshed, direct);
-    }
-
-    /// A maintenance batch applied on top of unabsorbed direct writes must
-    /// NOT clear the stale flag: its delta joins covered only the batch,
-    /// not the direct writes.
-    #[test]
-    fn maintenance_batches_do_not_mask_direct_write_staleness() {
-        let mut db = db();
-        let rec = recommend(&mut db);
-        let mut dep = Deployment::new(db.store(), rec);
-        dep.set_strict(true);
-
-        let p = db.dict().lookup_uri("p").unwrap();
-        let qq = db.dict().lookup_uri("q").unwrap();
-        let o1 = db.dict().lookup_uri("o1").unwrap();
-        let c = db.dict().lookup_uri("c").unwrap();
-        let direct = db.dict_mut().intern_uri("direct");
-        let fed = db.dict_mut().intern_uri("fed");
-
-        // Direct write that the views never absorb …
-        let store = dep.store_mut().unwrap();
-        store.insert_batch(&[[direct, p, o1], [direct, qq, c]]);
-        assert!(dep.is_stale());
-        // … then a regular maintenance batch on top.
-        dep.insert_batch(&[[fed, p, o1], [fed, qq, c]]);
-        assert!(
-            dep.is_stale(),
-            "batch must not mask the unabsorbed direct writes"
-        );
-        assert!(dep.answer(0).is_err());
-        dep.delete_batch(&[[fed, p, o1]]);
-        assert!(dep.is_stale(), "delete batch must not mask them either");
-
-        // Rematerializing picks up direct writes and batches alike.
-        dep.rematerialize();
-        let answers = dep.answer(0).unwrap();
-        assert!(answers.contains(&[direct]));
-        let truth = rdf_engine::evaluate(dep.store(), &dep.recommendation().workload[0]);
-        assert_eq!(answers, truth);
-    }
-
-    /// Default policy: direct writes never make reads refuse — they keep
-    /// serving the last published consistent generation until
-    /// rematerialize absorbs the writes.
-    #[test]
-    fn default_reads_serve_published_generation_after_direct_writes() {
-        let mut db = db();
-        let rec = recommend(&mut db);
-        let mut dep = Deployment::new(db.store(), rec);
-        let baseline = dep.answer(0).unwrap();
-
-        let s = db.dict_mut().intern_uri("sideloaded");
-        let p = db.dict().lookup_uri("p").unwrap();
-        let qq = db.dict().lookup_uri("q").unwrap();
-        let o1 = db.dict().lookup_uri("o1").unwrap();
-        let c = db.dict().lookup_uri("c").unwrap();
-        let store = dep.store_mut().expect("plain deployments are writable");
-        store.insert_batch(&[[s, p, o1], [s, qq, c]]);
-
-        // Stale relative to the live store, but reads stay available and
-        // consistent: the published generation predates the direct write.
-        assert!(dep.is_stale());
-        let served = dep.answer(0).unwrap();
-        assert_eq!(served, baseline);
-        assert!(!served.contains(&[s]));
-        assert_eq!(
-            dep.total_rows().unwrap(),
-            dep.snapshot().tables().total_rows()
-        );
-
-        // Rematerialize publishes a generation that includes the write.
-        dep.rematerialize();
-        let refreshed = dep.answer(0).unwrap();
-        assert_eq!(refreshed.len(), baseline.len() + 1);
-        assert!(refreshed.contains(&[s]));
     }
 
     /// Snapshots pin a generation: maintenance batches applied afterwards
@@ -1807,9 +1369,9 @@ mod tests {
         let mut db = db();
         let rec = recommend(&mut db);
         let mut dep = Deployment::new(db.store(), rec);
-        let baseline = dep.answer(0).unwrap();
         let pinned = dep.snapshot();
-        assert_eq!(pinned.version(), dep.maintained_version());
+        let baseline = pinned.answer(0).unwrap();
+        assert_eq!(pinned.version(), dep.store().version());
         assert_eq!(pinned.lineage(), dep.lineage());
 
         let s = db.dict_mut().intern_uri("batched");
@@ -1825,12 +1387,12 @@ mod tests {
             assert_eq!(as_of, baseline);
             assert!(!as_of.contains(&[s]));
         }
-        // The live deployment (and a fresh pin) see the batch.
-        let now = dep.answer(0).unwrap();
-        assert_eq!(now.len(), baseline.len() + 1);
+        // A fresh pin sees the batch.
         let repinned = dep.snapshot();
         assert!(repinned.version() > pinned.version());
-        assert_eq!(repinned.answer(0).unwrap(), now);
+        assert_eq!(repinned.version(), dep.store().version());
+        let now = repinned.answer(0).unwrap();
+        assert_eq!(now.len(), baseline.len() + 1);
         // Ad-hoc planning works against the pin too.
         let adhoc = pinned
             .answer_adhoc(&dep.recommendation().workload[0])
@@ -1839,15 +1401,14 @@ mod tests {
     }
 
     /// Plan structure is generation-independent: a plan made before a
-    /// maintenance batch executes against the new generation by default,
-    /// and is refused only under the strict policy.
+    /// maintenance batch executes against the new generation.
     #[test]
-    fn old_plans_execute_on_new_generations_unless_strict() {
+    fn old_plans_execute_on_new_generations() {
         let mut db = db();
         let rec = recommend(&mut db);
         let mut dep = Deployment::new(db.store(), rec);
-        let plan = dep.plan_workload(0).unwrap();
-        let before = dep.answer_query(&plan).unwrap();
+        let plan = dep.snapshot().plan_workload(0).unwrap();
+        let before = dep.snapshot().answer_query(&plan).unwrap();
 
         let s = db.dict_mut().intern_uri("later");
         let p = db.dict().lookup_uri("p").unwrap();
@@ -1856,19 +1417,85 @@ mod tests {
         let c = db.dict().lookup_uri("c").unwrap();
         dep.insert_batch(&[[s, p, o1], [s, qq, c]]);
 
-        let after = dep.answer_query(&plan).unwrap();
+        let after = dep.snapshot().answer_query(&plan).unwrap();
         assert_eq!(after.len(), before.len() + 1);
         assert!(after.contains(&[s]));
+    }
 
-        dep.set_strict(true);
-        let err = dep.answer_query(&plan).unwrap_err();
+    /// Every write is a maintained batch, so no read can be stale: after
+    /// each kind of write — single or batched, insert or delete, effective
+    /// or not — a fresh pin is at the writer's store version and answers
+    /// exactly as evaluation and rematerialization over that store do.
+    #[test]
+    fn every_write_publishes_a_current_generation() {
+        let mut db = db();
+        let rec = recommend(&mut db);
+        let mut dep = Deployment::new(db.store(), rec);
+        let s = db.dict_mut().intern_uri("written");
+        let p = db.dict().lookup_uri("p").unwrap();
+        let qq = db.dict().lookup_uri("q").unwrap();
+        let o1 = db.dict().lookup_uri("o1").unwrap();
+        let c = db.dict().lookup_uri("c").unwrap();
+        // Checks the invariant; returns whether the fresh subject answers.
+        let current = |dep: &Deployment, step: &str| {
+            let snap = dep.snapshot();
+            assert_eq!(snap.version(), dep.store().version(), "{step}");
+            let truth = rdf_engine::evaluate(dep.store(), &dep.recommendation().workload[0]);
+            let answers = snap.answer(0).unwrap();
+            assert_eq!(answers, truth, "{step}");
+            let remat = materialize_recommendation(dep.store(), dep.recommendation());
+            assert_eq!(snap.tables().total_rows(), remat.total_rows(), "{step}");
+            assert_eq!(snap.tables().total_cells(), remat.total_cells(), "{step}");
+            answers.contains(&[s])
+        };
+        assert!(!current(&dep, "deployed"));
+        dep.insert([s, p, o1]);
+        assert!(!current(&dep, "insert"));
+        dep.insert_batch(&[[s, qq, c]]);
+        assert!(current(&dep, "insert_batch"));
+        let version = dep.store().version();
+        dep.insert_batch(&[[s, qq, c]]);
         assert_eq!(
-            err,
-            SelectionError::StaleSession {
-                prepared: plan.store_version(),
-                current: dep.store().version(),
-            }
+            dep.store().version(),
+            version,
+            "a duplicate batch writes nothing"
         );
+        assert!(current(&dep, "duplicate insert_batch"));
+        dep.delete([s, p, o1]);
+        assert!(!current(&dep, "delete"));
+        dep.delete_batch(&[[s, qq, c], [s, p, o1]]);
+        assert!(!current(&dep, "delete_batch"));
+    }
+
+    /// A clone is a second writer: it keeps the lineage, so plans cross
+    /// over, but it publishes to its own generation slot — a batch on one
+    /// is invisible to the other's readers.
+    #[test]
+    fn clones_publish_to_their_own_readers() {
+        let mut db = db();
+        let rec = recommend(&mut db);
+        let mut dep = Deployment::new(db.store(), rec);
+        let mut fork = dep.clone();
+        assert_eq!(fork.lineage(), dep.lineage());
+        let (reader, fork_reader) = (dep.reader(), fork.reader());
+        let baseline = dep.snapshot().answer(0).unwrap();
+        let plan = fork.snapshot().plan_workload(0).unwrap();
+
+        let p = db.dict().lookup_uri("p").unwrap();
+        let qq = db.dict().lookup_uri("q").unwrap();
+        let o1 = db.dict().lookup_uri("o1").unwrap();
+        let c = db.dict().lookup_uri("c").unwrap();
+        let mine = db.dict_mut().intern_uri("mine");
+        let theirs = db.dict_mut().intern_uri("theirs");
+        dep.insert_batch(&[[mine, p, o1], [mine, qq, c]]);
+        fork.insert_batch(&[[theirs, p, o1], [theirs, qq, c]]);
+
+        let here = reader.snapshot().answer_query(&plan).unwrap();
+        assert_eq!(here.len(), baseline.len() + 1);
+        assert!(here.contains(&[mine]) && !here.contains(&[theirs]));
+        let there = fork_reader.snapshot().answer_query(&plan).unwrap();
+        assert_eq!(there.len(), baseline.len() + 1);
+        assert!(there.contains(&[theirs]) && !there.contains(&[mine]));
     }
 
     /// Reader handles follow the writer's publishes: each pin observes
@@ -1904,7 +1531,7 @@ mod tests {
         let rec = recommend(&mut db);
         let dep = Deployment::new(db.store(), rec.clone());
         let other = Deployment::new(db.store(), rec);
-        let foreign = other.plan_workload(0).unwrap();
+        let foreign = other.snapshot().plan_workload(0).unwrap();
         assert_eq!(
             dep.snapshot().answer_query(&foreign).unwrap_err(),
             SelectionError::ForeignPlan
@@ -1913,14 +1540,14 @@ mod tests {
 
     /// The kept workload plans belong to the deployment, not to a
     /// generation: every snapshot, before and after a swap, executes the
-    /// one plan object, and the copies handed out carry the asker's stamp.
+    /// one plan object, and the copies handed out execute on any of them.
     #[test]
     fn workload_plan_cache_survives_generation_swaps() {
         let mut db = db();
         let rec = recommend(&mut db);
         let mut dep = Deployment::new(db.store(), rec);
         assert!(dep.ctx.workload_plans[0].get().is_none(), "built on demand");
-        dep.answer(0).unwrap();
+        dep.snapshot().answer(0).unwrap();
         let kept = dep.ctx.workload_plan(0).unwrap() as *const QueryPlan;
         let p = db.dict().lookup_uri("p").unwrap();
         let qq = db.dict().lookup_uri("q").unwrap();
@@ -1930,13 +1557,11 @@ mod tests {
             let s = db.dict_mut().intern_uri(&format!("swap{i}"));
             dep.insert_batch(&[[s, p, o1], [s, qq, c]]);
             let snap = dep.snapshot();
+            assert_eq!(snap.version(), dep.store().version());
             assert!(snap.answer(0).unwrap().contains(&[s]));
-            assert!(dep.answer(0).unwrap().contains(&[s]));
             assert!(std::ptr::eq(snap.ctx.workload_plan(0).unwrap(), kept));
-            assert_eq!(
-                snap.plan_workload(0).unwrap().store_version(),
-                dep.maintained_version()
-            );
+            let copy = snap.plan_workload(0).unwrap();
+            assert!(snap.answer_query(&copy).unwrap().contains(&[s]));
         }
         assert_eq!(
             dep.ctx.workload_plan(1).unwrap_err(),

@@ -800,13 +800,13 @@ struct EncodedBundle {
 /// Hashes the semantic payloads (everything except the lineage id) under
 /// the state domain. Each payload is length-prefixed into the hash so
 /// section boundaries cannot alias.
-fn state_hash_of(semantic: &[&[u8]], maintained_version: u64) -> u128 {
+fn state_hash_of(semantic: &[&[u8]], store_version: u64) -> u128 {
     let mut h = Hasher128::with_domain(STATE_DOMAIN);
     for payload in semantic {
         h.update(&(payload.len() as u64).to_le_bytes());
         h.update(payload);
     }
-    h.update(&maintained_version.to_le_bytes());
+    h.update(&store_version.to_le_bytes());
     h.finish()
 }
 
@@ -851,10 +851,10 @@ impl Deployment {
                 &entail_bytes,
                 &reform_bytes,
             ],
-            self.maintained_version,
+            self.store.version(),
         );
         let mut meta_w = Writer::new();
-        meta_w.u64(self.maintained_version);
+        meta_w.u64(self.store.version());
         meta_w.u64(self.ctx.lineage);
         Ok(EncodedBundle {
             sections: vec![
@@ -918,13 +918,13 @@ impl Deployment {
         ref_r.expect_exhausted("reformulation section")?;
 
         let mut meta_r = Reader::new(&sections[6].1);
-        let maintained_version = meta_r.u64("maintained version")?;
+        let meta_version = meta_r.u64("maintained version")?;
         let lineage = meta_r.u64("lineage")?;
         meta_r.expect_exhausted("meta section")?;
 
-        if maintained_version != store.version() {
+        if meta_version != store.version() {
             return Err(corrupt(format!(
-                "maintained version {maintained_version} does not match store version {}",
+                "maintained version {meta_version} does not match store version {}",
                 store.version()
             )));
         }
@@ -941,17 +941,10 @@ impl Deployment {
                 &sections[4].1,
                 &sections[5].1,
             ],
-            maintained_version,
+            meta_version,
         );
 
-        let mut tables = MaterializedViews::default();
-        for dv in &views {
-            tables.tables.insert(dv.id, Arc::new(dv.merged_table()));
-        }
-        let generation = Arc::new(Generation {
-            store: store.snapshot(),
-            tables: Arc::new(tables.clone()),
-        });
+        let generation = Generation::assemble(&store, &views);
         let dep = Deployment {
             // Fresh process-scoped id: plans from the pre-crash process
             // must not execute against the reloaded deployment.
@@ -963,13 +956,8 @@ impl Deployment {
             )),
             store,
             views,
-            tables,
-            dirty: FxHashSet::default(),
             entailment,
-            maintained_version,
-            strict: false,
-            current: Arc::new(RwLock::new(generation)),
-            last_eval: Vec::new(),
+            current: Arc::new(RwLock::new(Arc::new(generation))),
         };
         Ok((dep, dict, state_hash))
     }
@@ -979,15 +967,12 @@ impl Deployment {
     /// **state hash** — the canonical content fingerprint that
     /// [`Deployment::recover`] reproduces exactly.
     ///
-    /// Fails with [`SelectionError::StaleSession`] while unmaintained
-    /// direct writes are pending (a snapshot must never capture views that
-    /// lag their store), with [`SelectionError::Io`] on filesystem
-    /// failures, and with [`SelectionError::CorruptBundle`] if a
+    /// Fails with [`SelectionError::Io`] on filesystem failures, and with
+    /// [`SelectionError::CorruptBundle`] if a
     /// saturation deployment's explicit store is not a subset of its base
     /// store — the bundle stores it as one, and a file that cannot be read
     /// back is never written.
     pub fn persist(&self, dir: &Path, dict: &Dictionary) -> Result<u128, SelectionError> {
-        self.ensure_fresh()?;
         fsutil::ensure_dir(dir).map_err(lift)?;
         let encoded = self.encode_bundle(dict).map_err(lift)?;
         let bytes = bundle::encode(&encoded.sections);
@@ -1016,7 +1001,6 @@ impl Deployment {
     /// lineage id is excluded, so a live deployment and its recovered twin
     /// compare equal.
     pub fn content_hash(&self, dict: &Dictionary) -> Result<u128, SelectionError> {
-        self.ensure_fresh()?;
         Ok(self.encode_bundle(dict).map_err(lift)?.state_hash)
     }
 
@@ -1287,14 +1271,6 @@ impl DurableDeployment {
     /// Read access to the wrapped deployment.
     pub fn deployment(&self) -> &Deployment {
         &self.dep
-    }
-
-    /// Mutable access for the read entry points that cache (`answer`,
-    /// `answer_adhoc`, `tables`, …). Mutating the base store directly
-    /// through this handle bypasses the WAL — such writes are not durable
-    /// until the next [`DurableDeployment::checkpoint`].
-    pub fn deployment_mut(&mut self) -> &mut Deployment {
-        &mut self.dep
     }
 
     /// The dictionary the deployment's ids refer to.

@@ -24,8 +24,10 @@
 //!   [`SelectionError`](core::SelectionError) instead of panicking.
 //! * [`Deployment`](exec::Deployment) — a deployed recommendation: the
 //!   views materialized, bundled with a maintenance base copy of the
-//!   store. It answers workload queries from the views alone and absorbs
-//!   triple insertions/deletions through incremental view maintenance.
+//!   store. It is the writer: it absorbs triple insertions/deletions
+//!   through incremental view maintenance. Every read — workload answers,
+//!   ad-hoc plans, view tables — goes through a pinned
+//!   [`DeploymentSnapshot`](exec::DeploymentSnapshot) of it.
 //!
 //! ```
 //! use rdfviews::prelude::*;
@@ -50,8 +52,8 @@
 //!
 //! // 4. Deploy: materialize the views and answer the workload from them
 //! //    alone — no connection to the database needed.
-//! let mut deployment = advisor.deploy(rec)?;
-//! let from_views = deployment.answer(0)?;
+//! let deployment = advisor.deploy(rec)?;
+//! let from_views = deployment.snapshot().answer(0)?;
 //! let direct = rdfviews::engine::evaluate(db.store(), &deployment.recommendation().workload[0]);
 //! assert_eq!(from_views, direct);
 //! # Ok::<(), rdfviews::core::SelectionError>(())
@@ -62,21 +64,22 @@
 //! `answer(query_idx)` serves the tuned workload by index — but a real
 //! front end must answer queries that arrive **after** tuning. Any
 //! conjunctive query goes through the deployment's planner:
-//! [`Deployment::plan`](exec::Deployment::plan) computes a
+//! [`DeploymentSnapshot::plan`](exec::DeploymentSnapshot::plan) computes a
 //! bucket/MiniCon-style rewriting over the deployed views (verified
 //! equivalent through its unfolding, the same Definition-2.2 yardstick the
 //! selection search uses) and returns an inspectable
 //! [`QueryPlan`](exec::QueryPlan) — which views cover which atoms, the
 //! residual base-store atoms, the estimated cost — executed by
-//! [`Deployment::answer_query`](exec::Deployment::answer_query). The
+//! [`DeploymentSnapshot::answer_query`](exec::DeploymentSnapshot::answer_query)
+//! (or `answer_query_stats`, which also returns the per-branch
+//! [`EvalStats`](engine::EvalStats)). The
 //! [`AnswerPolicy`](exec::AnswerPolicy) decides what happens when the
 //! views cannot cover the whole query: `ViewsOnly` fails with the typed
 //! [`SelectionError::NoViewsOnlyPlan`](core::SelectionError::NoViewsOnlyPlan)
 //! (never wrong or silently empty answers), `Hybrid` — the default —
 //! mixes view scans with base-store scans, and `BaseFallback` evaluates
-//! the whole query on the base store. Index-based `answer(idx)` is now a
-//! thin delegate that plans the stored workload rewriting through the same
-//! path.
+//! the whole query on the base store. Index-based `answer(idx)` executes
+//! the stored workload rewriting through the same path.
 //!
 //! ```
 //! use rdfviews::prelude::*;
@@ -94,27 +97,21 @@
 //! // An ad-hoc query the workload never mentioned: a selection over the
 //! // tuned predicate. The planner covers it from the views alone.
 //! let adhoc = parse_query("a(X) :- t(X, <p>, <o1>)", db.dict_mut()).unwrap().query;
-//! let plan = deployment.plan(&adhoc)?;
+//! let plan = deployment.snapshot().plan(&adhoc)?;
 //! assert!(plan.is_views_only());
-//! let answers = deployment.answer_query(&plan)?;
+//! let answers = deployment.snapshot().answer_query(&plan)?;
 //! assert_eq!(answers, rdfviews::engine::evaluate(db.store(), &adhoc));
 //!
-//! // Maintenance between planning and execution? Under the default
-//! // snapshot policy the plan still runs: plan *structure* (which views
-//! // cover which atoms) is generation-independent, so it executes
-//! // against the newly published generation and sees the insert.
+//! // Maintenance between planning and execution? The plan still runs:
+//! // plan *structure* (which views cover which atoms) is
+//! // generation-independent, so it executes against the newly published
+//! // generation and sees the insert.
 //! # let s2 = db.dict().lookup_uri("s2").unwrap();
 //! # let p = db.dict().lookup_uri("p").unwrap();
 //! # let o1 = db.dict().lookup_uri("o1").unwrap();
-//! let before = deployment.answer_query(&plan)?.len();
+//! let before = answers.len();
 //! deployment.insert([s2, p, o1]);
-//! assert_eq!(deployment.answer_query(&plan)?.len(), before + 1);
-//!
-//! // Strict mode restores the old refuse-on-mismatch contract: a plan
-//! // stamped with an older generation is refused, never silently served.
-//! deployment.set_strict(true);
-//! assert!(matches!(deployment.answer_query(&plan), Err(SelectionError::StaleSession { .. })));
-//! assert!(deployment.answer_adhoc(&adhoc).is_ok()); // re-plans at the current generation
+//! assert_eq!(deployment.snapshot().answer_query(&plan)?.len(), before + 1);
 //! # Ok::<(), rdfviews::core::SelectionError>(())
 //! ```
 //!
@@ -160,7 +157,7 @@
 //! // A maintenance batch publishes a NEW generation; the pin is untouched.
 //! deployment.insert_batch(&[[s2, p, o1]]);
 //! assert_eq!(pinned.answer_adhoc(&adhoc)?, before); // pinned: as-of answers
-//! assert_eq!(deployment.answer_adhoc(&adhoc)?.len(), before.len() + 1); // live
+//! assert_eq!(deployment.snapshot().answer_adhoc(&adhoc)?.len(), before.len() + 1); // re-pinned
 //! assert!(pinned.version() < deployment.snapshot().version());
 //!
 //! // `SnapshotReader` is the `Send + Sync` handle to hand worker
@@ -186,17 +183,6 @@
 //!   not share with its neighbors. Long-lived pins are the one way to
 //!   accumulate memory — re-pin via [`SnapshotReader`](exec::SnapshotReader)
 //!   when you want the latest data.
-//! * **Strict mode.** [`Deployment::set_strict`](exec::Deployment::set_strict)`(true)`
-//!   opts back into the historical refuse-on-mismatch behavior: plans
-//!   stamped with an older store version fail with
-//!   [`SelectionError::StaleSession`](core::SelectionError::StaleSession)
-//!   instead of executing against the published generation. Use it where
-//!   an as-of answer is worse than no answer.
-//! * **Direct writes.** Writing through `store_mut()` without running
-//!   maintenance does *not* publish; default-mode reads keep serving the
-//!   last published consistent generation (and strict mode refuses).
-//!   [`Deployment::rematerialize`](exec::Deployment::rematerialize)
-//!   re-syncs and publishes.
 //!
 //! ## Maintenance quickstart: batched updates and writable stores
 //!
@@ -346,27 +332,30 @@
 //! torn tail as
 //! [`SelectionError::WalTornTail`](core::SelectionError::WalTornTail).
 //!
-//! ## Migrating from the free functions
+//! ## Migrating from removed entry points
 //!
-//! The pre-session entry points still exist (and now share the prepared
-//! pipeline underneath), but new code should use the session API:
+//! The panicking free functions and the deployment's second read API are
+//! gone; each removed name maps to its replacement:
 //!
-//! | old free function | session replacement |
-//! |-------------------|---------------------|
-//! | `select_views(store, dict, schema, w, opts)` | `Advisor::builder(&db).schema(..).options(opts).build()?` then `advisor.recommend(&w)?` |
-//! | `select_views_partitioned(store, dict, schema, w, opts, par)` | `advisor.recommend_partitioned(&w, par)?` |
+//! | removed or old form | replacement |
+//! |---------------------|-------------|
+//! | `select_views(store, dict, schema, w, opts)` | `Advisor::builder(&db).schema(..).options(opts).build()?` then `advisor.recommend(&w)?`, or the one-shot `try_select_views(..)?` |
+//! | `select_views_partitioned(store, dict, schema, w, opts, par)` | `advisor.recommend_partitioned(&w, par)?`, or the one-shot `try_select_views_partitioned(..)?` |
+//! | `exec::answer_original_query(&rec, &mv, i)`, `exec::try_answer_original_query(&rec, &mv, i)` | `Deployment::new(store, rec).snapshot().answer(i)?` |
 //! | `exec::materialize_recommendation(store, &rec)` | `advisor.deploy(rec)?` (a [`Deployment`](exec::Deployment)) |
-//! | `exec::answer_original_query(&rec, &mv, i)` (deprecated) | `deployment.answer(i)?` |
-//! | `exec::answer_query(&state, &mv, i)` | `deployment.answer(i)?` (per-branch access stays available) |
-//! | `answer(query_idx)` for an unregistered query | `deployment.plan(&q)?` + `deployment.answer_query(&plan)?` (or `deployment.answer_adhoc(&q)?`) |
-//! | *(not possible: index-only API)* | `deployment.plan_with(&q, AnswerPolicy::ViewsOnly \| Hybrid \| BaseFallback)?` |
-//! | `mv.total_rows()` / `mv.total_cells()` | `deployment.total_rows()?` / `deployment.total_cells()?` |
+//! | `exec::answer_query(&state, &mv, i)` | `deployment.snapshot().answer(i)?` (per-branch access stays available) |
+//! | `deployment.answer(i)?`, `answer_query(&plan)?`, `answer_adhoc(&q)?`, `answer_adhoc_with(&q, policy)?` on `&mut Deployment` | the same call on `deployment.snapshot()` ([`DeploymentSnapshot`](exec::DeploymentSnapshot)) |
+//! | `deployment.plan(&q)?`, `plan_with(&q, policy)?`, `plan_workload(i)?` | the same call on `deployment.snapshot()`; `AnswerPolicy::ViewsOnly \| Hybrid \| BaseFallback` as before |
+//! | `deployment.tables()?`, `total_rows()?`, `total_cells()?`; `mv.total_rows()` | `deployment.snapshot().tables()`, then `.total_rows()` / `.total_cells()` |
+//! | `deployment.last_eval_stats()` | `snapshot.answer_query_stats(&plan)?` returns the answers with one `EvalStats` per branch |
+//! | `set_strict(true)`, `strict()`, `QueryPlan::store_version()` | none: a plan executes on every generation of its own deployment; pin one snapshot for as-of answers, and `snapshot.version()` names its generation |
+//! | `store_mut()`, `is_stale()`, `maintained_version()`, `rematerialize()` | write through `insert_batch` / `delete_batch`, which keep the views maintained and publish a generation; `deployment.store().version()` is the published version; for a bulk load, deploy again |
+//! | `DurableDeployment::deployment_mut()` | `durable.insert_batch` / `durable.delete_batch` (the only durable writes); read through `durable.snapshot()` |
 //! | manual `MaintainedView` feeding | `deployment.insert_batch(&triples)` / `deployment.delete_batch(&triples)` |
 //! | panic on missing schema | `Err(SelectionError::SchemaRequired(mode))` |
 //! | *(not possible: in-memory only)* | `advisor.deploy_durable(rec, dir)?` (a [`DurableDeployment`](exec::DurableDeployment)) |
 //! | *(not possible)* | `deployment.persist(dir, dict)?` / `Deployment::open(dir)?` / `Deployment::recover(dir)?` |
 //! | ad-hoc file formats, panics on bad bytes | `Err(SelectionError::Io \| CorruptBundle \| WalTornTail)` |
-//! | `answer_query(&plan)` refused after any maintenance | executes against the current published generation by default; `deployment.set_strict(true)` restores the `StaleSession` refusal |
 //! | *(not possible: reads block on writes)* | `deployment.snapshot()` / `deployment.reader()` — wait-free pinned reads on COW generations ([`DeploymentSnapshot`](exec::DeploymentSnapshot), [`SnapshotReader`](exec::SnapshotReader)) |
 //! | a `snapshot.rdfb` written by format version 1 | refused with `CorruptBundle` ("unsupported bundle format version 1"); no older layout is read — deploy again from the data (`advisor.deploy_durable(rec, dir)?`); the write-ahead log format is unchanged |
 //! | `MaintainedView::rows()` as `&Vec<Id>`, `from_parts(def, Vec<Vec<Id>>)`, `DeleteDelta::candidates()` as `&[Vec<Id>]` | maintained rows are one flat sorted buffer: `rows()` yields `&[Id]` in order, `from_parts(def, Answers)` (build with `Answers::from_tuples` or the checked `Answers::from_sorted`), `candidates()` is an `&Answers` |
@@ -433,19 +422,16 @@ pub mod exec;
 pub mod prelude {
     pub use crate::advisor::{parse_workload_queries, Advisor, AdvisorBuilder, WorkloadChange};
     pub use crate::core::{
-        select_views, select_views_partitioned, try_select_views, CostModel, CostWeights,
-        Preparation, ReasoningMode, Recommendation, SearchConfig, SearchOutcome, SelectionError,
-        SelectionOptions, State, StrategyKind,
+        try_select_views, CostModel, CostWeights, Preparation, ReasoningMode, Recommendation,
+        SearchConfig, SearchOutcome, SelectionError, SelectionOptions, State, StrategyKind,
     };
     pub use crate::engine::{
         evaluate, evaluate_union, materialize, Answers, MaintainedView, MaintenanceStats, ViewTable,
     };
-    #[allow(deprecated)]
-    pub use crate::exec::answer_original_query;
     pub use crate::exec::{
-        answer_query, materialize_recommendation, try_answer_original_query, AnswerPolicy,
-        Deployment, DeploymentSnapshot, DurableDeployment, MaterializedViews, PlannedBranch,
-        QueryPlan, RecoveryReport, SnapshotReader,
+        answer_query, materialize_recommendation, AnswerPolicy, Deployment, DeploymentSnapshot,
+        DurableDeployment, MaterializedViews, PlannedBranch, QueryPlan, RecoveryReport,
+        SnapshotReader,
     };
     pub use crate::model::{Dataset, Dictionary, Term, Triple, TripleStore};
     pub use crate::query::parser::parse_query;

@@ -1,8 +1,8 @@
 //! The ad-hoc query API: planning and answering arbitrary conjunctive
 //! queries over a deployed recommendation.
 //!
-//! * **Workload parity** — for every workload query, `plan()` on the tuned
-//!   deployment finds a views-only plan whose answers are set-equal to
+//! * **Workload parity** — for every workload query, `plan()` on a
+//!   snapshot of the tuned deployment finds a views-only plan whose answers are set-equal to
 //!   direct evaluation (and to the index-based `answer()` delegate).
 //! * **Typed failure** — a query with no complete view cover is a
 //!   `NoViewsOnlyPlan` error under the views-only policy, never a wrong or
@@ -10,8 +10,9 @@
 //! * **Soundness** — proptest: every views-only plan's unfolded rewriting
 //!   is equivalent to the (minimized) input query, the same Definition-2.2
 //!   yardstick the selection search itself uses.
-//! * **Staleness** — plans record the store version; execution after
-//!   maintenance refuses with `StaleSession` until re-planned.
+//! * **Generations** — a plan made before maintenance executes on the
+//!   newly published generation, while a snapshot pinned before it keeps
+//!   serving the old one; re-planning on a fresh pin agrees with it.
 
 use proptest::prelude::*;
 
@@ -63,9 +64,9 @@ fn every_workload_query_gets_a_views_only_plan() {
     let mut advisor = Advisor::builder(&db).build().unwrap();
     let rec = advisor.recommend(&workload).unwrap();
     let views = rec.views.clone();
-    let mut dep = advisor.deploy(rec).unwrap();
+    let snap = advisor.deploy(rec).unwrap().snapshot();
     for (idx, q) in workload.iter().enumerate() {
-        let plan = dep
+        let plan = snap
             .plan_with(q, AnswerPolicy::ViewsOnly)
             .unwrap_or_else(|e| panic!("workload query {idx} must be views-only plannable: {e}"));
         assert!(plan.is_views_only());
@@ -75,9 +76,9 @@ fn every_workload_query_gets_a_views_only_plan() {
             assert!(equivalent(&unfold_plan(&views, &b.plan), &b.query));
         }
         // Ad-hoc answers == direct evaluation == the index-based delegate.
-        let adhoc = dep.answer_query(&plan).unwrap();
+        let adhoc = snap.answer_query(&plan).unwrap();
         assert_eq!(adhoc, evaluate(db.store(), q), "query {idx}");
-        assert_eq!(adhoc, dep.answer(idx).unwrap(), "query {idx}");
+        assert_eq!(adhoc, snap.answer(idx).unwrap(), "query {idx}");
         assert!(plan.estimated_cost() > 0.0);
     }
 }
@@ -95,16 +96,16 @@ fn adhoc_specialization_is_views_only_and_correct() {
     .query;
     let mut advisor = Advisor::builder(&db).build().unwrap();
     let rec = advisor.recommend(&workload).unwrap();
-    let mut dep = advisor.deploy(rec).unwrap();
-    let plan = dep.plan(&adhoc).unwrap();
+    let snap = advisor.deploy(rec).unwrap().snapshot();
+    let plan = snap.plan(&adhoc).unwrap();
     assert!(plan.is_views_only());
     assert!(!plan.views_used().is_empty());
     assert_eq!(
-        dep.answer_query(&plan).unwrap(),
+        snap.answer_query(&plan).unwrap(),
         evaluate(db.store(), &adhoc)
     );
     assert_eq!(
-        dep.answer_adhoc(&adhoc).unwrap(),
+        snap.answer_adhoc(&adhoc).unwrap(),
         evaluate(db.store(), &adhoc)
     );
 }
@@ -119,18 +120,18 @@ fn no_cover_is_a_typed_error_not_wrong_answers() {
         .query;
     let mut advisor = Advisor::builder(&db).build().unwrap();
     let rec = advisor.recommend(&workload).unwrap();
-    let mut dep = advisor.deploy(rec).unwrap();
+    let snap = advisor.deploy(rec).unwrap().snapshot();
 
-    let err = dep.plan_with(&adhoc, AnswerPolicy::ViewsOnly).unwrap_err();
+    let err = snap.plan_with(&adhoc, AnswerPolicy::ViewsOnly).unwrap_err();
     assert_eq!(err, SelectionError::NoViewsOnlyPlan { residual_atoms: 1 });
 
     // BaseFallback answers the whole query from the base store.
-    let plan = dep.plan_with(&adhoc, AnswerPolicy::BaseFallback).unwrap();
+    let plan = snap.plan_with(&adhoc, AnswerPolicy::BaseFallback).unwrap();
     assert!(!plan.is_views_only());
     assert_eq!(plan.residual_atoms(), 1);
     assert!(plan.views_used().is_empty());
     assert_eq!(
-        dep.answer_query(&plan).unwrap(),
+        snap.answer_query(&plan).unwrap(),
         evaluate(db.store(), &adhoc)
     );
 }
@@ -149,8 +150,8 @@ fn hybrid_plans_mix_views_and_base_without_cross_products() {
     let mut advisor = Advisor::builder(&db).build().unwrap();
     let rec = advisor.recommend(&workload).unwrap();
     let views = rec.views.clone();
-    let mut dep = advisor.deploy(rec).unwrap();
-    let plan = dep.plan_with(&adhoc, AnswerPolicy::Hybrid).unwrap();
+    let snap = advisor.deploy(rec).unwrap().snapshot();
+    let plan = snap.plan_with(&adhoc, AnswerPolicy::Hybrid).unwrap();
     assert!(!plan.is_views_only());
     assert_eq!(plan.residual_atoms(), 1, "only bornIn needs the base store");
     assert!(!plan.views_used().is_empty(), "paintedBy scans a view");
@@ -163,7 +164,7 @@ fn hybrid_plans_mix_views_and_base_without_cross_products() {
         );
     }
     assert_eq!(
-        dep.answer_query(&plan).unwrap(),
+        snap.answer_query(&plan).unwrap(),
         evaluate(db.store(), &adhoc)
     );
 }
@@ -174,10 +175,10 @@ fn unsafe_and_empty_queries_are_rejected() {
     let workload = museum_workload(&mut db);
     let mut advisor = Advisor::builder(&db).build().unwrap();
     let rec = advisor.recommend(&workload).unwrap();
-    let dep = advisor.deploy(rec).unwrap();
+    let snap = advisor.deploy(rec).unwrap().snapshot();
     let empty = ConjunctiveQuery::new(vec![], vec![]);
     assert!(matches!(
-        dep.plan(&empty).unwrap_err(),
+        snap.plan(&empty).unwrap_err(),
         SelectionError::UnsupportedQuery { .. }
     ));
     use rdfviews::query::{Atom, QTerm, Var};
@@ -186,7 +187,7 @@ fn unsafe_and_empty_queries_are_rejected() {
         vec![Atom::new(Var(0), Var(1), Var(2))],
     );
     assert!(matches!(
-        dep.plan(&unsafe_q).unwrap_err(),
+        snap.plan(&unsafe_q).unwrap_err(),
         SelectionError::UnsupportedQuery { .. }
     ));
 }
@@ -204,17 +205,17 @@ fn foreign_plans_are_refused() {
     let rec_a = advisor.recommend(&workload).unwrap();
     let rec_b = advisor.recommend(&workload[..1]).unwrap();
     let dep_a = advisor.deploy(rec_a).unwrap();
-    let mut dep_b = advisor.deploy(rec_b).unwrap();
-    let plan_a = dep_a.plan(&adhoc).unwrap();
+    let dep_b = advisor.deploy(rec_b).unwrap();
+    let plan_a = dep_a.snapshot().plan(&adhoc).unwrap();
     assert_eq!(
-        dep_b.answer_query(&plan_a).unwrap_err(),
+        dep_b.snapshot().answer_query(&plan_a).unwrap_err(),
         SelectionError::ForeignPlan
     );
     // A clone shares the lineage: its plans stay valid.
-    let mut clone_b = dep_b.clone();
-    let plan_b = dep_b.plan(&adhoc).unwrap();
+    let clone_b = dep_b.clone();
+    let plan_b = dep_b.snapshot().plan(&adhoc).unwrap();
     assert_eq!(
-        clone_b.answer_query(&plan_b).unwrap(),
+        clone_b.snapshot().answer_query(&plan_b).unwrap(),
         evaluate(db.store(), &adhoc)
     );
 }
@@ -226,7 +227,7 @@ fn oversized_queries_are_rejected_not_silently_degraded() {
     let workload = museum_workload(&mut db);
     let mut advisor = Advisor::builder(&db).build().unwrap();
     let rec = advisor.recommend(&workload).unwrap();
-    let dep = advisor.deploy(rec).unwrap();
+    let snap = advisor.deploy(rec).unwrap().snapshot();
     // A 65-atom chain exceeds the planner's 64-atom coverage mask.
     let atoms: Vec<Atom> = (0..65u32)
         .map(|i| Atom::new(Var(i), rdf_model_id(1), Var(i + 1)))
@@ -238,7 +239,7 @@ fn oversized_queries_are_rejected_not_silently_degraded() {
         AnswerPolicy::BaseFallback,
     ] {
         assert!(matches!(
-            dep.plan_with(&big, policy).unwrap_err(),
+            snap.plan_with(&big, policy).unwrap_err(),
             SelectionError::UnsupportedQuery { .. }
         ));
     }
@@ -249,48 +250,7 @@ fn rdf_model_id(i: u32) -> rdfviews::model::Id {
 }
 
 #[test]
-fn plans_go_stale_after_maintenance_and_replan_recovers() {
-    let mut db = museum();
-    let workload = museum_workload(&mut db);
-    let adhoc = parse_query(
-        "a(P, M) :- t(P, <paintedBy>, <artist2>), t(P, <exhibitedIn>, M)",
-        db.dict_mut(),
-    )
-    .unwrap()
-    .query;
-    let painting = db.dict_mut().intern_uri("late-painting");
-    let painted_by = db.dict().lookup_uri("paintedBy").unwrap();
-    let exhibited_in = db.dict().lookup_uri("exhibitedIn").unwrap();
-    let artist2 = db.dict().lookup_uri("artist2").unwrap();
-    let site0 = db.dict().lookup_uri("site0").unwrap();
-
-    let mut advisor = Advisor::builder(&db).build().unwrap();
-    let rec = advisor.recommend(&workload).unwrap();
-    let mut dep = advisor.deploy(rec).unwrap();
-    // The opt-in strict policy restores the pre-snapshot contract:
-    // maintenance between planning and execution refuses the old plan.
-    dep.set_strict(true);
-
-    let plan = dep.plan(&adhoc).unwrap();
-    let before = dep.answer_query(&plan).unwrap();
-
-    // Maintenance moves the store version: the old plan is refused.
-    dep.insert_batch(&[
-        [painting, painted_by, artist2],
-        [painting, exhibited_in, site0],
-    ]);
-    let err = dep.answer_query(&plan).unwrap_err();
-    assert!(matches!(err, SelectionError::StaleSession { .. }));
-
-    // Re-planning picks up the maintained state and sees the new painting.
-    let fresh = dep.plan(&adhoc).unwrap();
-    let after = dep.answer_query(&fresh).unwrap();
-    assert_eq!(after.len(), before.len() + 1);
-    assert_eq!(after, evaluate(dep.store(), &adhoc));
-}
-
-#[test]
-fn default_policy_executes_old_plans_on_new_generations() {
+fn old_plans_execute_on_new_generations() {
     let mut db = museum();
     let workload = museum_workload(&mut db);
     let adhoc = parse_query(
@@ -309,22 +269,68 @@ fn default_policy_executes_old_plans_on_new_generations() {
     let rec = advisor.recommend(&workload).unwrap();
     let mut dep = advisor.deploy(rec).unwrap();
 
-    let plan = dep.plan(&adhoc).unwrap();
-    let before = dep.answer_query(&plan).unwrap();
     // A snapshot pinned before the batch serves the old generation…
     let pinned = dep.snapshot();
+    let plan = pinned.plan(&adhoc).unwrap();
+    let before = pinned.answer_query(&plan).unwrap();
 
     dep.insert_batch(&[
         [painting, painted_by, artist2],
         [painting, exhibited_in, site0],
     ]);
 
-    // …while the default read path executes the *same* plan against the
-    // newly published generation — no StaleSession, answers current.
-    let after = dep.answer_query(&plan).unwrap();
+    // …while a fresh pin executes the *same* plan against the newly
+    // published generation, answers current.
+    let after = dep.snapshot().answer_query(&plan).unwrap();
     assert_eq!(after.len(), before.len() + 1);
     assert_eq!(after, evaluate(dep.store(), &adhoc));
     assert_eq!(pinned.answer_query(&plan).unwrap(), before);
+}
+
+/// Carrying a plan across maintenance and re-planning on a fresh pin are
+/// interchangeable: both scan the same views and answer alike, through
+/// an insert and the delete that undoes it.
+#[test]
+fn replanning_on_a_fresh_pin_agrees_with_the_carried_plan() {
+    let mut db = museum();
+    let workload = museum_workload(&mut db);
+    let adhoc = parse_query(
+        "a(P, M) :- t(P, <paintedBy>, <artist2>), t(P, <exhibitedIn>, M)",
+        db.dict_mut(),
+    )
+    .unwrap()
+    .query;
+    let painting = db.dict_mut().intern_uri("late-painting");
+    let painted_by = db.dict().lookup_uri("paintedBy").unwrap();
+    let exhibited_in = db.dict().lookup_uri("exhibitedIn").unwrap();
+    let artist2 = db.dict().lookup_uri("artist2").unwrap();
+    let site0 = db.dict().lookup_uri("site0").unwrap();
+    let batch = [
+        [painting, painted_by, artist2],
+        [painting, exhibited_in, site0],
+    ];
+
+    let mut advisor = Advisor::builder(&db).build().unwrap();
+    let rec = advisor.recommend(&workload).unwrap();
+    let mut dep = advisor.deploy(rec).unwrap();
+    let carried = dep.snapshot().plan(&adhoc).unwrap();
+    let before = dep.snapshot().answer_query(&carried).unwrap();
+
+    dep.insert_batch(&batch);
+    let snap = dep.snapshot();
+    let fresh = snap.plan(&adhoc).unwrap();
+    assert_eq!(fresh.views_used(), carried.views_used());
+    assert_eq!(fresh.branches().len(), carried.branches().len());
+    let after = snap.answer_query(&fresh).unwrap();
+    assert_eq!(after.len(), before.len() + 1);
+    assert_eq!(after, snap.answer_query(&carried).unwrap());
+    assert_eq!(after, evaluate(dep.store(), &adhoc));
+
+    dep.delete_batch(&batch);
+    let snap = dep.snapshot();
+    let replanned = snap.plan(&adhoc).unwrap();
+    assert_eq!(snap.answer_query(&replanned).unwrap(), before);
+    assert_eq!(snap.answer_query(&carried).unwrap(), before);
 }
 
 #[test]
@@ -371,9 +377,9 @@ fn saturation_deployment_answers_adhoc_with_entailment() {
         .build()
         .unwrap();
     let rec = advisor.recommend(&workload).unwrap();
-    let mut dep = advisor.deploy(rec).unwrap();
-    let plan = dep.plan(&adhoc).unwrap();
-    let answers = dep.answer_query(&plan).unwrap();
+    let snap = advisor.deploy(rec).unwrap().snapshot();
+    let plan = snap.plan(&adhoc).unwrap();
+    let answers = snap.answer_query(&plan).unwrap();
     assert_eq!(
         answers, truth,
         "the deployment's answers must include entailed triples"
@@ -424,14 +430,14 @@ fn post_reformulation_hybrid_reformulates_base_scans() {
         .build()
         .unwrap();
     let rec = advisor.recommend(&workload).unwrap();
-    let mut dep = advisor.deploy(rec).unwrap();
-    let plan = dep.plan(&adhoc).unwrap();
+    let snap = advisor.deploy(rec).unwrap().snapshot();
+    let plan = snap.plan(&adhoc).unwrap();
     assert!(!plan.is_views_only());
     assert!(
         plan.branches().len() > 1,
         "reformulation must expand the hybrid plan into branches"
     );
-    let answers = dep.answer_query(&plan).unwrap();
+    let answers = snap.answer_query(&plan).unwrap();
     assert_eq!(
         answers, truth,
         "hybrid base scans must stay entailment-complete"
@@ -460,9 +466,9 @@ proptest! {
         let mut advisor = Advisor::builder(&db).build().unwrap();
         let rec = advisor.recommend(&workload).unwrap();
         let views = rec.views.clone();
-        let mut dep = advisor.deploy(rec).unwrap();
+        let snap = advisor.deploy(rec).unwrap().snapshot();
         for (idx, q) in workload.iter().enumerate() {
-            let plan = dep.plan_with(q, AnswerPolicy::ViewsOnly).unwrap();
+            let plan = snap.plan_with(q, AnswerPolicy::ViewsOnly).unwrap();
             prop_assert!(plan.is_views_only());
             let minimized = minimize(q).normalized();
             for b in plan.branches() {
@@ -472,9 +478,9 @@ proptest! {
                 );
                 prop_assert!(equivalent(&b.query, &minimized));
             }
-            let adhoc = dep.answer_query(&plan).unwrap();
+            let adhoc = snap.answer_query(&plan).unwrap();
             prop_assert_eq!(&adhoc, &evaluate(db.store(), q));
-            prop_assert_eq!(&adhoc, &dep.answer(idx).unwrap());
+            prop_assert_eq!(&adhoc, &snap.answer(idx).unwrap());
         }
     }
 }

@@ -3,6 +3,7 @@
 //! must surface as a `SelectionError`, and deployments must answer and
 //! maintain correctly.
 
+use rdfviews::core::try_select_views_partitioned;
 use rdfviews::model::Id;
 use rdfviews::prelude::*;
 
@@ -42,7 +43,7 @@ fn museum_db() -> (Dataset, Schema, VocabIds) {
 }
 
 /// Two `recommend` calls on one session agree with two fresh
-/// `select_views` calls, and the second call does zero statistics work.
+/// `try_select_views` calls, and the second call does zero statistics work.
 #[test]
 fn session_reuse_agrees_with_one_shot_selection() {
     let mut db = painter_db();
@@ -62,20 +63,22 @@ fn session_reuse_agrees_with_one_shot_selection() {
         "second recommend must skip stats collection entirely"
     );
 
-    let fresh1 = select_views(
+    let fresh1 = try_select_views(
         db.store(),
         db.dict(),
         None,
         &workload,
         &SelectionOptions::recommended(),
-    );
-    let fresh2 = select_views(
+    )
+    .unwrap();
+    let fresh2 = try_select_views(
         db.store(),
         db.dict(),
         None,
         &workload,
         &SelectionOptions::recommended(),
-    );
+    )
+    .unwrap();
     for (session, fresh) in [(&first, &fresh1), (&second, &fresh2)] {
         assert_eq!(session.outcome.best_cost, fresh.outcome.best_cost);
         assert_eq!(
@@ -188,7 +191,7 @@ fn partitioned_through_session() {
     for parallel in [false, true] {
         let rec = advisor.recommend_partitioned(&queries, parallel).unwrap();
         assert_eq!(rec.branch_of.len(), 3);
-        let joint = select_views_partitioned(
+        let joint = try_select_views_partitioned(
             db.store(),
             db.dict(),
             None,
@@ -198,7 +201,8 @@ fn partitioned_through_session() {
                 ..Default::default()
             },
             parallel,
-        );
+        )
+        .unwrap();
         assert_eq!(rec.outcome.best_cost, joint.outcome.best_cost);
     }
     // Third run: catalog fully warm.
@@ -219,9 +223,9 @@ fn deployment_lifecycle() {
     let mut deployment = advisor.deploy(rec).unwrap();
 
     let direct = evaluate(db.store(), &deployment.recommendation().workload[0]);
-    assert_eq!(deployment.answer(0).unwrap(), direct);
+    assert_eq!(deployment.snapshot().answer(0).unwrap(), direct);
     assert!(matches!(
-        deployment.answer(9).unwrap_err(),
+        deployment.snapshot().answer(9).unwrap_err(),
         SelectionError::UnknownQuery { index: 9, len: 1 }
     ));
 
@@ -232,14 +236,14 @@ fn deployment_lifecycle() {
     let qq = db.dict().lookup_uri("q").unwrap();
     let o1 = db.dict().lookup_uri("o1").unwrap();
     let c = db.dict().lookup_uri("c").unwrap();
-    let before = deployment.answer(0).unwrap().len();
+    let before = deployment.snapshot().answer(0).unwrap().len();
     deployment.insert([s, p, o1]);
     deployment.insert([s, qq, c]);
-    assert_eq!(deployment.answer(0).unwrap().len(), before + 1);
+    assert_eq!(deployment.snapshot().answer(0).unwrap().len(), before + 1);
     deployment.delete([s, p, o1]);
-    assert_eq!(deployment.answer(0).unwrap().len(), before);
+    assert_eq!(deployment.snapshot().answer(0).unwrap().len(), before);
     let fresh = evaluate(deployment.store(), &deployment.recommendation().workload[0]);
-    assert_eq!(deployment.answer(0).unwrap(), fresh);
+    assert_eq!(deployment.snapshot().answer(0).unwrap(), fresh);
 }
 
 /// Under saturation reasoning the deployment materializes over the
@@ -263,9 +267,9 @@ fn deployment_under_saturation_keeps_implicit_answers() {
             .build()
             .unwrap();
         let rec = advisor.recommend(std::slice::from_ref(&q)).unwrap();
-        let mut deployment = advisor.deploy(rec).unwrap();
+        let deployment = advisor.deploy(rec).unwrap();
         assert_eq!(
-            deployment.answer(0).unwrap(),
+            deployment.snapshot().answer(0).unwrap(),
             truth,
             "{mode:?} deployment must include implicit answers"
         );
@@ -293,7 +297,7 @@ fn saturation_deployment_maintains_entailments() {
         .unwrap();
     let rec = advisor.recommend(std::slice::from_ref(&q)).unwrap();
     let mut deployment = advisor.deploy(rec).unwrap();
-    let before = deployment.answer(0).unwrap().len();
+    let before = deployment.snapshot().answer(0).unwrap().len();
 
     // A new *painting* exhibited somewhere: only entailment makes it a
     // picture located there.
@@ -304,13 +308,13 @@ fn saturation_deployment_maintains_entailments() {
     let rdf_type = vocab.rdf_type;
     deployment.insert([item, rdf_type, painting]);
     deployment.insert([item, is_exp_in, museum]);
-    let after = deployment.answer(0).unwrap();
+    let after = deployment.snapshot().answer(0).unwrap();
     assert_eq!(after.len(), before + 1, "entailed answer must appear");
     assert!(after.contains(&[item, museum]));
 
     // Retracting the explicit membership removes the entailed one too.
     deployment.delete([item, rdf_type, painting]);
-    let reverted = deployment.answer(0).unwrap();
+    let reverted = deployment.snapshot().answer(0).unwrap();
     assert_eq!(reverted.len(), before, "entailed answer must retract");
     // And the base store agrees with a from-scratch saturation of the
     // corresponding explicit state.
@@ -468,8 +472,8 @@ fn deployment_tuples_decode() {
         .query;
     let mut advisor = Advisor::builder(&db).build().unwrap();
     let rec = advisor.recommend(&[q]).unwrap();
-    let mut deployment = advisor.deploy(rec).unwrap();
-    let answers = deployment.answer(0).unwrap();
+    let deployment = advisor.deploy(rec).unwrap();
+    let answers = deployment.snapshot().answer(0).unwrap();
     for tuple in answers.tuples() {
         let term = db.dict().term(tuple[0]);
         assert!(term.to_string().contains('s'), "unexpected term {term}");

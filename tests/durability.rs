@@ -22,7 +22,8 @@
 //! * **The state, not the history** — deployments that reach the same
 //!   triples and rows by different batch orders have one content hash,
 //!   and a section that spells its state any other way than the canonical
-//!   one is a `CorruptBundle`.
+//!   one is a `CorruptBundle`; so is a meta section whose recorded store
+//!   version is not the store's.
 //! * **Proptest** — random feeds round-trip: live hash == recovered hash.
 
 use std::path::{Path, PathBuf};
@@ -131,7 +132,7 @@ fn feed(dict: &mut Dictionary, from: usize, n: usize) -> Vec<Triple> {
 #[test]
 fn persist_open_round_trips_plain_deployment() {
     let tmp = TempDir::new("roundtrip");
-    let (mut dep, dict) = deployed(24);
+    let (dep, dict) = deployed(24);
     let hash = dep.persist(tmp.path(), &dict).unwrap();
     assert_eq!(dep.content_hash(&dict).unwrap(), hash);
 
@@ -140,17 +141,18 @@ fn persist_open_round_trips_plain_deployment() {
     assert_eq!(redict.len(), dict.len());
     assert_eq!(reopened.lineage(), dep.lineage());
     assert_eq!(reopened.view_count(), dep.view_count());
+    let (live, served) = (dep.snapshot(), reopened.snapshot());
     for idx in 0..dep.recommendation().workload.len() {
         assert_eq!(
-            reopened.answer(idx).unwrap(),
-            dep.answer(idx).unwrap(),
+            served.answer(idx).unwrap(),
+            live.answer(idx).unwrap(),
             "workload query {idx} must answer identically after reopen"
         );
     }
     // A reopened deployment keeps maintaining correctly.
     let batch = feed(&mut redict, 1000, 6);
     reopened.insert_batch(&batch);
-    assert!(reopened.answer(0).unwrap().len() > dep.answer(0).unwrap().len());
+    assert!(reopened.snapshot().answer(0).unwrap().len() > live.answer(0).unwrap().len());
 }
 
 #[test]
@@ -174,19 +176,20 @@ fn persist_open_round_trips_saturation_deployment() {
         .build()
         .unwrap();
     let rec = advisor.recommend(&workload).unwrap();
-    let mut dep = advisor.deploy(rec).unwrap();
+    let dep = advisor.deploy(rec).unwrap();
     let dict = db.dict().clone();
     let hash = dep.persist(tmp.path(), &dict).unwrap();
 
-    let (mut reopened, redict) = Deployment::open(tmp.path()).unwrap();
+    let (reopened, redict) = Deployment::open(tmp.path()).unwrap();
     assert_eq!(reopened.content_hash(&redict).unwrap(), hash);
     let saturated = saturated_copy(db.store(), &schema, &vocab);
+    let served = reopened.snapshot();
     assert_eq!(
-        reopened.answer(0).unwrap(),
+        served.answer(0).unwrap(),
         evaluate(&saturated, &workload[0]),
         "saturation-mode answers must stay entailment-complete after reopen"
     );
-    assert_eq!(reopened.answer(0).unwrap(), dep.answer(0).unwrap());
+    assert_eq!(served.answer(0).unwrap(), dep.snapshot().answer(0).unwrap());
 }
 
 #[test]
@@ -209,13 +212,16 @@ fn persist_open_round_trips_post_reformulation_deployment() {
         .build()
         .unwrap();
     let rec = advisor.recommend(&workload).unwrap();
-    let mut dep = advisor.deploy(rec).unwrap();
+    let dep = advisor.deploy(rec).unwrap();
     let dict = db.dict().clone();
     let hash = dep.persist(tmp.path(), &dict).unwrap();
 
-    let (mut reopened, redict) = Deployment::open(tmp.path()).unwrap();
+    let (reopened, redict) = Deployment::open(tmp.path()).unwrap();
     assert_eq!(reopened.content_hash(&redict).unwrap(), hash);
-    assert_eq!(reopened.answer(0).unwrap(), dep.answer(0).unwrap());
+    assert_eq!(
+        reopened.snapshot().answer(0).unwrap(),
+        dep.snapshot().answer(0).unwrap()
+    );
 }
 
 #[test]
@@ -224,16 +230,16 @@ fn reopened_deployment_gets_fresh_identity_but_keeps_lineage() {
     let (dep, dict) = deployed(12);
     dep.persist(tmp.path(), &dict).unwrap();
     let q = dep.recommendation().workload[0].clone();
-    let plan = dep.plan(&q).unwrap();
+    let plan = dep.snapshot().plan(&q).unwrap();
 
-    let (mut reopened, _) = Deployment::open(tmp.path()).unwrap();
+    let (reopened, _) = Deployment::open(tmp.path()).unwrap();
     assert_eq!(reopened.lineage(), dep.lineage());
     // A plan from the pre-persist process must not execute on the
     // reloaded deployment — `open` issues a fresh process-scoped
     // identity, so the plan is foreign there, same as a plan from any
     // other deployment.
     assert!(matches!(
-        reopened.answer_query(&plan),
+        reopened.snapshot().answer_query(&plan),
         Err(SelectionError::ForeignPlan)
     ));
 }
@@ -485,12 +491,15 @@ fn regenerate_golden_fixture() {
 #[test]
 fn golden_fixture_still_loads_and_reencodes_byte_for_byte() {
     let (fixture, opened) = open_golden(2, "golden");
-    let (mut dep, dict) = opened.unwrap();
+    let (dep, dict) = opened.unwrap();
     assert!(dep.view_count() > 0);
     // Structural sanity: the fixture deployment still answers.
     for idx in 0..dep.recommendation().workload.len() {
         let q = dep.recommendation().workload[idx].clone();
-        assert_eq!(dep.answer(idx).unwrap(), evaluate(dep.store(), &q));
+        assert_eq!(
+            dep.snapshot().answer(idx).unwrap(),
+            evaluate(dep.store(), &q)
+        );
     }
     // Byte-for-byte stability: open → persist reproduces the exact file.
     let out = TempDir::new("golden-out");
@@ -578,6 +587,56 @@ fn same_state_by_different_histories_has_one_content_hash() {
 
 /// The store section's tag, as `src/exec_persist.rs` numbers it.
 const SEC_STORE: u32 = 2;
+/// The meta section's tag: the store version, then the lineage.
+const SEC_META: u32 = 7;
+
+/// The meta section records the store version a bundle was written at —
+/// after durable batches and a checkpoint, exactly the live store's — and
+/// `open` refuses a bundle whose meta version disagrees with its store.
+#[test]
+fn bundle_meta_records_the_store_version() {
+    let tmp = TempDir::new("meta");
+    let (dep, dict) = deployed(8);
+    let mut durable = DurableDeployment::create(tmp.path(), dep, dict).unwrap();
+    for k in 0..3 {
+        let batch = feed(durable.dict_mut(), 4000 + 10 * k, 3);
+        durable.insert_batch(&batch).unwrap();
+    }
+    durable.checkpoint().unwrap();
+    let (version, lineage) = (
+        durable.deployment().store().version(),
+        durable.deployment().lineage(),
+    );
+    assert_eq!(durable.snapshot().version(), version);
+    drop(durable);
+
+    let snapshot = tmp.path().join(SNAPSHOT_FILE);
+    let pristine = bundle::decode(&std::fs::read(&snapshot).unwrap()).unwrap();
+    let meta = |version: u64| {
+        let mut w = Writer::new();
+        w.u64(version);
+        w.u64(lineage);
+        w.into_bytes()
+    };
+    let recorded = &pristine.iter().find(|s| s.0 == SEC_META).unwrap().1;
+    assert_eq!(*recorded, meta(version));
+    let (reopened, _) = Deployment::open(tmp.path()).unwrap();
+    assert_eq!(reopened.store().version(), version);
+    assert_eq!(reopened.snapshot().version(), version);
+
+    let mut sections = pristine.clone();
+    sections.iter_mut().find(|s| s.0 == SEC_META).unwrap().1 = meta(version + 1);
+    std::fs::write(&snapshot, bundle::encode(&sections)).unwrap();
+    match Deployment::open(tmp.path()) {
+        Err(SelectionError::CorruptBundle { detail }) => {
+            assert!(
+                detail.contains("does not match store version"),
+                "detail: {detail}"
+            )
+        }
+        other => panic!("expected CorruptBundle, got {other:?}"),
+    }
+}
 
 /// A bundle whose container is sound — hash, checksums, framing — but
 /// whose store section spells its state in some other way than the

@@ -2,12 +2,10 @@
 
 use rdfviews::core::transitions::{apply, enumerate, TransitionConfig, TransitionKind};
 use rdfviews::core::{
-    search, select_views, CostModel, CostWeights, SearchConfig, SelectionOptions, State,
+    search, try_select_views, CostModel, CostWeights, SearchConfig, SelectionOptions, State,
 };
 use rdfviews::engine::evaluate;
-use rdfviews::exec::{
-    answer_query, materialize_recommendation, materialize_state, try_answer_original_query,
-};
+use rdfviews::exec::{answer_query, materialize_state, Deployment};
 use rdfviews::model::{Dataset, Term};
 use rdfviews::query::parser::parse_query;
 use rdfviews::stats::collect_stats;
@@ -57,15 +55,18 @@ fn single_atom_single_query() {
     let q = parse_query("q(X) :- t(X, <p>, <o2>)", db.dict_mut())
         .unwrap()
         .query;
-    let rec = select_views(
+    let rec = try_select_views(
         db.store(),
         db.dict(),
         None,
         &[q],
         &SelectionOptions::recommended(),
-    );
-    let mv = materialize_recommendation(db.store(), &rec);
-    let ans = try_answer_original_query(&rec, &mv, 0).unwrap();
+    )
+    .unwrap();
+    let ans = Deployment::new(db.store(), rec)
+        .snapshot()
+        .answer(0)
+        .unwrap();
     assert_eq!(ans.len(), 5); // s2, s6, s10, s14, s18
 }
 
@@ -137,15 +138,16 @@ fn empty_answer_query_still_rewrites() {
     let q = parse_query("q(X) :- t(X, <p>, <nothingHasThis>)", db.dict_mut())
         .unwrap()
         .query;
-    let rec = select_views(
+    let rec = try_select_views(
         db.store(),
         db.dict(),
         None,
         &[q],
         &SelectionOptions::recommended(),
-    );
-    let mv = materialize_recommendation(db.store(), &rec);
-    assert!(try_answer_original_query(&rec, &mv, 0).unwrap().is_empty());
+    )
+    .unwrap();
+    let snap = Deployment::new(db.store(), rec).snapshot();
+    assert!(snap.answer(0).unwrap().is_empty());
 }
 
 #[test]
@@ -228,15 +230,18 @@ fn literals_and_blank_nodes_in_data_and_queries() {
     )
     .unwrap()
     .query;
-    let rec = select_views(
+    let rec = try_select_views(
         db.store(),
         db.dict(),
         None,
         &[q],
         &SelectionOptions::recommended(),
-    );
-    let mv = materialize_recommendation(db.store(), &rec);
-    let ans = try_answer_original_query(&rec, &mv, 0).unwrap();
+    )
+    .unwrap();
+    let ans = Deployment::new(db.store(), rec)
+        .snapshot()
+        .answer(0)
+        .unwrap();
     assert_eq!(ans.len(), 1);
     let lit = db.dict().lookup(&Term::literal("thing two")).unwrap();
     assert!(ans.contains(&[lit]));

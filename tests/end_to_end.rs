@@ -2,9 +2,9 @@
 //! must produce views from which the complete answers (w.r.t. RDFS
 //! entailment) of every workload query can be computed.
 
-use rdfviews::core::{select_views, ReasoningMode, SearchConfig, SelectionOptions};
+use rdfviews::core::{try_select_views, ReasoningMode, SearchConfig, SelectionOptions};
 use rdfviews::engine::evaluate;
-use rdfviews::exec::{materialize_recommendation, try_answer_original_query};
+use rdfviews::exec::Deployment;
 use rdfviews::schema::saturated_copy;
 use rdfviews::workload::{
     generate_barton, generate_satisfiable, BartonSpec, SatisfiableSpec, Shape,
@@ -33,21 +33,23 @@ fn all_reasoning_modes_return_complete_answers() {
         ReasoningMode::PreReformulation,
         ReasoningMode::PostReformulation,
     ] {
-        let rec = select_views(
+        let rec = try_select_views(
             data.db.store(),
             data.db.dict(),
             Some((&data.schema, &data.vocab)),
             &workload,
             &options(mode),
-        );
+        )
+        .unwrap();
         rec.outcome.best_state.check_invariants().unwrap();
-        let mv = match mode {
-            ReasoningMode::Saturation => materialize_recommendation(&saturated, &rec),
-            _ => materialize_recommendation(data.db.store(), &rec),
-        };
+        let snap = match mode {
+            ReasoningMode::Saturation => Deployment::new(&saturated, rec),
+            _ => Deployment::new(data.db.store(), rec),
+        }
+        .snapshot();
         for (qi, q) in workload.iter().enumerate() {
             let truth = evaluate(&saturated, &q.normalized());
-            let got = try_answer_original_query(&rec, &mv, qi).unwrap();
+            let got = snap.answer(qi).unwrap();
             assert_eq!(got, truth, "{mode:?}, query {qi}");
         }
     }
@@ -57,21 +59,18 @@ fn all_reasoning_modes_return_complete_answers() {
 fn plain_mode_matches_non_saturated_evaluation() {
     let data = generate_barton(&BartonSpec::tiny());
     let workload = generate_satisfiable(&data.db, &SatisfiableSpec::new(3, 3, Shape::Star));
-    let rec = select_views(
+    let rec = try_select_views(
         data.db.store(),
         data.db.dict(),
         None,
         &workload,
         &options(ReasoningMode::Plain),
-    );
-    let mv = materialize_recommendation(data.db.store(), &rec);
+    )
+    .unwrap();
+    let snap = Deployment::new(data.db.store(), rec).snapshot();
     for (qi, q) in workload.iter().enumerate() {
         let truth = evaluate(data.db.store(), &q.normalized());
-        assert_eq!(
-            try_answer_original_query(&rec, &mv, qi).unwrap(),
-            truth,
-            "query {qi}"
-        );
+        assert_eq!(snap.answer(qi).unwrap(), truth, "query {qi}");
     }
 }
 
@@ -83,13 +82,14 @@ fn post_reformulation_views_match_saturation_views_materially() {
     let workload = generate_satisfiable(&data.db, &SatisfiableSpec::new(2, 3, Shape::Chain));
     let saturated = saturated_copy(data.db.store(), &data.schema, &data.vocab);
 
-    let rec = select_views(
+    let rec = try_select_views(
         data.db.store(),
         data.db.dict(),
         Some((&data.schema, &data.vocab)),
         &workload,
         &options(ReasoningMode::PostReformulation),
-    );
+    )
+    .unwrap();
     for (view, union) in rec.views.iter().zip(rec.materialization.iter()) {
         let via_reform = rdfviews::engine::materialize_union(data.db.store(), union);
         let via_saturation = rdfviews::engine::materialize(&saturated, &view.as_query());
@@ -109,20 +109,22 @@ fn pre_reformulation_search_is_larger_than_post() {
     // one, which simply keeps the original workload.
     let data = generate_barton(&BartonSpec::tiny());
     let workload = generate_satisfiable(&data.db, &SatisfiableSpec::new(3, 3, Shape::Mixed));
-    let pre = select_views(
+    let pre = try_select_views(
         data.db.store(),
         data.db.dict(),
         Some((&data.schema, &data.vocab)),
         &workload,
         &options(ReasoningMode::PreReformulation),
-    );
-    let post = select_views(
+    )
+    .unwrap();
+    let post = try_select_views(
         data.db.store(),
         data.db.dict(),
         Some((&data.schema, &data.vocab)),
         &workload,
         &options(ReasoningMode::PostReformulation),
-    );
+    )
+    .unwrap();
     assert!(pre.workload.len() > post.workload.len());
     assert_eq!(post.workload.len(), workload.len());
 }
@@ -135,20 +137,21 @@ fn partitioned_selection_returns_complete_answers() {
     let workload = generate_satisfiable(&data.db, &SatisfiableSpec::new(4, 3, Shape::Mixed));
     let saturated = saturated_copy(data.db.store(), &data.schema, &data.vocab);
     for parallel in [false, true] {
-        let rec = rdfviews::core::select_views_partitioned(
+        let rec = rdfviews::core::try_select_views_partitioned(
             data.db.store(),
             data.db.dict(),
             Some((&data.schema, &data.vocab)),
             &workload,
             &options(ReasoningMode::PostReformulation),
             parallel,
-        );
+        )
+        .unwrap();
         rec.outcome.best_state.check_invariants().unwrap();
-        let mv = materialize_recommendation(data.db.store(), &rec);
+        let snap = Deployment::new(data.db.store(), rec).snapshot();
         for (qi, q) in workload.iter().enumerate() {
             let truth = evaluate(&saturated, &q.normalized());
             assert_eq!(
-                try_answer_original_query(&rec, &mv, qi).unwrap(),
+                snap.answer(qi).unwrap(),
                 truth,
                 "parallel={parallel}, query {qi}"
             );
@@ -162,13 +165,14 @@ fn recommendation_views_all_used() {
     // rewriting — checked on the *final* recommendation.
     let data = generate_barton(&BartonSpec::tiny());
     let workload = generate_satisfiable(&data.db, &SatisfiableSpec::new(4, 4, Shape::Mixed));
-    let rec = select_views(
+    let rec = try_select_views(
         data.db.store(),
         data.db.dict(),
         Some((&data.schema, &data.vocab)),
         &workload,
         &options(ReasoningMode::PostReformulation),
-    );
+    )
+    .unwrap();
     let used: std::collections::HashSet<_> = rec
         .outcome
         .best_state
