@@ -95,7 +95,9 @@ impl Dataset {
     }
 
     /// Interns the three terms and inserts the resulting triple.
-    /// Returns `true` if the triple was new.
+    /// Returns `true` if the triple was new. One [`TripleStore::insert`],
+    /// so O(n): to load many triples, use [`ntriples::read_into`] or batch
+    /// them into [`TripleStore::insert_batch`].
     pub fn insert_terms(&mut self, s: Term, p: Term, o: Term) -> bool {
         let s = self.dict.intern(s);
         let p = self.dict.intern(p);

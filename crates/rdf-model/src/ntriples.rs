@@ -10,7 +10,7 @@ use std::io::{BufRead, Write};
 
 use crate::error::ModelError;
 use crate::term::Term;
-use crate::Dataset;
+use crate::{Dataset, Triple};
 
 /// Parses a single term starting at `input` (already trimmed on the left).
 /// Returns the term and the remaining input.
@@ -95,20 +95,37 @@ pub fn parse_line(line: &str, lineno: usize) -> Result<Option<(Term, Term, Term)
 
 /// Reads triples from `reader` into `db`. Returns the number of *new*
 /// triples inserted.
+///
+/// Terms are interned line by line and the triples enter the store as one
+/// batch ([`crate::TripleStore::insert_batch`]), in line order. On a
+/// malformed line the triples of the lines before it are still inserted,
+/// and then the error is returned.
 pub fn read_into(db: &mut Dataset, reader: impl BufRead) -> Result<usize, ModelError> {
-    let mut added = 0;
+    let mut batch = Vec::new();
+    let read = read_lines(db, reader, &mut batch);
+    let added = db.store_mut().insert_batch(&batch).len();
+    read.map(|()| added)
+}
+
+/// Parses `reader` line by line, interning each triple's terms into `db`'s
+/// dictionary and pushing the encoded triple onto `batch`; stops at the
+/// first malformed line.
+fn read_lines(
+    db: &mut Dataset,
+    reader: impl BufRead,
+    batch: &mut Vec<Triple>,
+) -> Result<(), ModelError> {
     for (i, line) in reader.lines().enumerate() {
         let line = line.map_err(|e| ModelError::Parse {
             line: i + 1,
             message: e.to_string(),
         })?;
         if let Some((s, p, o)) = parse_line(&line, i + 1)? {
-            if db.insert_terms(s, p, o) {
-                added += 1;
-            }
+            let dict = db.dict_mut();
+            batch.push([dict.intern(s), dict.intern(p), dict.intern(o)]);
         }
     }
-    Ok(added)
+    Ok(())
 }
 
 /// Parses a whole string of triples into a fresh dataset.
@@ -206,6 +223,21 @@ mod tests {
         assert!(parse_line("<ex:s> <ex:p> <ex:o> junk", 1).is_err());
         assert!(parse_line("<unterminated", 1).is_err());
         assert!(parse_line("<ex:s> <ex:p> \"open", 1).is_err());
+    }
+
+    #[test]
+    fn a_malformed_line_keeps_the_triples_before_it() {
+        let mut db = Dataset::new();
+        read_into(&mut db, "<ex:x> <ex:p> <ex:y> .\n".as_bytes()).unwrap();
+        let text = "<ex:a> <ex:p> <ex:b> .\n<ex:x> <ex:p> <ex:y> .\n<ex:a> <ex:q> \"1\" .\n<ex:c> <ex:p>\n<ex:d> <ex:p> <ex:e> .\n";
+        let err = read_into(&mut db, text.as_bytes()).unwrap_err();
+        assert!(matches!(err, ModelError::Parse { line: 4, .. }), "{err:?}");
+        // Lines 1 and 3 were new and went in, in line order; line 5 did not.
+        let decoded: Vec<_> = db.store().triples().iter().map(|&t| db.decode(t)).collect();
+        assert_eq!(decoded.len(), 3);
+        assert_eq!(decoded[1].0, &Term::uri("ex:a"));
+        assert_eq!(decoded[2].2, &Term::literal("1"));
+        assert!(db.dict().lookup(&Term::uri("ex:d")).is_none());
     }
 
     #[test]

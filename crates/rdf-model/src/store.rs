@@ -1,28 +1,30 @@
 //! The triple table and its six permutation indexes.
 //!
 //! The store keeps every distinct triple once, in insertion order, beside
-//! a membership set, and lazily materializes up to six sorted copies — one
-//! per column permutation — so that any pattern with 1–3 bound columns is
-//! answered by a binary-searched range over the best index. This mirrors
-//! the sextuple indexing of Hexastore [23] and the "indexed the encoded
-//! triple table on s, p, o, and all two- and three-column combinations"
-//! layout of the paper's evaluation platform.
+//! its `Spo` run — the same triples sorted by `(s, p, o)` — and builds the
+//! five other sorted copies, one per column permutation, on first use, so
+//! that any pattern with 1–3 bound columns is answered by a binary-searched
+//! range over the best index. This mirrors the sextuple indexing of
+//! Hexastore [23] and the "indexed the encoded triple table on s, p, o,
+//! and all two- and three-column combinations" layout of the paper's
+//! evaluation platform.
 //!
-//! A sorted run is an immutable `Arc<Vec<Triple>>` stamped with the store
-//! version it is valid at. What a mutation does to the built runs decides
-//! what a write costs, because a sort of the whole table is three orders
-//! of magnitude dearer than a small batch:
+//! The `Spo` run is always built, and it is the store's membership set:
+//! [`TripleStore::contains`] is a binary search of it, and a caller with
+//! many triples to test sorts them and merges them against it in one pass
+//! ([`TripleStore::retain_by_membership`]), as the batch entry points do
+//! to deduplicate.
 //!
-//! * the batch entry points ([`TripleStore::insert_batch`],
-//!   [`TripleStore::remove_batch`]) bump the version **once** and carry
-//!   every built run across by *splice*: each delta triple's position in
-//!   the old run is found by binary search and the stretches between
-//!   positions are copied whole — O(|Δ| log n) compares and one `memcpy`
-//!   of the run, into a **new** `Arc`, so anyone still holding the old
-//!   run keeps it untouched;
-//! * the single-triple entry points bump the version and leave the runs
-//!   behind; the next scan re-sorts only the orders it needs. They are for
-//!   loading, not for feeds.
+//! A sorted run is an immutable `Arc<Vec<Triple>>`, always current: every
+//! write — [`TripleStore::insert_batch`], [`TripleStore::remove_batch`] —
+//! bumps the store version **once** and carries the `Spo` run and every
+//! other built run across by *splice*: each delta triple's position in the
+//! old run is found by galloping search and the stretches between
+//! positions are copied whole — O(|Δ| log(n / |Δ|)) compares and one
+//! `memcpy` of the run, into a **new** `Arc`, so anyone still holding the
+//! old run keeps it untouched. A write therefore costs O(n) however small
+//! it is: [`TripleStore::insert`] and [`TripleStore::remove`] are batches
+//! of one, for tests and small fixtures, and loaders and feeds batch.
 //!
 //! The insertion-order list is kept because callers depend on it: the
 //! workload generators draw triples by position and the N-Triples writer
@@ -31,13 +33,13 @@
 //! sorted list shares that one allocation between the list and its `Spo`
 //! run.
 //!
-//! The list and the membership set are `Arc`-shared too, which makes
-//! generations copy-on-write: [`TripleStore::snapshot`] pins the current
-//! contents as an immutable [`StoreSnapshot`] in O(built runs) time, and
-//! the next mutation clones the shared parts once (`Arc::make_mut`)
+//! The list is `Arc`-shared like the runs, which makes generations
+//! copy-on-write: [`TripleStore::snapshot`] pins the current contents as
+//! an immutable [`StoreSnapshot`] in O(built runs) time, and the next
+//! mutation clones the list once (`Arc::make_mut`) and publishes new runs
 //! instead of blocking or invalidating the pinned readers.
 
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::fxhash::FxHashSet;
 use crate::pattern::StorePattern;
@@ -96,19 +98,6 @@ impl IndexOrder {
         }
     }
 
-    /// Dense slot in the cache array.
-    #[inline]
-    fn slot(self) -> usize {
-        match self {
-            IndexOrder::Spo => 0,
-            IndexOrder::Sop => 1,
-            IndexOrder::Pso => 2,
-            IndexOrder::Pos => 3,
-            IndexOrder::Osp => 4,
-            IndexOrder::Ops => 5,
-        }
-    }
-
     /// Picks the order whose sort prefix covers the pattern's bound columns,
     /// and returns it with the key values in comparison order: the first
     /// `len` entries of the array (a fixed array, so the per-probe hot path
@@ -157,13 +146,6 @@ impl IndexOrder {
             })
         })
     }
-}
-
-/// A version-stamped sorted snapshot of the triple table.
-#[derive(Debug, Clone)]
-struct IndexSnapshot {
-    version: u64,
-    sorted: Arc<Vec<Triple>>,
 }
 
 /// A resolved `[start, end)` range of one sorted permutation index: every
@@ -223,17 +205,30 @@ pub fn prefix_range(sorted: &[Triple], order: IndexOrder, key: &[Id]) -> std::op
     start..end
 }
 
-/// A triple's columns in the comparison sequence of `perm`: runs of that
-/// permutation are sorted by this key.
+/// A triple's columns in the comparison sequence of `perm`, packed into
+/// one integer: runs of that permutation are sorted by this key, and one
+/// 128-bit compare is cheaper than three column compares.
 #[inline]
-fn sort_key(perm: [usize; 3], t: &Triple) -> Triple {
-    [t[perm[0]], t[perm[1]], t[perm[2]]]
+fn sort_key(perm: [usize; 3], t: &Triple) -> u128 {
+    u128::from(t[perm[0]].0) << 64 | u128::from(t[perm[1]].0) << 32 | u128::from(t[perm[2]].0)
+}
+
+/// `run.partition_point(less)`, found by galloping from the front (probes
+/// at 1, 2, 4, … then a binary search of the last doubling): O(log answer)
+/// compares, so a sorted pass through a run costs its steps, not its length.
+fn gallop(run: &[Triple], less: impl Fn(&Triple) -> bool) -> usize {
+    let mut end = 1;
+    while end <= run.len() && less(&run[end - 1]) {
+        end *= 2;
+    }
+    let start = end / 2;
+    start + run[start..end.min(run.len())].partition_point(less)
 }
 
 /// Carries a sorted run across a batch: `old` with `delta` merged in
 /// (`insert`; no triple of `delta` is in `old`) or taken out (every triple
 /// of `delta` is in `old`, once). Both are sorted in `perm` order. Each
-/// delta triple's place is found by binary search in what remains of
+/// delta triple's place is found by galloping through what remains of
 /// `old`, and the stretch before it is copied whole.
 fn splice(old: &[Triple], delta: &[Triple], perm: [usize; 3], insert: bool) -> Vec<Triple> {
     let mut out = Vec::with_capacity(match insert {
@@ -243,7 +238,7 @@ fn splice(old: &[Triple], delta: &[Triple], perm: [usize; 3], insert: bool) -> V
     let mut rest = old;
     for d in delta {
         let d_key = sort_key(perm, d);
-        let at = rest.partition_point(|t| sort_key(perm, t) < d_key);
+        let at = gallop(rest, |t| sort_key(perm, t) < d_key);
         out.extend_from_slice(&rest[..at]);
         if insert {
             out.push(*d);
@@ -259,29 +254,32 @@ fn splice(old: &[Triple], delta: &[Triple], perm: [usize; 3], insert: bool) -> V
 
 /// The in-memory triple table.
 ///
-/// The triple list and membership set are `Arc`-shared so that clones and
-/// [`TripleStore::snapshot`]s are O(built index runs): the data itself is
-/// copied only when a mutation hits a store whose parts are still shared
-/// (`Arc::make_mut` — copy-on-write at whole-structure granularity).
+/// The triple list and the runs are `Arc`-shared so that clones and
+/// [`TripleStore::snapshot`]s are O(built index runs): the list itself is
+/// copied only when a mutation hits a store whose list is still shared
+/// (`Arc::make_mut`), and runs are never written in place.
 #[derive(Debug, Default)]
 pub struct TripleStore {
     triples: Arc<Vec<Triple>>,
-    seen: Arc<FxHashSet<Triple>>,
+    /// The `Spo` run, always current: the store's membership set.
+    spo: Arc<Vec<Triple>>,
     version: u64,
-    indexes: RwLock<[Option<IndexSnapshot>; 6]>,
+    /// The runs of `IndexOrder::ALL[1..]`, in that sequence: built on
+    /// demand, current once built.
+    indexes: RwLock<[Option<Arc<Vec<Triple>>>; 5]>,
     distinct: RwLock<Option<(u64, [usize; 3])>>,
 }
 
 impl Clone for TripleStore {
     fn clone(&self) -> Self {
-        // The list, set, and built index runs are all behind `Arc`s, so a
-        // clone shares everything (including warm caches); either side's
-        // next mutation un-shares its own copy.
+        // The list and built index runs are all behind `Arc`s, so a clone
+        // shares everything (including warm caches); either side's next
+        // mutation un-shares its own copy.
         Self {
             triples: Arc::clone(&self.triples),
-            seen: Arc::clone(&self.seen),
+            spo: Arc::clone(&self.spo),
             version: self.version,
-            indexes: RwLock::new(self.current_index_slots()),
+            indexes: RwLock::new(read_unpoisoned(&self.indexes).clone()),
             distinct: RwLock::new(*read_unpoisoned(&self.distinct)),
         }
     }
@@ -290,15 +288,14 @@ impl Clone for TripleStore {
 /// An immutable, pinned generation of a [`TripleStore`].
 ///
 /// Produced by [`TripleStore::snapshot`] in O(built index runs) time: the
-/// triple list, membership set, and every index run valid at the pinned
-/// version are `Arc`-shared with the live store, which un-shares its own
-/// copies on its next mutation (copy-on-write). The snapshot derefs to
-/// `TripleStore`, so every read API — `range`, `pattern_range`,
-/// `match_count`, the engines' cursors — works on a pinned generation
-/// unchanged, and keeps answering as-of [`StoreSnapshot::version`] no
-/// matter how far the live store moves on. Cloning a snapshot is one
-/// `Arc` bump; dropping the last clone releases the pinned generation's
-/// share of the data.
+/// triple list and every built index run are `Arc`-shared with the live
+/// store, which un-shares its own copies on its
+/// next mutation (copy-on-write). The snapshot derefs to `TripleStore`, so
+/// every read API — `contains`, `range`, `pattern_range`, `match_count`,
+/// the engines' cursors — works on a pinned generation unchanged, and
+/// keeps answering as-of [`StoreSnapshot::version`] no matter how far the
+/// live store moves on. Cloning a snapshot is one `Arc` bump; dropping the
+/// last clone releases the pinned generation's share of the data.
 #[derive(Debug, Clone)]
 pub struct StoreSnapshot {
     inner: Arc<TripleStore>,
@@ -324,21 +321,12 @@ impl TripleStore {
         Self::default()
     }
 
-    /// Creates a store with pre-allocated capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            triples: Arc::new(Vec::with_capacity(cap)),
-            seen: Arc::new(FxHashSet::with_capacity_and_hasher(cap, Default::default())),
-            ..Default::default()
-        }
-    }
-
     /// Reconstructs a store from persisted parts: the distinct triples and
-    /// the version stamp the store carried when serialized. The seen-set
-    /// is rebuilt. Restoring the *same* version matters for durability:
-    /// sessions and plans pinned to the persisted store remain valid after
-    /// a reload, and write-ahead-log records stamped with pre-apply
-    /// versions replay against the exact counter they were logged under.
+    /// the version stamp the store carried when serialized. Restoring the
+    /// *same* version matters for durability: sessions and plans pinned to
+    /// the persisted store remain valid after a reload, and
+    /// write-ahead-log records stamped with pre-apply versions replay
+    /// against the exact counter they were logged under.
     ///
     /// The list is taken as the store's insertion order. A snapshot bundle
     /// stores triples sorted, so a reopened store's [`TripleStore::triples`]
@@ -350,196 +338,171 @@ impl TripleStore {
     /// A list that is strictly `Spo`-sorted — what a bundle decoder has
     /// just verified — *is* the `Spo` run, so it is adopted as one: a
     /// single allocation shared by the list and the run until the first
-    /// mutation un-shares them, instead of a sort of the whole store on
-    /// the first probe after a recovery.
+    /// mutation un-shares them. Any other list is copied and sorted into
+    /// the run, O(n log n).
     pub fn from_parts(triples: Vec<Triple>, version: u64) -> Self {
-        let seen: FxHashSet<Triple> = triples.iter().copied().collect();
-        debug_assert_eq!(
-            seen.len(),
-            triples.len(),
-            "persisted triples must be distinct"
-        );
         let triples = Arc::new(triples);
-        let mut indexes: [Option<IndexSnapshot>; 6] = Default::default();
-        if triples.windows(2).all(|w| w[0] < w[1]) {
-            indexes[IndexOrder::Spo.slot()] = Some(IndexSnapshot {
-                version,
-                sorted: Arc::clone(&triples),
-            });
-        }
+        let spo = if triples.windows(2).all(|w| w[0] < w[1]) {
+            Arc::clone(&triples)
+        } else {
+            let mut run = (*triples).clone();
+            run.sort_unstable_by_key(|t| sort_key([S, P, O], t));
+            debug_assert!(
+                run.windows(2).all(|w| w[0] < w[1]),
+                "persisted triples must be distinct"
+            );
+            Arc::new(run)
+        };
         Self {
             triples,
-            seen: Arc::new(seen),
+            spo,
             version,
-            indexes: RwLock::new(indexes),
-            distinct: RwLock::new(None),
+            ..Self::default()
         }
     }
 
     /// Pins the current generation as an immutable [`StoreSnapshot`].
     ///
-    /// O(built index runs): the triple list, membership set, and every
-    /// index run valid at the current version are shared by `Arc`; no
-    /// triple is copied. The live store's next mutation copies the shared
-    /// parts once (`Arc::make_mut`) and, for the batch entry points,
-    /// publishes new index runs — the snapshot's runs are never touched,
-    /// so pinned readers run wait-free while writes proceed.
+    /// O(built index runs): the triple list and every built index run are
+    /// shared by `Arc`; no triple is copied. The
+    /// live store's next mutation copies the list once (`Arc::make_mut`)
+    /// and publishes new index runs — the snapshot's runs are never
+    /// touched, so pinned readers run wait-free while writes proceed.
     ///
-    /// Memory: a retained snapshot holds the whole generation alive —
-    /// `O(|triples|)` for the list + set plus `O(|triples|)` per index
-    /// run built at pin time, *shared* with the live store until a
-    /// mutation diverges them. Drop the snapshot to release its pin.
+    /// Memory: a retained snapshot holds the whole generation alive — the
+    /// list and the `Spo` run, 12 B per triple each (one allocation for
+    /// both in a store just rebuilt by [`TripleStore::from_parts`]), plus
+    /// 12 B per triple for every other run built at pin time, *shared* with
+    /// the live store until a mutation diverges them. There is no
+    /// membership set beside them. Drop the snapshot to release its pin.
     pub fn snapshot(&self) -> StoreSnapshot {
         StoreSnapshot {
             inner: Arc::new(self.clone()),
         }
     }
 
-    /// The index-cache entries still valid at the current version, as a
-    /// fresh slot array (stale entries are dropped rather than copied).
-    fn current_index_slots(&self) -> [Option<IndexSnapshot>; 6] {
-        let guard = read_unpoisoned(&self.indexes);
-        let mut slots: [Option<IndexSnapshot>; 6] = Default::default();
-        for (slot, entry) in guard.iter().enumerate() {
-            if let Some(snap) = entry {
-                if snap.version == self.version {
-                    slots[slot] = Some(snap.clone());
-                }
-            }
-        }
-        slots
-    }
-
-    /// The store's version stamp: a counter bumped by every mutation
-    /// (once per call for the batch entry points). Snapshot caches — and
-    /// the selection pipeline's `Preparation` sessions — compare versions
-    /// to detect that the data changed underneath them.
+    /// The store's version stamp: a counter bumped once by every mutation
+    /// that changed something. Snapshot caches — and the selection
+    /// pipeline's `Preparation` sessions — compare versions to detect that
+    /// the data changed underneath them.
     pub fn version(&self) -> u64 {
         self.version
     }
 
     /// Inserts a triple; returns `true` if it was not present before.
-    /// Built index runs are left behind (version mismatch) and re-sorted
-    /// by the next scan that wants them, so a loader's loop of single
-    /// inserts pays nothing for index maintenance — and a feed should use
-    /// [`TripleStore::insert_batch`], which carries the runs forward.
+    ///
+    /// A batch of one ([`TripleStore::insert_batch`]), so O(n): the `Spo`
+    /// run and every other built run are copied to carry the triple in.
+    /// For tests and small fixtures — a loader or a feed batches.
     pub fn insert(&mut self, t: Triple) -> bool {
-        if self.seen.contains(&t) {
-            return false;
-        }
-        Arc::make_mut(&mut self.seen).insert(t);
-        Arc::make_mut(&mut self.triples).push(t);
-        self.version += 1;
-        true
+        !self.insert_batch(&[t]).is_empty()
     }
 
-    /// Inserts a batch of triples, deduplicating against the triple set
-    /// (and within the batch). Returns the triples that were actually new,
-    /// in batch order. The version stamp is bumped **once** for the whole
-    /// batch, and every already-built index run is carried forward by
-    /// splicing the sorted batch into it — O(|Δ| log n) compares and one
-    /// copy per run instead of a fresh O(n log n) sort — published as a
-    /// **new** `Arc` at the new version, leaving pinned snapshots' runs
-    /// untouched.
+    /// Inserts a batch of triples, deduplicated within the batch and
+    /// against the store by one sorted merge against the `Spo` run.
+    /// Returns the triples that were actually new — first occurrences, in
+    /// batch order — and appends them to [`TripleStore::triples`] in that
+    /// order. The version stamp is bumped **once** for the whole batch,
+    /// and the `Spo` run and every other already-built run are carried
+    /// forward by splicing the sorted batch into them — O(|Δ| log(n / |Δ|))
+    /// compares and one copy per run instead of a fresh O(n log n) sort —
+    /// published as **new** `Arc`s at the new version, leaving pinned
+    /// snapshots' runs untouched.
     pub fn insert_batch(&mut self, batch: &[Triple]) -> Vec<Triple> {
-        let mut added = Vec::new();
-        for &t in batch {
-            if self.seen.contains(&t) {
-                continue;
-            }
-            Arc::make_mut(&mut self.seen).insert(t);
-            added.push(t);
-        }
-        if !added.is_empty() {
-            self.advance_indexes(&added, true);
+        let (added, delta) = self.sift(batch, false);
+        if !delta.is_empty() {
+            self.carry(&delta, true);
             Arc::make_mut(&mut self.triples).extend_from_slice(&added);
-            self.version += 1;
         }
         added
     }
 
-    /// Carries every index run built at the current version across an
-    /// insert (`insert`) or remove batch by [`splice`], stamping the new
-    /// runs `version + 1`. Must be
-    /// called immediately **before** the batch's version bump; runs built
-    /// at any other version are dropped. Runs go first and the list after
-    /// them, so a run that still shares the list's allocation (see
-    /// [`TripleStore::from_parts`]) is replaced before the list is written
-    /// and the list is then mutated in place, not cloned.
-    fn advance_indexes(&self, delta: &[Triple], insert: bool) {
-        let mut guard = write_unpoisoned(&self.indexes);
-        let mut delta = delta.to_vec();
-        for (slot, entry) in guard.iter_mut().enumerate() {
-            let Some(snap) = entry.take() else { continue };
-            if snap.version != self.version {
-                continue; // stale run: drop instead of carrying garbage
-            }
-            let perm = IndexOrder::ALL[slot].perm();
-            delta.sort_unstable_by_key(|t| sort_key(perm, t));
-            *entry = Some(IndexSnapshot {
-                version: self.version + 1,
-                sorted: Arc::new(splice(&snap.sorted, &delta, perm, insert)),
-            });
+    /// The distinct triples of `batch` that are in the store (`present`) or
+    /// not (`!present`): first occurrences in batch order, and the same
+    /// triples `Spo`-sorted. One sort of the batch and one merge against
+    /// the `Spo` run; if that dropped something, each batch triple is
+    /// looked up in the survivors and kept the first time it is found.
+    fn sift(&self, batch: &[Triple], present: bool) -> (Vec<Triple>, Vec<Triple>) {
+        let mut sorted = batch.to_vec();
+        sorted.sort_unstable_by_key(|t| sort_key([S, P, O], t));
+        sorted.dedup();
+        self.retain_by_membership(&mut sorted, present);
+        if sorted.len() == batch.len() {
+            return (batch.to_vec(), sorted);
         }
+        let mut taken = vec![false; sorted.len()];
+        let mut first_time = |i: usize| !std::mem::replace(&mut taken[i], true);
+        let in_order = batch
+            .iter()
+            .filter(|t| sorted.binary_search(t).is_ok_and(&mut first_time));
+        (in_order.copied().collect(), sorted)
     }
 
-    /// Inserts every triple of an iterator; returns how many were new.
+    /// Carries the `Spo` run and every other built run across a batch by
+    /// [`splice`] and bumps the version. `delta` is `Spo`-sorted and
+    /// distinct, and none of it is in the store (`insert`) or all of it is
+    /// (remove). Called **before** the list is written, so a run that
+    /// still shares the list's allocation (see [`TripleStore::from_parts`])
+    /// is replaced first and the list is then mutated in place, not cloned.
+    fn carry(&mut self, delta: &[Triple], insert: bool) {
+        let mut delta_in_order = delta.to_vec();
+        let slots = self
+            .indexes
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        for (entry, order) in slots.iter_mut().zip(&IndexOrder::ALL[1..]) {
+            if let Some(run) = entry {
+                let perm = order.perm();
+                delta_in_order.sort_unstable_by_key(|t| sort_key(perm, t));
+                *run = Arc::new(splice(run, &delta_in_order, perm, insert));
+            }
+        }
+        self.spo = Arc::new(splice(&self.spo, delta, [S, P, O], insert));
+        self.version += 1;
+    }
+
+    /// Inserts every triple of an iterator as one batch
+    /// ([`TripleStore::insert_batch`]); returns how many were new.
     pub fn extend(&mut self, iter: impl IntoIterator<Item = Triple>) -> usize {
-        iter.into_iter().filter(|&t| self.insert(t)).count()
+        let batch: Vec<Triple> = iter.into_iter().collect();
+        self.insert_batch(&batch).len()
     }
 
     /// Removes a triple; returns `true` if it was present. Insertion order
-    /// of the remaining triples is preserved; index snapshots are
-    /// invalidated. O(n) — deletion feeds are expected to be rare relative
-    /// to scans (the paper's VMC model assumes insert-dominated updates).
+    /// of the remaining triples is preserved.
+    ///
+    /// A batch of one ([`TripleStore::remove_batch`]), so O(n): every
+    /// built run is copied to carry the removal, and the list is searched
+    /// from its end back to the triple.
     pub fn remove(&mut self, t: Triple) -> bool {
-        if !self.seen.contains(&t) {
-            return false;
-        }
-        Arc::make_mut(&mut self.seen).remove(&t);
-        let triples = Arc::make_mut(&mut self.triples);
-        let pos = triples
-            .iter()
-            .position(|&x| x == t)
-            // xlint: allow(X001, reason = "the seen set answered true, so the triple is in the list")
-            .expect("seen-set and triple list in sync");
-        triples.remove(pos);
-        self.version += 1;
-        true
+        !self.remove_batch(&[t]).is_empty()
     }
 
     /// Removes a batch of triples. Returns the triples that were actually
-    /// present (deduplicated), in batch order. Unlike repeated
-    /// [`TripleStore::remove`] calls — O(n) each — the version stamp is
-    /// bumped once for the whole batch, every already-built index run is
-    /// carried forward by splicing the batch out of it (new `Arc`s; pinned
-    /// snapshots' runs stay untouched), and the insertion-order list is
-    /// searched from its end only as far back as the earliest doomed
-    /// triple: a feed retracts what it recently asserted, so the long
-    /// prefix before that position is never examined.
+    /// present (deduplicated), in batch order, found by one sorted merge
+    /// of the batch against the `Spo` run. The version stamp is bumped
+    /// once for the whole batch, every built run is carried forward by
+    /// splicing the batch out of it (new `Arc`s; pinned snapshots' runs
+    /// stay untouched), and the insertion-order list is searched from its
+    /// end only as far back as the earliest doomed triple: a feed retracts
+    /// what it recently asserted, so the long prefix before that position
+    /// is never examined.
     pub fn remove_batch(&mut self, batch: &[Triple]) -> Vec<Triple> {
-        let mut removed = Vec::new();
-        for &t in batch {
-            if !self.seen.contains(&t) {
-                continue;
-            }
-            Arc::make_mut(&mut self.seen).remove(&t);
-            removed.push(t);
-        }
-        if removed.is_empty() {
+        let (removed, doomed) = self.sift(batch, true);
+        if doomed.is_empty() {
             return removed;
         }
-        self.advance_indexes(&removed, false);
-        let doomed: FxHashSet<Triple> = removed.iter().copied().collect();
+        self.carry(&doomed, false);
+        let is_doomed = |t: &Triple| doomed.binary_search(t).is_ok();
         let (mut first, mut left) = (self.triples.len(), doomed.len());
         while left > 0 {
             first -= 1;
-            left -= usize::from(doomed.contains(&self.triples[first]));
+            left -= usize::from(is_doomed(&self.triples[first]));
         }
         let tail: Vec<Triple> = self.triples[first..]
             .iter()
             .copied()
-            .filter(|t| !doomed.contains(t))
+            .filter(|t| !is_doomed(t))
             .collect();
         match Arc::get_mut(&mut self.triples) {
             Some(list) => {
@@ -550,13 +513,29 @@ impl TripleStore {
             // the two kept stretches instead of cloning it to cut it.
             None => self.triples = Arc::new([&self.triples[..first], &tail[..]].concat()),
         }
-        self.version += 1;
         removed
     }
 
-    /// Membership test (hash lookup, no index needed).
+    /// Membership test: a binary search of the `Spo` run, O(log n). To
+    /// test many triples, sort them and call
+    /// [`TripleStore::retain_by_membership`] instead.
     pub fn contains(&self, t: Triple) -> bool {
-        self.seen.contains(&t)
+        self.spo.binary_search(&t).is_ok()
+    }
+
+    /// Keeps the triples of `sorted` that are in the store (`present`) or
+    /// not in it (`!present`) — the set-at-a-time form of
+    /// [`TripleStore::contains`]. `sorted` must be in `Spo` order, as
+    /// `sort_unstable` leaves a `Vec<Triple>`; the check is one galloping
+    /// pass over the `Spo` run, O(|sorted| log(n / |sorted|)) compares.
+    pub fn retain_by_membership(&self, sorted: &mut Vec<Triple>, present: bool) {
+        debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "Spo-sorted");
+        let mut rest = &self.spo[..];
+        sorted.retain(|t| {
+            let key = sort_key([S, P, O], t);
+            rest = &rest[gallop(rest, |r| sort_key([S, P, O], r) < key)..];
+            (rest.first() == Some(t)) == present
+        });
     }
 
     /// Number of distinct triples.
@@ -574,26 +553,21 @@ impl TripleStore {
         &self.triples
     }
 
-    /// A sorted snapshot for the given order, built lazily and shared.
+    /// The sorted run for the given order: the `Spo` run as it is, any
+    /// other built on first use and shared.
     pub fn index(&self, order: IndexOrder) -> Arc<Vec<Triple>> {
-        let slot = order.slot();
-        {
-            let guard = read_unpoisoned(&self.indexes);
-            if let Some(snap) = &guard[slot] {
-                if snap.version == self.version {
-                    return Arc::clone(&snap.sorted);
-                }
-            }
+        // `ALL` lists the orders as declared, so slot = discriminant − 1.
+        let Some(slot) = (order as usize).checked_sub(1) else {
+            return Arc::clone(&self.spo);
+        };
+        if let Some(run) = &read_unpoisoned(&self.indexes)[slot] {
+            return Arc::clone(run);
         }
         let perm = order.perm();
-        let mut sorted = (*self.triples).clone();
+        let mut sorted = (*self.spo).clone();
         sorted.sort_unstable_by_key(|t| sort_key(perm, t));
         let sorted = Arc::new(sorted);
-        let mut guard = write_unpoisoned(&self.indexes);
-        guard[slot] = Some(IndexSnapshot {
-            version: self.version,
-            sorted: Arc::clone(&sorted),
-        });
+        write_unpoisoned(&self.indexes)[slot] = Some(Arc::clone(&sorted));
         sorted
     }
 
@@ -644,10 +618,9 @@ impl TripleStore {
     /// Exact number of triples matching `pat` — the statistic the paper
     /// counts for every workload atom and its relaxations (Section 3.3).
     pub fn match_count(&self, pat: &StorePattern) -> usize {
-        match pat.bound_count() {
-            0 => self.len(),
-            // xlint: allow(X001, reason = "bound_count() == 3 means all three fields are Some")
-            3 => usize::from(self.contains([pat.s.unwrap(), pat.p.unwrap(), pat.o.unwrap()])),
+        match (pat.s, pat.p, pat.o) {
+            (None, None, None) => self.len(),
+            (Some(s), Some(p), Some(o)) => usize::from(self.contains([s, p, o])),
             _ => self.pattern_range(pat).len(),
         }
     }
@@ -838,6 +811,23 @@ mod tests {
             st.match_count(&StorePattern::exact(Id(91), Id(100), Id(91))),
             1
         );
+
+        // A batch far larger than the store, new triples in descending
+        // order with present ones and repeats between them: one merge drops
+        // both and hands back first occurrences in batch order.
+        let present = st.triples().to_vec();
+        let new: Vec<Triple> = (0..500u32)
+            .rev()
+            .map(|i| [Id(1000 + i), Id(100 + i % 3), Id(i % 17)])
+            .collect();
+        let big: Vec<Triple> = new
+            .iter()
+            .zip(present.iter().cycle())
+            .flat_map(|(&t, &p)| [t, p, t])
+            .collect();
+        assert_eq!(st.insert_batch(&big), new);
+        assert_eq!(st.version(), v0 + 2);
+        assert_eq!(&st.triples()[present.len()..], &new[..]);
     }
 
     #[test]
@@ -991,14 +981,18 @@ mod tests {
     }
 
     #[test]
-    fn single_mutations_invalidate_runs_lazily() {
+    fn single_mutations_are_batches_of_one() {
         let mut st = store_with(5);
-        st.index(IndexOrder::Spo);
-        st.insert([Id(80), Id(100), Id(80)]);
-        // The run is rebuilt on next access and sees the new triple.
-        let run = st.index(IndexOrder::Spo);
-        assert_eq!(run.len(), st.len());
-        assert!(run.contains(&[Id(80), Id(100), Id(80)]));
+        let (v0, pos) = (st.version(), st.index(IndexOrder::Pos));
+        let (new, old) = ([Id(80), Id(100), Id(80)], [Id(1), Id(100), Id(2)]);
+        assert!(st.insert(new) && !st.insert(new) && st.remove(old) && !st.remove(old));
+        assert_eq!(st.version(), v0 + 2, "one bump per change, none per no-op");
+        // Built runs were carried into new `Arc`s.
+        let fresh = TripleStore::from_parts(st.triples().to_vec(), 0);
+        for order in [IndexOrder::Spo, IndexOrder::Pos] {
+            assert_eq!(*st.index(order), *fresh.index(order), "order {order:?}");
+        }
+        assert_eq!(pos.len(), 15);
     }
 
     #[test]

@@ -109,16 +109,20 @@ proptest! {
         }
     }
 
-    /// Runs carried across batches by splice equal a fresh sort, whatever
-    /// the batch holds: a triple at the first and one at the last position
+    /// Runs carried across writes by splice equal a fresh sort, whatever
+    /// the write holds: a triple at the first and one at the last position
     /// of every run (`(0, 0, 0)` sorts before and `(40, 40, 40)` after all
     /// that is drawn, in every order), repeats within a batch, triples
-    /// already present (insert) or absent (remove). The insertion-order list agrees with a model `Vec`, and a
-    /// snapshot pinned before each batch keeps the very runs it had.
+    /// already present (insert) or absent (remove), and single inserts and
+    /// removes, which are batches of one. The insertion-order list agrees
+    /// with a model `Vec`, a snapshot pinned before each write keeps the
+    /// very runs it had, and `contains` — a search of the `Spo` run —
+    /// agrees with the model for every triple drawn, on the live store
+    /// after every op and on the pin.
     #[test]
     fn runs_carried_by_splice_equal_a_fresh_sort(
         base in triples_strategy(),
-        batches in prop::collection::vec((any::<bool>(), triples_strategy()), 1..6),
+        writes in prop::collection::vec((0u8..4, triples_strategy()), 1..6),
         ends in any::<bool>(),
     ) {
         let mut store = TripleStore::new();
@@ -128,51 +132,62 @@ proptest! {
                 model.push(t);
             }
         }
-        for (insert, batch) in &batches {
+        let mut drawn: Vec<Triple> = base.iter().map(ids).collect();
+        for (op, batch) in &writes {
+            let (insert, single) = (op % 2 == 0, *op >= 2);
             let mut batch: Vec<Triple> = batch.iter().map(ids).collect();
             if ends {
                 batch.push([Id(0), Id(0), Id(0)]);
                 batch.push([Id(40), Id(40), Id(40)]);
                 batch.extend_from_within(..batch.len().min(3));
             }
+            drawn.extend_from_slice(&batch);
             // Build every run so that each is carried, and pin them.
             let before: Vec<Arc<Vec<Triple>>> =
                 IndexOrder::ALL.iter().map(|&o| store.index(o)).collect();
             let pinned = store.snapshot();
+            let pinned_model = model.clone();
             let pinned_runs = fresh_runs(&pinned);
             let version = store.version();
 
             let mut changed = Vec::new();
-            if *insert {
-                for &t in &batch {
-                    if !model.contains(&t) {
-                        model.push(t);
-                        changed.push(t);
-                    }
+            for &t in &batch {
+                if model.contains(&t) != insert && !changed.contains(&t) {
+                    changed.push(t);
                 }
-                prop_assert_eq!(store.insert_batch(&batch), changed.clone());
-            } else {
-                for &t in &batch {
-                    if model.contains(&t) && !changed.contains(&t) {
-                        changed.push(t);
-                    }
-                }
-                model.retain(|t| !changed.contains(t));
-                prop_assert_eq!(store.remove_batch(&batch), changed.clone());
             }
+            if insert {
+                model.extend_from_slice(&changed);
+            } else {
+                model.retain(|t| !changed.contains(t));
+            }
+            if single {
+                for &t in &batch {
+                    let was = store.contains(t);
+                    let did = if insert { store.insert(t) } else { store.remove(t) };
+                    prop_assert_eq!(did, was != insert);
+                    prop_assert_eq!(store.contains(t), insert);
+                }
+            } else {
+                let done = if insert { store.insert_batch(&batch) } else { store.remove_batch(&batch) };
+                prop_assert_eq!(done, changed.clone());
+            }
+            let bumps = if single { changed.len() } else { usize::from(!changed.is_empty()) };
             prop_assert_eq!(store.triples(), &model[..]);
-            prop_assert_eq!(store.version(), version + u64::from(!changed.is_empty()));
+            prop_assert_eq!(store.version(), version + bumps as u64);
             for ((order, fresh), old) in IndexOrder::ALL.iter().zip(fresh_runs(&store)).zip(&before) {
                 let carried = store.index(*order);
                 prop_assert_eq!(&*carried, &fresh, "order {:?}", order);
-                // A batch that changed something published a new run.
+                // A write that changed something published a new run.
                 prop_assert_eq!(Arc::ptr_eq(&carried, old), changed.is_empty());
             }
-            for t in &changed {
-                prop_assert_eq!(store.contains(*t), *insert);
+            for t in &drawn {
+                prop_assert_eq!(store.contains(*t), model.contains(t));
+                prop_assert_eq!(pinned.contains(*t), pinned_model.contains(t));
             }
             // The pin still answers from the runs it shared.
             prop_assert_eq!(pinned.version(), version);
+            prop_assert_eq!(pinned.triples(), &pinned_model[..]);
             for ((order, was), old) in IndexOrder::ALL.iter().zip(&pinned_runs).zip(&before) {
                 prop_assert!(Arc::ptr_eq(&pinned.index(*order), old));
                 prop_assert_eq!(&**old, was, "pinned order {:?}", order);

@@ -20,8 +20,10 @@
 //!   part. [`entailed_delta`] is the one worklist that computes it: seeded
 //!   with a batch it yields what an insertion adds to a saturated store;
 //!   seeded with the whole store it yields the saturation, which is how
-//!   [`saturate`] is written. Each triple is processed once, and rule
-//!   chaining (subproperty, then domain, then subclass) is the worklist.
+//!   [`saturate`] is written. Each triple is processed once, rule chaining
+//!   (subproperty, then domain, then subclass) is the worklist, and the
+//!   store is asked about a consequence only the first time the worklist
+//!   meets it.
 //!   The derived-triple bound `O(|D| × |S|)` quoted in Section 6.5
 //!   follows: each data triple triggers at most one derivation per schema
 //!   statement per chain step.
@@ -89,6 +91,22 @@ fn forward_closure(
     out
 }
 
+/// The consequences of `seeds` that `in_store` refuses and `met` — the
+/// worklist's own set, starting with the seeds the store lacks — does not
+/// hold yet: each once, in derivation order. Only a consequence met for
+/// the first time is put to `in_store`.
+fn unmet_consequences(
+    seeds: &[Triple],
+    mut met: FxHashSet<Triple>,
+    in_store: impl Fn(Triple) -> bool,
+    schema: &Schema,
+    vocab: &VocabIds,
+) -> Vec<Triple> {
+    forward_closure(seeds, schema, vocab, |t| {
+        !met.contains(&t) && !in_store(t) && met.insert(t)
+    })
+}
+
 /// The consequences of `seeds` that `store` lacks: every triple the four
 /// rules derive from the seeds, directly or through a chain, that is
 /// neither in `store` nor a seed — each once, in derivation order, **not
@@ -98,23 +116,23 @@ fn forward_closure(
 /// must hold the consequences of whatever it holds, *or* hold nothing but
 /// seeds: a saturated store with a batch of new triples as seeds (what an
 /// insertion adds), or any store seeded with all of its own triples (its
-/// saturation).
+/// saturation, see [`saturate`]).
+///
+/// The seeds are checked against the store in one merge with its `Spo`
+/// run; each consequence met for the first time is a binary search of the
+/// run — a batch has a few hundred.
 pub fn entailed_delta(
     store: &TripleStore,
     seeds: &[Triple],
     schema: &Schema,
     vocab: &VocabIds,
 ) -> Vec<Triple> {
-    // What the store lacks and the worklist has already met: the seeds
-    // that are new to the store, then every consequence as it is found.
-    let mut fresh: FxHashSet<Triple> = seeds
-        .iter()
-        .copied()
-        .filter(|&t| !store.contains(t))
-        .collect();
-    forward_closure(seeds, schema, vocab, |t| {
-        !store.contains(t) && fresh.insert(t)
-    })
+    let mut fresh = seeds.to_vec();
+    fresh.sort_unstable();
+    fresh.dedup();
+    store.retain_by_membership(&mut fresh, false);
+    let met = fresh.into_iter().collect();
+    unmet_consequences(seeds, met, |t| store.contains(t), schema, vocab)
 }
 
 /// Saturates `store` in place; returns the number of implicit triples
@@ -125,13 +143,29 @@ pub fn saturate(store: &mut TripleStore, schema: &Schema, vocab: &VocabIds) -> u
 }
 
 /// Saturates `store` in place and reports counters.
+///
+/// This is [`entailed_delta`] seeded with the whole store, with one
+/// change to how the worklist asks the store about a consequence. A
+/// derived triple has `rdf:type` or a property with a sub-property as its
+/// property, so only the store's triples of those properties can answer
+/// yes: one pass over the `Spo` run cuts them out, still sorted, and the
+/// question becomes a binary search of that shorter slice.
 pub fn saturate_with_stats(
     store: &mut TripleStore,
     schema: &Schema,
     vocab: &VocabIds,
 ) -> SaturationStats {
     let explicit = store.len();
-    let implicit = entailed_delta(store, store.triples(), schema, vocab);
+    let derivable: Vec<Triple> = store
+        .index(IndexOrder::Spo)
+        .iter()
+        .filter(|&&[_, p, _]| p == vocab.rdf_type || !schema.direct_sub_properties(p).is_empty())
+        .copied()
+        .collect();
+    let in_store = |t: Triple| derivable.binary_search(&t).is_ok();
+    // Every seed is in the store, so the worklist starts having met none.
+    let met = FxHashSet::default();
+    let implicit = unmet_consequences(store.triples(), met, in_store, schema, vocab);
     store.insert_batch(&implicit);
     SaturationStats {
         explicit,

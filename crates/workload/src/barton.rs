@@ -140,12 +140,14 @@ pub fn generate_barton(spec: &BartonSpec) -> BartonDataset {
     let res_zipf = Zipf::new(resources.len(), spec.skew / 2.0);
 
     // Every resource gets a type; remaining budget goes to property
-    // triples.
+    // triples. They enter the store as one batch: repeats of a draw are
+    // dropped and the rest keep the order they were drawn in.
+    let budget = spec.triples.saturating_sub(resources.len());
+    let mut batch = Vec::with_capacity(resources.len() + budget);
     for &r in &resources {
         let c = classes[class_zipf.sample(&mut rng)];
-        db.store_mut().insert([r, vocab.rdf_type, c]);
+        batch.push([r, vocab.rdf_type, c]);
     }
-    let budget = spec.triples.saturating_sub(resources.len());
     for _ in 0..budget {
         let s = resources[res_zipf.sample(&mut rng)];
         let p = properties[prop_zipf.sample(&mut rng)];
@@ -154,8 +156,9 @@ pub fn generate_barton(spec: &BartonSpec) -> BartonDataset {
         } else {
             resources[res_zipf.sample(&mut rng)]
         };
-        db.store_mut().insert([s, p, o]);
+        batch.push([s, p, o]);
     }
+    db.store_mut().insert_batch(&batch);
 
     BartonDataset {
         db,

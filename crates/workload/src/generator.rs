@@ -320,6 +320,7 @@ fn perturb(
 /// the query atoms (the search only consumes per-atom counts, not full
 /// join satisfiability). Subjects are drawn from a resource pool, and
 /// (property, object) pairs from the same pools the query generator uses.
+/// The triples enter `store` as one batch, in the order they were drawn.
 pub fn generate_matching_data(
     spec: &WorkloadSpec,
     dict: &mut Dictionary,
@@ -346,6 +347,7 @@ pub fn generate_matching_data(
         .map(|i| dict.intern_uri(&format!("wl:r{i}")))
         .collect();
     let prop_zipf = crate::zipf::Zipf::new(properties.len(), 0.8);
+    let mut batch = Vec::with_capacity(triples);
     for _ in 0..triples {
         let s = resources[rng.random_range(0..resources.len())];
         let p = properties[prop_zipf.sample(&mut rng)];
@@ -356,8 +358,9 @@ pub fn generate_matching_data(
         } else {
             resources[rng.random_range(0..resources.len())]
         };
-        store.insert([s, p, o]);
+        batch.push([s, p, o]);
     }
+    store.insert_batch(&batch);
 }
 
 /// Samples `n` distinct items (repeats allowed only if the pool is too

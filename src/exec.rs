@@ -22,7 +22,7 @@ use rdf_engine::{
     EvalStats, MaintainedView, MaintenanceStats, MixedAtom, ViewAtom, ViewTable,
 };
 use rdf_model::sync::{read_unpoisoned, write_unpoisoned};
-use rdf_model::{Dictionary, FxHashMap, FxHashSet, StoreSnapshot, Triple, TripleStore};
+use rdf_model::{Dictionary, FxHashMap, StoreSnapshot, Triple, TripleStore};
 use rdf_query::minimize;
 use rdf_query::ConjunctiveQuery;
 use rdf_reform::{reformulate_with_limit, ReformLimit};
@@ -1013,12 +1013,11 @@ impl Deployment {
                 )
             }
             None => {
-                let mut seen: FxHashSet<Triple> = FxHashSet::default();
-                batch
-                    .iter()
-                    .copied()
-                    .filter(|&t| self.store.contains(t) && seen.insert(t))
-                    .collect()
+                let mut present = batch.to_vec();
+                present.sort_unstable();
+                present.dedup();
+                self.store.retain_by_membership(&mut present, true);
+                present
             }
         };
         if doomed.is_empty() {
@@ -1071,9 +1070,11 @@ impl Deployment {
         let added: Vec<Triple> = match &mut self.entailment {
             Some(ent) => {
                 // What the base store gains: the newly explicit triples it
-                // did not already entail, and what follows from those.
+                // did not already entail, and what follows from those. The
+                // store is saturated, so the consequences of a newly
+                // explicit triple it already held are in it too, and the
+                // one merge of `insert_batch` drops all of them.
                 let mut gained = ent.explicit.insert_batch(batch);
-                gained.retain(|&t| !self.store.contains(t));
                 let entailed = entailed_delta(&self.store, &gained, &ent.schema, &ent.vocab);
                 gained.extend(entailed);
                 self.store.insert_batch(&gained)

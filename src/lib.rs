@@ -360,6 +360,8 @@
 //! | a `snapshot.rdfb` written by format version 1 | refused with `CorruptBundle` ("unsupported bundle format version 1"); no older layout is read — deploy again from the data (`advisor.deploy_durable(rec, dir)?`); the write-ahead log format is unchanged |
 //! | `MaintainedView::rows()` as `&Vec<Id>`, `from_parts(def, Vec<Vec<Id>>)`, `DeleteDelta::candidates()` as `&[Vec<Id>]` | maintained rows are one flat sorted buffer: `rows()` yields `&[Id]` in order, `from_parts(def, Answers)` (build with `Answers::from_tuples` or the checked `Answers::from_sorted`), `candidates()` is an `&Answers` |
 //! | `rdfviews::core::sync::{read_unpoisoned, write_unpoisoned}` | `rdfviews::model::sync::{read_unpoisoned, write_unpoisoned}` (one copy) |
+//! | `TripleStore::insert(t)` / `remove(t)` in a loop (hash-set membership, runs re-sorted lazily) | they still work, but each is now a batch of one, O(n): the store holds no hash set, its `Spo` run is the membership set and every write splices the runs. Collect the triples and call `insert_batch(&batch)` / `remove_batch(&batch)` (or `extend(iter)`), which keep first occurrences in order; to test many triples, sort them (`sort_unstable`) and call `retain_by_membership(&mut sorted, present)` instead of `contains` in a loop |
+//! | `TripleStore::with_capacity(n)` | `TripleStore::new()`, then one `insert_batch` |
 //! | `answers.tuples()` as `&[Vec<Id>]`, `answers.into_tuples()`, `Answers::from_set(..)` | answers are one flat buffer: loop over `answers.rows()` (borrowed `&[Id]` rows, no allocation); `answers.tuples()` still indexes (`tuples()[i][c]`) but is now a `Vec<&[Id]>` built for the call; `into_tuples`/`from_set` are gone — collect `rows()`, or build with `Answers::from_tuples(arity, rows)`, which like `ViewTable::from_rows` takes owned or borrowed rows |
 //!
 //! The workspace crates map to the paper's components:
