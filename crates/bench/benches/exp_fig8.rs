@@ -6,9 +6,10 @@
 //! the triples needed by Q1, (e) RDF-3X over the saturated data, (f) the
 //! initial state (materialized query results).
 //!
-//! Substitutions (documented in DESIGN.md §5): PostgreSQL's clustered
-//! triple table → our scan-only evaluator; RDF-3X → our index-backed
-//! evaluator on the fully (sextuple-)indexed saturated store.
+//! Substitutions: PostgreSQL's clustered triple table → `oracle::evaluate`,
+//! nested loops over full scans of the triple list (the `sat-tt` and
+//! `restr-tt` columns); RDF-3X → the indexed default `evaluate` on the
+//! fully (sextuple-)indexed saturated store (the `reference` column).
 //!
 //! Paper findings to reproduce: views beat the triple table by an order of
 //! magnitude or more; pre- and post-reformulation views perform in the
@@ -20,7 +21,7 @@ use std::time::{Duration, Instant};
 use rdfviews::core::{
     try_select_views, ReasoningMode, SearchConfig, SelectionError, SelectionOptions,
 };
-use rdfviews::engine::{evaluate_with, EvalOptions};
+use rdfviews::engine::{evaluate, oracle};
 use rdfviews::exec::Deployment;
 use rdfviews::model::{StorePattern, TripleStore};
 use rdfviews::schema::saturated_copy;
@@ -146,16 +147,15 @@ fn main() -> Result<(), SelectionError> {
         ],
         &[6, 11, 11, 11, 11, 11, 11],
     );
-    let scan_only = EvalOptions::scan_baseline();
-    let indexed = EvalOptions::default();
     for (qi, q) in rb.q1.iter().enumerate() {
         let nq = q.normalized();
         // Correctness first: all configurations agree.
-        let truth = evaluate_with(&saturated, &nq, &indexed);
+        let truth = evaluate(&saturated, &nq);
         assert_eq!(post.answer(qi)?, truth);
         assert_eq!(pre.answer(qi)?, truth);
         assert_eq!(init.answer(qi)?, truth);
-        assert_eq!(evaluate_with(&restricted, &nq, &indexed), truth);
+        assert_eq!(evaluate(&restricted, &nq), truth);
+        assert_eq!(oracle::evaluate(&restricted, &nq), truth);
 
         let t_pre = time_it(|| {
             let _ = pre.answer(qi);
@@ -164,13 +164,13 @@ fn main() -> Result<(), SelectionError> {
             let _ = post.answer(qi);
         });
         let t_sat = time_it(|| {
-            evaluate_with(&saturated, &nq, &scan_only);
+            oracle::evaluate(&saturated, &nq);
         });
         let t_restr = time_it(|| {
-            evaluate_with(&restricted, &nq, &scan_only);
+            oracle::evaluate(&restricted, &nq);
         });
         let t_ref = time_it(|| {
-            evaluate_with(&saturated, &nq, &indexed);
+            evaluate(&saturated, &nq);
         });
         let t_init = time_it(|| {
             let _ = init.answer(qi);

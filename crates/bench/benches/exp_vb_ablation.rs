@@ -2,9 +2,9 @@
 //! the View Break overlap limit.
 //!
 //! Full VB enumeration is `3^n` per view (every pair of connected,
-//! incomparable node covers). DESIGN.md caps the cover overlap at
-//! `vb_overlap_limit` nodes (default 1, matching the paper's Figure 1
-//! example which overlaps on a single node). This bench quantifies what
+//! incomparable node covers). `TransitionConfig::vb_overlap_limit` caps
+//! the cover overlap at that many nodes (default 1, matching the paper's
+//! Figure 1 example which overlaps on a single node). This bench quantifies what
 //! the cap costs: best cost found and states created at limits 0 / 1 / 2
 //! under the same time budget.
 

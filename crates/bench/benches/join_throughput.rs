@@ -7,20 +7,20 @@
 //!
 //! * **acyclic tier** — chains, stars, anchored variants with constants,
 //!   an intra-atom repeated variable and a view-mixed delta join, timed
-//!   under the compiled core and the legacy collect-per-node core;
+//!   under the compiled core;
 //! * **cyclic tier** — triangle, diamond and 4-cycle queries over
-//!   block-structured edge data, timed under compiled (forced), legacy and
-//!   the leapfrog engine (`EvalOptions::wcoj`). The triangle data is built
-//!   so that for 15 of 16 hub nodes the two z-ranges a binary-join plan
-//!   must intersect are disjoint intervals: the compiled core pays the
-//!   full candidate-pair cost while leapfrog's galloping seeks discover
-//!   the disjointness in a couple of probes — the worst-case-optimality
-//!   gap made measurable.
+//!   block-structured edge data, timed under both cores, each forced with
+//!   `evaluate_on`. This tier is the measurement that keeps both cores:
+//!   the triangle data is built so that for 15 of 16 hub nodes the two
+//!   z-ranges a binary-join plan must intersect are disjoint intervals:
+//!   the compiled core pays the full candidate-pair cost while leapfrog's
+//!   galloping seeks discover the disjointness in a couple of probes — the
+//!   worst-case-optimality gap made measurable.
 //!
-//! Every engine must produce identical answers before anything is timed
-//! (the full-scan baseline joins the parity check on stores small enough
-//! for it). The adaptive selector's routing is asserted too: cyclic
-//! shapes report `Engine::Wcoj` under default options, acyclic ones
+//! Both cores must produce the oracle's answers before anything is timed
+//! (the full-scan oracle runs on stores small enough for it; on the full
+//! store the cores are held to each other). The routing is asserted too:
+//! cyclic shapes report `Engine::Wcoj` from `evaluate_mixed`, acyclic ones
 //! `Engine::Compiled`. The view-mixed section additionally asserts the
 //! delta table's resident hash indexes are built once across the whole
 //! timed loop.
@@ -28,16 +28,16 @@
 //! Smoke mode (`RDFVIEWS_SMOKE=1` or `--smoke`) shrinks the store so CI
 //! finishes fast; the parity, routing and index-reuse assertions still
 //! run. With `RDFVIEWS_ENFORCE_FLOOR=1` (set by CI) the bench fails if
-//! compiled throughput drops below a conservative committed floor. Full
-//! mode additionally asserts the leapfrog engine beats compiled by ≥2x on
-//! the triangle and that the compiled core is no slower than legacy on
-//! the anchored chain (the pooled-scratch regression this suite caught).
+//! compiled throughput drops below a conservative committed floor. Every
+//! mode asserts that a thread-local scratch inflated by large queries does
+//! not slow the anchored chain down (the pooled-scratch regression this
+//! suite caught); full mode additionally asserts the leapfrog engine beats
+//! compiled by ≥2x on the triangle.
 
 use std::time::Instant;
 
 use rdfviews::engine::{
-    evaluate_mixed, evaluate_with, evaluate_with_stats, Engine, EvalOptions, MixedAtom, ViewAtom,
-    ViewTable,
+    evaluate_mixed, evaluate_on, oracle, Answers, Engine, EvalStats, MixedAtom, ViewAtom, ViewTable,
 };
 use rdfviews::model::{Id, Triple, TripleStore};
 use rdfviews::query::{Atom, ConjunctiveQuery, QTerm, Var};
@@ -57,18 +57,19 @@ const FLOOR_SMOKE_TPS: f64 = 50_000.0;
 /// and the pre-emit assertion keeps the manifest honest at runtime.
 const CI_VALIDATED_FIELDS: &[&str] = &[
     "wall_triangle_compiled_s",
-    "wall_triangle_legacy_s",
     "wall_triangle_wcoj_s",
     "wall_diamond_compiled_s",
-    "wall_diamond_legacy_s",
     "wall_diamond_wcoj_s",
     "wall_four_cycle_compiled_s",
-    "wall_four_cycle_legacy_s",
     "wall_four_cycle_wcoj_s",
-    "wall_anchored_chain2_compiled_s",
-    "wall_anchored_chain2_legacy_s",
     "wcoj_speedup_on_cyclic",
 ];
+
+/// How much slower the anchored chain may run on a thread whose pooled
+/// scratch earlier queries inflated than on a fresh thread.
+const INFLATION_MARGIN: f64 = 1.5;
+/// Alternating fresh/inflated batches the inflation guard compares.
+const INFLATION_BATCHES: usize = 5;
 
 /// Id bases for the cyclic-tier synthetic graph, disjoint from the
 /// acyclic tier's subjects (< 200k) and predicates (1_000_000+).
@@ -203,7 +204,7 @@ fn expected_triangles(sc: &CyclicScale) -> usize {
 struct Case {
     name: &'static str,
     query: ConjunctiveQuery,
-    /// Whether the full-scan baseline is tractable on the full store (it
+    /// Whether the full-scan oracle is tractable on the full store (it
     /// re-scans everything at every recursion node, so only queries that
     /// fan out from a constant qualify at 1M scale).
     scan_on_full: bool,
@@ -309,19 +310,60 @@ fn cyclic_cases() -> Vec<(&'static str, ConjunctiveQuery)> {
     ]
 }
 
-/// Times `runs` evaluations, returning (wall seconds, answers of one run).
+/// Times `runs` evaluations on `engine`, returning (wall seconds, answers
+/// of one run).
 fn time_engine(
     store: &TripleStore,
     q: &ConjunctiveQuery,
-    opts: &EvalOptions,
+    engine: Engine,
     runs: usize,
 ) -> (f64, usize) {
     let mut tuples = 0;
     let t0 = Instant::now();
     for _ in 0..runs {
-        tuples = evaluate_with(store, q, opts).len();
+        tuples = evaluate_on(engine, store, q).0.len();
     }
     (t0.elapsed().as_secs_f64(), tuples)
+}
+
+/// Asserts that both cores, forced, answer `q` over `store` as the oracle
+/// does.
+fn assert_cores_match_oracle(store: &TripleStore, name: &str, q: &ConjunctiveQuery) {
+    let want = oracle::evaluate(store, q);
+    for engine in [Engine::Compiled, Engine::Wcoj] {
+        let (got, _) = evaluate_on(engine, store, q);
+        assert_eq!(got, want, "{name}: {} vs the oracle", engine.as_str());
+    }
+}
+
+/// `q` evaluated the way the deployment layer does: routed by the
+/// acyclicity test.
+fn routed(store: &TripleStore, q: &ConjunctiveQuery) -> (Answers, EvalStats) {
+    let atoms: Vec<MixedAtom> = q.atoms.iter().map(|a| MixedAtom::Store(*a)).collect();
+    evaluate_mixed(store, &atoms, &q.head)
+}
+
+/// Seconds per compiled run of `q` on a newly spawned thread — which
+/// starts with an empty thread-local scratch pool — after that thread has
+/// run each of `inflate` once and then `q` as a warm-up.
+fn time_on_new_thread(
+    store: &TripleStore,
+    q: &ConjunctiveQuery,
+    inflate: &[&ConjunctiveQuery],
+    runs: usize,
+) -> f64 {
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                for big in inflate {
+                    evaluate_on(Engine::Compiled, store, big);
+                }
+                time_engine(store, q, Engine::Compiled, runs);
+                time_engine(store, q, Engine::Compiled, runs).0 / runs as f64
+            })
+            .join()
+            .expect("timing thread panicked")
+    })
 }
 
 fn main() {
@@ -368,16 +410,12 @@ fn main() {
         "full mode must exercise at least one million stored triples"
     );
 
-    // A prefix store keeps the full-scan baseline tractable for the
+    // A prefix store keeps the full-scan oracle tractable for the
     // unanchored joins (it pays a full scan per recursion node).
     let prefix_n = if smoke { batch.len() } else { 50_000 };
     let mut prefix = TripleStore::new();
     prefix.insert_batch(&batch[..prefix_n.min(batch.len())]);
 
-    let compiled = EvalOptions::compiled();
-    let legacy = EvalOptions::legacy_indexed();
-    let scan = EvalOptions::scan_baseline();
-    let adaptive = EvalOptions::default();
     // Anchor on a subject whose p0 edge reaches a node with an outgoing
     // p1 edge, so the anchored chain fans out to full depth.
     let p1_subjects: std::collections::HashSet<Id> = batch
@@ -391,49 +429,35 @@ fn main() {
         .map_or(batch[0][0], |t| t[0]);
     let cases = cases(anchor);
 
-    // -- Parity first: all engines agree before anything is timed. --------
+    // -- Parity first: both cores agree with the oracle before anything
+    // is timed. -------------------------------------------------------------
     for case in &cases {
-        let want = evaluate_with(&prefix, &case.query, &scan);
-        assert_eq!(
-            evaluate_with(&prefix, &case.query, &compiled),
-            want,
-            "{}: compiled vs full-scan parity (prefix store)",
-            case.name
-        );
-        assert_eq!(
-            evaluate_with(&prefix, &case.query, &legacy),
-            want,
-            "{}: legacy vs full-scan parity (prefix store)",
-            case.name
-        );
-        let full_compiled = evaluate_with(&store, &case.query, &compiled);
+        assert_cores_match_oracle(&prefix, case.name, &case.query);
+        let (full_compiled, _) = evaluate_on(Engine::Compiled, &store, &case.query);
         assert_eq!(
             full_compiled,
-            evaluate_with(&store, &case.query, &legacy),
-            "{}: compiled vs legacy parity (full store)",
+            evaluate_on(Engine::Wcoj, &store, &case.query).0,
+            "{}: compiled vs wcoj parity (full store)",
             case.name
         );
         if case.scan_on_full {
             assert_eq!(
                 full_compiled,
-                evaluate_with(&store, &case.query, &scan),
-                "{}: compiled vs full-scan parity (full store)",
+                oracle::evaluate(&store, &case.query),
+                "{}: compiled vs the oracle (full store)",
                 case.name
             );
         }
-        // The adaptive selector must route every acyclic shape to the
-        // compiled core.
-        let (ans, stats) = evaluate_with_stats(&store, &case.query, &adaptive);
+        // The router must send every acyclic shape to the compiled core.
+        let (ans, stats) = routed(&store, &case.query);
         assert_eq!(stats.engine, Engine::Compiled, "{}: routing", case.name);
         assert_eq!(ans, full_compiled);
     }
-    println!("# parity: compiled == legacy == full-scan on every acyclic shape ✓");
+    println!("# parity: compiled == wcoj == oracle on every acyclic shape ✓");
 
-    // Cyclic parity: all four engines on a store small enough for the
-    // full-scan baseline, then the three indexed engines on the full
-    // store. The adaptive selector must route every cyclic shape to
-    // leapfrog.
-    let wcoj = EvalOptions::wcoj();
+    // Cyclic parity: both cores against the oracle on a store small
+    // enough for it, then against each other on the full store. The
+    // router must send every cyclic shape to leapfrog.
     let tiny = cyclic_triples(&CyclicScale {
         nx: 32,
         fy: 4,
@@ -446,25 +470,9 @@ fn main() {
     cyc_parity.insert_batch(&batch[..2_000.min(batch.len())]);
     let cyclic = cyclic_cases();
     for (name, q) in &cyclic {
-        let want = evaluate_with(&cyc_parity, q, &scan);
-        for (engine, opts) in [
-            ("compiled", &compiled),
-            ("legacy", &legacy),
-            ("wcoj", &wcoj),
-        ] {
-            assert_eq!(
-                evaluate_with(&cyc_parity, q, opts),
-                want,
-                "{name}: {engine} vs full-scan parity (tiny store)"
-            );
-        }
-        let full_compiled = evaluate_with(&store, q, &compiled);
-        assert_eq!(
-            full_compiled,
-            evaluate_with(&store, q, &legacy),
-            "{name}: compiled vs legacy parity (full store)"
-        );
-        let (ans, stats) = evaluate_with_stats(&store, q, &adaptive);
+        assert_cores_match_oracle(&cyc_parity, name, q);
+        let (full_compiled, _) = evaluate_on(Engine::Compiled, &store, q);
+        let (ans, stats) = routed(&store, q);
         assert_eq!(stats.engine, Engine::Wcoj, "{name}: routing");
         assert!(stats.lf_seeks > 0, "{name}: leapfrog must report seeks");
         assert_eq!(
@@ -472,88 +480,83 @@ fn main() {
             "{name}: wcoj vs compiled parity (full store)"
         );
     }
-    println!("# parity: four engines agree on every cyclic shape, cyclic → wcoj routing ✓\n");
+    println!(
+        "# parity: both cores match the oracle on every cyclic shape, cyclic → wcoj routing ✓\n"
+    );
 
     // -- Timed store-atom joins (acyclic tier). ---------------------------
-    let table = Table::new(
-        &["query", "answers", "compiled (s)", "legacy (s)", "speedup"],
-        &[16, 10, 12, 12, 8],
-    );
+    let table = Table::new(&["query", "answers", "compiled (s)"], &[16, 10, 12]);
     let mut summary: Vec<(String, f64)> = Vec::new();
     let mut wall_compiled_total = 0.0;
-    let mut wall_legacy_total = 0.0;
     let mut tuples_total = 0usize;
     let micro_runs = if smoke { 256 } else { 1_024 };
-    let mut anchored = (0.0, 0.0);
     for case in &cases {
         // Micro-second shapes need far more repetitions than the big
-        // scans for a stable average — anchored_chain2 is the regression
-        // sentinel for pooled-scratch cleanup cost, so its number matters.
+        // scans for a stable average.
         let case_runs = if case.name == "anchored_chain2" {
             micro_runs
         } else {
             runs
         };
-        let (wc, tuples) = time_engine(&store, &case.query, &compiled, case_runs);
-        let (wl, _) = time_engine(&store, &case.query, &legacy, case_runs);
-        let (pc, pl) = (wc / case_runs as f64, wl / case_runs as f64);
+        let (wc, tuples) = time_engine(&store, &case.query, Engine::Compiled, case_runs);
+        let pc = wc / case_runs as f64;
         wall_compiled_total += pc * runs as f64;
-        wall_legacy_total += pl * runs as f64;
         tuples_total += tuples * runs;
-        if case.name == "anchored_chain2" {
-            anchored = (pc, pl);
-        }
-        table.row(&[
-            case.name,
-            &tuples.to_string(),
-            &format!("{pc:.4}"),
-            &format!("{pl:.4}"),
-            &format!("{:.2}x", pl / pc.max(1e-9)),
-        ]);
+        table.row(&[case.name, &tuples.to_string(), &format!("{pc:.4}")]);
         summary.push((format!("wall_{}_compiled_s", case.name), pc));
-        summary.push((format!("wall_{}_legacy_s", case.name), pl));
     }
-    let speedup = wall_legacy_total / wall_compiled_total.max(1e-9);
     let throughput = tuples_total as f64 / wall_compiled_total.max(1e-9);
+    println!("\n# total: compiled {wall_compiled_total:.3}s, {throughput:.0} answer tuples/s");
+
+    // -- Scratch-inflation guard. -----------------------------------------
+    // The anchored micro-join once paid O(capacity) cleanup of a pooled
+    // scratch set that an earlier large query had inflated. Each thread
+    // has its own scratch pool, so the same join timed on a fresh thread
+    // and on one that first ran the tier's large queries isolates that
+    // cost. Minima over alternating batches: one pair alone can differ by
+    // almost 2x from the host's clock steps.
+    let anchored = &cases
+        .iter()
+        .find(|c| c.name == "anchored_chain2")
+        .expect("the acyclic tier has an anchored chain")
+        .query;
+    let large: Vec<&ConjunctiveQuery> = cases
+        .iter()
+        .filter(|c| !c.scan_on_full)
+        .map(|c| &c.query)
+        .collect();
+    let (mut fresh, mut inflated) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..INFLATION_BATCHES {
+        fresh = fresh.min(time_on_new_thread(&store, anchored, &[], micro_runs));
+        inflated = inflated.min(time_on_new_thread(&store, anchored, &large, micro_runs));
+    }
     println!(
-        "\n# total: compiled {:.3}s vs legacy {:.3}s — {:.2}x speedup, {:.0} answer tuples/s",
-        wall_compiled_total, wall_legacy_total, speedup, throughput
-    );
-    // The compiled core must never trail the legacy core on the anchored
-    // micro-join: that happened once, through O(capacity) cleanup of a
-    // pooled scratch set inflated by an earlier large query.
-    println!(
-        "# anchored_chain2: compiled {:.2}µs vs legacy {:.2}µs per run",
-        anchored.0 * 1e6,
-        anchored.1 * 1e6
+        "# anchored_chain2: {:.2}µs on a fresh thread vs {:.2}µs after {} large queries (minima of {INFLATION_BATCHES} batches)",
+        fresh * 1e6,
+        inflated * 1e6,
+        large.len()
     );
     assert!(
-        anchored.0 <= anchored.1,
-        "compiled anchored_chain2 ({:.2}µs) must not trail legacy ({:.2}µs)",
-        anchored.0 * 1e6,
-        anchored.1 * 1e6
+        inflated <= INFLATION_MARGIN * fresh,
+        "an inflated scratch slows anchored_chain2 down: {:.2}µs vs {:.2}µs fresh",
+        inflated * 1e6,
+        fresh * 1e6
     );
+    summary.push(("wall_anchored_chain2_fresh_s".to_string(), fresh));
+    summary.push(("wall_anchored_chain2_inflated_s".to_string(), inflated));
 
-    // -- Timed cyclic tier: compiled vs legacy vs leapfrog. ---------------
+    // -- Timed cyclic tier: compiled vs leapfrog. -------------------------
     let cyc_table = Table::new(
-        &[
-            "query",
-            "answers",
-            "compiled (s)",
-            "legacy (s)",
-            "wcoj (s)",
-            "wcoj gain",
-        ],
-        &[12, 10, 12, 12, 12, 10],
+        &["query", "answers", "compiled (s)", "wcoj (s)", "wcoj gain"],
+        &[12, 10, 12, 12, 10],
     );
     let cyc_runs = runs.min(2);
     let mut cyc_compiled_total = 0.0;
     let mut cyc_wcoj_total = 0.0;
     let mut tri_walls = (0.0, 0.0);
     for (name, q) in &cyclic {
-        let (wc, tuples) = time_engine(&store, q, &compiled, cyc_runs);
-        let (wl, _) = time_engine(&store, q, &legacy, cyc_runs);
-        let (ww, wcoj_tuples) = time_engine(&store, q, &wcoj, cyc_runs);
+        let (wc, tuples) = time_engine(&store, q, Engine::Compiled, cyc_runs);
+        let (ww, wcoj_tuples) = time_engine(&store, q, Engine::Wcoj, cyc_runs);
         assert_eq!(tuples, wcoj_tuples, "{name}: timed answer drift");
         if *name == "triangle" {
             assert_eq!(
@@ -563,23 +566,17 @@ fn main() {
             );
             tri_walls = (wc, ww);
         }
-        let (pc, pl, pw) = (
-            wc / cyc_runs as f64,
-            wl / cyc_runs as f64,
-            ww / cyc_runs as f64,
-        );
+        let (pc, pw) = (wc / cyc_runs as f64, ww / cyc_runs as f64);
         cyc_compiled_total += wc;
         cyc_wcoj_total += ww;
         cyc_table.row(&[
             name,
             &tuples.to_string(),
             &format!("{pc:.4}"),
-            &format!("{pl:.4}"),
             &format!("{pw:.4}"),
             &format!("{:.2}x", pc / pw.max(1e-9)),
         ]);
         summary.push((format!("wall_{name}_compiled_s"), pc));
-        summary.push((format!("wall_{name}_legacy_s"), pl));
         summary.push((format!("wall_{name}_wcoj_s"), pw));
     }
     let wcoj_speedup = cyc_compiled_total / cyc_wcoj_total.max(1e-9);
@@ -612,12 +609,12 @@ fn main() {
         }),
         MixedAtom::Store(Atom([var(1), QTerm::Const(Id(1_000_001)), var(2)])),
     ];
-    let first = evaluate_mixed(&store, &atoms, &head);
+    let (first, _) = evaluate_mixed(&store, &atoms, &head);
     let builds = delta.index_builds();
     assert!(builds >= 1, "the delta's bound predicate column is indexed");
     let t0 = Instant::now();
     for _ in 0..mixed_runs {
-        assert_eq!(evaluate_mixed(&store, &atoms, &head), first);
+        assert_eq!(evaluate_mixed(&store, &atoms, &head).0, first);
     }
     let wall_mixed = t0.elapsed().as_secs_f64();
     assert_eq!(
@@ -635,10 +632,8 @@ fn main() {
 
     // -- Summary + regression floor. --------------------------------------
     summary.push(("triples".to_string(), store.len() as f64));
-    summary.push(("speedup_vs_legacy".to_string(), speedup));
     summary.push(("throughput_tuples_per_s".to_string(), throughput));
     summary.push(("wall_compiled_total_s".to_string(), wall_compiled_total));
-    summary.push(("wall_legacy_total_s".to_string(), wall_legacy_total));
     summary.push(("wall_mixed_s".to_string(), wall_mixed / mixed_runs as f64));
     summary.push(("wcoj_speedup_on_cyclic".to_string(), wcoj_speedup));
     for field in CI_VALIDATED_FIELDS {

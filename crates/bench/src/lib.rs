@@ -1,7 +1,10 @@
 //! Shared harness for the experiment benches.
 //!
 //! Every `benches/exp_*.rs` target regenerates one table or figure of the
-//! paper (see DESIGN.md's experiment index). Budgets are laptop-scale by
+//! paper, named in its file (`exp_fig4` … `exp_fig8`, `exp_table3`,
+//! `exp_vmc`); `exp_vb_ablation` goes beyond the paper. Each bench's
+//! module doc states its setup, what stands in for the paper's systems
+//! and the findings it checks for. Budgets are laptop-scale by
 //! default and overridable through `RDFVIEWS_*` environment variables:
 //!
 //! | variable | meaning | default |

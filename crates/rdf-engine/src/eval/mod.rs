@@ -1,9 +1,9 @@
-//! The conjunctive-query evaluator.
+//! The conjunctive-query evaluator: two join cores behind one router.
 //!
-//! A single join core serves both query shapes the paper needs: CQs over
+//! A single pipeline serves both query shapes the paper needs: CQs over
 //! the triple table (atoms answered through the store's six permutation
 //! indexes) and rewritings over materialized views (atoms answered through
-//! the tables' cached hash indexes). The default engine is the *compiled*
+//! the tables' cached hash indexes). Acyclic queries run the *compiled*
 //! core in [`compiled`]: each query is compiled once into dense variable
 //! slots; every atom's matching rows under the current bindings are looked
 //! up once, as a borrowed slice with its row count, which both sizes the
@@ -20,20 +20,13 @@
 //! *variable* at a time by multi-way sorted intersection over the same
 //! permutation indexes, never materializing the binary-join intermediates
 //! that blow up on cyclic shapes. The routing decision — a GYO
-//! ear-removal acyclicity test — is adaptive per query
-//! ([`EngineChoice::Auto`], the default) and observable through
-//! [`EvalStats::engine`]; [`EvalOptions::wcoj`] and
-//! [`EvalOptions::compiled`] force either core.
+//! ear-removal acyclicity test — is made per query and observable through
+//! [`EvalStats::engine`]; [`evaluate_on`] forces either core.
 //!
-//! The pre-compiled backtracking core — which collected a fresh
-//! `Vec<Triple>` of matches at every recursion node and kept bindings in a
-//! hash map — is preserved verbatim in [`legacy`] as the comparison
-//! baseline: benches report the compiled core's speedup against it, and
-//! differential tests check answer equality against its full-scan mode
-//! (the "plain clustered triple table" baseline of the paper's Figure 8).
+//! Neither core is checked against the other alone: the reference is
+//! [`crate::oracle`], nested loops over full scans.
 
 mod compiled;
-mod legacy;
 pub(crate) mod scratch;
 mod wcoj;
 
@@ -54,13 +47,9 @@ pub struct ViewAtom<'a> {
     pub args: &'a [QTerm],
 }
 
-/// Which join core actually answered a query (recorded in [`EvalStats`]).
+/// Which join core answered a query (recorded in [`EvalStats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// Pre-compiled core over full scans (the Figure-8 baseline).
-    Scan,
-    /// Pre-compiled collect-per-node core with index lookups.
-    Legacy,
     /// Compiled index-native backtracking core.
     Compiled,
     /// Worst-case-optimal leapfrog triejoin.
@@ -71,8 +60,6 @@ impl Engine {
     /// Stable lowercase name (bench/CI labels).
     pub fn as_str(self) -> &'static str {
         match self {
-            Engine::Scan => "scan",
-            Engine::Legacy => "legacy",
             Engine::Compiled => "compiled",
             Engine::Wcoj => "wcoj",
         }
@@ -91,17 +78,17 @@ pub struct EvalStats {
     /// Rows (index-range triples, view-bucket rows) the compiled core
     /// tried to extend the current bindings with, over all join depths —
     /// the work a projecting query saves by stopping at its first witness
-    /// (0 for the other engines).
+    /// (0 for the leapfrog engine).
     pub rows_visited: u64,
     /// Index lookups by the compiled core: view-bucket probes plus store
     /// range searches, constants' included. An atom is looked up once per
     /// binding of its variables, so this grows with the bindings tried,
-    /// not with the atoms left at each of them (0 for the other engines).
+    /// not with the atoms left at each of them (0 for the leapfrog engine).
     pub probes: u64,
-    /// Leapfrog galloping seeks (0 for the other engines).
+    /// Leapfrog galloping seeks (0 for the compiled core).
     pub lf_seeks: u64,
     /// Head tuples emitted by the leapfrog executor before deduplication
-    /// (0 for the other engines).
+    /// (0 for the compiled core).
     pub lf_emitted: u64,
 }
 
@@ -117,110 +104,25 @@ impl EvalStats {
     }
 }
 
-/// Engine choice for the index-native path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineChoice {
-    /// Adaptive (the default): cyclic queries (GYO ear-removal test on the
-    /// atom hypergraph) run the leapfrog triejoin, acyclic ones the
-    /// backtracking core.
-    #[default]
-    Auto,
-    /// Always the compiled backtracking core.
-    Compiled,
-    /// Always the leapfrog triejoin.
-    Wcoj,
-}
-
-/// Evaluation options: which join core answers the query.
-///
-/// | `use_indexes` | `legacy` | engine |
-/// |---|---|---|
-/// | `true`  | `false` | index-native: [`EngineChoice`] picks compiled vs leapfrog |
-/// | `true`  | `true`  | pre-compiled collect-per-node core, indexed |
-/// | `false` | any     | pre-compiled core over full scans (Figure 8 baseline) |
-#[derive(Debug, Clone, Copy)]
-pub struct EvalOptions {
-    /// When false, triple-table atoms are answered by filtering full scans
-    /// instead of index range lookups — the "plain clustered triple table"
-    /// baseline of the paper's Figure 8 configurations.
-    pub use_indexes: bool,
-    /// When true, run the pre-compiled backtracking core (hash-map
-    /// bindings, matches collected per recursion node). Kept as the
-    /// measured baseline the compiled core's speedup is reported against.
-    pub legacy: bool,
-    /// Which index-native core runs when `use_indexes && !legacy`:
-    /// adaptive by default, forceable for benches and differential tests.
-    pub engine: EngineChoice,
-}
-
-impl Default for EvalOptions {
-    fn default() -> Self {
-        Self {
-            use_indexes: true,
-            legacy: false,
-            engine: EngineChoice::Auto,
-        }
-    }
-}
-
-impl EvalOptions {
-    /// The full-scan baseline: the pre-compiled core filtering linear
-    /// scans (no permutation-index lookups at match time).
-    pub fn scan_baseline() -> Self {
-        Self {
-            use_indexes: false,
-            legacy: true,
-            engine: EngineChoice::Auto,
-        }
-    }
-
-    /// The pre-compiled collect-per-node core with index lookups — the
-    /// engine every hot path ran through before the compiled core landed.
-    pub fn legacy_indexed() -> Self {
-        Self {
-            use_indexes: true,
-            legacy: true,
-            engine: EngineChoice::Auto,
-        }
-    }
-
-    /// Force the compiled backtracking core (no adaptive routing).
-    pub fn compiled() -> Self {
-        Self {
-            engine: EngineChoice::Compiled,
-            ..Self::default()
-        }
-    }
-
-    /// Force the worst-case-optimal leapfrog triejoin.
-    pub fn wcoj() -> Self {
-        Self {
-            engine: EngineChoice::Wcoj,
-            ..Self::default()
-        }
-    }
-}
-
 /// Evaluates a conjunctive query over the triple table.
 pub fn evaluate(store: &TripleStore, q: &ConjunctiveQuery) -> Answers {
-    evaluate_with(store, q, &EvalOptions::default())
+    evaluate_mixed(store, &store_atoms(q), &q.head).0
 }
 
-/// Evaluates a conjunctive query with explicit options.
-pub fn evaluate_with(store: &TripleStore, q: &ConjunctiveQuery, opts: &EvalOptions) -> Answers {
-    evaluate_with_stats(store, q, opts).0
-}
-
-/// Evaluates a conjunctive query with explicit options, also returning
-/// which engine ran (and its leapfrog counters) — the observable the
-/// adaptive-routing tests and the cyclic bench tier assert on.
-pub fn evaluate_with_stats(
+/// Evaluates a conjunctive query on the given core, bypassing the
+/// acyclicity routing — the forcing hook of the differential tests and of
+/// the `join_throughput` bench's cyclic tier, which times both cores on
+/// the same shapes (the measurement that keeps both).
+pub fn evaluate_on(
+    engine: Engine,
     store: &TripleStore,
     q: &ConjunctiveQuery,
-    opts: &EvalOptions,
 ) -> (Answers, EvalStats) {
-    let atoms: Vec<MixedAtom> = q.atoms.iter().map(|a| MixedAtom::Store(*a)).collect();
-    run_with(store, &atoms, &q.head, opts)
+    run(store, &store_atoms(q), &q.head, Some(engine))
+}
+
+fn store_atoms(q: &ConjunctiveQuery) -> Vec<MixedAtom<'static>> {
+    q.atoms.iter().map(|a| MixedAtom::Store(*a)).collect()
 }
 
 /// Evaluates a union of conjunctive queries (set-union of branch answers).
@@ -244,22 +146,18 @@ pub enum MixedAtom<'a> {
 }
 
 /// Evaluates a conjunctive query whose atoms mix triple-table scans and
-/// view-table scans, sharing the single join core. View tables are probed
-/// through their resident hash-index caches, so repeated calls against the
-/// same tables (a maintenance batch's per-atom-position delta joins, a
-/// served workload's repeated plans) build each index **once**.
-pub fn evaluate_mixed(store: &TripleStore, atoms: &[MixedAtom<'_>], head: &[QTerm]) -> Answers {
-    evaluate_mixed_stats(store, atoms, head).0
-}
-
-/// [`evaluate_mixed`] with the engine decision and leapfrog counters
-/// surfaced — what the deployment layer records per executed plan branch.
-pub fn evaluate_mixed_stats(
+/// view-table scans, returning the answers with the engine decision and
+/// the cores' counters — what the deployment layer records per executed
+/// plan branch. View tables are probed through their resident hash-index
+/// caches, so repeated calls against the same tables (a maintenance
+/// batch's per-atom-position delta joins, a served workload's repeated
+/// plans) build each index **once**.
+pub fn evaluate_mixed(
     store: &TripleStore,
     atoms: &[MixedAtom<'_>],
     head: &[QTerm],
 ) -> (Answers, EvalStats) {
-    run_with(store, atoms, head, &EvalOptions::default())
+    run(store, atoms, head, None)
 }
 
 /// Evaluates a rewriting: a conjunctive query whose atoms are view scans.
@@ -270,50 +168,47 @@ pub fn evaluate_over_views(atoms: &[ViewAtom<'_>], head: &[QTerm]) -> Answers {
     thread_local! {
         static EMPTY: TripleStore = TripleStore::new();
     }
-    EMPTY.with(|store| run_with(store, &atoms, head, &EvalOptions::default()).0)
+    EMPTY.with(|store| run(store, &atoms, head, None).0)
 }
 
-fn run_with(
+/// Runs `engine`, or — when `None` — the core the acyclicity test picks:
+/// cyclic atom hypergraphs are where the backtracking core enumerates
+/// intermediates a worst-case-optimal join avoids; acyclic and selective
+/// shapes keep the compiled core.
+fn run(
     store: &TripleStore,
     atoms: &[MixedAtom<'_>],
     head: &[QTerm],
-    opts: &EvalOptions,
+    engine: Option<Engine>,
 ) -> (Answers, EvalStats) {
-    if opts.legacy || !opts.use_indexes {
-        let engine = if opts.use_indexes {
-            Engine::Legacy
-        } else {
-            Engine::Scan
-        };
-        let answers = legacy::run(store, atoms, head, opts.use_indexes);
-        return (answers, EvalStats::new(engine));
-    }
     let plan = compiled::compile(atoms, head);
-    let use_wcoj = match opts.engine {
-        EngineChoice::Compiled => false,
-        EngineChoice::Wcoj => true,
-        // The adaptive selector: cyclic atom hypergraphs are where the
-        // backtracking core enumerates intermediates a worst-case-optimal
-        // join avoids; acyclic/selective shapes keep the compiled core.
-        EngineChoice::Auto => wcoj::is_cyclic(&plan),
+    let engine = engine.unwrap_or_else(|| {
+        if wcoj::is_cyclic(&plan) {
+            Engine::Wcoj
+        } else {
+            Engine::Compiled
+        }
+    });
+    let mut stats = EvalStats::new(engine);
+    let answers = match engine {
+        Engine::Compiled => compiled::execute(store, &plan, &mut stats),
+        Engine::Wcoj => wcoj::execute(store, &plan, &mut stats),
     };
-    if use_wcoj {
-        let mut stats = EvalStats::new(Engine::Wcoj);
-        let answers = wcoj::execute(store, &plan, &mut stats);
-        (answers, stats)
-    } else {
-        let mut stats = EvalStats::new(Engine::Compiled);
-        let answers = compiled::execute(store, &plan, &mut stats);
-        (answers, stats)
-    }
+    (answers, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdf_model::{Dataset, Term};
+    use crate::oracle;
+    use rdf_model::{Dataset, Id, Term};
     use rdf_query::parser::parse_query;
     use rdf_query::Var;
+
+    /// The routed evaluation of a store query, with its stats.
+    fn routed(store: &TripleStore, q: &ConjunctiveQuery) -> (Answers, EvalStats) {
+        evaluate_mixed(store, &store_atoms(q), &q.head)
+    }
 
     fn family() -> Dataset {
         let mut db = Dataset::new();
@@ -498,7 +393,7 @@ mod tests {
                     }
                 })
                 .collect();
-            let mixed = evaluate_mixed(db.store(), &atoms, &q.head);
+            let (mixed, _) = evaluate_mixed(db.store(), &atoms, &q.head);
             assert_eq!(mixed, evaluate(db.store(), &q), "delta at atom {i}");
         }
     }
@@ -524,11 +419,11 @@ mod tests {
                 args: q.atoms[1].terms(),
             }),
         ];
-        let first = evaluate_mixed(db.store(), &atoms, &q.head);
+        let (first, _) = evaluate_mixed(db.store(), &atoms, &q.head);
         let builds_after_first = delta.index_builds();
         assert!(builds_after_first >= 1, "the probed mask built an index");
         for _ in 0..5 {
-            assert_eq!(evaluate_mixed(db.store(), &atoms, &q.head), first);
+            assert_eq!(evaluate_mixed(db.store(), &atoms, &q.head).0, first);
         }
         assert_eq!(
             delta.index_builds(),
@@ -546,10 +441,10 @@ mod tests {
         )
         .unwrap();
         let indexed = evaluate(db.store(), &q.query);
-        let scanned = evaluate_with(db.store(), &q.query, &EvalOptions::scan_baseline());
-        let legacy = evaluate_with(db.store(), &q.query, &EvalOptions::legacy_indexed());
-        assert_eq!(indexed, scanned);
-        assert_eq!(indexed, legacy);
+        assert_eq!(indexed, oracle::evaluate(db.store(), &q.query));
+        for engine in [Engine::Compiled, Engine::Wcoj] {
+            assert_eq!(evaluate_on(engine, db.store(), &q.query).0, indexed);
+        }
     }
 
     #[test]
@@ -604,7 +499,7 @@ mod tests {
     fn adaptive_selector_routes_cyclic_to_wcoj() {
         let mut db = triangle_db();
         let q = triangle_query(&mut db);
-        let (a, stats) = evaluate_with_stats(db.store(), &q, &EvalOptions::default());
+        let (a, stats) = routed(db.store(), &q);
         assert_eq!(stats.engine, Engine::Wcoj, "triangle routes to leapfrog");
         assert!(stats.lf_seeks > 0, "leapfrog actually sought");
         assert_eq!(stats.lf_emitted, a.len() as u64, "distinct emits");
@@ -617,7 +512,7 @@ mod tests {
         let q = parse_query("q(X, Z) :- t(X, <e>, Y), t(Y, <e>, Z)", db.dict_mut())
             .unwrap()
             .query;
-        let (_, stats) = evaluate_with_stats(db.store(), &q, &EvalOptions::default());
+        let (_, stats) = routed(db.store(), &q);
         assert_eq!(
             stats.engine,
             Engine::Compiled,
@@ -649,7 +544,7 @@ mod tests {
         let q = parse_query("q(X) :- t(X, <p>, Y), t(X, <q>, Z)", db.dict_mut())
             .unwrap()
             .query;
-        let (a, stats) = evaluate_with_stats(db.store(), &q, &EvalOptions::default());
+        let (a, stats) = routed(db.store(), &q);
         assert_eq!(stats.engine, Engine::Compiled);
         assert_eq!(a.len() as u64, N);
         assert!(
@@ -657,17 +552,14 @@ mod tests {
             "{} rows",
             stats.rows_visited
         );
-        assert_eq!(
-            a,
-            evaluate_with(db.store(), &q, &EvalOptions::scan_baseline())
-        );
+        assert_eq!(a, oracle::evaluate(db.store(), &q));
 
         // With Z in the head nothing is decided before the last atom, and
         // the full N·F² enumeration is the answer.
         let full = parse_query("q(X, Z) :- t(X, <p>, Y), t(X, <q>, Z)", db.dict_mut())
             .unwrap()
             .query;
-        let (a, stats) = evaluate_with_stats(db.store(), &full, &EvalOptions::default());
+        let (a, stats) = routed(db.store(), &full);
         assert_eq!(a.len() as u64, N * F);
         assert!(
             stats.rows_visited >= N * F * F,
@@ -679,12 +571,12 @@ mod tests {
         let any = parse_query("q() :- t(X, <p>, Y), t(X, <q>, Z)", db.dict_mut())
             .unwrap()
             .query;
-        let (a, stats) = evaluate_with_stats(db.store(), &any, &EvalOptions::default());
+        let (a, stats) = routed(db.store(), &any);
         assert_eq!(a.len(), 1);
         assert!(stats.rows_visited <= 2, "{} rows", stats.rows_visited);
 
-        // The other engines do not count.
-        let (_, stats) = evaluate_with_stats(db.store(), &q, &EvalOptions::wcoj());
+        // The leapfrog engine does not count.
+        let (_, stats) = evaluate_on(Engine::Wcoj, db.store(), &q);
         assert_eq!(stats.rows_visited, 0);
     }
 
@@ -713,19 +605,14 @@ mod tests {
         )
         .unwrap()
         .query;
-        let (a, stats) = evaluate_with_stats(db.store(), &q, &EvalOptions::default());
+        let (a, stats) = routed(db.store(), &q);
         assert_eq!(stats.engine, Engine::Compiled);
         assert_eq!(a.len() as u64, N);
         assert_eq!(stats.rows_visited, 3 * N);
         assert!(stats.probes <= 2 * N + 3, "{} probes", stats.probes);
-        for opts in [EvalOptions::wcoj(), EvalOptions::legacy_indexed()] {
-            let (b, stats) = evaluate_with_stats(db.store(), &q, &opts);
-            assert_eq!(
-                (b, stats.probes),
-                (a.clone(), 0),
-                "only the compiled core counts"
-            );
-        }
+        assert_eq!(a, oracle::evaluate(db.store(), &q));
+        let (b, stats) = evaluate_on(Engine::Wcoj, db.store(), &q);
+        assert_eq!((b, stats.probes), (a, 0), "only the compiled core counts");
     }
 
     #[test]
@@ -764,12 +651,9 @@ mod tests {
         )
         .unwrap()
         .query;
-        let (a, stats) = evaluate_with_stats(db.store(), &q, &EvalOptions::default());
+        let (a, stats) = routed(db.store(), &q);
         assert_eq!(stats.engine, Engine::Compiled);
-        assert_eq!(
-            a,
-            evaluate_with(db.store(), &q, &EvalOptions::scan_baseline())
-        );
+        assert_eq!(a, oracle::evaluate(db.store(), &q));
         assert_eq!(a.len() as u64, 2 * N);
         assert_eq!(stats.rows_visited, N + N + 2 * N);
         assert_eq!(stats.probes, 3 + 2 * N);
@@ -792,15 +676,9 @@ mod tests {
         let q = parse_query("q(X, Z) :- t(X, <e>, Y), t(Y, <e>, Z)", db.dict_mut())
             .unwrap()
             .query;
-        let engines = [
-            (EvalOptions::wcoj(), Engine::Wcoj),
-            (EvalOptions::compiled(), Engine::Compiled),
-            (EvalOptions::legacy_indexed(), Engine::Legacy),
-            (EvalOptions::scan_baseline(), Engine::Scan),
-        ];
-        let want = evaluate(db.store(), &q);
-        for (opts, engine) in engines {
-            let (a, stats) = evaluate_with_stats(db.store(), &q, &opts);
+        let want = oracle::evaluate(db.store(), &q);
+        for engine in [Engine::Wcoj, Engine::Compiled] {
+            let (a, stats) = evaluate_on(engine, db.store(), &q);
             assert_eq!(stats.engine, engine);
             assert_eq!(a, want, "{} agrees on the chain", engine.as_str());
         }
@@ -810,16 +688,9 @@ mod tests {
     fn wcoj_matches_other_engines_on_cyclic_shapes() {
         let mut db = triangle_db();
         let q = triangle_query(&mut db);
-        let want = evaluate_with(db.store(), &q, &EvalOptions::scan_baseline());
-        assert_eq!(evaluate_with(db.store(), &q, &EvalOptions::wcoj()), want);
-        assert_eq!(
-            evaluate_with(db.store(), &q, &EvalOptions::compiled()),
-            want
-        );
-        assert_eq!(
-            evaluate_with(db.store(), &q, &EvalOptions::legacy_indexed()),
-            want
-        );
+        let want = oracle::evaluate(db.store(), &q);
+        assert_eq!(evaluate_on(Engine::Wcoj, db.store(), &q).0, want);
+        assert_eq!(evaluate_on(Engine::Compiled, db.store(), &q).0, want);
     }
 
     #[test]
@@ -840,9 +711,9 @@ mod tests {
         ];
         for text in queries {
             let q = parse_query(text, db.dict_mut()).unwrap().query;
-            let want = evaluate_with(db.store(), &q, &EvalOptions::scan_baseline());
+            let want = oracle::evaluate(db.store(), &q);
             assert_eq!(
-                evaluate_with(db.store(), &q, &EvalOptions::wcoj()),
+                evaluate_on(Engine::Wcoj, db.store(), &q).0,
                 want,
                 "wcoj parity on {text}"
             );
@@ -870,7 +741,7 @@ mod tests {
             MixedAtom::Store(Atom([z.into(), QTerm::Const(e), x.into()])),
         ];
         let head = [x.into(), y.into(), z.into()];
-        let (a, stats) = evaluate_mixed_stats(db.store(), &atoms, &head);
+        let (a, stats) = evaluate_mixed(db.store(), &atoms, &head);
         assert_eq!(stats.engine, Engine::Wcoj, "mixed triangle routes to wcoj");
         let direct = {
             let mut db2 = triangle_db();
@@ -883,7 +754,7 @@ mod tests {
             "view atoms built sorted trie projections"
         );
         let builds = t.index_builds();
-        let (b, _) = evaluate_mixed_stats(db.store(), &atoms, &head);
+        let (b, _) = evaluate_mixed(db.store(), &atoms, &head);
         assert_eq!(b, direct);
         assert_eq!(t.index_builds(), builds, "sorted projections are reused");
     }
@@ -903,5 +774,90 @@ mod tests {
         assert_eq!(a.len(), 1);
         let rembrandt = db.dict().lookup_uri("rembrandt").unwrap();
         assert!(a.contains(&[titus, rembrandt]));
+    }
+
+    /// Asserts the oracle's answers to `text` are `want`, by URI name.
+    fn oracle_is(db: &mut Dataset, text: &str, want: &[&[&str]]) {
+        let q = parse_query(text, db.dict_mut()).unwrap().query;
+        let id = |name: &&str| db.dict().lookup_uri(name).unwrap();
+        let want = want
+            .iter()
+            .map(|row| row.iter().map(id).collect::<Vec<Id>>());
+        let want = Answers::from_tuples(q.head.len(), want);
+        assert_eq!(oracle::evaluate(db.store(), &q), want, "{text}");
+    }
+
+    #[test]
+    fn the_oracle_answers_the_family_by_hand() {
+        let mut db = family();
+        let chain = "q(X, Z) :- t(X, <isParentOf>, Y), t(Y, <hasPainted>, Z)";
+        oracle_is(&mut db, chain, &[&["rembrandt", "portrait"]]);
+        let painted = [
+            &["rembrandt", "nightWatch"][..],
+            &["picasso", "guernica"],
+            &["titus", "portrait"],
+        ];
+        oracle_is(&mut db, "q(X, Y) :- t(X, <hasPainted>, Y)", &painted);
+        let painters = [&["rembrandt"][..], &["picasso"], &["titus"]];
+        oracle_is(&mut db, "q(X) :- t(X, <hasPainted>, Y)", &painters);
+        let props = [&["hasPainted"][..], &["isParentOf"]];
+        oracle_is(&mut db, "q(P) :- t(<rembrandt>, P, Y)", &props);
+    }
+
+    #[test]
+    fn the_oracle_finds_both_triangles_by_hand() {
+        let mut db = triangle_db();
+        let rotations = [
+            &["a", "b", "c"][..],
+            &["b", "c", "a"],
+            &["c", "a", "b"],
+            &["a2", "b", "c"],
+            &["b", "c", "a2"],
+            &["c", "a2", "b"],
+        ];
+        let triangle = "q(X, Y, Z) :- t(X, <e>, Y), t(Y, <e>, Z), t(Z, <e>, X)";
+        oracle_is(&mut db, triangle, &rotations);
+        let into_b = "q(X, Z) :- t(X, <e>, Y), t(Y, <e>, Z), t(Z, <e>, <b>)";
+        oracle_is(&mut db, into_b, &[&["b", "a"], &["b", "a2"]]);
+    }
+
+    #[test]
+    fn the_oracle_binds_a_repeated_variable_once() {
+        let mut db = family();
+        db.insert_terms(
+            Term::uri("narciss"),
+            Term::uri("admires"),
+            Term::uri("narciss"),
+        );
+        db.insert_terms(Term::uri("a"), Term::uri("admires"), Term::uri("b"));
+        oracle_is(&mut db, "q(X) :- t(X, <admires>, X)", &[&["narciss"]]);
+        oracle_is(&mut db, "q(X, P) :- t(X, P, X)", &[&["narciss", "admires"]]);
+        let across = "q(X) :- t(X, <hasPainted>, Y), t(X, <isParentOf>, Z)";
+        oracle_is(&mut db, across, &[&["rembrandt"]]);
+    }
+
+    #[test]
+    fn the_oracle_tests_ground_atoms_for_membership() {
+        let mut db = family();
+        let held = "q(X) :- t(<rembrandt>, <isParentOf>, <titus>), t(X, <hasPainted>, <guernica>)";
+        oracle_is(&mut db, held, &[&["picasso"]]);
+        let absent = "q(X) :- t(<picasso>, <isParentOf>, <titus>), t(X, <hasPainted>, <guernica>)";
+        oracle_is(&mut db, absent, &[]);
+    }
+
+    #[test]
+    fn the_oracle_answers_a_boolean_head_with_one_empty_tuple() {
+        let mut db = family();
+        let yes = "q() :- t(X, <isParentOf>, Y), t(Y, <hasPainted>, Z)";
+        oracle_is(&mut db, yes, &[&[]]);
+        let no = "q() :- t(X, <hasPainted>, Y), t(Y, <hasPainted>, Z)";
+        oracle_is(&mut db, no, &[]);
+    }
+
+    #[test]
+    fn the_oracle_keeps_a_constant_head_term() {
+        let mut db = family();
+        let text = "q(<titus>, X) :- t(X, <isParentOf>, Y)";
+        oracle_is(&mut db, text, &[&["titus", "rembrandt"]]);
     }
 }

@@ -283,16 +283,14 @@ pub(super) fn execute(store: &TripleStore, plan: &CompiledPlan, stats: &mut Eval
                 for (_, cols) in &groups {
                     order_groups.push(cols.as_slice());
                 }
-                let idx_order = IndexOrder::for_groups(&order_groups)
-                    // xlint: allow(X001, reason = "all six s/p/o column partitions have permutation indexes")
-                    .expect("every ordered column partition has a permutation index");
+                let idx_order = IndexOrder::for_groups(&order_groups);
                 let perm = idx_order.perm();
-                let key: Vec<Id> = perm[..consts.len()]
+                // The constants, in the order's sort sequence: its prefix.
+                let key: Vec<Id> = perm
                     .iter()
-                    .map(|&c| match terms[c] {
-                        CTerm::Const(id) => id,
-                        // xlint: allow(X001, reason = "perm lists the consts partition first by construction")
-                        CTerm::Slot(_) => unreachable!("prefix columns are constants"),
+                    .filter_map(|&c| match terms[c] {
+                        CTerm::Const(id) => Some(id),
+                        CTerm::Slot(_) => None,
                     })
                     .collect();
                 let range = store.range(idx_order, &key);

@@ -20,17 +20,24 @@
 //!   demand per bound-column set and kept in the table;
 //! * [`evaluate_mixed`] — atoms mixing store scans and table scans: the
 //!   delta-join shape of set-at-a-time view maintenance ([`maintain`]),
-//!   where one atom position is bound to the whole update batch.
+//!   where one atom position is bound to the whole update batch, and the
+//!   deployment layer's plan branches; it returns the [`EvalStats`] of the
+//!   call with its answers;
+//! * [`evaluate_on`] — a CQ on a forced join core, for the differential
+//!   tests and the benches that time one core against the other;
+//! * [`oracle::evaluate`] — the reference: nested loops over full scans.
 //!
 //! Answers use **set semantics**, matching the conjunctive-query formalism
 //! of the paper (equivalence is defined through containment mappings).
 //!
 //! ## Evaluation internals
 //!
-//! All entry points funnel into one backtracking join core. The default
-//! engine is the **compiled index-native core** (`eval::compiled`), built
-//! so that a read does the work its answer needs and no more — per query,
-//! per join node, per row and per answer tuple:
+//! There are two join cores and one oracle. Every entry point funnels into
+//! one router, which sends acyclic queries to the **compiled index-native
+//! core** (`eval::compiled`) and cyclic ones to the leapfrog triejoin
+//! below. The compiled core is built so that a read does the work its
+//! answer needs and no more — per query, per join node, per row and per
+//! answer tuple:
 //!
 //! * **per query**, variables get dense slot numbers, so the bindings
 //!   frame is a flat vector of ids. Store queries, view rewritings and
@@ -108,21 +115,19 @@
 //!   galloping (exponential-probe + binary-search) seeks to the current
 //!   maximum until all agree, then bind, narrow each cursor to its
 //!   value-run, descend;
-//! * the selector ([`EngineChoice::Auto`], the default) runs a GYO
-//!   ear-removal acyclicity test on the atom hypergraph per query: cyclic
-//!   shapes (triangles, diamonds, k-cycles) route to leapfrog, acyclic
-//!   ones keep the compiled core, and [`EvalStats::engine`] (from
-//!   [`evaluate_with_stats`] / [`evaluate_mixed_stats`]) records the
-//!   decision along with seek/emit counters. Its search loop enumerates
-//!   every binding of every variable; the early exit above is the
-//!   compiled core's alone.
+//! * the router runs a GYO ear-removal acyclicity test on the atom
+//!   hypergraph per query: cyclic shapes (triangles, diamonds, k-cycles)
+//!   route to leapfrog, acyclic ones keep the compiled core, and
+//!   [`EvalStats::engine`] (from [`evaluate_mixed`]) records the decision
+//!   along with seek/emit counters. Its search loop enumerates every
+//!   binding of every variable; the early exit above is the compiled
+//!   core's alone. [`evaluate_on`] bypasses the test.
 //!
-//! The pre-compiled collect-per-node core survives in `eval::legacy` as a
-//! measured baseline, selectable via [`EvalOptions::legacy_indexed`]
-//! (indexed) and [`EvalOptions::scan_baseline`] (full scans — the "plain
-//! clustered triple table" configuration of the paper's Figure 8);
-//! differential property tests hold all four engines to identical
-//! answers.
+//! The **oracle** ([`oracle::evaluate`]) shares nothing with either core:
+//! nested loops over full scans of the triple list under a frame of
+//! optional bindings. It is the reference the differential property tests
+//! hold both cores (forced and routed) to, and the "plain clustered triple
+//! table" configuration of the paper's Figure 8.
 //!
 //! ```
 //! use rdf_model::{Dataset, Term};
@@ -141,13 +146,13 @@
 mod answers;
 mod eval;
 pub mod maintain;
+pub mod oracle;
 mod view_table;
 
 pub use answers::Answers;
 pub use eval::{
-    evaluate, evaluate_mixed, evaluate_mixed_stats, evaluate_over_views, evaluate_union,
-    evaluate_with, evaluate_with_stats, Engine, EngineChoice, EvalOptions, EvalStats, MixedAtom,
-    ViewAtom,
+    evaluate, evaluate_mixed, evaluate_on, evaluate_over_views, evaluate_union, Engine, EvalStats,
+    MixedAtom, ViewAtom,
 };
 pub use maintain::{DeleteDelta, DeltaSet, MaintainedView, MaintenanceStats};
 pub use view_table::{ViewIndex, ViewSortedIndex, ViewTable};

@@ -207,7 +207,7 @@ impl MaintainedView {
                     }
                 })
                 .collect();
-            evaluate_mixed(store, &atoms, &self.def.head)
+            evaluate_mixed(store, &atoms, &self.def.head).0
         });
         Answers::union_all(self.def.head.len(), per_position)
     }

@@ -1,14 +1,14 @@
-//! Property tests for the evaluation engine: the index-backed evaluator,
-//! the scan-only evaluator and a reference naive join must all agree; view
-//! rewritings of a decomposed query must equal direct evaluation; the
-//! maintenance deltas must keep views equal to rematerialization; a view
-//! index must return exactly the rows a filter would.
+//! Property tests for the evaluation engine: both join cores, forced and
+//! routed, must agree with the full-scan oracle; view rewritings of a
+//! decomposed query must equal direct evaluation; the maintenance deltas
+//! must keep views equal to rematerialization; a view index must return
+//! exactly the rows a filter would.
 
 use proptest::prelude::*;
 use rdf_engine::maintain::MaintainedView;
 use rdf_engine::{
-    evaluate, evaluate_mixed, evaluate_with, evaluate_with_stats, materialize, Engine, EvalOptions,
-    MixedAtom, ViewAtom, ViewTable,
+    evaluate, evaluate_mixed, evaluate_on, materialize, oracle, Answers, Engine, MixedAtom,
+    ViewAtom, ViewTable,
 };
 use rdf_model::{Id, TripleStore};
 use rdf_query::{Atom, ConjunctiveQuery, QTerm, Var};
@@ -45,15 +45,7 @@ fn query_strategy() -> impl Strategy<Value = ConjunctiveQuery> {
                 Atom([s, QTerm::Const(Id(p)), o])
             })
             .collect();
-        let mut head = Vec::new();
-        for a in &atoms {
-            for v in a.vars() {
-                if !head.contains(&QTerm::Var(v)) {
-                    head.push(QTerm::Var(v));
-                }
-            }
-        }
-        ConjunctiveQuery::new(head, atoms)
+        cq(atoms)
     })
 }
 
@@ -233,7 +225,7 @@ proptest! {
     ) {
         let store = store_from(&triples);
         let a = evaluate(&store, &q);
-        let b = evaluate_with(&store, &q, &EvalOptions::scan_baseline());
+        let b = oracle::evaluate(&store, &q);
         prop_assert_eq!(a, b);
     }
 
@@ -242,24 +234,22 @@ proptest! {
         triples in triples_strategy(),
         q in projected(shaped_query_strategy()),
     ) {
-        // Differential test across all four engines: the full-scan
-        // baseline, the pre-compiled indexed core, the compiled
-        // index-native core and the leapfrog triejoin (forced, so it also
-        // runs the acyclic shapes the selector would route elsewhere).
-        // Shapes cover stars, chains, repeated variables, constant
-        // selections, cartesian products and the cyclic tier (triangles,
-        // diamonds, 4-cycles), under full and projecting heads. The
-        // adaptive default must agree too, whichever engine it picked.
+        // Differential test of both cores against the full-scan oracle:
+        // the compiled index-native core and the leapfrog triejoin, each
+        // forced (so leapfrog also runs the acyclic shapes the router
+        // would send elsewhere). Shapes cover stars, chains, repeated
+        // variables, constant selections, cartesian products and the
+        // cyclic tier (triangles, diamonds, 4-cycles), under full and
+        // projecting heads. The routed default must agree too, whichever
+        // core it picked.
         let store = store_from(&triples);
-        let scan = evaluate_with(&store, &q, &EvalOptions::scan_baseline());
-        let legacy = evaluate_with(&store, &q, &EvalOptions::legacy_indexed());
-        let compiled = evaluate_with(&store, &q, &EvalOptions::compiled());
-        let wcoj = evaluate_with(&store, &q, &EvalOptions::wcoj());
-        let (auto, _) = evaluate_with_stats(&store, &q, &EvalOptions::default());
-        prop_assert_eq!(&compiled, &scan);
-        prop_assert_eq!(&compiled, &legacy);
-        prop_assert_eq!(&compiled, &wcoj);
-        prop_assert_eq!(&compiled, &auto);
+        let want = oracle::evaluate(&store, &q);
+        let (compiled, _) = evaluate_on(Engine::Compiled, &store, &q);
+        let (wcoj, _) = evaluate_on(Engine::Wcoj, &store, &q);
+        let auto = evaluate(&store, &q);
+        prop_assert_eq!(&compiled, &want);
+        prop_assert_eq!(&wcoj, &want);
+        prop_assert_eq!(&auto, &want);
     }
 
     #[test]
@@ -297,8 +287,8 @@ proptest! {
                 _ => MixedAtom::View(ViewAtom { table, args: head }),
             })
             .collect();
-        let mixed = evaluate_mixed(&store, &atoms, &q.head);
-        prop_assert_eq!(mixed, evaluate_with(&store, &q, &EvalOptions::scan_baseline()));
+        let (mixed, _) = evaluate_mixed(&store, &atoms, &q.head);
+        prop_assert_eq!(mixed, oracle::evaluate(&store, &q));
     }
 
     #[test]
@@ -446,13 +436,27 @@ proptest! {
     }
 }
 
-/// Deterministic 64-bit LCG (same constants as Knuth's MMIX), so the
-/// stress store is reproducible without a seeded RNG dependency.
-fn lcg(state: &mut u64) -> u64 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *state >> 33
+/// The stress tests' background: a million random triples over 100k
+/// subjects and 16 predicates, drawn by a deterministic 64-bit LCG (same
+/// constants as Knuth's MMIX) so the store is reproducible without a
+/// seeded RNG dependency.
+fn million_random_triples() -> Vec<[Id; 3]> {
+    let mut state = 0x5eed_u64;
+    let mut lcg = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as u32
+    };
+    (0..1_000_000)
+        .map(|_| {
+            [
+                Id(lcg() % 100_000),
+                Id(1_000_000 + lcg() % 16),
+                Id(lcg() % 100_000),
+            ]
+        })
+        .collect()
 }
 
 /// Million-triple differential stress test. Ignored by default (it wants
@@ -461,17 +465,7 @@ fn lcg(state: &mut u64) -> u64 {
 #[test]
 #[ignore = "1M-triple stress test: run in release mode with -- --ignored"]
 fn million_triple_compiled_matches_baselines() {
-    const N: usize = 1_000_000;
-    const SUBJECTS: u64 = 100_000;
-    const PREDICATES: u64 = 16;
-    let mut rng = 0x5eed_u64;
-    let mut batch = Vec::with_capacity(N);
-    for _ in 0..N {
-        let s = Id((lcg(&mut rng) % SUBJECTS) as u32);
-        let p = Id(1_000_000 + (lcg(&mut rng) % PREDICATES) as u32);
-        let o = Id((lcg(&mut rng) % SUBJECTS) as u32);
-        batch.push([s, p, o]);
-    }
+    let batch = million_random_triples();
     let mut store = TripleStore::new();
     store.insert_batch(&batch);
     assert!(store.len() > 990_000, "stress store should be ~1M triples");
@@ -480,8 +474,8 @@ fn million_triple_compiled_matches_baselines() {
     let p0 = QTerm::Const(Id(1_000_000));
     let p1 = QTerm::Const(Id(1_000_001));
     let anchor = QTerm::Const(batch[0][0]);
-    // Query shapes chosen so the scan baseline stays tractable: the single
-    // atom costs one full scan; the anchored chain/star fan out from a
+    // Query shapes chosen so the oracle stays tractable: the single atom
+    // costs one full scan; the anchored chain/star fan out from a
     // constant subject before their full-scan inner nodes.
     let single = ConjunctiveQuery::new(vec![var(0), var(1)], vec![Atom([var(0), p0, var(1)])]);
     let chain = ConjunctiveQuery::new(
@@ -494,33 +488,24 @@ fn million_triple_compiled_matches_baselines() {
     );
     for (name, q) in [("single", &single), ("chain", &chain), ("star", &star)] {
         let compiled = evaluate(&store, q);
-        let legacy = evaluate_with(&store, q, &EvalOptions::legacy_indexed());
-        assert_eq!(compiled, legacy, "{name}: compiled vs legacy-indexed");
-        let scan = evaluate_with(&store, q, &EvalOptions::scan_baseline());
-        assert_eq!(compiled, scan, "{name}: compiled vs full-scan");
+        let wcoj = evaluate_on(Engine::Wcoj, &store, q).0;
+        assert_eq!(compiled, wcoj, "{name}: compiled vs forced wcoj");
+        let want = oracle::evaluate(&store, q);
+        assert_eq!(compiled, want, "{name}: compiled vs the oracle");
     }
 }
 
 /// Million-triple triangle stress test for the leapfrog engine: a 1M
 /// random background plus block-structured triangle edges whose answer
-/// count is known by construction. The adaptive selector must route the
-/// triangle to leapfrog, and its answers must match both binary-join
-/// engines exactly. Ignored by default (it wants release mode); CI runs
-/// it explicitly with `cargo test --release -- --ignored`.
+/// count is known by construction. The router must send the triangle to
+/// leapfrog, and its answers must match the forced compiled core exactly
+/// and the oracle on the triangles of two hubs. Ignored by default (it
+/// wants release mode); CI runs it explicitly with
+/// `cargo test --release -- --ignored`.
 #[test]
 #[ignore = "1M-triple stress test: run in release mode with -- --ignored"]
 fn million_triple_triangle_wcoj_matches_compiled() {
-    const N: usize = 1_000_000;
-    const SUBJECTS: u64 = 100_000;
-    const PREDICATES: u64 = 16;
-    let mut rng = 0x5eed_u64;
-    let mut batch = Vec::with_capacity(N);
-    for _ in 0..N {
-        let s = Id((lcg(&mut rng) % SUBJECTS) as u32);
-        let p = Id(1_000_000 + (lcg(&mut rng) % PREDICATES) as u32);
-        let o = Id((lcg(&mut rng) % SUBJECTS) as u32);
-        batch.push([s, p, o]);
-    }
+    let mut batch = million_random_triples();
     // Triangle tier (same construction as the join_throughput bench):
     // R: x→y fan-out FY, S: y→ contiguous BZ-long z-block, T: x→ BZ-long
     // z-block that overlaps the S-blocks of x's first two y's for one x in
@@ -566,7 +551,8 @@ fn million_triple_triangle_wcoj_matches_compiled() {
             Atom([var(0), QTerm::Const(pt), var(2)]),
         ],
     );
-    let (auto, stats) = evaluate_with_stats(&store, &tri, &EvalOptions::default());
+    let atoms: Vec<MixedAtom> = tri.atoms.iter().map(|a| MixedAtom::Store(*a)).collect();
+    let (auto, stats) = evaluate_mixed(&store, &atoms, &tri.head);
     assert_eq!(
         stats.engine,
         Engine::Wcoj,
@@ -579,8 +565,17 @@ fn million_triple_triangle_wcoj_matches_compiled() {
         (NX / 16 * BZ) as usize,
         "block construction fixes the triangle count"
     );
-    let compiled = evaluate_with(&store, &tri, &EvalOptions::compiled());
-    let legacy = evaluate_with(&store, &tri, &EvalOptions::legacy_indexed());
+    let (compiled, _) = evaluate_on(Engine::Compiled, &store, &tri);
     assert_eq!(auto, compiled, "wcoj vs compiled at 1M scale");
-    assert_eq!(auto, legacy, "wcoj vs legacy at 1M scale");
+    // The whole triangle is out of the oracle's reach at this scale (a
+    // full scan per binding), so it checks the triangles of one hub that
+    // has them and of one that has none: with the hub bound, each costs
+    // one scan per edge of the hub's fan-out.
+    for (hub, count) in [(Id(xb), BZ as usize), (Id(xb + 1), 0)] {
+        let at_hub = [(Var(0), QTerm::Const(hub))].into_iter().collect();
+        let want = oracle::evaluate(&store, &tri.substitute(&at_hub));
+        assert_eq!(want.len(), count, "triangles at hub {hub:?}");
+        let got = Answers::from_tuples(3, auto.rows().filter(|r| r[0] == hub));
+        assert_eq!(got, want, "wcoj vs the oracle at hub {hub:?}");
+    }
 }

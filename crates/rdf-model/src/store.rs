@@ -122,29 +122,31 @@ impl IndexOrder {
         (order, key, len)
     }
 
-    /// Picks an order whose sort sequence lists the given column `groups`
+    /// The order whose sort sequence lists the given column `groups`
     /// consecutively, in the given group order (columns *within* a group
-    /// may appear in any order). This is the trie-cursor selection of a
-    /// leapfrog join: the first group holds the constant-bound columns (the
-    /// range key prefix) and each later group holds the column(s) of one
-    /// join variable, ordered by the global variable order — the chosen
-    /// permutation then exposes the atom's matches as a trie sorted by
-    /// variable depth.
+    /// may appear in any order), and any column no group names last. This
+    /// is the trie-cursor selection of a leapfrog join: the first group
+    /// holds the constant-bound columns (the range key prefix) and each
+    /// later group holds the column(s) of one join variable, ordered by the
+    /// global variable order — the chosen permutation then exposes the
+    /// atom's matches as a trie sorted by variable depth.
     ///
-    /// Every ordered partition of a subset of `{S, P, O}` is satisfiable
-    /// (all six permutations exist), so this returns `None` only for
-    /// malformed input (a repeated or out-of-range column).
-    pub fn for_groups(groups: &[&[usize]]) -> Option<IndexOrder> {
-        IndexOrder::ALL.into_iter().find(|order| {
-            let perm = order.perm();
-            let mut pos = 0;
-            groups.iter().all(|g| {
-                let end = pos + g.len();
-                let ok = end <= 3 && perm[pos..end].iter().all(|c| g.contains(c));
-                pos = end;
-                ok
-            })
-        })
+    /// All six permutations exist, so every ordered partition of a subset
+    /// of `{S, P, O}` has its order; a column named twice counts in its
+    /// first group.
+    pub fn for_groups(groups: &[&[usize]]) -> IndexOrder {
+        let rank = |col| groups.iter().position(|g| g.contains(&col));
+        let [s, p, o] = [S, P, O].map(|col| rank(col).unwrap_or(groups.len()));
+        // The order that sorts the columns by rank. Tied columns share a
+        // group, so either side of a tie keeps them adjacent.
+        match (s <= p, p <= o, s <= o) {
+            (true, true, _) => IndexOrder::Spo,
+            (true, false, true) => IndexOrder::Sop,
+            (true, false, false) => IndexOrder::Osp,
+            (false, true, true) => IndexOrder::Pso,
+            (false, true, false) => IndexOrder::Pos,
+            (false, false, _) => IndexOrder::Ops,
+        }
     }
 }
 
@@ -678,32 +680,40 @@ mod tests {
     #[test]
     fn for_groups_lists_groups_consecutively() {
         // Constant property, then subject, then object: Pso.
-        assert_eq!(
-            IndexOrder::for_groups(&[&[P], &[S], &[O]]),
-            Some(IndexOrder::Pso)
-        );
+        assert_eq!(IndexOrder::for_groups(&[&[P], &[S], &[O]]), IndexOrder::Pso);
         // A two-column group (repeated variable over s and o) after p.
-        let order = IndexOrder::for_groups(&[&[P], &[S, O]]).expect("satisfiable");
-        assert_eq!(order.perm()[0], P);
+        assert_eq!(IndexOrder::for_groups(&[&[P], &[S, O]]).perm()[0], P);
         // No constants, object variable first.
-        let order = IndexOrder::for_groups(&[&[O], &[P]]).expect("satisfiable");
-        let perm = order.perm();
+        let perm = IndexOrder::for_groups(&[&[O], &[P]]).perm();
         assert_eq!((perm[0], perm[1]), (O, P));
-        // Every ordered partition of a subset of {s,p,o} is satisfiable.
+        // Every ordered partition of a subset of {s,p,o} comes out with
+        // its groups consecutive, in order.
+        let consecutive = |groups: &[&[usize]]| {
+            let perm = IndexOrder::for_groups(groups).perm();
+            let mut pos = 0;
+            for group in groups {
+                let end = pos + group.len();
+                let held = perm[pos..end].iter().all(|c| group.contains(c));
+                assert!(held, "{groups:?} gives {perm:?}");
+                pos = end;
+            }
+        };
         for a in 0..3 {
             for b in 0..3 {
                 if a == b {
                     continue;
                 }
-                assert!(IndexOrder::for_groups(&[&[a], &[b]]).is_some());
                 let c = 3 - a - b;
-                assert!(IndexOrder::for_groups(&[&[a], &[b], &[c]]).is_some());
-                assert!(IndexOrder::for_groups(&[&[a], &[b, c]]).is_some());
-                assert!(IndexOrder::for_groups(&[&[a, b], &[c]]).is_some());
+                consecutive(&[&[a], &[b]]);
+                consecutive(&[&[a], &[b], &[c]]);
+                consecutive(&[&[a], &[b, c]]);
+                consecutive(&[&[a, b], &[c]]);
+                consecutive(&[&[b, a], &[c]]);
             }
         }
-        // Malformed: a column repeated across groups is unsatisfiable.
-        assert_eq!(IndexOrder::for_groups(&[&[S], &[S]]), None);
+        // A column no group names sorts last.
+        assert_eq!(IndexOrder::for_groups(&[&[O]]).perm()[0], O);
+        assert_eq!(IndexOrder::for_groups(&[&[P, O]]).perm()[2], S);
     }
 
     fn store_with(n: u32) -> TripleStore {

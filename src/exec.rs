@@ -18,7 +18,7 @@
 use std::sync::{Arc, OnceLock, RwLock};
 
 use rdf_engine::{
-    evaluate_mixed_stats, evaluate_over_views, materialize_union, Answers, DeleteDelta, DeltaSet,
+    evaluate_mixed, evaluate_over_views, materialize_union, Answers, DeleteDelta, DeltaSet,
     EvalStats, MaintainedView, MaintenanceStats, MixedAtom, ViewAtom, ViewTable,
 };
 use rdf_model::sync::{read_unpoisoned, write_unpoisoned};
@@ -498,7 +498,7 @@ impl DeploymentSnapshot {
     }
 
     /// Executes a plan against the pinned generation: every branch runs
-    /// through the shared join pipeline (`evaluate_mixed_stats` — view
+    /// through the shared join pipeline (`evaluate_mixed` — view
     /// scans probe the materialized tables through resident indexes, base
     /// atoms the store's permutation indexes), and branch answers union
     /// set-wise. Plans from any generation of the same deployment are
@@ -605,7 +605,7 @@ fn execute_plan(
                 PlanAtom::Base(a) => MixedAtom::Store(*a),
             })
             .collect();
-        let (answers, branch_stats) = evaluate_mixed_stats(store, &atoms, &b.plan.head);
+        let (answers, branch_stats) = evaluate_mixed(store, &atoms, &b.plan.head);
         stats.push(branch_stats);
         answers
     });

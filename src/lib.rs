@@ -362,6 +362,13 @@
 //! | `rdfviews::core::sync::{read_unpoisoned, write_unpoisoned}` | `rdfviews::model::sync::{read_unpoisoned, write_unpoisoned}` (one copy) |
 //! | `TripleStore::insert(t)` / `remove(t)` in a loop (hash-set membership, runs re-sorted lazily) | they still work, but each is now a batch of one, O(n): the store holds no hash set, its `Spo` run is the membership set and every write splices the runs. Collect the triples and call `insert_batch(&batch)` / `remove_batch(&batch)` (or `extend(iter)`), which keep first occurrences in order; to test many triples, sort them (`sort_unstable`) and call `retain_by_membership(&mut sorted, present)` instead of `contains` in a loop |
 //! | `TripleStore::with_capacity(n)` | `TripleStore::new()`, then one `insert_batch` |
+//! | `engine::evaluate_with(store, q, &opts)` | `engine::evaluate(store, q)`; to force a join core, `engine::evaluate_on(engine, store, q).0` |
+//! | `engine::evaluate_with_stats(store, q, &opts)` | `engine::evaluate_on(engine, store, q)` (forced), or `engine::evaluate_mixed(store, &atoms, &q.head)` over `MixedAtom::Store` atoms (routed); both return `(Answers, EvalStats)` |
+//! | `engine::evaluate_mixed_stats(store, atoms, head)` | `engine::evaluate_mixed(store, atoms, head)`, which now returns `(Answers, EvalStats)`; take `.0` for the answers alone |
+//! | `EvalOptions::scan_baseline()` | `engine::oracle::evaluate(store, q)`: nested loops over full scans, the Figure 8 plain-triple-table baseline and the differential tests' reference |
+//! | `EvalOptions::legacy_indexed()`, `Engine::Legacy` | none: the pre-compiled collect-per-node core is deleted; `engine::evaluate` is the indexed engine |
+//! | `EvalOptions::compiled()`, `EvalOptions::wcoj()`, `EngineChoice` | `engine::evaluate_on(Engine::Compiled, ..)` / `engine::evaluate_on(Engine::Wcoj, ..)`; every other entry point routes by the acyclicity test, as `EngineChoice::Auto` did |
+//! | `Engine::Scan` | none: the oracle reports no `EvalStats` |
 //! | `answers.tuples()` as `&[Vec<Id>]`, `answers.into_tuples()`, `Answers::from_set(..)` | answers are one flat buffer: loop over `answers.rows()` (borrowed `&[Id]` rows, no allocation); `answers.tuples()` still indexes (`tuples()[i][c]`) but is now a `Vec<&[Id]>` built for the call; `into_tuples`/`from_set` are gone — collect `rows()`, or build with `Answers::from_tuples(arity, rows)`, which like `ViewTable::from_rows` takes owned or borrowed rows |
 //!
 //! The workspace crates map to the paper's components:
