@@ -5,9 +5,9 @@
 //! Builds a synthetic store of 1M+ triples (deterministic LCG, fixed
 //! fan-out), then runs two tiers of join shapes:
 //!
-//! * **acyclic tier** — chains, stars, anchored variants with constants,
-//!   an intra-atom repeated variable and a view-mixed delta join, timed
-//!   under the compiled core;
+//! * **acyclic tier** — chains, stars (one with existential arms),
+//!   anchored variants with constants, an intra-atom repeated variable and
+//!   a view-mixed delta join, timed under the compiled core;
 //! * **cyclic tier** — triangle, diamond and 4-cycle queries over
 //!   block-structured edge data, timed under both cores, each forced with
 //!   `evaluate_on`. This tier is the measurement that keeps both cores:
@@ -244,6 +244,20 @@ fn cases(anchor: Id) -> Vec<Case> {
             query: ConjunctiveQuery::new(
                 vec![var(0), var(1), var(2)],
                 vec![Atom([var(0), p(0), var(1)]), Atom([var(0), p(1), var(2)])],
+            ),
+            scan_on_full: false,
+        },
+        Case {
+            // Two arms end in variables used once and never returned: the
+            // compiled core settles them by their extents, per subject.
+            name: "star3_exists",
+            query: ConjunctiveQuery::new(
+                vec![var(0), var(1)],
+                vec![
+                    Atom([var(0), p(0), var(1)]),
+                    Atom([var(0), p(1), var(2)]),
+                    Atom([var(0), p(2), var(3)]),
+                ],
             ),
             scan_on_full: false,
         },

@@ -49,6 +49,22 @@
 //! the decision, so output goes through the dedup set. A head variable
 //! missing from the body is never bound; emitting then panics.
 //!
+//! **Lonely variables are checked, not enumerated.** A variable that
+//! occurs once in the body and not in the head is *lonely*: no other atom
+//! joins on it and no answer shows it, so which value it takes cannot
+//! matter, only that it takes one. [`compile`] marks every lonely slot and
+//! the executor never binds one. A remaining atom whose unbound terms are
+//! all lonely is *settled* by its extent alone — `fill` has looked it up
+//! and found it non-empty — so it is never chosen to run, and a node whose
+//! remaining atoms are all settled emits. A running atom leaves its lonely
+//! columns unbound and skips every row equal to the row before it on the
+//! columns it binds or checks; a store atom's range is taken from the run
+//! that sorts those columns before its lonely ones, so such repeats are
+//! adjacent. A star whose `k` arms end in lonely variables thus costs its
+//! subjects, not the product of the arms' fan-outs. A plan without a
+//! lonely variable runs the plain loop: no settled-atom test in `fill`, no
+//! repeat compare per row.
+//!
 //! All working memory — frame, programs, levels, staging — is pooled in
 //! [`EvalScratch`], so a call allocates nothing but its answer.
 
@@ -97,6 +113,11 @@ pub(super) struct CompiledPlan<'a> {
     pub(super) atoms: Vec<CAtom<'a>>,
     pub(super) head: Vec<CTerm>,
     pub(super) n_slots: usize,
+    /// Bit `s`: slot `s` is lonely — its variable occurs once in the body
+    /// and not in the head, so no answer depends on its value. Slots past
+    /// 63, and every slot of a plan of more than 64 atoms (a program keeps
+    /// its settled atoms as a 64-bit mask), are never marked.
+    lonely: u64,
     /// Whether every head variable occurs in the body.
     safe: bool,
 }
@@ -140,12 +161,39 @@ pub(super) fn compile<'a>(atoms: &[MixedAtom<'a>], head: &[QTerm]) -> CompiledPl
         .collect();
     // Head variables missing from the body get fresh slots no atom binds.
     let body_slots = vars.len();
-    let head = head.iter().map(|t| cterm(vars, t)).collect();
+    let head: Vec<CTerm> = head.iter().map(|t| cterm(vars, t)).collect();
+    // The slots the body uses once, and those it uses more often.
+    let (mut once, mut more) = (0, 0);
+    for t in atoms.iter().flat_map(CAtom::terms) {
+        more |= once & slot_bit(*t);
+        once |= slot_bit(*t);
+    }
+    let in_head = head.iter().fold(0, |m, t| m | slot_bit(*t));
     CompiledPlan {
+        lonely: if atoms.len() <= 64 {
+            once & !more & !in_head
+        } else {
+            0
+        },
         atoms,
         head,
         n_slots: vars.len(),
         safe: vars.len() == body_slots,
+    }
+}
+
+/// The bit of a slot term in a 64-bit slot mask; none for a constant or a
+/// slot past 63.
+fn slot_bit(t: CTerm) -> u64 {
+    match t {
+        CTerm::Slot(slot) => 1u64.checked_shl(slot).unwrap_or(0),
+        CTerm::Const(_) => 0,
+    }
+}
+
+impl CompiledPlan<'_> {
+    fn is_lonely(&self, t: CTerm) -> bool {
+        self.lonely & slot_bit(t) != 0
     }
 }
 
@@ -226,6 +274,24 @@ pub(super) enum ColOp {
     Check { col: u32, slot: u32 },
 }
 
+impl ColOp {
+    fn col(self) -> usize {
+        match self {
+            ColOp::Bind { col, .. } | ColOp::Check { col, .. } => col as usize,
+        }
+    }
+}
+
+/// What `fill` found below a row.
+enum Next {
+    /// A remaining atom has no matches.
+    Dead,
+    /// The remaining atom at this position runs next.
+    Run(usize),
+    /// Every remaining atom is settled by its non-empty extent.
+    Emit,
+}
+
 /// Everything about a node that depends only on which atoms are placed.
 /// Program `k` runs the atom placed at depth `k - 1` and fills level `k`;
 /// program 0 runs no atom and fills level 0 from the constants alone. Its
@@ -244,8 +310,15 @@ pub(super) struct Program {
     /// a witness is as good as all of them.
     decided: bool,
     /// The atom is a store atom that runs with nothing bound, so its rows
-    /// are the whole `Spo` run rather than the extent's slice.
-    scan_store: bool,
+    /// are this whole run rather than the extent's slice.
+    scan: Option<IndexOrder>,
+    /// The atom leaves a lonely column unbound, so a row can bind what the
+    /// row before it bound.
+    skip_repeats: bool,
+    /// Bit `a`: remaining atom `a` is settled by its extent alone.
+    settled: u64,
+    /// How many of those the level above had not settled.
+    settles: u32,
     n_ops: u32,
 }
 
@@ -266,10 +339,11 @@ struct Join<'j> {
     next_id: u64,
     rows_visited: u64,
     probes: u64,
+    checks: u64,
 }
 
 /// Runs a compiled plan with pooled scratch memory. `stats.engine` is set
-/// by the caller; the row and probe counts accumulate here.
+/// by the caller; the row, probe and check counts accumulate here.
 pub(super) fn execute(store: &TripleStore, plan: &CompiledPlan, stats: &mut EvalStats) -> Answers {
     let runs = Runs {
         store,
@@ -294,10 +368,12 @@ pub(super) fn execute(store: &TripleStore, plan: &CompiledPlan, stats: &mut Eval
         next_id: 1,
         rows_visited: 0,
         probes: 0,
+        checks: 0,
     };
     join.run();
     stats.rows_visited += join.rows_visited;
     stats.probes += join.probes;
+    stats.checks += join.checks;
     let (steps, levels) = (park(join.steps), park(join.levels));
     s.steps = steps;
     s.levels = levels;
@@ -340,9 +416,29 @@ impl<'j> Join<'j> {
         s.stamps.clear();
         s.stamps.resize(self.plan.n_slots, 0);
         self.build(0, 0, 0);
-        if let Some(pos) = self.fill(0) {
-            self.s.order.swap(0, pos);
-            self.node(0, self.s.programs[0].id);
+        let root = self.s.programs[0].id;
+        if self.plan.lonely != 0 {
+            self.descend::<true>(0, root);
+        } else {
+            self.descend::<false>(0, root);
+        }
+    }
+
+    /// Fills level `k` by the program with id `parent` and searches below
+    /// it; reports whether that found a witness. `LONELY` is whether the
+    /// plan has a lonely slot: without one no atom is ever settled.
+    #[inline(always)]
+    fn descend<const LONELY: bool>(&mut self, k: usize, parent: u64) -> bool {
+        match self.fill::<LONELY>(k) {
+            Next::Dead => false,
+            Next::Emit => {
+                emit(self.plan, self.s);
+                true
+            }
+            Next::Run(pos) => {
+                self.s.order.swap(k, pos);
+                self.node::<LONELY>(k, parent)
+            }
         }
     }
 
@@ -350,7 +446,7 @@ impl<'j> Join<'j> {
     /// whether any row led to a witness — stopping at the first when the
     /// head tuple is already decided. `parent` is the program that filled
     /// level `d`.
-    fn node(&mut self, d: usize, parent: u64) -> bool {
+    fn node<const LONELY: bool>(&mut self, d: usize, parent: u64) -> bool {
         let (n, k) = (self.n, d + 1);
         let a = self.s.order[d];
         let cached = self.s.programs[k];
@@ -360,33 +456,39 @@ impl<'j> Join<'j> {
         let Program {
             id,
             decided,
-            scan_store,
+            scan,
+            skip_repeats,
             n_ops,
             ..
         } = self.s.programs[k];
         let extent = self.levels[d * n + a as usize];
-        let (ids, arity) = match &self.plan.atoms[a as usize] {
-            CAtom::Store { .. } if scan_store => (self.runs.get(IndexOrder::Spo).as_flattened(), 3),
-            CAtom::Store { .. } => (extent.ids, 3),
+        let (ids, arity) = match (&self.plan.atoms[a as usize], scan) {
+            (CAtom::Store { .. }, Some(order)) => (self.runs.get(order).as_flattened(), 3),
+            (CAtom::Store { .. }, None) => (extent.ids, 3),
             // `max(1)`: a table without columns reports no rows, and an
             // empty slice has no chunks of any width.
-            CAtom::View { table, .. } => (extent.ids, table.arity().max(1)),
+            (CAtom::View { table, .. }, _) => (extent.ids, table.arity().max(1)),
         };
         let ops = k * self.max_arity..k * self.max_arity + n_ops as usize;
+        let skip_repeats = LONELY && skip_repeats;
+        let mut prev: &[Id] = &[];
         let mut found = false;
         for row in ids.chunks_exact(arity) {
             self.rows_visited += 1;
+            if skip_repeats {
+                if self.repeats(ops.clone(), prev, row) {
+                    continue;
+                }
+                prev = row;
+            }
             if !self.apply(ops.clone(), row) {
                 continue;
             }
             let witness = if k == n {
                 emit(self.plan, self.s);
                 true
-            } else if let Some(pos) = self.fill(k) {
-                self.s.order.swap(k, pos);
-                self.node(k, id)
             } else {
-                false
+                self.descend::<LONELY>(k, id)
             };
             if witness {
                 if decided {
@@ -398,8 +500,11 @@ impl<'j> Join<'j> {
         found
     }
 
-    /// Binds and checks one row's open columns.
-    #[inline]
+    /// Binds and checks one row's open columns. (`always`: with two
+    /// instances of the row loop the compiler stops inlining this and
+    /// `extent` on its own, and a call per row made reads that settle
+    /// nothing 5–20 % slower.)
+    #[inline(always)]
     fn apply(&mut self, ops: std::ops::Range<usize>, row: &[Id]) -> bool {
         let s = &mut *self.s;
         for op in &s.ops[ops] {
@@ -415,31 +520,57 @@ impl<'j> Join<'j> {
         true
     }
 
+    /// Whether `row` binds and checks what `prev`, the row before it, did —
+    /// and so leads where `prev` led.
+    #[inline]
+    fn repeats(&self, ops: std::ops::Range<usize>, prev: &[Id], row: &[Id]) -> bool {
+        !prev.is_empty()
+            && self.s.ops[ops]
+                .iter()
+                .all(|op| prev[op.col()] == row[op.col()])
+    }
+
     /// Fills level `k` by program `k`, atom by atom in the order the
     /// remaining atoms stand in, and returns the position of the first
-    /// smallest extent — or `None` at the first empty one, before the
+    /// smallest extent among the atoms not settled — [`Next::Emit`] if all
+    /// are settled, [`Next::Dead`] at the first empty extent, before the
     /// atoms behind it are looked up.
-    fn fill(&mut self, k: usize) -> Option<usize> {
+    fn fill<const LONELY: bool>(&mut self, k: usize) -> Next {
         let n = self.n;
+        let settled = if LONELY {
+            self.s.programs[k].settled
+        } else {
+            0
+        };
         let (mut best, mut best_pos) = (usize::MAX, k);
         for pos in k..n {
             let a = self.s.order[pos] as usize;
             let extent = self.extent(k, a);
             self.levels[k * n + a] = extent;
-            if extent.rows < best {
+            if LONELY && settled >> a & 1 == 1 {
+                if extent.rows == 0 {
+                    return Next::Dead;
+                }
+            } else if extent.rows < best {
                 best = extent.rows;
                 best_pos = pos;
                 if best == 0 {
-                    return None;
+                    return Next::Dead;
                 }
             }
         }
-        Some(best_pos)
+        if LONELY {
+            self.checks += u64::from(self.s.programs[k].settles);
+            if best == usize::MAX {
+                return Next::Emit;
+            }
+        }
+        Next::Run(best_pos)
     }
 
     /// The extent of atom `a` under the current bindings, by program `k`'s
     /// step for it.
-    #[inline]
+    #[inline(always)]
     fn extent(&mut self, k: usize, a: usize) -> Extent<'j> {
         let s = &mut *self.s;
         let at = k * self.n + a;
@@ -522,12 +653,16 @@ impl<'j> Join<'j> {
             CTerm::Const(_) => true,
             CTerm::Slot(slot) => s.stamps[slot as usize] != 0,
         });
-        let (mut n_ops, mut scan_store) = (0, false);
+        let (mut n_ops, mut scan, mut skip_repeats) = (0, None, false);
         if k > 0 {
             let running = &plan.atoms[atom as usize];
-            let mut open = 0;
+            let (mut open, mut lonely) = (0, 0);
             for (col, t) in running.terms().iter().enumerate() {
                 let CTerm::Slot(slot) = *t else { continue };
+                if plan.is_lonely(*t) {
+                    lonely += 1;
+                    continue;
+                }
                 let (col, at) = (col as u32, &mut s.stamps[slot as usize]);
                 let op = if *at == 0 {
                     *at = stamp;
@@ -541,9 +676,18 @@ impl<'j> Join<'j> {
                 n_ops += 1;
                 open += 1;
             }
-            scan_store = matches!(running, CAtom::Store { .. }) && open == 3;
+            skip_repeats = lonely > 0;
+            if matches!(running, CAtom::Store { .. }) && open + lonely == 3 {
+                // Nothing bound: the rows are a whole run, the one that
+                // sorts the columns the atom binds or checks first.
+                let mut cols = [0; 3];
+                for (c, op) in cols.iter_mut().zip(&s.ops[k * self.max_arity..][..n_ops]) {
+                    *c = op.col();
+                }
+                scan = Some(IndexOrder::for_groups(&[&cols[..n_ops]]));
+            }
         }
-        let mut srcs_at = 0;
+        let (mut srcs_at, mut settled, mut settles) = (0, 0, 0);
         for &a in &s.order[k..] {
             let (a, terms) = (a as usize, plan.atoms[a as usize].terms());
             // Level 0 has no level above it to inherit from.
@@ -555,6 +699,13 @@ impl<'j> Join<'j> {
                 CTerm::Const(_) => true,
                 CTerm::Slot(slot) => s.stamps[slot as usize] != 0,
             };
+            // Only a plan with a lonely slot settles atoms, and it has at
+            // most 64.
+            let lonely_or_bound = |t: &CTerm| bound(t) || plan.is_lonely(*t);
+            if plan.lonely != 0 && terms.iter().all(lonely_or_bound) {
+                settled |= 1 << a;
+                settles += u32::from(touched);
+            }
             let start = srcs_at;
             let out = &mut s.srcs[k * self.width..];
             self.steps[k * n + a] = if !touched {
@@ -577,11 +728,7 @@ impl<'j> Join<'j> {
                     }
                 }
             } else {
-                // The run whose sort prefix is the bound columns, found by
-                // the store's own rule on a pattern with those columns set.
-                let mark = |t: &CTerm| bound(t).then_some(Id(0));
-                let pattern = StorePattern::new(mark(&terms[0]), mark(&terms[1]), mark(&terms[2]));
-                let (order, _, len) = IndexOrder::for_pattern(&pattern);
+                let (order, len) = store_order(plan, terms, bound);
                 for &col in &order.perm()[..len] {
                     out[srcs_at] = terms[col];
                     srcs_at += 1;
@@ -601,11 +748,53 @@ impl<'j> Join<'j> {
             parent,
             id: self.next_id,
             decided,
-            scan_store,
+            scan,
+            skip_repeats,
+            settled,
+            settles,
             n_ops: n_ops as u32,
         };
         self.next_id += 1;
     }
+}
+
+/// The run a store atom's extent is a range of, and the length of the
+/// range's key: the run whose sort prefix is the `bound` columns, found by
+/// the store's own rule on a pattern with those columns set — unless the
+/// atom has a lonely column and would bind another, in which case the
+/// columns it would bind sort before the lonely ones, so that rows binding
+/// alike are adjacent. (`Ops` is the one run this can ask for that the
+/// store's rule never does; building it and carrying it across every write
+/// would cost more than the repeats it groups, so `Osp` stands in.)
+fn store_order(
+    plan: &CompiledPlan,
+    terms: &[CTerm],
+    bound: impl Fn(&CTerm) -> bool,
+) -> (IndexOrder, usize) {
+    let (mut key, mut open) = ([0; 3], [0; 3]);
+    let (mut n_key, mut n_open, mut lonely) = (0, 0, false);
+    for (col, t) in terms.iter().enumerate() {
+        if bound(t) {
+            key[n_key] = col;
+            n_key += 1;
+        } else if plan.is_lonely(*t) {
+            lonely = true;
+        } else {
+            open[n_open] = col;
+            n_open += 1;
+        }
+    }
+    if lonely && n_open > 0 {
+        let order = match IndexOrder::for_groups(&[&key[..n_key], &open[..n_open]]) {
+            IndexOrder::Ops => IndexOrder::Osp,
+            order => order,
+        };
+        return (order, n_key);
+    }
+    let mark = |t: &CTerm| bound(t).then_some(Id(0));
+    let pattern = StorePattern::new(mark(&terms[0]), mark(&terms[1]), mark(&terms[2]));
+    let (order, _, len) = IndexOrder::for_pattern(&pattern);
+    (order, len)
 }
 
 #[cfg(test)]

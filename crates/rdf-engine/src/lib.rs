@@ -79,6 +79,18 @@
 //!   head term is bound, the atoms that remain can only confirm that the
 //!   head tuple has a witness, so each row loop below that point stops at
 //!   the first one; a boolean query stops at its first match;
+//! * **lonely variables are checked, not enumerated.** A variable that
+//!   occurs once in the body and not in the head — the arms of the
+//!   paper's satisfiable stars and chains are full of them — is marked at
+//!   compile time and never bound. A remaining atom whose unbound
+//!   variables are all lonely is settled by the non-empty slice its
+//!   lookup already found and never runs; a node whose remaining atoms are
+//!   all settled emits; a running atom skips each row that binds what the
+//!   row before it bound, and takes its store range from the run that
+//!   sorts the columns it binds before its lonely ones, so such rows are
+//!   adjacent. A star with `k` existential arms costs its subjects, not
+//!   the product of the arms' fan-outs. A query without a lonely variable
+//!   runs the plain loop, with no per-row test for any of this;
 //! * **per answer tuple, nothing is allocated.** Head tuples are staged
 //!   row after row in one flat arena behind a generation-tagged
 //!   open-addressing table (whose clear is O(1), so a pooled scratch that
@@ -93,9 +105,11 @@
 //!   thread-local scratch pool, so a call that visits two rows costs about
 //!   as much as its two rows.
 //!
-//! [`EvalStats::rows_visited`] counts the rows the core tried and
-//! [`EvalStats::probes`] the index lookups it made, which is how tests
-//! hold the early exit and the once-per-binding rule to their bounds.
+//! [`EvalStats::rows_visited`] counts the rows the core tried,
+//! [`EvalStats::probes`] the index lookups it made and
+//! [`EvalStats::checks`] the atoms it settled without running them, which
+//! is how tests hold the early exit, the once-per-binding rule and the
+//! settling of lonely variables to their bounds.
 //!
 //! **Cyclic queries run a worst-case-optimal leapfrog triejoin instead**
 //! (`eval::wcoj`). The compiled core expands one *atom* at a time, so on a

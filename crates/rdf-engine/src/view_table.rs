@@ -129,8 +129,10 @@ impl ViewIndex {
     /// The rows whose key columns equal `key` (values in the same order as
     /// [`ViewIndex::cols`]): one contiguous row-major run of full rows, and
     /// how many there are — read off the key's offsets, so that sizing a
-    /// bucket costs no division. Empty when no row matches.
-    #[inline]
+    /// bucket costs no division. Empty when no row matches. (`always`: the
+    /// join core probes this once per binding, from two instances of its
+    /// loop, and left to itself the compiler makes it a call.)
+    #[inline(always)]
     pub fn bucket(&self, key: &[Id]) -> (&[Id], usize) {
         let width = self.cols.len();
         debug_assert_eq!(key.len(), width);

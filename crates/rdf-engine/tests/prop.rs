@@ -215,6 +215,70 @@ fn cyclic_query_strategy() -> impl Strategy<Value = ConjunctiveQuery> {
     prop_oneof![triangle, diamond, four_cycle]
 }
 
+/// Queries in which *lonely* variables — used once in the body and absent
+/// from the head — are the common case, the ones the compiled core settles
+/// by an extent's emptiness instead of enumerating: stars whose arms end
+/// in a once-used variable (outgoing, incoming, or on the property
+/// column), chains whose last variable is used once, and `t(X, p, X)`,
+/// whose repeated variable is not lonely. A head keeps each other
+/// variable with probability 1/2 and each leaf with 1/4; a quarter of the
+/// heads are boolean and a quarter carry a constant column.
+fn existential_query_strategy() -> impl Strategy<Value = ConjunctiveQuery> {
+    let var = |v: u32| QTerm::Var(Var(v));
+    let pred = |p: u32| QTerm::Const(Id(p));
+    let star = prop::collection::vec((20u32..24, 0u32..6, 0u32..10), 1..5).prop_map(move |arms| {
+        // Centre X = var(0), second centre Y = var(1), leaves var(10 + i).
+        let atoms = arms
+            .iter()
+            .enumerate()
+            .map(|(i, &(p, shape, c))| {
+                let leaf = var(10 + i as u32);
+                match shape {
+                    0 => Atom([var(0), pred(p), leaf]),
+                    1 => Atom([leaf, pred(p), var(0)]),
+                    2 => Atom([var(0), leaf, var(1)]),
+                    3 => Atom([var(0), pred(p), var(0)]),
+                    4 => Atom([var(1), pred(p), leaf]),
+                    _ => Atom([var(0), pred(p), QTerm::Const(Id(c))]),
+                }
+            })
+            .collect();
+        cq(atoms)
+    });
+    let chain =
+        (prop::collection::vec(20u32..24, 1..4), any::<bool>()).prop_map(move |(preds, tail)| {
+            // t(X_i, p_i, X_{i+1}): the last X is used once; optionally a
+            // lonely incoming arm t(L, p, X_0) hangs off the start.
+            let mut atoms: Vec<Atom> = preds
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| Atom([var(i as u32), pred(p), var(1 + i as u32)]))
+                .collect();
+            if tail {
+                atoms.push(Atom([var(10), pred(preds[0]), var(0)]));
+            }
+            cq(atoms)
+        });
+    (prop_oneof![star, chain], any::<u64>(), 0u32..4).prop_map(|(q, bits, mode)| {
+        let mut head: Vec<QTerm> = (q.head.iter().enumerate())
+            .filter(|&(i, t)| {
+                let leaf = matches!(t, QTerm::Var(v) if v.0 >= 10);
+                bits >> i & 1 == 1 && (!leaf || bits >> (i + 16) & 1 == 1)
+            })
+            .map(|(_, t)| *t)
+            .collect();
+        match mode {
+            0 => head.clear(),
+            1 => {
+                let at = (bits >> 32) as usize % (head.len() + 1);
+                head.insert(at, QTerm::Const(Id(7)));
+            }
+            _ => {}
+        }
+        ConjunctiveQuery::new(head, q.atoms)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -250,6 +314,38 @@ proptest! {
         prop_assert_eq!(&compiled, &want);
         prop_assert_eq!(&wcoj, &want);
         prop_assert_eq!(&auto, &want);
+    }
+
+    #[test]
+    fn lonely_variables_are_settled_as_the_oracle_would(
+        triples in triples_strategy(),
+        q in existential_query_strategy(),
+        sources in any::<u64>(),
+    ) {
+        // The compiled core settles atoms whose unbound variables are all
+        // lonely by their extents and skips rows that repeat what they
+        // bind; the leapfrog core and the oracle enumerate every variable.
+        // All must agree — forced, routed, and with some atoms answered
+        // from a 3-column table of all triples, whose lonely columns then
+        // sit in a view atom's bucket.
+        let store = store_from(&triples);
+        let want = oracle::evaluate(&store, &q);
+        let (compiled, _) = evaluate_on(Engine::Compiled, &store, &q);
+        let (wcoj, _) = evaluate_on(Engine::Wcoj, &store, &q);
+        prop_assert_eq!(&compiled, &want);
+        prop_assert_eq!(&wcoj, &want);
+        prop_assert_eq!(&evaluate(&store, &q), &want);
+        let all = ViewTable::from_rows(3, store.triples().iter().map(|t| t.to_vec()));
+        let atoms: Vec<MixedAtom> = q
+            .atoms
+            .iter()
+            .enumerate()
+            .map(|(i, a)| match sources >> i & 1 {
+                0 => MixedAtom::Store(*a),
+                _ => MixedAtom::View(ViewAtom { table: &all, args: a.terms() }),
+            })
+            .collect();
+        prop_assert_eq!(evaluate_mixed(&store, &atoms, &q.head).0, want);
     }
 
     #[test]

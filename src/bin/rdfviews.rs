@@ -27,7 +27,8 @@
 //!                                    no view covers (default: hybrid)
 //!   --stats                          (query mode) print per-branch
 //!                                    evaluation statistics (engine, rows
-//!                                    visited, leapfrog seeks/emitted)
+//!                                    visited, index probes, atoms
+//!                                    settled, leapfrog seeks/emitted)
 //!                                    per query
 //!   --mode plain|saturate|pre|post   entailment handling (default: plain;
 //!                                    all but plain extract the RDFS from
@@ -505,10 +506,11 @@ fn main() -> ExitCode {
                     if args.stats {
                         for (i, s) in stats.iter().enumerate() {
                             println!(
-                                "#   branch {i}: engine {}, {} rows visited, {} index probes, {} leapfrog seeks, {} tuples emitted",
+                                "#   branch {i}: engine {}, {} rows visited, {} index probes, {} atoms settled, {} leapfrog seeks, {} tuples emitted",
                                 s.engine.as_str(),
                                 s.rows_visited,
                                 s.probes,
+                                s.checks,
                                 s.lf_seeks,
                                 s.lf_emitted
                             );

@@ -96,7 +96,9 @@ fn query_mode_answers_every_query_from_one_pinned_generation() {
     );
     let stats = lines_with(&stdout, "#   branch 0: engine ");
     assert_eq!(stats.len(), 2, "one --stats line per one-branch query");
-    assert!(stats.iter().all(|l| l.contains("rows visited")));
+    assert!(stats
+        .iter()
+        .all(|l| l.contains("rows visited") && l.contains("atoms settled")));
 }
 
 #[test]
