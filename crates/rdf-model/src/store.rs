@@ -9,6 +9,16 @@
 //! and all two- and three-column combinations" layout of the paper's
 //! evaluation platform.
 //!
+//! Runs are counted, not compared. Ids are dense dictionary positions, so
+//! a stable counting pass orders `n` triples by one column in O(n + K)
+//! steps (K = the column's largest id + 1), and a run already sorted
+//! leaves the rest of the work done: a new run is one or two passes over
+//! a built one ([`TripleStore::index`]), and a large batch's row numbers
+//! are sorted by three passes before it is merged against the `Spo` run
+//! (`sift`). Where a histogram would cost more than a comparison sort —
+//! a small batch, or ids sparse for the input's length — the store sorts
+//! by comparison; the rule reads only the length and the largest ids.
+//!
 //! The `Spo` run is always built, and it is the store's membership set:
 //! [`TripleStore::contains`] is a binary search of it, and a caller with
 //! many triples to test sorts them and merges them against it in one pass
@@ -254,6 +264,99 @@ fn splice(old: &[Triple], delta: &[Triple], perm: [usize; 3], insert: bool) -> V
     out
 }
 
+/// Whether `t` is in the `Spo` run `rest`, after moving `rest` past every
+/// triple sorting before `t`: probes made in `Spo` order walk the run once,
+/// by galloping.
+#[inline]
+fn in_run(rest: &mut &[Triple], t: &Triple) -> bool {
+    let key = sort_key([S, P, O], t);
+    *rest = &rest[gallop(rest, |r| sort_key([S, P, O], r) < key)..];
+    rest.first() == Some(t)
+}
+
+/// Stable counting passes over the dense dictionary ids: `src` ordered by
+/// the columns `keys`, *least* significant first, each item as `emit(row,
+/// triple)` makes it — the triple itself to build a run, or its row number.
+/// Ties keep their `src` order, so one pass by column `c` over a run sorted
+/// by `(c1, c2, c3)` orders it by `c` and then by the other two in the
+/// run's sequence, and the passes `[O, P, S]` sort any list into `Spo`
+/// order with repeats in list order.
+///
+/// Each pass counts its column's ids in `src` (the counts do not depend on
+/// the order), turns the counts into start positions and scatters the
+/// items once: O(len + K) for K = the column's largest id + 1. Passes
+/// before the last carry 4-byte row numbers, never copies of the triples,
+/// and a row buffer is dropped as soon as the next pass has filled its own.
+///
+/// `None` — sort by comparison instead — when counting does not pay: the
+/// passes' `Σ (len + K)` steps are not fewer than a comparison sort's
+/// `len · log2 len` compares (a small batch, or sparse ids), a histogram
+/// would hold more entries than there are items (it may not outgrow a row
+/// buffer), or `len` does not fit a `u32` row number.
+#[inline(never)]
+fn counting_sort<T: Copy>(
+    src: &[Triple],
+    keys: &[usize],
+    emit: impl Fn(u32, &Triple) -> T,
+) -> Option<Vec<T>> {
+    let len = u32::try_from(src.len()).ok()?;
+    let mut max = [0u32; 3];
+    for t in src {
+        for (m, id) in max.iter_mut().zip(t) {
+            *m = (*m).max(id.0);
+        }
+    }
+    let pass_steps: u64 = keys
+        .iter()
+        .map(|&c| u64::from(len) + u64::from(max[c]) + 1)
+        .sum();
+    let sort_steps = u64::from(len) * u64::from(len.checked_ilog2()?);
+    if pass_steps >= sort_steps || keys.iter().any(|&c| max[c] >= len) {
+        return None;
+    }
+
+    /// One pass: the items of `rows` (all of `src` in order when `None`)
+    /// into `out`, stably by `src[row][col]`.
+    fn pass<T>(
+        src: &[Triple],
+        rows: Option<&[u32]>,
+        col: usize,
+        max: u32,
+        emit: impl Fn(u32, &Triple) -> T,
+        out: &mut [T],
+    ) {
+        let mut at = vec![0u32; max as usize + 1];
+        for t in src {
+            at[t[col].index()] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut at {
+            start += std::mem::replace(slot, start);
+        }
+        let mut place = |row: u32, t: &Triple| {
+            let slot = &mut at[t[col].index()];
+            out[*slot as usize] = emit(row, t);
+            *slot += 1;
+        };
+        match rows {
+            None => (0..).zip(src).for_each(|(row, t)| place(row, t)),
+            Some(rows) => rows.iter().for_each(|&row| place(row, &src[row as usize])),
+        }
+    }
+
+    let (&last, firsts) = keys.split_last()?;
+    let mut rows: Option<Vec<u32>> = None;
+    for &col in firsts {
+        let mut next = vec![0; src.len()];
+        pass(src, rows.as_deref(), col, max[col], |row, _| row, &mut next);
+        rows = Some(next);
+    }
+    // Every slot is overwritten; any item will do to fill them first.
+    let mut out = vec![emit(0, src.first()?); src.len()];
+    pass(src, rows.as_deref(), last, max[last], &emit, &mut out);
+    Some(out)
+}
+
 /// The in-memory triple table.
 ///
 /// The triple list and the runs are `Arc`-shared so that clones and
@@ -340,15 +443,21 @@ impl TripleStore {
     /// A list that is strictly `Spo`-sorted — what a bundle decoder has
     /// just verified — *is* the `Spo` run, so it is adopted as one: a
     /// single allocation shared by the list and the run until the first
-    /// mutation un-shares them. Any other list is copied and sorted into
-    /// the run, O(n log n).
+    /// mutation un-shares them. Any other list is sorted into a new run by
+    /// three counting passes, O(n + K) for K the largest id + 1, holding
+    /// two 4-byte row numbers per triple while it runs; by comparison,
+    /// O(n log n), when the list is too short or its ids too sparse for
+    /// counting to pay.
     pub fn from_parts(triples: Vec<Triple>, version: u64) -> Self {
         let triples = Arc::new(triples);
         let spo = if triples.windows(2).all(|w| w[0] < w[1]) {
             Arc::clone(&triples)
         } else {
-            let mut run = (*triples).clone();
-            run.sort_unstable_by_key(|t| sort_key([S, P, O], t));
+            let run = counting_sort(&triples, &[O, P, S], |_, t| *t).unwrap_or_else(|| {
+                let mut run = (*triples).clone();
+                run.sort_unstable_by_key(|t| sort_key([S, P, O], t));
+                run
+            });
             debug_assert!(
                 run.windows(2).all(|w| w[0] < w[1]),
                 "persisted triples must be distinct"
@@ -376,7 +485,9 @@ impl TripleStore {
     /// both in a store just rebuilt by [`TripleStore::from_parts`]), plus
     /// 12 B per triple for every other run built at pin time, *shared* with
     /// the live store until a mutation diverges them. There is no
-    /// membership set beside them. Drop the snapshot to release its pin.
+    /// membership set beside them, and nothing a run was built from: the
+    /// 4-byte row numbers of a two-pass build are dropped before the run is
+    /// published. Drop the snapshot to release its pin.
     pub fn snapshot(&self) -> StoreSnapshot {
         StoreSnapshot {
             inner: Arc::new(self.clone()),
@@ -404,12 +515,15 @@ impl TripleStore {
     /// against the store by one sorted merge against the `Spo` run.
     /// Returns the triples that were actually new — first occurrences, in
     /// batch order — and appends them to [`TripleStore::triples`] in that
-    /// order. The version stamp is bumped **once** for the whole batch,
-    /// and the `Spo` run and every other already-built run are carried
-    /// forward by splicing the sorted batch into them — O(|Δ| log(n / |Δ|))
-    /// compares and one copy per run instead of a fresh O(n log n) sort —
-    /// published as **new** `Arc`s at the new version, leaving pinned
-    /// snapshots' runs untouched.
+    /// order. A batch long enough for its ids is sorted by three counting
+    /// passes over its row numbers, O(|batch| + K) with two 4-byte rows
+    /// per batch triple held meanwhile; a shorter one (a feed's few dozen
+    /// triples) by comparison. The version stamp is bumped **once** for
+    /// the whole batch, and the `Spo` run and every other already-built
+    /// run are carried forward by splicing the sorted batch into them —
+    /// O(|Δ| log(n / |Δ|)) compares and one copy per run instead of a
+    /// fresh O(n log n) sort — published as **new** `Arc`s at the new
+    /// version, leaving pinned snapshots' runs untouched.
     pub fn insert_batch(&mut self, batch: &[Triple]) -> Vec<Triple> {
         let (added, delta) = self.sift(batch, false);
         if !delta.is_empty() {
@@ -421,10 +535,15 @@ impl TripleStore {
 
     /// The distinct triples of `batch` that are in the store (`present`) or
     /// not (`!present`): first occurrences in batch order, and the same
-    /// triples `Spo`-sorted. One sort of the batch and one merge against
-    /// the `Spo` run; if that dropped something, each batch triple is
-    /// looked up in the survivors and kept the first time it is found.
+    /// triples `Spo`-sorted. A batch that [`counting_sort`] takes goes to
+    /// `sift_counted`: O(|batch| + K), one walk after the passes. Any other
+    /// is sorted by comparison and merged against the `Spo` run; if that
+    /// dropped something, each batch triple is looked up in the survivors
+    /// and kept the first time it is found.
     fn sift(&self, batch: &[Triple], present: bool) -> (Vec<Triple>, Vec<Triple>) {
+        if let Some(sifted) = self.sift_counted(batch, present) {
+            return sifted;
+        }
         let mut sorted = batch.to_vec();
         sorted.sort_unstable_by_key(|t| sort_key([S, P, O], t));
         sorted.dedup();
@@ -438,6 +557,37 @@ impl TripleStore {
             .iter()
             .filter(|t| sorted.binary_search(t).is_ok_and(&mut first_time));
         (in_order.copied().collect(), sorted)
+    }
+
+    /// [`TripleStore::sift`] for a batch that [`counting_sort`] takes: its
+    /// row numbers sorted by three passes, so repeats sit together with the
+    /// first occurrence first, and one walk down them keeps each distinct
+    /// triple once and checks it against the `Spo` run. `None` when the
+    /// batch is sorted by comparison instead.
+    #[inline(never)]
+    fn sift_counted(&self, batch: &[Triple], present: bool) -> Option<(Vec<Triple>, Vec<Triple>)> {
+        let rows = counting_sort(batch, &[O, P, S], |row, _| row)?;
+        let mut kept = vec![false; batch.len()];
+        let mut sorted = Vec::with_capacity(batch.len());
+        let (mut rest, mut prev) = (&self.spo[..], None);
+        for row in rows {
+            let t = batch[row as usize];
+            if prev.replace(t) != Some(t) && in_run(&mut rest, &t) == present {
+                kept[row as usize] = true;
+                sorted.push(t);
+            }
+        }
+        if sorted.len() == batch.len() {
+            return Some((batch.to_vec(), sorted));
+        }
+        let mut in_order = Vec::with_capacity(sorted.len());
+        in_order.extend(
+            batch
+                .iter()
+                .zip(kept)
+                .filter_map(|(t, kept)| kept.then_some(*t)),
+        );
+        Some((in_order, sorted))
     }
 
     /// Carries the `Spo` run and every other built run across a batch by
@@ -482,7 +632,8 @@ impl TripleStore {
 
     /// Removes a batch of triples. Returns the triples that were actually
     /// present (deduplicated), in batch order, found by one sorted merge
-    /// of the batch against the `Spo` run. The version stamp is bumped
+    /// of the batch — sorted as [`TripleStore::insert_batch`] sorts it —
+    /// against the `Spo` run. The version stamp is bumped
     /// once for the whole batch, every built run is carried forward by
     /// splicing the batch out of it (new `Arc`s; pinned snapshots' runs
     /// stay untouched), and the insertion-order list is searched from its
@@ -533,11 +684,7 @@ impl TripleStore {
     pub fn retain_by_membership(&self, sorted: &mut Vec<Triple>, present: bool) {
         debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "Spo-sorted");
         let mut rest = &self.spo[..];
-        sorted.retain(|t| {
-            let key = sort_key([S, P, O], t);
-            rest = &rest[gallop(rest, |r| sort_key([S, P, O], r) < key)..];
-            (rest.first() == Some(t)) == present
-        });
+        sorted.retain(|t| in_run(&mut rest, t) == present);
     }
 
     /// Number of distinct triples.
@@ -556,7 +703,23 @@ impl TripleStore {
     }
 
     /// The sorted run for the given order: the `Spo` run as it is, any
-    /// other built on first use and shared.
+    /// other built on first use and shared. A build derives the run from
+    /// one already sorted, by stable counting passes over the order's
+    /// columns — O(n + K), K the largest id + 1:
+    ///
+    /// | order | one pass over | else two passes over `Spo`, by |
+    /// |-------|---------------|--------------------------------|
+    /// | `Pso` | `Spo`         | —                              |
+    /// | `Osp` | `Spo`         | —                              |
+    /// | `Sop` | `Osp` or `Ops`, if built | `o`, then `s`       |
+    /// | `Pos` | `Osp` or `Ops`, if built | `o`, then `p`       |
+    /// | `Ops` | `Pso` or `Pos`, if built | `p`, then `o`       |
+    ///
+    /// A pass writes the new run straight from its source; two passes hold
+    /// 4 bytes of row number per triple between them, dropped before the
+    /// run is published, and never build another run to derive this one.
+    /// When the store is too small or its ids too sparse for counting to
+    /// pay, the run is sorted by comparison, O(n log n).
     pub fn index(&self, order: IndexOrder) -> Arc<Vec<Triple>> {
         // `ALL` lists the orders as declared, so slot = discriminant − 1.
         let Some(slot) = (order as usize).checked_sub(1) else {
@@ -565,12 +728,40 @@ impl TripleStore {
         if let Some(run) = &read_unpoisoned(&self.indexes)[slot] {
             return Arc::clone(run);
         }
+        self.build(order, slot)
+    }
+
+    /// Builds, caches and returns the run of `order` (not `Spo`) from the
+    /// source [`TripleStore::index`] tabulates: one pass by the order's
+    /// first column over a run whose sequence, that column left out, is the
+    /// order's other two; else two passes over `Spo`, by the second column
+    /// and then the first.
+    #[cold]
+    #[inline(never)]
+    fn build(&self, order: IndexOrder, slot: usize) -> Arc<Vec<Triple>> {
         let perm = order.perm();
-        let mut sorted = (*self.spo).clone();
-        sorted.sort_unstable_by_key(|t| sort_key(perm, t));
-        let sorted = Arc::new(sorted);
-        write_unpoisoned(&self.indexes)[slot] = Some(Arc::clone(&sorted));
-        sorted
+        let built = read_unpoisoned(&self.indexes).clone();
+        let runs = std::iter::once(Some(Arc::clone(&self.spo))).chain(built);
+        let one_pass = |source: &IndexOrder| {
+            let rest = source.perm().into_iter().filter(|&c| c != perm[0]);
+            rest.eq(perm[1..].iter().copied())
+        };
+        let found = IndexOrder::ALL
+            .iter()
+            .zip(runs)
+            .find_map(|(source, run)| run.filter(|_| one_pass(source)));
+        let (source, keys) = match found {
+            Some(run) => (run, &[perm[0]][..]),
+            None => (Arc::clone(&self.spo), &[perm[1], perm[0]][..]),
+        };
+        let run = counting_sort(&source, keys, |_, t| *t).unwrap_or_else(|| {
+            let mut run = (*source).clone();
+            run.sort_unstable_by_key(|t| sort_key(perm, t));
+            run
+        });
+        let run = Arc::new(run);
+        write_unpoisoned(&self.indexes)[slot] = Some(Arc::clone(&run));
+        run
     }
 
     /// The `[start, end)` range of `index(order)` whose key columns equal
@@ -1017,6 +1208,45 @@ mod tests {
         assert!(!a.contains([Id(60), Id(100), Id(60)]));
         assert!(b.contains([Id(0), Id(100), Id(0)]));
         assert_eq!(a.len() + 2, b.len());
+    }
+
+    #[test]
+    fn counting_pays_for_long_dense_input_only() {
+        // 4096 distinct triples over ids < 64, and as many near u32::MAX.
+        let dense: Vec<Triple> = (0..4096u32)
+            .map(|i| [Id(i % 64), Id(i / 64), Id(i * 7 % 64)])
+            .collect();
+        let sparse: Vec<Triple> = dense
+            .iter()
+            .map(|t| t.map(|id| Id(u32::MAX - id.0)))
+            .collect();
+        let by_compare = |list: &[Triple], perm| {
+            let mut run = list.to_vec();
+            run.sort_unstable_by_key(|t| sort_key(perm, t));
+            run
+        };
+        // The passes `[O, P, S]` are the `Spo` order, and one pass by `p`
+        // over `Spo` is `Pso`.
+        let spo = counting_sort(&dense, &[O, P, S], |_, t| *t);
+        assert_eq!(spo, Some(by_compare(&dense, [S, P, O])));
+        let pso = counting_sort(&by_compare(&dense, [S, P, O]), &[P], |_, t| *t);
+        assert_eq!(pso, Some(by_compare(&dense, [P, S, O])));
+        // Sparse ids, a batch too short for its histograms (64 triples
+        // over ids < 64 in every column: 3·(64 + 64) steps against 64·6
+        // compares), one shorter than its histograms and an empty one are
+        // sorted by comparison.
+        let short: Vec<Triple> = (0..64u32)
+            .map(|i| [Id(i), Id(63 - i), Id(i * 7 % 64)])
+            .collect();
+        assert!(counting_sort(&sparse, &[O, P, S], |row, _| row).is_none());
+        assert!(counting_sort(&short, &[O, P, S], |row, _| row).is_none());
+        assert!(counting_sort(&short[..32], &[P], |row, _| row).is_none());
+        assert!(counting_sort(&[], &[S], |row, _| row).is_none());
+        // Row numbers come out stable: repeats in batch order.
+        let repeats = [dense[5], dense[3], dense[5], dense[3]].repeat(32);
+        let rows = counting_sort(&repeats, &[O, P, S], |row, _| row);
+        let expect: Vec<u32> = (1..128).step_by(2).chain((0..128).step_by(2)).collect();
+        assert_eq!(rows, Some(expect));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property tests for the store: every index order must agree with a
 //! linear scan, for arbitrary triple sets and patterns.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -231,5 +232,101 @@ proptest! {
         prop_assert_eq!(reopened.len(), original.len());
         prop_assert_eq!(pinned.triples(), &sorted[..]);
         prop_assert_eq!(&*pinned.index(IndexOrder::Spo), &sorted);
+    }
+}
+
+/// A few thousand triples over ids below `below`: long and dense enough
+/// for the store's counting passes.
+fn long_strategy(below: u32, len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<[u32; 3]>> {
+    prop::collection::vec([0..below, 0..below, 0..below], len)
+}
+
+/// `t` as drawn, or — `sparse` — moved to ids near `u32::MAX`, too sparse
+/// for a histogram, where the store sorts by comparison.
+fn placed(t: &[u32; 3], sparse: bool) -> Triple {
+    match sparse {
+        true => t.map(|id| Id(u32::MAX - id)),
+        false => ids(t),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every run equals a fresh comparison sort, whichever way it was
+    /// built: the `Spo` run of a list rebuilt out of order, and each other
+    /// order requested first in one sequence (two passes over `Spo`) and
+    /// after its one-pass source in another — the sequences start at each
+    /// order in turn and go on in declaration order, so `Sop`, `Pos` and
+    /// `Ops` are each built both without and with `Osp`/`Ops` or
+    /// `Pso`/`Pos` already there. Dense and sparse ids take the two sides
+    /// of the store's counting rule.
+    #[test]
+    fn every_run_is_built_as_a_comparison_sort_would_sort_it(
+        drawn in long_strategy(64, 2000..4000),
+        sparse in any::<bool>(),
+    ) {
+        let mut seen = HashSet::new();
+        let list: Vec<Triple> = drawn
+            .iter()
+            .map(|t| placed(t, sparse))
+            .filter(|&t| seen.insert(t))
+            .collect();
+        let store = TripleStore::from_parts(list.clone(), 7);
+        prop_assert_eq!(store.triples(), &list[..]);
+        let fresh = fresh_runs(&store);
+        prop_assert_eq!(&*store.index(IndexOrder::Spo), &fresh[0]);
+        for first in 1..6 {
+            // A clone shares only the `Spo` run: nothing else is built.
+            let fork = store.clone();
+            for k in (first..6).chain(1..first) {
+                let order = IndexOrder::ALL[k];
+                prop_assert_eq!(&*fork.index(order), &fresh[k], "{:?} after {:?}", order, first);
+            }
+        }
+    }
+
+    /// Large batches with repeats, some already in the store (insert) or
+    /// not (remove), return exactly the model's first occurrences in batch
+    /// order, append or cut the list as the model does, bump the version
+    /// once and leave every run equal to a fresh sort — on dense ids, where
+    /// the batch is sorted by counting passes, and on sparse ones, where it
+    /// is sorted by comparison. The first batch lands on an empty store.
+    #[test]
+    fn large_batches_return_first_occurrences_in_batch_order(
+        base in long_strategy(16, 1000..2000),
+        writes in prop::collection::vec((any::<bool>(), long_strategy(16, 1000..3000)), 1..4),
+        sparse in any::<bool>(),
+    ) {
+        let mut store = TripleStore::new();
+        let (mut model, mut members): (Vec<Triple>, HashSet<Triple>) = Default::default();
+        for (insert, drawn) in std::iter::once((true, base)).chain(writes) {
+            let batch: Vec<Triple> = drawn.iter().map(|t| placed(t, sparse)).collect();
+            let mut seen = HashSet::new();
+            let changed: Vec<Triple> = batch
+                .iter()
+                .copied()
+                .filter(|t| members.contains(t) != insert && seen.insert(*t))
+                .collect();
+            let version = store.version();
+            let done = match insert {
+                true => store.insert_batch(&batch),
+                false => store.remove_batch(&batch),
+            };
+            prop_assert_eq!(&done, &changed);
+            if insert {
+                model.extend_from_slice(&changed);
+                members.extend(&changed);
+            } else {
+                model.retain(|t| !seen.contains(t));
+                members.retain(|t| !seen.contains(t));
+            }
+            prop_assert_eq!(store.triples(), &model[..]);
+            prop_assert_eq!(store.version(), version + u64::from(!changed.is_empty()));
+            // Build every run, so that the next batch carries them all.
+            for (order, fresh) in IndexOrder::ALL.iter().zip(fresh_runs(&store)) {
+                prop_assert_eq!(&*store.index(*order), &fresh, "order {:?}", order);
+            }
+        }
     }
 }
