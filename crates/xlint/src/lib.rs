@@ -121,7 +121,7 @@ mod tests {
             FileKind::TestCode
         );
         assert_eq!(
-            classify("crates/bench/benches/micro.rs"),
+            classify("crates/bench/benches/join_throughput.rs"),
             FileKind::TestCode
         );
     }

@@ -1129,14 +1129,19 @@ mod tests {
     }
 
     fn recommend(db: &mut Dataset) -> Recommendation {
-        let q = parse_query("q(X) :- t(X, <p>, <o1>), t(X, <q>, <c>)", db.dict_mut())
-            .unwrap()
-            .query;
+        recommend_queries(db, &["q(X) :- t(X, <p>, <o1>), t(X, <q>, <c>)"])
+    }
+
+    fn recommend_queries(db: &mut Dataset, queries: &[&str]) -> Recommendation {
+        let workload: Vec<ConjunctiveQuery> = queries
+            .iter()
+            .map(|q| parse_query(q, db.dict_mut()).unwrap().query)
+            .collect();
         try_select_views(
             db.store(),
             db.dict(),
             None,
-            &[q],
+            &workload,
             &SelectionOptions::recommended(),
         )
         .unwrap()
@@ -1310,16 +1315,22 @@ mod tests {
         assert_eq!(snap.tables().total_cells(), remat.total_cells());
     }
 
-    /// One batch = one maintenance pass: the `batches` counter makes the
-    /// one-fixpoint-per-batch contract observable, and the batched path
-    /// never derives more delta tuples than per-triple feeding.
+    /// One chunk = one maintenance pass: the `batches` counter makes the
+    /// one-fixpoint-per-batch contract observable. Fed in chunks of any
+    /// size — one triple, an intermediate size, the whole batch — a feed
+    /// of insertions and then deletions ends at the per-triple rule's
+    /// tables and answers to every workload query, with no more delta
+    /// tuples than it derives.
     #[test]
     fn batched_feed_runs_one_pass_and_matches_per_triple() {
         let mut db = db();
-        let rec = recommend(&mut db);
-        let mut batched = Deployment::new(db.store(), rec.clone());
-        let mut per_triple = Deployment::new(db.store(), rec);
-
+        let rec = recommend_queries(
+            &mut db,
+            &[
+                "q(X) :- t(X, <p>, <o1>), t(X, <q>, <c>)",
+                "r(X, Y) :- t(X, <p>, Y)",
+            ],
+        );
         let p = db.dict().lookup_uri("p").unwrap();
         let qq = db.dict().lookup_uri("q").unwrap();
         let o1 = db.dict().lookup_uri("o1").unwrap();
@@ -1330,37 +1341,63 @@ mod tests {
             feed.push([s, p, o1]);
             feed.push([s, qq, c]);
         }
-
-        let bstats = batched.insert_batch(&feed);
-        assert_eq!(bstats.batches, 1, "one pass for the whole batch");
-        let mut pstats = MaintenanceStats::default();
-        for &t in &feed {
-            pstats.merge(per_triple.insert(t));
-        }
-        assert_eq!(pstats.batches, feed.len(), "one pass per triple");
-        assert_eq!(bstats.added, pstats.added);
-        assert!(bstats.delta_tuples <= pstats.delta_tuples);
-        let (bsnap, psnap) = (batched.snapshot(), per_triple.snapshot());
-        assert_eq!(bsnap.answer(0).unwrap(), psnap.answer(0).unwrap());
-        assert_eq!(bsnap.tables().total_rows(), psnap.tables().total_rows());
-
-        // Deletion side: one batch pass equals sequential deletes.
         let doomed: Vec<Triple> = feed.iter().copied().step_by(3).collect();
-        let bdel = batched.delete_batch(&doomed);
-        assert_eq!(bdel.batches, 1);
+        // Every workload answer and the tables' size.
+        let state = |snap: DeploymentSnapshot| {
+            let answers: Vec<Answers> = (0..rec.workload.len())
+                .map(|qi| snap.answer(qi).unwrap())
+                .collect();
+            (
+                answers,
+                snap.tables().total_rows(),
+                snap.tables().total_cells(),
+            )
+        };
+
+        let mut per_triple = Deployment::new(db.store(), rec.clone());
+        let mut pins = MaintenanceStats::default();
+        for &t in &feed {
+            pins.merge(per_triple.insert(t));
+        }
+        assert_eq!(pins.batches, feed.len(), "one pass per triple");
+        let inserted = state(per_triple.snapshot());
         let mut pdel = MaintenanceStats::default();
         for &t in &doomed {
             pdel.merge(per_triple.delete(t));
         }
-        assert_eq!(bdel.removed, pdel.removed);
-        assert!(bdel.delta_tuples <= pdel.delta_tuples);
-        assert_eq!(
-            batched.snapshot().answer(0).unwrap(),
-            per_triple.snapshot().answer(0).unwrap()
-        );
+        assert_eq!(pdel.batches, doomed.len());
+        let deleted = state(per_triple.snapshot());
+        for size in [1, 7, feed.len()] {
+            let mut batched = Deployment::new(db.store(), rec.clone());
+            let mut bins = MaintenanceStats::default();
+            for chunk in feed.chunks(size) {
+                bins.merge(batched.insert_batch(chunk));
+            }
+            assert_eq!(
+                bins.batches,
+                feed.len().div_ceil(size),
+                "one pass per chunk of {size}"
+            );
+            assert_eq!(bins.added, pins.added);
+            assert!(bins.delta_tuples <= pins.delta_tuples, "insert Δ at {size}");
+            assert_eq!(state(batched.snapshot()), inserted, "inserted by {size}");
+
+            let mut bdel = MaintenanceStats::default();
+            for chunk in doomed.chunks(size) {
+                bdel.merge(batched.delete_batch(chunk));
+            }
+            assert_eq!(
+                bdel.batches,
+                doomed.len().div_ceil(size),
+                "one pass per chunk of {size}"
+            );
+            assert_eq!(bdel.removed, pdel.removed);
+            assert!(bdel.delta_tuples <= pdel.delta_tuples, "delete Δ at {size}");
+            assert_eq!(state(batched.snapshot()), deleted, "deleted by {size}");
+        }
         // A fully-duplicate batch is a no-op with no pass (feed[0] was
         // retracted above; feed[1..3] are still present).
-        assert_eq!(batched.insert_batch(&feed[1..3]).batches, 0);
+        assert_eq!(per_triple.insert_batch(&feed[1..3]).batches, 0);
     }
 
     /// Snapshots pin a generation: maintenance batches applied afterwards

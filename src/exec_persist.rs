@@ -29,15 +29,24 @@
 //! * a view branch's rows are written in order, the first column as a
 //!   difference from the row before, the others whole.
 //!
+//! The other sets are written in one order too: catalog entries by their
+//! key bytes, a state's views by id.
+//!
 //! The encoding is a bijection between states and byte strings, and the
-//! decoder is total: an id outside the dictionary, a sum that overflows, a
-//! triple or row that does not sort strictly after its predecessor, a
-//! varint in anything but its shortest form, a set padding bit, a bit count
-//! that disagrees with the stored count — each is a
-//! [`SelectionError::CorruptBundle`], so every accepted file re-encodes to
-//! itself. Two deployments that reach the same triples and rows by
-//! different histories therefore write the same bytes and have the same
-//! state hash.
+//! decoder is total. Each of these is a [`SelectionError::CorruptBundle`],
+//! so every accepted file re-encodes to itself:
+//!
+//! * an id outside the dictionary — in the store, a view row, a query,
+//!   view or rewriting constant, a schema statement, the vocabulary, a
+//!   catalog key or a catalog bound;
+//! * a sum that overflows, or a varint in anything but its shortest form;
+//! * a triple, row, catalog key or state view that does not sort strictly
+//!   after its predecessor, and a schema statement written twice;
+//! * a set padding bit, or a bit count that disagrees with the stored
+//!   count.
+//!
+//! Two deployments that reach the same triples and rows by different
+//! histories therefore write the same bytes and have the same state hash.
 //!
 //! Recovery ([`Deployment::recover`]) loads the snapshot and replays the
 //! WAL suffix through the ordinary set-at-a-time maintenance path — the
@@ -107,6 +116,30 @@ type DResult<T> = Result<T, DurabilityError>;
 // property the state hash relies on.
 // ---------------------------------------------------------------------
 
+/// Writes `items` behind their count.
+fn enc_seq<T>(w: &mut Writer, items: &[T], mut enc: impl FnMut(&mut Writer, &T)) {
+    w.len_prefix(items.len());
+    for item in items {
+        enc(w, item);
+    }
+}
+
+/// Reads a count, then that many items with `dec`; each item takes at
+/// least `min_bytes`, which bounds the count by the bytes left.
+fn dec_seq<T>(
+    r: &mut Reader<'_>,
+    what: &str,
+    min_bytes: usize,
+    mut dec: impl FnMut(&mut Reader<'_>) -> DResult<T>,
+) -> DResult<Vec<T>> {
+    let n = r.len_prefix(what, min_bytes)?;
+    let mut items = Vec::with_capacity(n);
+    for _ in 0..n {
+        items.push(dec(r)?);
+    }
+    Ok(items)
+}
+
 fn enc_term(w: &mut Writer, t: &Term) {
     w.u8(match t.kind() {
         TermKind::Uri => 0,
@@ -169,6 +202,18 @@ fn dec_id(r: &mut Reader<'_>, base: Id, dict_len: usize, what: &str) -> DResult<
                 base.0
             ))
         })
+}
+
+/// Reads a fixed-width id, which must fall inside the dictionary.
+fn dec_known_id(r: &mut Reader<'_>, dict_len: usize, what: &str) -> DResult<Id> {
+    let id = r.u32(what)?;
+    if (id as usize) < dict_len {
+        Ok(Id(id))
+    } else {
+        Err(corrupt(format!(
+            "{what}: id {id} is outside the dictionary of {dict_len} terms"
+        )))
+    }
 }
 
 /// Writes a strictly `Spo`-sorted run, each triple as its difference from
@@ -295,10 +340,10 @@ fn enc_qterm(w: &mut Writer, t: QTerm) {
     }
 }
 
-fn dec_qterm(r: &mut Reader<'_>) -> DResult<QTerm> {
+fn dec_qterm(r: &mut Reader<'_>, dict_len: usize) -> DResult<QTerm> {
     match r.u8("qterm tag")? {
         0 => Ok(QTerm::Var(Var(r.u32("qterm var")?))),
-        1 => Ok(QTerm::Const(Id(r.u32("qterm const")?))),
+        1 => Ok(QTerm::Const(dec_known_id(r, dict_len, "qterm const")?)),
         other => Err(corrupt(format!("unknown qterm tag {other}"))),
     }
 }
@@ -309,97 +354,56 @@ fn enc_atom(w: &mut Writer, a: &Atom) {
     }
 }
 
-fn dec_atom(r: &mut Reader<'_>) -> DResult<Atom> {
-    Ok(Atom([dec_qterm(r)?, dec_qterm(r)?, dec_qterm(r)?]))
+fn dec_atom(r: &mut Reader<'_>, dict_len: usize) -> DResult<Atom> {
+    Ok(Atom([
+        dec_qterm(r, dict_len)?,
+        dec_qterm(r, dict_len)?,
+        dec_qterm(r, dict_len)?,
+    ]))
 }
 
 fn enc_cq(w: &mut Writer, q: &ConjunctiveQuery) {
-    w.len_prefix(q.head.len());
-    for &t in &q.head {
-        enc_qterm(w, t);
-    }
-    w.len_prefix(q.atoms.len());
-    for a in &q.atoms {
-        enc_atom(w, a);
-    }
+    enc_seq(w, &q.head, |w, &t| enc_qterm(w, t));
+    enc_seq(w, &q.atoms, enc_atom);
 }
 
-fn dec_cq(r: &mut Reader<'_>) -> DResult<ConjunctiveQuery> {
-    let hn = r.len_prefix("query head", 5)?;
-    let mut head = Vec::with_capacity(hn);
-    for _ in 0..hn {
-        head.push(dec_qterm(r)?);
-    }
-    let an = r.len_prefix("query atoms", 15)?;
-    let mut atoms = Vec::with_capacity(an);
-    for _ in 0..an {
-        atoms.push(dec_atom(r)?);
-    }
+fn dec_cq(r: &mut Reader<'_>, dict_len: usize) -> DResult<ConjunctiveQuery> {
+    let head = dec_seq(r, "query head", 5, |r| dec_qterm(r, dict_len))?;
+    let atoms = dec_seq(r, "query atoms", 15, |r| dec_atom(r, dict_len))?;
     Ok(ConjunctiveQuery::new(head, atoms))
 }
 
 fn enc_view(w: &mut Writer, v: &View) {
     w.u32(v.id.0);
-    w.len_prefix(v.head.len());
-    for &h in &v.head {
-        w.u32(h.0);
-    }
-    w.len_prefix(v.atoms.len());
-    for a in &v.atoms {
-        enc_atom(w, a);
-    }
+    enc_seq(w, &v.head, |w, h| w.u32(h.0));
+    enc_seq(w, &v.atoms, enc_atom);
 }
 
-fn dec_view(r: &mut Reader<'_>) -> DResult<View> {
+fn dec_view(r: &mut Reader<'_>, dict_len: usize) -> DResult<View> {
     let id = ViewId(r.u32("view id")?);
-    let hn = r.len_prefix("view head", 4)?;
-    let mut head = Vec::with_capacity(hn);
-    for _ in 0..hn {
-        head.push(Var(r.u32("view head var")?));
-    }
-    let an = r.len_prefix("view atoms", 15)?;
-    let mut atoms = Vec::with_capacity(an);
-    for _ in 0..an {
-        atoms.push(dec_atom(r)?);
-    }
+    let head = dec_seq(r, "view head", 4, |r| Ok(Var(r.u32("view head var")?)))?;
+    let atoms = dec_seq(r, "view atoms", 15, |r| dec_atom(r, dict_len))?;
     Ok(View { id, head, atoms })
 }
 
 fn enc_rewriting(w: &mut Writer, rw: &Rewriting) {
     w.u64(rw.query_index as u64);
-    w.len_prefix(rw.head.len());
-    for &t in &rw.head {
-        enc_qterm(w, t);
-    }
-    w.len_prefix(rw.atoms.len());
-    for a in &rw.atoms {
+    enc_seq(w, &rw.head, |w, &t| enc_qterm(w, t));
+    enc_seq(w, &rw.atoms, |w, a| {
         w.u32(a.view.0);
-        w.len_prefix(a.args.len());
-        for &arg in &a.args {
-            enc_qterm(w, arg);
-        }
-    }
+        enc_seq(w, &a.args, |w, &arg| enc_qterm(w, arg));
+    });
     w.u32(rw.next_var());
 }
 
-fn dec_rewriting(r: &mut Reader<'_>) -> DResult<Rewriting> {
+fn dec_rewriting(r: &mut Reader<'_>, dict_len: usize) -> DResult<Rewriting> {
     let query_index = r.u64("rewriting query index")? as usize;
-    let hn = r.len_prefix("rewriting head", 5)?;
-    let mut head = Vec::with_capacity(hn);
-    for _ in 0..hn {
-        head.push(dec_qterm(r)?);
-    }
-    let an = r.len_prefix("rewriting atoms", 12)?;
-    let mut atoms = Vec::with_capacity(an);
-    for _ in 0..an {
+    let head = dec_seq(r, "rewriting head", 5, |r| dec_qterm(r, dict_len))?;
+    let atoms = dec_seq(r, "rewriting atoms", 12, |r| {
         let view = ViewId(r.u32("rewriting atom view")?);
-        let argn = r.len_prefix("rewriting atom args", 5)?;
-        let mut args = Vec::with_capacity(argn);
-        for _ in 0..argn {
-            args.push(dec_qterm(r)?);
-        }
-        atoms.push(RewAtom { view, args });
-    }
+        let args = dec_seq(r, "rewriting atom args", 5, |r| dec_qterm(r, dict_len))?;
+        Ok(RewAtom { view, args })
+    })?;
     let next_var = r.u32("rewriting next_var")?;
     Ok(Rewriting::from_parts(query_index, head, atoms, next_var))
 }
@@ -409,24 +413,19 @@ fn enc_state(w: &mut Writer, s: &State) {
     for v in s.views() {
         enc_view(w, v);
     }
-    w.len_prefix(s.rewritings().len());
-    for rw in s.rewritings() {
-        enc_rewriting(w, rw);
-    }
+    enc_seq(w, s.rewritings(), enc_rewriting);
     w.u32(s.next_view_id());
 }
 
-fn dec_state(r: &mut Reader<'_>) -> DResult<State> {
-    let vn = r.len_prefix("state views", 20)?;
-    let mut views = Vec::with_capacity(vn);
-    for _ in 0..vn {
-        views.push(dec_view(r)?);
+fn dec_state(r: &mut Reader<'_>, dict_len: usize) -> DResult<State> {
+    let views = dec_seq(r, "state views", 20, |r| dec_view(r, dict_len))?;
+    // A state keeps its views by id: written in id order, each once.
+    if views.windows(2).any(|pair| pair[0].id >= pair[1].id) {
+        return Err(corrupt(
+            "state views are not in strictly increasing id order",
+        ));
     }
-    let rn = r.len_prefix("state rewritings", 20)?;
-    let mut rewritings = Vec::with_capacity(rn);
-    for _ in 0..rn {
-        rewritings.push(dec_rewriting(r)?);
-    }
+    let rewritings = dec_seq(r, "state rewritings", 20, |r| dec_rewriting(r, dict_len))?;
     let next_view_id = r.u32("state next_view_id")?;
     Ok(State::from_parts(views, rewritings, next_view_id))
 }
@@ -439,11 +438,10 @@ fn enc_stats(w: &mut Writer, s: &SearchStats) {
     w.u64(s.transitions);
     w.u64(s.reexpansions);
     w.u64(s.frontier_remaining);
-    w.len_prefix(s.best_cost_trace.len());
-    for &(t, c) in &s.best_cost_trace {
+    enc_seq(w, &s.best_cost_trace, |w, &(t, c)| {
         w.f64(t);
         w.f64(c);
-    }
+    });
     w.bool(s.out_of_budget);
     w.bool(s.timed_out);
     w.u64(s.elapsed.as_secs());
@@ -461,13 +459,9 @@ fn dec_stats(r: &mut Reader<'_>) -> DResult<SearchStats> {
         frontier_remaining: r.u64("stats frontier")?,
         ..SearchStats::default()
     };
-    let tn = r.len_prefix("stats trace", 16)?;
-    s.best_cost_trace = Vec::with_capacity(tn);
-    for _ in 0..tn {
-        let t = r.f64("trace time")?;
-        let c = r.f64("trace cost")?;
-        s.best_cost_trace.push((t, c));
-    }
+    s.best_cost_trace = dec_seq(r, "stats trace", 16, |r| {
+        Ok((r.f64("trace time")?, r.f64("trace cost")?))
+    })?;
     s.out_of_budget = r.bool("stats out_of_budget")?;
     s.timed_out = r.bool("stats timed_out")?;
     let secs = r.u64("stats elapsed secs")?;
@@ -502,10 +496,7 @@ fn enc_catalog(w: &mut Writer, cat: &StatsCatalog) {
         })
         .collect();
     entries.sort_unstable();
-    w.len_prefix(entries.len());
-    for e in entries {
-        w.raw(&e);
-    }
+    enc_seq(w, &entries, |w, e| w.raw(e));
     w.u64(cat.dataset_size());
     for col in 0..3 {
         w.u64(cat.distinct(col));
@@ -525,16 +516,30 @@ fn enc_catalog(w: &mut Writer, cat: &StatsCatalog) {
     }
 }
 
-fn dec_catalog(r: &mut Reader<'_>) -> DResult<StatsCatalog> {
-    let n = r.len_prefix("catalog entries", 23)?;
+/// The bytes of one catalog key: a tag and a `u32` for each slot.
+const CATALOG_KEY_LEN: usize = 15;
+
+fn dec_catalog(r: &mut Reader<'_>, dict_len: usize) -> DResult<StatsCatalog> {
+    let n = r.len_prefix("catalog entries", CATALOG_KEY_LEN + 8)?;
     let mut counts = Vec::with_capacity(n);
+    let mut above: &[u8] = &[];
     for _ in 0..n {
+        let key = r.raw(CATALOG_KEY_LEN, "catalog key")?;
+        // Keys are written in the strictly increasing order of their
+        // bytes: the one order, and no key twice.
+        if key <= above {
+            return Err(corrupt(
+                "catalog keys are not in strictly increasing byte order",
+            ));
+        }
+        above = key;
+        let mut kr = Reader::new(key);
         let mut slots = [KeySlot::Var(0); 3];
         for slot in &mut slots {
-            *slot = match r.u8("catalog key slot tag")? {
-                0 => KeySlot::Const(Id(r.u32("catalog key const")?)),
+            *slot = match kr.u8("catalog key slot tag")? {
+                0 => KeySlot::Const(dec_known_id(&mut kr, dict_len, "catalog key const")?),
                 1 => {
-                    let v = r.u32("catalog key var")?;
+                    let v = kr.u32("catalog key var")?;
                     if v > u8::MAX as u32 {
                         return Err(corrupt("catalog key var out of range"));
                     }
@@ -554,8 +559,8 @@ fn dec_catalog(r: &mut Reader<'_>) -> DResult<StatsCatalog> {
     let min_max = if r.bool("catalog min_max flag")? {
         let mut mm = [(Id(0), Id(0)); 3];
         for pair in &mut mm {
-            pair.0 = Id(r.u32("catalog min")?);
-            pair.1 = Id(r.u32("catalog max")?);
+            pair.0 = dec_known_id(r, dict_len, "catalog min")?;
+            pair.1 = dec_known_id(r, dict_len, "catalog max")?;
         }
         Some(mm)
     } else {
@@ -576,67 +581,41 @@ fn dec_catalog(r: &mut Reader<'_>) -> DResult<StatsCatalog> {
 
 fn enc_rec(rec: &Recommendation) -> Vec<u8> {
     let mut w = Writer::new();
-    w.len_prefix(rec.workload.len());
-    for q in &rec.workload {
-        enc_cq(&mut w, q);
-    }
-    w.len_prefix(rec.branch_of.len());
-    for &orig in &rec.branch_of {
-        w.u64(orig as u64);
-    }
+    enc_seq(&mut w, &rec.workload, enc_cq);
+    enc_seq(&mut w, &rec.branch_of, |w, &orig| w.u64(orig as u64));
     enc_state(&mut w, &rec.outcome.best_state);
     w.f64(rec.outcome.best_cost);
     w.f64(rec.outcome.initial_cost);
     enc_stats(&mut w, &rec.outcome.stats);
-    w.len_prefix(rec.views.len());
-    for v in &rec.views {
-        enc_view(&mut w, v);
-    }
-    w.len_prefix(rec.materialization.len());
-    for u in &rec.materialization {
-        w.len_prefix(u.branches().len());
-        for b in u.branches() {
-            enc_cq(&mut w, b);
-        }
-    }
+    enc_seq(&mut w, &rec.views, enc_view);
+    enc_seq(&mut w, &rec.materialization, |w, u| {
+        enc_seq(w, u.branches(), enc_cq)
+    });
     enc_catalog(&mut w, &rec.catalog);
     w.into_bytes()
 }
 
-fn dec_rec(bytes: &[u8]) -> DResult<Recommendation> {
+fn dec_rec(bytes: &[u8], dict_len: usize) -> DResult<Recommendation> {
     let mut r = Reader::new(bytes);
-    let wn = r.len_prefix("workload", 16)?;
-    let mut workload = Vec::with_capacity(wn);
-    for _ in 0..wn {
-        workload.push(dec_cq(&mut r)?);
-    }
-    let bn = r.len_prefix("branch_of", 8)?;
-    let mut branch_of = Vec::with_capacity(bn);
-    for _ in 0..bn {
-        branch_of.push(r.u64("branch_of entry")? as usize);
-    }
-    let best_state = dec_state(&mut r)?;
+    let workload = dec_seq(&mut r, "workload", 16, |r| dec_cq(r, dict_len))?;
+    let branch_of = dec_seq(&mut r, "branch_of", 8, |r| {
+        Ok(r.u64("branch_of entry")? as usize)
+    })?;
+    let best_state = dec_state(&mut r, dict_len)?;
     let best_cost = r.f64("best cost")?;
     let initial_cost = r.f64("initial cost")?;
     let stats = dec_stats(&mut r)?;
-    let vn = r.len_prefix("recommended views", 20)?;
-    let mut views = Vec::with_capacity(vn);
-    for _ in 0..vn {
-        views.push(dec_view(&mut r)?);
-    }
-    let mn = r.len_prefix("materialization", 8)?;
-    let mut materialization = Vec::with_capacity(mn);
-    for _ in 0..mn {
-        let un = r.len_prefix("union branches", 16)?;
+    let views = dec_seq(&mut r, "recommended views", 20, |r| dec_view(r, dict_len))?;
+    let materialization = dec_seq(&mut r, "materialization", 8, |r| {
         let mut u = UnionQuery::new();
-        for _ in 0..un {
-            if !u.push(dec_cq(&mut r)?) {
+        for b in dec_seq(r, "union branches", 16, |r| dec_cq(r, dict_len))? {
+            if !u.push(b) {
                 return Err(corrupt("materialization union has duplicate branches"));
             }
         }
-        materialization.push(u);
-    }
-    let catalog = Arc::new(dec_catalog(&mut r)?);
+        Ok(u)
+    })?;
+    let catalog = Arc::new(dec_catalog(&mut r, dict_len)?);
     r.expect_exhausted("recommendation section")?;
     if branch_of.len() != workload.len() {
         return Err(corrupt("branch_of length does not match workload"));
@@ -661,13 +640,11 @@ fn dec_rec(bytes: &[u8]) -> DResult<Recommendation> {
 
 fn enc_deployed_views(views: &[DeployedView]) -> Vec<u8> {
     let mut w = Writer::new();
-    w.len_prefix(views.len());
-    for dv in views {
+    enc_seq(&mut w, views, |w, dv| {
         w.u32(dv.id.0);
         w.len_prefix(dv.arity);
-        w.len_prefix(dv.branches.len());
-        for b in &dv.branches {
-            enc_cq(&mut w, b.definition());
+        enc_seq(w, &dv.branches, |w, b| {
+            enc_cq(w, b.definition());
             // Rows lie distinct and in order: the first column is written
             // as its difference from the row before, the others whole.
             w.len_prefix(b.len());
@@ -681,22 +658,18 @@ fn enc_deployed_views(views: &[DeployedView]) -> Vec<u8> {
                     }
                 }
             }
-        }
-    }
+        });
+    });
     w.into_bytes()
 }
 
 fn dec_deployed_views(bytes: &[u8], dict_len: usize) -> DResult<Vec<DeployedView>> {
     let mut r = Reader::new(bytes);
-    let n = r.len_prefix("deployed views", 20)?;
-    let mut views = Vec::with_capacity(n);
-    for _ in 0..n {
+    let views = dec_seq(&mut r, "deployed views", 20, |r| {
         let id = ViewId(r.u32("deployed view id")?);
         let arity = r.len_prefix("deployed view arity", 0)?;
-        let bn = r.len_prefix("deployed view branches", 16)?;
-        let mut branches = Vec::with_capacity(bn);
-        for _ in 0..bn {
-            let def = dec_cq(&mut r)?;
+        let branches = dec_seq(r, "deployed view branches", 16, |r| {
+            let def = dec_cq(r, dict_len)?;
             if def.head.len() != arity {
                 return Err(corrupt("branch arity does not match its view"));
             }
@@ -711,7 +684,7 @@ fn dec_deployed_views(bytes: &[u8], dict_len: usize) -> DResult<Vec<DeployedView
             for _ in 0..rn {
                 for col in 0..arity {
                     let base = if col == 0 { above } else { Id(0) };
-                    let id = dec_id(&mut r, base, dict_len, "branch row id")?;
+                    let id = dec_id(r, base, dict_len, "branch row id")?;
                     if col == 0 {
                         above = id;
                     }
@@ -720,21 +693,20 @@ fn dec_deployed_views(bytes: &[u8], dict_len: usize) -> DResult<Vec<DeployedView
             }
             let rows = Answers::from_sorted(arity, rn, cells)
                 .ok_or_else(|| corrupt("branch rows are not strictly increasing"))?;
-            branches.push(MaintainedView::from_parts(def, rows));
-        }
-        views.push(DeployedView {
+            Ok(MaintainedView::from_parts(def, rows))
+        })?;
+        Ok(DeployedView {
             id,
             arity,
             branches,
-        });
-    }
+        })
+    })?;
     r.expect_exhausted("deployed views section")?;
     Ok(views)
 }
 
 fn enc_schema_into(w: &mut Writer, schema: &Schema, vocab: &VocabIds) {
-    w.len_prefix(schema.statements().len());
-    for stmt in schema.statements() {
+    enc_seq(w, schema.statements(), |w, stmt| {
         let (tag, (a, b)) = match stmt {
             SchemaStatement::SubClassOf(..) => (0u8, stmt.pair()),
             SchemaStatement::SubPropertyOf(..) => (1, stmt.pair()),
@@ -744,7 +716,7 @@ fn enc_schema_into(w: &mut Writer, schema: &Schema, vocab: &VocabIds) {
         w.u8(tag);
         w.u32(a.0);
         w.u32(b.0);
-    }
+    });
     for id in [
         vocab.rdf_type,
         vocab.sub_class_of,
@@ -756,13 +728,13 @@ fn enc_schema_into(w: &mut Writer, schema: &Schema, vocab: &VocabIds) {
     }
 }
 
-fn dec_schema(r: &mut Reader<'_>) -> DResult<(Schema, VocabIds)> {
+fn dec_schema(r: &mut Reader<'_>, dict_len: usize) -> DResult<(Schema, VocabIds)> {
     let n = r.len_prefix("schema statements", 9)?;
     let mut schema = Schema::new();
     for _ in 0..n {
         let tag = r.u8("schema statement tag")?;
-        let a = Id(r.u32("schema statement lhs")?);
-        let b = Id(r.u32("schema statement rhs")?);
+        let a = dec_known_id(r, dict_len, "schema statement lhs")?;
+        let b = dec_known_id(r, dict_len, "schema statement rhs")?;
         let stmt = match tag {
             0 => SchemaStatement::SubClassOf(a, b),
             1 => SchemaStatement::SubPropertyOf(a, b),
@@ -770,11 +742,13 @@ fn dec_schema(r: &mut Reader<'_>) -> DResult<(Schema, VocabIds)> {
             3 => SchemaStatement::Range(a, b),
             other => return Err(corrupt(format!("unknown schema statement tag {other}"))),
         };
-        schema.add(stmt);
+        if !schema.add(stmt) {
+            return Err(corrupt(format!("schema repeats the statement {stmt:?}")));
+        }
     }
     let mut ids = [Id(0); 5];
     for id in &mut ids {
-        *id = Id(r.u32("vocab id")?);
+        *id = dec_known_id(r, dict_len, "vocab id")?;
     }
     Ok((
         schema,
@@ -892,12 +866,12 @@ impl Deployment {
         let mut store_r = Reader::new(&sections[1].1);
         let store = dec_store(&mut store_r, dict.len())?;
         store_r.expect_exhausted("store section")?;
-        let rec = dec_rec(&sections[2].1)?;
+        let rec = dec_rec(&sections[2].1, dict.len())?;
         let views = dec_deployed_views(&sections[3].1, dict.len())?;
 
         let mut ent_r = Reader::new(&sections[4].1);
         let entailment = if ent_r.bool("entailment flag")? {
-            let (schema, vocab) = dec_schema(&mut ent_r)?;
+            let (schema, vocab) = dec_schema(&mut ent_r, dict.len())?;
             let explicit = dec_subset(&mut ent_r, &store.index(IndexOrder::Spo))?;
             Some(EntailmentBase {
                 schema,
@@ -911,7 +885,7 @@ impl Deployment {
 
         let mut ref_r = Reader::new(&sections[5].1);
         let reform = if ref_r.bool("reformulation flag")? {
-            Some(dec_schema(&mut ref_r)?)
+            Some(dec_schema(&mut ref_r, dict.len())?)
         } else {
             None
         };
@@ -1147,16 +1121,12 @@ fn enc_wal_record(
         WalKind::Delete => 1,
     });
     w.u64(pre_version);
-    w.len_prefix(new_terms.len());
-    for term in new_terms {
-        enc_term(&mut w, term);
-    }
-    w.len_prefix(batch.len());
-    for t in batch {
+    enc_seq(&mut w, new_terms, |w, term| enc_term(w, term));
+    enc_seq(&mut w, batch, |w, t| {
         for &id in t {
             w.u32(id.0);
         }
-    }
+    });
     w.into_bytes()
 }
 
@@ -1168,20 +1138,14 @@ fn dec_wal_record(payload: &[u8]) -> DResult<(WalKind, u64, Vec<Term>, Vec<Tripl
         other => return Err(corrupt(format!("unknown wal record kind {other}"))),
     };
     let pre_version = r.u64("wal record version")?;
-    let tn = r.len_prefix("wal record terms", 2)?;
-    let mut new_terms = Vec::with_capacity(tn);
-    for _ in 0..tn {
-        new_terms.push(dec_term(&mut r)?);
-    }
-    let bn = r.len_prefix("wal record triples", 12)?;
-    let mut batch = Vec::with_capacity(bn);
-    for _ in 0..bn {
+    let new_terms = dec_seq(&mut r, "wal record terms", 2, dec_term)?;
+    let batch = dec_seq(&mut r, "wal record triples", 12, |r| {
         let mut t = [Id(0); 3];
         for slot in &mut t {
             *slot = Id(r.u32("wal record triple id")?);
         }
-        batch.push(t);
-    }
+        Ok(t)
+    })?;
     r.expect_exhausted("wal record")?;
     Ok((kind, pre_version, new_terms, batch))
 }
@@ -1697,5 +1661,165 @@ mod tests {
             assert!(is_corrupt(rows_of(&bytes)), "{why}");
         }
         assert_eq!(rows_of(&with_rows(0, 1, &[])).unwrap().len(), 1);
+    }
+
+    /// Decodes a whole section with `dec`, refusing trailing bytes.
+    fn section<T>(bytes: &[u8], dec: impl FnOnce(&mut Reader<'_>) -> DResult<T>) -> DResult<T> {
+        let mut r = Reader::new(bytes);
+        let value = dec(&mut r)?;
+        r.expect_exhausted("section")?;
+        Ok(value)
+    }
+
+    /// The one constant these tests put where the dictionary must know it.
+    const UNKNOWN: Id = Id(4_000_000_000);
+
+    /// `t(?0, c, ?1)`.
+    fn atom_with(c: Id) -> Atom {
+        Atom([QTerm::Var(Var(0)), QTerm::Const(c), QTerm::Var(Var(1))])
+    }
+
+    #[test]
+    fn catalog_entries_out_of_key_order_or_repeated_are_refused() {
+        let key = |c: Id, v: u8| AtomKey([KeySlot::Var(0), KeySlot::Const(c), KeySlot::Var(v)]);
+        let catalog = |counts: Vec<(AtomKey, u64)>, hi: Id| {
+            let cat =
+                StatsCatalog::from_parts(counts, 40, [4, 3, 9], Some([(Id(0), hi); 3]), [1.5; 3]);
+            let mut w = Writer::new();
+            enc_catalog(&mut w, &cat);
+            w.into_bytes()
+        };
+        let dec = |bytes: &[u8]| section(bytes, |r| dec_catalog(r, DICT_LEN));
+        let good = catalog(
+            vec![(key(Id(3), 1), 10), (key(Id(5), 1), 20), (key(Id(3), 2), 7)],
+            Id(9),
+        );
+        let mut again = Writer::new();
+        enc_catalog(&mut again, &dec(&good).unwrap());
+        assert_eq!(again.into_bytes(), good);
+
+        // After the entry count, each entry is its key and a u64 count.
+        let entry = |i: usize| {
+            let start = 8 + i * (CATALOG_KEY_LEN + 8);
+            start..start + CATALOG_KEY_LEN + 8
+        };
+        let mut swapped = good.clone();
+        swapped[entry(0)].copy_from_slice(&good[entry(1)]);
+        swapped[entry(1)].copy_from_slice(&good[entry(0)]);
+        assert!(is_corrupt(dec(&swapped)), "two entries swapped");
+        let mut repeated = good.clone();
+        repeated[entry(1)][..CATALOG_KEY_LEN].copy_from_slice(&good[entry(0)][..CATALOG_KEY_LEN]);
+        assert_ne!(repeated[entry(1)], good[entry(0)], "the counts differ");
+        assert!(is_corrupt(dec(&repeated)), "a key repeated");
+
+        let unknown_key = catalog(vec![(key(UNKNOWN, 1), 1)], Id(9));
+        assert!(is_corrupt(dec(&unknown_key)), "a key constant");
+        let unknown_bound = catalog(vec![(key(Id(3), 1), 1)], UNKNOWN);
+        assert!(is_corrupt(dec(&unknown_bound)), "a max bound");
+    }
+
+    #[test]
+    fn repeated_schema_statements_and_unknown_schema_ids_are_refused() {
+        let schema_section = |statements: &[(u8, Id, Id)], vocab: Id| {
+            let mut w = Writer::new();
+            w.len_prefix(statements.len());
+            for &(tag, a, b) in statements {
+                w.u8(tag);
+                w.u32(a.0);
+                w.u32(b.0);
+            }
+            for i in 0..5 {
+                w.u32(vocab.0 + i);
+            }
+            w.into_bytes()
+        };
+        let dec = |bytes: &[u8]| section(bytes, |r| dec_schema(r, DICT_LEN));
+        let sub = (1, Id(7), Id(8));
+        let range = (3, Id(8), Id(9));
+        let good = schema_section(&[sub, range], Id(20));
+        let (schema, vocab) = dec(&good).unwrap();
+        let mut again = Writer::new();
+        enc_schema_into(&mut again, &schema, &vocab);
+        assert_eq!(again.into_bytes(), good);
+
+        for (why, bytes) in [
+            (
+                "a repeated statement",
+                schema_section(&[sub, range, sub], Id(20)),
+            ),
+            (
+                "a statement id",
+                schema_section(&[(0, Id(7), UNKNOWN)], Id(20)),
+            ),
+            (
+                "a vocabulary id",
+                schema_section(&[sub], Id(DICT_LEN as u32 - 2)),
+            ),
+        ] {
+            assert!(is_corrupt(dec(&bytes)), "{why}");
+        }
+    }
+
+    #[test]
+    fn state_views_out_of_id_order_or_repeated_are_refused() {
+        let view = |id: u32, c: Id| View {
+            id: ViewId(id),
+            head: vec![Var(0)],
+            atoms: vec![atom_with(c)],
+        };
+        let state_section = |views: &[View], rewriting_const: Id| {
+            let mut w = Writer::new();
+            enc_seq(&mut w, views, enc_view);
+            let rewriting = Rewriting::from_parts(
+                0,
+                vec![QTerm::Var(Var(0))],
+                vec![RewAtom {
+                    view: ViewId(1),
+                    args: vec![QTerm::Const(rewriting_const)],
+                }],
+                1,
+            );
+            enc_seq(&mut w, &[rewriting], enc_rewriting);
+            w.u32(9);
+            w.into_bytes()
+        };
+        let dec = |bytes: &[u8]| section(bytes, |r| dec_state(r, DICT_LEN));
+        let good = state_section(&[view(1, Id(5)), view(4, Id(6))], Id(2));
+        let mut again = Writer::new();
+        enc_state(&mut again, &dec(&good).unwrap());
+        assert_eq!(again.into_bytes(), good);
+
+        for (why, bytes) in [
+            (
+                "views out of id order",
+                state_section(&[view(4, Id(6)), view(1, Id(5))], Id(2)),
+            ),
+            (
+                "a view id repeated",
+                state_section(&[view(1, Id(5)), view(1, Id(6))], Id(2)),
+            ),
+            ("a view constant", state_section(&[view(1, UNKNOWN)], Id(2))),
+            (
+                "a rewriting constant",
+                state_section(&[view(1, Id(5))], UNKNOWN),
+            ),
+        ] {
+            assert!(is_corrupt(dec(&bytes)), "{why}");
+        }
+    }
+
+    #[test]
+    fn query_constants_the_dictionary_lacks_are_refused() {
+        let query = |c: Id| {
+            let mut w = Writer::new();
+            let head = vec![QTerm::Var(Var(0))];
+            enc_cq(&mut w, &ConjunctiveQuery::new(head, vec![atom_with(c)]));
+            w.into_bytes()
+        };
+        let dec = |bytes: &[u8]| section(bytes, |r| dec_cq(r, DICT_LEN));
+        let last = Id(DICT_LEN as u32 - 1);
+        assert_eq!(dec(&query(last)).unwrap().atoms, [atom_with(last)]);
+        assert!(is_corrupt(dec(&query(Id(DICT_LEN as u32)))));
+        assert!(is_corrupt(dec(&query(UNKNOWN))));
     }
 }

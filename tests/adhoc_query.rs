@@ -104,6 +104,12 @@ fn adhoc_specialization_is_views_only_and_correct() {
         snap.answer_query(&plan).unwrap(),
         evaluate(db.store(), &adhoc)
     );
+    let views_only = snap.plan_with(&adhoc, AnswerPolicy::ViewsOnly).unwrap();
+    assert!(views_only.is_views_only());
+    assert_eq!(
+        snap.answer_query(&views_only).unwrap(),
+        evaluate(db.store(), &adhoc)
+    );
     assert_eq!(
         snap.answer_adhoc(&adhoc).unwrap(),
         evaluate(db.store(), &adhoc)
@@ -154,6 +160,11 @@ fn hybrid_plans_mix_views_and_base_without_cross_products() {
     let plan = snap.plan_with(&adhoc, AnswerPolicy::Hybrid).unwrap();
     assert!(!plan.is_views_only());
     assert_eq!(plan.residual_atoms(), 1, "only bornIn needs the base store");
+    assert_eq!(
+        snap.plan_with(&adhoc, AnswerPolicy::ViewsOnly).unwrap_err(),
+        SelectionError::NoViewsOnlyPlan { residual_atoms: 1 },
+        "a join over an untuned predicate is a typed views-only error"
+    );
     assert!(!plan.views_used().is_empty(), "paintedBy scans a view");
     for b in plan.branches() {
         assert!(equivalent(&unfold_plan(&views, &b.plan), &b.query));

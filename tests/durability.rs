@@ -15,10 +15,14 @@
 //! * **Compaction** — checkpoints absorb the log crash-safely: a newer
 //!   snapshot with a stale un-reset WAL (the crash window between the two
 //!   steps) recovers by skipping the absorbed records.
-//! * **Golden fixtures** — a committed v2 bundle keeps loading, and
-//!   re-encoding it reproduces its bytes exactly (format stability; an
-//!   intentional format change must bump the version and regenerate); the
-//!   committed v1 bundle is refused at the version check.
+//! * **Golden fixtures** — the committed v2 bundles (a plain deployment,
+//!   and a saturation and a post-reformulation one) keep loading, and
+//!   re-encoding them reproduces their bytes exactly; logging the same
+//!   three batches on the reasoning ones reproduces their committed logs
+//!   byte for byte, and recovering from snapshot and log reaches the
+//!   committed state hash (format stability; an intentional format change
+//!   must bump the version and regenerate); the committed v1 bundle is
+//!   refused at the version check.
 //! * **The state, not the history** — deployments that reach the same
 //!   triples and rows by different batch orders have one content hash,
 //!   and a section that spells its state any other way than the canonical
@@ -107,6 +111,45 @@ fn deployed(entities: usize) -> (Deployment, Dictionary) {
     (dep, db.dict().clone())
 }
 
+/// The museum under a small RDFS schema — `paintedBy ⊑ painter`, the
+/// range of `painter` is `Artist`, `Artist ⊑ Person` — and a workload
+/// that only the entailed triples answer.
+fn reasoning_museum(entities: usize) -> (Dataset, Schema, VocabIds, Vec<ConjunctiveQuery>) {
+    let mut db = museum(entities);
+    let [painter, painted_by, artist, person] =
+        ["painter", "paintedBy", "Artist", "Person"].map(|uri| db.dict_mut().intern_uri(uri));
+    let vocab = VocabIds::intern(db.dict_mut());
+    let mut schema = Schema::new();
+    schema.add(SchemaStatement::SubPropertyOf(painted_by, painter));
+    schema.add(SchemaStatement::Range(painter, artist));
+    schema.add(SchemaStatement::SubClassOf(artist, person));
+    let workload = [
+        "q(P, A) :- t(P, <painter>, A)",
+        "r(A) :- t(A, <rdf:type>, <Person>)",
+    ]
+    .iter()
+    .map(|s| parse_query(s, db.dict_mut()).unwrap().query)
+    .collect();
+    (db, schema, vocab, workload)
+}
+
+/// Tunes and deploys `workload` over `db` under `mode`.
+fn deploy_reasoning(
+    db: &Dataset,
+    schema: &Schema,
+    vocab: &VocabIds,
+    workload: &[ConjunctiveQuery],
+    mode: ReasoningMode,
+) -> Deployment {
+    let mut advisor = Advisor::builder(db)
+        .schema(schema, vocab)
+        .reasoning(mode)
+        .build()
+        .unwrap();
+    let rec = advisor.recommend(workload).unwrap();
+    advisor.deploy(rec).unwrap()
+}
+
 /// A feed of fresh museum triples (new paintings by known artists).
 fn feed(dict: &mut Dictionary, from: usize, n: usize) -> Vec<Triple> {
     let painted_by = dict.lookup_uri("paintedBy").unwrap();
@@ -158,25 +201,8 @@ fn persist_open_round_trips_plain_deployment() {
 #[test]
 fn persist_open_round_trips_saturation_deployment() {
     let tmp = TempDir::new("saturation");
-    let mut db = museum(18);
-    let painter = db.dict_mut().intern_uri("painter");
-    let sub = db.dict_mut().intern_uri("paintedBy");
-    let vocab = VocabIds::intern(db.dict_mut());
-    // paintedBy ⊑ painter: saturation adds implicit `painter` triples.
-    let mut schema = Schema::new();
-    schema.add(SchemaStatement::SubPropertyOf(sub, painter));
-    let workload = vec![
-        parse_query("q(P, A) :- t(P, <painter>, A)", db.dict_mut())
-            .unwrap()
-            .query,
-    ];
-    let mut advisor = Advisor::builder(&db)
-        .schema(&schema, &vocab)
-        .reasoning(ReasoningMode::Saturation)
-        .build()
-        .unwrap();
-    let rec = advisor.recommend(&workload).unwrap();
-    let dep = advisor.deploy(rec).unwrap();
+    let (db, schema, vocab, workload) = reasoning_museum(18);
+    let dep = deploy_reasoning(&db, &schema, &vocab, &workload, ReasoningMode::Saturation);
     let dict = db.dict().clone();
     let hash = dep.persist(tmp.path(), &dict).unwrap();
 
@@ -184,44 +210,36 @@ fn persist_open_round_trips_saturation_deployment() {
     assert_eq!(reopened.content_hash(&redict).unwrap(), hash);
     let saturated = saturated_copy(db.store(), &schema, &vocab);
     let served = reopened.snapshot();
-    assert_eq!(
-        served.answer(0).unwrap(),
-        evaluate(&saturated, &workload[0]),
-        "saturation-mode answers must stay entailment-complete after reopen"
-    );
-    assert_eq!(served.answer(0).unwrap(), dep.snapshot().answer(0).unwrap());
+    for (idx, q) in workload.iter().enumerate() {
+        assert_eq!(
+            served.answer(idx).unwrap(),
+            evaluate(&saturated, q),
+            "saturation-mode answers must stay entailment-complete after reopen"
+        );
+        assert_eq!(
+            served.answer(idx).unwrap(),
+            dep.snapshot().answer(idx).unwrap()
+        );
+    }
 }
 
 #[test]
 fn persist_open_round_trips_post_reformulation_deployment() {
     let tmp = TempDir::new("postreform");
-    let mut db = museum(18);
-    let painter = db.dict_mut().intern_uri("painter");
-    let sub = db.dict_mut().intern_uri("paintedBy");
-    let vocab = VocabIds::intern(db.dict_mut());
-    let mut schema = Schema::new();
-    schema.add(SchemaStatement::SubPropertyOf(sub, painter));
-    let workload = vec![
-        parse_query("q(P, A) :- t(P, <painter>, A)", db.dict_mut())
-            .unwrap()
-            .query,
-    ];
-    let mut advisor = Advisor::builder(&db)
-        .schema(&schema, &vocab)
-        .reasoning(ReasoningMode::PostReformulation)
-        .build()
-        .unwrap();
-    let rec = advisor.recommend(&workload).unwrap();
-    let dep = advisor.deploy(rec).unwrap();
+    let (db, schema, vocab, workload) = reasoning_museum(18);
+    let mode = ReasoningMode::PostReformulation;
+    let dep = deploy_reasoning(&db, &schema, &vocab, &workload, mode);
     let dict = db.dict().clone();
     let hash = dep.persist(tmp.path(), &dict).unwrap();
 
     let (reopened, redict) = Deployment::open(tmp.path()).unwrap();
     assert_eq!(reopened.content_hash(&redict).unwrap(), hash);
-    assert_eq!(
-        reopened.snapshot().answer(0).unwrap(),
-        dep.snapshot().answer(0).unwrap()
-    );
+    for idx in 0..workload.len() {
+        assert_eq!(
+            reopened.snapshot().answer(idx).unwrap(),
+            dep.snapshot().answer(idx).unwrap()
+        );
+    }
 }
 
 #[test]
@@ -455,8 +473,21 @@ fn recovered_handle_keeps_logging_durably() {
 // Golden fixtures: format stability.
 // ---------------------------------------------------------------------
 
-fn golden_path(version: u32) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/fixtures/golden_v{version}.rdfb"))
+// Section tags, as `src/exec_persist.rs` numbers them.
+const SEC_STORE: u32 = 2;
+const SEC_ENTAIL: u32 = 5;
+const SEC_REFORM: u32 = 6;
+/// The meta section: the store version, then the lineage.
+const SEC_META: u32 = 7;
+
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/fixtures/{name}"))
+}
+
+fn read_fixture(name: &str) -> Vec<u8> {
+    std::fs::read(fixture(name)).unwrap_or_else(|e| {
+        panic!("tests/fixtures/{name} must be committed (see regenerate_golden_fixture): {e}")
+    })
 }
 
 /// Opens a committed fixture from a scratch directory.
@@ -464,28 +495,90 @@ fn open_golden(
     version: u32,
     tag: &str,
 ) -> (Vec<u8>, Result<(Deployment, Dictionary), SelectionError>) {
-    let fixture = std::fs::read(golden_path(version)).unwrap_or_else(|e| {
-        panic!("tests/fixtures/golden_v{version}.rdfb must be committed (see regenerate_golden_fixture): {e}")
-    });
+    let fixture = read_fixture(&format!("golden_v{version}.rdfb"));
     let tmp = TempDir::new(tag);
     std::fs::create_dir_all(tmp.path()).unwrap();
     std::fs::write(tmp.path().join(SNAPSHOT_FILE), &fixture).unwrap();
     (fixture, Deployment::open(tmp.path()))
 }
 
-/// Regenerates `tests/fixtures/golden_v2.rdfb`. Run explicitly after an
-/// *intentional* format change (with a `FORMAT_VERSION` bump and a new
-/// file name; the old fixture stays, to be refused):
+/// The reasoning fixtures `golden_v2_<kind>.{rdfb,rdfl}`: a deployment of
+/// [`reasoning_museum`] under each reasoning mode a bundle records, its
+/// write-ahead log of [`log_golden_batches`], and the state hash recovery
+/// reaches from the two.
+const GOLDEN_REASONING: [(&str, ReasoningMode, u128); 2] = [
+    (
+        "saturation",
+        ReasoningMode::Saturation,
+        0xf1863f7ab42057cb65e594f8581d65bd,
+    ),
+    (
+        "reformulation",
+        ReasoningMode::PostReformulation,
+        0x555e2a6afb66ece0c8d3ee3894a181a9,
+    ),
+];
+
+/// The three batches of every reasoning fixture's log: an insert that
+/// interns new terms, a delete of two fed triples and a base one, and a
+/// second insert.
+fn log_golden_batches(durable: &mut DurableDeployment) {
+    let first = feed(durable.dict_mut(), 5000, 6);
+    durable.insert_batch(&first).unwrap();
+    let dict = durable.dict();
+    let base = ["painting0", "paintedBy", "artist0"].map(|uri| dict.lookup_uri(uri).unwrap());
+    durable.delete_batch(&[first[0], first[2], base]).unwrap();
+    let second = feed(durable.dict_mut(), 5100, 4);
+    durable.insert_batch(&second).unwrap();
+}
+
+/// A scratch deployment directory holding the committed reasoning
+/// fixture `kind`, with the snapshot and log bytes it was made from.
+fn golden_reasoning_dir(kind: &str) -> (TempDir, Vec<u8>, Vec<u8>) {
+    let snapshot = read_fixture(&format!("golden_v2_{kind}.rdfb"));
+    let log = read_fixture(&format!("golden_v2_{kind}.rdfl"));
+    let tmp = TempDir::new(&format!("golden-{kind}"));
+    std::fs::create_dir_all(tmp.path()).unwrap();
+    std::fs::write(tmp.path().join(SNAPSHOT_FILE), &snapshot).unwrap();
+    std::fs::write(tmp.path().join(WAL_FILE), &log).unwrap();
+    (tmp, snapshot, log)
+}
+
+/// Regenerates the committed fixtures: `golden_v2.rdfb`, and the
+/// snapshot and log of every [`GOLDEN_REASONING`] kind (whose state
+/// hashes must then be copied into that table). Run explicitly after an
+/// *intentional* format change (with a `FORMAT_VERSION` bump and new file
+/// names; the old fixtures stay, to be refused):
 /// `cargo test --test durability regenerate_golden_fixture -- --ignored`
 #[test]
-#[ignore = "writes the committed fixture; run only to regenerate it"]
+#[ignore = "writes the committed fixtures; run only to regenerate them"]
 fn regenerate_golden_fixture() {
+    let version = bundle::FORMAT_VERSION;
     let tmp = TempDir::new("golden-gen");
     let (dep, dict) = deployed(6);
     dep.persist(tmp.path(), &dict).unwrap();
-    let path = golden_path(bundle::FORMAT_VERSION);
+    let path = fixture(&format!("golden_v{version}.rdfb"));
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
     std::fs::copy(tmp.path().join(SNAPSHOT_FILE), path).unwrap();
+
+    for (kind, mode, _) in GOLDEN_REASONING {
+        let tmp = TempDir::new(&format!("golden-gen-{kind}"));
+        let (db, schema, vocab, workload) = reasoning_museum(6);
+        let dep = deploy_reasoning(&db, &schema, &vocab, &workload, mode);
+        let mut durable = DurableDeployment::create(tmp.path(), dep, db.dict().clone())
+            .unwrap()
+            .with_compact_threshold(u64::MAX);
+        log_golden_batches(&mut durable);
+        println!(
+            "{kind}: state hash {:#034x}",
+            durable.deployment().content_hash(durable.dict()).unwrap()
+        );
+        drop(durable);
+        for (file, ext) in [(SNAPSHOT_FILE, "rdfb"), (WAL_FILE, "rdfl")] {
+            let to = fixture(&format!("golden_v{version}_{kind}.{ext}"));
+            std::fs::copy(tmp.path().join(file), to).unwrap();
+        }
+    }
 }
 
 #[test]
@@ -510,6 +603,70 @@ fn golden_fixture_still_loads_and_reencodes_byte_for_byte() {
         "re-encoding the golden bundle changed its bytes — a format change \
          requires a FORMAT_VERSION bump and a regenerated fixture"
     );
+}
+
+/// The reasoning fixtures carry what `golden_v2.rdfb` cannot: a schema,
+/// vocabulary ids and an explicit subset (saturation) or a reformulation
+/// context. Each still opens, and open → persist reproduces its bytes.
+#[test]
+fn golden_reasoning_bundles_reencode_byte_for_byte() {
+    for (kind, mode, _) in GOLDEN_REASONING {
+        let (tmp, snapshot, _) = golden_reasoning_dir(kind);
+        let sections = bundle::decode(&snapshot).unwrap();
+        let context = if mode == ReasoningMode::Saturation {
+            SEC_ENTAIL
+        } else {
+            SEC_REFORM
+        };
+        let recorded = &sections.iter().find(|s| s.0 == context).unwrap().1;
+        assert!(recorded.len() > 1, "{kind}: the fixture records a schema");
+        let (dep, dict) = Deployment::open(tmp.path()).unwrap();
+        let out = TempDir::new(&format!("golden-{kind}-out"));
+        dep.persist(out.path(), &dict).unwrap();
+        assert!(
+            std::fs::read(out.path().join(SNAPSHOT_FILE)).unwrap() == snapshot,
+            "{kind}: re-encoding the golden bundle changed its bytes"
+        );
+    }
+}
+
+/// Logging the same three batches on the opened snapshot writes the
+/// committed log byte for byte: record kinds, version stamps, the terms a
+/// batch interns and its triples keep their spelling.
+#[test]
+fn golden_reasoning_logs_replay_byte_for_byte() {
+    for (kind, _, state_hash) in GOLDEN_REASONING {
+        let (tmp, _, log) = golden_reasoning_dir(kind);
+        let (dep, dict) = Deployment::open(tmp.path()).unwrap();
+        let out = TempDir::new(&format!("golden-{kind}-relog"));
+        let mut durable = DurableDeployment::create(out.path(), dep, dict)
+            .unwrap()
+            .with_compact_threshold(u64::MAX);
+        log_golden_batches(&mut durable);
+        assert_eq!(
+            durable.deployment().content_hash(durable.dict()).unwrap(),
+            state_hash,
+            "{kind}: live state after the logged batches"
+        );
+        assert!(
+            std::fs::read(out.path().join(WAL_FILE)).unwrap() == log,
+            "{kind}: re-logging the golden batches changed the log's bytes"
+        );
+    }
+}
+
+/// Recovering a reasoning fixture replays its three records to the
+/// committed state hash.
+#[test]
+fn golden_reasoning_logs_recover_to_the_committed_state_hash() {
+    for (kind, _, state_hash) in GOLDEN_REASONING {
+        let (tmp, _, _) = golden_reasoning_dir(kind);
+        let (dep, dict, report) = Deployment::recover(tmp.path()).unwrap();
+        assert_eq!(report.records_replayed, 3, "{kind}");
+        assert_eq!(report.torn_tail, None, "{kind}");
+        assert_eq!(report.state_hash, state_hash, "{kind}: recovered state");
+        assert_eq!(dep.content_hash(&dict).unwrap(), state_hash, "{kind}");
+    }
 }
 
 /// No decoder is kept for an older layout: the v1 fixture is intact (its
@@ -585,11 +742,6 @@ fn same_state_by_different_histories_has_one_content_hash() {
     assert_ne!(other.content_hash(&dict).unwrap(), hash);
 }
 
-/// The store section's tag, as `src/exec_persist.rs` numbers it.
-const SEC_STORE: u32 = 2;
-/// The meta section's tag: the store version, then the lineage.
-const SEC_META: u32 = 7;
-
 /// The meta section records the store version a bundle was written at —
 /// after durable batches and a checkpoint, exactly the live store's — and
 /// `open` refuses a bundle whose meta version disagrees with its store.
@@ -641,7 +793,12 @@ fn bundle_meta_records_the_store_version() {
 /// A bundle whose container is sound — hash, checksums, framing — but
 /// whose store section spells its state in some other way than the
 /// canonical one is a `CorruptBundle` from `open`. (The codec's own tests
-/// in `src/exec_persist.rs` do the same for every section kind.)
+/// in `src/exec_persist.rs` refuse the other spellings section by section:
+/// store runs, explicit subsets and view rows out of order or repeated,
+/// catalog keys out of byte order or repeated, repeated schema
+/// statements, state views out of id order or repeated, and ids the
+/// dictionary lacks in queries, views, rewritings, schemas, vocabularies
+/// and catalogs.)
 #[test]
 fn non_canonical_sections_are_corrupt_bundles() {
     let tmp = TempDir::new("noncanon");
