@@ -5,8 +5,9 @@
 //! distinct URI or literal appearing in an s, p or o value", with the
 //! dictionary indexed both ways (id → term and term → id).
 
-use crate::fxhash::FxHashMap;
-use crate::term::{Id, Term};
+use std::collections::HashMap;
+
+use crate::term::{Id, Term, TermKind};
 
 /// Bidirectional term ↔ id mapping.
 ///
@@ -15,7 +16,12 @@ use crate::term::{Id, Term};
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
     terms: Vec<Term>,
-    lookup: FxHashMap<Term, Id>,
+    /// One map per [`TermKind`] (at `kind as usize`), keyed by the lexical
+    /// form, so that a term given as a borrowed `(kind, &str)` is found
+    /// without building a [`Term`]. The keys come from outside the program,
+    /// so the maps keep the standard library's keyed hasher; it is also
+    /// faster than Fx on short strings.
+    ids: [HashMap<Box<str>, Id>; 3],
 }
 
 impl Dictionary {
@@ -24,50 +30,75 @@ impl Dictionary {
         Self::default()
     }
 
-    /// Creates a dictionary with pre-allocated capacity.
+    /// Creates a dictionary with room for `cap` terms of any one kind
+    /// before it reallocates.
     pub fn with_capacity(cap: usize) -> Self {
+        let map = || HashMap::with_capacity(cap);
         Self {
             terms: Vec::with_capacity(cap),
-            lookup: FxHashMap::with_capacity_and_hasher(cap, Default::default()),
+            ids: [map(), map(), map()],
         }
     }
 
     /// Interns a term, returning its id (allocating a fresh one if new).
+    /// A term already interned is found by one hash lookup and `term` is
+    /// dropped; a new one is moved in, and its lexical form copied once
+    /// into the lookup map.
     pub fn intern(&mut self, term: Term) -> Id {
-        if let Some(&id) = self.lookup.get(&term) {
-            return id;
+        match self.lookup(&term) {
+            Some(id) => id,
+            None => self.push(term),
         }
+    }
+
+    /// Interns the term of `kind` spelled `lexical`, returning its id. The
+    /// lookup borrows `lexical`; only a term the dictionary has not seen
+    /// allocates (its [`Term`] and the map's copy of its spelling).
+    pub fn intern_lexical(&mut self, kind: TermKind, lexical: &str) -> Id {
+        match self.lookup_lexical(kind, lexical) {
+            Some(id) => id,
+            None => self.push(Term::of_kind(kind, lexical)),
+        }
+    }
+
+    /// Appends a term known to be new.
+    fn push(&mut self, term: Term) -> Id {
         let id =
             // xlint: allow(X001, reason = "u32 ids are a documented capacity limit of the dictionary")
             Id(u32::try_from(self.terms.len()).expect("dictionary overflow: > u32::MAX terms"));
-        self.terms.push(term.clone());
-        self.lookup.insert(term, id);
+        self.ids[term.kind() as usize].insert(term.lexical().into(), id);
+        self.terms.push(term);
         id
     }
 
     /// Convenience: intern a URI given as a string.
     pub fn intern_uri(&mut self, uri: &str) -> Id {
-        self.intern(Term::uri(uri))
+        self.intern_lexical(TermKind::Uri, uri)
     }
 
     /// Convenience: intern a literal given as a string.
     pub fn intern_literal(&mut self, lit: &str) -> Id {
-        self.intern(Term::literal(lit))
+        self.intern_lexical(TermKind::Literal, lit)
     }
 
     /// Convenience: intern a blank node given by label.
     pub fn intern_blank(&mut self, label: &str) -> Id {
-        self.intern(Term::blank(label))
+        self.intern_lexical(TermKind::Blank, label)
     }
 
-    /// Looks up an already-interned term.
+    /// Looks up an already-interned term: one hash lookup, no allocation.
     pub fn lookup(&self, term: &Term) -> Option<Id> {
-        self.lookup.get(term).copied()
+        self.lookup_lexical(term.kind(), term.lexical())
+    }
+
+    /// Looks up the term of `kind` spelled `lexical` without building it.
+    pub fn lookup_lexical(&self, kind: TermKind, lexical: &str) -> Option<Id> {
+        self.ids[kind as usize].get(lexical).copied()
     }
 
     /// Looks up a URI by spelling.
     pub fn lookup_uri(&self, uri: &str) -> Option<Id> {
-        self.lookup(&Term::uri(uri))
+        self.lookup_lexical(TermKind::Uri, uri)
     }
 
     /// Decodes an id. Panics on unknown ids (they can only come from a

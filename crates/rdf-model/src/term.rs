@@ -70,6 +70,15 @@ impl Term {
         Term::Literal(s.into())
     }
 
+    /// Builds the term of `kind` with lexical form `s`.
+    pub fn of_kind(kind: TermKind, s: impl Into<Box<str>>) -> Self {
+        match kind {
+            TermKind::Uri => Term::Uri(s.into()),
+            TermKind::Blank => Term::Blank(s.into()),
+            TermKind::Literal => Term::Literal(s.into()),
+        }
+    }
+
     /// The lexical form without kind markers.
     pub fn lexical(&self) -> &str {
         match self {

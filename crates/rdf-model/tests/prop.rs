@@ -1,11 +1,15 @@
 //! Property tests for the store: every index order must agree with a
-//! linear scan, for arbitrary triple sets and patterns.
+//! linear scan, for arbitrary triple sets and patterns; and for the line
+//! format: what the writer writes, the reader reads back as it was.
 
 use std::collections::HashSet;
+use std::io::BufReader;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rdf_model::{Id, IndexOrder, StorePattern, Triple, TripleStore};
+use rdf_model::{
+    ntriples, Dataset, Id, IndexOrder, StorePattern, Term, TermKind, Triple, TripleStore,
+};
 
 fn ids(t: &[u32; 3]) -> Triple {
     [Id(t[0]), Id(t[1]), Id(t[2])]
@@ -327,6 +331,102 @@ proptest! {
             for (order, fresh) in IndexOrder::ALL.iter().zip(fresh_runs(&store)) {
                 prop_assert_eq!(&*store.index(*order), &fresh, "order {:?}", order);
             }
+        }
+    }
+}
+
+/// Characters the reader and writer treat specially, beside plain ones.
+const ALPHABET: [char; 15] = [
+    'a', 'b', '<', '>', '"', '\\', '_', ':', ' ', '\t', '\n', '\r', '.', 'é', '\u{a0}',
+];
+
+/// A term of any kind spelled from [`ALPHABET`], plain letters weighted up.
+fn term_strategy() -> impl Strategy<Value = Term> {
+    let chars = prop::collection::vec(
+        prop_oneof![4 => 0usize..2, 3 => 0..ALPHABET.len()].prop_map(|i| ALPHABET[i]),
+        0..6,
+    );
+    let kinds = [TermKind::Uri, TermKind::Blank, TermKind::Literal];
+    (0usize..3, chars).prop_map(move |(kind, chars)| {
+        Term::of_kind(kinds[kind], chars.into_iter().collect::<String>())
+    })
+}
+
+/// `term` as a kind that may stand at `position` (0 subject, 1 property,
+/// 2 object), spelled as before.
+fn allowed_at(term: Term, position: usize) -> Term {
+    match (position, term.kind()) {
+        (1, TermKind::Uri) | (0, TermKind::Uri | TermKind::Blank) | (2, _) => term,
+        _ => Term::uri(term.lexical()),
+    }
+}
+
+/// `term` with every character taken out that the writer refuses in its
+/// kind, and a blank label never empty.
+fn writable(term: Term) -> Term {
+    let mut s = term.lexical().to_string();
+    match term.kind() {
+        TermKind::Uri => s.retain(|c| c != '>' && c != '\n'),
+        TermKind::Blank => {
+            s.retain(|c| !c.is_whitespace());
+            s.insert(0, 'x');
+        }
+        TermKind::Literal => {}
+    }
+    Term::of_kind(term.kind(), s)
+}
+
+/// The store and the dictionary of `db`, as comparable values.
+fn contents(db: &Dataset) -> (Vec<Triple>, Vec<Term>) {
+    let terms = db.dict().iter().map(|(_, t)| t.clone()).collect();
+    (db.store().triples().to_vec(), terms)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The writer either refuses a dataset or writes text its reader turns
+    /// back into the same triples, in the same order, with the same ids —
+    /// whole, through a 7-byte buffer, with CRLF line ends, and without a
+    /// final newline. Terms are drawn as they come (`mode` 0), moved to a
+    /// kind their position allows (1), or also stripped of what the writer
+    /// refuses (2, never refused).
+    #[test]
+    fn written_text_reads_back_identically(
+        triples in prop::collection::vec([term_strategy(), term_strategy(), term_strategy()], 1..6),
+        mode in 0u32..3,
+    ) {
+        let mut db = Dataset::new();
+        let fix = |t: Term, position| match mode {
+            0 => t,
+            1 => allowed_at(t, position),
+            _ => writable(allowed_at(t, position)),
+        };
+        for [s, p, o] in triples {
+            db.insert_terms(fix(s, 0), fix(p, 1), fix(o, 2));
+        }
+        let mut buf = Vec::new();
+        if let Err(e) = ntriples::write_dataset(&db, &mut buf) {
+            prop_assert!(mode < 2, "a writable dataset was refused: {e}");
+            prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+            return;
+        }
+        let text = String::from_utf8(buf).unwrap();
+        let back = ntriples::parse_dataset(&text).unwrap();
+        prop_assert_eq!(contents(&back), contents(&db));
+
+        let crlf = text.replace('\n', "\r\n");
+        let variants = [
+            text.clone(),
+            crlf.clone(),
+            text.strip_suffix('\n').unwrap().to_string(),
+            crlf.strip_suffix("\r\n").unwrap().to_string(),
+        ];
+        for variant in &variants {
+            let mut read = Dataset::new();
+            let reader = BufReader::with_capacity(7, variant.as_bytes());
+            ntriples::read_into(&mut read, reader).unwrap();
+            prop_assert_eq!(contents(&read), contents(&back));
         }
     }
 }

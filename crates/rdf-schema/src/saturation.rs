@@ -20,10 +20,12 @@
 //!   part. [`entailed_delta`] is the one worklist that computes it: seeded
 //!   with a batch it yields what an insertion adds to a saturated store;
 //!   seeded with the whole store it yields the saturation, which is how
-//!   [`saturate`] is written. Each triple is processed once, rule chaining
-//!   (subproperty, then domain, then subclass) is the worklist, and the
-//!   store is asked about a consequence only the first time the worklist
-//!   meets it.
+//!   [`saturate`] is written. Each triple is processed once, and rule
+//!   chaining (subproperty, then domain, then subclass) is the worklist.
+//!   The worklist keeps a consequence iff it is in neither the store nor
+//!   its own set of triples met so far; [`saturate`] puts the store's
+//!   derivable triples into that set before it starts, so the question
+//!   is one insertion into one hash set.
 //!   The derived-triple bound `O(|D| × |S|)` quoted in Section 6.5
 //!   follows: each data triple triggers at most one derivation per schema
 //!   statement per chain step.
@@ -91,22 +93,6 @@ fn forward_closure(
     out
 }
 
-/// The consequences of `seeds` that `in_store` refuses and `met` — the
-/// worklist's own set, starting with the seeds the store lacks — does not
-/// hold yet: each once, in derivation order. Only a consequence met for
-/// the first time is put to `in_store`.
-fn unmet_consequences(
-    seeds: &[Triple],
-    mut met: FxHashSet<Triple>,
-    in_store: impl Fn(Triple) -> bool,
-    schema: &Schema,
-    vocab: &VocabIds,
-) -> Vec<Triple> {
-    forward_closure(seeds, schema, vocab, |t| {
-        !met.contains(&t) && !in_store(t) && met.insert(t)
-    })
-}
-
 /// The consequences of `seeds` that `store` lacks: every triple the four
 /// rules derive from the seeds, directly or through a chain, that is
 /// neither in `store` nor a seed — each once, in derivation order, **not
@@ -131,8 +117,10 @@ pub fn entailed_delta(
     fresh.sort_unstable();
     fresh.dedup();
     store.retain_by_membership(&mut fresh, false);
-    let met = fresh.into_iter().collect();
-    unmet_consequences(seeds, met, |t| store.contains(t), schema, vocab)
+    let mut met: FxHashSet<Triple> = fresh.into_iter().collect();
+    forward_closure(seeds, schema, vocab, |t| {
+        !met.contains(&t) && !store.contains(t) && met.insert(t)
+    })
 }
 
 /// Saturates `store` in place; returns the number of implicit triples
@@ -144,12 +132,20 @@ pub fn saturate(store: &mut TripleStore, schema: &Schema, vocab: &VocabIds) -> u
 
 /// Saturates `store` in place and reports counters.
 ///
-/// This is [`entailed_delta`] seeded with the whole store, with one
-/// change to how the worklist asks the store about a consequence. A
-/// derived triple has `rdf:type` or a property with a sub-property as its
-/// property, so only the store's triples of those properties can answer
-/// yes: one pass over the `Spo` run cuts them out, still sorted, and the
-/// question becomes a binary search of that shorter slice.
+/// This is [`entailed_delta`] seeded with the whole store, with the store
+/// moved into the worklist's set. A derived triple has `rdf:type` or a
+/// property with a sub-property as its property, so only the store's
+/// triples of those properties can be met again: one pass over the `Spo`
+/// run cuts them out, and they go into a set sized once for them plus as
+/// many consequences as there are explicit triples (it still grows if
+/// there are more). A consequence is then kept iff inserting it into the
+/// set succeeds — one hash probe where [`entailed_delta`] asks three
+/// questions. Derivation order cannot change: the worklist pops and
+/// expands triples in the same order as long as it keeps the same ones,
+/// and it does — a consequence is refused iff the store holds it or it
+/// was kept before, exactly what the store and a set starting empty
+/// answered together (every seed is in the store, so no seed is ever kept
+/// or expanded twice).
 pub fn saturate_with_stats(
     store: &mut TripleStore,
     schema: &Schema,
@@ -162,10 +158,10 @@ pub fn saturate_with_stats(
         .filter(|&&[_, p, _]| p == vocab.rdf_type || !schema.direct_sub_properties(p).is_empty())
         .copied()
         .collect();
-    let in_store = |t: Triple| derivable.binary_search(&t).is_ok();
-    // Every seed is in the store, so the worklist starts having met none.
-    let met = FxHashSet::default();
-    let implicit = unmet_consequences(store.triples(), met, in_store, schema, vocab);
+    let mut met =
+        FxHashSet::with_capacity_and_hasher(derivable.len() + explicit, Default::default());
+    met.extend(derivable);
+    let implicit = forward_closure(store.triples(), schema, vocab, |t| met.insert(t));
     store.insert_batch(&implicit);
     SaturationStats {
         explicit,
@@ -533,6 +529,105 @@ mod tests {
                 return all;
             }
             all.extend(derived);
+        }
+    }
+
+    /// Random schemas over a few classes and properties — `rdf:type`
+    /// among the properties — so subclass and subproperty cycles, self
+    /// loops, diamonds and domains and ranges on super-properties all
+    /// occur; and random data over them.
+    mod fixpoint {
+        use super::*;
+        use proptest::prelude::*;
+
+        const CLASSES: u32 = 5;
+        const PROPERTIES: u32 = 5;
+        const RESOURCES: u32 = 6;
+
+        fn class(i: u32) -> Id {
+            Id(100 + i)
+        }
+
+        /// Property `PROPERTIES` is `rdf:type`.
+        fn property(i: u32, vocab: &VocabIds) -> Id {
+            if i == PROPERTIES {
+                vocab.rdf_type
+            } else {
+                Id(200 + i)
+            }
+        }
+
+        fn vocab() -> VocabIds {
+            VocabIds::intern(&mut Dictionary::new())
+        }
+
+        fn schema_of(statements: &[(u32, u32, u32)], vocab: &VocabIds) -> Schema {
+            let mut schema = Schema::new();
+            for &(kind, a, b) in statements {
+                schema.add(match kind {
+                    0 => SchemaStatement::SubClassOf(class(a % CLASSES), class(b % CLASSES)),
+                    1 => SchemaStatement::SubPropertyOf(property(a, vocab), property(b, vocab)),
+                    2 => SchemaStatement::Domain(property(a, vocab), class(b % CLASSES)),
+                    _ => SchemaStatement::Range(property(a, vocab), class(b % CLASSES)),
+                });
+            }
+            schema
+        }
+
+        /// Subjects are resources; objects resources or classes.
+        fn store_of(data: &[(u32, u32, u32)], vocab: &VocabIds) -> TripleStore {
+            let mut store = TripleStore::new();
+            let triples: Vec<Triple> = data
+                .iter()
+                .map(|&(s, p, o)| {
+                    let o = if o < RESOURCES {
+                        Id(300 + o)
+                    } else {
+                        class(o - RESOURCES)
+                    };
+                    [Id(300 + s), property(p, vocab), o]
+                })
+                .collect();
+            store.insert_batch(&triples);
+            store
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn saturate_is_the_naive_fixpoint(
+                statements in prop::collection::vec((0u32..4, 0..=PROPERTIES, 0..=PROPERTIES), 0..14),
+                data in prop::collection::vec(
+                    (0..RESOURCES, 0..=PROPERTIES, 0..RESOURCES + CLASSES),
+                    1..16,
+                ),
+            ) {
+                let vocab = vocab();
+                let schema = schema_of(&statements, &vocab);
+                let store = store_of(&data, &vocab);
+                let mut saturated = store.clone();
+                let stats = saturate_with_stats(&mut saturated, &schema, &vocab);
+
+                let explicit = store.triples();
+                let (prefix, implicit) = saturated.triples().split_at(explicit.len());
+                prop_assert_eq!(prefix, explicit);
+                let distinct: FxHashSet<Triple> = implicit.iter().copied().collect();
+                prop_assert_eq!(distinct.len(), implicit.len());
+                prop_assert!(implicit.iter().all(|&t| !store.contains(t)));
+                prop_assert_eq!(sorted(&saturated), naive_fixpoint(&store, &schema, &vocab));
+                prop_assert_eq!(
+                    stats,
+                    SaturationStats {
+                        explicit: explicit.len(),
+                        implicit: implicit.len(),
+                        processed: explicit.len() + implicit.len(),
+                    }
+                );
+                // The general worklist derives the same triples in the
+                // same order.
+                prop_assert_eq!(entailed_delta(&store, explicit, &schema, &vocab), implicit);
+            }
         }
     }
 
