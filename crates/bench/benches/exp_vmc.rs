@@ -9,7 +9,7 @@
 //! `f^len` ranking — validating the model's monotonicity (more atoms ⇒
 //! more maintenance work per insertion).
 
-use rdfviews::engine::maintain::MaintainedView;
+use rdfviews::engine::maintain::{DeltaSet, MaintainedView};
 use rdfviews::model::Triple;
 use rdfviews::query::ConjunctiveQuery;
 use rdfviews::workload::{
@@ -78,7 +78,7 @@ fn main() {
         let mut added = 0usize;
         for &t in &feed {
             working.insert(t);
-            let s = view.apply_insert(&working, t);
+            let s = view.apply_insert_delta(&working, &DeltaSet::new(&[t]));
             delta += s.delta_tuples;
             added += s.added;
         }

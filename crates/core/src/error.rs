@@ -58,9 +58,11 @@ pub enum SelectionError {
         /// Query atoms left uncovered by the best hybrid cover.
         residual_atoms: usize,
     },
-    /// An ad-hoc query the planner cannot handle (unsafe head variable,
-    /// empty body, too many atoms, or a reformulation that exceeds the
-    /// branch limit).
+    /// A query that cannot be handled: a workload query (or one of its
+    /// reformulation branches) that is unsafe or has a Cartesian product,
+    /// refused before the search starts; or an ad-hoc query the planner
+    /// cannot plan (unsafe head variable, empty body, too many atoms, or a
+    /// reformulation that exceeds the branch limit).
     UnsupportedQuery {
         /// Why the query was rejected.
         reason: String,
@@ -69,10 +71,11 @@ pub enum SelectionError {
     /// produced it. Plans bind the view ids of their own deployment;
     /// running them elsewhere could silently read the wrong view tables.
     ForeignPlan,
-    /// The store changed after an advisor session's statistics were
-    /// prepared (its version stamp moved), so running against the cached
-    /// preparation would silently compute on stale statistics. Re-prepare
-    /// via the session's `refresh()` path and retry.
+    /// The store handed to a prepared session changed after its
+    /// statistics were prepared (its version stamp moved), so running
+    /// against the cached preparation would silently compute on stale
+    /// statistics. Prepare a new session against the current store and
+    /// retry.
     StaleSession {
         /// The store version the session was prepared against.
         prepared: u64,
@@ -135,7 +138,7 @@ impl std::fmt::Display for SelectionError {
                  ({residual_atoms} atom(s) uncovered); use the Hybrid or BaseFallback policy"
             ),
             SelectionError::UnsupportedQuery { reason } => {
-                write!(f, "unsupported ad-hoc query: {reason}")
+                write!(f, "unsupported query: {reason}")
             }
             SelectionError::ForeignPlan => write!(
                 f,
@@ -144,7 +147,7 @@ impl std::fmt::Display for SelectionError {
             SelectionError::StaleSession { prepared, current } => write!(
                 f,
                 "session was prepared at store version {prepared} but the store is now at \
-                 {current}; refresh() the session before recommending"
+                 {current}; prepare a new session before recommending"
             ),
             SelectionError::Io { context, message } => {
                 write!(f, "i/o failure while {context}: {message}")

@@ -79,7 +79,7 @@ pub use partition::{
     partition_workload, select_views_partitioned_session, try_select_views_partitioned,
 };
 pub use pipeline::{
-    search_session, select_views_session, try_select_views, Preparation, ReasoningMode,
+    select_views_session, try_select_views, Preparation, PreparedReasoning, ReasoningMode,
     Recommendation, SelectionOptions,
 };
 pub use rewrite::{

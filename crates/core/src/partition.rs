@@ -10,30 +10,30 @@
 //! queries in different components, searching the components independently
 //! loses nothing; the component searches are embarrassingly parallel.
 //!
-//! The parallel phase runs on a **bounded group scheduler**: instead of
-//! one unbounded thread per component, a fixed worker pool pulls groups
-//! off a shared list in **largest-group-first** order (total body atoms),
-//! so the heaviest search starts first and small groups backfill the
-//! remaining workers. A group search that panics is captured per group and
-//! surfaced as [`SelectionError::SearchPanicked`] instead of aborting the
-//! process. When the search config asks for intra-search parallelism too
-//! ([`crate::search::SearchConfig::parallelism`]), the scheduler splits
-//! the thread budget: `pool × per-group explorers ≈ parallelism`, so one
-//! giant sharing group (the Barton-style common case) still saturates the
-//! machine instead of pinning a single core.
+//! The group searches run on one **bounded worker pool** sized by the one
+//! thread budget, [`crate::search::SearchConfig::parallelism`] (`0` = one
+//! thread per core): `pool = min(budget, groups)` groups run at once,
+//! each with `max(budget / pool, 1)` explorers of its own, so one giant
+//! sharing group (the Barton-style common case) still gets the whole
+//! budget. A budget of 1 runs the groups one after another on the calling
+//! thread. Groups are dispatched **largest first** (total body atoms), so
+//! the heaviest search starts first and small groups backfill the
+//! remaining workers. A group search that panics is captured per group
+//! and surfaced as [`SelectionError::SearchPanicked`] instead of aborting
+//! the process.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::Arc;
 
-use rdf_model::FxHashMap;
+use rdf_model::{Dictionary, FxHashMap, TripleStore};
 use rdf_query::{ConjunctiveQuery, UnionQuery};
 use rdf_schema::{Schema, VocabIds};
-use rdf_stats::AtomKey;
+use rdf_stats::{AtomKey, StatsCatalog};
 
 use crate::error::SelectionError;
 use crate::pipeline::{
-    effective_workload, search_session, Preparation, Recommendation, SelectionOptions,
+    check_session, effective_workload, search_session, Preparation, Recommendation,
+    SelectionOptions,
 };
 use crate::search::{SearchOutcome, SearchStats};
 use crate::state::State;
@@ -80,12 +80,13 @@ pub fn partition_workload(queries: &[ConjunctiveQuery]) -> Vec<Vec<usize>> {
     out
 }
 
-/// Runs view selection per sharing group (optionally on threads) through
-/// a prepared session, and merges the results into one recommendation
-/// covering the full workload.
+/// Runs view selection per sharing group through a prepared session, on
+/// the worker pool that `options.search.parallelism` sizes (see the
+/// module docs), and merges the results into one recommendation covering
+/// the full workload.
 ///
 /// The session's catalog is topped up for **all** groups first
-/// (sequentially), so the parallel phase shares one read-only
+/// (sequentially), so the group searches share one read-only
 /// [`Preparation`] across threads instead of recollecting statistics per
 /// group — the saturated copy and every atom count are computed at most
 /// once for the session's lifetime.
@@ -95,142 +96,55 @@ pub fn partition_workload(queries: &[ConjunctiveQuery]) -> Vec<Vec<usize>> {
 /// `branch_of` mapping each rewriting back to its original query index.
 pub fn select_views_partitioned_session(
     prep: &mut Preparation,
-    store: &rdf_model::TripleStore,
-    schema: Option<(&Schema, &VocabIds)>,
+    store: &TripleStore,
     workload: &[ConjunctiveQuery],
     options: &SelectionOptions,
-    parallel: bool,
 ) -> Result<Recommendation, SelectionError> {
-    if workload.is_empty() {
-        return Err(SelectionError::EmptyWorkload);
-    }
-    if options.reasoning != prep.reasoning() {
-        return Err(SelectionError::ModeMismatch {
-            prepared: prep.reasoning(),
-            requested: options.reasoning,
-        });
-    }
-    prep.ensure_fresh(store)?;
+    check_session(prep, store, workload, options)?;
     let groups = partition_workload(workload);
     // Phase 1, sequential: effective workloads and catalog top-up.
-    let mut jobs: Vec<(Vec<ConjunctiveQuery>, Vec<usize>)> = Vec::with_capacity(groups.len());
+    let mut jobs: Vec<GroupJob> = Vec::with_capacity(groups.len());
     for group in &groups {
-        let sub: Vec<ConjunctiveQuery> = group.iter().map(|&i| workload[i].clone()).collect();
-        let (effective, branch_of) = effective_workload(prep.reasoning(), schema, &sub)?;
-        prep.extend(store, schema, &effective)?;
+        let queries = group.iter().map(|&i| (i, &workload[i]));
+        let (effective, branch_of) = effective_workload(prep.prepared(), queries)?;
+        prep.extend(store, &effective);
         jobs.push((effective, branch_of));
     }
-    // Phase 2: group searches, read-only on the shared session, dispatched
-    // by the bounded scheduler.
-    let results = run_group_scheduler(prep, schema, jobs, options, parallel);
-    let recs: Vec<Recommendation> = results.into_iter().collect::<Result<_, _>>()?;
-    Ok(merge_recommendations(&groups, recs))
+    // Phase 2: group searches, read-only on the shared session.
+    let recs = run_group_scheduler(prep, jobs, options)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+    merge_recommendations(recs)
 }
 
-/// One group's prepared search input.
+/// One group's prepared search input: its effective workload and the
+/// original query index of each entry.
 type GroupJob = (Vec<ConjunctiveQuery>, Vec<usize>);
 
-/// Dispatches the group searches onto a bounded worker pool,
-/// largest-group-first, capturing per-group panics. Results come back in
-/// group order.
+/// Runs the group searches on `min(budget, groups)` workers, largest
+/// group first, each with `max(budget / pool, 1)` explorers, capturing
+/// per-group panics. Results come back in group order.
 fn run_group_scheduler(
     prep: &Preparation,
-    schema: Option<(&Schema, &VocabIds)>,
     jobs: Vec<GroupJob>,
     options: &SelectionOptions,
-    parallel: bool,
 ) -> Vec<Result<Recommendation, SelectionError>> {
-    let n = jobs.len();
-    // Largest group first: schedule by descending total body atoms, the
-    // driver of search-space size, so the heaviest search never starts
-    // last on a nearly-drained pool.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| {
-        std::cmp::Reverse(jobs[i].0.iter().map(|q| q.atoms.len()).sum::<usize>())
-    });
-    let (pool, per_group) = if !parallel {
-        // Sequential dispatch; intra-group parallelism stays exactly as
-        // asked (0 = auto is resolved by the search core itself).
-        (1, options.search.parallelism)
-    } else if options.search.parallelism == 1 {
-        // `parallel = true` with the default search config keeps the
-        // historical meaning — concurrent groups, sequential within — but
-        // bounded by the core count instead of one thread per group.
-        let cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(4);
-        (cores.min(n).max(1), 1)
-    } else {
-        // An explicit thread budget is split between the two layers: with
-        // fewer groups than budgeted threads, the spare threads become
-        // per-group explorers (one giant group still saturates the pool).
-        let budget = options.search.effective_parallelism();
-        let pool = budget.min(n).max(1);
-        (pool, (budget / pool).max(1))
-    };
+    let budget = options.search.effective_parallelism();
+    let pool = budget.min(jobs.len()).max(1);
     let mut group_options = options.clone();
-    group_options.search.parallelism = per_group;
-
-    let run_one = |job: GroupJob| -> Result<Recommendation, SelectionError> {
-        let (effective, branch_of) = job;
+    group_options.search.parallelism = (budget / pool).max(1);
+    // Total body atoms drive a group's search-space size.
+    let atoms = |job: &GroupJob| job.0.iter().map(|q| q.atoms.len()).sum();
+    crate::sync::ordered_map(jobs, pool, atoms, |(effective, branch_of)| {
         catch_unwind(AssertUnwindSafe(|| {
-            search_session(prep, schema, effective, branch_of, &group_options)
+            search_session(prep, effective, branch_of, &group_options)
         }))
         .unwrap_or_else(|payload| {
             Err(SelectionError::SearchPanicked {
                 detail: panic_detail(payload.as_ref()),
             })
         })
-    };
-
-    if pool > 1 {
-        let slots: Vec<Mutex<Option<GroupJob>>> =
-            jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-        let results: Vec<Mutex<Option<Result<Recommendation, SelectionError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..pool {
-                scope.spawn(|| loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= n {
-                        break;
-                    }
-                    let gi = order[k];
-                    let job = crate::sync::lock_unpoisoned(&slots[gi])
-                        .take()
-                        // xlint: allow(X001, reason = "fetch_add hands each slot index to exactly one worker")
-                        .expect("job taken once");
-                    *crate::sync::lock_unpoisoned(&results[gi]) = Some(run_one(job));
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    // xlint: allow(X001, reason = "the worker loop writes every group index before the scope joins")
-                    .expect("scheduler covers all groups")
-            })
-            .collect()
-    } else {
-        // Sequential dispatch still honors the largest-first order (and
-        // the panic capture), so behavior only differs in concurrency.
-        let mut slots: Vec<Option<GroupJob>> = jobs.into_iter().map(Some).collect();
-        let mut results: Vec<Option<Result<Recommendation, SelectionError>>> =
-            (0..n).map(|_| None).collect();
-        for &gi in &order {
-            // xlint: allow(X001, reason = "the order permutation visits each group exactly once")
-            let job = slots[gi].take().expect("job taken once");
-            results[gi] = Some(run_one(job));
-        }
-        results
-            .into_iter()
-            // xlint: allow(X001, reason = "the loop above fills every group slot")
-            .map(|r| r.expect("scheduler covers all groups"))
-            .collect()
-    }
+    })
 }
 
 /// Stringifies a captured panic payload (`&str` and `String` payloads are
@@ -248,32 +162,30 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 /// One-shot fallible partitioned selection: prepares a throwaway session
 /// and runs [`select_views_partitioned_session`] once.
 pub fn try_select_views_partitioned(
-    store: &rdf_model::TripleStore,
-    dict: &rdf_model::Dictionary,
+    store: &TripleStore,
+    dict: &Dictionary,
     schema: Option<(&Schema, &VocabIds)>,
     workload: &[ConjunctiveQuery],
     options: &SelectionOptions,
-    parallel: bool,
 ) -> Result<Recommendation, SelectionError> {
     let mut prep = Preparation::new(store, dict, schema, options.reasoning)?;
-    select_views_partitioned_session(&mut prep, store, schema, workload, options, parallel)
+    select_views_partitioned_session(&mut prep, store, workload, options)
 }
 
-fn merge_recommendations(groups: &[Vec<usize>], recs: Vec<Recommendation>) -> Recommendation {
-    let mut merged_state: Option<State> = None;
+/// Merges per-group recommendations, in group order, into one. An empty
+/// list has nothing to merge and is [`SelectionError::EmptyWorkload`].
+fn merge_recommendations(recs: Vec<Recommendation>) -> Result<Recommendation, SelectionError> {
+    let mut merged: Option<(State, Arc<StatsCatalog>)> = None;
     let mut workload: Vec<ConjunctiveQuery> = Vec::new();
     let mut branch_of: Vec<usize> = Vec::new();
     let mut materialization: Vec<UnionQuery> = Vec::new();
     let mut stats = SearchStats::default();
     let mut initial_cost = 0.0;
     let mut best_cost = 0.0;
-    let mut catalog = None;
-    for (group, rec) in groups.iter().zip(recs) {
-        // Map the group's branch indexes back to original query indexes.
-        for (&b, q) in rec.branch_of.iter().zip(rec.workload.iter()) {
-            branch_of.push(group[b]);
-            workload.push(q.clone());
-        }
+    for rec in recs {
+        // Group searches already number their entries by original query.
+        branch_of.extend(rec.branch_of);
+        workload.extend(rec.workload);
         materialization.extend(rec.materialization);
         initial_cost += rec.outcome.initial_cost;
         best_cost += rec.outcome.best_cost;
@@ -287,17 +199,16 @@ fn merge_recommendations(groups: &[Vec<usize>], recs: Vec<Recommendation>) -> Re
         stats.timed_out |= rec.outcome.stats.timed_out;
         stats.out_of_budget |= rec.outcome.stats.out_of_budget;
         stats.elapsed = stats.elapsed.max(rec.outcome.stats.elapsed);
-        merged_state = Some(match merged_state {
+        let best_state = match merged {
             None => rec.outcome.best_state,
-            Some(acc) => acc.merge_with(&rec.outcome.best_state),
-        });
-        catalog = Some(rec.catalog);
+            Some((acc, _)) => acc.merge_with(&rec.outcome.best_state),
+        };
+        merged = Some((best_state, rec.catalog));
     }
-    // xlint: allow(X001, reason = "callers reject empty workloads with SelectionError::EmptyWorkload")
-    let best_state = merged_state.expect("non-empty workload");
+    let (best_state, catalog) = merged.ok_or(SelectionError::EmptyWorkload)?;
     debug_assert_eq!(best_state.check_invariants(), Ok(()));
     let views = best_state.views().cloned().collect();
-    Recommendation {
+    Ok(Recommendation {
         workload,
         branch_of,
         outcome: SearchOutcome {
@@ -308,9 +219,8 @@ fn merge_recommendations(groups: &[Vec<usize>], recs: Vec<Recommendation>) -> Re
         },
         views,
         materialization,
-        // xlint: allow(X001, reason = "callers reject empty workloads with SelectionError::EmptyWorkload")
-        catalog: catalog.expect("non-empty workload"),
-    }
+        catalog,
+    })
 }
 
 #[cfg(test)]
@@ -395,7 +305,7 @@ mod tests {
                 .unwrap()
                 .query,
         ];
-        for parallel in [false, true] {
+        for parallelism in [1, 2] {
             let rec = try_select_views_partitioned(
                 db.store(),
                 db.dict(),
@@ -405,11 +315,11 @@ mod tests {
                     calibrate_cm: true,
                     search: SearchConfig {
                         time_budget: Some(std::time::Duration::from_secs(1)),
+                        parallelism,
                         ..SearchConfig::default()
                     },
                     ..Default::default()
                 },
-                parallel,
             )
             .unwrap();
             rec.outcome.best_state.check_invariants().unwrap();
@@ -432,7 +342,7 @@ mod tests {
                 .unwrap()
                 .query,
         ];
-        let opts = SelectionOptions {
+        let mut opts = SelectionOptions {
             calibrate_cm: true,
             ..Default::default()
         };
@@ -443,22 +353,15 @@ mod tests {
             crate::pipeline::ReasoningMode::Plain,
         )
         .unwrap();
-        for parallel in [false, true] {
-            let rec = select_views_partitioned_session(
-                &mut prep,
-                db.store(),
-                None,
-                &queries,
-                &opts,
-                parallel,
-            )
-            .unwrap();
+        for parallelism in [1, 2] {
+            opts.search.parallelism = parallelism;
+            let rec =
+                select_views_partitioned_session(&mut prep, db.store(), &queries, &opts).unwrap();
             assert_eq!(rec.branch_of.len(), 2);
         }
         let collected = prep.stats_collections();
         // A third run over the same workload must not count anything new.
-        select_views_partitioned_session(&mut prep, db.store(), None, &queries, &opts, true)
-            .unwrap();
+        select_views_partitioned_session(&mut prep, db.store(), &queries, &opts).unwrap();
         assert_eq!(prep.stats_collections(), collected);
     }
 
@@ -485,8 +388,7 @@ mod tests {
         };
         let joint = try_select_views(db.store(), db.dict(), None, &queries, &opts).unwrap();
         let parted =
-            try_select_views_partitioned(db.store(), db.dict(), None, &queries, &opts, false)
-                .unwrap();
+            try_select_views_partitioned(db.store(), db.dict(), None, &queries, &opts).unwrap();
         let rel = (joint.outcome.best_cost - parted.outcome.best_cost).abs()
             / joint.outcome.best_cost.max(1e-9);
         assert!(
@@ -495,5 +397,51 @@ mod tests {
             joint.outcome.best_cost,
             parted.outcome.best_cost
         );
+    }
+    #[test]
+    fn group_search_panic_is_captured_per_group() {
+        // The scheduler takes jobs as given: a Cartesian-product job, which
+        // `effective_workload` would have rejected, makes `State::initial`
+        // panic inside its group search. That group comes back as
+        // `SearchPanicked` with the panic message; the others still finish.
+        let mut db = db();
+        let good = |text: &str, dict: &mut rdf_model::Dictionary| {
+            parse_query(text, dict).unwrap().query.normalized()
+        };
+        let q0 = good("q0(X) :- t(X, <p0>, Y)", db.dict_mut());
+        let q1 = good("q1(X, Y) :- t(X, <p2>, Y)", db.dict_mut());
+        let bad = good("qbad(X, A) :- t(X, <p1>, Y), t(A, <p3>, B)", db.dict_mut());
+        let mut prep = Preparation::new(
+            db.store(),
+            db.dict(),
+            None,
+            crate::pipeline::ReasoningMode::Plain,
+        )
+        .unwrap();
+        let jobs = vec![
+            (vec![q0], vec![0]),
+            (vec![bad], vec![1]),
+            (vec![q1], vec![2]),
+        ];
+        for (effective, _) in &jobs {
+            prep.extend(db.store(), effective);
+        }
+        for parallelism in [1, 2] {
+            let mut opts = SelectionOptions::recommended();
+            opts.search.parallelism = parallelism;
+            let results = run_group_scheduler(&prep, jobs.clone(), &opts);
+            assert_eq!(results.len(), 3);
+            match &results[1] {
+                Err(SelectionError::SearchPanicked { detail }) => {
+                    assert!(detail.contains("Cartesian"), "detail: {detail}");
+                }
+                other => panic!("expected SearchPanicked, got {other:?}"),
+            }
+            for i in [0, 2] {
+                let rec = results[i].as_ref().unwrap();
+                assert_eq!(rec.branch_of, vec![i]);
+                rec.outcome.best_state.check_invariants().unwrap();
+            }
+        }
     }
 }

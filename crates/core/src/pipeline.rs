@@ -99,9 +99,40 @@ impl SelectionOptions {
     }
 }
 
+/// The reasoning a session was prepared for, holding what that mode
+/// needs: the RDF Schema and its vocabulary ids for every mode but
+/// [`ReasoningMode::Plain`], and the saturated copy of the store under
+/// [`ReasoningMode::Saturation`]. [`Preparation::new`] builds it, so a
+/// prepared session can never lack its schema.
+#[derive(Debug, Clone)]
+pub enum PreparedReasoning {
+    /// No entailment.
+    Plain,
+    /// Statistics (and deployments) over the saturated store: schema,
+    /// vocabulary, saturated copy.
+    Saturation(Schema, VocabIds, TripleStore),
+    /// The workload is reformulated before the search.
+    PreReformulation(Schema, VocabIds),
+    /// Statistics are reformulated before, and views after, the search.
+    PostReformulation(Schema, VocabIds),
+}
+
+impl PreparedReasoning {
+    /// The mode this reasoning was prepared for.
+    pub fn mode(&self) -> ReasoningMode {
+        match self {
+            PreparedReasoning::Plain => ReasoningMode::Plain,
+            PreparedReasoning::Saturation(..) => ReasoningMode::Saturation,
+            PreparedReasoning::PreReformulation(..) => ReasoningMode::PreReformulation,
+            PreparedReasoning::PostReformulation(..) => ReasoningMode::PostReformulation,
+        }
+    }
+}
+
 /// The cached per-database artifacts of a view-selection session: the
-/// saturated copy of the store (when the mode needs one) and the
-/// statistics catalog, grown incrementally as workloads arrive.
+/// prepared reasoning (with the saturated copy of the store when the mode
+/// needs one) and the statistics catalog, grown incrementally as
+/// workloads arrive.
 ///
 /// Building one runs the expensive store-level work exactly once;
 /// [`Preparation::extend`] then only counts atom shapes the catalog has
@@ -111,14 +142,12 @@ impl SelectionOptions {
 /// verify that reuse actually happens.
 #[derive(Debug, Clone)]
 pub struct Preparation {
-    mode: ReasoningMode,
-    saturated: Option<TripleStore>,
+    reasoning: PreparedReasoning,
     // Shared copy-on-write with the `Recommendation`s handed out:
     // `extend` only deep-clones when a recommendation still holds the
     // previous snapshot.
     catalog: Arc<StatsCatalog>,
     stats_collections: usize,
-    saturation_runs: usize,
     // The store's version stamp at preparation time. Session entry points
     // compare it against the store they are handed: a mismatch means the
     // data changed underneath the cached statistics and surfaces as
@@ -142,46 +171,48 @@ impl Preparation {
     /// Runs the per-database preparation for `mode`: saturates the store
     /// (saturation mode), derives the saturated statistics without
     /// saturating (post-reformulation), or records plain store-level
-    /// statistics.
+    /// statistics. The session keeps its own copy of `schema`.
     ///
     /// Returns [`SelectionError::SchemaRequired`] when `mode` needs a
-    /// schema and none is given.
+    /// schema and none is given — the only place that check is made.
     pub fn new(
         store: &TripleStore,
         dict: &Dictionary,
         schema: Option<(&Schema, &VocabIds)>,
         mode: ReasoningMode,
     ) -> Result<Self, SelectionError> {
-        if mode.needs_schema() && schema.is_none() {
-            return Err(SelectionError::SchemaRequired(mode));
-        }
-        let mut saturation_runs = 0;
-        let (saturated, catalog) = match mode {
-            ReasoningMode::Plain | ReasoningMode::PreReformulation => {
-                (None, StatsCatalog::store_level(store, dict))
-            }
+        let owned = || {
+            schema
+                .map(|(schema, vocab)| (schema.clone(), *vocab))
+                .ok_or(SelectionError::SchemaRequired(mode))
+        };
+        let (reasoning, catalog) = match mode {
+            ReasoningMode::Plain => (
+                PreparedReasoning::Plain,
+                StatsCatalog::store_level(store, dict),
+            ),
             ReasoningMode::Saturation => {
-                // xlint: allow(X001, reason = "SchemaRequired is returned above for reasoning modes without a schema")
-                let (schema, vocab) = schema.expect("checked above");
-                let sat = saturated_copy(store, schema, vocab);
-                saturation_runs += 1;
-                let cat = StatsCatalog::store_level(&sat, dict);
-                (Some(sat), cat)
+                let (schema, vocab) = owned()?;
+                let saturated = saturated_copy(store, &schema, &vocab);
+                let cat = StatsCatalog::store_level(&saturated, dict);
+                (PreparedReasoning::Saturation(schema, vocab, saturated), cat)
+            }
+            ReasoningMode::PreReformulation => {
+                let (schema, vocab) = owned()?;
+                let cat = StatsCatalog::store_level(store, dict);
+                (PreparedReasoning::PreReformulation(schema, vocab), cat)
             }
             ReasoningMode::PostReformulation => {
-                // xlint: allow(X001, reason = "SchemaRequired is returned above for reasoning modes without a schema")
-                let (schema, vocab) = schema.expect("checked above");
-                let triples = rdf_stats::postreform::saturated_triples(store, schema, vocab);
+                let (schema, vocab) = owned()?;
+                let triples = rdf_stats::postreform::saturated_triples(store, &schema, &vocab);
                 let cat = StatsCatalog::store_level_from_triples(triples.into_iter(), dict);
-                (None, cat)
+                (PreparedReasoning::PostReformulation(schema, vocab), cat)
             }
         };
         Ok(Self {
-            mode,
-            saturated,
+            reasoning,
             catalog: Arc::new(catalog),
             stats_collections: 0,
-            saturation_runs,
             store_version: store.version(),
             warm: None,
         })
@@ -189,7 +220,13 @@ impl Preparation {
 
     /// The reasoning mode this session was prepared for.
     pub fn reasoning(&self) -> ReasoningMode {
-        self.mode
+        self.reasoning.mode()
+    }
+
+    /// The prepared reasoning: the mode with its schema and, under
+    /// saturation, the cached saturated copy of the store.
+    pub fn prepared(&self) -> &PreparedReasoning {
+        &self.reasoning
     }
 
     /// The store version this session was prepared against.
@@ -201,7 +238,7 @@ impl Preparation {
     /// [`SelectionError::StaleSession`] when the version stamps differ —
     /// the cached catalog (and saturated copy) would describe data that no
     /// longer exists. Every session entry point calls this; a stale
-    /// session recovers via [`Preparation::refresh`].
+    /// session recovers by preparing a new one.
     pub fn ensure_fresh(&self, store: &TripleStore) -> Result<(), SelectionError> {
         if store.version() != self.store_version {
             return Err(SelectionError::StaleSession {
@@ -212,33 +249,9 @@ impl Preparation {
         Ok(())
     }
 
-    /// Re-runs the per-database preparation against the store's current
-    /// contents: re-saturates (saturation mode), rebuilds the store-level
-    /// statistics, and records the new version stamp. The warm-start cache
-    /// is dropped — its best state was optimized for data that changed.
-    /// The session counters carry over (cumulative), so `saturation_runs`
-    /// counts one extra run per refresh.
-    pub fn refresh(
-        &mut self,
-        store: &TripleStore,
-        dict: &Dictionary,
-        schema: Option<(&Schema, &VocabIds)>,
-    ) -> Result<(), SelectionError> {
-        let mut fresh = Preparation::new(store, dict, schema, self.mode)?;
-        fresh.stats_collections += self.stats_collections;
-        fresh.saturation_runs += self.saturation_runs;
-        *self = fresh;
-        Ok(())
-    }
-
     /// The statistics catalog accumulated so far.
     pub fn catalog(&self) -> &StatsCatalog {
         &self.catalog
-    }
-
-    /// The cached saturated copy (saturation mode only).
-    pub fn saturated_store(&self) -> Option<&TripleStore> {
-        self.saturated.as_ref()
     }
 
     /// Cumulative number of atom shapes counted against the store. Stays
@@ -249,42 +262,34 @@ impl Preparation {
         self.stats_collections
     }
 
-    /// How many times the store was saturated (once per preparation or
-    /// [`Preparation::refresh`] in saturation mode — never once per call).
+    /// How many times the store was saturated: once, when a saturation
+    /// session is prepared, and never per call.
     pub fn saturation_runs(&self) -> usize {
-        self.saturation_runs
+        usize::from(matches!(self.reasoning, PreparedReasoning::Saturation(..)))
     }
 
     /// Tops up the catalog with the counts for `queries` that it does not
     /// record yet; returns how many atom shapes were newly counted.
-    pub fn extend(
-        &mut self,
-        store: &TripleStore,
-        schema: Option<(&Schema, &VocabIds)>,
-        queries: &[ConjunctiveQuery],
-    ) -> Result<usize, SelectionError> {
+    pub fn extend(&mut self, store: &TripleStore, queries: &[ConjunctiveQuery]) -> usize {
         // Check coverage first: the common warm-session case must not
         // deep-clone a catalog that recommendations still share.
         if rdf_stats::stats_cover(&self.catalog, queries) {
-            return Ok(0);
+            return 0;
         }
         let catalog = Arc::make_mut(&mut self.catalog);
-        let added = match self.mode {
-            ReasoningMode::Plain | ReasoningMode::PreReformulation => {
+        let added = match &self.reasoning {
+            PreparedReasoning::Plain | PreparedReasoning::PreReformulation(..) => {
                 rdf_stats::extend_stats(catalog, store, queries)
             }
-            ReasoningMode::Saturation => {
-                // xlint: allow(X001, reason = "Preparation::new always builds the saturated copy in Saturation mode")
-                let sat = self.saturated.as_ref().expect("prepared with saturation");
-                rdf_stats::extend_stats(catalog, sat, queries)
+            PreparedReasoning::Saturation(_, _, saturated) => {
+                rdf_stats::extend_stats(catalog, saturated, queries)
             }
-            ReasoningMode::PostReformulation => {
-                let (schema, vocab) = schema.ok_or(SelectionError::SchemaRequired(self.mode))?;
+            PreparedReasoning::PostReformulation(schema, vocab) => {
                 rdf_stats::extend_stats_post_reform(catalog, store, queries, schema, vocab)
             }
         };
         self.stats_collections += added;
-        Ok(added)
+        added
     }
 
     /// Records a finished session search as the warm-start cache entry.
@@ -293,12 +298,6 @@ impl Preparation {
             workload: effective.to_vec(),
             best: best.clone(),
         }));
-    }
-
-    /// Whether the session holds a warm-start cache entry (primed by any
-    /// successful non-partitioned session search).
-    pub fn has_warm_start(&self) -> bool {
-        self.warm.is_some()
     }
 
     /// Builds a warm-start seed for `effective` from the cached previous
@@ -368,43 +367,61 @@ impl Recommendation {
     }
 }
 
-/// Minimizes the workload and expands reformulation branches where the
-/// mode calls for it. Returns the effective workload plus the map from
-/// effective entries back to original query indexes.
-pub(crate) fn effective_workload(
-    mode: ReasoningMode,
-    schema: Option<(&Schema, &VocabIds)>,
-    workload: &[ConjunctiveQuery],
+/// Minimizes the `(original index, query)` pairs of a workload and expands
+/// reformulation branches where the prepared reasoning calls for it.
+/// Returns the effective workload plus the original query index of each
+/// effective entry.
+///
+/// Every effective query must be safe and connected (Definition 2.1): a
+/// query whose minimized form, or one of whose reformulation branches, is
+/// not returns [`SelectionError::UnsupportedQuery`], naming its original
+/// index, before any search starts.
+pub(crate) fn effective_workload<'q>(
+    reasoning: &PreparedReasoning,
+    workload: impl IntoIterator<Item = (usize, &'q ConjunctiveQuery)>,
 ) -> Result<(Vec<ConjunctiveQuery>, Vec<usize>), SelectionError> {
-    // Definition 2.1: queries are assumed minimal.
-    let minimized: Vec<ConjunctiveQuery> =
-        workload.iter().map(|q| minimize(q).normalized()).collect();
-    match mode {
-        ReasoningMode::PreReformulation => {
-            let (schema, vocab) = schema.ok_or(SelectionError::SchemaRequired(mode))?;
-            let mut effective = Vec::new();
-            let mut branch_of = Vec::new();
-            for (qi, q) in minimized.iter().enumerate() {
-                for branch in rdf_reform::reformulate(q, schema, vocab) {
-                    effective.push(branch.normalized());
-                    branch_of.push(qi);
-                }
+    let mut effective = Vec::new();
+    let mut branch_of = Vec::new();
+    for (qi, q) in workload {
+        // Definition 2.1: queries are assumed minimal.
+        let minimized = minimize(q).normalized();
+        if let PreparedReasoning::PreReformulation(schema, vocab) = reasoning {
+            for branch in rdf_reform::reformulate(&minimized, schema, vocab) {
+                let branch = branch.normalized();
+                check_supported(&branch, "a reformulation of workload query", qi)?;
+                effective.push(branch);
+                branch_of.push(qi);
             }
-            Ok((effective, branch_of))
-        }
-        _ => {
-            let branch_of = (0..minimized.len()).collect();
-            Ok((minimized, branch_of))
+        } else {
+            check_supported(&minimized, "workload query", qi)?;
+            effective.push(minimized);
+            branch_of.push(qi);
         }
     }
+    Ok((effective, branch_of))
+}
+
+/// Rejects a query the search cannot start from: an unsafe head, or a
+/// body whose join graph is not connected (a Cartesian product). The
+/// reason names the query as `{what} {qi}`.
+fn check_supported(q: &ConjunctiveQuery, what: &str, qi: usize) -> Result<(), SelectionError> {
+    let reason = if !q.is_safe() {
+        "has a head variable its body does not bind"
+    } else if !rdf_query::graph::JoinGraph::new(&q.atoms).is_connected() {
+        "contains a Cartesian product; split it into connected queries"
+    } else {
+        return Ok(());
+    };
+    Err(SelectionError::UnsupportedQuery {
+        reason: format!("{what} {qi} {reason}"),
+    })
 }
 
 /// Runs the search over an already-prepared session and packages the
 /// result. Read-only on the [`Preparation`], so partitioned selection can
 /// run group searches in parallel against one shared session.
-pub fn search_session(
+pub(crate) fn search_session(
     prep: &Preparation,
-    schema: Option<(&Schema, &VocabIds)>,
     effective: Vec<ConjunctiveQuery>,
     branch_of: Vec<usize>,
     options: &SelectionOptions,
@@ -428,14 +445,11 @@ pub fn search_session(
     }
 
     let views: Vec<View> = outcome.best_state.views().cloned().collect();
-    let materialization: Vec<UnionQuery> = match prep.reasoning() {
-        ReasoningMode::PostReformulation => {
-            let (schema, vocab) = schema.ok_or(SelectionError::SchemaRequired(prep.reasoning()))?;
-            views
-                .iter()
-                .map(|v| rdf_reform::reformulate(&v.as_query(), schema, vocab))
-                .collect()
-        }
+    let materialization: Vec<UnionQuery> = match &prep.reasoning {
+        PreparedReasoning::PostReformulation(schema, vocab) => views
+            .iter()
+            .map(|v| rdf_reform::reformulate(&v.as_query(), schema, vocab))
+            .collect(),
         _ => views
             .iter()
             .map(|v| UnionQuery::singleton(v.as_query()))
@@ -452,15 +466,14 @@ pub fn search_session(
     })
 }
 
-/// Runs view selection through a prepared session, reusing its cached
-/// saturated store and statistics catalog.
-pub fn select_views_session(
-    prep: &mut Preparation,
+/// Checks that a session call may run: a non-empty workload, the mode the
+/// session was prepared for, and a store unchanged since preparation.
+pub(crate) fn check_session(
+    prep: &Preparation,
     store: &TripleStore,
-    schema: Option<(&Schema, &VocabIds)>,
     workload: &[ConjunctiveQuery],
     options: &SelectionOptions,
-) -> Result<Recommendation, SelectionError> {
+) -> Result<(), SelectionError> {
     if workload.is_empty() {
         return Err(SelectionError::EmptyWorkload);
     }
@@ -470,10 +483,21 @@ pub fn select_views_session(
             requested: options.reasoning,
         });
     }
-    prep.ensure_fresh(store)?;
-    let (effective, branch_of) = effective_workload(prep.reasoning(), schema, workload)?;
-    prep.extend(store, schema, &effective)?;
-    let rec = search_session(prep, schema, effective, branch_of, options)?;
+    prep.ensure_fresh(store)
+}
+
+/// Runs view selection through a prepared session, reusing its cached
+/// saturated store and statistics catalog.
+pub fn select_views_session(
+    prep: &mut Preparation,
+    store: &TripleStore,
+    workload: &[ConjunctiveQuery],
+    options: &SelectionOptions,
+) -> Result<Recommendation, SelectionError> {
+    check_session(prep, store, workload, options)?;
+    let (effective, branch_of) = effective_workload(&prep.reasoning, workload.iter().enumerate())?;
+    prep.extend(store, &effective);
+    let rec = search_session(prep, effective, branch_of, options)?;
     // Prime the warm-start cache: the next ±1-delta workload can seed its
     // frontier from this best state instead of searching cold.
     prep.note_warm_start(&rec.workload, &rec.outcome.best_state);
@@ -496,7 +520,7 @@ pub fn try_select_views(
     options: &SelectionOptions,
 ) -> Result<Recommendation, SelectionError> {
     let mut prep = Preparation::new(store, dict, schema, options.reasoning)?;
-    select_views_session(&mut prep, store, schema, workload, options)
+    select_views_session(&mut prep, store, workload, options)
 }
 
 #[cfg(test)]
@@ -699,24 +723,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(prep.saturation_runs(), 1);
-        let first = select_views_session(
-            &mut prep,
-            db.store(),
-            Some((&schema, &vocab)),
-            &queries,
-            &options,
-        )
-        .unwrap();
+        let first = select_views_session(&mut prep, db.store(), &queries, &options).unwrap();
         let collected = prep.stats_collections();
         assert!(collected > 0, "first run must count atoms");
-        let second = select_views_session(
-            &mut prep,
-            db.store(),
-            Some((&schema, &vocab)),
-            &queries,
-            &options,
-        )
-        .unwrap();
+        let second = select_views_session(&mut prep, db.store(), &queries, &options).unwrap();
         assert_eq!(
             prep.stats_collections(),
             collected,
@@ -731,19 +741,18 @@ mod tests {
     }
 
     #[test]
-    fn mutated_store_stales_the_session_until_refresh() {
+    fn mutated_store_stales_the_session_until_reprepared() {
         let (mut db, _schema, _vocab) = museum_db();
         let queries = workload(&mut db);
         let options = SelectionOptions::recommended();
         let mut prep = Preparation::new(db.store(), db.dict(), None, ReasoningMode::Plain).unwrap();
         let prepared = prep.store_version();
-        select_views_session(&mut prep, db.store(), None, &queries, &options).unwrap();
+        select_views_session(&mut prep, db.store(), &queries, &options).unwrap();
 
         // Any store mutation — insert, batch, removal — moves the version.
         let x = db.dict_mut().intern_uri("late-arrival");
         db.store_mut().insert([x, x, x]);
-        let err =
-            select_views_session(&mut prep, db.store(), None, &queries, &options).unwrap_err();
+        let err = select_views_session(&mut prep, db.store(), &queries, &options).unwrap_err();
         assert_eq!(
             err,
             SelectionError::StaleSession {
@@ -752,11 +761,11 @@ mod tests {
             }
         );
 
-        // Refresh re-prepares against the current contents; the session
-        // works again and its catalog reflects the new store version.
-        prep.refresh(db.store(), db.dict(), None).unwrap();
+        // A new preparation against the current contents works again and
+        // records the new store version.
+        let mut prep = Preparation::new(db.store(), db.dict(), None, ReasoningMode::Plain).unwrap();
         assert_eq!(prep.store_version(), db.store().version());
-        select_views_session(&mut prep, db.store(), None, &queries, &options).unwrap();
+        select_views_session(&mut prep, db.store(), &queries, &options).unwrap();
     }
 
     #[test]
@@ -767,7 +776,6 @@ mod tests {
         let err = select_views_session(
             &mut prep,
             db.store(),
-            None,
             &queries,
             &SelectionOptions {
                 reasoning: ReasoningMode::Saturation,

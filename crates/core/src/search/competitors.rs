@@ -31,8 +31,6 @@
 //! stay global); each exploration drives a stack [`Frontier`] with a
 //! query-local duplicate set.
 
-use std::sync::Mutex;
-
 use rdf_model::FxHashSet;
 use rdf_query::canonical::{canonical_form, HeadMode};
 
@@ -54,46 +52,23 @@ pub(crate) fn run(core: &SearchCore<'_, '_, '_>, s0: &State) {
     let queries: Vec<rdf_query::ConjunctiveQuery> = (0..n).map(|i| unfold(s0, i)).collect();
     let (_, _) = core.admit_seed(s0, TransitionKind::Vb as u8);
 
-    // Phase 1: exhaustive per-query exploration (parallel across queries
-    // when the core has more than one explorer).
-    let mut per_query: Vec<Vec<State>> = if core.workers() > 1 && n > 1 {
-        let slots: Vec<Mutex<Option<Vec<State>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..core.workers().min(n) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= n || core.check_halted() {
-                        break;
-                    }
-                    let single = State::initial(std::slice::from_ref(&queries[i]));
-                    let states = explore_all(core, single);
-                    *crate::sync::lock_unpoisoned(&slots[i]) = Some(states);
-                });
-            }
-        });
-        if core.check_halted() {
-            return;
-        }
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .unwrap_or_default()
-            })
-            .collect()
-    } else {
-        let mut sets = Vec::with_capacity(n);
-        for q in &queries {
+    // Phase 1: exhaustive per-query exploration, on the core's explorer
+    // threads when it has more than one. Every query weighs the same, so
+    // queries are taken in workload order.
+    let mut per_query: Vec<Vec<State>> = crate::sync::ordered_map(
+        queries,
+        core.workers(),
+        |_| 0,
+        |q| {
             if core.check_halted() {
-                return;
+                return Vec::new();
             }
-            let single = State::initial(std::slice::from_ref(q));
-            sets.push(explore_all(core, single));
-        }
-        sets
-    };
+            explore_all(core, State::initial(std::slice::from_ref(&q)))
+        },
+    );
+    if core.check_halted() {
+        return;
+    }
 
     // Pruning and Heuristic prune the per-query sets before recombination
     // ("their pruning is mostly based on comparing two states and

@@ -138,6 +138,8 @@ pub struct SearchConfig {
     /// means "one per available core". Parallel runs visit states in a
     /// different order but complete to the same reachable set, so a
     /// non-truncated run reports the same best cost at any thread count.
+    /// Partitioned selection splits the same budget between concurrent
+    /// sharing groups and their explorers ([`crate::partition`]).
     pub parallelism: usize,
 }
 

@@ -12,8 +12,9 @@
 //! where `Δatom_i` binds atom `i` to the *whole* update set Δ, materialized
 //! as a small 3-column table and probed through on-demand hash indexes
 //! (see [`crate::evaluate_mixed`]). One join pass per atom position
-//! replaces the |Δ| passes of the classic per-triple rule; the per-triple
-//! entry points are thin delegates over singleton batches.
+//! replaces the |Δ| passes of the classic per-triple rule. The entry
+//! points take a prebuilt [`DeltaSet`] (one per batch, shared by every
+//! view it maintains); one triple is a singleton delta set.
 //!
 //! For insertions the base store must already contain Δ⁺ when the deltas
 //! are applied (insert first, then maintain), which makes repeated
@@ -112,7 +113,7 @@ impl DeltaSet {
 
 /// The prepared phase of a deletion batch: candidate rows whose
 /// derivations may have used a deleted triple. Produced by
-/// [`MaintainedView::prepare_delete_batch`] *before* the triples leave the
+/// [`MaintainedView::prepare_delete_delta`] *before* the triples leave the
 /// store, consumed by [`MaintainedView::commit_delete_batch`] *after*.
 #[derive(Debug, Clone)]
 pub struct DeleteDelta {
@@ -229,23 +230,6 @@ impl MaintainedView {
         }
     }
 
-    /// Applies a batch of insertions (already present in `store`),
-    /// snapshotting the batch itself: a delegate over
-    /// [`MaintainedView::apply_insert_delta`].
-    pub fn apply_insert_batch(
-        &mut self,
-        store: &TripleStore,
-        batch: &[Triple],
-    ) -> MaintenanceStats {
-        self.apply_insert_delta(store, &DeltaSet::new(batch))
-    }
-
-    /// Applies the insertion of one `triple` (already present in `store`):
-    /// a thin delegate over a singleton [`MaintainedView::apply_insert_batch`].
-    pub fn apply_insert(&mut self, store: &TripleStore, triple: Triple) -> MaintenanceStats {
-        self.apply_insert_batch(store, std::slice::from_ref(&triple))
-    }
-
     /// Phase 1 of a deletion batch (delete-and-rederive) from a prebuilt
     /// [`DeltaSet`]: collects the rows whose derivations may involve any
     /// triple of the batch, in one delta-set join pass per atom position.
@@ -258,12 +242,6 @@ impl MaintainedView {
             triples: delta.triples.clone(),
             candidates: self.delta_join(store, delta),
         }
-    }
-
-    /// Phase 1 of a deletion batch, snapshotting the batch itself: a
-    /// delegate over [`MaintainedView::prepare_delete_delta`].
-    pub fn prepare_delete_batch(&self, store: &TripleStore, batch: &[Triple]) -> DeleteDelta {
-        self.prepare_delete_delta(store, &DeltaSet::new(batch))
     }
 
     /// Phase 2 of a deletion batch: re-derives each candidate over the
@@ -286,18 +264,6 @@ impl MaintainedView {
             removed: self.rows.remove_all(&lost),
             ..MaintenanceStats::default()
         }
-    }
-
-    /// Phase 1 of a single-triple deletion: a thin delegate over a
-    /// singleton [`MaintainedView::prepare_delete_batch`].
-    pub fn prepare_delete(&self, store: &TripleStore, triple: Triple) -> DeleteDelta {
-        self.prepare_delete_batch(store, std::slice::from_ref(&triple))
-    }
-
-    /// Phase 2 of a single-triple deletion: identical to
-    /// [`MaintainedView::commit_delete_batch`].
-    pub fn commit_delete(&mut self, store: &TripleStore, delta: &DeleteDelta) -> MaintenanceStats {
-        self.commit_delete_batch(store, delta)
     }
 
     /// Whether `row` still has a derivation over `store`: evaluates the
@@ -369,7 +335,7 @@ mod tests {
         let c = db.dict_mut().intern_uri("c");
         let triple = [d, knows, c];
         db.store_mut().insert(triple);
-        let stats = view.apply_insert(db.store(), triple);
+        let stats = view.apply_insert_delta(db.store(), &DeltaSet::new(&[triple]));
         assert_eq!(stats.added, 1);
         assert_eq!(view.len(), 2);
         assert_consistent(&view, db.store());
@@ -386,7 +352,7 @@ mod tests {
         let initech = db.dict_mut().intern_uri("initech");
         let t1 = [a, works_at, initech];
         db.store_mut().insert(t1);
-        let s1 = view.apply_insert(db.store(), t1);
+        let s1 = view.apply_insert_delta(db.store(), &DeltaSet::new(&[t1]));
         assert_eq!(s1.added, 0);
         assert_consistent(&view, db.store());
 
@@ -394,7 +360,7 @@ mod tests {
         let knows = db.dict().lookup_uri("knows").unwrap();
         let t2 = [e, knows, a];
         db.store_mut().insert(t2);
-        let s2 = view.apply_insert(db.store(), t2);
+        let s2 = view.apply_insert_delta(db.store(), &DeltaSet::new(&[t2]));
         assert_eq!(s2.added, 1); // (e, initech)
         assert_consistent(&view, db.store());
     }
@@ -408,7 +374,7 @@ mod tests {
         let y = db.dict_mut().intern_uri("y");
         let t = [x, likes, y];
         db.store_mut().insert(t);
-        let stats = view.apply_insert(db.store(), t);
+        let stats = view.apply_insert_delta(db.store(), &DeltaSet::new(&[t]));
         assert_eq!(stats, MaintenanceStats::default());
         assert_consistent(&view, db.store());
     }
@@ -420,7 +386,7 @@ mod tests {
         // Re-inserting an existing triple adds no rows (store dedups, but
         // even a forced maintenance call must not add).
         let triple = db.store().triples()[0];
-        let stats = view.apply_insert(db.store(), triple);
+        let stats = view.apply_insert_delta(db.store(), &DeltaSet::new(&[triple]));
         assert_eq!(stats.added, 0);
         assert_consistent(&view, db.store());
     }
@@ -443,7 +409,7 @@ mod tests {
         }
         let added = db.store_mut().insert_batch(&batch);
         assert_eq!(added.len(), batch.len());
-        view.apply_insert_batch(db.store(), &batch);
+        view.apply_insert_delta(db.store(), &DeltaSet::new(&batch));
         assert_consistent(&view, db.store());
     }
 
@@ -466,10 +432,10 @@ mod tests {
         let mut per_triple = MaintainedView::new(db.store(), q);
 
         db.store_mut().insert_batch(&batch);
-        let bstats = batched.apply_insert_batch(db.store(), &batch);
+        let bstats = batched.apply_insert_delta(db.store(), &DeltaSet::new(&batch));
         let mut pstats = MaintenanceStats::default();
         for &t in &batch {
-            pstats.merge(per_triple.apply_insert(db.store(), t));
+            pstats.merge(per_triple.apply_insert_delta(db.store(), &DeltaSet::new(&[t])));
         }
         assert_eq!(batched.to_answers(), per_triple.to_answers());
         assert_eq!(bstats.added, pstats.added);
@@ -496,7 +462,7 @@ mod tests {
         let d = db.dict_mut().intern_uri("d");
         let t = [c, p, d];
         db.store_mut().insert(t);
-        let stats = view.apply_insert(db.store(), t);
+        let stats = view.apply_insert_delta(db.store(), &DeltaSet::new(&[t]));
         assert_eq!(stats.added, 1);
         assert_consistent(&view, db.store());
     }
@@ -504,9 +470,9 @@ mod tests {
     /// The deployment-side deletion protocol: prepare while the triple is
     /// still stored, remove it, commit against the shrunken store.
     fn delete_triple(view: &mut MaintainedView, db: &mut Dataset, t: Triple) -> MaintenanceStats {
-        let delta = view.prepare_delete(db.store(), t);
+        let delta = view.prepare_delete_delta(db.store(), &DeltaSet::new(&[t]));
         assert!(db.store_mut().remove(t));
-        view.commit_delete(db.store(), &delta)
+        view.commit_delete_batch(db.store(), &delta)
     }
 
     #[test]
@@ -600,7 +566,7 @@ mod tests {
         // Batched: one prepare/commit pair for the whole set.
         let mut batched = MaintainedView::new(db.store(), q.clone());
         let mut batched_store = db.store().clone();
-        let delta = batched.prepare_delete_batch(&batched_store, &doomed);
+        let delta = batched.prepare_delete_delta(&batched_store, &DeltaSet::new(&doomed));
         batched_store.remove_batch(&doomed);
         let bstats = batched.commit_delete_batch(&batched_store, &delta);
 
@@ -609,9 +575,9 @@ mod tests {
         let mut seq_store = db.store().clone();
         let mut pstats = MaintenanceStats::default();
         for &t in &doomed {
-            let d = seq.prepare_delete(&seq_store, t);
+            let d = seq.prepare_delete_delta(&seq_store, &DeltaSet::new(&[t]));
             seq_store.remove(t);
-            pstats.merge(seq.commit_delete(&seq_store, &d));
+            pstats.merge(seq.commit_delete_batch(&seq_store, &d));
         }
         assert_eq!(batched.to_answers(), seq.to_answers());
         assert_eq!(bstats.removed, pstats.removed);
@@ -645,7 +611,7 @@ mod tests {
         }
         for &t in &triples {
             if db.store_mut().insert(t) {
-                view.apply_insert(db.store(), t);
+                view.apply_insert_delta(db.store(), &DeltaSet::new(&[t]));
             }
             assert_consistent(&view, db.store());
         }
@@ -671,7 +637,7 @@ mod tests {
         assert_eq!(view.len(), 0);
         let t = [b, p, a];
         db.store_mut().insert(t);
-        view.apply_insert(db.store(), t);
+        view.apply_insert_delta(db.store(), &DeltaSet::new(&[t]));
         assert_eq!(view.len(), 2); // a and b
         assert_consistent(&view, db.store());
     }

@@ -5,7 +5,7 @@
 //! exactly the rows a filter would.
 
 use proptest::prelude::*;
-use rdf_engine::maintain::MaintainedView;
+use rdf_engine::maintain::{DeltaSet, MaintainedView};
 use rdf_engine::{
     evaluate, evaluate_mixed, evaluate_on, materialize, oracle, Answers, Engine, MixedAtom,
     ViewAtom, ViewTable,
@@ -432,7 +432,7 @@ proptest! {
         for t in feed {
             let t = [Id(t[0]), Id(t[1]), Id(t[2])];
             if store.insert(t) {
-                view.apply_insert(&store, t);
+                view.apply_insert_delta(&store, &DeltaSet::new(&[t]));
             }
         }
         let fresh = evaluate(&store, &q);
@@ -461,12 +461,12 @@ proptest! {
             if is_delete {
                 // Prepare while the doomed triples are still stored (the
                 // batch may contain absent triples; they are harmless).
-                let delta = view.prepare_delete_batch(&store, &batch);
+                let delta = view.prepare_delete_delta(&store, &DeltaSet::new(&batch));
                 store.remove_batch(&batch);
                 view.commit_delete_batch(&store, &delta);
             } else {
                 let added = store.insert_batch(&batch);
-                view.apply_insert_batch(&store, &added);
+                view.apply_insert_delta(&store, &DeltaSet::new(&added));
             }
             prop_assert_eq!(view.to_answers(), evaluate(&store, &q));
         }
@@ -488,14 +488,14 @@ proptest! {
         let mut batched_store = store_from(&base);
         let mut batched = MaintainedView::new(&batched_store, q.clone());
         let added = batched_store.insert_batch(&feed);
-        let bstats = batched.apply_insert_batch(&batched_store, &added);
+        let bstats = batched.apply_insert_delta(&batched_store, &DeltaSet::new(&added));
 
         let mut seq_store = store_from(&base);
         let mut seq = MaintainedView::new(&seq_store, q.clone());
         let mut pstats = rdf_engine::MaintenanceStats::default();
         for &t in &feed {
             if seq_store.insert(t) {
-                pstats.merge(seq.apply_insert(&seq_store, t));
+                pstats.merge(seq.apply_insert_delta(&seq_store, &DeltaSet::new(&[t])));
             }
         }
         prop_assert_eq!(batched.to_answers(), seq.to_answers());

@@ -34,39 +34,21 @@ use rdf_query::ConjunctiveQuery;
 use rdf_schema::{Schema, VocabIds};
 use rdfviews_core::{
     select_views_partitioned_session, select_views_session, CostWeights, Preparation,
-    ReasoningMode, Recommendation, SelectionError, SelectionOptions, StrategyKind,
+    PreparedReasoning, ReasoningMode, Recommendation, SelectionError, SelectionOptions,
+    StrategyKind,
 };
 
 use crate::exec::{Deployment, DurableDeployment};
 
-/// The advisor's dataset: borrowed for the classic read-only session, or
-/// owned for the **writable-store mode** where the session itself holds
-/// the data and hands out mutable access ([`Advisor::dataset_mut`]).
-#[derive(Debug, Clone)]
-enum AdvisorData<'a> {
-    Borrowed(&'a Dataset),
-    Owned(Box<Dataset>),
-}
-
-impl AdvisorData<'_> {
-    fn get(&self) -> &Dataset {
-        match self {
-            AdvisorData::Borrowed(db) => db,
-            AdvisorData::Owned(db) => db,
-        }
-    }
-}
-
 /// Configures and validates an [`Advisor`]. Created by
-/// [`Advisor::builder`] (borrowed dataset) or [`Advisor::builder_owned`]
-/// (writable-store mode); every setter is chainable and [`build`]
+/// [`Advisor::builder`]; every setter is chainable and [`build`]
 /// (`AdvisorBuilder::build`) performs the one-time per-database
 /// preparation.
 ///
 /// [`build`]: AdvisorBuilder::build
 #[derive(Debug, Clone)]
 pub struct AdvisorBuilder<'a> {
-    db: AdvisorData<'a>,
+    db: &'a Dataset,
     schema: Option<(&'a Schema, &'a VocabIds)>,
     options: SelectionOptions,
 }
@@ -83,12 +65,6 @@ impl<'a> AdvisorBuilder<'a> {
     /// [`ReasoningMode::Plain`]).
     pub fn reasoning(mut self, mode: ReasoningMode) -> Self {
         self.options.reasoning = mode;
-        self
-    }
-
-    /// Sets the cost weights (`cs`, `cr`, `cm`, `c1`, `c2`, `f`).
-    pub fn weights(mut self, weights: CostWeights) -> Self {
-        self.options.weights = weights;
         self
     }
 
@@ -118,14 +94,14 @@ impl<'a> AdvisorBuilder<'a> {
         self
     }
 
-    /// Sets the number of explorer threads expanding one search's state
-    /// space concurrently (default: 1, the sequential loop; 0 means one
-    /// per available core). Parallel searches visit states in a different
-    /// order but complete to the same reachable set, so a non-truncated
-    /// run reports the same best cost at any setting. Under
-    /// [`Advisor::recommend_partitioned`] the same budget also bounds the
-    /// group scheduler's worker pool, split between concurrent groups and
-    /// per-group explorers.
+    /// Sets the thread budget (default: 1, the sequential loop; 0 means
+    /// one per available core). A search expands its state space on that
+    /// many explorer threads; parallel searches visit states in a
+    /// different order but complete to the same reachable set, so a
+    /// non-truncated run reports the same best cost at any setting. Under
+    /// [`Advisor::recommend_partitioned`] the same budget sizes the group
+    /// worker pool, split between concurrent groups and per-group
+    /// explorers.
     pub fn parallelism(mut self, threads: usize) -> Self {
         self.options.search.parallelism = threads;
         self
@@ -155,14 +131,13 @@ impl<'a> AdvisorBuilder<'a> {
     /// needs a schema and none was attached.
     pub fn build(self) -> Result<Advisor<'a>, SelectionError> {
         let prep = Preparation::new(
-            self.db.get().store(),
-            self.db.get().dict(),
+            self.db.store(),
+            self.db.dict(),
             self.schema,
             self.options.reasoning,
         )?;
         Ok(Advisor {
             db: self.db,
-            schema: self.schema,
             options: self.options,
             prep,
             workload: Vec::new(),
@@ -182,80 +157,32 @@ pub enum WorkloadChange {
 
 /// A long-lived view-selection session over one database.
 ///
-/// Building the advisor prepares the per-database artifacts once; every
-/// recommendation after that reuses the cached saturated store and
-/// statistics catalog instead of recomputing them per invocation (the
-/// counters [`Advisor::stats_collections`] / [`Advisor::saturation_runs`]
-/// make the reuse observable). All fallible paths return
+/// Building the advisor prepares the per-database artifacts once — the
+/// reasoning with its own copy of the schema, the saturated store under
+/// saturation, the statistics catalog; every recommendation after that
+/// reuses them instead of recomputing them per invocation (the counters
+/// [`Advisor::stats_collections`] / [`Advisor::saturation_runs`] make
+/// the reuse observable). The session borrows its dataset, so the data
+/// cannot change underneath the preparation. All fallible paths return
 /// [`SelectionError`] — nothing in the session API panics on
-/// misconfiguration.
+/// misconfiguration or on a workload query it cannot tune (an unsafe or
+/// Cartesian-product query is [`SelectionError::UnsupportedQuery`]).
 #[derive(Debug, Clone)]
 pub struct Advisor<'a> {
-    db: AdvisorData<'a>,
-    schema: Option<(&'a Schema, &'a VocabIds)>,
+    db: &'a Dataset,
     options: SelectionOptions,
     prep: Preparation,
     workload: Vec<ConjunctiveQuery>,
 }
 
 impl<'a> Advisor<'a> {
-    /// Starts configuring an advisor for a borrowed `db` (the classic
-    /// read-only session — the borrow itself guarantees the data cannot
-    /// change underneath the preparation).
+    /// Starts configuring an advisor for `db`.
     pub fn builder(db: &'a Dataset) -> AdvisorBuilder<'a> {
         AdvisorBuilder {
-            db: AdvisorData::Borrowed(db),
+            db,
             schema: None,
             options: SelectionOptions::recommended(),
         }
-    }
-
-    /// Starts configuring an advisor that **owns** its dataset — the
-    /// writable-store mode. The session hands out mutable access through
-    /// [`Advisor::dataset_mut`]; once the store's version stamp moves past
-    /// the prepared one, every recommendation entry point returns
-    /// [`SelectionError::StaleSession`] (instead of silently computing on
-    /// stale statistics) until [`Advisor::refresh`] re-prepares.
-    pub fn builder_owned(db: Dataset) -> AdvisorBuilder<'a> {
-        AdvisorBuilder {
-            db: AdvisorData::Owned(Box::new(db)),
-            schema: None,
-            options: SelectionOptions::recommended(),
-        }
-    }
-
-    /// The database this session advises.
-    pub fn dataset(&self) -> &Dataset {
-        self.db.get()
-    }
-
-    /// Mutable access to the session's dataset — the writable-store mode
-    /// entry point, available only for advisors built with
-    /// [`Advisor::builder_owned`] (`None` for borrowed sessions). Mutating
-    /// the store makes the session stale: subsequent `recommend*` /
-    /// `deploy` calls fail with [`SelectionError::StaleSession`] until
-    /// [`Advisor::refresh`] runs.
-    pub fn dataset_mut(&mut self) -> Option<&mut Dataset> {
-        match &mut self.db {
-            AdvisorData::Borrowed(_) => None,
-            AdvisorData::Owned(db) => Some(db),
-        }
-    }
-
-    /// Whether the store has changed since the session's preparation (the
-    /// condition under which `recommend*` / `deploy` refuse to run).
-    pub fn is_stale(&self) -> bool {
-        self.prep.ensure_fresh(self.db.get().store()).is_err()
-    }
-
-    /// Re-runs the per-database preparation against the store's current
-    /// contents — the recovery path from [`SelectionError::StaleSession`]
-    /// after writable-store mutations. Saturation (or saturated
-    /// statistics) is redone once; the warm-start cache is dropped, since
-    /// its best state was optimized for data that changed.
-    pub fn refresh(&mut self) -> Result<(), SelectionError> {
-        let db = self.db.get();
-        self.prep.refresh(db.store(), db.dict(), self.schema)
     }
 
     /// The reasoning mode the session was prepared for.
@@ -273,22 +200,6 @@ impl<'a> Advisor<'a> {
     /// weight sweep reuses the whole preparation.
     pub fn set_weights(&mut self, weights: CostWeights) {
         self.options.weights = weights;
-    }
-
-    /// Changes the `cm` auto-calibration for subsequent recommendations.
-    pub fn set_calibrate_cm(&mut self, on: bool) {
-        self.options.calibrate_cm = on;
-    }
-
-    /// Changes the search strategy for subsequent recommendations.
-    pub fn set_strategy(&mut self, strategy: StrategyKind) {
-        self.options.search.strategy = strategy;
-    }
-
-    /// Changes the explorer-thread count for subsequent recommendations
-    /// (see [`AdvisorBuilder::parallelism`]).
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.options.search.parallelism = threads;
     }
 
     /// Cumulative number of atom shapes counted against the store. Flat
@@ -310,31 +221,20 @@ impl<'a> Advisor<'a> {
         &mut self,
         workload: &[ConjunctiveQuery],
     ) -> Result<Recommendation, SelectionError> {
-        select_views_session(
-            &mut self.prep,
-            self.db.get().store(),
-            self.schema,
-            workload,
-            &self.options,
-        )
+        select_views_session(&mut self.prep, self.db.store(), workload, &self.options)
     }
 
     /// Recommends views per sharing group of `workload` (Section 8's
-    /// parallelization direction), optionally on threads, still through
-    /// the session's shared catalog.
+    /// parallelization direction), still through the session's shared
+    /// catalog. The thread budget ([`AdvisorBuilder::parallelism`]) sizes
+    /// the group worker pool: groups run concurrently only when it is not
+    /// 1, and the budget left over per group becomes that group's
+    /// explorers.
     pub fn recommend_partitioned(
         &mut self,
         workload: &[ConjunctiveQuery],
-        parallel: bool,
     ) -> Result<Recommendation, SelectionError> {
-        select_views_partitioned_session(
-            &mut self.prep,
-            self.db.get().store(),
-            self.schema,
-            workload,
-            &self.options,
-            parallel,
-        )
+        select_views_partitioned_session(&mut self.prep, self.db.store(), workload, &self.options)
     }
 
     /// The session workload maintained by
@@ -376,13 +276,7 @@ impl<'a> Advisor<'a> {
         }
         let mut options = self.options.clone();
         options.warm_start = true;
-        let rec = select_views_session(
-            &mut self.prep,
-            self.db.get().store(),
-            self.schema,
-            &workload,
-            &options,
-        )?;
+        let rec = select_views_session(&mut self.prep, self.db.store(), &workload, &options)?;
         self.workload = workload;
         Ok(rec)
     }
@@ -395,26 +289,20 @@ impl<'a> Advisor<'a> {
     /// schema, keeping `insert`/`delete` entailment-aware; the
     /// reformulation modes materialize over the original store, which
     /// Theorem 4.2 makes equivalent.
-    ///
-    /// Fails with [`SelectionError::StaleSession`] when the store changed
-    /// since preparation (writable-store mode) — a deployment built then
-    /// would mix current data with a stale saturated copy and a
-    /// recommendation tuned for data that no longer exists; call
-    /// [`Advisor::refresh`] and re-recommend instead.
     pub fn deploy(&self, rec: Recommendation) -> Result<Deployment, SelectionError> {
-        let db = self.db.get();
-        self.prep.ensure_fresh(db.store())?;
-        Ok(match (self.prep.saturated_store(), self.schema) {
-            (Some(saturated), Some((schema, vocab))) => {
-                Deployment::with_entailment(db.store(), saturated, rec, schema.clone(), *vocab)
+        let store = self.db.store();
+        self.prep.ensure_fresh(store)?;
+        Ok(match self.prep.prepared() {
+            PreparedReasoning::Plain => Deployment::new(store, rec),
+            PreparedReasoning::Saturation(schema, vocab, saturated) => {
+                Deployment::with_entailment(store, saturated, rec, schema.clone(), *vocab)
             }
-            (None, Some((schema, vocab))) if self.prep.reasoning().needs_schema() => {
-                // Pre/post-reformulation: the base store is the original
-                // (unsaturated) one, so ad-hoc hybrid plans must
-                // reformulate before scanning it (Theorem 4.1).
-                Deployment::new(db.store(), rec).with_query_reformulation(schema.clone(), *vocab)
+            // The base store is the original (unsaturated) one, so ad-hoc
+            // hybrid plans must reformulate before scanning it (Theorem 4.1).
+            PreparedReasoning::PreReformulation(schema, vocab)
+            | PreparedReasoning::PostReformulation(schema, vocab) => {
+                Deployment::new(store, rec).with_query_reformulation(schema.clone(), *vocab)
             }
-            _ => Deployment::new(db.store(), rec),
         })
     }
 
@@ -430,7 +318,7 @@ impl<'a> Advisor<'a> {
         dir: &std::path::Path,
     ) -> Result<DurableDeployment, SelectionError> {
         let dep = self.deploy(rec)?;
-        DurableDeployment::create(dir, dep, self.db.get().dict().clone())
+        DurableDeployment::create(dir, dep, self.db.dict().clone())
     }
 }
 
@@ -523,65 +411,6 @@ mod tests {
             SelectionError::UnknownQuery { index: 5, len: 1 }
         );
         assert_eq!(advisor.workload().len(), 1);
-    }
-
-    #[test]
-    fn borrowed_sessions_have_no_writable_store() {
-        let db = db();
-        let mut advisor = Advisor::builder(&db).build().unwrap();
-        assert!(advisor.dataset_mut().is_none());
-        assert!(!advisor.is_stale());
-    }
-
-    #[test]
-    fn writable_store_stales_every_entry_point_until_refresh() {
-        let mut db = db();
-        let q = parse_query("q(X) :- t(X, <p>, <o1>), t(X, <q>, <c>)", db.dict_mut())
-            .unwrap()
-            .query;
-        let mut advisor = Advisor::builder_owned(db).build().unwrap();
-        let rec = advisor.recommend(std::slice::from_ref(&q)).unwrap();
-        assert!(!advisor.is_stale());
-
-        // Writable-store mode: mutate the owned dataset.
-        let writable = advisor.dataset_mut().expect("owned session is writable");
-        let s = writable.dict_mut().intern_uri("late");
-        let p = writable.dict().lookup_uri("p").unwrap();
-        let o1 = writable.dict().lookup_uri("o1").unwrap();
-        writable.store_mut().insert([s, p, o1]);
-        assert!(advisor.is_stale());
-
-        let stale = |e: &SelectionError| matches!(e, SelectionError::StaleSession { .. });
-        assert!(stale(
-            &advisor.recommend(std::slice::from_ref(&q)).unwrap_err()
-        ));
-        assert!(stale(
-            &advisor
-                .recommend_partitioned(std::slice::from_ref(&q), false)
-                .unwrap_err()
-        ));
-        assert!(stale(
-            &advisor
-                .recommend_incremental(WorkloadChange::Add(q.clone()))
-                .unwrap_err()
-        ));
-        assert!(
-            advisor.workload().is_empty(),
-            "failed incremental change must roll back"
-        );
-        assert!(stale(&advisor.deploy(rec).unwrap_err()));
-
-        // refresh() re-prepares against the mutated store; everything
-        // works again and sees the new triple.
-        advisor.refresh().unwrap();
-        assert!(!advisor.is_stale());
-        let rec = advisor.recommend(std::slice::from_ref(&q)).unwrap();
-        let deployment = advisor.deploy(rec).unwrap();
-        let direct = rdf_engine::evaluate(
-            advisor.dataset().store(),
-            &deployment.recommendation().workload[0],
-        );
-        assert_eq!(deployment.snapshot().answer(0).unwrap(), direct);
     }
 
     #[test]

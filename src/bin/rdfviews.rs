@@ -39,11 +39,13 @@
 //!   --strict-budget                  fail instead of returning a partial
 //!                                    result when the budget runs out
 //!   --partition                      search independent workload groups
-//!                                    in parallel (one shared session)
-//!   --threads <n>                    explorer threads per search
-//!                                    (default: 1; 0 = one per core);
-//!                                    with --partition the budget is split
-//!                                    across the group scheduler
+//!                                    separately (one shared session);
+//!                                    they run concurrently only when
+//!                                    --threads is not 1
+//!   --threads <n>                    thread budget (default: 1; 0 = one
+//!                                    per core): explorer threads per
+//!                                    search, or with --partition the
+//!                                    group pool times its explorers
 //!   --materialize                    also deploy and report view sizes
 //! ```
 //!
@@ -391,7 +393,7 @@ fn main() -> ExitCode {
         }
     };
     let result = if args.partition {
-        advisor.recommend_partitioned(&workload, true)
+        advisor.recommend_partitioned(&workload)
     } else {
         advisor.recommend(&workload)
     };

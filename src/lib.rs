@@ -184,7 +184,7 @@
 //!   accumulate memory — re-pin via [`SnapshotReader`](exec::SnapshotReader)
 //!   when you want the latest data.
 //!
-//! ## Maintenance quickstart: batched updates and writable stores
+//! ## Maintenance quickstart: batched updates
 //!
 //! Update feeds go through [`Deployment::insert_batch`] /
 //! [`Deployment::delete_batch`] (exec::Deployment): the whole batch
@@ -198,14 +198,9 @@
 //! one-pass contract is observable; per-triple `insert`/`delete` are thin
 //! delegates over singleton batches.
 //!
-//! When the data must change while a session lives, build the advisor in
-//! **writable-store mode** ([`Advisor::builder_owned`](advisor::Advisor::builder_owned)):
-//! the session owns its [`Dataset`](model::Dataset) and hands out mutable
-//! access. The store is version-stamped; once it moves past the prepared
-//! version, every `recommend*` / `deploy` call fails with
-//! [`SelectionError::StaleSession`](core::SelectionError::StaleSession) —
-//! never a silently stale answer — until
-//! [`Advisor::refresh`](advisor::Advisor::refresh) re-prepares:
+//! The advisor session borrows its dataset, so the data cannot change
+//! underneath its preparation; the deployment owns its own copy of the
+//! store and is what absorbs the updates:
 //!
 //! ```
 //! use rdfviews::prelude::*;
@@ -216,35 +211,31 @@
 //! #   db.insert_terms(Term::uri(format!("s{i}")), Term::uri("q"), Term::uri("c"));
 //! # }
 //! let q = parse_query("q(X) :- t(X, <p>, <o1>), t(X, <q>, <c>)", db.dict_mut()).unwrap();
+//! let s = db.dict_mut().intern_uri("fresh");
 //! let p = db.dict().lookup_uri("p").unwrap();
 //! let qq = db.dict().lookup_uri("q").unwrap();
 //! let o1 = db.dict().lookup_uri("o1").unwrap();
 //! let c = db.dict().lookup_uri("c").unwrap();
-//! let workload = vec![q.query];
 //!
-//! let mut advisor = Advisor::builder_owned(db).build()?;
-//! let rec = advisor.recommend(&workload)?;
+//! let mut advisor = Advisor::builder(&db).build()?;
+//! let rec = advisor.recommend(&[q.query])?;
 //! let mut deployment = advisor.deploy(rec)?;
 //!
 //! // A 2-triple feed: one maintenance pass, not two.
-//! let s = advisor.dataset_mut().unwrap().dict_mut().intern_uri("fresh");
 //! let stats = deployment.insert_batch(&[[s, p, o1], [s, qq, c]]);
 //! assert_eq!(stats.batches, 1);
-//!
-//! // Writable-store mode: mutating the advisor's dataset stales the
-//! // session until refresh() re-prepares.
-//! advisor.dataset_mut().unwrap().store_mut().insert([s, p, o1]);
-//! assert!(advisor.is_stale());
-//! advisor.refresh()?;
-//! let _rec = advisor.recommend(&workload)?; // fresh again
+//! assert_eq!(deployment.snapshot().answer(0)?.len(), 6);
 //! # Ok::<(), rdfviews::core::SelectionError>(())
 //! ```
 //!
 //! With reasoning, the builder carries the schema and mode; `build`
 //! saturates (or derives saturated statistics) once for the whole session.
-//! `.parallelism(n)` runs each search with `n` explorer threads (work
-//! stealing over a shared frontier; `0` = one per core) — parallel runs
-//! visit states in a different order but report the same best cost:
+//! `.parallelism(n)` is the session's one thread budget (`0` = one per
+//! core): `recommend` runs each search with `n` explorer threads (work
+//! stealing over a shared frontier), and `recommend_partitioned` runs
+//! `min(n, groups)` sharing groups at once, each with the budget left
+//! over per group as its explorers. Parallel runs visit states in a
+//! different order but report the same best cost:
 //!
 //! ```no_run
 //! # use rdfviews::prelude::*;
@@ -260,6 +251,7 @@
 //!     .budget(std::time::Duration::from_secs(10))
 //!     .build()?;
 //! let rec = advisor.recommend(&workload)?;
+//! let per_group = advisor.recommend_partitioned(&workload)?;
 //! # Ok::<(), rdfviews::core::SelectionError>(())
 //! ```
 //!
@@ -340,7 +332,15 @@
 //! | removed or old form | replacement |
 //! |---------------------|-------------|
 //! | `select_views(store, dict, schema, w, opts)` | `Advisor::builder(&db).schema(..).options(opts).build()?` then `advisor.recommend(&w)?`, or the one-shot `try_select_views(..)?` |
-//! | `select_views_partitioned(store, dict, schema, w, opts, par)` | `advisor.recommend_partitioned(&w, par)?`, or the one-shot `try_select_views_partitioned(..)?` |
+//! | `select_views_partitioned(store, dict, schema, w, opts, par)` | `advisor.recommend_partitioned(&w)?`, or the one-shot `try_select_views_partitioned(store, dict, schema, &w, &opts)?` |
+//! | `recommend_partitioned(&w, parallel)`, `try_select_views_partitioned(.., parallel)`, `select_views_partitioned_session(.., parallel)` | the same call without `parallel`: `options.search.parallelism` (`AdvisorBuilder::parallelism`) is the one thread budget; groups run concurrently when it is not 1, on `min(budget, groups)` workers with `max(budget / workers, 1)` explorers each. The old `parallel = true` with a budget of 1 (one worker per core) is now `parallelism(0)` |
+//! | `select_views_session(prep, store, schema, w, opts)`, `select_views_partitioned_session(prep, store, schema, ..)`, `prep.extend(store, schema, qs)` | the same call without `schema`: the [`Preparation`](core::Preparation) holds its own copy since `Preparation::new(store, dict, schema, mode)`, the one place `SchemaRequired` is checked; `extend` returns the count directly |
+//! | `prep.saturated_store()` | `match prep.prepared()`: [`PreparedReasoning::Saturation`](core::PreparedReasoning::Saturation)`(schema, vocab, saturated)` |
+//! | `search_session(prep, schema, effective, branch_of, opts)` | none public: call `select_views_session`, which minimizes, checks and tops up the catalog first |
+//! | `Advisor::builder_owned(db)`, `dataset()`, `dataset_mut()`, `is_stale()`, `refresh()`; `Preparation::refresh(..)`, `has_warm_start()` | none: the session borrows its dataset (`Advisor::builder(&db)`). To advise changed data, build a new advisor (or `Preparation::new`); a deployment takes updates through `insert_batch` / `delete_batch` |
+//! | `advisor.set_calibrate_cm(on)`, `set_strategy(s)`, `set_parallelism(n)`; `AdvisorBuilder::weights(w)` | the builder's `calibrate_cm` / `strategy` / `parallelism`, or `.options(opts)`; `advisor.set_weights(w)` after build |
+//! | a Cartesian-product or unsafe workload query panicking inside the search (`SearchPanicked` under partitioning) | `Err(SelectionError::UnsupportedQuery { reason })` before the search starts; a query that minimization makes connected is accepted |
+//! | `MaintainedView::apply_insert(t)`, `apply_insert_batch(&b)`, `prepare_delete(t)`, `prepare_delete_batch(&b)`, `commit_delete(&d)` | build one `DeltaSet::new(&b)` (a singleton slice for one triple) and call `apply_insert_delta` / `prepare_delete_delta`, then `commit_delete_batch` |
 //! | `exec::answer_original_query(&rec, &mv, i)`, `exec::try_answer_original_query(&rec, &mv, i)` | `Deployment::new(store, rec).snapshot().answer(i)?` |
 //! | `exec::materialize_recommendation(store, &rec)` | `advisor.deploy(rec)?` (a [`Deployment`](exec::Deployment)) |
 //! | `exec::answer_query(&state, &mv, i)` | `deployment.snapshot().answer(i)?` (per-branch access stays available) |

@@ -141,7 +141,7 @@ fn empty_workload_is_err() {
         SelectionError::EmptyWorkload
     );
     assert_eq!(
-        advisor.recommend_partitioned(&[], true).unwrap_err(),
+        advisor.recommend_partitioned(&[]).unwrap_err(),
         SelectionError::EmptyWorkload
     );
 }
@@ -161,6 +161,68 @@ fn strict_budget_is_err() {
         advisor.recommend(&[q]).unwrap_err(),
         SelectionError::BudgetExhausted { .. }
     ));
+}
+
+fn query(db: &mut Dataset, text: &str) -> ConjunctiveQuery {
+    parse_query(text, db.dict_mut()).unwrap().query
+}
+
+fn assert_unsupported(err: SelectionError, needle: &str) {
+    match err {
+        SelectionError::UnsupportedQuery { reason } => {
+            assert!(reason.contains(needle), "reason: {reason}");
+        }
+        other => panic!("expected UnsupportedQuery, got {other:?}"),
+    }
+}
+
+/// A workload query with a Cartesian product is refused as
+/// `UnsupportedQuery` by every entry point before any search starts,
+/// instead of panicking inside it; a query that minimization makes
+/// connected is still tuned.
+#[test]
+fn cartesian_query_is_unsupported_not_a_panic() {
+    let mut db = painter_db();
+    let good = query(&mut db, "q(X) :- t(X, <p>, <o1>), t(X, <q>, <c>)");
+    let bad = query(&mut db, "qbad(X, A) :- t(X, <u1>, Y), t(A, <u2>, B)");
+    // Y folds onto X under minimization: connected.
+    let folds = query(&mut db, "qf(X) :- t(X, <p>, <o1>), t(Y, <p>, <o1>)");
+    let workload = vec![good.clone(), bad.clone()];
+    let opts = SelectionOptions::recommended();
+    let cartesian = "workload query 1 contains a Cartesian product";
+
+    let mut advisor = Advisor::builder(&db).build().unwrap();
+    assert_unsupported(advisor.recommend(&workload).unwrap_err(), cartesian);
+    assert_unsupported(
+        advisor.recommend_partitioned(&workload).unwrap_err(),
+        cartesian,
+    );
+    advisor
+        .recommend_incremental(WorkloadChange::Add(good))
+        .unwrap();
+    let err = advisor
+        .recommend_incremental(WorkloadChange::Add(bad))
+        .unwrap_err();
+    assert_unsupported(err, cartesian);
+    assert_eq!(advisor.workload().len(), 1, "the failed change rolls back");
+    let err = try_select_views(db.store(), db.dict(), None, &workload, &opts).unwrap_err();
+    assert_unsupported(err, cartesian);
+    let rec = advisor.recommend(&[folds]).unwrap();
+    assert_eq!(rec.workload[0].atoms.len(), 1);
+
+    // Under pre-reformulation every branch is checked.
+    let (mut db, schema, vocab) = museum_db();
+    let bad = query(
+        &mut db,
+        "qb(X, A) :- t(X, rdf:type, picture), t(A, isLocatIn, B)",
+    );
+    let mut advisor = Advisor::builder(&db)
+        .schema(&schema, &vocab)
+        .reasoning(ReasoningMode::PreReformulation)
+        .build()
+        .unwrap();
+    let err = advisor.recommend(&[bad]).unwrap_err();
+    assert_unsupported(err, "a reformulation of workload query 0");
 }
 
 /// Partitioned recommendation through the session answers the whole
@@ -187,28 +249,27 @@ fn partitioned_through_session() {
             .unwrap()
             .query,
     ];
-    let mut advisor = Advisor::builder(&db).calibrate_cm(false).build().unwrap();
-    for parallel in [false, true] {
-        let rec = advisor.recommend_partitioned(&queries, parallel).unwrap();
+    for parallelism in [1, 2] {
+        let mut advisor = Advisor::builder(&db)
+            .calibrate_cm(false)
+            .parallelism(parallelism)
+            .build()
+            .unwrap();
+        let rec = advisor.recommend_partitioned(&queries).unwrap();
         assert_eq!(rec.branch_of.len(), 3);
-        let joint = try_select_views_partitioned(
-            db.store(),
-            db.dict(),
-            None,
-            &queries,
-            &SelectionOptions {
-                calibrate_cm: false,
-                ..Default::default()
-            },
-            parallel,
-        )
-        .unwrap();
+        let mut opts = SelectionOptions {
+            calibrate_cm: false,
+            ..Default::default()
+        };
+        opts.search.parallelism = parallelism;
+        let joint =
+            try_select_views_partitioned(db.store(), db.dict(), None, &queries, &opts).unwrap();
         assert_eq!(rec.outcome.best_cost, joint.outcome.best_cost);
+        // Second run: catalog fully warm.
+        let collected = advisor.stats_collections();
+        advisor.recommend_partitioned(&queries).unwrap();
+        assert_eq!(advisor.stats_collections(), collected);
     }
-    // Third run: catalog fully warm.
-    let collected = advisor.stats_collections();
-    advisor.recommend_partitioned(&queries, true).unwrap();
-    assert_eq!(advisor.stats_collections(), collected);
 }
 
 /// Deployments answer from the views alone and absorb inserts + deletes.
@@ -273,6 +334,41 @@ fn deployment_under_saturation_keeps_implicit_answers() {
             truth,
             "{mode:?} deployment must include implicit answers"
         );
+    }
+}
+
+/// `deploy` follows the prepared reasoning: an ad-hoc query no view
+/// covers reads the saturated base store under saturation, is
+/// reformulated over the original store under either reformulation mode,
+/// and sees only explicit triples in plain mode.
+#[test]
+fn adhoc_answers_follow_the_prepared_reasoning() {
+    let (mut db, schema, vocab) = museum_db();
+    let tuned = query(&mut db, "q(X) :- t(X, isLocatIn, museum0)");
+    let adhoc = query(&mut db, "a(X) :- t(X, rdf:type, picture)");
+    let saturated = rdfviews::schema::saturated_copy(db.store(), &schema, &vocab);
+    let (implicit, explicit) = (evaluate(&saturated, &adhoc), evaluate(db.store(), &adhoc));
+    assert!(implicit.len() > explicit.len());
+    for mode in [
+        ReasoningMode::Plain,
+        ReasoningMode::Saturation,
+        ReasoningMode::PreReformulation,
+        ReasoningMode::PostReformulation,
+    ] {
+        let mut advisor = Advisor::builder(&db)
+            .schema(&schema, &vocab)
+            .reasoning(mode)
+            .build()
+            .unwrap();
+        let rec = advisor.recommend(std::slice::from_ref(&tuned)).unwrap();
+        let snapshot = advisor.deploy(rec).unwrap().snapshot();
+        assert!(!snapshot.plan(&adhoc).unwrap().is_views_only(), "{mode:?}");
+        let want = if mode == ReasoningMode::Plain {
+            &explicit
+        } else {
+            &implicit
+        };
+        assert_eq!(&snapshot.answer_adhoc(&adhoc).unwrap(), want, "{mode:?}");
     }
 }
 

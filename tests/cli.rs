@@ -9,6 +9,10 @@
 //!   a usage error, and the usage text does not offer it.
 //! * **Theorem 4.2** — `--materialize` reports the same view totals under
 //!   saturation and post-reformulation, implicit rows included.
+//! * **One thread budget** — `--partition` prints the same best cost and
+//!   views at `--threads 1` (groups one after another) and `--threads 2`.
+//! * **No panics** — a Cartesian-product workload query exits 1 with an
+//!   `error:` line, not 101 with a panic.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -129,4 +133,41 @@ fn materialized_totals_agree_between_saturation_and_post_reformulation() {
         saturated.starts_with("# deployed: 2 views, 4 rows, 6 cells"),
         "{saturated}"
     );
+}
+
+#[test]
+fn partitioned_search_agrees_at_one_and_two_threads() {
+    let fixture = Fixture::new("partition");
+    let tuned = |threads: &str| {
+        let out = fixture.run(&[], &["--partition", "--threads", threads]);
+        let stdout = stdout_of(&out);
+        let mut kept = lines_with(&stdout, "# best cost");
+        kept.extend(lines_with(&stdout, "v"));
+        kept.iter().map(|l| l.to_string()).collect::<Vec<_>>()
+    };
+    let one = tuned("1");
+    assert_eq!(one.len(), 3, "a best cost and one view per group: {one:?}");
+    assert_eq!(one, tuned("2"));
+}
+
+#[test]
+fn cartesian_workload_query_is_an_error_not_a_panic() {
+    let fixture = Fixture::new("cartesian");
+    std::fs::write(
+        fixture.file("workload.rq"),
+        "qbad(X, A) :- t(X, <p>, Y), t(A, <q>, B)\n",
+    )
+    .unwrap();
+    for partition in [&[][..], &["--partition", "--threads", "2"][..]] {
+        let out = fixture.run(&[], partition);
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+        assert!(
+            stderr.contains(
+                "error: unsupported query: workload query 0 contains a Cartesian product"
+            ),
+            "stderr:\n{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    }
 }

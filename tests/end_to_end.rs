@@ -136,14 +136,15 @@ fn partitioned_selection_returns_complete_answers() {
     let data = generate_barton(&BartonSpec::tiny());
     let workload = generate_satisfiable(&data.db, &SatisfiableSpec::new(4, 3, Shape::Mixed));
     let saturated = saturated_copy(data.db.store(), &data.schema, &data.vocab);
-    for parallel in [false, true] {
+    for parallelism in [1, 2] {
+        let mut opts = options(ReasoningMode::PostReformulation);
+        opts.search.parallelism = parallelism;
         let rec = rdfviews::core::try_select_views_partitioned(
             data.db.store(),
             data.db.dict(),
             Some((&data.schema, &data.vocab)),
             &workload,
-            &options(ReasoningMode::PostReformulation),
-            parallel,
+            &opts,
         )
         .unwrap();
         rec.outcome.best_state.check_invariants().unwrap();
@@ -153,7 +154,7 @@ fn partitioned_selection_returns_complete_answers() {
             assert_eq!(
                 snap.answer(qi).unwrap(),
                 truth,
-                "parallel={parallel}, query {qi}"
+                "parallelism={parallelism}, query {qi}"
             );
         }
     }

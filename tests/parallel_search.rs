@@ -1,6 +1,6 @@
 //! Parallel search core: result determinism across explorer-thread
 //! counts, the cross-thread counter invariant, the bounded group
-//! scheduler's panic capture, and warm-started incremental search.
+//! scheduler's thread budget, and warm-started incremental search.
 //!
 //! The contract under test: exploration *order* changes with the thread
 //! count, but the reachable state set of a completed run does not — so
@@ -188,43 +188,39 @@ fn bounded_scheduler_matches_unbounded_results() {
     let (db, queries) = multi_group_db();
     let mut opts = SelectionOptions::recommended();
     let sequential =
-        try_select_views_partitioned(db.store(), db.dict(), None, &queries, &opts, false).unwrap();
+        try_select_views_partitioned(db.store(), db.dict(), None, &queries, &opts).unwrap();
     // A 2-thread budget over 4 groups: pool of 2, largest-first.
     opts.search.parallelism = 2;
     let bounded =
-        try_select_views_partitioned(db.store(), db.dict(), None, &queries, &opts, true).unwrap();
+        try_select_views_partitioned(db.store(), db.dict(), None, &queries, &opts).unwrap();
     assert_eq!(sequential.outcome.best_cost, bounded.outcome.best_cost);
     assert_eq!(sequential.branch_of, bounded.branch_of);
     assert_eq!(sequential.views.len(), bounded.views.len());
 }
 
 #[test]
-fn group_search_panic_is_captured_not_fatal() {
-    // A Cartesian-product query makes `State::initial` panic inside the
-    // group search. The scheduler must surface that as a SelectionError
-    // instead of taking the process (and every other group) down.
+fn cartesian_group_is_rejected_before_the_search() {
+    // A Cartesian-product query is refused as `UnsupportedQuery` before
+    // any group search starts, at every thread budget. (That a group
+    // search which does panic is captured per group, the other groups
+    // finishing, is tested on the scheduler in `partition.rs`.)
     let (mut db, mut queries) = multi_group_db();
     queries.push(
         parse_query("qbad(X, A) :- t(X, <u1>, Y), t(A, <u2>, B)", db.dict_mut())
             .unwrap()
             .query,
     );
-    for parallel in [false, true] {
+    for parallelism in [1, 2] {
+        let mut opts = SelectionOptions::recommended();
+        opts.search.parallelism = parallelism;
         let mut prep = Preparation::new(db.store(), db.dict(), None, ReasoningMode::Plain).unwrap();
-        let err = select_views_partitioned_session(
-            &mut prep,
-            db.store(),
-            None,
-            &queries,
-            &SelectionOptions::recommended(),
-            parallel,
-        )
-        .unwrap_err();
+        let err =
+            select_views_partitioned_session(&mut prep, db.store(), &queries, &opts).unwrap_err();
         match err {
-            SelectionError::SearchPanicked { detail } => {
-                assert!(detail.contains("Cartesian"), "detail: {detail}");
+            SelectionError::UnsupportedQuery { reason } => {
+                assert!(reason.contains("Cartesian"), "reason: {reason}");
             }
-            other => panic!("expected SearchPanicked, got {other:?}"),
+            other => panic!("expected UnsupportedQuery, got {other:?}"),
         }
     }
 }
