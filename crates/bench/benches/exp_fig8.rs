@@ -19,7 +19,8 @@
 use std::time::{Duration, Instant};
 
 use rdfviews::core::{
-    try_select_views, ReasoningMode, SearchConfig, SelectionError, SelectionOptions,
+    try_select_views, PreparedReasoning, ReasoningMode, SearchConfig, SelectionError,
+    SelectionOptions,
 };
 use rdfviews::engine::{evaluate, oracle};
 use rdfviews::exec::Deployment;
@@ -88,7 +89,7 @@ fn main() -> Result<(), SelectionError> {
         &rb.q1,
         &opts(ReasoningMode::PostReformulation),
     )?;
-    let post = Deployment::new(rb.data.db.store(), rec_post).snapshot();
+    let post = Deployment::new(rb.data.db.store(), rec_post, &PreparedReasoning::Plain).snapshot();
     let mv_post = post.tables();
     println!(
         "post-reformulation: {} views / {} cells materialized in {:.2}s ({:.1}% of base)",
@@ -105,7 +106,7 @@ fn main() -> Result<(), SelectionError> {
         &rb.q1,
         &opts(ReasoningMode::PreReformulation),
     )?;
-    let pre = Deployment::new(rb.data.db.store(), rec_pre).snapshot();
+    let pre = Deployment::new(rb.data.db.store(), rec_pre, &PreparedReasoning::Plain).snapshot();
     let mv_pre = pre.tables();
     println!(
         "pre-reformulation : {} views / {} cells materialized in {:.2}s ({:.1}% of base)",
@@ -132,7 +133,7 @@ fn main() -> Result<(), SelectionError> {
             ..Default::default()
         },
     )?;
-    let init = Deployment::new(rb.data.db.store(), rec_init).snapshot();
+    let init = Deployment::new(rb.data.db.store(), rec_init, &PreparedReasoning::Plain).snapshot();
 
     println!();
     let table = Table::new(

@@ -71,17 +71,6 @@ pub enum SelectionError {
     /// produced it. Plans bind the view ids of their own deployment;
     /// running them elsewhere could silently read the wrong view tables.
     ForeignPlan,
-    /// The store handed to a prepared session changed after its
-    /// statistics were prepared (its version stamp moved), so running
-    /// against the cached preparation would silently compute on stale
-    /// statistics. Prepare a new session against the current store and
-    /// retry.
-    StaleSession {
-        /// The store version the session was prepared against.
-        prepared: u64,
-        /// The store's current version.
-        current: u64,
-    },
     /// An operating-system I/O failure on a durability path (snapshot
     /// write, WAL append, recovery read). The OS error travels as a string
     /// so the type stays `Clone + PartialEq`.
@@ -144,11 +133,6 @@ impl std::fmt::Display for SelectionError {
                 f,
                 "the query plan was produced by a different deployment; re-plan on this one"
             ),
-            SelectionError::StaleSession { prepared, current } => write!(
-                f,
-                "session was prepared at store version {prepared} but the store is now at \
-                 {current}; prepare a new session before recommending"
-            ),
             SelectionError::Io { context, message } => {
                 write!(f, "i/o failure while {context}: {message}")
             }
@@ -189,16 +173,6 @@ mod tests {
         assert!(e.to_string().contains("Saturation"));
         let e = SelectionError::UnknownQuery { index: 4, len: 2 };
         assert!(e.to_string().contains('4'));
-    }
-
-    #[test]
-    fn stale_session_displays_both_versions() {
-        let e = SelectionError::StaleSession {
-            prepared: 3,
-            current: 9,
-        };
-        let msg = e.to_string();
-        assert!(msg.contains('3') && msg.contains('9'));
     }
 
     #[test]

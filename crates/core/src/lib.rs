@@ -82,9 +82,7 @@ pub use pipeline::{
     select_views_session, try_select_views, Preparation, PreparedReasoning, ReasoningMode,
     Recommendation, SelectionOptions,
 };
-pub use rewrite::{
-    base_plan, rewrite_best, rewrite_hybrid, rewrite_views_only, unfold_plan, PlanAtom, RewritePlan,
-};
+pub use rewrite::{base_plan, rewrite_best, unfold_plan, PlanAtom, RewritePlan};
 pub use search::{search, SearchConfig, SearchOutcome, SearchStats, StrategyKind};
 pub use state::{RewAtom, Rewriting, State, View, ViewId};
 pub use transitions::Transition;

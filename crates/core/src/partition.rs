@@ -95,19 +95,18 @@ pub fn partition_workload(queries: &[ConjunctiveQuery]) -> Vec<Vec<usize>> {
 /// `best_state` holds every group's views and rewritings, with
 /// `branch_of` mapping each rewriting back to its original query index.
 pub fn select_views_partitioned_session(
-    prep: &mut Preparation,
-    store: &TripleStore,
+    prep: &mut Preparation<'_>,
     workload: &[ConjunctiveQuery],
     options: &SelectionOptions,
 ) -> Result<Recommendation, SelectionError> {
-    check_session(prep, store, workload, options)?;
+    check_session(prep, workload, options)?;
     let groups = partition_workload(workload);
     // Phase 1, sequential: effective workloads and catalog top-up.
     let mut jobs: Vec<GroupJob> = Vec::with_capacity(groups.len());
     for group in &groups {
         let queries = group.iter().map(|&i| (i, &workload[i]));
         let (effective, branch_of) = effective_workload(prep.prepared(), queries)?;
-        prep.extend(store, &effective);
+        prep.extend(&effective);
         jobs.push((effective, branch_of));
     }
     // Phase 2: group searches, read-only on the shared session.
@@ -125,7 +124,7 @@ type GroupJob = (Vec<ConjunctiveQuery>, Vec<usize>);
 /// group first, each with `max(budget / pool, 1)` explorers, capturing
 /// per-group panics. Results come back in group order.
 fn run_group_scheduler(
-    prep: &Preparation,
+    prep: &Preparation<'_>,
     jobs: Vec<GroupJob>,
     options: &SelectionOptions,
 ) -> Vec<Result<Recommendation, SelectionError>> {
@@ -169,7 +168,7 @@ pub fn try_select_views_partitioned(
     options: &SelectionOptions,
 ) -> Result<Recommendation, SelectionError> {
     let mut prep = Preparation::new(store, dict, schema, options.reasoning)?;
-    select_views_partitioned_session(&mut prep, store, workload, options)
+    select_views_partitioned_session(&mut prep, workload, options)
 }
 
 /// Merges per-group recommendations, in group order, into one. An empty
@@ -355,13 +354,12 @@ mod tests {
         .unwrap();
         for parallelism in [1, 2] {
             opts.search.parallelism = parallelism;
-            let rec =
-                select_views_partitioned_session(&mut prep, db.store(), &queries, &opts).unwrap();
+            let rec = select_views_partitioned_session(&mut prep, &queries, &opts).unwrap();
             assert_eq!(rec.branch_of.len(), 2);
         }
         let collected = prep.stats_collections();
         // A third run over the same workload must not count anything new.
-        select_views_partitioned_session(&mut prep, db.store(), &queries, &opts).unwrap();
+        select_views_partitioned_session(&mut prep, &queries, &opts).unwrap();
         assert_eq!(prep.stats_collections(), collected);
     }
 
@@ -424,7 +422,7 @@ mod tests {
             (vec![q1], vec![2]),
         ];
         for (effective, _) in &jobs {
-            prep.extend(db.store(), effective);
+            prep.extend(effective);
         }
         for parallelism in [1, 2] {
             let mut opts = SelectionOptions::recommended();

@@ -140,19 +140,20 @@ impl PreparedReasoning {
 /// store entirely. The counters ([`Preparation::stats_collections`],
 /// [`Preparation::saturation_runs`]) exist so callers — and tests — can
 /// verify that reuse actually happens.
+///
+/// A preparation borrows the store it was prepared from for its whole
+/// life. The borrow rules out the two ways its cached statistics could
+/// go stale: the store cannot change while the session exists, and no
+/// session call can count atoms against a different store.
 #[derive(Debug, Clone)]
-pub struct Preparation {
+pub struct Preparation<'s> {
+    store: &'s TripleStore,
     reasoning: PreparedReasoning,
     // Shared copy-on-write with the `Recommendation`s handed out:
     // `extend` only deep-clones when a recommendation still holds the
     // previous snapshot.
     catalog: Arc<StatsCatalog>,
     stats_collections: usize,
-    // The store's version stamp at preparation time. Session entry points
-    // compare it against the store they are handed: a mismatch means the
-    // data changed underneath the cached statistics and surfaces as
-    // `SelectionError::StaleSession` instead of a silently-stale result.
-    store_version: u64,
     // The last session search's effective workload and best state — the
     // warm-start cache consumed by `SelectionOptions::warm_start` searches
     // over ±1-query workload deltas.
@@ -167,7 +168,7 @@ struct WarmStart {
     best: State,
 }
 
-impl Preparation {
+impl<'s> Preparation<'s> {
     /// Runs the per-database preparation for `mode`: saturates the store
     /// (saturation mode), derives the saturated statistics without
     /// saturating (post-reformulation), or records plain store-level
@@ -176,7 +177,7 @@ impl Preparation {
     /// Returns [`SelectionError::SchemaRequired`] when `mode` needs a
     /// schema and none is given — the only place that check is made.
     pub fn new(
-        store: &TripleStore,
+        store: &'s TripleStore,
         dict: &Dictionary,
         schema: Option<(&Schema, &VocabIds)>,
         mode: ReasoningMode,
@@ -210,10 +211,10 @@ impl Preparation {
             }
         };
         Ok(Self {
+            store,
             reasoning,
             catalog: Arc::new(catalog),
             stats_collections: 0,
-            store_version: store.version(),
             warm: None,
         })
     }
@@ -227,26 +228,6 @@ impl Preparation {
     /// saturation, the cached saturated copy of the store.
     pub fn prepared(&self) -> &PreparedReasoning {
         &self.reasoning
-    }
-
-    /// The store version this session was prepared against.
-    pub fn store_version(&self) -> u64 {
-        self.store_version
-    }
-
-    /// Checks that `store` has not changed since preparation. Returns
-    /// [`SelectionError::StaleSession`] when the version stamps differ —
-    /// the cached catalog (and saturated copy) would describe data that no
-    /// longer exists. Every session entry point calls this; a stale
-    /// session recovers by preparing a new one.
-    pub fn ensure_fresh(&self, store: &TripleStore) -> Result<(), SelectionError> {
-        if store.version() != self.store_version {
-            return Err(SelectionError::StaleSession {
-                prepared: self.store_version,
-                current: store.version(),
-            });
-        }
-        Ok(())
     }
 
     /// The statistics catalog accumulated so far.
@@ -269,8 +250,9 @@ impl Preparation {
     }
 
     /// Tops up the catalog with the counts for `queries` that it does not
-    /// record yet; returns how many atom shapes were newly counted.
-    pub fn extend(&mut self, store: &TripleStore, queries: &[ConjunctiveQuery]) -> usize {
+    /// record yet, counted against the prepared store (or its saturated
+    /// copy); returns how many atom shapes were newly counted.
+    pub fn extend(&mut self, queries: &[ConjunctiveQuery]) -> usize {
         // Check coverage first: the common warm-session case must not
         // deep-clone a catalog that recommendations still share.
         if rdf_stats::stats_cover(&self.catalog, queries) {
@@ -279,13 +261,13 @@ impl Preparation {
         let catalog = Arc::make_mut(&mut self.catalog);
         let added = match &self.reasoning {
             PreparedReasoning::Plain | PreparedReasoning::PreReformulation(..) => {
-                rdf_stats::extend_stats(catalog, store, queries)
+                rdf_stats::extend_stats(catalog, self.store, queries)
             }
             PreparedReasoning::Saturation(_, _, saturated) => {
                 rdf_stats::extend_stats(catalog, saturated, queries)
             }
             PreparedReasoning::PostReformulation(schema, vocab) => {
-                rdf_stats::extend_stats_post_reform(catalog, store, queries, schema, vocab)
+                rdf_stats::extend_stats_post_reform(catalog, self.store, queries, schema, vocab)
             }
         };
         self.stats_collections += added;
@@ -421,7 +403,7 @@ fn check_supported(q: &ConjunctiveQuery, what: &str, qi: usize) -> Result<(), Se
 /// result. Read-only on the [`Preparation`], so partitioned selection can
 /// run group searches in parallel against one shared session.
 pub(crate) fn search_session(
-    prep: &Preparation,
+    prep: &Preparation<'_>,
     effective: Vec<ConjunctiveQuery>,
     branch_of: Vec<usize>,
     options: &SelectionOptions,
@@ -466,11 +448,10 @@ pub(crate) fn search_session(
     })
 }
 
-/// Checks that a session call may run: a non-empty workload, the mode the
-/// session was prepared for, and a store unchanged since preparation.
+/// Checks that a session call may run: a non-empty workload and the mode
+/// the session was prepared for.
 pub(crate) fn check_session(
-    prep: &Preparation,
-    store: &TripleStore,
+    prep: &Preparation<'_>,
     workload: &[ConjunctiveQuery],
     options: &SelectionOptions,
 ) -> Result<(), SelectionError> {
@@ -483,20 +464,19 @@ pub(crate) fn check_session(
             requested: options.reasoning,
         });
     }
-    prep.ensure_fresh(store)
+    Ok(())
 }
 
 /// Runs view selection through a prepared session, reusing its cached
 /// saturated store and statistics catalog.
 pub fn select_views_session(
-    prep: &mut Preparation,
-    store: &TripleStore,
+    prep: &mut Preparation<'_>,
     workload: &[ConjunctiveQuery],
     options: &SelectionOptions,
 ) -> Result<Recommendation, SelectionError> {
-    check_session(prep, store, workload, options)?;
+    check_session(prep, workload, options)?;
     let (effective, branch_of) = effective_workload(&prep.reasoning, workload.iter().enumerate())?;
-    prep.extend(store, &effective);
+    prep.extend(&effective);
     let rec = search_session(prep, effective, branch_of, options)?;
     // Prime the warm-start cache: the next ±1-delta workload can seed its
     // frontier from this best state instead of searching cold.
@@ -520,7 +500,7 @@ pub fn try_select_views(
     options: &SelectionOptions,
 ) -> Result<Recommendation, SelectionError> {
     let mut prep = Preparation::new(store, dict, schema, options.reasoning)?;
-    select_views_session(&mut prep, store, workload, options)
+    select_views_session(&mut prep, workload, options)
 }
 
 #[cfg(test)]
@@ -723,10 +703,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(prep.saturation_runs(), 1);
-        let first = select_views_session(&mut prep, db.store(), &queries, &options).unwrap();
+        let first = select_views_session(&mut prep, &queries, &options).unwrap();
         let collected = prep.stats_collections();
         assert!(collected > 0, "first run must count atoms");
-        let second = select_views_session(&mut prep, db.store(), &queries, &options).unwrap();
+        let second = select_views_session(&mut prep, &queries, &options).unwrap();
         assert_eq!(
             prep.stats_collections(),
             collected,
@@ -741,31 +721,39 @@ mod tests {
     }
 
     #[test]
-    fn mutated_store_stales_the_session_until_reprepared() {
-        let (mut db, _schema, _vocab) = museum_db();
-        let queries = workload(&mut db);
-        let options = SelectionOptions::recommended();
-        let mut prep = Preparation::new(db.store(), db.dict(), None, ReasoningMode::Plain).unwrap();
-        let prepared = prep.store_version();
-        select_views_session(&mut prep, db.store(), &queries, &options).unwrap();
-
-        // Any store mutation — insert, batch, removal — moves the version.
-        let x = db.dict_mut().intern_uri("late-arrival");
-        db.store_mut().insert([x, x, x]);
-        let err = select_views_session(&mut prep, db.store(), &queries, &options).unwrap_err();
-        assert_eq!(
-            err,
-            SelectionError::StaleSession {
-                prepared,
-                current: db.store().version(),
-            }
-        );
-
-        // A new preparation against the current contents works again and
-        // records the new store version.
-        let mut prep = Preparation::new(db.store(), db.dict(), None, ReasoningMode::Plain).unwrap();
-        assert_eq!(prep.store_version(), db.store().version());
-        select_views_session(&mut prep, db.store(), &queries, &options).unwrap();
+    fn extend_counts_against_the_prepared_store() {
+        // A new atom shape is counted once, against the store the session
+        // borrows: its explicit triples under plain and pre-reformulation,
+        // its saturated ones under saturation and post-reformulation.
+        let (mut db, schema, vocab) = museum_db();
+        let pictures = workload(&mut db)[0].clone();
+        let picture = db.dict().lookup_uri("picture").unwrap();
+        let count = |store: &TripleStore| {
+            let typed = |t: &&[rdf_model::Id; 3]| t[1] == vocab.rdf_type && t[2] == picture;
+            store.triples().iter().filter(typed).count() as u64
+        };
+        let explicit = count(db.store());
+        let implicit = count(&saturated_copy(db.store(), &schema, &vocab));
+        assert!(explicit < implicit);
+        for (mode, want) in [
+            (ReasoningMode::Plain, explicit),
+            (ReasoningMode::Saturation, implicit),
+            (ReasoningMode::PreReformulation, explicit),
+            (ReasoningMode::PostReformulation, implicit),
+        ] {
+            let mut prep =
+                Preparation::new(db.store(), db.dict(), Some((&schema, &vocab)), mode).unwrap();
+            let added = prep.extend(std::slice::from_ref(&pictures));
+            assert!(added > 0, "{mode:?}");
+            let typed_pictures = &pictures.atoms[0];
+            assert_eq!(
+                prep.catalog().atom_count(typed_pictures),
+                Some(want),
+                "{mode:?}"
+            );
+            assert_eq!(prep.extend(std::slice::from_ref(&pictures)), 0, "{mode:?}");
+            assert_eq!(prep.stats_collections(), added, "{mode:?}");
+        }
     }
 
     #[test]
@@ -775,7 +763,6 @@ mod tests {
         let mut prep = Preparation::new(db.store(), db.dict(), None, ReasoningMode::Plain).unwrap();
         let err = select_views_session(
             &mut prep,
-            db.store(),
             &queries,
             &SelectionOptions {
                 reasoning: ReasoningMode::Saturation,

@@ -441,17 +441,9 @@ fn cover_search(
     None
 }
 
-/// Computes a complete views-only rewriting of `q` over `views`, verified
-/// equivalent ([`unfold_plan`] + Chandra–Merlin), or `None` when the cover
-/// search finds none. `q` should be minimized and normalized.
-pub fn rewrite_views_only(q: &ConjunctiveQuery, views: &[View]) -> Option<RewritePlan> {
-    if q.atoms.is_empty() || q.atoms.len() > MAX_QUERY_ATOMS {
-        return None;
-    }
-    let cands = candidates(q, views);
-    views_only_from(q, views, &cands)
-}
-
+/// A complete views-only rewriting of `q` over an existing candidate set,
+/// verified equivalent ([`unfold_plan`] + Chandra–Merlin), or `None` when
+/// the cover search finds none.
 fn views_only_from(
     q: &ConjunctiveQuery,
     views: &[View],
@@ -494,9 +486,8 @@ fn views_only_from(
 /// cross-product-free) and base-store scans for the rest. Always succeeds;
 /// the worst case is the all-base plan. `q` should be minimized and
 /// normalized. Check [`RewritePlan::is_views_only`] to tell the outcomes
-/// apart — this is the entry point for callers that would otherwise run
-/// [`rewrite_views_only`] and fall back (which would repeat the whole
-/// candidate enumeration and cover search).
+/// apart: the one candidate enumeration serves both the cover search and
+/// the fallback.
 pub fn rewrite_best(q: &ConjunctiveQuery, views: &[View]) -> RewritePlan {
     if q.atoms.is_empty() || q.atoms.len() > MAX_QUERY_ATOMS {
         return base_plan(q);
@@ -506,13 +497,6 @@ pub fn rewrite_best(q: &ConjunctiveQuery, views: &[View]) -> RewritePlan {
         return plan;
     }
     hybrid_from(q, views, &cands)
-}
-
-/// Computes the best hybrid plan for `q` — a thin alias of
-/// [`rewrite_best`], kept for call sites that read better with the
-/// "hybrid" name.
-pub fn rewrite_hybrid(q: &ConjunctiveQuery, views: &[View]) -> RewritePlan {
-    rewrite_best(q, views)
 }
 
 /// The greedy hybrid assembly over an existing candidate set.
@@ -562,7 +546,7 @@ mod tests {
         let mut dict = Dictionary::new();
         let views = views_of(&[q(&mut dict, "v(X, Y) :- t(X, <p>, Y)")]);
         let adhoc = minimize(&q(&mut dict, "a(X) :- t(X, <p>, <o1>)")).normalized();
-        let plan = rewrite_views_only(&adhoc, &views).expect("coverable");
+        let plan = rewrite_best(&adhoc, &views);
         assert!(plan.is_views_only());
         assert_eq!(plan.atoms.len(), 1);
         assert!(equivalent(&unfold_plan(&views, &plan), &adhoc));
@@ -576,7 +560,7 @@ mod tests {
             q(&mut dict, "v2(X, Y) :- t(X, <q>, Y)"),
         ]);
         let adhoc = minimize(&q(&mut dict, "a(X) :- t(X, <p>, <o1>), t(X, <q>, <c>)")).normalized();
-        let plan = rewrite_views_only(&adhoc, &views).expect("coverable");
+        let plan = rewrite_best(&adhoc, &views);
         assert!(plan.is_views_only());
         assert_eq!(plan.views_used().len(), 2);
         assert!(equivalent(&unfold_plan(&views, &plan), &adhoc));
@@ -597,12 +581,13 @@ mod tests {
             "a(X, Z) :- t(X, <isParentOf>, Y), t(Y, <hasPainted>, Z)",
         ))
         .normalized();
-        let plan = rewrite_views_only(&chain, &views).expect("the view is the query");
-        assert!(plan.is_views_only());
+        let plan = rewrite_best(&chain, &views);
+        assert!(plan.is_views_only(), "the view is the query");
 
         let first_hop = minimize(&q(&mut dict, "a(X, Y) :- t(X, <isParentOf>, Y)")).normalized();
+        let plan = rewrite_best(&first_hop, &views);
         assert!(
-            rewrite_views_only(&first_hop, &views).is_none(),
+            !plan.is_views_only() && plan.view_atoms() == 0,
             "the joined view must not pretend to answer the bare first hop"
         );
     }
@@ -612,8 +597,8 @@ mod tests {
         let mut dict = Dictionary::new();
         let views = views_of(&[q(&mut dict, "v(X, Y) :- t(X, <p>, Y)")]);
         let adhoc = minimize(&q(&mut dict, "a(X) :- t(X, <p>, Y), t(Y, <r>, <c>)")).normalized();
-        assert!(rewrite_views_only(&adhoc, &views).is_none());
-        let plan = rewrite_hybrid(&adhoc, &views);
+        let plan = rewrite_best(&adhoc, &views);
+        assert!(!plan.is_views_only());
         assert_eq!(plan.view_atoms(), 1);
         assert_eq!(plan.residual_atoms(), 1);
         assert!(equivalent(&unfold_plan(&views, &plan), &adhoc));
@@ -627,8 +612,8 @@ mod tests {
         // atom would lose the join with the second.
         let views = views_of(&[q(&mut dict, "v(X) :- t(X, <p>, Y)")]);
         let adhoc = minimize(&q(&mut dict, "a(X) :- t(X, <p>, Y), t(Y, <q>, <c>)")).normalized();
-        assert!(rewrite_views_only(&adhoc, &views).is_none());
-        let plan = rewrite_hybrid(&adhoc, &views);
+        let plan = rewrite_best(&adhoc, &views);
+        assert!(!plan.is_views_only());
         // The sound hybrid keeps BOTH atoms on the base store — scanning
         // v for atom 1 cannot restore the join on Y.
         assert_eq!(plan.residual_atoms(), 2);
@@ -640,8 +625,8 @@ mod tests {
         let mut dict = Dictionary::new();
         let views = views_of(&[q(&mut dict, "v() :- t(X, <p>, Y)")]);
         let adhoc = minimize(&q(&mut dict, "a() :- t(X, <p>, Y)")).normalized();
-        let plan = rewrite_views_only(&adhoc, &views).expect("boolean cover");
-        assert!(plan.is_views_only());
+        let plan = rewrite_best(&adhoc, &views);
+        assert!(plan.is_views_only(), "boolean cover");
         assert!(equivalent(&unfold_plan(&views, &plan), &adhoc));
     }
 

@@ -457,12 +457,6 @@ impl State {
         classes
     }
 
-    /// Total atoms across views — a size proxy used in experiment reports
-    /// ("DFS-AVF-STV resulted in views with 3.2 atoms on average").
-    pub fn total_view_atoms(&self) -> usize {
-        self.views.values().map(|v| v.len()).sum()
-    }
-
     /// Re-assembles a state for a changed workload from a previous best
     /// state — the warm-start seed for ±1-query workload deltas.
     ///

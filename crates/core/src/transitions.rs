@@ -20,7 +20,7 @@
 //! VB\* SC\* JC\* VF\* (Theorem 5.2) — the property the search strategies
 //! exploit. Both are exercised by this crate's tests.
 
-use rdf_model::{FxHashMap, FxHashSet, Id};
+use rdf_model::{FxHashMap, FxHashSet};
 use rdf_query::canonical::body_isomorphism;
 use rdf_query::graph::{JoinGraph, Occurrence};
 use rdf_query::{Atom, QTerm, Var};
@@ -634,12 +634,6 @@ fn rewire(
 }
 
 use crate::state::Rewriting;
-
-/// A constant handle used in tests.
-#[allow(dead_code)]
-fn _cid(i: u32) -> Id {
-    Id(i)
-}
 
 #[cfg(test)]
 mod tests {

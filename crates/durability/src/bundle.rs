@@ -105,16 +105,6 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<(u32, Vec<u8>)>> {
     Ok(sections)
 }
 
-/// The trailer hash of an encoded bundle, without full validation.
-pub fn trailer_hash(bytes: &[u8]) -> Result<u128> {
-    if bytes.len() < 16 {
-        return Err(DurabilityError::corrupt("bundle too short for trailer"));
-    }
-    let mut want = [0u8; 16];
-    want.copy_from_slice(&bytes[bytes.len() - 16..]);
-    Ok(u128::from_le_bytes(want))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,6 +1,6 @@
 //! Filesystem helpers with crash-safe semantics.
 
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, File};
 use std::io::Write;
 use std::path::Path;
 
@@ -54,15 +54,6 @@ pub fn read_file(path: &Path) -> Result<Vec<u8>> {
 pub fn ensure_dir(path: &Path) -> Result<()> {
     fs::create_dir_all(path)
         .map_err(|e| DurabilityError::io(format!("creating directory {}", path.display()), e))
-}
-
-/// Opens a file for appending, creating it if needed.
-pub fn open_append(path: &Path) -> Result<File> {
-    OpenOptions::new()
-        .append(true)
-        .create(true)
-        .open(path)
-        .map_err(|e| DurabilityError::io(format!("opening {} for append", path.display()), e))
 }
 
 #[cfg(test)]

@@ -170,11 +170,6 @@ impl MaintainedView {
         self.rows.is_empty()
     }
 
-    /// Snapshot as a [`ViewTable`]: one copy of the buffer, no sort.
-    pub fn to_table(&self) -> ViewTable {
-        ViewTable::from_answers(self.def.head.len(), self.to_answers())
-    }
-
     /// Snapshot as sorted [`Answers`].
     pub fn to_answers(&self) -> Answers {
         self.rows.clone()

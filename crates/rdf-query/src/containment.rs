@@ -130,24 +130,6 @@ pub fn equivalent(a: &ConjunctiveQuery, b: &ConjunctiveQuery) -> bool {
     is_contained_in(a, b) && is_contained_in(b, a)
 }
 
-/// `q ⊑ ∪ᵢ bᵢ`: a conjunctive query is contained in a union iff it is
-/// contained in one disjunct (Sagiv–Yannakakis; CQs have no unions in
-/// their bodies, so no cross-disjunct reasoning is needed).
-pub fn cq_contained_in_union(q: &ConjunctiveQuery, union: &crate::ucq::UnionQuery) -> bool {
-    union.branches().iter().any(|b| is_contained_in(q, b))
-}
-
-/// `∪ᵢ aᵢ ⊑ ∪ⱼ bⱼ`: every branch of the left union is contained in some
-/// branch of the right one.
-pub fn union_contained_in(a: &crate::ucq::UnionQuery, b: &crate::ucq::UnionQuery) -> bool {
-    a.branches().iter().all(|qa| cq_contained_in_union(qa, b))
-}
-
-/// Equivalence of unions of conjunctive queries.
-pub fn union_equivalent(a: &crate::ucq::UnionQuery, b: &crate::ucq::UnionQuery) -> bool {
-    union_contained_in(a, b) && union_contained_in(b, a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,38 +212,6 @@ mod tests {
         let q1 = ConjunctiveQuery::new(vec![v(0)], vec![Atom::new(Var(0), Id(1), Var(1))]);
         let q2 = ConjunctiveQuery::new(vec![v(0), v(1)], vec![Atom::new(Var(0), Id(1), Var(1))]);
         assert!(!is_contained_in(&q1, &q2));
-    }
-
-    #[test]
-    fn union_containment_branchwise() {
-        use crate::ucq::UnionQuery;
-        let qa = ConjunctiveQuery::new(vec![v(0)], vec![Atom::new(Var(0), Id(1), Id(7))]);
-        let qb = ConjunctiveQuery::new(vec![v(0)], vec![Atom::new(Var(0), Id(2), Id(8))]);
-        let q_gen = ConjunctiveQuery::new(vec![v(0)], vec![Atom::new(Var(0), Id(1), Var(1))]);
-        let mut u_small = UnionQuery::new();
-        u_small.push(qa.clone());
-        let mut u_big = UnionQuery::new();
-        u_big.push(q_gen.clone());
-        u_big.push(qb.clone());
-        // qa ⊑ q_gen, hence u_small ⊑ u_big; not conversely (qb matches
-        // nothing in u_small).
-        assert!(cq_contained_in_union(&qa, &u_big));
-        assert!(union_contained_in(&u_small, &u_big));
-        assert!(!union_contained_in(&u_big, &u_small));
-        assert!(!union_equivalent(&u_small, &u_big));
-        assert!(union_equivalent(&u_big, &u_big));
-    }
-
-    #[test]
-    fn union_equivalence_modulo_redundant_branch() {
-        use crate::ucq::UnionQuery;
-        let q_gen = ConjunctiveQuery::new(vec![v(0)], vec![Atom::new(Var(0), Id(1), Var(1))]);
-        let q_spec = ConjunctiveQuery::new(vec![v(0)], vec![Atom::new(Var(0), Id(1), Id(9))]);
-        let mut with_redundant = UnionQuery::new();
-        with_redundant.push(q_gen.clone());
-        with_redundant.push(q_spec); // subsumed by q_gen
-        let just_general = UnionQuery::singleton(q_gen);
-        assert!(union_equivalent(&with_redundant, &just_general));
     }
 
     #[test]

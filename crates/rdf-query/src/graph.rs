@@ -246,15 +246,6 @@ impl JoinGraph {
             forbidden.remove(&u);
         }
     }
-
-    /// Connected subsets of the induced subgraph on `nodes`.
-    pub fn connected_subsets_within(&self, nodes: &[usize]) -> Vec<Vec<usize>> {
-        let in_set: FxHashSet<usize> = nodes.iter().copied().collect();
-        self.connected_subsets()
-            .into_iter()
-            .filter(|s| s.iter().all(|x| in_set.contains(x)))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -150,11 +150,6 @@ impl Schema {
         self.classes.len()
     }
 
-    /// Number of properties.
-    pub fn property_count(&self) -> usize {
-        self.properties.len()
-    }
-
     /// Direct subclasses `c1` with `c1 ⊑ c ∈ S`.
     pub fn direct_sub_classes(&self, c: Id) -> &[Id] {
         self.sub_classes_of.get(&c).map_or(&[], Vec::as_slice)
@@ -208,11 +203,6 @@ impl Schema {
     /// Transitive (non-reflexive) superproperty closure of `p`.
     pub fn super_property_closure(&self, p: Id) -> Vec<Id> {
         closure(p, |x| self.direct_super_properties(x))
-    }
-
-    /// Transitive (non-reflexive) subproperty closure of `p`.
-    pub fn sub_property_closure(&self, p: Id) -> Vec<Id> {
-        closure(p, |x| self.direct_sub_properties(x))
     }
 
     /// Extracts the schema encoded in a dataset's triples (statements using

@@ -134,12 +134,6 @@ impl StatsCatalog {
         self.counts.insert(key, count);
     }
 
-    /// Overrides the dataset size (post-reformulation uses the saturated
-    /// size derived from the all-variable atom count).
-    pub fn set_dataset_size(&mut self, size: u64) {
-        self.dataset_size = size;
-    }
-
     /// The exact count recorded for this atom, if collected.
     pub fn atom_count(&self, atom: &Atom) -> Option<u64> {
         self.counts.get(&AtomKey::of(atom)).copied()

@@ -16,7 +16,7 @@
 //! counted **exactly** by the collector, so the estimator must not apply
 //! selectivities for them again — the [`RelAtom::baked`] flag captures this.
 
-use rdf_model::{FxHashMap, Id};
+use rdf_model::FxHashMap;
 use rdf_query::{Atom, ConjunctiveQuery, QTerm, Var};
 
 use crate::catalog::StatsCatalog;
@@ -219,30 +219,13 @@ impl<'a> CardinalityEstimator<'a> {
             .map(|role| self.cat.avg_width(role))
             .collect()
     }
-
-    /// Estimated storage footprint of a view in bytes:
-    /// `|v|ǫ × Σ column widths` (Section 3.3's VSO term for one view).
-    pub fn view_bytes(&self, view: &ConjunctiveQuery) -> f64 {
-        let w: f64 = self.head_widths(view).iter().sum();
-        self.cq_card(view) * w
-    }
-
-    /// Per-column distinct count helper.
-    pub fn column_distinct(&self, col: usize) -> f64 {
-        (self.cat.distinct(col) as f64).max(1.0)
-    }
-}
-
-/// Convenience used in tests: id shorthand.
-#[allow(dead_code)]
-fn _id(i: u32) -> Id {
-    Id(i)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::collector::collect_stats;
+    use rdf_model::Id;
     use rdf_model::{Dataset, Term};
     use rdf_query::parser::parse_query;
 
@@ -326,7 +309,6 @@ mod tests {
         let w = est.head_widths(&q.query);
         // Y is an object (city names, 5 chars); X a subject (~8 chars).
         assert!(w[0] < w[1]);
-        assert!(est.view_bytes(&q.query) > 0.0);
     }
 
     #[test]

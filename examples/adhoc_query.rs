@@ -75,7 +75,7 @@ fn main() -> Result<(), SelectionError> {
         workload.len(),
         rec.rcr()
     );
-    let deployment = advisor.deploy(rec)?;
+    let deployment = advisor.deploy(rec);
     let snapshot = deployment.snapshot();
 
     // -- 3. Ad-hoc query #1: fully view-covered. ---------------------------

@@ -85,7 +85,7 @@ fn main() -> Result<(), SelectionError> {
         let rec = advisor.recommend(&workload)?;
         let view_count = rec.views.len();
         let rcr = rec.rcr();
-        let snapshot = advisor.deploy(rec)?.snapshot();
+        let snapshot = advisor.deploy(rec).snapshot();
         let answers = snapshot.answer(0)?;
         println!(
             "{mode:?}: {} views, {} rows materialized, rcr {:.2}, answers {}",

@@ -48,7 +48,7 @@ fn main() -> Result<(), SelectionError> {
     );
 
     let started = Instant::now();
-    let client = advisor.deploy(rec)?;
+    let client = advisor.deploy(rec);
     let served = client.snapshot();
     println!(
         "deployed {} views / {} rows in {:.2}s — this is ALL the client needs",

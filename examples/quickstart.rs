@@ -67,7 +67,7 @@ fn main() -> Result<(), SelectionError> {
     println!("\n(second recommend() reused all {collected} cached atom counts)");
 
     // -- 4. Deploy: materialize and answer the workload offline. ---------
-    let deployment = advisor.deploy(rec)?;
+    let deployment = advisor.deploy(rec);
     let snapshot = deployment.snapshot();
     println!("\n== deployment ==");
     println!(

@@ -29,7 +29,7 @@ fn main() -> Result<(), SelectionError> {
     println!("selected {} views (rcr {:.3})", rec.views.len(), rec.rcr());
 
     // -- 2. Deploy twice: one batched, one per-triple control. ------------
-    let mut deployment = advisor.deploy(rec)?;
+    let mut deployment = advisor.deploy(rec);
     let mut per_triple = deployment.clone();
     let initial_rows = deployment.snapshot().tables().total_rows();
     println!(

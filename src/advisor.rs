@@ -21,7 +21,7 @@
 //!
 //! let mut advisor = Advisor::builder(&db).build().unwrap();
 //! let rec = advisor.recommend(&[q.query]).unwrap();
-//! let deployment = advisor.deploy(rec).unwrap();
+//! let deployment = advisor.deploy(rec);
 //! let answers = deployment.snapshot().answer(0).unwrap();
 //! assert_eq!(answers, rdfviews::engine::evaluate(db.store(), &deployment.recommendation().workload[0]));
 //! ```
@@ -34,8 +34,7 @@ use rdf_query::ConjunctiveQuery;
 use rdf_schema::{Schema, VocabIds};
 use rdfviews_core::{
     select_views_partitioned_session, select_views_session, CostWeights, Preparation,
-    PreparedReasoning, ReasoningMode, Recommendation, SelectionError, SelectionOptions,
-    StrategyKind,
+    ReasoningMode, Recommendation, SelectionError, SelectionOptions, StrategyKind,
 };
 
 use crate::exec::{Deployment, DurableDeployment};
@@ -171,7 +170,7 @@ pub enum WorkloadChange {
 pub struct Advisor<'a> {
     db: &'a Dataset,
     options: SelectionOptions,
-    prep: Preparation,
+    prep: Preparation<'a>,
     workload: Vec<ConjunctiveQuery>,
 }
 
@@ -221,7 +220,7 @@ impl<'a> Advisor<'a> {
         &mut self,
         workload: &[ConjunctiveQuery],
     ) -> Result<Recommendation, SelectionError> {
-        select_views_session(&mut self.prep, self.db.store(), workload, &self.options)
+        select_views_session(&mut self.prep, workload, &self.options)
     }
 
     /// Recommends views per sharing group of `workload` (Section 8's
@@ -234,7 +233,7 @@ impl<'a> Advisor<'a> {
         &mut self,
         workload: &[ConjunctiveQuery],
     ) -> Result<Recommendation, SelectionError> {
-        select_views_partitioned_session(&mut self.prep, self.db.store(), workload, &self.options)
+        select_views_partitioned_session(&mut self.prep, workload, &self.options)
     }
 
     /// The session workload maintained by
@@ -276,34 +275,22 @@ impl<'a> Advisor<'a> {
         }
         let mut options = self.options.clone();
         options.warm_start = true;
-        let rec = select_views_session(&mut self.prep, self.db.store(), &workload, &options)?;
+        let rec = select_views_session(&mut self.prep, &workload, &options)?;
         self.workload = workload;
         Ok(rec)
     }
 
     /// Bundles a recommendation with its materialized views and a
-    /// maintenance base copy of the store — see [`Deployment`].
+    /// maintenance base copy of the store under the session's prepared
+    /// reasoning — see [`Deployment::new`].
     ///
     /// In [`ReasoningMode::Saturation`] the views materialize over the
     /// session's cached saturated copy and the deployment carries the
     /// schema, keeping `insert`/`delete` entailment-aware; the
     /// reformulation modes materialize over the original store, which
     /// Theorem 4.2 makes equivalent.
-    pub fn deploy(&self, rec: Recommendation) -> Result<Deployment, SelectionError> {
-        let store = self.db.store();
-        self.prep.ensure_fresh(store)?;
-        Ok(match self.prep.prepared() {
-            PreparedReasoning::Plain => Deployment::new(store, rec),
-            PreparedReasoning::Saturation(schema, vocab, saturated) => {
-                Deployment::with_entailment(store, saturated, rec, schema.clone(), *vocab)
-            }
-            // The base store is the original (unsaturated) one, so ad-hoc
-            // hybrid plans must reformulate before scanning it (Theorem 4.1).
-            PreparedReasoning::PreReformulation(schema, vocab)
-            | PreparedReasoning::PostReformulation(schema, vocab) => {
-                Deployment::new(store, rec).with_query_reformulation(schema.clone(), *vocab)
-            }
-        })
+    pub fn deploy(&self, rec: Recommendation) -> Deployment {
+        Deployment::new(self.db.store(), rec, self.prep.prepared())
     }
 
     /// [`Advisor::deploy`] plus durability: the deployment is persisted
@@ -317,8 +304,7 @@ impl<'a> Advisor<'a> {
         rec: Recommendation,
         dir: &std::path::Path,
     ) -> Result<DurableDeployment, SelectionError> {
-        let dep = self.deploy(rec)?;
-        DurableDeployment::create(dir, dep, self.db.dict().clone())
+        DurableDeployment::create(dir, self.deploy(rec), self.db.dict().clone())
     }
 }
 

@@ -459,13 +459,7 @@ fn main() -> ExitCode {
     }
 
     if args.query_mode {
-        let deployment = match advisor.deploy(rec) {
-            Ok(dep) => dep,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let deployment = advisor.deploy(rec);
         println!(
             "#\n# deployed {} views; answering {} ad-hoc queries (policy: {:?})",
             deployment.view_count(),
@@ -529,13 +523,7 @@ fn main() -> ExitCode {
     }
 
     if args.materialize {
-        let deployment = match advisor.deploy(rec) {
-            Ok(dep) => dep,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let deployment = advisor.deploy(rec);
         let snapshot = deployment.snapshot();
         let (rows, cells) = (
             snapshot.tables().total_rows(),

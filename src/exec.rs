@@ -29,7 +29,7 @@ use rdf_reform::{reformulate_with_limit, ReformLimit};
 use rdf_schema::{entailed_delta, retracted_delta, Schema, VocabIds};
 use rdf_stats::{estimate_conjunction, CardinalityEstimator, RelAtom};
 use rdfviews_core::rewrite::{self, PlanAtom, RewritePlan};
-use rdfviews_core::{Recommendation, SelectionError, State, ViewId};
+use rdfviews_core::{PreparedReasoning, Recommendation, SelectionError, State, ViewId};
 
 #[path = "exec_persist.rs"]
 mod persist;
@@ -276,16 +276,6 @@ impl DeployedView {
     }
 }
 
-/// The entailment context of a saturation-mode deployment: the schema,
-/// and the explicit (unsaturated) triples from which the maintained base
-/// store is re-derivable.
-#[derive(Debug, Clone)]
-struct EntailmentBase {
-    schema: Schema,
-    vocab: VocabIds,
-    explicit: TripleStore,
-}
-
 /// A deployed recommendation — the writer handle: the views materialized,
 /// a maintenance base copy of the store, and the machinery to keep the
 /// views consistent while absorbing updates.
@@ -319,7 +309,12 @@ pub struct Deployment {
     ctx: Arc<PlanCtx>,
     store: TripleStore,
     views: Vec<DeployedView>,
-    entailment: Option<EntailmentBase>,
+    /// How implicit triples are served: under saturation the schema and
+    /// the explicit (unsaturated) triples from which `store` is
+    /// re-derivable, so writes stay entailment-aware; under pre/post
+    /// reformulation the schema that ad-hoc plans reformulate with (the
+    /// planning context holds the same pair, derived from this value).
+    reasoning: PreparedReasoning,
     /// The published read generation, swapped whole under a light
     /// `RwLock`: readers clone the `Arc` (one read-lock acquisition per
     /// pin) and then run wait-free; the writer publishes by one
@@ -336,7 +331,7 @@ impl Clone for Deployment {
             ctx: Arc::clone(&self.ctx),
             store: self.store.clone(),
             views: self.views.clone(),
-            entailment: self.entailment.clone(),
+            reasoning: self.reasoning.clone(),
             // A fresh generation slot: the two deployments diverge from
             // here, so the clone must publish to its own readers only.
             current: Arc::new(RwLock::new(self.current_generation())),
@@ -349,13 +344,14 @@ impl Clone for Deployment {
 /// [`SnapshotReader`]: planning reads only view definitions and the
 /// recommendation's static statistics catalog, so one context serves all
 /// generations.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PlanCtx {
     rec: Recommendation,
-    /// The schema for ad-hoc query reformulation — set on deployments of
-    /// pre/post-reformulation recommendations, whose base store is the
-    /// *original* (unsaturated) one: hybrid plans reformulate the query so
-    /// that base-store scans stay entailment-complete (Theorem 4.1).
+    /// The schema for ad-hoc query reformulation, taken from the
+    /// deployment's reasoning under pre/post reformulation, whose base
+    /// store is the *original* (unsaturated) one: hybrid plans reformulate
+    /// the query so that base-store scans stay entailment-complete
+    /// (Theorem 4.1).
     /// Saturation-mode deployments need none (their base store is
     /// saturated); neither do views-only plans in any mode (the view
     /// tables already hold the saturated extensions, Theorem 4.2).
@@ -614,10 +610,33 @@ fn execute_plan(
 }
 
 impl Deployment {
-    /// Materializes `rec`'s views over `store` and snapshots the store as
-    /// the maintenance base. (The facade's `Advisor::deploy` calls this.)
-    pub fn new(store: &TripleStore, rec: Recommendation) -> Self {
-        let store = store.clone();
+    /// Materializes `rec`'s views under the reasoning of the session that
+    /// recommended them, with `store` the data it was prepared from (the
+    /// facade's `Advisor::deploy` calls this):
+    ///
+    /// * [`PreparedReasoning::Plain`] materializes over `store` and keeps a
+    ///   copy of it as the maintenance base;
+    /// * [`PreparedReasoning::Saturation`] materializes over the session's
+    ///   saturated copy, which becomes the maintenance base, and keeps
+    ///   `store` as the explicit triples, so `insert`/`delete` stay
+    ///   entailment-aware;
+    /// * [`PreparedReasoning::PreReformulation`] and
+    ///   [`PreparedReasoning::PostReformulation`] materialize over `store`
+    ///   (Theorem 4.2 makes that equivalent) and reformulate ad-hoc
+    ///   queries, so hybrid plans' base-store scans stay
+    ///   entailment-complete (Theorem 4.1).
+    ///
+    /// This is the only constructor, and the deployment keeps the
+    /// reasoning as one value: a deployment that both maintains
+    /// entailments and reformulates queries cannot be built.
+    pub fn new(store: &TripleStore, rec: Recommendation, reasoning: &PreparedReasoning) -> Self {
+        let (store, reasoning) = match reasoning {
+            PreparedReasoning::Saturation(schema, vocab, saturated) => (
+                saturated.clone(),
+                PreparedReasoning::Saturation(schema.clone(), *vocab, store.clone()),
+            ),
+            other => (store.clone(), other.clone()),
+        };
         let views: Vec<DeployedView> = rec
             .views
             .iter()
@@ -635,10 +654,10 @@ impl Deployment {
         let id = DEPLOYMENT_IDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let generation = Generation::assemble(&store, &views);
         Self {
-            ctx: Arc::new(PlanCtx::new(rec, None, id, id)),
+            ctx: Arc::new(PlanCtx::new(rec, &reasoning, id, id)),
             store,
             views,
-            entailment: None,
+            reasoning,
             current: Arc::new(RwLock::new(Arc::new(generation))),
         }
     }
@@ -648,39 +667,6 @@ impl Deployment {
     /// traced back to the tuning session that produced it.
     pub fn lineage(&self) -> u64 {
         self.ctx.lineage
-    }
-
-    /// Attaches a schema for **ad-hoc query** reformulation — used by
-    /// `Advisor::deploy` for pre/post-reformulation recommendations, whose
-    /// base store is the original (unsaturated) one. Hybrid/base-fallback
-    /// plans then reformulate the query per Theorem 4.1 so base-store
-    /// scans remain entailment-complete; without it, residual base scans
-    /// on such a deployment would silently miss implicit triples.
-    pub fn with_query_reformulation(mut self, schema: Schema, vocab: VocabIds) -> Self {
-        // Builder-time only: no snapshots or readers exist yet, so the
-        // context `Arc` is unshared and `make_mut` mutates in place.
-        Arc::make_mut(&mut self.ctx).reform = Some((schema, vocab));
-        self
-    }
-
-    /// Materializes `rec`'s views over the `saturated` store and keeps the
-    /// `explicit` store plus the schema so that updates remain
-    /// entailment-aware (the saturation-mode deployment; `Advisor::deploy`
-    /// picks this automatically).
-    pub fn with_entailment(
-        explicit: &TripleStore,
-        saturated: &TripleStore,
-        rec: Recommendation,
-        schema: Schema,
-        vocab: VocabIds,
-    ) -> Self {
-        let mut dep = Self::new(saturated, rec);
-        dep.entailment = Some(EntailmentBase {
-            schema,
-            vocab,
-            explicit: explicit.clone(),
-        });
-        dep
     }
 
     /// The recommendation this deployment serves.
@@ -759,11 +745,16 @@ impl Deployment {
 impl PlanCtx {
     fn new(
         rec: Recommendation,
-        reform: Option<(Schema, VocabIds)>,
+        reasoning: &PreparedReasoning,
         deployment_id: u64,
         lineage: u64,
     ) -> Self {
         let workload_plans = vec![OnceLock::new(); rec.original_query_count()];
+        let reform = match reasoning {
+            PreparedReasoning::PreReformulation(schema, vocab)
+            | PreparedReasoning::PostReformulation(schema, vocab) => Some((schema.clone(), *vocab)),
+            PreparedReasoning::Plain | PreparedReasoning::Saturation(..) => None,
+        };
         Self {
             rec,
             reform,
@@ -1001,18 +992,12 @@ impl Deployment {
     /// reached the delta joins.
     pub fn delete_batch(&mut self, batch: &[Triple]) -> MaintenanceStats {
         let mut total = MaintenanceStats::default();
-        let doomed: Vec<Triple> = match &mut self.entailment {
-            Some(ent) => {
-                let removed = ent.explicit.remove_batch(batch);
-                retracted_delta(
-                    &ent.explicit,
-                    &self.store,
-                    &removed,
-                    &ent.schema,
-                    &ent.vocab,
-                )
+        let doomed: Vec<Triple> = match &mut self.reasoning {
+            PreparedReasoning::Saturation(schema, vocab, explicit) => {
+                let removed = explicit.remove_batch(batch);
+                retracted_delta(explicit, &self.store, &removed, schema, vocab)
             }
-            None => {
+            _ => {
                 let mut present = batch.to_vec();
                 present.sort_unstable();
                 present.dedup();
@@ -1067,19 +1052,19 @@ impl Deployment {
     /// batch is a no-op.
     pub fn insert_batch(&mut self, batch: &[Triple]) -> MaintenanceStats {
         let mut total = MaintenanceStats::default();
-        let added: Vec<Triple> = match &mut self.entailment {
-            Some(ent) => {
+        let added: Vec<Triple> = match &mut self.reasoning {
+            PreparedReasoning::Saturation(schema, vocab, explicit) => {
                 // What the base store gains: the newly explicit triples it
                 // did not already entail, and what follows from those. The
                 // store is saturated, so the consequences of a newly
                 // explicit triple it already held are in it too, and the
                 // one merge of `insert_batch` drops all of them.
-                let mut gained = ent.explicit.insert_batch(batch);
-                let entailed = entailed_delta(&self.store, &gained, &ent.schema, &ent.vocab);
+                let mut gained = explicit.insert_batch(batch);
+                let entailed = entailed_delta(&self.store, &gained, schema, vocab);
                 gained.extend(entailed);
                 self.store.insert_batch(&gained)
             }
-            None => self.store.insert_batch(batch),
+            _ => self.store.insert_batch(batch),
         };
         if added.is_empty() {
             // Newly-explicit triples that were already entailed: the base
@@ -1154,7 +1139,7 @@ mod tests {
         let mv = materialize_recommendation(db.store(), &rec);
         assert_eq!(mv.len(), rec.views.len());
         let direct = rdf_engine::evaluate(db.store(), &rec.workload[0]);
-        let from_views = Deployment::new(db.store(), rec)
+        let from_views = Deployment::new(db.store(), rec, &PreparedReasoning::Plain)
             .snapshot()
             .answer(0)
             .unwrap();
@@ -1180,7 +1165,7 @@ mod tests {
     fn unknown_query_index_is_an_error() {
         let mut db = db();
         let rec = recommend(&mut db);
-        let snap = Deployment::new(db.store(), rec).snapshot();
+        let snap = Deployment::new(db.store(), rec, &PreparedReasoning::Plain).snapshot();
         let err = snap.answer(7).unwrap_err();
         assert_eq!(err, SelectionError::UnknownQuery { index: 7, len: 1 });
         assert_eq!(snap.plan_workload(7).unwrap_err(), err);
@@ -1190,7 +1175,7 @@ mod tests {
     fn deployment_answers_and_maintains() {
         let mut db = db();
         let rec = recommend(&mut db);
-        let mut dep = Deployment::new(db.store(), rec);
+        let mut dep = Deployment::new(db.store(), rec, &PreparedReasoning::Plain);
         let direct = rdf_engine::evaluate(db.store(), &dep.recommendation().workload[0]);
         assert_eq!(dep.snapshot().answer(0).unwrap(), direct);
         assert_eq!(
@@ -1230,7 +1215,7 @@ mod tests {
         // reused, so the build count is flat after the first call.
         let mut db = db();
         let rec = recommend(&mut db);
-        let dep = Deployment::new(db.store(), rec);
+        let dep = Deployment::new(db.store(), rec, &PreparedReasoning::Plain);
         let snap = dep.snapshot();
         let plan = snap.plan_workload(0).unwrap();
         let first = snap.answer_query(&plan).unwrap();
@@ -1261,7 +1246,7 @@ mod tests {
         db.store_mut().insert([b, p, c]);
         db.store_mut().insert([c, p, a]);
         let rec = recommend(&mut db);
-        let snap = Deployment::new(db.store(), rec).snapshot();
+        let snap = Deployment::new(db.store(), rec, &PreparedReasoning::Plain).snapshot();
 
         // Base-fallback keeps the whole query on the store, so the branch
         // shape is the query shape: the triangle routes to leapfrog...
@@ -1296,7 +1281,7 @@ mod tests {
         let mut db = db();
         let rec = recommend(&mut db);
         let mv = materialize_recommendation(db.store(), &rec);
-        let mut dep = Deployment::new(db.store(), rec);
+        let mut dep = Deployment::new(db.store(), rec, &PreparedReasoning::Plain);
         assert_eq!(dep.view_count(), mv.len());
         assert_eq!(dep.snapshot().tables().total_rows(), mv.total_rows());
         assert_eq!(dep.snapshot().tables().total_cells(), mv.total_cells());
@@ -1354,7 +1339,7 @@ mod tests {
             )
         };
 
-        let mut per_triple = Deployment::new(db.store(), rec.clone());
+        let mut per_triple = Deployment::new(db.store(), rec.clone(), &PreparedReasoning::Plain);
         let mut pins = MaintenanceStats::default();
         for &t in &feed {
             pins.merge(per_triple.insert(t));
@@ -1368,7 +1353,7 @@ mod tests {
         assert_eq!(pdel.batches, doomed.len());
         let deleted = state(per_triple.snapshot());
         for size in [1, 7, feed.len()] {
-            let mut batched = Deployment::new(db.store(), rec.clone());
+            let mut batched = Deployment::new(db.store(), rec.clone(), &PreparedReasoning::Plain);
             let mut bins = MaintenanceStats::default();
             for chunk in feed.chunks(size) {
                 bins.merge(batched.insert_batch(chunk));
@@ -1406,7 +1391,7 @@ mod tests {
     fn snapshots_pin_generations_across_batches() {
         let mut db = db();
         let rec = recommend(&mut db);
-        let mut dep = Deployment::new(db.store(), rec);
+        let mut dep = Deployment::new(db.store(), rec, &PreparedReasoning::Plain);
         let pinned = dep.snapshot();
         let baseline = pinned.answer(0).unwrap();
         assert_eq!(pinned.version(), dep.store().version());
@@ -1444,7 +1429,7 @@ mod tests {
     fn old_plans_execute_on_new_generations() {
         let mut db = db();
         let rec = recommend(&mut db);
-        let mut dep = Deployment::new(db.store(), rec);
+        let mut dep = Deployment::new(db.store(), rec, &PreparedReasoning::Plain);
         let plan = dep.snapshot().plan_workload(0).unwrap();
         let before = dep.snapshot().answer_query(&plan).unwrap();
 
@@ -1468,7 +1453,7 @@ mod tests {
     fn every_write_publishes_a_current_generation() {
         let mut db = db();
         let rec = recommend(&mut db);
-        let mut dep = Deployment::new(db.store(), rec);
+        let mut dep = Deployment::new(db.store(), rec, &PreparedReasoning::Plain);
         let s = db.dict_mut().intern_uri("written");
         let p = db.dict().lookup_uri("p").unwrap();
         let qq = db.dict().lookup_uri("q").unwrap();
@@ -1512,7 +1497,7 @@ mod tests {
     fn clones_publish_to_their_own_readers() {
         let mut db = db();
         let rec = recommend(&mut db);
-        let mut dep = Deployment::new(db.store(), rec);
+        let mut dep = Deployment::new(db.store(), rec, &PreparedReasoning::Plain);
         let mut fork = dep.clone();
         assert_eq!(fork.lineage(), dep.lineage());
         let (reader, fork_reader) = (dep.reader(), fork.reader());
@@ -1542,7 +1527,7 @@ mod tests {
     fn reader_handles_track_published_generations() {
         let mut db = db();
         let rec = recommend(&mut db);
-        let mut dep = Deployment::new(db.store(), rec);
+        let mut dep = Deployment::new(db.store(), rec, &PreparedReasoning::Plain);
         let reader = dep.reader();
         let first = reader.snapshot();
         assert_eq!(reader.lineage(), dep.lineage());
@@ -1567,8 +1552,8 @@ mod tests {
     fn snapshots_refuse_foreign_plans() {
         let mut db = db();
         let rec = recommend(&mut db);
-        let dep = Deployment::new(db.store(), rec.clone());
-        let other = Deployment::new(db.store(), rec);
+        let dep = Deployment::new(db.store(), rec.clone(), &PreparedReasoning::Plain);
+        let other = Deployment::new(db.store(), rec, &PreparedReasoning::Plain);
         let foreign = other.snapshot().plan_workload(0).unwrap();
         assert_eq!(
             dep.snapshot().answer_query(&foreign).unwrap_err(),
@@ -1583,7 +1568,7 @@ mod tests {
     fn workload_plan_cache_survives_generation_swaps() {
         let mut db = db();
         let rec = recommend(&mut db);
-        let mut dep = Deployment::new(db.store(), rec);
+        let mut dep = Deployment::new(db.store(), rec, &PreparedReasoning::Plain);
         assert!(dep.ctx.workload_plans[0].get().is_none(), "built on demand");
         dep.snapshot().answer(0).unwrap();
         let kept = dep.ctx.workload_plan(0).unwrap() as *const QueryPlan;

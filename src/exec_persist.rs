@@ -774,13 +774,13 @@ struct EncodedBundle {
 /// Hashes the semantic payloads (everything except the lineage id) under
 /// the state domain. Each payload is length-prefixed into the hash so
 /// section boundaries cannot alias.
-fn state_hash_of(semantic: &[&[u8]], store_version: u64) -> u128 {
+fn state_hash_of(semantic: &[&[u8]], version: u64) -> u128 {
     let mut h = Hasher128::with_domain(STATE_DOMAIN);
     for payload in semantic {
         h.update(&(payload.len() as u64).to_le_bytes());
         h.update(payload);
     }
-    h.update(&store_version.to_le_bytes());
+    h.update(&version.to_le_bytes());
     h.finish()
 }
 
@@ -792,30 +792,30 @@ impl Deployment {
         let store_bytes = store_w.into_bytes();
         let rec_bytes = enc_rec(&self.ctx.rec);
         let views_bytes = enc_deployed_views(&self.views);
-        let entail_bytes = {
-            let mut w = Writer::new();
-            match &self.entailment {
-                Some(ent) => {
-                    w.bool(true);
-                    enc_schema_into(&mut w, &ent.schema, &ent.vocab);
-                    let run = self.store.index(IndexOrder::Spo);
-                    enc_subset_into(&mut w, &ent.explicit, &run)?;
-                }
-                None => w.bool(false),
+        // One flag-led section each for entailment and reformulation; the
+        // reasoning is one value, so at most one flag is ever set.
+        let mut entail_w = Writer::new();
+        let mut reform_w = Writer::new();
+        match &self.reasoning {
+            PreparedReasoning::Saturation(schema, vocab, explicit) => {
+                entail_w.bool(true);
+                enc_schema_into(&mut entail_w, schema, vocab);
+                enc_subset_into(&mut entail_w, explicit, &self.store.index(IndexOrder::Spo))?;
+                reform_w.bool(false);
             }
-            w.into_bytes()
-        };
-        let reform_bytes = {
-            let mut w = Writer::new();
-            match &self.ctx.reform {
-                Some((schema, vocab)) => {
-                    w.bool(true);
-                    enc_schema_into(&mut w, schema, vocab);
-                }
-                None => w.bool(false),
+            PreparedReasoning::PreReformulation(schema, vocab)
+            | PreparedReasoning::PostReformulation(schema, vocab) => {
+                entail_w.bool(false);
+                reform_w.bool(true);
+                enc_schema_into(&mut reform_w, schema, vocab);
             }
-            w.into_bytes()
-        };
+            PreparedReasoning::Plain => {
+                entail_w.bool(false);
+                reform_w.bool(false);
+            }
+        }
+        let entail_bytes = entail_w.into_bytes();
+        let reform_bytes = reform_w.into_bytes();
         let state_hash = state_hash_of(
             &[
                 &dict_bytes,
@@ -873,11 +873,7 @@ impl Deployment {
         let entailment = if ent_r.bool("entailment flag")? {
             let (schema, vocab) = dec_schema(&mut ent_r, dict.len())?;
             let explicit = dec_subset(&mut ent_r, &store.index(IndexOrder::Spo))?;
-            Some(EntailmentBase {
-                schema,
-                vocab,
-                explicit,
-            })
+            Some(PreparedReasoning::Saturation(schema, vocab, explicit))
         } else {
             None
         };
@@ -885,11 +881,23 @@ impl Deployment {
 
         let mut ref_r = Reader::new(&sections[5].1);
         let reform = if ref_r.bool("reformulation flag")? {
-            Some(dec_schema(&mut ref_r, dict.len())?)
+            let (schema, vocab) = dec_schema(&mut ref_r, dict.len())?;
+            // The section does not record which reformulation mode chose
+            // the views; a deployment serves both alike.
+            Some(PreparedReasoning::PostReformulation(schema, vocab))
         } else {
             None
         };
         ref_r.expect_exhausted("reformulation section")?;
+        let reasoning = match (entailment, reform) {
+            (Some(_), Some(_)) => {
+                return Err(corrupt(
+                    "both the entailment and the reformulation flag are set",
+                ))
+            }
+            (Some(r), None) | (None, Some(r)) => r,
+            (None, None) => PreparedReasoning::Plain,
+        };
 
         let mut meta_r = Reader::new(&sections[6].1);
         let meta_version = meta_r.u64("maintained version")?;
@@ -924,13 +932,13 @@ impl Deployment {
             // must not execute against the reloaded deployment.
             ctx: Arc::new(PlanCtx::new(
                 rec,
-                reform,
+                &reasoning,
                 DEPLOYMENT_IDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
                 lineage,
             )),
             store,
             views,
-            entailment,
+            reasoning,
             current: Arc::new(RwLock::new(Arc::new(generation))),
         };
         Ok((dep, dict, state_hash))
@@ -1661,6 +1669,46 @@ mod tests {
             assert!(is_corrupt(rows_of(&bytes)), "{why}");
         }
         assert_eq!(rows_of(&with_rows(0, 1, &[])).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn entailment_and_reformulation_flags_together_are_refused() {
+        // A saturation deployment's bundle, its reformulation section
+        // re-spelled with the flag set: a deployment holds one reasoning,
+        // so no encoder writes both flags and no decoder accepts them.
+        let mut dict = Dictionary::new();
+        let vocab = VocabIds::intern(&mut dict);
+        let [painting, picture, x] = ["painting", "picture", "x"].map(|u| dict.intern_uri(u));
+        let mut schema = Schema::new();
+        schema.add(SchemaStatement::SubClassOf(painting, picture));
+        let mut store = TripleStore::new();
+        store.insert([x, vocab.rdf_type, painting]);
+        let pictures = ConjunctiveQuery::new(
+            vec![QTerm::Var(Var(0))],
+            vec![Atom([
+                QTerm::Var(Var(0)),
+                QTerm::Const(vocab.rdf_type),
+                QTerm::Const(picture),
+            ])],
+        );
+        let mode = rdfviews_core::ReasoningMode::Saturation;
+        let mut prep =
+            rdfviews_core::Preparation::new(&store, &dict, Some((&schema, &vocab)), mode).unwrap();
+        let options = rdfviews_core::SelectionOptions {
+            reasoning: mode,
+            ..Default::default()
+        };
+        let rec = rdfviews_core::select_views_session(&mut prep, &[pictures], &options).unwrap();
+        let dep = Deployment::new(&store, rec, prep.prepared());
+        let mut sections = dep.encode_bundle(&dict).unwrap().sections;
+        assert!(Deployment::decode_bundle(&bundle::encode(&sections)).is_ok());
+        let mut reform = Writer::new();
+        reform.bool(true);
+        enc_schema_into(&mut reform, &schema, &vocab);
+        sections[5] = (SEC_REFORM, reform.into_bytes());
+        assert!(is_corrupt(Deployment::decode_bundle(&bundle::encode(
+            &sections
+        ))));
     }
 
     /// Decodes a whole section with `dec`, refusing trailing bytes.

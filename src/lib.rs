@@ -52,7 +52,7 @@
 //!
 //! // 4. Deploy: materialize the views and answer the workload from them
 //! //    alone — no connection to the database needed.
-//! let deployment = advisor.deploy(rec)?;
+//! let deployment = advisor.deploy(rec);
 //! let from_views = deployment.snapshot().answer(0)?;
 //! let direct = rdfviews::engine::evaluate(db.store(), &deployment.recommendation().workload[0]);
 //! assert_eq!(from_views, direct);
@@ -92,7 +92,7 @@
 //! let q = parse_query("q(X, Y) :- t(X, <p>, Y)", db.dict_mut()).unwrap();
 //! let mut advisor = Advisor::builder(&db).build()?;
 //! let rec = advisor.recommend(&[q.query])?;
-//! let mut deployment = advisor.deploy(rec)?;
+//! let mut deployment = advisor.deploy(rec);
 //!
 //! // An ad-hoc query the workload never mentioned: a selection over the
 //! // tuned predicate. The planner covers it from the views alone.
@@ -143,7 +143,7 @@
 //! let q = parse_query("q(X, Y) :- t(X, <p>, Y)", db.dict_mut()).unwrap();
 //! let mut advisor = Advisor::builder(&db).build()?;
 //! let rec = advisor.recommend(&[q.query])?;
-//! let mut deployment = advisor.deploy(rec)?;
+//! let mut deployment = advisor.deploy(rec);
 //! # let s2 = db.dict().lookup_uri("s2").unwrap();
 //! # let p = db.dict().lookup_uri("p").unwrap();
 //! # let o1 = db.dict().lookup_uri("o1").unwrap();
@@ -219,7 +219,7 @@
 //!
 //! let mut advisor = Advisor::builder(&db).build()?;
 //! let rec = advisor.recommend(&[q.query])?;
-//! let mut deployment = advisor.deploy(rec)?;
+//! let mut deployment = advisor.deploy(rec);
 //!
 //! // A 2-triple feed: one maintenance pass, not two.
 //! let stats = deployment.insert_batch(&[[s, p, o1], [s, qq, c]]);
@@ -323,53 +323,6 @@
 //! ([`Deployment::verify_wal`](exec::Deployment::verify_wal)) reports a
 //! torn tail as
 //! [`SelectionError::WalTornTail`](core::SelectionError::WalTornTail).
-//!
-//! ## Migrating from removed entry points
-//!
-//! The panicking free functions and the deployment's second read API are
-//! gone; each removed name maps to its replacement:
-//!
-//! | removed or old form | replacement |
-//! |---------------------|-------------|
-//! | `select_views(store, dict, schema, w, opts)` | `Advisor::builder(&db).schema(..).options(opts).build()?` then `advisor.recommend(&w)?`, or the one-shot `try_select_views(..)?` |
-//! | `select_views_partitioned(store, dict, schema, w, opts, par)` | `advisor.recommend_partitioned(&w)?`, or the one-shot `try_select_views_partitioned(store, dict, schema, &w, &opts)?` |
-//! | `recommend_partitioned(&w, parallel)`, `try_select_views_partitioned(.., parallel)`, `select_views_partitioned_session(.., parallel)` | the same call without `parallel`: `options.search.parallelism` (`AdvisorBuilder::parallelism`) is the one thread budget; groups run concurrently when it is not 1, on `min(budget, groups)` workers with `max(budget / workers, 1)` explorers each. The old `parallel = true` with a budget of 1 (one worker per core) is now `parallelism(0)` |
-//! | `select_views_session(prep, store, schema, w, opts)`, `select_views_partitioned_session(prep, store, schema, ..)`, `prep.extend(store, schema, qs)` | the same call without `schema`: the [`Preparation`](core::Preparation) holds its own copy since `Preparation::new(store, dict, schema, mode)`, the one place `SchemaRequired` is checked; `extend` returns the count directly |
-//! | `prep.saturated_store()` | `match prep.prepared()`: [`PreparedReasoning::Saturation`](core::PreparedReasoning::Saturation)`(schema, vocab, saturated)` |
-//! | `search_session(prep, schema, effective, branch_of, opts)` | none public: call `select_views_session`, which minimizes, checks and tops up the catalog first |
-//! | `Advisor::builder_owned(db)`, `dataset()`, `dataset_mut()`, `is_stale()`, `refresh()`; `Preparation::refresh(..)`, `has_warm_start()` | none: the session borrows its dataset (`Advisor::builder(&db)`). To advise changed data, build a new advisor (or `Preparation::new`); a deployment takes updates through `insert_batch` / `delete_batch` |
-//! | `advisor.set_calibrate_cm(on)`, `set_strategy(s)`, `set_parallelism(n)`; `AdvisorBuilder::weights(w)` | the builder's `calibrate_cm` / `strategy` / `parallelism`, or `.options(opts)`; `advisor.set_weights(w)` after build |
-//! | a Cartesian-product or unsafe workload query panicking inside the search (`SearchPanicked` under partitioning) | `Err(SelectionError::UnsupportedQuery { reason })` before the search starts; a query that minimization makes connected is accepted |
-//! | `MaintainedView::apply_insert(t)`, `apply_insert_batch(&b)`, `prepare_delete(t)`, `prepare_delete_batch(&b)`, `commit_delete(&d)` | build one `DeltaSet::new(&b)` (a singleton slice for one triple) and call `apply_insert_delta` / `prepare_delete_delta`, then `commit_delete_batch` |
-//! | `exec::answer_original_query(&rec, &mv, i)`, `exec::try_answer_original_query(&rec, &mv, i)` | `Deployment::new(store, rec).snapshot().answer(i)?` |
-//! | `exec::materialize_recommendation(store, &rec)` | `advisor.deploy(rec)?` (a [`Deployment`](exec::Deployment)) |
-//! | `exec::answer_query(&state, &mv, i)` | `deployment.snapshot().answer(i)?` (per-branch access stays available) |
-//! | `deployment.answer(i)?`, `answer_query(&plan)?`, `answer_adhoc(&q)?`, `answer_adhoc_with(&q, policy)?` on `&mut Deployment` | the same call on `deployment.snapshot()` ([`DeploymentSnapshot`](exec::DeploymentSnapshot)) |
-//! | `deployment.plan(&q)?`, `plan_with(&q, policy)?`, `plan_workload(i)?` | the same call on `deployment.snapshot()`; `AnswerPolicy::ViewsOnly \| Hybrid \| BaseFallback` as before |
-//! | `deployment.tables()?`, `total_rows()?`, `total_cells()?`; `mv.total_rows()` | `deployment.snapshot().tables()`, then `.total_rows()` / `.total_cells()` |
-//! | `deployment.last_eval_stats()` | `snapshot.answer_query_stats(&plan)?` returns the answers with one `EvalStats` per branch |
-//! | `set_strict(true)`, `strict()`, `QueryPlan::store_version()` | none: a plan executes on every generation of its own deployment; pin one snapshot for as-of answers, and `snapshot.version()` names its generation |
-//! | `store_mut()`, `is_stale()`, `maintained_version()`, `rematerialize()` | write through `insert_batch` / `delete_batch`, which keep the views maintained and publish a generation; `deployment.store().version()` is the published version; for a bulk load, deploy again |
-//! | `DurableDeployment::deployment_mut()` | `durable.insert_batch` / `durable.delete_batch` (the only durable writes); read through `durable.snapshot()` |
-//! | manual `MaintainedView` feeding | `deployment.insert_batch(&triples)` / `deployment.delete_batch(&triples)` |
-//! | panic on missing schema | `Err(SelectionError::SchemaRequired(mode))` |
-//! | *(not possible: in-memory only)* | `advisor.deploy_durable(rec, dir)?` (a [`DurableDeployment`](exec::DurableDeployment)) |
-//! | *(not possible)* | `deployment.persist(dir, dict)?` / `Deployment::open(dir)?` / `Deployment::recover(dir)?` |
-//! | ad-hoc file formats, panics on bad bytes | `Err(SelectionError::Io \| CorruptBundle \| WalTornTail)` |
-//! | *(not possible: reads block on writes)* | `deployment.snapshot()` / `deployment.reader()` — wait-free pinned reads on COW generations ([`DeploymentSnapshot`](exec::DeploymentSnapshot), [`SnapshotReader`](exec::SnapshotReader)) |
-//! | a `snapshot.rdfb` written by format version 1 | refused with `CorruptBundle` ("unsupported bundle format version 1"); no older layout is read — deploy again from the data (`advisor.deploy_durable(rec, dir)?`); the write-ahead log format is unchanged |
-//! | `MaintainedView::rows()` as `&Vec<Id>`, `from_parts(def, Vec<Vec<Id>>)`, `DeleteDelta::candidates()` as `&[Vec<Id>]` | maintained rows are one flat sorted buffer: `rows()` yields `&[Id]` in order, `from_parts(def, Answers)` (build with `Answers::from_tuples` or the checked `Answers::from_sorted`), `candidates()` is an `&Answers` |
-//! | `rdfviews::core::sync::{read_unpoisoned, write_unpoisoned}` | `rdfviews::model::sync::{read_unpoisoned, write_unpoisoned}` (one copy) |
-//! | `TripleStore::insert(t)` / `remove(t)` in a loop (hash-set membership, runs re-sorted lazily) | they still work, but each is now a batch of one, O(n): the store holds no hash set, its `Spo` run is the membership set and every write splices the runs. Collect the triples and call `insert_batch(&batch)` / `remove_batch(&batch)` (or `extend(iter)`), which keep first occurrences in order; to test many triples, sort them (`sort_unstable`) and call `retain_by_membership(&mut sorted, present)` instead of `contains` in a loop |
-//! | `TripleStore::with_capacity(n)` | `TripleStore::new()`, then one `insert_batch` |
-//! | `engine::evaluate_with(store, q, &opts)` | `engine::evaluate(store, q)`; to force a join core, `engine::evaluate_on(engine, store, q).0` |
-//! | `engine::evaluate_with_stats(store, q, &opts)` | `engine::evaluate_on(engine, store, q)` (forced), or `engine::evaluate_mixed(store, &atoms, &q.head)` over `MixedAtom::Store` atoms (routed); both return `(Answers, EvalStats)` |
-//! | `engine::evaluate_mixed_stats(store, atoms, head)` | `engine::evaluate_mixed(store, atoms, head)`, which now returns `(Answers, EvalStats)`; take `.0` for the answers alone |
-//! | `EvalOptions::scan_baseline()` | `engine::oracle::evaluate(store, q)`: nested loops over full scans, the Figure 8 plain-triple-table baseline and the differential tests' reference |
-//! | `EvalOptions::legacy_indexed()`, `Engine::Legacy` | none: the pre-compiled collect-per-node core is deleted; `engine::evaluate` is the indexed engine |
-//! | `EvalOptions::compiled()`, `EvalOptions::wcoj()`, `EngineChoice` | `engine::evaluate_on(Engine::Compiled, ..)` / `engine::evaluate_on(Engine::Wcoj, ..)`; every other entry point routes by the acyclicity test, as `EngineChoice::Auto` did |
-//! | `Engine::Scan` | none: the oracle reports no `EvalStats` |
-//! | `answers.tuples()` as `&[Vec<Id>]`, `answers.into_tuples()`, `Answers::from_set(..)` | answers are one flat buffer: loop over `answers.rows()` (borrowed `&[Id]` rows, no allocation); `answers.tuples()` still indexes (`tuples()[i][c]`) but is now a `Vec<&[Id]>` built for the call; `into_tuples`/`from_set` are gone — collect `rows()`, or build with `Answers::from_tuples(arity, rows)`, which like `ViewTable::from_rows` takes owned or borrowed rows |
 //!
 //! The workspace crates map to the paper's components:
 //!

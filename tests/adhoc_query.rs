@@ -64,7 +64,7 @@ fn every_workload_query_gets_a_views_only_plan() {
     let mut advisor = Advisor::builder(&db).build().unwrap();
     let rec = advisor.recommend(&workload).unwrap();
     let views = rec.views.clone();
-    let snap = advisor.deploy(rec).unwrap().snapshot();
+    let snap = advisor.deploy(rec).snapshot();
     for (idx, q) in workload.iter().enumerate() {
         let plan = snap
             .plan_with(q, AnswerPolicy::ViewsOnly)
@@ -96,7 +96,7 @@ fn adhoc_specialization_is_views_only_and_correct() {
     .query;
     let mut advisor = Advisor::builder(&db).build().unwrap();
     let rec = advisor.recommend(&workload).unwrap();
-    let snap = advisor.deploy(rec).unwrap().snapshot();
+    let snap = advisor.deploy(rec).snapshot();
     let plan = snap.plan(&adhoc).unwrap();
     assert!(plan.is_views_only());
     assert!(!plan.views_used().is_empty());
@@ -126,7 +126,7 @@ fn no_cover_is_a_typed_error_not_wrong_answers() {
         .query;
     let mut advisor = Advisor::builder(&db).build().unwrap();
     let rec = advisor.recommend(&workload).unwrap();
-    let snap = advisor.deploy(rec).unwrap().snapshot();
+    let snap = advisor.deploy(rec).snapshot();
 
     let err = snap.plan_with(&adhoc, AnswerPolicy::ViewsOnly).unwrap_err();
     assert_eq!(err, SelectionError::NoViewsOnlyPlan { residual_atoms: 1 });
@@ -156,7 +156,7 @@ fn hybrid_plans_mix_views_and_base_without_cross_products() {
     let mut advisor = Advisor::builder(&db).build().unwrap();
     let rec = advisor.recommend(&workload).unwrap();
     let views = rec.views.clone();
-    let snap = advisor.deploy(rec).unwrap().snapshot();
+    let snap = advisor.deploy(rec).snapshot();
     let plan = snap.plan_with(&adhoc, AnswerPolicy::Hybrid).unwrap();
     assert!(!plan.is_views_only());
     assert_eq!(plan.residual_atoms(), 1, "only bornIn needs the base store");
@@ -186,7 +186,7 @@ fn unsafe_and_empty_queries_are_rejected() {
     let workload = museum_workload(&mut db);
     let mut advisor = Advisor::builder(&db).build().unwrap();
     let rec = advisor.recommend(&workload).unwrap();
-    let snap = advisor.deploy(rec).unwrap().snapshot();
+    let snap = advisor.deploy(rec).snapshot();
     let empty = ConjunctiveQuery::new(vec![], vec![]);
     assert!(matches!(
         snap.plan(&empty).unwrap_err(),
@@ -215,8 +215,8 @@ fn foreign_plans_are_refused() {
     let mut advisor = Advisor::builder(&db).build().unwrap();
     let rec_a = advisor.recommend(&workload).unwrap();
     let rec_b = advisor.recommend(&workload[..1]).unwrap();
-    let dep_a = advisor.deploy(rec_a).unwrap();
-    let dep_b = advisor.deploy(rec_b).unwrap();
+    let dep_a = advisor.deploy(rec_a);
+    let dep_b = advisor.deploy(rec_b);
     let plan_a = dep_a.snapshot().plan(&adhoc).unwrap();
     assert_eq!(
         dep_b.snapshot().answer_query(&plan_a).unwrap_err(),
@@ -238,7 +238,7 @@ fn oversized_queries_are_rejected_not_silently_degraded() {
     let workload = museum_workload(&mut db);
     let mut advisor = Advisor::builder(&db).build().unwrap();
     let rec = advisor.recommend(&workload).unwrap();
-    let snap = advisor.deploy(rec).unwrap().snapshot();
+    let snap = advisor.deploy(rec).snapshot();
     // A 65-atom chain exceeds the planner's 64-atom coverage mask.
     let atoms: Vec<Atom> = (0..65u32)
         .map(|i| Atom::new(Var(i), rdf_model_id(1), Var(i + 1)))
@@ -278,7 +278,7 @@ fn old_plans_execute_on_new_generations() {
 
     let mut advisor = Advisor::builder(&db).build().unwrap();
     let rec = advisor.recommend(&workload).unwrap();
-    let mut dep = advisor.deploy(rec).unwrap();
+    let mut dep = advisor.deploy(rec);
 
     // A snapshot pinned before the batch serves the old generation…
     let pinned = dep.snapshot();
@@ -323,7 +323,7 @@ fn replanning_on_a_fresh_pin_agrees_with_the_carried_plan() {
 
     let mut advisor = Advisor::builder(&db).build().unwrap();
     let rec = advisor.recommend(&workload).unwrap();
-    let mut dep = advisor.deploy(rec).unwrap();
+    let mut dep = advisor.deploy(rec);
     let carried = dep.snapshot().plan(&adhoc).unwrap();
     let before = dep.snapshot().answer_query(&carried).unwrap();
 
@@ -345,7 +345,7 @@ fn replanning_on_a_fresh_pin_agrees_with_the_carried_plan() {
 }
 
 #[test]
-fn saturation_deployment_answers_adhoc_with_entailment() {
+fn saturation_deployment_answers_adhoc_under_entailment() {
     let mut db = Dataset::new();
     let vocab = VocabIds::intern(db.dict_mut());
     let painting = db.dict_mut().intern_uri("Painting");
@@ -388,7 +388,7 @@ fn saturation_deployment_answers_adhoc_with_entailment() {
         .build()
         .unwrap();
     let rec = advisor.recommend(&workload).unwrap();
-    let snap = advisor.deploy(rec).unwrap().snapshot();
+    let snap = advisor.deploy(rec).snapshot();
     let plan = snap.plan(&adhoc).unwrap();
     let answers = snap.answer_query(&plan).unwrap();
     assert_eq!(
@@ -441,7 +441,7 @@ fn post_reformulation_hybrid_reformulates_base_scans() {
         .build()
         .unwrap();
     let rec = advisor.recommend(&workload).unwrap();
-    let snap = advisor.deploy(rec).unwrap().snapshot();
+    let snap = advisor.deploy(rec).snapshot();
     let plan = snap.plan(&adhoc).unwrap();
     assert!(!plan.is_views_only());
     assert!(
@@ -477,7 +477,7 @@ proptest! {
         let mut advisor = Advisor::builder(&db).build().unwrap();
         let rec = advisor.recommend(&workload).unwrap();
         let views = rec.views.clone();
-        let snap = advisor.deploy(rec).unwrap().snapshot();
+        let snap = advisor.deploy(rec).snapshot();
         for (idx, q) in workload.iter().enumerate() {
             let plan = snap.plan_with(q, AnswerPolicy::ViewsOnly).unwrap();
             prop_assert!(plan.is_views_only());

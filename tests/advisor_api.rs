@@ -281,7 +281,7 @@ fn deployment_lifecycle() {
         .query;
     let mut advisor = Advisor::builder(&db).build().unwrap();
     let rec = advisor.recommend(std::slice::from_ref(&q)).unwrap();
-    let mut deployment = advisor.deploy(rec).unwrap();
+    let mut deployment = advisor.deploy(rec);
 
     let direct = evaluate(db.store(), &deployment.recommendation().workload[0]);
     assert_eq!(deployment.snapshot().answer(0).unwrap(), direct);
@@ -328,7 +328,7 @@ fn deployment_under_saturation_keeps_implicit_answers() {
             .build()
             .unwrap();
         let rec = advisor.recommend(std::slice::from_ref(&q)).unwrap();
-        let deployment = advisor.deploy(rec).unwrap();
+        let deployment = advisor.deploy(rec);
         assert_eq!(
             deployment.snapshot().answer(0).unwrap(),
             truth,
@@ -361,7 +361,7 @@ fn adhoc_answers_follow_the_prepared_reasoning() {
             .build()
             .unwrap();
         let rec = advisor.recommend(std::slice::from_ref(&tuned)).unwrap();
-        let snapshot = advisor.deploy(rec).unwrap().snapshot();
+        let snapshot = advisor.deploy(rec).snapshot();
         assert!(!snapshot.plan(&adhoc).unwrap().is_views_only(), "{mode:?}");
         let want = if mode == ReasoningMode::Plain {
             &explicit
@@ -392,7 +392,7 @@ fn saturation_deployment_maintains_entailments() {
         .build()
         .unwrap();
     let rec = advisor.recommend(std::slice::from_ref(&q)).unwrap();
-    let mut deployment = advisor.deploy(rec).unwrap();
+    let mut deployment = advisor.deploy(rec);
     let before = deployment.snapshot().answer(0).unwrap().len();
 
     // A new *painting* exhibited somewhere: only entailment makes it a
@@ -568,7 +568,7 @@ fn deployment_tuples_decode() {
         .query;
     let mut advisor = Advisor::builder(&db).build().unwrap();
     let rec = advisor.recommend(&[q]).unwrap();
-    let deployment = advisor.deploy(rec).unwrap();
+    let deployment = advisor.deploy(rec);
     let answers = deployment.snapshot().answer(0).unwrap();
     for tuple in answers.tuples() {
         let term = db.dict().term(tuple[0]);

@@ -107,7 +107,7 @@ fn deployed(entities: usize) -> (Deployment, Dictionary) {
     let workload = museum_workload(&mut db);
     let mut advisor = Advisor::builder(&db).build().unwrap();
     let rec = advisor.recommend(&workload).unwrap();
-    let dep = advisor.deploy(rec).unwrap();
+    let dep = advisor.deploy(rec);
     (dep, db.dict().clone())
 }
 
@@ -147,7 +147,7 @@ fn deploy_reasoning(
         .build()
         .unwrap();
     let rec = advisor.recommend(workload).unwrap();
-    advisor.deploy(rec).unwrap()
+    advisor.deploy(rec)
 }
 
 /// A feed of fresh museum triples (new paintings by known artists).
@@ -239,6 +239,39 @@ fn persist_open_round_trips_post_reformulation_deployment() {
             reopened.snapshot().answer(idx).unwrap(),
             dep.snapshot().answer(idx).unwrap()
         );
+    }
+}
+
+/// The reformulation section carries the schema that ad-hoc plans
+/// reformulate with: a reopened pre- or post-reformulation deployment
+/// still answers implicit triples through a hybrid plan over its original
+/// base store, and holds the state it was persisted with.
+#[test]
+fn reopened_reformulation_deployments_still_reformulate_adhoc_queries() {
+    for mode in [
+        ReasoningMode::PreReformulation,
+        ReasoningMode::PostReformulation,
+    ] {
+        let tmp = TempDir::new(&format!("reopen-{mode:?}"));
+        let (mut db, schema, vocab, workload) = reasoning_museum(12);
+        // Artists are typed only by the range of `painter`, and no view
+        // holds the untuned `bornIn`.
+        let adhoc = parse_query(
+            "a(A, C) :- t(A, <rdf:type>, <Artist>), t(A, <bornIn>, C)",
+            db.dict_mut(),
+        )
+        .unwrap()
+        .query;
+        let dep = deploy_reasoning(&db, &schema, &vocab, &workload, mode);
+        let hash = dep.persist(tmp.path(), db.dict()).unwrap();
+
+        let (reopened, redict) = Deployment::open(tmp.path()).unwrap();
+        assert_eq!(reopened.content_hash(&redict).unwrap(), hash, "{mode:?}");
+        let want = evaluate(&saturated_copy(db.store(), &schema, &vocab), &adhoc);
+        assert!(!want.is_empty() && evaluate(db.store(), &adhoc).is_empty());
+        let snapshot = reopened.snapshot();
+        assert!(!snapshot.plan(&adhoc).unwrap().is_views_only(), "{mode:?}");
+        assert_eq!(snapshot.answer_adhoc(&adhoc).unwrap(), want, "{mode:?}");
     }
 }
 
@@ -746,7 +779,7 @@ fn same_state_by_different_histories_has_one_content_hash() {
 /// after durable batches and a checkpoint, exactly the live store's — and
 /// `open` refuses a bundle whose meta version disagrees with its store.
 #[test]
-fn bundle_meta_records_the_store_version() {
+fn bundle_meta_records_the_version_of_its_store() {
     let tmp = TempDir::new("meta");
     let (dep, dict) = deployed(8);
     let mut durable = DurableDeployment::create(tmp.path(), dep, dict).unwrap();

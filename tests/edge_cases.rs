@@ -2,7 +2,8 @@
 
 use rdfviews::core::transitions::{apply, enumerate, TransitionConfig, TransitionKind};
 use rdfviews::core::{
-    search, try_select_views, CostModel, CostWeights, SearchConfig, SelectionOptions, State,
+    search, try_select_views, CostModel, CostWeights, PreparedReasoning, SearchConfig,
+    SelectionOptions, State,
 };
 use rdfviews::engine::evaluate;
 use rdfviews::exec::{answer_query, materialize_state, Deployment};
@@ -63,7 +64,7 @@ fn single_atom_single_query() {
         &SelectionOptions::recommended(),
     )
     .unwrap();
-    let ans = Deployment::new(db.store(), rec)
+    let ans = Deployment::new(db.store(), rec, &PreparedReasoning::Plain)
         .snapshot()
         .answer(0)
         .unwrap();
@@ -146,7 +147,7 @@ fn empty_answer_query_still_rewrites() {
         &SelectionOptions::recommended(),
     )
     .unwrap();
-    let snap = Deployment::new(db.store(), rec).snapshot();
+    let snap = Deployment::new(db.store(), rec, &PreparedReasoning::Plain).snapshot();
     assert!(snap.answer(0).unwrap().is_empty());
 }
 
@@ -238,7 +239,7 @@ fn literals_and_blank_nodes_in_data_and_queries() {
         &SelectionOptions::recommended(),
     )
     .unwrap();
-    let ans = Deployment::new(db.store(), rec)
+    let ans = Deployment::new(db.store(), rec, &PreparedReasoning::Plain)
         .snapshot()
         .answer(0)
         .unwrap();

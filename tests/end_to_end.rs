@@ -2,7 +2,9 @@
 //! must produce views from which the complete answers (w.r.t. RDFS
 //! entailment) of every workload query can be computed.
 
-use rdfviews::core::{try_select_views, ReasoningMode, SearchConfig, SelectionOptions};
+use rdfviews::core::{
+    try_select_views, PreparedReasoning, ReasoningMode, SearchConfig, SelectionOptions,
+};
 use rdfviews::engine::evaluate;
 use rdfviews::exec::Deployment;
 use rdfviews::schema::saturated_copy;
@@ -43,8 +45,10 @@ fn all_reasoning_modes_return_complete_answers() {
         .unwrap();
         rec.outcome.best_state.check_invariants().unwrap();
         let snap = match mode {
-            ReasoningMode::Saturation => Deployment::new(&saturated, rec),
-            _ => Deployment::new(data.db.store(), rec),
+            ReasoningMode::Saturation => {
+                Deployment::new(&saturated, rec, &PreparedReasoning::Plain)
+            }
+            _ => Deployment::new(data.db.store(), rec, &PreparedReasoning::Plain),
         }
         .snapshot();
         for (qi, q) in workload.iter().enumerate() {
@@ -67,7 +71,7 @@ fn plain_mode_matches_non_saturated_evaluation() {
         &options(ReasoningMode::Plain),
     )
     .unwrap();
-    let snap = Deployment::new(data.db.store(), rec).snapshot();
+    let snap = Deployment::new(data.db.store(), rec, &PreparedReasoning::Plain).snapshot();
     for (qi, q) in workload.iter().enumerate() {
         let truth = evaluate(data.db.store(), &q.normalized());
         assert_eq!(snap.answer(qi).unwrap(), truth, "query {qi}");
@@ -148,7 +152,7 @@ fn partitioned_selection_returns_complete_answers() {
         )
         .unwrap();
         rec.outcome.best_state.check_invariants().unwrap();
-        let snap = Deployment::new(data.db.store(), rec).snapshot();
+        let snap = Deployment::new(data.db.store(), rec, &PreparedReasoning::Plain).snapshot();
         for (qi, q) in workload.iter().enumerate() {
             let truth = evaluate(&saturated, &q.normalized());
             assert_eq!(

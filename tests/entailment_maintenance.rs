@@ -119,7 +119,7 @@ impl World {
             .build()
             .unwrap();
         let rec = advisor.recommend(&workload).unwrap();
-        advisor.deploy(rec).unwrap()
+        advisor.deploy(rec)
     }
 }
 
@@ -316,4 +316,52 @@ fn one_batch_is_one_pass_and_one_write_whatever_it_entails() {
     assert_eq!(dep.store().version(), version + 2);
     let explicit: BTreeSet<Triple> = batch[3..].iter().copied().collect();
     assert_matches_the_oracle(&dep, &explicit, &schema, &world.vocab);
+}
+
+/// A post-reformulation deployment holds one reasoning too: its base store
+/// takes each batch as given, explicit triples only, while its
+/// reformulated views and its reformulated ad-hoc plans answer what the
+/// batch entails — and stop answering it once the batch is deleted.
+#[test]
+fn reformulation_deployment_stores_explicit_triples_and_answers_entailments() {
+    let mut world = World::new();
+    let schema = world.schema(&[]);
+    let workload = world.workload();
+    let adhoc = parse_query("a(X) :- t(X, <rdf:type>, <c2>)", world.db.dict_mut())
+        .unwrap()
+        .query;
+    let unrelated = [world.nodes[2], world.props[3], world.nodes[3]];
+    world.db.store_mut().insert(unrelated);
+    let mut advisor = Advisor::builder(&world.db)
+        .schema(&schema, &world.vocab)
+        .reasoning(ReasoningMode::PostReformulation)
+        .max_states(200)
+        .build()
+        .unwrap();
+    let rec = advisor.recommend(&workload).unwrap();
+    let mut dep = advisor.deploy(rec);
+
+    // x0 is a c0 by the domain of p1 through p0 ⊑ p1, so a c2 by the chain.
+    let by_sub_property = [world.nodes[0], world.props[0], world.nodes[1]];
+    dep.insert_batch(&[by_sub_property]);
+    assert_eq!(
+        as_set(dep.store()),
+        BTreeSet::from([unrelated, by_sub_property])
+    );
+    let saturated = saturated_copy(dep.store(), &schema, &world.vocab);
+    let snapshot = dep.snapshot();
+    for (qi, q) in dep.recommendation().workload.iter().enumerate() {
+        assert_eq!(
+            snapshot.answer(qi).unwrap(),
+            evaluate(&saturated, q),
+            "q{qi}"
+        );
+    }
+    let typed = snapshot.answer_adhoc(&adhoc).unwrap();
+    assert_eq!(typed, evaluate(&saturated, &adhoc));
+    assert!(!typed.is_empty() && evaluate(dep.store(), &adhoc).is_empty());
+
+    dep.delete_batch(&[by_sub_property]);
+    assert_eq!(as_set(dep.store()), BTreeSet::from([unrelated]));
+    assert!(dep.snapshot().answer_adhoc(&adhoc).unwrap().is_empty());
 }

@@ -214,8 +214,7 @@ fn cartesian_group_is_rejected_before_the_search() {
         let mut opts = SelectionOptions::recommended();
         opts.search.parallelism = parallelism;
         let mut prep = Preparation::new(db.store(), db.dict(), None, ReasoningMode::Plain).unwrap();
-        let err =
-            select_views_partitioned_session(&mut prep, db.store(), &queries, &opts).unwrap_err();
+        let err = select_views_partitioned_session(&mut prep, &queries, &opts).unwrap_err();
         match err {
             SelectionError::UnsupportedQuery { reason } => {
                 assert!(reason.contains("Cartesian"), "reason: {reason}");

@@ -126,7 +126,7 @@ fn pinned_readers_see_sequential_answers_under_concurrent_batches() {
         .query;
     let mut advisor = Advisor::builder(&db).build().unwrap();
     let rec = advisor.recommend(&workload).unwrap();
-    let mut dep = advisor.deploy(rec).unwrap();
+    let mut dep = advisor.deploy(rec);
     let feed = build_feed(&pool, ids);
 
     // -- Sequential truth: an oracle clone absorbs the identical feed,
