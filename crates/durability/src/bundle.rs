@@ -60,8 +60,8 @@ pub fn encode(sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
 }
 
 /// Decodes and fully validates a bundle, returning its sections in file
-/// order.
-pub fn decode(bytes: &[u8]) -> Result<Vec<(u32, Vec<u8>)>> {
+/// order, each payload borrowed from `bytes`.
+pub fn decode(bytes: &[u8]) -> Result<Vec<(u32, &[u8])>> {
     if bytes.len() < MAGIC.len() + 4 + 4 + 16 {
         return Err(DurabilityError::corrupt(format!(
             "bundle too short ({} bytes)",
@@ -99,7 +99,7 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<(u32, Vec<u8>)>> {
                 "section {i} (tag {tag}) checksum mismatch"
             )));
         }
-        sections.push((tag, payload.to_vec()));
+        sections.push((tag, payload));
     }
     r.expect_exhausted("bundle body")?;
     Ok(sections)
@@ -116,7 +116,12 @@ mod tests {
     #[test]
     fn round_trip() {
         let bytes = encode(&sample());
-        assert_eq!(decode(&bytes).unwrap(), sample());
+        let sections = decode(&bytes).unwrap();
+        let owned: Vec<(u32, Vec<u8>)> = sections.iter().map(|&(t, p)| (t, p.to_vec())).collect();
+        assert_eq!(owned, sample());
+        // Each payload is a view into the input, not a copy of it.
+        let range = bytes.as_ptr_range();
+        assert!(sections.iter().all(|(_, p)| range.contains(&p.as_ptr())));
     }
 
     #[test]

@@ -46,8 +46,11 @@
 //! The list is `Arc`-shared like the runs, which makes generations
 //! copy-on-write: [`TripleStore::snapshot`] pins the current contents as
 //! an immutable [`StoreSnapshot`] in O(built runs) time, and the next
-//! mutation clones the list once (`Arc::make_mut`) and publishes new runs
-//! instead of blocking or invalidating the pinned readers.
+//! mutation publishes new runs and writes the list once — an insert copies
+//! a shared list into an exact-size vector with the batch appended, a
+//! removal into one that leaves the doomed triples out — instead of
+//! blocking or invalidating the pinned readers. A list nothing else holds
+//! is written in place, to its exact new length.
 
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -361,8 +364,8 @@ fn counting_sort<T: Copy>(
 ///
 /// The triple list and the runs are `Arc`-shared so that clones and
 /// [`TripleStore::snapshot`]s are O(built index runs): the list itself is
-/// copied only when a mutation hits a store whose list is still shared
-/// (`Arc::make_mut`), and runs are never written in place.
+/// copied only when a mutation hits a store whose list is still shared,
+/// once, into its new contents, and runs are never written in place.
 #[derive(Debug, Default)]
 pub struct TripleStore {
     triples: Arc<Vec<Triple>>,
@@ -475,8 +478,8 @@ impl TripleStore {
     /// Pins the current generation as an immutable [`StoreSnapshot`].
     ///
     /// O(built index runs): the triple list and every built index run are
-    /// shared by `Arc`; no triple is copied. The
-    /// live store's next mutation copies the list once (`Arc::make_mut`)
+    /// shared by `Arc`; no triple is copied. The live store's next mutation
+    /// writes the list once, into an exact-size copy of its new contents,
     /// and publishes new index runs — the snapshot's runs are never
     /// touched, so pinned readers run wait-free while writes proceed.
     ///
@@ -523,12 +526,23 @@ impl TripleStore {
     /// run are carried forward by splicing the sorted batch into them —
     /// O(|Δ| log(n / |Δ|)) compares and one copy per run instead of a
     /// fresh O(n log n) sort — published as **new** `Arc`s at the new
-    /// version, leaving pinned snapshots' runs untouched.
+    /// version, leaving pinned snapshots' runs untouched. A list that a
+    /// snapshot still shares is copied once, into an exact-size vector with
+    /// the new triples appended; an unshared one grows in place, to its
+    /// exact new length, so no store keeps spare capacity beside its runs
+    /// (the splices already make a write O(n), and the allocator extends
+    /// the list without a copy where it can).
     pub fn insert_batch(&mut self, batch: &[Triple]) -> Vec<Triple> {
         let (added, delta) = self.sift(batch, false);
         if !delta.is_empty() {
             self.carry(&delta, true);
-            Arc::make_mut(&mut self.triples).extend_from_slice(&added);
+            match Arc::get_mut(&mut self.triples) {
+                Some(list) => {
+                    list.reserve_exact(added.len());
+                    list.extend_from_slice(&added);
+                }
+                None => self.triples = Arc::new([&self.triples[..], &added[..]].concat()),
+            }
         }
         added
     }
@@ -639,7 +653,9 @@ impl TripleStore {
     /// stay untouched), and the insertion-order list is searched from its
     /// end only as far back as the earliest doomed triple: a feed retracts
     /// what it recently asserted, so the long prefix before that position
-    /// is never examined.
+    /// is never examined. The kept triples after it close up in place; a
+    /// list that a snapshot still shares is copied once instead, into an
+    /// exact-size vector without the doomed triples.
     pub fn remove_batch(&mut self, batch: &[Triple]) -> Vec<Triple> {
         let (removed, doomed) = self.sift(batch, true);
         if doomed.is_empty() {
@@ -652,19 +668,27 @@ impl TripleStore {
             first -= 1;
             left -= usize::from(is_doomed(&self.triples[first]));
         }
-        let tail: Vec<Triple> = self.triples[first..]
-            .iter()
-            .copied()
-            .filter(|t| !is_doomed(t))
-            .collect();
         match Arc::get_mut(&mut self.triples) {
+            // Unshared: the kept triples after `first` close up in place.
             Some(list) => {
-                list.truncate(first);
-                list.extend_from_slice(&tail);
+                let mut end = first;
+                for i in first..list.len() {
+                    let t = list[i];
+                    if !is_doomed(&t) {
+                        list[end] = t;
+                        end += 1;
+                    }
+                }
+                list.truncate(end);
             }
-            // Shared with a pinned generation: build the new list from
-            // the two kept stretches instead of cloning it to cut it.
-            None => self.triples = Arc::new([&self.triples[..first], &tail[..]].concat()),
+            // Shared with a pinned generation: one exact-size copy of the
+            // kept triples instead of cloning the list to cut it.
+            None => {
+                let mut list = Vec::with_capacity(self.triples.len() - doomed.len());
+                list.extend_from_slice(&self.triples[..first]);
+                list.extend(self.triples[first..].iter().filter(|t| !is_doomed(t)));
+                self.triples = Arc::new(list);
+            }
         }
         removed
     }
@@ -1143,6 +1167,28 @@ mod tests {
         // The live store moved on.
         assert_eq!(st.match_count(&p100), pinned_p100 + 3);
         assert!(st.version() > pinned_version);
+    }
+
+    #[test]
+    fn insert_batch_writes_the_list_once() {
+        let batch = [[Id(70), Id(100), Id(70)], [Id(5), Id(100), Id(71)]];
+        // Shared with a pinned snapshot: one exact-size copy, the pin kept.
+        let mut st = store_with(7);
+        let snap = st.snapshot();
+        let pinned = snap.triples().to_vec();
+        st.insert_batch(&batch);
+        assert_eq!(snap.triples(), &pinned[..]);
+        assert_eq!(st.triples()[..pinned.len()], pinned[..]);
+        assert_eq!(st.triples()[pinned.len()..], batch[..]);
+        assert_eq!(st.triples.capacity(), st.triples.len());
+        // Unshared: grown in place, contents and insertion order kept.
+        drop(snap);
+        let before = st.triples().to_vec();
+        let more = [[Id(90), Id(101), Id(2)], [Id(0), Id(102), Id(91)]];
+        st.insert_batch(&more);
+        assert_eq!(st.triples()[..before.len()], before[..]);
+        assert_eq!(st.triples()[before.len()..], more[..]);
+        assert_eq!(st.len(), before.len() + 2);
     }
 
     #[test]

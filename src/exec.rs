@@ -27,7 +27,7 @@ use rdf_query::minimize;
 use rdf_query::ConjunctiveQuery;
 use rdf_reform::{reformulate_with_limit, ReformLimit};
 use rdf_schema::{entailed_delta, retracted_delta, Schema, VocabIds};
-use rdf_stats::{estimate_conjunction, CardinalityEstimator, RelAtom};
+use rdf_stats::{estimate_conjunction, CardinalityEstimator, RelAtom, RelStats};
 use rdfviews_core::rewrite::{self, PlanAtom, RewritePlan};
 use rdfviews_core::{PreparedReasoning, Recommendation, SelectionError, State, ViewId};
 
@@ -307,14 +307,7 @@ pub struct Deployment {
     /// touches, `Arc`-shared with every snapshot and reader so plans can
     /// be produced off any pinned generation without the deployment.
     ctx: Arc<PlanCtx>,
-    store: TripleStore,
-    views: Vec<DeployedView>,
-    /// How implicit triples are served: under saturation the schema and
-    /// the explicit (unsaturated) triples from which `store` is
-    /// re-derivable, so writes stay entailment-aware; under pre/post
-    /// reformulation the schema that ad-hoc plans reformulate with (the
-    /// planning context holds the same pair, derived from this value).
-    reasoning: PreparedReasoning,
+    maintained: Maintained,
     /// The published read generation, swapped whole under a light
     /// `RwLock`: readers clone the `Arc` (one read-lock acquisition per
     /// pin) and then run wait-free; the writer publishes by one
@@ -329,14 +322,32 @@ impl Clone for Deployment {
             // either deployment execute on both (their stores, views and
             // view ids are identical at the point of cloning).
             ctx: Arc::clone(&self.ctx),
-            store: self.store.clone(),
-            views: self.views.clone(),
-            reasoning: self.reasoning.clone(),
+            maintained: self.maintained.clone(),
             // A fresh generation slot: the two deployments diverge from
             // here, so the clone must publish to its own readers only.
             current: Arc::new(RwLock::new(self.current_generation())),
         }
     }
+}
+
+/// What a deployment keeps consistent under writes: the maintenance base
+/// store, the deployed views and the reasoning they are maintained under.
+/// [`Maintained::insert_batch`] and [`Maintained::delete_batch`] are the
+/// one maintenance core: each applies a batch and returns the indexes of
+/// the views whose rows changed. A live [`Deployment`] then publishes
+/// those tables; recovery replays its log into a decoded `Maintained`
+/// before any generation exists, so nothing pins what a record replaces
+/// and no record rebuilds a table.
+#[derive(Debug, Clone)]
+struct Maintained {
+    store: TripleStore,
+    views: Vec<DeployedView>,
+    /// How implicit triples are served: under saturation the schema and
+    /// the explicit (unsaturated) triples from which `store` is
+    /// re-derivable, so writes stay entailment-aware; under pre/post
+    /// reformulation the schema that ad-hoc plans reformulate with (the
+    /// planning context holds the same pair, derived from this value).
+    reasoning: PreparedReasoning,
 }
 
 /// The immutable planning context of a deployment, `Arc`-shared between
@@ -356,6 +367,9 @@ struct PlanCtx {
     /// saturated); neither do views-only plans in any mode (the view
     /// tables already hold the saturated extensions, Theorem 4.2).
     reform: Option<(Schema, VocabIds)>,
+    /// Each deployed view's statistics from the recommendation's catalog,
+    /// sorted by view id: computed once here, read by every plan estimate.
+    view_stats: Vec<(ViewId, RelStats)>,
     /// Process-unique lineage id stamped into every [`QueryPlan`], so a
     /// plan from one deployment cannot silently execute on another whose
     /// store happens to share a version number (clones keep the id: their
@@ -386,19 +400,6 @@ struct Generation {
 }
 
 impl Generation {
-    /// The first generation of a built or reloaded deployment: every
-    /// table assembled from its maintained branches.
-    fn assemble(store: &TripleStore, views: &[DeployedView]) -> Self {
-        let tables = views
-            .iter()
-            .map(|dv| (dv.id, Arc::new(dv.merged_table())))
-            .collect();
-        Self {
-            store: store.snapshot(),
-            tables: Arc::new(MaterializedViews { tables }),
-        }
-    }
-
     fn version(&self) -> u64 {
         self.store.version()
     }
@@ -637,7 +638,7 @@ impl Deployment {
             ),
             other => (store.clone(), other.clone()),
         };
-        let views: Vec<DeployedView> = rec
+        let views = rec
             .views
             .iter()
             .zip(rec.materialization.iter())
@@ -652,12 +653,33 @@ impl Deployment {
             })
             .collect();
         let id = DEPLOYMENT_IDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let generation = Generation::assemble(&store, &views);
+        let ctx = PlanCtx::new(rec, &reasoning, id, id);
+        Self::assemble(
+            ctx,
+            Maintained {
+                store,
+                views,
+                reasoning,
+            },
+        )
+    }
+
+    /// A deployment serving `maintained` as its first generation, every
+    /// table assembled once from its maintained branches: how a built,
+    /// reopened or recovered deployment gets its generation slot.
+    fn assemble(ctx: PlanCtx, maintained: Maintained) -> Self {
+        let tables = maintained
+            .views
+            .iter()
+            .map(|dv| (dv.id, Arc::new(dv.merged_table())))
+            .collect();
+        let generation = Generation {
+            store: maintained.store.snapshot(),
+            tables: Arc::new(MaterializedViews { tables }),
+        };
         Self {
-            ctx: Arc::new(PlanCtx::new(rec, &reasoning, id, id)),
-            store,
-            views,
-            reasoning,
+            ctx: Arc::new(ctx),
+            maintained,
             current: Arc::new(RwLock::new(Arc::new(generation))),
         }
     }
@@ -711,11 +733,11 @@ impl Deployment {
     fn publish(&mut self, changed: &[usize]) {
         let mut tables = MaterializedViews::clone(&self.current_generation().tables);
         for &i in changed {
-            let dv = &self.views[i];
+            let dv = &self.maintained.views[i];
             tables.tables.insert(dv.id, Arc::new(dv.merged_table()));
         }
         let generation = Arc::new(Generation {
-            store: self.store.snapshot(),
+            store: self.maintained.store.snapshot(),
             tables: Arc::new(tables),
         });
         *write_unpoisoned(&self.current) = generation;
@@ -723,12 +745,12 @@ impl Deployment {
 
     /// The maintenance base store (reflects all applied updates).
     pub fn store(&self) -> &TripleStore {
-        &self.store
+        &self.maintained.store
     }
 
     /// Number of deployed views.
     pub fn view_count(&self) -> usize {
-        self.views.len()
+        self.maintained.views.len()
     }
 
     /// Total hash-index builds across the published generation's view
@@ -755,9 +777,17 @@ impl PlanCtx {
             | PreparedReasoning::PostReformulation(schema, vocab) => Some((schema.clone(), *vocab)),
             PreparedReasoning::Plain | PreparedReasoning::Saturation(..) => None,
         };
+        let est = CardinalityEstimator::new(&rec.catalog);
+        let mut view_stats: Vec<(ViewId, RelStats)> = rec
+            .views
+            .iter()
+            .map(|v| (v.id, est.view_stats(&v.as_query())))
+            .collect();
+        view_stats.sort_unstable_by_key(|(id, _)| *id);
         Self {
             rec,
             reform,
+            view_stats,
             deployment_id,
             lineage,
             workload_plans,
@@ -925,34 +955,36 @@ impl PlanCtx {
 
     /// Estimated evaluation cost of one plan from the recommendation's
     /// statistics catalog (the same System-R estimator the search used):
-    /// total scanned cardinality plus the estimated join output.
+    /// total scanned cardinality plus the estimated join output. Plans are
+    /// built over this deployment's views only; one that scans any other
+    /// view has no estimate, and costs infinity.
     fn estimate_plan(&self, plan: &RewritePlan) -> f64 {
         let est = CardinalityEstimator::new(&self.rec.catalog);
-        let rel_atoms: Vec<RelAtom> = plan
+        let rel_atoms: Option<Vec<RelAtom>> = plan
             .atoms
             .iter()
             .map(|pa| match pa {
                 PlanAtom::View(ra) => {
-                    let view = self
-                        .rec
-                        .views
-                        .iter()
-                        .find(|v| v.id == ra.view)
-                        // xlint: allow(X001, reason = "plans are built only over views of this recommendation")
-                        .expect("plan scans a deployed view");
-                    RelAtom {
-                        stats: est.view_stats(&view.as_query()),
+                    let i = self
+                        .view_stats
+                        .binary_search_by_key(&ra.view, |(id, _)| *id)
+                        .ok()?;
+                    Some(RelAtom {
+                        stats: self.view_stats[i].1.clone(),
                         args: ra.args.clone(),
                         baked: false,
-                    }
+                    })
                 }
-                PlanAtom::Base(a) => RelAtom {
+                PlanAtom::Base(a) => Some(RelAtom {
                     stats: est.atom_stats(a),
                     args: a.terms().to_vec(),
                     baked: true,
-                },
+                }),
             })
             .collect();
+        let Some(rel_atoms) = rel_atoms else {
+            return f64::INFINITY;
+        };
         let io: f64 = rel_atoms.iter().map(|a| a.stats.card).sum();
         io + estimate_conjunction(&rel_atoms)
     }
@@ -991,6 +1023,37 @@ impl Deployment {
     /// [`Deployment::delete`]. `stats.batches` counts 1 per call that
     /// reached the delta joins.
     pub fn delete_batch(&mut self, batch: &[Triple]) -> MaintenanceStats {
+        let (total, changed) = self.maintained.delete_batch(batch);
+        if let Some(changed) = changed {
+            self.publish(&changed);
+        }
+        total
+    }
+
+    /// Applies a batch of insertions, set-at-a-time. Under saturation
+    /// reasoning the batch's consequences are derived from the batch
+    /// alone ([`rdf_schema::entailed_delta`] — each RDFS rule has one
+    /// instance premise, so no other triple of the database takes part)
+    /// and enter the base store together with it, as one write; then every
+    /// view runs **one** delta-set join per atom position —
+    /// Δv = ⋃ᵢ π_head(a₁ ⋈ … ⋈ Δaᵢ ⋈ … ⋈ aₙ) with Δ the whole batch,
+    /// hash-indexed — instead of |Δ| per-triple passes. `stats.batches`
+    /// counts 1 per call that reached the delta joins; a fully-duplicate
+    /// batch is a no-op.
+    pub fn insert_batch(&mut self, batch: &[Triple]) -> MaintenanceStats {
+        let (total, changed) = self.maintained.insert_batch(batch);
+        if let Some(changed) = changed {
+            self.publish(&changed);
+        }
+        total
+    }
+}
+
+impl Maintained {
+    /// The maintenance core of [`Deployment::delete_batch`]: the merged
+    /// counters, and the indexes of the views whose rows shrank — `None`
+    /// when the store did not change.
+    fn delete_batch(&mut self, batch: &[Triple]) -> (MaintenanceStats, Option<Vec<usize>>) {
         let mut total = MaintenanceStats::default();
         let doomed: Vec<Triple> = match &mut self.reasoning {
             PreparedReasoning::Saturation(schema, vocab, explicit) => {
@@ -1006,7 +1069,7 @@ impl Deployment {
             }
         };
         if doomed.is_empty() {
-            return total;
+            return (total, None);
         }
         total.batches = 1;
         // Phase 1: one shared delta set, one prepare per view branch,
@@ -1036,21 +1099,13 @@ impl Deployment {
                 changed.push(i);
             }
         }
-        self.publish(&changed);
-        total
+        (total, Some(changed))
     }
 
-    /// Applies a batch of insertions, set-at-a-time. Under saturation
-    /// reasoning the batch's consequences are derived from the batch
-    /// alone ([`rdf_schema::entailed_delta`] — each RDFS rule has one
-    /// instance premise, so no other triple of the database takes part)
-    /// and enter the base store together with it, as one write; then every
-    /// view runs **one** delta-set join per atom position —
-    /// Δv = ⋃ᵢ π_head(a₁ ⋈ … ⋈ Δaᵢ ⋈ … ⋈ aₙ) with Δ the whole batch,
-    /// hash-indexed — instead of |Δ| per-triple passes. `stats.batches`
-    /// counts 1 per call that reached the delta joins; a fully-duplicate
-    /// batch is a no-op.
-    pub fn insert_batch(&mut self, batch: &[Triple]) -> MaintenanceStats {
+    /// The maintenance core of [`Deployment::insert_batch`]: the merged
+    /// counters, and the indexes of the views whose rows grew — `None`
+    /// when the store did not change.
+    fn insert_batch(&mut self, batch: &[Triple]) -> (MaintenanceStats, Option<Vec<usize>>) {
         let mut total = MaintenanceStats::default();
         let added: Vec<Triple> = match &mut self.reasoning {
             PreparedReasoning::Saturation(schema, vocab, explicit) => {
@@ -1069,7 +1124,7 @@ impl Deployment {
         if added.is_empty() {
             // Newly-explicit triples that were already entailed: the base
             // store (and the views) did not change.
-            return total;
+            return (total, None);
         }
         total.batches = 1;
         // One shared delta set, one join pass per view branch against the
@@ -1087,8 +1142,7 @@ impl Deployment {
                 changed.push(i);
             }
         }
-        self.publish(&changed);
-        total
+        (total, Some(changed))
     }
 }
 

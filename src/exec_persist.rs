@@ -48,9 +48,12 @@
 //! Two deployments that reach the same triples and rows by different
 //! histories therefore write the same bytes and have the same state hash.
 //!
-//! Recovery ([`Deployment::recover`]) loads the snapshot and replays the
-//! WAL suffix through the ordinary set-at-a-time maintenance path — the
-//! same joins, the same entailment deltas — which makes it
+//! Recovery ([`Deployment::recover`]) decodes the snapshot and replays the
+//! WAL suffix through the set-at-a-time maintenance core the live
+//! deployment runs — the same joins, the same entailment deltas — before
+//! the first publish: no generation pins the decoded store while the log
+//! replays, so a record copies no run or list that it replaces, and the
+//! view tables are assembled once, at the end. Replay is
 //! *deterministic*: the recovered state reproduces the pre-crash state
 //! bit-for-bit, proven by the 128-bit **state hash** (domain
 //! `rdfviews.state.v2`, over the canonical semantic sections). Torn tail
@@ -786,21 +789,26 @@ fn state_hash_of(semantic: &[&[u8]], version: u64) -> u128 {
 
 impl Deployment {
     fn encode_bundle(&self, dict: &Dictionary) -> DResult<EncodedBundle> {
+        let Maintained {
+            store,
+            views,
+            reasoning,
+        } = &self.maintained;
         let dict_bytes = enc_dict(dict);
         let mut store_w = Writer::new();
-        enc_store_into(&mut store_w, &self.store);
+        enc_store_into(&mut store_w, store);
         let store_bytes = store_w.into_bytes();
         let rec_bytes = enc_rec(&self.ctx.rec);
-        let views_bytes = enc_deployed_views(&self.views);
+        let views_bytes = enc_deployed_views(views);
         // One flag-led section each for entailment and reformulation; the
         // reasoning is one value, so at most one flag is ever set.
         let mut entail_w = Writer::new();
         let mut reform_w = Writer::new();
-        match &self.reasoning {
+        match reasoning {
             PreparedReasoning::Saturation(schema, vocab, explicit) => {
                 entail_w.bool(true);
                 enc_schema_into(&mut entail_w, schema, vocab);
-                enc_subset_into(&mut entail_w, explicit, &self.store.index(IndexOrder::Spo))?;
+                enc_subset_into(&mut entail_w, explicit, &store.index(IndexOrder::Spo))?;
                 reform_w.bool(false);
             }
             PreparedReasoning::PreReformulation(schema, vocab)
@@ -825,10 +833,10 @@ impl Deployment {
                 &entail_bytes,
                 &reform_bytes,
             ],
-            self.store.version(),
+            store.version(),
         );
         let mut meta_w = Writer::new();
-        meta_w.u64(self.store.version());
+        meta_w.u64(store.version());
         meta_w.u64(self.ctx.lineage);
         Ok(EncodedBundle {
             sections: vec![
@@ -844,7 +852,11 @@ impl Deployment {
         })
     }
 
-    fn decode_bundle(bytes: &[u8]) -> DResult<(Deployment, Dictionary, u128)> {
+    /// Decodes a bundle into its planning context, its maintained state
+    /// and its dictionary. No generation is assembled:
+    /// [`Deployment::open`] assembles one at once, [`Deployment::recover`]
+    /// after it has replayed the log.
+    fn decode_bundle(bytes: &[u8]) -> DResult<(PlanCtx, Maintained, Dictionary)> {
         let sections = bundle::decode(bytes)?;
         if sections.len() != SECTION_ORDER.len() {
             return Err(corrupt(format!(
@@ -862,14 +874,14 @@ impl Deployment {
             }
         }
 
-        let dict = dec_dict(&sections[0].1)?;
-        let mut store_r = Reader::new(&sections[1].1);
+        let dict = dec_dict(sections[0].1)?;
+        let mut store_r = Reader::new(sections[1].1);
         let store = dec_store(&mut store_r, dict.len())?;
         store_r.expect_exhausted("store section")?;
-        let rec = dec_rec(&sections[2].1, dict.len())?;
-        let views = dec_deployed_views(&sections[3].1, dict.len())?;
+        let rec = dec_rec(sections[2].1, dict.len())?;
+        let views = dec_deployed_views(sections[3].1, dict.len())?;
 
-        let mut ent_r = Reader::new(&sections[4].1);
+        let mut ent_r = Reader::new(sections[4].1);
         let entailment = if ent_r.bool("entailment flag")? {
             let (schema, vocab) = dec_schema(&mut ent_r, dict.len())?;
             let explicit = dec_subset(&mut ent_r, &store.index(IndexOrder::Spo))?;
@@ -879,7 +891,7 @@ impl Deployment {
         };
         ent_r.expect_exhausted("entailment section")?;
 
-        let mut ref_r = Reader::new(&sections[5].1);
+        let mut ref_r = Reader::new(sections[5].1);
         let reform = if ref_r.bool("reformulation flag")? {
             let (schema, vocab) = dec_schema(&mut ref_r, dict.len())?;
             // The section does not record which reformulation mode chose
@@ -899,7 +911,7 @@ impl Deployment {
             (None, None) => PreparedReasoning::Plain,
         };
 
-        let mut meta_r = Reader::new(&sections[6].1);
+        let mut meta_r = Reader::new(sections[6].1);
         let meta_version = meta_r.u64("maintained version")?;
         let lineage = meta_r.u64("lineage")?;
         meta_r.expect_exhausted("meta section")?;
@@ -914,34 +926,27 @@ impl Deployment {
             return Err(corrupt("deployed view count does not match recommendation"));
         }
 
-        let state_hash = state_hash_of(
-            &[
-                &sections[0].1,
-                &sections[1].1,
-                &sections[2].1,
-                &sections[3].1,
-                &sections[4].1,
-                &sections[5].1,
-            ],
-            meta_version,
+        // Fresh process-scoped id: plans from the pre-crash process must
+        // not execute against the reloaded deployment.
+        let ctx = PlanCtx::new(
+            rec,
+            &reasoning,
+            DEPLOYMENT_IDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+            lineage,
         );
-
-        let generation = Generation::assemble(&store, &views);
-        let dep = Deployment {
-            // Fresh process-scoped id: plans from the pre-crash process
-            // must not execute against the reloaded deployment.
-            ctx: Arc::new(PlanCtx::new(
-                rec,
-                &reasoning,
-                DEPLOYMENT_IDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-                lineage,
-            )),
+        let maintained = Maintained {
             store,
             views,
             reasoning,
-            current: Arc::new(RwLock::new(Arc::new(generation))),
         };
-        Ok((dep, dict, state_hash))
+        Ok((ctx, maintained, dict))
+    }
+
+    /// Reads and decodes `dir`'s snapshot bundle; its bytes are dropped
+    /// before this returns.
+    fn read_bundle(dir: &Path) -> Result<(PlanCtx, Maintained, Dictionary), SelectionError> {
+        let bytes = fsutil::read_file(&dir.join(SNAPSHOT_FILE)).map_err(lift)?;
+        Self::decode_bundle(&bytes).map_err(lift)
     }
 
     /// Serializes the deployment (and the dictionary its ids refer to)
@@ -969,9 +974,8 @@ impl Deployment {
     /// [`SelectionError::CorruptBundle`] at load time, never a wrong
     /// answer at query time.
     pub fn open(dir: &Path) -> Result<(Deployment, Dictionary), SelectionError> {
-        let bytes = fsutil::read_file(&dir.join(SNAPSHOT_FILE)).map_err(lift)?;
-        let (dep, dict, _) = Self::decode_bundle(&bytes).map_err(lift)?;
-        Ok((dep, dict))
+        let (ctx, maintained, dict) = Self::read_bundle(dir)?;
+        Ok((Self::assemble(ctx, maintained), dict))
     }
 
     /// The deployment's canonical 128-bit content fingerprint (domain
@@ -986,16 +990,20 @@ impl Deployment {
         Ok(self.encode_bundle(dict).map_err(lift)?.state_hash)
     }
 
-    /// Recovers a deployment from `dir`: loads the snapshot, then replays
-    /// the write-ahead log suffix through the ordinary batch-maintenance
-    /// path (the same delta joins and entailment deltas the live
-    /// deployment ran). A torn tail record — the signature of a crash
-    /// mid-append — is dropped gracefully and reported; records already
-    /// absorbed by a newer snapshot are skipped by their version stamps;
-    /// a record from the *future* (version stamp ahead of the store) is
-    /// corruption.
+    /// Recovers a deployment from `dir`: decodes the snapshot, then
+    /// replays the write-ahead log suffix through the maintenance core the
+    /// live deployment runs (the same delta joins and entailment deltas).
+    /// The log replays **before the first publish**: no generation exists
+    /// yet, so nothing pins the store a record replaces — each spliced run
+    /// frees its predecessor and the triple list grows in place — and no
+    /// record rebuilds a table. The first generation's tables are
+    /// assembled once, after the last record. A torn tail record — the
+    /// signature of a crash mid-append — is dropped gracefully and
+    /// reported; records already absorbed by a newer snapshot are skipped
+    /// by their version stamps; a record from the *future* (version stamp
+    /// ahead of the store) is corruption.
     pub fn recover(dir: &Path) -> Result<(Deployment, Dictionary, RecoveryReport), SelectionError> {
-        let (mut dep, mut dict) = Self::open(dir)?;
+        let (ctx, mut maintained, mut dict) = Self::read_bundle(dir)?;
         let wal_path = dir.join(WAL_FILE);
         let scan = if wal_path.exists() {
             wal::scan(&fsutil::read_file(&wal_path).map_err(lift)?).map_err(lift)?
@@ -1036,7 +1044,7 @@ impl Deployment {
                     }
                 }
             }
-            let current = dep.store.version();
+            let current = maintained.store.version();
             if pre_version > current {
                 return Err(SelectionError::CorruptBundle {
                     detail: format!(
@@ -1054,16 +1062,17 @@ impl Deployment {
             }
             match kind {
                 WalKind::Insert => {
-                    dep.insert_batch(&triples);
+                    maintained.insert_batch(&triples);
                     report.triples_inserted += triples.len();
                 }
                 WalKind::Delete => {
-                    dep.delete_batch(&triples);
+                    maintained.delete_batch(&triples);
                     report.triples_deleted += triples.len();
                 }
             }
             report.records_replayed += 1;
         }
+        let dep = Self::assemble(ctx, maintained);
         report.state_hash = dep.content_hash(&dict)?;
         Ok((dep, dict, report))
     }
@@ -1294,7 +1303,7 @@ impl DurableDeployment {
         let new_terms: Vec<&Term> = (self.persisted_dict_len..self.dict.len())
             .map(|i| self.dict.term(Id(i as u32)))
             .collect();
-        let record = enc_wal_record(kind, self.dep.store.version(), &new_terms, batch);
+        let record = enc_wal_record(kind, self.dep.store().version(), &new_terms, batch);
         // Durability point: the record is on disk before the apply.
         self.wal.append(&record).map_err(lift)?;
         self.persisted_dict_len = self.dict.len();

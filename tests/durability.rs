@@ -168,6 +168,16 @@ fn feed(dict: &mut Dictionary, from: usize, n: usize) -> Vec<Triple> {
         .collect()
 }
 
+/// A bundle's sections as owned payloads, for tests that re-frame edited
+/// copies of them.
+fn owned_sections(bytes: &[u8]) -> Vec<(u32, Vec<u8>)> {
+    let sections = bundle::decode(bytes).unwrap();
+    sections
+        .into_iter()
+        .map(|(tag, p)| (tag, p.to_vec()))
+        .collect()
+}
+
 // ---------------------------------------------------------------------
 // Round trips.
 // ---------------------------------------------------------------------
@@ -796,7 +806,8 @@ fn bundle_meta_records_the_version_of_its_store() {
     drop(durable);
 
     let snapshot = tmp.path().join(SNAPSHOT_FILE);
-    let pristine = bundle::decode(&std::fs::read(&snapshot).unwrap()).unwrap();
+    let bytes = std::fs::read(&snapshot).unwrap();
+    let pristine = owned_sections(&bytes);
     let meta = |version: u64| {
         let mut w = Writer::new();
         w.u64(version);
@@ -838,7 +849,8 @@ fn non_canonical_sections_are_corrupt_bundles() {
     let (dep, dict) = deployed(8);
     dep.persist(tmp.path(), &dict).unwrap();
     let snapshot = tmp.path().join(SNAPSHOT_FILE);
-    let pristine = bundle::decode(&std::fs::read(&snapshot).unwrap()).unwrap();
+    let bytes = std::fs::read(&snapshot).unwrap();
+    let pristine = owned_sections(&bytes);
     let open_with = |tag: u32, payload: Vec<u8>| {
         let mut sections = pristine.clone();
         sections.iter_mut().find(|s| s.0 == tag).unwrap().1 = payload;

@@ -1,0 +1,180 @@
+//! The memory contract of recovery: replaying a write-ahead log costs at
+//! most one triple run and one snapshot's bytes beyond what the recovered
+//! deployment keeps.
+//!
+//! Recovery replays the log into the decoded store, views and reasoning
+//! before the first generation is published, so no pinned copy of the
+//! store outlives a record: each spliced run frees its predecessor, the
+//! triple list grows in place, and the view tables are assembled once, at
+//! the end. A replay that copied the store for every record — the list and
+//! every built run, held beside the generation that pins the originals —
+//! needs several runs' worth of transient heap and fails here.
+//!
+//! Its own test binary, because it installs a counting global allocator:
+//! live bytes and their high-water mark, with a reallocation counted as a
+//! fresh allocation that frees the old block after the copy (the worst
+//! case of a moving `realloc`).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
+
+use rdfviews::exec::SNAPSHOT_FILE;
+use rdfviews::model::{Id, Triple};
+use rdfviews::prelude::*;
+use rdfviews::workload::BartonDataset;
+
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrank(bytes: usize) {
+    LIVE.fetch_sub(bytes, Ordering::Relaxed);
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments;
+// the counters only observe the sizes.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        shrank(layout.size());
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            grew(new_size);
+            shrank(layout.size());
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// A scratch directory, removed on drop.
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+/// `n` fresh resources, each typed with a schema class (so saturation
+/// derives its superclasses) and linked by a schema property to an
+/// existing subject.
+fn fresh_batch(
+    dict: &mut Dictionary,
+    data: &BartonDataset,
+    subjects: &[Id],
+    from: usize,
+    n: usize,
+) -> Vec<Triple> {
+    (from..from + n)
+        .flat_map(|i| {
+            let item = dict.intern_uri(&format!("fresh{i}"));
+            let class = data.classes[i % data.classes.len()];
+            let property = data.properties[i % 7];
+            let object = subjects[i % subjects.len()];
+            [[item, data.vocab.rdf_type, class], [item, property, object]]
+        })
+        .collect()
+}
+
+#[test]
+fn recovery_holds_at_most_one_run_and_one_snapshot_beyond_its_result() {
+    let data = generate_barton(&BartonSpec::default().with_size(4_000, 24_000));
+    assert!(data.db.store().len() >= 20_000);
+    let workload = generate_satisfiable(&data.db, &SatisfiableSpec::new(3, 3, Shape::Mixed));
+    let mut advisor = Advisor::builder(&data.db)
+        .schema(&data.schema, &data.vocab)
+        .reasoning(ReasoningMode::Saturation)
+        // A state cap, not a clock, ends the search: the views, and so
+        // every byte counted below, are the same on any machine.
+        .max_states(300)
+        .budget(Duration::from_secs(600))
+        .build()
+        .unwrap();
+    let rec = advisor.recommend(&workload).unwrap();
+
+    let dir = TempDir(
+        std::env::temp_dir().join(format!("rdfviews-recovery-memory-{}", std::process::id())),
+    );
+    std::fs::remove_dir_all(&dir.0).ok();
+    let mut durable = advisor.deploy_durable(rec, &dir.0).unwrap();
+    let subjects: Vec<_> = data.db.store().triples()[..500]
+        .iter()
+        .map(|t| t[0])
+        .collect();
+    let mut inserted = Vec::new();
+    for k in 0..4 {
+        let batch = fresh_batch(durable.dict_mut(), &data, &subjects, 64 * k, 64);
+        assert!(durable.insert_batch(&batch).unwrap().batches > 0);
+        inserted.push(batch);
+    }
+    // Retract fresh triples and snapshot ones alike.
+    let explicit = data.db.store().triples();
+    for batch in [
+        [&inserted[0][..40], &explicit[..24]].concat(),
+        [&inserted[2][..40], &explicit[100..124]].concat(),
+    ] {
+        assert!(durable.delete_batch(&batch).unwrap().batches > 0);
+    }
+    let live_hash = {
+        let (dep, dict) = (durable.deployment(), durable.dict());
+        dep.content_hash(dict).unwrap()
+    };
+    drop(durable);
+    drop(advisor);
+    let snapshot_bytes = std::fs::metadata(dir.0.join(SNAPSHOT_FILE)).unwrap().len() as usize;
+
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let (dep, dict, report) = Deployment::recover(&dir.0).unwrap();
+    let peak = PEAK.load(Ordering::Relaxed);
+    let after = LIVE.load(Ordering::Relaxed);
+
+    assert_eq!(report.records_replayed, 6);
+    assert_eq!(report.state_hash, live_hash);
+    let saturated = dep.store().len();
+    let run = 12 * saturated;
+    let transient = peak - after;
+    eprintln!(
+        "recovery: {saturated} saturated triples, snapshot {snapshot_bytes} B, \
+         deployment {} B, transient peak {transient} B (bound {} B)",
+        after - before,
+        run + snapshot_bytes
+    );
+    assert!(
+        transient < run + snapshot_bytes,
+        "recovery peaked {transient} B above the {} B its deployment holds; the bound is one \
+         run ({run} B) plus the snapshot ({snapshot_bytes} B)",
+        after - before
+    );
+    drop((dep, dict));
+}
