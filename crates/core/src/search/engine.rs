@@ -247,45 +247,30 @@ impl<'m, 'a, 'c> SearchCore<'m, 'a, 'c> {
             return Admission::Discarded;
         }
         let sig = s.signature();
-        let decision = {
+        {
             let mut shard = lock_unpoisoned(self.shard(sig));
             match shard.entry(sig) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
+                    self.count_duplicates(1);
                     if phase < *e.get() {
                         // Reached through an earlier phase: must re-expand
                         // for the stratified strategies to stay exhaustive.
                         e.insert(phase);
-                        Admission::Reexpand
-                    } else {
-                        Admission::Duplicate
+                        self.reexpansions.fetch_add(1, Ordering::Relaxed);
+                        return Admission::Reexpand;
                     }
+                    return Admission::Duplicate;
                 }
                 std::collections::hash_map::Entry::Vacant(e) => {
                     e.insert(phase);
-                    Admission::New { cost: 0.0, sig }
                 }
             }
-        };
-        match decision {
-            Admission::New { .. } => {
-                // Cost estimation is the expensive part — do it outside
-                // the stripe lock.
-                let cost = self.model.cost(s);
-                self.consider_best(s, cost, sig);
-                Admission::New { cost, sig }
-            }
-            Admission::Reexpand => {
-                self.count_duplicates(1);
-                self.reexpansions.fetch_add(1, Ordering::Relaxed);
-                Admission::Reexpand
-            }
-            Admission::Duplicate => {
-                self.count_duplicates(1);
-                Admission::Duplicate
-            }
-            // xlint: allow(X001, reason = "rejected states return Discarded before the shard probe above")
-            Admission::Discarded => unreachable!(),
         }
+        // Cost estimation is the expensive part — do it outside the
+        // stripe lock.
+        let cost = self.model.cost(s);
+        self.consider_best(s, cost, sig);
+        Admission::New { cost, sig }
     }
 
     /// Admits a seed state, *forcing* it onto the frontier even when the
@@ -352,19 +337,19 @@ impl<'m, 'a, 'c> SearchCore<'m, 'a, 'c> {
     /// Applies the AVF fixpoint: all fusions, eagerly; intermediate states
     /// are counted created-and-discarded, matching the paper's accounting.
     pub fn avf_fixpoint(&self, mut s: State) -> State {
+        let mut vfs = enumerate(&s, TransitionKind::Vf, &self.tcfg);
         loop {
-            let vfs = enumerate(&s, TransitionKind::Vf, &self.tcfg);
-            let Some(t) = vfs.first() else {
+            let Some(t) = vfs.into_iter().next() else {
                 return s;
             };
-            let fused = apply(&s, t);
+            s = apply(&s, &t);
             self.transitions.fetch_add(1, Ordering::Relaxed);
             // Does another fusion remain? If so this state is intermediate.
-            if !enumerate(&fused, TransitionKind::Vf, &self.tcfg).is_empty() {
+            vfs = enumerate(&s, TransitionKind::Vf, &self.tcfg);
+            if !vfs.is_empty() {
                 self.count_created(1);
                 self.count_discarded(1);
             }
-            s = fused;
         }
     }
 

@@ -41,8 +41,7 @@ use crate::transitions::{enumerate, Transition, TransitionConfig, TransitionKind
 pub(crate) struct Cursor {
     kinds: Vec<TransitionKind>,
     kind_idx: usize,
-    list: Vec<Transition>,
-    pos: usize,
+    list: std::vec::IntoIter<Transition>,
 }
 
 impl Cursor {
@@ -71,24 +70,18 @@ impl Cursor {
         Cursor {
             kinds,
             kind_idx: 0,
-            list: Vec::new(),
-            pos: 0,
+            list: Vec::new().into_iter(),
         }
     }
 
-    /// The next transition, if any.
+    /// The next transition, if any, handed out by move.
     pub fn next(&mut self, state: &State, tcfg: &TransitionConfig) -> Option<Transition> {
         loop {
-            if self.pos < self.list.len() {
-                let t = self.list[self.pos].clone();
-                self.pos += 1;
+            if let Some(t) = self.list.next() {
                 return Some(t);
             }
-            if self.kind_idx >= self.kinds.len() {
-                return None;
-            }
-            self.list = enumerate(state, self.kinds[self.kind_idx], tcfg);
-            self.pos = 0;
+            let kind = *self.kinds.get(self.kind_idx)?;
+            self.list = enumerate(state, kind, tcfg).into_iter();
             self.kind_idx += 1;
         }
     }

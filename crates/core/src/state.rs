@@ -396,12 +396,9 @@ impl State {
             // numbering: invariant across representatives that permute
             // head columns.
             let numbers: Vec<u32> = v.head.iter().map(|h| cf.var_map[h]).collect();
-            let mut sorted = numbers.clone();
-            sorted.sort_unstable();
             let ranks = numbers
                 .iter()
-                // xlint: allow(X001, reason = "sorted is a sorted copy of numbers, so position always succeeds")
-                .map(|n| sorted.iter().position(|x| x == n).unwrap() as u32)
+                .map(|n| numbers.iter().filter(|x| *x < n).count() as u32)
                 .collect();
             forms.insert(v.id, (cf.key, ranks));
         }
@@ -411,8 +408,7 @@ impl State {
         keys.dedup();
         let class_of = |id: ViewId| -> u32 {
             let key = &forms[&id].0;
-            // xlint: allow(X001, reason = "keys holds every canonical form collected from forms above")
-            keys.binary_search(&key).unwrap() as u32
+            keys.partition_point(|k| *k < key) as u32
         };
         let mut view_keys: Vec<Vec<rdf_query::canonical::CTok>> = self
             .views
@@ -441,20 +437,6 @@ impl State {
             k.hash(&mut h2);
         }
         ((h1.finish() as u128) << 64) | h2.finish() as u128
-    }
-
-    /// Groups views by body-isomorphism class; classes with ≥ 2 members are
-    /// View Fusion candidates.
-    pub fn fusion_classes(&self) -> Vec<Vec<ViewId>> {
-        let mut groups: FxHashMap<Vec<rdf_query::canonical::CTok>, Vec<ViewId>> =
-            FxHashMap::default();
-        for v in self.views.values() {
-            let key = canonical_form(&v.as_query(), HeadMode::Ignore).key;
-            groups.entry(key).or_default().push(v.id);
-        }
-        let mut classes: Vec<Vec<ViewId>> = groups.into_values().filter(|g| g.len() >= 2).collect();
-        classes.sort();
-        classes
     }
 
     /// Re-assembles a state for a changed workload from a previous best
@@ -650,23 +632,5 @@ mod tests {
         let mut dict = Dictionary::new();
         let q = parse_query("q(X, A) :- t(X, <p>, Y), t(A, <p>, B)", &mut dict).unwrap();
         let _ = State::initial(&[q.query]);
-    }
-
-    #[test]
-    fn fusion_classes_group_isomorphic_views() {
-        let mut dict = Dictionary::new();
-        let q1 = parse_query("q1(X) :- t(X, <p>, Y)", &mut dict)
-            .unwrap()
-            .query;
-        let q2 = parse_query("q2(B) :- t(B, <p>, C)", &mut dict)
-            .unwrap()
-            .query;
-        let q3 = parse_query("q3(X) :- t(X, <q>, Y)", &mut dict)
-            .unwrap()
-            .query;
-        let s = State::initial(&[q1, q2, q3]);
-        let classes = s.fusion_classes();
-        assert_eq!(classes.len(), 1);
-        assert_eq!(classes[0], vec![ViewId(0), ViewId(1)]);
     }
 }

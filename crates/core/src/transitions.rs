@@ -19,13 +19,19 @@
 //! from `S0` (Theorem 5.1), and reachable through a *stratified* path
 //! VB\* SC\* JC\* VF\* (Theorem 5.2) — the property the search strategies
 //! exploit. Both are exercised by this crate's tests.
+//!
+//! A [`Transition`] is applied to the state it was enumerated from. Each
+//! fact that decides whether it applies is found once, by [`enumerate`],
+//! and carried to [`apply`]: a Selection Cut carries the constant it cuts,
+//! a View Fusion the renaming between the two isomorphic bodies. Applying
+//! therefore re-matches and re-canonicalizes nothing.
 
-use rdf_model::{FxHashMap, FxHashSet};
-use rdf_query::canonical::body_isomorphism;
+use rdf_model::{FxHashMap, FxHashSet, Id};
+use rdf_query::canonical::{body_isomorphism, canonical_form, CanonicalForm, HeadMode};
 use rdf_query::graph::{JoinGraph, Occurrence};
 use rdf_query::{Atom, QTerm, Var};
 
-use crate::state::{RewAtom, State, View, ViewId};
+use crate::state::{RewAtom, Rewriting, State, View, ViewId};
 
 /// The kind of a transition, in stratified order (Definition 5.3:
 /// paths of the form VB\* SC\* JC\* VF\*).
@@ -63,6 +69,8 @@ pub enum Transition {
         atom: usize,
         /// Column (0 = s, 1 = p, 2 = o).
         pos: usize,
+        /// The constant at `(atom, pos)`.
+        constant: Id,
     },
     /// Rename the occurrence `occ` of join variable `var` in `view`
     /// (Definition 3.4). Splits the view if its graph disconnects.
@@ -92,6 +100,8 @@ pub enum Transition {
         keep: ViewId,
         /// The view folded into `keep`.
         merge: ViewId,
+        /// The `⟨2→1⟩` renaming: `merge`'s body variables to `keep`'s.
+        rho: FxHashMap<Var, Var>,
     },
 }
 
@@ -141,11 +151,12 @@ fn enumerate_sc(state: &State) -> Vec<Transition> {
     for view in state.views() {
         for (ai, atom) in view.atoms.iter().enumerate() {
             for (pos, term) in atom.terms().iter().enumerate() {
-                if !term.is_var() {
+                if let QTerm::Const(constant) = *term {
                     out.push(Transition::SelectionCut {
                         view: view.id,
                         atom: ai,
                         pos,
+                        constant,
                     });
                 }
             }
@@ -235,22 +246,17 @@ fn enumerate_vb(state: &State, cfg: &TransitionConfig) -> Vec<Transition> {
 /// All subsets of `items` with size ≤ `limit` (including the empty set).
 fn subsets_up_to(items: &[usize], limit: usize) -> Vec<Vec<usize>> {
     let mut out = vec![Vec::new()];
-    if limit == 0 {
-        return out;
-    }
-    let mut frontier: Vec<Vec<usize>> = vec![Vec::new()];
+    // The subsets of the last size, each with the index of the first item
+    // that may extend it.
+    let mut frontier: Vec<(Vec<usize>, usize)> = vec![(Vec::new(), 0)];
     for _ in 0..limit.min(items.len()) {
         let mut next = Vec::new();
-        for base in &frontier {
-            let start = base
-                .last()
-                // xlint: allow(X001, reason = "base is built from items, so its last element is always found")
-                .map_or(0, |&l| items.iter().position(|&x| x == l).unwrap() + 1);
-            for &item in &items[start..] {
+        for (base, start) in &frontier {
+            for (i, &item) in items.iter().enumerate().skip(*start) {
                 let mut s = base.clone();
                 s.push(item);
                 out.push(s.clone());
-                next.push(s);
+                next.push((s, i + 1));
             }
         }
         frontier = next;
@@ -258,30 +264,52 @@ fn subsets_up_to(items: &[usize], limit: usize) -> Vec<Vec<usize>> {
     out
 }
 
+/// Pairs the views of every body-isomorphism class: views in id order,
+/// classes by their smallest id, `keep` before `merge` within a class.
 fn enumerate_vf(state: &State) -> Vec<Transition> {
+    let mut forms: Vec<(ViewId, CanonicalForm)> = state
+        .views()
+        .map(|v| (v.id, canonical_form(&v.as_query(), HeadMode::Ignore)))
+        .collect();
+    // Stable: ids stay ascending within a class.
+    forms.sort_by(|a, b| a.1.key.cmp(&b.1.key));
+    let mut classes: Vec<&[(ViewId, CanonicalForm)]> = forms
+        .chunk_by(|a, b| a.1.key == b.1.key)
+        .filter(|class| class.len() >= 2)
+        .collect();
+    classes.sort_unstable_by_key(|class| class[0].0);
     let mut out = Vec::new();
-    for class in state.fusion_classes() {
-        for i in 0..class.len() {
-            for j in i + 1..class.len() {
-                out.push(Transition::ViewFusion {
-                    keep: class[i],
-                    merge: class[j],
-                });
+    for class in classes {
+        for (i, (keep, keep_form)) in class.iter().enumerate() {
+            for (merge, merge_form) in &class[i + 1..] {
+                if let Some(rho) = body_isomorphism(keep_form, merge_form) {
+                    out.push(Transition::ViewFusion {
+                        keep: *keep,
+                        merge: *merge,
+                        rho,
+                    });
+                }
             }
         }
     }
     out
 }
 
-/// Applies a transition, producing the successor state. Panics if the
-/// transition does not apply to `state` (callers enumerate from the same
-/// state).
+/// Applies a transition to the state it was enumerated from, producing the
+/// successor state. The transition carries what [`enumerate`] found (the
+/// cut constant, the fusion renaming), so nothing is looked up again.
+/// Applying it to a state that lacks a view it names panics.
 pub fn apply(state: &State, t: &Transition) -> State {
     let next = match t {
-        Transition::SelectionCut { view, atom, pos } => apply_sc(state, *view, *atom, *pos),
+        Transition::SelectionCut {
+            view,
+            atom,
+            pos,
+            constant,
+        } => apply_sc(state, *view, *atom, *pos, *constant),
         Transition::JoinCut { view, var, occ } => apply_jc(state, *view, *var, *occ),
         Transition::ViewBreak { view, n1, n2 } => apply_vb(state, *view, n1, n2),
-        Transition::ViewFusion { keep, merge } => apply_vf(state, *keep, *merge),
+        Transition::ViewFusion { keep, merge, rho } => apply_vf(state, *keep, *merge, rho),
     };
     debug_assert_eq!(next.check_invariants(), Ok(()));
     next
@@ -291,14 +319,9 @@ pub fn apply(state: &State, t: &Transition) -> State {
 // Selection Cut
 // ---------------------------------------------------------------------
 
-fn apply_sc(state: &State, vid: ViewId, atom: usize, pos: usize) -> State {
+fn apply_sc(state: &State, vid: ViewId, atom: usize, pos: usize, constant: Id) -> State {
     let mut next = state.clone();
     let old = next.remove_view(vid);
-    let constant = match old.atoms[atom].terms()[pos] {
-        QTerm::Const(c) => c,
-        // xlint: allow(X001, reason = "enumerate only emits SC transitions for constant atom positions")
-        QTerm::Var(_) => panic!("SC target is not a constant"),
-    };
     let fresh = old.fresh_var();
     let new_id = next.fresh_view_id();
     let mut atoms = old.atoms.clone();
@@ -312,10 +335,9 @@ fn apply_sc(state: &State, vid: ViewId, atom: usize, pos: usize) -> State {
     });
     // R′: every occurrence of v becomes π_head(v)(σ_e(v′)) — the selection
     // is the constant pinned on the new trailing argument.
-    rewire(&mut next, vid, |r, args| {
+    rewire(&mut next, vid, |_, args| {
         let mut a = args.to_vec();
         a.push(QTerm::Const(constant));
-        let _ = r;
         vec![RewAtom {
             view: new_id,
             args: a,
@@ -339,13 +361,17 @@ fn apply_jc(state: &State, vid: ViewId, var: Var, occ: Occurrence) -> State {
     let fresh = old.fresh_var();
     let mut atoms = old.atoms.clone();
     atoms[occ.atom].0[occ.pos] = QTerm::Var(fresh);
-    let graph = JoinGraph::new(&atoms);
-    let components = graph.components();
-    if components.len() == 1 {
+    // The side of the renamed occurrence holds `fresh`; the rest, if any,
+    // holds `var`. Cutting one occurrence splits the body at most in two.
+    let side_a = JoinGraph::new(&atoms).component_of(occ.atom);
+    let side_b: Vec<usize> = (0..atoms.len())
+        .filter(|i| side_a.binary_search(i).is_err())
+        .collect();
+    let x_in_head = old.head_index(var);
+    if side_b.is_empty() {
         // Case 1: still connected — one view, both variables exported.
         let new_id = next.fresh_view_id();
         let mut head = old.head.clone();
-        let x_in_head = old.head_index(var);
         if x_in_head.is_none() {
             head.push(var);
         }
@@ -375,62 +401,28 @@ fn apply_jc(state: &State, vid: ViewId, var: Var, occ: Occurrence) -> State {
             }]
         });
     } else {
-        // Case 2: split into the component of the renamed occurrence (which
-        // holds `fresh`) and the rest (which holds `var`).
-        debug_assert_eq!(components.len(), 2, "cutting one edge splits in two");
-        let comp_a = components
-            .iter()
-            .find(|c| c.contains(&occ.atom))
-            // xlint: allow(X001, reason = "cutting one join edge yields exactly two components, one holding the atom")
-            .expect("renamed atom in a component")
-            .clone();
-        let comp_b = components
-            .iter()
-            .find(|c| !c.contains(&occ.atom))
-            // xlint: allow(X001, reason = "cutting one join edge yields exactly two components, one holding the atom")
-            .expect("second component")
-            .clone();
-        let x_in_head = old.head_index(var);
-        let (id_a, head_a, atoms_a) = make_component(&mut next, &old, &atoms, &comp_a, fresh);
-        // `var` may already be in the inherited head portion of comp_b.
-        let (id_b, head_b, atoms_b) = make_component(&mut next, &old, &atoms, &comp_b, var);
-        next.insert_view(View {
-            id: id_a,
-            head: head_a.clone(),
-            atoms: atoms_a,
-        });
-        next.insert_view(View {
-            id: id_b,
-            head: head_b.clone(),
-            atoms: atoms_b,
-        });
-        let old_ref = &old;
+        // Case 2: split into the two sides.
+        let (view_a, cols_a) = make_component(&mut next, &old, &atoms, &side_a, fresh);
+        let (view_b, cols_b) = make_component(&mut next, &old, &atoms, &side_b, var);
+        let (id_a, id_b) = (view_a.id, view_b.id);
+        next.insert_view(view_a);
+        next.insert_view(view_b);
         rewire(&mut next, vid, move |r, args| {
             let u = match x_in_head {
                 Some(k) => args[k],
                 None => QTerm::Var(r.fresh_var()),
             };
-            let build = |head: &[Var]| -> Vec<QTerm> {
-                head.iter()
-                    .map(|h| {
-                        if *h == fresh || (*h == var && x_in_head.is_none()) {
-                            u
-                        } else {
-                            // xlint: allow(X001, reason = "component heads only inherit vars present in the old view head")
-                            let k = old_ref.head_index(*h).expect("inherited head var");
-                            args[k]
-                        }
-                    })
-                    .collect()
+            let build = |cols: &[Option<usize>]| -> Vec<QTerm> {
+                cols.iter().map(|c| c.map_or(u, |k| args[k])).collect()
             };
             vec![
                 RewAtom {
                     view: id_a,
-                    args: build(&head_a),
+                    args: build(&cols_a),
                 },
                 RewAtom {
                     view: id_b,
-                    args: build(&head_b),
+                    args: build(&cols_b),
                 },
             ]
         });
@@ -438,28 +430,36 @@ fn apply_jc(state: &State, vid: ViewId, var: Var, occ: Occurrence) -> State {
     next
 }
 
-/// Builds the head and atoms of one component view after a split: inherited
-/// head variables (in the original order) plus the join variable if absent.
+/// Builds one component view after a split: inherited head variables (in
+/// the original order) plus the join variable if absent. Also returns,
+/// per head column, where a rewiring takes its term: `Some(k)` for column
+/// `k` of the old head, `None` for the join term.
 fn make_component(
     next: &mut State,
     old: &View,
     atoms: &[Atom],
     comp: &[usize],
     join_var: Var,
-) -> (ViewId, Vec<Var>, Vec<Atom>) {
+) -> (View, Vec<Option<usize>>) {
     let comp_atoms: Vec<Atom> = comp.iter().map(|&i| atoms[i]).collect();
     let vars: FxHashSet<Var> = comp_atoms.iter().flat_map(|a| a.vars()).collect();
-    let mut head: Vec<Var> = old
+    let (mut head, mut cols): (Vec<Var>, Vec<Option<usize>>) = old
         .head
         .iter()
-        .copied()
-        .filter(|h| vars.contains(h))
-        .collect();
+        .enumerate()
+        .filter(|(_, h)| vars.contains(h))
+        .map(|(k, &h)| (h, Some(k)))
+        .unzip();
     if !head.contains(&join_var) {
         head.push(join_var);
+        cols.push(None);
     }
-    let id = next.fresh_view_id();
-    (id, head, comp_atoms)
+    let view = View {
+        id: next.fresh_view_id(),
+        head,
+        atoms: comp_atoms,
+    };
+    (view, cols)
 }
 
 // ---------------------------------------------------------------------
@@ -553,13 +553,10 @@ fn apply_vb(state: &State, vid: ViewId, n1: &[usize], n2: &[usize]) -> State {
 // View Fusion
 // ---------------------------------------------------------------------
 
-fn apply_vf(state: &State, keep: ViewId, merge: ViewId) -> State {
+fn apply_vf(state: &State, keep: ViewId, merge: ViewId, rho: &FxHashMap<Var, Var>) -> State {
     let mut next = state.clone();
     let v1 = next.remove_view(keep);
     let v2 = next.remove_view(merge);
-    let rho = body_isomorphism(&v1.as_query(), &v2.as_query())
-        // xlint: allow(X001, reason = "enumerate only emits VF for view pairs with isomorphic bodies")
-        .expect("VF on non-isomorphic views");
     // head(v3) = head(v1) ∪ ρ(head(v2)), order: v1's head then new columns.
     let mut head = v1.head.clone();
     let mapped_v2_head: Vec<Var> = v2.head.iter().map(|h| rho[h]).collect();
@@ -633,8 +630,6 @@ fn rewire(
     }
 }
 
-use crate::state::Rewriting;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -694,12 +689,7 @@ mod tests {
         let star = dict.lookup_uri("starryNight").unwrap();
         let sc = scs
             .iter()
-            .find(|t| match t {
-                Transition::SelectionCut { view, atom, pos } => {
-                    s1.view(*view).atoms[*atom].terms()[*pos] == QTerm::Const(star)
-                }
-                _ => false,
-            })
+            .find(|t| matches!(t, Transition::SelectionCut { constant, .. } if *constant == star))
             .expect("starryNight cut available");
         let s2 = apply(&s1, sc);
         assert_eq!(s2.view_count(), 2);
@@ -773,6 +763,29 @@ mod tests {
             let r = &s1.rewritings()[0];
             assert!(matches!(r.atoms[0].args[1], QTerm::Const(_)));
             assert_rewritings_equivalent(&s1, &queries);
+        }
+    }
+
+    #[test]
+    fn sc_carries_the_constant_it_cuts() {
+        let mut dict = Dictionary::new();
+        let s0 = State::initial(&[q1(&mut dict)]);
+        let scs = enumerate_sc(&s0);
+        assert_eq!(scs.len(), 4);
+        for sc in &scs {
+            let Transition::SelectionCut {
+                view,
+                atom,
+                pos,
+                constant,
+            } = sc
+            else {
+                panic!("not a selection cut: {sc:?}");
+            };
+            assert_eq!(
+                s0.view(*view).atoms[*atom].terms()[*pos],
+                QTerm::Const(*constant)
+            );
         }
     }
 
@@ -898,6 +911,38 @@ mod tests {
         // qa exports the subject, qb the object: the fused head has both.
         assert_eq!(v.head.len(), 2);
         assert_rewritings_equivalent(&s1, &queries);
+    }
+
+    #[test]
+    fn vf_pairs_isomorphic_views_with_their_renaming() {
+        let mut dict = Dictionary::new();
+        let queries: Vec<ConjunctiveQuery> = [
+            "q1(X) :- t(X, <p>, Y), t(Y, <r>, Z)",
+            "q2(B) :- t(C, <r>, D), t(B, <p>, C)",
+            "q3(X) :- t(X, <q>, Y), t(Y, <r>, Z)",
+        ]
+        .iter()
+        .map(|q| parse_query(q, &mut dict).unwrap().query)
+        .collect();
+        let s0 = State::initial(&queries);
+        let vfs = enumerate(&s0, TransitionKind::Vf, &TransitionConfig::default());
+        assert_eq!(vfs.len(), 1);
+        let Transition::ViewFusion { keep, merge, rho } = &vfs[0] else {
+            panic!("not a fusion: {:?}", vfs[0]);
+        };
+        assert_eq!((*keep, *merge), (ViewId(0), ViewId(1)));
+        // The renaming sends merge's body onto keep's, as a set of atoms.
+        let rho: FxHashMap<Var, QTerm> = rho.iter().map(|(&b, &a)| (b, QTerm::Var(a))).collect();
+        let mut renamed: Vec<Atom> = s0
+            .view(*merge)
+            .atoms
+            .iter()
+            .map(|a| a.substitute(&rho))
+            .collect();
+        let mut kept = s0.view(*keep).atoms.clone();
+        renamed.sort_by_key(|a| format!("{a:?}"));
+        kept.sort_by_key(|a| format!("{a:?}"));
+        assert_eq!(renamed, kept);
     }
 
     #[test]

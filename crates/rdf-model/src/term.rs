@@ -111,11 +111,6 @@ impl Term {
     pub fn valid_property(&self) -> bool {
         matches!(self, Term::Uri(_))
     }
-
-    /// Whether this term may appear in object position (always true).
-    pub fn valid_object(&self) -> bool {
-        true
-    }
 }
 
 impl fmt::Display for Term {
@@ -146,7 +141,6 @@ mod tests {
         assert!(!Term::literal("c").valid_subject());
         assert!(Term::uri("a").valid_property());
         assert!(!Term::blank("b").valid_property());
-        assert!(Term::literal("c").valid_object());
     }
 
     #[test]

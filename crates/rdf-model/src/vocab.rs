@@ -20,29 +20,3 @@ pub const RDFS_RANGE: &str = "rdfs:range";
 
 /// `rdfs:Class` — the class of classes.
 pub const RDFS_CLASS: &str = "rdfs:Class";
-
-/// All RDFS schema properties (the four semantic relationships of Table 1).
-pub const SCHEMA_PROPERTIES: [&str; 4] = [
-    RDFS_SUB_CLASS_OF,
-    RDFS_SUB_PROPERTY_OF,
-    RDFS_DOMAIN,
-    RDFS_RANGE,
-];
-
-/// Returns `true` if `uri` is one of the four RDFS schema properties.
-pub fn is_schema_property(uri: &str) -> bool {
-    SCHEMA_PROPERTIES.contains(&uri)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn schema_property_detection() {
-        assert!(is_schema_property(RDFS_DOMAIN));
-        assert!(is_schema_property(RDFS_SUB_CLASS_OF));
-        assert!(!is_schema_property(RDF_TYPE));
-        assert!(!is_schema_property("ex:hasPainted"));
-    }
-}

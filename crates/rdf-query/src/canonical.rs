@@ -210,27 +210,24 @@ fn encode_atom(atom: &Atom, mapping: &FxHashMap<Var, u32>, next_num: u32) -> [CT
     out
 }
 
-/// Finds a variable renaming sending `b`'s body onto `a`'s body (a
-/// bijection making the bodies syntactically identical), or `None` if the
-/// bodies are not isomorphic.
+/// Derives the variable renaming sending the body of `b`'s query onto the
+/// body of `a`'s (a bijection making the bodies syntactically identical)
+/// from their [`HeadMode::Ignore`] canonical forms, or `None` if the bodies
+/// are not isomorphic.
 ///
 /// The returned map renames `b`'s variables to `a`'s — the `⟨2→1⟩` renaming
 /// of the paper's View Fusion definition.
-pub fn body_isomorphism(a: &ConjunctiveQuery, b: &ConjunctiveQuery) -> Option<FxHashMap<Var, Var>> {
-    if a.atoms.len() != b.atoms.len() {
+pub fn body_isomorphism(a: &CanonicalForm, b: &CanonicalForm) -> Option<FxHashMap<Var, Var>> {
+    if a.key != b.key {
         return None;
     }
-    let ca = canonical_form(a, HeadMode::Ignore);
-    let cb = canonical_form(b, HeadMode::Ignore);
-    if ca.key != cb.key {
-        return None;
-    }
-    let num_to_a = ca.number_to_var();
-    let mut map = FxHashMap::default();
-    for (v_b, n) in cb.var_map {
-        map.insert(v_b, num_to_a[n as usize]);
-    }
-    Some(map)
+    let num_to_a = a.number_to_var();
+    Some(
+        b.var_map
+            .iter()
+            .map(|(&v_b, &n)| (v_b, num_to_a[n as usize]))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -239,6 +236,10 @@ mod tests {
 
     fn v(i: u32) -> QTerm {
         QTerm::Var(Var(i))
+    }
+
+    fn ignore(q: &ConjunctiveQuery) -> CanonicalForm {
+        canonical_form(q, HeadMode::Ignore)
     }
 
     #[test]
@@ -331,7 +332,7 @@ mod tests {
                 Atom::new(Var(3), Id(1), Var(8)),
             ],
         );
-        let map = body_isomorphism(&a, &b).expect("isomorphic");
+        let map = body_isomorphism(&ignore(&a), &ignore(&b)).expect("isomorphic");
         // Applying the renaming to b's atoms must reproduce a's atoms as a set.
         let qmap: FxHashMap<Var, QTerm> = map
             .iter()
@@ -348,7 +349,7 @@ mod tests {
     fn non_isomorphic_rejected() {
         let a = ConjunctiveQuery::new(vec![], vec![Atom::new(Var(0), Id(1), Var(1))]);
         let b = ConjunctiveQuery::new(vec![], vec![Atom::new(Var(0), Id(2), Var(1))]);
-        assert!(body_isomorphism(&a, &b).is_none());
+        assert!(body_isomorphism(&ignore(&a), &ignore(&b)).is_none());
         let c = ConjunctiveQuery::new(
             vec![],
             vec![
@@ -356,7 +357,7 @@ mod tests {
                 Atom::new(Var(0), Id(1), Var(1)),
             ],
         );
-        assert!(body_isomorphism(&a, &c).is_none());
+        assert!(body_isomorphism(&ignore(&a), &ignore(&c)).is_none());
     }
 
     #[test]

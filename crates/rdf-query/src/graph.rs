@@ -102,11 +102,6 @@ impl JoinGraph {
         }
     }
 
-    /// Number of nodes (atoms).
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
     /// All join edges.
     pub fn join_edges(&self) -> &[JoinEdge] {
         &self.join_edges
@@ -130,7 +125,8 @@ impl JoinGraph {
         self.component_of(0).len() == self.n
     }
 
-    fn component_of(&self, start: usize) -> Vec<usize> {
+    /// The connected component holding node `start`, sorted.
+    pub fn component_of(&self, start: usize) -> Vec<usize> {
         let mut seen = vec![false; self.n];
         seen[start] = true;
         let mut stack = vec![start];
@@ -146,45 +142,6 @@ impl JoinGraph {
         }
         out.sort_unstable();
         out
-    }
-
-    /// The connected components, each sorted, ordered by smallest member.
-    pub fn components(&self) -> Vec<Vec<usize>> {
-        let mut seen = vec![false; self.n];
-        let mut comps = Vec::new();
-        for start in 0..self.n {
-            if seen[start] {
-                continue;
-            }
-            let comp = self.component_of(start);
-            for &x in &comp {
-                seen[x] = true;
-            }
-            comps.push(comp);
-        }
-        comps
-    }
-
-    /// Whether the given node subset induces a connected subgraph.
-    pub fn is_connected_subset(&self, nodes: &[usize]) -> bool {
-        if nodes.is_empty() {
-            return false;
-        }
-        if nodes.len() == 1 {
-            return true;
-        }
-        let in_set: FxHashSet<usize> = nodes.iter().copied().collect();
-        let mut seen = FxHashSet::default();
-        seen.insert(nodes[0]);
-        let mut stack = vec![nodes[0]];
-        while let Some(x) = stack.pop() {
-            for &nb in &self.adj[x] {
-                if in_set.contains(&nb) && seen.insert(nb) {
-                    stack.push(nb);
-                }
-            }
-        }
-        seen.len() == nodes.len()
     }
 
     /// Enumerates **all** connected node subsets (non-empty), each sorted.
@@ -277,7 +234,6 @@ mod tests {
             Atom::new(Var(1), Id(10), Var(2)),
         ];
         let g = JoinGraph::new(&atoms);
-        assert_eq!(g.node_count(), 3);
         // X joins atoms 0–1 (s=s); Y joins atoms 1–2 (o=s).
         assert_eq!(g.join_edges().len(), 2);
         // Constants: hasPainted, starryNight, isParentOf, hasPainted.
@@ -312,17 +268,8 @@ mod tests {
         ];
         let g = JoinGraph::new(&atoms);
         assert!(!g.is_connected());
-        assert_eq!(g.components(), vec![vec![0], vec![1]]);
-    }
-
-    #[test]
-    fn connected_subset_checks() {
-        let g = JoinGraph::new(&chain(3)); // path of 4 atoms? no: 3 atoms 0-1-2
-        assert!(g.is_connected_subset(&[0, 1]));
-        assert!(g.is_connected_subset(&[0, 1, 2]));
-        assert!(!g.is_connected_subset(&[0, 2]));
-        assert!(g.is_connected_subset(&[2]));
-        assert!(!g.is_connected_subset(&[]));
+        assert_eq!(g.component_of(0), vec![0]);
+        assert_eq!(g.component_of(1), vec![1]);
     }
 
     #[test]

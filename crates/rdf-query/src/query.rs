@@ -152,16 +152,6 @@ impl ConjunctiveQuery {
         out
     }
 
-    /// Distinct variables appearing in the body but not the head
-    /// (existential variables).
-    pub fn existential_vars(&self) -> Vec<Var> {
-        let head: FxHashSet<Var> = self.head_vars().into_iter().collect();
-        self.body_vars()
-            .into_iter()
-            .filter(|v| !head.contains(v))
-            .collect()
-    }
-
     /// Largest variable index used (head or body), if any.
     pub fn max_var(&self) -> Option<u32> {
         let body = self.atoms.iter().flat_map(|a| a.vars()).map(|v| v.0);
@@ -260,7 +250,6 @@ mod tests {
         );
         assert_eq!(q.body_vars(), vec![Var(0), Var(1), Var(2)]);
         assert_eq!(q.head_vars(), vec![Var(0)]);
-        assert_eq!(q.existential_vars(), vec![Var(1), Var(2)]);
         assert_eq!(q.max_var(), Some(2));
         assert_eq!(q.fresh_var(), Var(3));
         assert_eq!(q.const_count(), 2);

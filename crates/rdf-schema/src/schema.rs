@@ -190,19 +190,9 @@ impl Schema {
         self.range_props_of.get(&c).map_or(&[], Vec::as_slice)
     }
 
-    /// Transitive (non-reflexive) superclass closure of `c`.
-    pub fn super_class_closure(&self, c: Id) -> Vec<Id> {
-        closure(c, |x| self.direct_super_classes(x))
-    }
-
     /// Transitive (non-reflexive) subclass closure of `c`.
     pub fn sub_class_closure(&self, c: Id) -> Vec<Id> {
         closure(c, |x| self.direct_sub_classes(x))
-    }
-
-    /// Transitive (non-reflexive) superproperty closure of `p`.
-    pub fn super_property_closure(&self, p: Id) -> Vec<Id> {
-        closure(p, |x| self.direct_super_properties(x))
     }
 
     /// Extracts the schema encoded in a dataset's triples (statements using
@@ -287,19 +277,16 @@ mod tests {
         let mut s = Schema::new();
         s.add(SchemaStatement::SubClassOf(v[0], v[1]));
         s.add(SchemaStatement::SubClassOf(v[1], v[2]));
-        let mut up = s.super_class_closure(v[0]);
-        up.sort_unstable();
-        assert_eq!(up, vec![v[1], v[2]]);
         let mut down = s.sub_class_closure(v[2]);
         down.sort_unstable();
         assert_eq!(down, vec![v[0], v[1]]);
-        assert!(s.super_class_closure(v[2]).is_empty());
+        assert!(s.sub_class_closure(v[0]).is_empty());
     }
 
     #[test]
     fn diamond_hierarchy_closure() {
-        // d ⊑ b, d ⊑ c, b ⊑ a, c ⊑ a: the closure of d is {a, b, c}, with
-        // a appearing once despite the two paths.
+        // d ⊑ b, d ⊑ c, b ⊑ a, c ⊑ a: the closure of a is {b, c, d}, with
+        // d appearing once despite the two paths.
         let v = ids(4);
         let (a, b, c, d) = (v[0], v[1], v[2], v[3]);
         let mut s = Schema::new();
@@ -307,9 +294,6 @@ mod tests {
         s.add(SchemaStatement::SubClassOf(d, c));
         s.add(SchemaStatement::SubClassOf(b, a));
         s.add(SchemaStatement::SubClassOf(c, a));
-        let mut up = s.super_class_closure(d);
-        up.sort_unstable();
-        assert_eq!(up, vec![a, b, c]);
         let mut down = s.sub_class_closure(a);
         down.sort_unstable();
         assert_eq!(down, vec![b, c, d]);
@@ -331,10 +315,10 @@ mod tests {
     fn closure_tolerates_cycles() {
         let v = ids(2);
         let mut s = Schema::new();
-        s.add(SchemaStatement::SubPropertyOf(v[0], v[1]));
-        s.add(SchemaStatement::SubPropertyOf(v[1], v[0]));
-        let up = s.super_property_closure(v[0]);
-        assert_eq!(up.len(), 1); // v1 only; v0 itself excluded (non-reflexive)
+        s.add(SchemaStatement::SubClassOf(v[0], v[1]));
+        s.add(SchemaStatement::SubClassOf(v[1], v[0]));
+        let down = s.sub_class_closure(v[0]);
+        assert_eq!(down, vec![v[1]]); // v0 itself excluded (non-reflexive)
     }
 
     #[test]

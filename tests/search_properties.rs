@@ -255,3 +255,72 @@ fn recommended_state_counts_match_figure5_shape() {
     assert!(both.stats.created <= stv.stats.created.max(avf.stats.created));
     assert!(stv.stats.discarded > 0);
 }
+
+/// One pinned sequential run: `(created, duplicates, discarded, explored,
+/// transitions, reexpansions, best_cost bits, best_state signature)`.
+type Golden = (u64, u64, u64, u64, u64, u64, u64, u128);
+
+#[test]
+fn sequential_search_outcomes_are_pinned() {
+    // Exact outcomes of single-explorer runs on two fixed workloads. A
+    // change to transition enumeration order, successor construction or
+    // the counters shows up here as a diff of these constants.
+    let workloads = [
+        setup(7, Shape::Star, Commonality::High, 4, 3, 300),
+        setup(7, Shape::Chain, Commonality::High, 4, 3, 300),
+    ];
+    let mut got: Vec<Golden> = Vec::new();
+    for (db, workload) in &workloads {
+        let cat = collect_stats(db.store(), db.dict(), workload);
+        let model = CostModel::new(&cat, CostWeights::default());
+        for strategy in [StrategyKind::ExStr, StrategyKind::Dfs, StrategyKind::Gstr] {
+            for avf in [false, true] {
+                let out = search(
+                    State::initial(workload),
+                    &model,
+                    &SearchConfig {
+                        strategy,
+                        avf,
+                        stop_var: false,
+                        stop_tt: false,
+                        time_budget: None,
+                        max_states: Some(1_000),
+                        vb_overlap_limit: 1,
+                        parallelism: 1,
+                    },
+                );
+                let s = &out.stats;
+                got.push((
+                    s.created,
+                    s.duplicates,
+                    s.discarded,
+                    s.explored,
+                    s.transitions,
+                    s.reexpansions,
+                    out.best_cost.to_bits(),
+                    out.best_state.signature(),
+                ));
+            }
+        }
+    }
+    assert_eq!(got, GOLDEN);
+}
+
+/// Recorded from the search at the point these outcomes were first
+/// pinned; rows are Star then Chain, each ExStr, Dfs, Gstr with AVF off
+/// then on.
+#[rustfmt::skip]
+const GOLDEN: [Golden; 12] = [
+    (1000, 124, 0, 0, 999, 0, 4662159679998248732, 73562072253385547065044422131552417869),
+    (1000, 203, 7, 0, 1094, 0, 4661113880923119882, 127346949009671746785620635808874887651),
+    (1000, 881, 0, 88, 999, 0, 4664168500898744877, 211481342876985825070613879727135494936),
+    (1000, 559, 113, 317, 1478, 0, 4663111481166491543, 296062172256290983650887770192648924371),
+    (1000, 576, 0, 420, 999, 0, 4662159679998248732, 73562072253385547065044422131552417869),
+    (1000, 416, 75, 506, 1305, 0, 4661046113416707760, 336852388182227466404741678597799711753),
+    (1000, 283, 0, 0, 999, 0, 4661928668113231132, 205618997235542243580121422411070289139),
+    (1000, 298, 21, 0, 1206, 0, 4660387037108634809, 82450016310020780943882633185579527870),
+    (1000, 883, 0, 91, 999, 0, 4661928668113231132, 205618997235542243580121422411070289139),
+    (1000, 578, 121, 295, 1503, 0, 4660602328928201293, 133323165565587291412555319451123838144),
+    (1000, 661, 0, 330, 998, 1, 4661928668113231132, 205618997235542243580121422411070289139),
+    (503, 276, 48, 181, 624, 2, 4660387037108634809, 82450016310020780943882633185579527870),
+];
