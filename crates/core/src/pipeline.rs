@@ -109,7 +109,8 @@ pub enum PreparedReasoning {
     /// No entailment.
     Plain,
     /// Statistics (and deployments) over the saturated store: schema,
-    /// vocabulary, saturated copy.
+    /// vocabulary, saturated copy — listed in `Spo` order
+    /// ([`TripleStore::spo_listed`]), so it holds one copy of its triples.
     Saturation(Schema, VocabIds, TripleStore),
     /// The workload is reformulated before the search.
     PreReformulation(Schema, VocabIds),
@@ -194,7 +195,8 @@ impl<'s> Preparation<'s> {
             ),
             ReasoningMode::Saturation => {
                 let (schema, vocab) = owned()?;
-                let saturated = saturated_copy(store, &schema, &vocab);
+                // The session's own copy: no caller reads its order.
+                let saturated = saturated_copy(store, &schema, &vocab).spo_listed();
                 let cat = StatsCatalog::store_level(&saturated, dict);
                 (PreparedReasoning::Saturation(schema, vocab, saturated), cat)
             }

@@ -26,6 +26,17 @@ impl Writer {
         self.buf
     }
 
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forgets the bytes written so far and keeps the buffer, so one
+    /// writer can encode one section after another into one allocation.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()

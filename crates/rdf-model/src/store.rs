@@ -36,21 +36,29 @@
 //! it is: [`TripleStore::insert`] and [`TripleStore::remove`] are batches
 //! of one, for tests and small fixtures, and loaders and feeds batch.
 //!
-//! The insertion-order list is kept because callers depend on it: the
-//! workload generators draw triples by position and the N-Triples writer
-//! emits the list as it lies, so a different order is a different
-//! benchmark input. A store rebuilt by [`TripleStore::from_parts`] from a
-//! sorted list shares that one allocation between the list and its `Spo`
-//! run.
+//! A store lists its triples ([`TripleStore::triples`]) in one of two
+//! ways. A store built by inserting — [`TripleStore::new`] and its
+//! batches, every loader and generator, [`TripleStore::clone`] of such a
+//! store — keeps an **insertion-order** list beside its `Spo` run, 12 B
+//! per triple more, because callers depend on that order: the workload
+//! generators draw triples by position and the N-Triples writer emits the
+//! list as it lies, so a different order is a different benchmark input.
+//! A store the system builds for its own use — a deployment's stores, the
+//! advisor's saturated copy, a store decoded from a bundle — lists its
+//! triples **in `Spo` order**: its list *is* its `Spo` run, one
+//! allocation, and every write points the list at the spliced run
+//! ([`TripleStore::spo_listed`], [`TripleStore::from_parts`]). Nothing
+//! reads such a store's order, so it keeps no second copy of its triples.
 //!
 //! The list is `Arc`-shared like the runs, which makes generations
 //! copy-on-write: [`TripleStore::snapshot`] pins the current contents as
 //! an immutable [`StoreSnapshot`] in O(built runs) time, and the next
-//! mutation publishes new runs and writes the list once — an insert copies
-//! a shared list into an exact-size vector with the batch appended, a
-//! removal into one that leaves the doomed triples out — instead of
-//! blocking or invalidating the pinned readers. A list nothing else holds
-//! is written in place, to its exact new length.
+//! mutation publishes new runs instead of blocking or invalidating the
+//! pinned readers. An insertion-order list is then written once — an
+//! insert copies a shared list into an exact-size vector with the batch
+//! appended, a removal into one that leaves the doomed triples out — and
+//! a list nothing else holds is written in place, to its exact new length.
+//! A `Spo`-listed store writes no list at all.
 
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -363,11 +371,18 @@ fn counting_sort<T: Copy>(
 /// The in-memory triple table.
 ///
 /// The triple list and the runs are `Arc`-shared so that clones and
-/// [`TripleStore::snapshot`]s are O(built index runs): the list itself is
-/// copied only when a mutation hits a store whose list is still shared,
-/// once, into its new contents, and runs are never written in place.
+/// [`TripleStore::snapshot`]s are O(built index runs), and runs are never
+/// written in place. The list is either the store's insertion order, kept
+/// beside the `Spo` run and copied only when a mutation hits a store whose
+/// list is still shared, once, into its new contents; or — in a store
+/// from [`TripleStore::spo_listed`] or a sorted [`TripleStore::from_parts`]
+/// — the `Spo` run itself, the same `Arc`, which every write replaces
+/// with the spliced run and never copies (see the module docs for which
+/// stores list how).
 #[derive(Debug, Default)]
 pub struct TripleStore {
+    /// The list [`TripleStore::triples`] returns: the insertion order, or
+    /// the very `Arc` of `spo` in a `Spo`-listed store.
     triples: Arc<Vec<Triple>>,
     /// The `Spo` run, always current: the store's membership set.
     spo: Arc<Vec<Triple>>,
@@ -436,21 +451,21 @@ impl TripleStore {
     /// write-ahead-log records stamped with pre-apply versions replay
     /// against the exact counter they were logged under.
     ///
-    /// The list is taken as the store's insertion order. A snapshot bundle
-    /// stores triples sorted, so a reopened store's [`TripleStore::triples`]
-    /// starts in `Spo` order and appends from there — not in the order the
-    /// triples first arrived. Nothing compares lists across a recovery:
-    /// the state hash and the answer checks are set-based, and the workload
-    /// generators only ever see freshly loaded stores.
-    ///
     /// A list that is strictly `Spo`-sorted — what a bundle decoder has
-    /// just verified — *is* the `Spo` run, so it is adopted as one: a
-    /// single allocation shared by the list and the run until the first
-    /// mutation un-shares them. Any other list is sorted into a new run by
-    /// three counting passes, O(n + K) for K the largest id + 1, holding
-    /// two 4-byte row numbers per triple while it runs; by comparison,
-    /// O(n log n), when the list is too short or its ids too sparse for
-    /// counting to pay.
+    /// just verified — *is* the `Spo` run, so it is adopted as one: the
+    /// store is `Spo`-listed, one allocation of 12 B per triple serving as
+    /// list and run, and stays so across every write (see
+    /// [`TripleStore::spo_listed`]). A reopened store therefore lists its
+    /// triples in `Spo` order, not in the order they first arrived; nothing
+    /// compares lists across a recovery — the state hash and the answer
+    /// checks are set-based, and the workload generators only ever see
+    /// freshly loaded stores.
+    ///
+    /// Any other list is taken as the store's insertion order and sorted
+    /// into a new run by three counting passes, O(n + K) for K the largest
+    /// id + 1, holding two 4-byte row numbers per triple while it runs; by
+    /// comparison, O(n log n), when the list is too short or its ids too
+    /// sparse for counting to pay.
     pub fn from_parts(triples: Vec<Triple>, version: u64) -> Self {
         let triples = Arc::new(triples);
         let spo = if triples.windows(2).all(|w| w[0] < w[1]) {
@@ -484,16 +499,38 @@ impl TripleStore {
     /// touched, so pinned readers run wait-free while writes proceed.
     ///
     /// Memory: a retained snapshot holds the whole generation alive — the
-    /// list and the `Spo` run, 12 B per triple each (one allocation for
-    /// both in a store just rebuilt by [`TripleStore::from_parts`]), plus
-    /// 12 B per triple for every other run built at pin time, *shared* with
-    /// the live store until a mutation diverges them. There is no
+    /// `Spo` run, 12 B per triple, and an insertion-order list of another
+    /// 12 B per triple unless the store is `Spo`-listed, plus 12 B per
+    /// triple for every other run built at pin time, *shared* with the live
+    /// store until a mutation diverges them. A write to the live store
+    /// then copies an insertion-order list once; a `Spo`-listed store
+    /// copies no list, only the runs its splices write anyway. There is no
     /// membership set beside them, and nothing a run was built from: the
     /// 4-byte row numbers of a two-pass build are dropped before the run is
     /// published. Drop the snapshot to release its pin.
     pub fn snapshot(&self) -> StoreSnapshot {
         StoreSnapshot {
             inner: Arc::new(self.clone()),
+        }
+    }
+
+    /// A clone that lists its triples in `Spo` order: its
+    /// [`TripleStore::triples`] is its `Spo` run, the same `Arc`, and stays
+    /// so across every write — a batch splices the run and points the list
+    /// at the result, with no append, no close-up and no list copy even
+    /// when a snapshot pins the old one. The clone shares every `Arc` with
+    /// `self`, so it costs no copy; it keeps 12 B per triple fewer than an
+    /// insertion-listed store once `self` is gone.
+    ///
+    /// For stores the system builds for its own use, whose order nothing
+    /// reads: a deployment's base and explicit stores, and the advisor's
+    /// saturated copy. A store whose insertion order matters — a loaded or
+    /// generated dataset, or one whose appended triples a caller reads back
+    /// by position after [`TripleStore::insert_batch`] — stays as it is.
+    pub fn spo_listed(&self) -> Self {
+        Self {
+            triples: Arc::clone(&self.spo),
+            ..self.clone()
         }
     }
 
@@ -517,8 +554,8 @@ impl TripleStore {
     /// Inserts a batch of triples, deduplicated within the batch and
     /// against the store by one sorted merge against the `Spo` run.
     /// Returns the triples that were actually new — first occurrences, in
-    /// batch order — and appends them to [`TripleStore::triples`] in that
-    /// order. A batch long enough for its ids is sorted by three counting
+    /// batch order — and, in an insertion-listed store, appends them to
+    /// [`TripleStore::triples`] in that order. A batch long enough for its ids is sorted by three counting
     /// passes over its row numbers, O(|batch| + K) with two 4-byte rows
     /// per batch triple held meanwhile; a shorter one (a feed's few dozen
     /// triples) by comparison. The version stamp is bumped **once** for
@@ -526,16 +563,17 @@ impl TripleStore {
     /// run are carried forward by splicing the sorted batch into them —
     /// O(|Δ| log(n / |Δ|)) compares and one copy per run instead of a
     /// fresh O(n log n) sort — published as **new** `Arc`s at the new
-    /// version, leaving pinned snapshots' runs untouched. A list that a
-    /// snapshot still shares is copied once, into an exact-size vector with
-    /// the new triples appended; an unshared one grows in place, to its
-    /// exact new length, so no store keeps spare capacity beside its runs
-    /// (the splices already make a write O(n), and the allocator extends
-    /// the list without a copy where it can).
+    /// version, leaving pinned snapshots' runs untouched. A `Spo`-listed
+    /// store's list is then the new `Spo` run: no list is written. An
+    /// insertion-order list that a snapshot still shares is copied once,
+    /// into an exact-size vector with the new triples appended (12 B per
+    /// triple of the store); an unshared one grows in place, to its exact
+    /// new length, so no store keeps spare capacity beside its runs (the
+    /// splices already make a write O(n), and the allocator extends the
+    /// list without a copy where it can).
     pub fn insert_batch(&mut self, batch: &[Triple]) -> Vec<Triple> {
         let (added, delta) = self.sift(batch, false);
-        if !delta.is_empty() {
-            self.carry(&delta, true);
+        if !delta.is_empty() && self.carry(&delta, true) {
             match Arc::get_mut(&mut self.triples) {
                 Some(list) => {
                     list.reserve_exact(added.len());
@@ -607,10 +645,11 @@ impl TripleStore {
     /// Carries the `Spo` run and every other built run across a batch by
     /// [`splice`] and bumps the version. `delta` is `Spo`-sorted and
     /// distinct, and none of it is in the store (`insert`) or all of it is
-    /// (remove). Called **before** the list is written, so a run that
-    /// still shares the list's allocation (see [`TripleStore::from_parts`])
-    /// is replaced first and the list is then mutated in place, not cloned.
-    fn carry(&mut self, delta: &[Triple], insert: bool) {
+    /// (remove). A `Spo`-listed store's list becomes the new `Spo` run, and
+    /// `false` says that no list is left to write; `true` asks the caller
+    /// to write the insertion-order list, which is still the old one.
+    fn carry(&mut self, delta: &[Triple], insert: bool) -> bool {
+        let spo_listed = Arc::ptr_eq(&self.triples, &self.spo);
         let mut delta_in_order = delta.to_vec();
         let slots = self
             .indexes
@@ -625,6 +664,10 @@ impl TripleStore {
         }
         self.spo = Arc::new(splice(&self.spo, delta, [S, P, O], insert));
         self.version += 1;
+        if spo_listed {
+            self.triples = Arc::clone(&self.spo);
+        }
+        !spo_listed
     }
 
     /// Inserts every triple of an iterator as one batch
@@ -634,12 +677,12 @@ impl TripleStore {
         self.insert_batch(&batch).len()
     }
 
-    /// Removes a triple; returns `true` if it was present. Insertion order
+    /// Removes a triple; returns `true` if it was present. The list order
     /// of the remaining triples is preserved.
     ///
     /// A batch of one ([`TripleStore::remove_batch`]), so O(n): every
-    /// built run is copied to carry the removal, and the list is searched
-    /// from its end back to the triple.
+    /// built run is copied to carry the removal, and an insertion-order
+    /// list is searched from its end back to the triple.
     pub fn remove(&mut self, t: Triple) -> bool {
         !self.remove_batch(&[t]).is_empty()
     }
@@ -650,7 +693,8 @@ impl TripleStore {
     /// against the `Spo` run. The version stamp is bumped
     /// once for the whole batch, every built run is carried forward by
     /// splicing the batch out of it (new `Arc`s; pinned snapshots' runs
-    /// stay untouched), and the insertion-order list is searched from its
+    /// stay untouched), and a `Spo`-listed store is done: its list is the
+    /// spliced run. An insertion-order list is searched from its
     /// end only as far back as the earliest doomed triple: a feed retracts
     /// what it recently asserted, so the long prefix before that position
     /// is never examined. The kept triples after it close up in place; a
@@ -658,10 +702,9 @@ impl TripleStore {
     /// exact-size vector without the doomed triples.
     pub fn remove_batch(&mut self, batch: &[Triple]) -> Vec<Triple> {
         let (removed, doomed) = self.sift(batch, true);
-        if doomed.is_empty() {
+        if doomed.is_empty() || !self.carry(&doomed, false) {
             return removed;
         }
-        self.carry(&doomed, false);
         let is_doomed = |t: &Triple| doomed.binary_search(t).is_ok();
         let (mut first, mut left) = (self.triples.len(), doomed.len());
         while left > 0 {
@@ -721,7 +764,10 @@ impl TripleStore {
         self.triples.is_empty()
     }
 
-    /// All triples in insertion order.
+    /// All triples, each once: in insertion order, or in `Spo` order in a
+    /// `Spo`-listed store ([`TripleStore::spo_listed`],
+    /// [`TripleStore::from_parts`] of a sorted list), where this is the
+    /// `Spo` run itself.
     pub fn triples(&self) -> &[Triple] {
         &self.triples
     }

@@ -2,13 +2,14 @@
 //! linear scan, for arbitrary triple sets and patterns; and for the line
 //! format: what the writer writes, the reader reads back as it was.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::io::BufReader;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use rdf_model::{
-    ntriples, Dataset, Id, IndexOrder, StorePattern, Term, TermKind, Triple, TripleStore,
+    ntriples, Dataset, Id, IndexOrder, StorePattern, StoreSnapshot, Term, TermKind, Triple,
+    TripleStore,
 };
 
 fn ids(t: &[u32; 3]) -> Triple {
@@ -236,6 +237,110 @@ proptest! {
         prop_assert_eq!(reopened.len(), original.len());
         prop_assert_eq!(pinned.triples(), &sorted[..]);
         prop_assert_eq!(&*pinned.index(IndexOrder::Spo), &sorted);
+    }
+}
+
+/// A store under test beside its model: the insertion order it must list
+/// (`None` for a `Spo`-listed store, which lists `members` in order) and
+/// the set of its triples.
+struct Modelled {
+    store: TripleStore,
+    order: Option<Vec<Triple>>,
+    members: BTreeSet<Triple>,
+}
+
+/// Whether `store` lists its `Spo` run: the same triples in the same
+/// allocation.
+fn lists_its_spo_run(store: &TripleStore) -> bool {
+    std::ptr::eq(store.triples(), &store.index(IndexOrder::Spo)[..])
+}
+
+proptest! {
+    /// Random histories of batches, clones, `Spo`-listed clones and pins
+    /// over both listings, against a model: after every step an
+    /// insertion-listed store lists exactly its insertion order, a
+    /// `Spo`-listed store lists its `Spo` run (one allocation), every store
+    /// holds the model's set, and every pinned snapshot still lists and
+    /// holds what it did when it was taken.
+    #[test]
+    fn both_listings_follow_their_model_through_random_histories(
+        steps in prop::collection::vec(
+            (0u8..5, 0usize..8, prop::collection::vec([0u32..8, 0u32..4, 0u32..8], 0..24)),
+            1..24,
+        ),
+    ) {
+        let mut stores = vec![
+            Modelled { store: TripleStore::new(), order: Some(Vec::new()), members: BTreeSet::new() },
+            Modelled { store: TripleStore::new().spo_listed(), order: None, members: BTreeSet::new() },
+        ];
+        let mut pins: Vec<(StoreSnapshot, Vec<Triple>, Vec<Triple>)> = Vec::new();
+        for (op, which, drawn) in steps {
+            let at = which % stores.len();
+            let batch: Vec<Triple> = drawn.iter().map(ids).collect();
+            match op {
+                0 | 1 => {
+                    let m = &mut stores[at];
+                    let insert = op == 0;
+                    // A removal also names every third triple the store holds.
+                    let batch: Vec<Triple> = match insert {
+                        true => batch,
+                        false => batch.into_iter().chain(m.members.iter().copied().step_by(3)).collect(),
+                    };
+                    let mut changed = Vec::new();
+                    for &t in &batch {
+                        if m.members.contains(&t) != insert && !changed.contains(&t) {
+                            changed.push(t);
+                        }
+                    }
+                    let done = match insert {
+                        true => m.store.insert_batch(&batch),
+                        false => m.store.remove_batch(&batch),
+                    };
+                    prop_assert_eq!(&done, &changed);
+                    for t in &changed {
+                        match insert {
+                            true => m.members.insert(*t),
+                            false => m.members.remove(t),
+                        };
+                    }
+                    if let Some(order) = &mut m.order {
+                        match insert {
+                            true => order.extend_from_slice(&changed),
+                            false => order.retain(|t| !changed.contains(t)),
+                        }
+                    }
+                }
+                2 | 4 if stores.len() < 6 => {
+                    let m = &stores[at];
+                    let (store, order) = match op {
+                        2 => (m.store.clone(), m.order.clone()),
+                        _ => (m.store.spo_listed(), None),
+                    };
+                    let members = m.members.clone();
+                    stores.push(Modelled { store, order, members });
+                }
+                3 if pins.len() < 8 => {
+                    let m = &stores[at];
+                    let listed = m.store.triples().to_vec();
+                    let set: Vec<Triple> = m.members.iter().copied().collect();
+                    pins.push((m.store.snapshot(), listed, set));
+                }
+                _ => {}
+            }
+            for m in &stores {
+                let set: Vec<Triple> = m.members.iter().copied().collect();
+                prop_assert_eq!(&*m.store.index(IndexOrder::Spo), &set);
+                prop_assert_eq!(m.store.len(), set.len());
+                match &m.order {
+                    Some(order) => prop_assert_eq!(m.store.triples(), &order[..]),
+                    None => prop_assert!(lists_its_spo_run(&m.store), "Spo-listed"),
+                }
+            }
+            for (pin, listed, set) in &pins {
+                prop_assert_eq!(pin.triples(), &listed[..]);
+                prop_assert_eq!(&*pin.index(IndexOrder::Spo), set);
+            }
+        }
     }
 }
 

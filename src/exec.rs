@@ -300,6 +300,15 @@ impl DeployedView {
 /// explicit triple retracts exactly the entailments that lose their last
 /// derivation. (The schema itself is assumed fixed for the deployment's
 /// lifetime — schema-statement updates require re-deploying.)
+///
+/// The deployment's stores — the maintenance base and, under saturation,
+/// the explicit store — list their triples in `Spo` order
+/// ([`TripleStore::spo_listed`]), whether built, reopened or recovered:
+/// each holds its triples once, 12 B per triple in its `Spo` run plus
+/// 12 B for every other run a read or a delta join has built, and a write
+/// splices the runs without copying a list, even while a generation pins
+/// the old ones. Nothing reads a deployment store's order: the bundle, the
+/// state hash and every answer are set-based.
 #[derive(Debug)]
 pub struct Deployment {
     /// The shared planning context (recommendation, reformulation schema,
@@ -418,10 +427,10 @@ static DEPLOYMENT_IDS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU
 /// and answer on a deployment.
 ///
 /// Memory: a retained snapshot keeps its whole generation alive — the
-/// pinned store (triple list + built index runs) and every view table of
-/// its generation — though all of it is `Arc`-shared with the live
-/// deployment until maintenance diverges them. Drop the snapshot (and any
-/// clones) to release the pin.
+/// pinned store (its built index runs; its list is its `Spo` run) and
+/// every view table of its generation — though all of it is `Arc`-shared
+/// with the live deployment until maintenance diverges them. Drop the
+/// snapshot (and any clones) to release the pin.
 #[derive(Debug, Clone)]
 pub struct DeploymentSnapshot {
     ctx: Arc<PlanCtx>,
@@ -633,10 +642,10 @@ impl Deployment {
     pub fn new(store: &TripleStore, rec: Recommendation, reasoning: &PreparedReasoning) -> Self {
         let (store, reasoning) = match reasoning {
             PreparedReasoning::Saturation(schema, vocab, saturated) => (
-                saturated.clone(),
-                PreparedReasoning::Saturation(schema.clone(), *vocab, store.clone()),
+                saturated.spo_listed(),
+                PreparedReasoning::Saturation(schema.clone(), *vocab, store.spo_listed()),
             ),
-            other => (store.clone(), other.clone()),
+            other => (store.spo_listed(), other.clone()),
         };
         let views = rec
             .views

@@ -163,13 +163,11 @@ fn dec_term(r: &mut Reader<'_>) -> DResult<Term> {
     })
 }
 
-fn enc_dict(dict: &Dictionary) -> Vec<u8> {
-    let mut w = Writer::new();
+fn enc_dict_into(w: &mut Writer, dict: &Dictionary) {
     w.len_prefix(dict.len());
     for (_, term) in dict.iter() {
-        enc_term(&mut w, term);
+        enc_term(w, term);
     }
-    w.into_bytes()
 }
 
 fn dec_dict(bytes: &[u8]) -> DResult<Dictionary> {
@@ -582,20 +580,18 @@ fn dec_catalog(r: &mut Reader<'_>, dict_len: usize) -> DResult<StatsCatalog> {
     ))
 }
 
-fn enc_rec(rec: &Recommendation) -> Vec<u8> {
-    let mut w = Writer::new();
-    enc_seq(&mut w, &rec.workload, enc_cq);
-    enc_seq(&mut w, &rec.branch_of, |w, &orig| w.u64(orig as u64));
-    enc_state(&mut w, &rec.outcome.best_state);
+fn enc_rec_into(w: &mut Writer, rec: &Recommendation) {
+    enc_seq(w, &rec.workload, enc_cq);
+    enc_seq(w, &rec.branch_of, |w, &orig| w.u64(orig as u64));
+    enc_state(w, &rec.outcome.best_state);
     w.f64(rec.outcome.best_cost);
     w.f64(rec.outcome.initial_cost);
-    enc_stats(&mut w, &rec.outcome.stats);
-    enc_seq(&mut w, &rec.views, enc_view);
-    enc_seq(&mut w, &rec.materialization, |w, u| {
+    enc_stats(w, &rec.outcome.stats);
+    enc_seq(w, &rec.views, enc_view);
+    enc_seq(w, &rec.materialization, |w, u| {
         enc_seq(w, u.branches(), enc_cq)
     });
-    enc_catalog(&mut w, &rec.catalog);
-    w.into_bytes()
+    enc_catalog(w, &rec.catalog);
 }
 
 fn dec_rec(bytes: &[u8], dict_len: usize) -> DResult<Recommendation> {
@@ -641,9 +637,8 @@ fn dec_rec(bytes: &[u8], dict_len: usize) -> DResult<Recommendation> {
     })
 }
 
-fn enc_deployed_views(views: &[DeployedView]) -> Vec<u8> {
-    let mut w = Writer::new();
-    enc_seq(&mut w, views, |w, dv| {
+fn enc_deployed_views_into(w: &mut Writer, views: &[DeployedView]) {
+    enc_seq(w, views, |w, dv| {
         w.u32(dv.id.0);
         w.len_prefix(dv.arity);
         enc_seq(w, &dv.branches, |w, b| {
@@ -663,7 +658,6 @@ fn enc_deployed_views(views: &[DeployedView]) -> Vec<u8> {
             }
         });
     });
-    w.into_bytes()
 }
 
 fn dec_deployed_views(bytes: &[u8], dict_len: usize) -> DResult<Vec<DeployedView>> {
@@ -769,87 +763,74 @@ fn dec_schema(r: &mut Reader<'_>, dict_len: usize) -> DResult<(Schema, VocabIds)
 // Bundle assembly.
 // ---------------------------------------------------------------------
 
-struct EncodedBundle {
-    sections: Vec<(u32, Vec<u8>)>,
-    state_hash: u128,
-}
-
-/// Hashes the semantic payloads (everything except the lineage id) under
-/// the state domain. Each payload is length-prefixed into the hash so
-/// section boundaries cannot alias.
-fn state_hash_of(semantic: &[&[u8]], version: u64) -> u128 {
-    let mut h = Hasher128::with_domain(STATE_DOMAIN);
-    for payload in semantic {
-        h.update(&(payload.len() as u64).to_le_bytes());
-        h.update(payload);
-    }
-    h.update(&version.to_le_bytes());
-    h.finish()
-}
-
 impl Deployment {
-    fn encode_bundle(&self, dict: &Dictionary) -> DResult<EncodedBundle> {
+    /// Encodes the bundle's sections, in [`SECTION_ORDER`], one after
+    /// another into one reused buffer, hands each to `section` as soon as
+    /// it is written, and returns the state hash: every section but the
+    /// meta one (which holds the lineage id) length-prefixed into the hash
+    /// under the state domain, so section boundaries cannot alias, then
+    /// the store version. The transient memory is the largest section's
+    /// buffer, not a second snapshot.
+    fn encode_sections(
+        &self,
+        dict: &Dictionary,
+        mut section: impl FnMut(u32, &[u8]),
+    ) -> DResult<u128> {
         let Maintained {
             store,
             views,
             reasoning,
         } = &self.maintained;
-        let dict_bytes = enc_dict(dict);
-        let mut store_w = Writer::new();
-        enc_store_into(&mut store_w, store);
-        let store_bytes = store_w.into_bytes();
-        let rec_bytes = enc_rec(&self.ctx.rec);
-        let views_bytes = enc_deployed_views(views);
+        let mut h = Hasher128::with_domain(STATE_DOMAIN);
+        let mut w = Writer::new();
+        let mut emit = |tag: u32, w: &mut Writer| {
+            let payload = w.as_bytes();
+            if tag != SEC_META {
+                h.update(&(payload.len() as u64).to_le_bytes());
+                h.update(payload);
+            }
+            section(tag, payload);
+            w.clear();
+        };
+        enc_dict_into(&mut w, dict);
+        emit(SEC_DICT, &mut w);
+        enc_store_into(&mut w, store);
+        emit(SEC_STORE, &mut w);
+        enc_rec_into(&mut w, &self.ctx.rec);
+        emit(SEC_REC, &mut w);
+        enc_deployed_views_into(&mut w, views);
+        emit(SEC_VIEWS, &mut w);
         // One flag-led section each for entailment and reformulation; the
         // reasoning is one value, so at most one flag is ever set.
-        let mut entail_w = Writer::new();
-        let mut reform_w = Writer::new();
         match reasoning {
             PreparedReasoning::Saturation(schema, vocab, explicit) => {
-                entail_w.bool(true);
-                enc_schema_into(&mut entail_w, schema, vocab);
-                enc_subset_into(&mut entail_w, explicit, &store.index(IndexOrder::Spo))?;
-                reform_w.bool(false);
+                w.bool(true);
+                enc_schema_into(&mut w, schema, vocab);
+                enc_subset_into(&mut w, explicit, &store.index(IndexOrder::Spo))?;
+                emit(SEC_ENTAIL, &mut w);
+                w.bool(false);
+                emit(SEC_REFORM, &mut w);
             }
             PreparedReasoning::PreReformulation(schema, vocab)
             | PreparedReasoning::PostReformulation(schema, vocab) => {
-                entail_w.bool(false);
-                reform_w.bool(true);
-                enc_schema_into(&mut reform_w, schema, vocab);
+                w.bool(false);
+                emit(SEC_ENTAIL, &mut w);
+                w.bool(true);
+                enc_schema_into(&mut w, schema, vocab);
+                emit(SEC_REFORM, &mut w);
             }
             PreparedReasoning::Plain => {
-                entail_w.bool(false);
-                reform_w.bool(false);
+                w.bool(false);
+                emit(SEC_ENTAIL, &mut w);
+                w.bool(false);
+                emit(SEC_REFORM, &mut w);
             }
         }
-        let entail_bytes = entail_w.into_bytes();
-        let reform_bytes = reform_w.into_bytes();
-        let state_hash = state_hash_of(
-            &[
-                &dict_bytes,
-                &store_bytes,
-                &rec_bytes,
-                &views_bytes,
-                &entail_bytes,
-                &reform_bytes,
-            ],
-            store.version(),
-        );
-        let mut meta_w = Writer::new();
-        meta_w.u64(store.version());
-        meta_w.u64(self.ctx.lineage);
-        Ok(EncodedBundle {
-            sections: vec![
-                (SEC_DICT, dict_bytes),
-                (SEC_STORE, store_bytes),
-                (SEC_REC, rec_bytes),
-                (SEC_VIEWS, views_bytes),
-                (SEC_ENTAIL, entail_bytes),
-                (SEC_REFORM, reform_bytes),
-                (SEC_META, meta_w.into_bytes()),
-            ],
-            state_hash,
-        })
+        w.u64(store.version());
+        w.u64(self.ctx.lineage);
+        emit(SEC_META, &mut w);
+        h.update(&store.version().to_le_bytes());
+        Ok(h.finish())
     }
 
     /// Decodes a bundle into its planning context, its maintained state
@@ -961,10 +942,13 @@ impl Deployment {
     /// back is never written.
     pub fn persist(&self, dir: &Path, dict: &Dictionary) -> Result<u128, SelectionError> {
         fsutil::ensure_dir(dir).map_err(lift)?;
-        let encoded = self.encode_bundle(dict).map_err(lift)?;
-        let bytes = bundle::encode(&encoded.sections);
+        let mut sections = Vec::with_capacity(SECTION_ORDER.len());
+        let state_hash = self
+            .encode_sections(dict, |tag, payload| sections.push((tag, payload.to_vec())))
+            .map_err(lift)?;
+        let bytes = bundle::encode(&sections);
         fsutil::atomic_write(&dir.join(SNAPSHOT_FILE), &bytes).map_err(lift)?;
-        Ok(encoded.state_hash)
+        Ok(state_hash)
     }
 
     /// Loads the snapshot bundle from `dir`, ignoring any write-ahead log
@@ -985,9 +969,10 @@ impl Deployment {
     /// were reached**: the encoding is of the state (sorted sets and
     /// version counters), not of the order in which batches arrived. The
     /// lineage id is excluded, so a live deployment and its recovered twin
-    /// compare equal.
+    /// compare equal. Each section is hashed as it is encoded, into one
+    /// reused buffer: the call holds the largest section, never the bundle.
     pub fn content_hash(&self, dict: &Dictionary) -> Result<u128, SelectionError> {
-        Ok(self.encode_bundle(dict).map_err(lift)?.state_hash)
+        self.encode_sections(dict, |_, _| {}).map_err(lift)
     }
 
     /// Recovers a deployment from `dir`: decodes the snapshot, then
@@ -995,8 +980,9 @@ impl Deployment {
     /// live deployment runs (the same delta joins and entailment deltas).
     /// The log replays **before the first publish**: no generation exists
     /// yet, so nothing pins the store a record replaces — each spliced run
-    /// frees its predecessor and the triple list grows in place — and no
-    /// record rebuilds a table. The first generation's tables are
+    /// frees its predecessor, and the decoded stores list their `Spo` runs
+    /// (see [`TripleStore::from_parts`]), so no record writes a triple
+    /// list — and no record rebuilds a table. The first generation's tables are
     /// assembled once, after the last record. A torn tail record — the
     /// signature of a crash mid-append — is dropped gracefully and
     /// reported; records already absorbed by a newer snapshot are skipped
@@ -1608,7 +1594,7 @@ mod tests {
                     rows.push(vec![Id(last as u32); arity]);
                 }
                 let views = vec![deployed(arity, &rows), deployed(arity, &[])];
-                let bytes = enc_deployed_views(&views);
+                let bytes = views_section(&views);
                 let back = dec_deployed_views(&bytes, DICT_LEN).unwrap();
                 assert_eq!(back.len(), 2);
                 for (a, b) in views.iter().zip(&back) {
@@ -1616,7 +1602,7 @@ mod tests {
                     assert_eq!(a.branches[0].definition(), b.branches[0].definition());
                     assert_eq!(a.branches[0].to_answers(), b.branches[0].to_answers());
                 }
-                assert_eq!(enc_deployed_views(&back), bytes);
+                assert_eq!(views_section(&back), bytes);
             }
         }
     }
@@ -1625,9 +1611,9 @@ mod tests {
     fn non_canonical_view_rows_are_refused() {
         // The bytes of a two-column view with no rows, re-spelled with a
         // row count and cells of our choosing.
-        let empty = enc_deployed_views(&[deployed(2, &[])]);
+        let empty = views_section(&[deployed(2, &[])]);
         let with_rows = |arity: usize, count: u64, varints: &[u64]| {
-            let template = enc_deployed_views(&[deployed(arity, &[])]);
+            let template = views_section(&[deployed(arity, &[])]);
             let mut w = Writer::new();
             w.raw(&template[..template.len() - 8]);
             w.u64(count);
@@ -1680,11 +1666,10 @@ mod tests {
         assert_eq!(rows_of(&with_rows(0, 1, &[])).unwrap().len(), 1);
     }
 
-    #[test]
-    fn entailment_and_reformulation_flags_together_are_refused() {
-        // A saturation deployment's bundle, its reformulation section
-        // re-spelled with the flag set: a deployment holds one reasoning,
-        // so no encoder writes both flags and no decoder accepts them.
+    /// A saturation deployment of `x a painting` under `painting ⊑
+    /// picture`, its views chosen for `?x a picture`; with its dictionary,
+    /// schema, vocabulary and the ids of `painting` and `x`.
+    fn pictures_deployment() -> (Deployment, Dictionary, Schema, VocabIds, [Id; 2]) {
         let mut dict = Dictionary::new();
         let vocab = VocabIds::intern(&mut dict);
         let [painting, picture, x] = ["painting", "picture", "x"].map(|u| dict.intern_uri(u));
@@ -1709,7 +1694,53 @@ mod tests {
         };
         let rec = rdfviews_core::select_views_session(&mut prep, &[pictures], &options).unwrap();
         let dep = Deployment::new(&store, rec, prep.prepared());
-        let mut sections = dep.encode_bundle(&dict).unwrap().sections;
+        (dep, dict, schema, vocab, [painting, x])
+    }
+
+    /// Whether `store` lists its `Spo` run: the same triples in the same
+    /// allocation.
+    fn lists_its_spo_run(store: &TripleStore) -> bool {
+        std::ptr::eq(store.triples(), &store.index(IndexOrder::Spo)[..])
+    }
+
+    /// Both stores of a saturation deployment — the base store and the
+    /// explicit one — list their `Spo` runs when deployed, after live
+    /// writes, when decoded from a bundle and after a replayed write.
+    #[test]
+    fn deployment_stores_list_their_spo_runs_built_written_and_decoded() {
+        let lists = |m: &Maintained| match &m.reasoning {
+            PreparedReasoning::Saturation(_, _, explicit) => {
+                lists_its_spo_run(&m.store) && lists_its_spo_run(explicit)
+            }
+            _ => false,
+        };
+        let (mut dep, mut dict, _, vocab, [painting, x]) = pictures_deployment();
+        assert!(lists(&dep.maintained), "deployed");
+        let y = dict.intern_uri("y");
+        let pinned = dep.snapshot();
+        dep.insert_batch(&[[y, vocab.rdf_type, painting]]);
+        dep.delete_batch(&[[x, vocab.rdf_type, painting]]);
+        assert!(lists(&dep.maintained), "written");
+        assert_eq!(pinned.store().len(), 2, "the pin keeps its generation");
+        let mut sections = Vec::new();
+        dep.encode_sections(&dict, |tag, payload| sections.push((tag, payload.to_vec())))
+            .unwrap();
+        let (_, mut maintained, _) = Deployment::decode_bundle(&bundle::encode(&sections)).unwrap();
+        assert!(lists(&maintained), "decoded");
+        maintained.insert_batch(&[[x, vocab.rdf_type, painting]]);
+        assert!(lists(&maintained), "replayed");
+        assert_eq!(maintained.store.len(), 4);
+    }
+
+    #[test]
+    fn entailment_and_reformulation_flags_together_are_refused() {
+        // A saturation deployment's bundle, its reformulation section
+        // re-spelled with the flag set: a deployment holds one reasoning,
+        // so no encoder writes both flags and no decoder accepts them.
+        let (dep, dict, schema, vocab, _) = pictures_deployment();
+        let mut sections = Vec::new();
+        dep.encode_sections(&dict, |tag, payload| sections.push((tag, payload.to_vec())))
+            .unwrap();
         assert!(Deployment::decode_bundle(&bundle::encode(&sections)).is_ok());
         let mut reform = Writer::new();
         reform.bool(true);
@@ -1718,6 +1749,13 @@ mod tests {
         assert!(is_corrupt(Deployment::decode_bundle(&bundle::encode(
             &sections
         ))));
+    }
+
+    /// The views section of `views`.
+    fn views_section(views: &[DeployedView]) -> Vec<u8> {
+        let mut w = Writer::new();
+        enc_deployed_views_into(&mut w, views);
+        w.into_bytes()
     }
 
     /// Decodes a whole section with `dec`, refusing trailing bytes.

@@ -1,6 +1,9 @@
-//! The memory contract of recovery: replaying a write-ahead log costs at
-//! most one triple run and one snapshot's bytes beyond what the recovered
-//! deployment keeps.
+//! The memory contract of recovery and live writes: replaying a
+//! write-ahead log costs at most one triple run and one snapshot's bytes
+//! beyond what the recovered deployment keeps; a deployment's store lists
+//! its `Spo` run, one allocation for both, whether deployed, written to or
+//! recovered; and a live batch applied while a generation is pinned
+//! allocates the runs it splices and no copy of a triple list.
 //!
 //! Recovery replays the log into the decoded store, views and reasoning
 //! before the first generation is published, so no pinned copy of the
@@ -13,15 +16,16 @@
 //! Its own test binary, because it installs a counting global allocator:
 //! live bytes and their high-water mark, with a reallocation counted as a
 //! fresh allocation that frees the old block after the copy (the worst
-//! case of a moving `realloc`).
+//! case of a moving `realloc`). While `RECORDING` is set it also notes the
+//! size of every large allocation and counts the large reallocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use rdfviews::exec::SNAPSHOT_FILE;
-use rdfviews::model::{Id, Triple};
+use rdfviews::model::{Id, IndexOrder, Triple, TripleStore};
 use rdfviews::prelude::*;
 use rdfviews::workload::BartonDataset;
 
@@ -30,9 +34,27 @@ struct Counting;
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 
+/// Allocations of at least this many bytes are large: a list or a run
+/// of 4096 triples.
+const LARGE: usize = 12 * 4096;
+
+static RECORDING: AtomicBool = AtomicBool::new(false);
+static LARGE_SIZES: [AtomicUsize; 256] = [const { AtomicUsize::new(0) }; 256];
+static LARGE_COUNT: AtomicUsize = AtomicUsize::new(0);
+static LARGE_REALLOCS: AtomicUsize = AtomicUsize::new(0);
+
 fn grew(bytes: usize) {
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
     PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn noted(bytes: usize) {
+    if bytes >= LARGE && RECORDING.load(Ordering::Relaxed) {
+        let i = LARGE_COUNT.fetch_add(1, Ordering::Relaxed);
+        if let Some(slot) = LARGE_SIZES.get(i) {
+            slot.store(bytes, Ordering::Relaxed);
+        }
+    }
 }
 
 fn shrank(bytes: usize) {
@@ -46,6 +68,7 @@ unsafe impl GlobalAlloc for Counting {
         let p = System.alloc(layout);
         if !p.is_null() {
             grew(layout.size());
+            noted(layout.size());
         }
         p
     }
@@ -54,6 +77,7 @@ unsafe impl GlobalAlloc for Counting {
         let p = System.alloc_zeroed(layout);
         if !p.is_null() {
             grew(layout.size());
+            noted(layout.size());
         }
         p
     }
@@ -68,6 +92,9 @@ unsafe impl GlobalAlloc for Counting {
         if !p.is_null() {
             grew(new_size);
             shrank(layout.size());
+            if new_size >= LARGE && RECORDING.load(Ordering::Relaxed) {
+                LARGE_REALLOCS.fetch_add(1, Ordering::Relaxed);
+            }
         }
         p
     }
@@ -106,6 +133,12 @@ fn fresh_batch(
         .collect()
 }
 
+/// Whether `store` lists its `Spo` run: the same triples in the same
+/// allocation.
+fn lists_its_spo_run(store: &TripleStore) -> bool {
+    std::ptr::eq(store.triples(), &store.index(IndexOrder::Spo)[..])
+}
+
 #[test]
 fn recovery_holds_at_most_one_run_and_one_snapshot_beyond_its_result() {
     let data = generate_barton(&BartonSpec::default().with_size(4_000, 24_000));
@@ -127,6 +160,7 @@ fn recovery_holds_at_most_one_run_and_one_snapshot_beyond_its_result() {
     );
     std::fs::remove_dir_all(&dir.0).ok();
     let mut durable = advisor.deploy_durable(rec, &dir.0).unwrap();
+    assert!(lists_its_spo_run(durable.deployment().store()), "deployed");
     let subjects: Vec<_> = data.db.store().triples()[..500]
         .iter()
         .map(|t| t[0])
@@ -145,6 +179,7 @@ fn recovery_holds_at_most_one_run_and_one_snapshot_beyond_its_result() {
     ] {
         assert!(durable.delete_batch(&batch).unwrap().batches > 0);
     }
+    assert!(lists_its_spo_run(durable.deployment().store()), "written");
     let live_hash = {
         let (dep, dict) = (durable.deployment(), durable.dict());
         dep.content_hash(dict).unwrap()
@@ -155,7 +190,7 @@ fn recovery_holds_at_most_one_run_and_one_snapshot_beyond_its_result() {
 
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
-    let (dep, dict, report) = Deployment::recover(&dir.0).unwrap();
+    let (mut dep, mut dict, report) = Deployment::recover(&dir.0).unwrap();
     let peak = PEAK.load(Ordering::Relaxed);
     let after = LIVE.load(Ordering::Relaxed);
 
@@ -176,5 +211,45 @@ fn recovery_holds_at_most_one_run_and_one_snapshot_beyond_its_result() {
          run ({run} B) plus the snapshot ({snapshot_bytes} B)",
         after - before
     );
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    assert!(lists_its_spo_run(dep.store()), "recovered");
+
+    // A live batch while a generation is pinned, every run of the store
+    // built: each run is spliced into one new block of the store's new
+    // size, and no block of that size holds a copy of the list. No large
+    // block is reallocated: no list grows in place either.
+    for order in IndexOrder::ALL {
+        dep.store().index(order);
+    }
+    let pinned = dep.snapshot();
+    let batch = fresh_batch(&mut dict, &data, &subjects, 64 * 4, 32);
+    assert_eq!(batch.len(), 64);
+    RECORDING.store(true, Ordering::Relaxed);
+    let stats = dep.insert_batch(&batch);
+    RECORDING.store(false, Ordering::Relaxed);
+    assert!(stats.batches > 0 && dep.store().len() > saturated);
+    let recorded = LARGE_COUNT.load(Ordering::Relaxed);
+    assert!(
+        recorded <= LARGE_SIZES.len(),
+        "{recorded} large allocations"
+    );
+    let list_sized = LARGE_SIZES[..recorded]
+        .iter()
+        .filter(|size| size.load(Ordering::Relaxed) == 12 * dep.store().len())
+        .count();
+    assert_eq!(
+        list_sized,
+        IndexOrder::ALL.len(),
+        "one block per spliced run, none for a copy of the triple list"
+    );
+    assert_eq!(
+        LARGE_REALLOCS.load(Ordering::Relaxed),
+        0,
+        "no list grew in place"
+    );
+    assert!(lists_its_spo_run(dep.store()), "written while pinned");
+    assert_eq!(pinned.store().len(), saturated);
+    drop(pinned);
     drop((dep, dict));
 }
