@@ -16,7 +16,7 @@
 //!   whole state space (Theorem 5.1);
 //! * [`cost`] — the cost estimation `cǫ = cs·VSO + cr·REC + cm·VMC`
 //!   (Section 3.3), backed by `rdf-stats`;
-//! * [`search`] — the strategies: EXNAIVE (Algorithm 2), stratified EXSTR,
+//! * [`search`](mod@search) — the strategies: EXNAIVE (Algorithm 2), stratified EXSTR,
 //!   DFS, greedy GSTR, the Aggressive View Fusion optimization, the
 //!   stop conditions, and reimplementations of the relational competitor
 //!   strategies of Theodoratos et al. (Pruning / Greedy / Heuristic,

@@ -22,6 +22,7 @@
 //! and surfaced as [`SelectionError::SearchPanicked`] instead of aborting
 //! the process.
 
+use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -41,43 +42,46 @@ use crate::state::State;
 /// Groups workload queries into sharing components. Returns the groups as
 /// sorted index lists, ordered by smallest member.
 pub fn partition_workload(queries: &[ConjunctiveQuery]) -> Vec<Vec<usize>> {
-    let n = queries.len();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut Vec<usize>, x: usize) -> usize {
-        if parent[x] != x {
-            let root = find(parent, parent[x]);
-            parent[x] = root;
+    group_by_shared_keys(queries.iter().map(|q| q.atoms.iter().map(AtomKey::of)))
+}
+
+/// The one union-find of the crate: groups the items that share a key.
+/// Item `i` carries the `i`-th key list; items sharing a key, directly or
+/// through other items, land in one group. Returns the groups as sorted
+/// index lists, ordered by smallest member.
+pub(crate) fn group_by_shared_keys<K, I>(items: impl IntoIterator<Item = I>) -> Vec<Vec<usize>>
+where
+    K: Hash + Eq,
+    I: IntoIterator<Item = K>,
+{
+    fn find(parent: &mut [usize], mut i: usize) -> usize {
+        while parent[i] != i {
+            parent[i] = parent[parent[i]];
+            i = parent[i];
         }
-        parent[x]
+        i
     }
-    // Union queries sharing an atom key.
-    let mut owner: FxHashMap<AtomKey, usize> = FxHashMap::default();
-    for (qi, q) in queries.iter().enumerate() {
-        for atom in &q.atoms {
-            let key = AtomKey::of(atom);
-            match owner.get(&key) {
-                Some(&other) => {
-                    let a = find(&mut parent, qi);
-                    let b = find(&mut parent, other);
-                    parent[a] = b;
-                }
-                None => {
-                    owner.insert(key, qi);
-                }
-            }
+    let mut parent: Vec<usize> = Vec::new();
+    let mut owner: FxHashMap<K, usize> = FxHashMap::default();
+    for (i, keys) in items.into_iter().enumerate() {
+        parent.push(i);
+        for key in keys {
+            let other = *owner.entry(key).or_insert(i);
+            let (a, b) = (find(&mut parent, i), find(&mut parent, other));
+            parent[a] = b;
         }
     }
-    let mut groups: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
-    for qi in 0..n {
-        let root = find(&mut parent, qi);
-        groups.entry(root).or_default().push(qi);
+    let mut group_of_root = vec![usize::MAX; parent.len()];
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for i in 0..parent.len() {
+        let root = find(&mut parent, i);
+        if group_of_root[root] == usize::MAX {
+            group_of_root[root] = groups.len();
+            groups.push(Vec::new());
+        }
+        groups[group_of_root[root]].push(i);
     }
-    let mut out: Vec<Vec<usize>> = groups.into_values().collect();
-    for g in &mut out {
-        g.sort_unstable();
-    }
-    out.sort();
-    out
+    groups
 }
 
 /// Runs view selection per sharing group through a prepared session, on
@@ -258,6 +262,18 @@ mod tests {
             .query;
         let groups = partition_workload(&[q0, q1, q2]);
         assert_eq!(groups, vec![vec![0, 1], vec![2]]);
+    }
+
+    #[test]
+    fn grouping_unions_items_that_share_a_key_transitively() {
+        // 0 and 3 share key 2, 3 and 4 share key 4, 4 and 2 share key 3;
+        // item 1 has no key and stays alone.
+        let items: [&[u8]; 5] = [&[1, 2], &[], &[3], &[2, 4], &[4, 3]];
+        assert_eq!(
+            group_by_shared_keys(items.iter().map(|keys| keys.iter())),
+            vec![vec![0, 2, 3, 4], vec![1]]
+        );
+        assert!(group_by_shared_keys(std::iter::empty::<Vec<u8>>()).is_empty());
     }
 
     #[test]

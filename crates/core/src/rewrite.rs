@@ -10,31 +10,41 @@
 //! search:
 //!
 //! 1. **Candidates** — every homomorphic embedding of a view body into
-//!    `q`'s body yields a candidate view application: its arguments are the
-//!    images of the view's head variables, and it covers the image atoms.
-//!    Candidates satisfying the MiniCon property (every existential of the
-//!    view maps injectively to a query variable that is needed nowhere
-//!    outside the covered atoms) are preferred; the rest are kept as a
-//!    fallback, since the final equivalence check is the real arbiter.
+//!    `q`'s body (enumerated by [`for_each_homomorphism`], the search
+//!    behind containment mappings) yields a candidate view application:
+//!    its arguments are the images of the view's head variables, and it
+//!    covers the image atoms. Candidates satisfying the MiniCon property
+//!    (every existential of the view maps injectively to a query variable
+//!    that is needed nowhere outside the covered atoms) are preferred; the
+//!    rest are kept as a fallback, since the final equivalence check is
+//!    the real arbiter.
 //! 2. **Cover search** — a most-constrained-atom-first backtracking search
 //!    combines candidates into complete covers; each complete cover is
 //!    **verified** by unfolding it back to a query over the triple table
-//!    ([`unfold_plan`]) and checking Chandra–Merlin equivalence with `q`
-//!    (Definition 2.2 — the same yardstick the view-selection search uses).
+//!    ([`unfold_plan`], the one unfolding routine, which the search's state
+//!    rewritings go through too) and checking Chandra–Merlin equivalence
+//!    with `q` (Definition 2.2 — the same yardstick the view-selection
+//!    search uses).
 //! 3. **Hybrid** — when no complete cover verifies, candidates are added
 //!    greedily (largest coverage first) as long as the mixed unfolding
 //!    stays equivalent to `q` and the plan stays cross-product-free;
-//!    uncovered atoms remain base-store scans.
+//!    uncovered atoms remain base-store scans. Components of the join
+//!    graph are counted by `crate::partition`'s union-find, the one that
+//!    groups workload queries.
 //!
 //! The planner assumes `q` is **minimized** (Definition 2.1 assumes minimal
 //! queries; `rdf_query::minimize` is cheap) — callers should minimize and
 //! normalize first, as the pipeline does for workload queries.
 
+use std::ops::ControlFlow;
+
 use rdf_model::{FxHashMap, FxHashSet};
-use rdf_query::containment::equivalent;
+use rdf_query::containment::{equivalent, for_each_homomorphism};
 use rdf_query::{Atom, ConjunctiveQuery, QTerm, Var};
 
+use crate::partition::group_by_shared_keys;
 use crate::state::{RewAtom, View, ViewId};
+pub use crate::unfold::unfold_plan;
 
 /// One atom of an executable plan: a deployed-view scan or a base-store
 /// scan.
@@ -49,11 +59,12 @@ pub enum PlanAtom {
 
 impl PlanAtom {
     /// The variables this atom binds (view-scan arguments or triple terms).
-    fn vars(&self) -> Vec<Var> {
-        match self {
-            PlanAtom::View(ra) => ra.args.iter().filter_map(|t| t.as_var()).collect(),
-            PlanAtom::Base(a) => a.vars().collect(),
-        }
+    fn vars(&self) -> impl Iterator<Item = Var> + '_ {
+        let terms: &[QTerm] = match self {
+            PlanAtom::View(ra) => &ra.args,
+            PlanAtom::Base(a) => a.terms(),
+        };
+        terms.iter().filter_map(|t| t.as_var())
     }
 }
 
@@ -111,103 +122,24 @@ pub fn base_plan(q: &ConjunctiveQuery) -> RewritePlan {
     }
 }
 
-/// Unfolds a plan back into a conjunctive query over the triple table:
-/// view scans are replaced by their definitions (head variables bound to
-/// the scan arguments, existentials renamed fresh), base atoms kept as-is.
-///
-/// This is the semantic yardstick of ad-hoc planning, exactly as
-/// [`crate::unfold::unfold`] is for state rewritings: a views-only plan is
-/// correct iff its unfolding is `equivalent` to the planned query.
-pub fn unfold_plan(views: &[View], plan: &RewritePlan) -> ConjunctiveQuery {
-    let by_id: FxHashMap<ViewId, &View> = views.iter().map(|v| (v.id, v)).collect();
-    let mut next_var = plan
-        .head
-        .iter()
-        .copied()
-        .chain(plan.atoms.iter().flat_map(|a| match a {
-            PlanAtom::View(ra) => ra.args.clone(),
-            PlanAtom::Base(a) => a.terms().to_vec(),
-        }))
-        .filter_map(|t| t.as_var())
-        .map(|v| v.0 + 1)
-        .max()
-        .unwrap_or(0);
-    let mut atoms = Vec::new();
-    for pa in &plan.atoms {
-        match pa {
-            PlanAtom::Base(a) => atoms.push(*a),
-            PlanAtom::View(ra) => {
-                let view = by_id[&ra.view];
-                let mut map: FxHashMap<Var, QTerm> = FxHashMap::default();
-                for (k, &h) in view.head.iter().enumerate() {
-                    map.insert(h, ra.args[k]);
-                }
-                for atom in &view.atoms {
-                    for v in atom.vars() {
-                        map.entry(v).or_insert_with(|| {
-                            let t = QTerm::Var(Var(next_var));
-                            next_var += 1;
-                            t
-                        });
-                    }
-                }
-                for atom in &view.atoms {
-                    atoms.push(atom.substitute(&map));
-                }
-            }
-        }
-    }
-    ConjunctiveQuery::new(plan.head.clone(), atoms)
-}
-
 /// Number of connected components of a plan's join graph (atoms are nodes,
 /// shared variables edges). A correct planner never returns a plan with
 /// more components than the query it rewrites — view scans that would
 /// disconnect the join graph (because the connecting variable is projected
 /// out of the view head) are rejected.
 pub fn plan_component_count(plan: &RewritePlan) -> usize {
-    component_count(&plan.atoms.iter().map(|a| a.vars()).collect::<Vec<_>>())
+    component_count(plan.atoms.iter().map(PlanAtom::vars))
 }
 
 /// Number of connected components of a query's join graph (same metric as
 /// [`plan_component_count`], for comparison).
 pub fn query_component_count(q: &ConjunctiveQuery) -> usize {
-    component_count(
-        &q.atoms
-            .iter()
-            .map(|a| a.vars().collect::<Vec<_>>())
-            .collect::<Vec<_>>(),
-    )
+    component_count(q.atoms.iter().map(Atom::vars))
 }
 
-fn component_count(var_sets: &[Vec<Var>]) -> usize {
-    let n = var_sets.len();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], i: usize) -> usize {
-        if parent[i] != i {
-            let root = find(parent, parent[i]);
-            parent[i] = root;
-        }
-        parent[i]
-    }
-    let mut first_seen: FxHashMap<Var, usize> = FxHashMap::default();
-    for (i, vars) in var_sets.iter().enumerate() {
-        for &v in vars {
-            match first_seen.get(&v) {
-                Some(&j) => {
-                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                    parent[ri] = rj;
-                }
-                None => {
-                    first_seen.insert(v, i);
-                }
-            }
-        }
-    }
-    (0..n)
-        .map(|i| find(&mut parent, i))
-        .collect::<FxHashSet<_>>()
-        .len()
+/// Atoms are the items, their variables the keys they share.
+fn component_count<I: IntoIterator<Item = Var>>(atoms: impl IntoIterator<Item = I>) -> usize {
+    group_by_shared_keys(atoms).len()
 }
 
 /// A candidate view application: one homomorphic embedding of a view body
@@ -242,63 +174,26 @@ const MAX_EQUIV_CHECKS: usize = 64;
 /// rely on the planner's silent all-base degradation.
 pub const MAX_QUERY_ATOMS: usize = 64;
 
-/// Enumerates all homomorphisms of `view`'s body into `q`'s body, as
-/// (variable map, per-view-atom target index) pairs.
+/// Enumerates the homomorphisms of `view`'s body into `q`'s body (at most
+/// [`MAX_EMBEDDINGS_PER_VIEW`]), as (variable map, per-view-atom target
+/// index) pairs, mapping the view's atoms in their own order.
 fn embeddings(view: &View, q: &ConjunctiveQuery) -> Vec<(FxHashMap<Var, QTerm>, Vec<usize>)> {
     let mut out = Vec::new();
-    let mut map: FxHashMap<Var, QTerm> = FxHashMap::default();
-    let mut targets: Vec<usize> = Vec::with_capacity(view.atoms.len());
-    fn go(
-        view_atoms: &[Atom],
-        q: &ConjunctiveQuery,
-        depth: usize,
-        map: &mut FxHashMap<Var, QTerm>,
-        targets: &mut Vec<usize>,
-        out: &mut Vec<(FxHashMap<Var, QTerm>, Vec<usize>)>,
-    ) {
-        if out.len() >= MAX_EMBEDDINGS_PER_VIEW {
-            return;
-        }
-        let Some(atom) = view_atoms.get(depth) else {
-            out.push((map.clone(), targets.clone()));
-            return;
-        };
-        for (qi, target) in q.atoms.iter().enumerate() {
-            let mut trail: Vec<Var> = Vec::new();
-            let mut ok = true;
-            for (vt, qt) in atom.terms().iter().zip(target.terms().iter()) {
-                match vt {
-                    QTerm::Const(c) => {
-                        if QTerm::Const(*c) != *qt {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    QTerm::Var(v) => match map.get(v) {
-                        Some(prev) => {
-                            if prev != qt {
-                                ok = false;
-                                break;
-                            }
-                        }
-                        None => {
-                            map.insert(*v, *qt);
-                            trail.push(*v);
-                        }
-                    },
-                }
+    let order: Vec<usize> = (0..view.atoms.len()).collect();
+    let _ = for_each_homomorphism(
+        &view.atoms,
+        &order,
+        &q.atoms,
+        &mut FxHashMap::default(),
+        |map, targets| {
+            out.push((map.clone(), targets.to_vec()));
+            if out.len() < MAX_EMBEDDINGS_PER_VIEW {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
             }
-            if ok {
-                targets.push(qi);
-                go(view_atoms, q, depth + 1, map, targets, out);
-                targets.pop();
-            }
-            for v in trail {
-                map.remove(&v);
-            }
-        }
-    }
-    go(&view.atoms, q, 0, &mut map, &mut targets, &mut out);
+        },
+    );
     out
 }
 

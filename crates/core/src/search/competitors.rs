@@ -27,8 +27,8 @@
 //!
 //! Phase 1's per-query explorations are independent, so with
 //! [`super::SearchConfig::parallelism`] `> 1` they run on explorer
-//! threads against the one shared [`SearchCore`] (budget and counters
-//! stay global); each exploration drives a stack [`Frontier`] with a
+//! threads against the one shared `SearchCore` (budget and counters
+//! stay global); each exploration drives a stack `Frontier` with a
 //! query-local duplicate set.
 
 use rdf_model::FxHashSet;

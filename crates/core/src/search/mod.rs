@@ -1,6 +1,6 @@
 //! Search strategies over the space of candidate view sets (Section 5).
 //!
-//! All strategies share one bookkeeping core ([`engine::SearchCore`]): a
+//! All strategies share one bookkeeping core (`engine::SearchCore`): a
 //! signature-based duplicate detector, the Figure 5 counters (created /
 //! duplicate / discarded / explored states), a best-state tracker with a
 //! cost-over-time trace (Figure 7), stop conditions (Section 5.2) and a
@@ -19,7 +19,7 @@
 //!   between transition phases;
 //! * [`StrategyKind::Pruning`] / [`StrategyKind::Greedy`] /
 //!   [`StrategyKind::Heuristic`] — the divide-and-conquer strategies of
-//!   Theodoratos et al. [21], reimplemented for comparison (Section 6.1).
+//!   Theodoratos et al. \[21\], reimplemented for comparison (Section 6.1).
 //!
 //! The **AVF** optimization (aggressive view fusion) collapses every newly
 //! created state to its VF-fixpoint, discarding the intermediate states —
@@ -30,18 +30,18 @@
 //! The search is layered so every strategy is the composition of three
 //! reusable pieces:
 //!
-//! 1. **Frontier** ([`frontier`]) — the exploration-order layer. A
-//!    [`Frontier`](frontier::Frontier) owns pending nodes (state + lazy
-//!    transition [`Cursor`](frontier::Cursor)) under a policy: *queue*
-//!    (EXNAIVE/EXSTR, Algorithm 2's candidate set), *stack* (DFS), or
+//! 1. **Frontier** (`frontier`) — the exploration-order layer. A
+//!    `Frontier` owns pending nodes (state + lazy transition `Cursor`)
+//!    under a policy: *queue* (EXNAIVE/EXSTR, Algorithm 2's candidate
+//!    set), *stack* (DFS), or
 //!    *best-only* between GSTR phases. Nodes hold their state behind an
 //!    `Arc`, so moving one between explorers is a pointer copy.
-//! 2. **Shared core** ([`engine`]) — one
-//!    [`SearchCore`](engine::SearchCore) per run: a sharded, lock-striped
-//!    signature table for duplicate detection, relaxed-atomic Figure 5
-//!    counters with the shared `max_states` budget folded into the
-//!    `created` increment, and a gated best tracker whose exact-cost ties
-//!    break on the state signature (so the winner is order-independent).
+//! 2. **Shared core** (`engine`) — one `SearchCore` per run: a sharded,
+//!    lock-striped signature table for duplicate detection, relaxed-atomic
+//!    Figure 5 counters with the shared `max_states` budget folded into
+//!    the `created` increment, and a gated best tracker whose exact-cost
+//!    ties break on the state signature (so the winner is
+//!    order-independent).
 //! 3. **Explorers** — [`SearchConfig::parallelism`] threads per search
 //!    (default 1). Each explorer drains a private frontier and donates its
 //!    shallowest node to a shared injector whenever siblings might starve;

@@ -94,11 +94,13 @@ impl Hasher128 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
             rest = &rest[take..];
-            if self.buf_len == 8 {
-                let m = u64::from_le_bytes(self.buf);
-                self.compress(m);
-                self.buf_len = 0;
+            if self.buf_len < 8 {
+                // `bytes` did not complete the pending word: keep it.
+                return;
             }
+            let m = u64::from_le_bytes(self.buf);
+            self.compress(m);
+            self.buf_len = 0;
         }
         let mut chunks = rest.chunks_exact(8);
         for chunk in &mut chunks {
@@ -183,6 +185,13 @@ mod tests {
             h.update(chunk);
         }
         assert_eq!(h.finish(), hash128("test", &data));
+        // Two calls that leave the pending word partial, against one call.
+        let mut h = Hasher128::new();
+        h.update(&[1, 2, 3]);
+        h.update(&[4, 5]);
+        let mut one = Hasher128::new();
+        one.update(&[1, 2, 3, 4, 5]);
+        assert_eq!(h.finish(), one.finish());
     }
 
     #[test]

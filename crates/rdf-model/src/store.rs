@@ -5,7 +5,7 @@
 //! five other sorted copies, one per column permutation, on first use, so
 //! that any pattern with 1–3 bound columns is answered by a binary-searched
 //! range over the best index. This mirrors the sextuple indexing of
-//! Hexastore [23] and the "indexed the encoded triple table on s, p, o,
+//! Hexastore \[23\] and the "indexed the encoded triple table on s, p, o,
 //! and all two- and three-column combinations" layout of the paper's
 //! evaluation platform.
 //!

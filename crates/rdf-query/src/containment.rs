@@ -1,4 +1,5 @@
-//! Containment mappings and query equivalence (Chandra–Merlin [7]).
+//! Containment mappings and query equivalence (Chandra–Merlin, reference
+//! 7 of the paper).
 //!
 //! `q2 ⊆ q1` (every answer of `q2` is an answer of `q1`) iff there is a
 //! *containment mapping* from `q1` to `q2`: a substitution of `q1`'s
@@ -6,6 +7,12 @@
 //! and the head of `q1` to the head of `q2`. The problem is NP-complete but
 //! the queries here are small (≤ ~10 atoms), so plain backtracking with a
 //! most-constrained-first atom order is enough.
+//!
+//! [`for_each_homomorphism`] is the one homomorphism search of the tree:
+//! [`containment_mapping`] stops it at the first mapping, and the ad-hoc
+//! planner (`rdfviews_core::rewrite`) enumerates view embeddings with it.
+
+use std::ops::ControlFlow;
 
 use rdf_model::FxHashMap;
 
@@ -58,65 +65,82 @@ pub fn containment_mapping(
             .count();
         std::cmp::Reverse(bound)
     });
-    if backtrack(from, to, &order, 0, &mut map) {
-        Some(map)
-    } else {
-        None
-    }
+    let found = for_each_homomorphism(&from.atoms, &order, &to.atoms, &mut map, |_, _| {
+        ControlFlow::Break(())
+    });
+    found.is_break().then_some(map)
 }
 
-fn backtrack(
-    from: &ConjunctiveQuery,
-    to: &ConjunctiveQuery,
+/// Enumerates the homomorphisms from the atoms `from` into the atoms `to`
+/// that extend `map`: `from`'s atoms are mapped in `order` (a permutation
+/// of their indices), each trying the atoms of `to` in order. For every
+/// complete homomorphism, `visit` gets the variable map and, per atom of
+/// `from`, the index of its image in `to`; it returns
+/// [`ControlFlow::Break`] to stop the search.
+///
+/// On `Break` the result is `Break` and `map` holds the homomorphism the
+/// visitor stopped at; otherwise `map` is left as given.
+pub fn for_each_homomorphism<F>(
+    from: &[Atom],
     order: &[usize],
-    depth: usize,
+    to: &[Atom],
     map: &mut FxHashMap<Var, QTerm>,
-) -> bool {
-    let Some(&atom_idx) = order.get(depth) else {
-        return true;
-    };
-    let atom = &from.atoms[atom_idx];
-    for target in &to.atoms {
-        let mut trail: Vec<Var> = Vec::new();
-        if try_extend(atom, target, map, &mut trail) && backtrack(from, to, order, depth + 1, map) {
-            return true;
-        }
-        for v in trail {
-            map.remove(&v);
-        }
-    }
-    false
+    mut visit: F,
+) -> ControlFlow<()>
+where
+    F: FnMut(&FxHashMap<Var, QTerm>, &[usize]) -> ControlFlow<()>,
+{
+    debug_assert_eq!(order.len(), from.len());
+    let mut targets = vec![0; from.len()];
+    extend(from, order, to, map, &mut targets, &mut visit)
 }
 
-/// Attempts to extend `map` so that `atom` maps onto `target`; records newly
-/// bound variables in `trail` for rollback.
-fn try_extend(
-    atom: &Atom,
-    target: &Atom,
+/// Maps `order`'s first atom onto each atom of `to` in turn and recurses
+/// on the rest of `order`, undoing its own bindings after each target.
+fn extend<F>(
+    from: &[Atom],
+    order: &[usize],
+    to: &[Atom],
     map: &mut FxHashMap<Var, QTerm>,
-    trail: &mut Vec<Var>,
-) -> bool {
-    for (f, t) in atom.terms().iter().zip(target.terms().iter()) {
-        match f {
-            QTerm::Const(c) => {
-                if QTerm::Const(*c) != *t {
-                    return false;
-                }
-            }
-            QTerm::Var(v) => match map.get(v) {
-                Some(prev) => {
-                    if prev != t {
-                        return false;
+    targets: &mut [usize],
+    visit: &mut F,
+) -> ControlFlow<()>
+where
+    F: FnMut(&FxHashMap<Var, QTerm>, &[usize]) -> ControlFlow<()>,
+{
+    let Some((&atom_idx, rest)) = order.split_first() else {
+        return visit(map, targets);
+    };
+    let atom = &from[atom_idx];
+    for (target_idx, target) in to.iter().enumerate() {
+        // An atom binds at most its three terms.
+        let mut bound = [Var(0); 3];
+        let mut n = 0;
+        let fits = atom
+            .terms()
+            .iter()
+            .zip(target.terms())
+            .all(|(f, t)| match *f {
+                QTerm::Const(_) => f == t,
+                QTerm::Var(v) => match map.get(&v) {
+                    Some(prev) => prev == t,
+                    None => {
+                        map.insert(v, *t);
+                        bound[n] = v;
+                        n += 1;
+                        true
                     }
-                }
-                None => {
-                    map.insert(*v, *t);
-                    trail.push(*v);
-                }
-            },
+                },
+            });
+        if fits {
+            targets[atom_idx] = target_idx;
+            extend(from, rest, to, map, targets, visit)?;
+        }
+        for v in &bound[..n] {
+            map.remove(v);
         }
     }
-    true
+    ControlFlow::Continue(())
 }
 
 /// `sub ⊑ sup`: every answer of `sub` is an answer of `sup`, i.e. there is a
@@ -137,6 +161,37 @@ mod tests {
 
     fn v(i: u32) -> QTerm {
         QTerm::Var(Var(i))
+    }
+
+    #[test]
+    fn homomorphisms_come_in_target_order_and_stop_on_break() {
+        // t(X, p, Y), t(Y, p, Z) into a p-chain a → b → c plus a q edge.
+        let from = [
+            Atom::new(Var(0), Id(1), Var(1)),
+            Atom::new(Var(1), Id(1), Var(2)),
+        ];
+        let to = [
+            Atom::new(Id(10), Id(1), Id(11)),
+            Atom::new(Id(11), Id(2), Id(12)),
+            Atom::new(Id(11), Id(1), Id(12)),
+        ];
+        let mut seen = Vec::new();
+        let mut map = FxHashMap::default();
+        let all = for_each_homomorphism(&from, &[0, 1], &to, &mut map, |m, targets| {
+            seen.push((m[&Var(0)], targets.to_vec()));
+            ControlFlow::Continue(())
+        });
+        assert!(all.is_continue());
+        assert!(map.is_empty(), "bindings are undone after the search");
+        assert_eq!(seen, vec![(QTerm::Const(Id(10)), vec![0, 2])]);
+        // Mapping the second atom first finds the same homomorphism, and
+        // a visitor that stops keeps its bindings.
+        let stopped = for_each_homomorphism(&from, &[1, 0], &to, &mut map, |_, targets| {
+            assert_eq!(targets, [0, 2]);
+            ControlFlow::Break(())
+        });
+        assert!(stopped.is_break());
+        assert_eq!(map[&Var(2)], QTerm::Const(Id(12)));
     }
 
     #[test]

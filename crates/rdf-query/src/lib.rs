@@ -13,7 +13,7 @@
 //!   and selection edges (Definition 3.1), connectivity, connected-subset
 //!   enumeration (for View Break);
 //! * [`containment`]: containment mappings (Chandra–Merlin), equivalence;
-//! * [`minimize`]: core computation (queries and views are assumed minimal,
+//! * [`minimize`](mod@minimize): core computation (queries and views are assumed minimal,
 //!   Definition 2.1);
 //! * [`canonical`]: canonical forms up to variable renaming — the engine
 //!   behind state deduplication and View Fusion's isomorphism test;

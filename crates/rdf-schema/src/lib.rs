@@ -28,7 +28,7 @@
 pub mod saturation;
 pub mod schema;
 
-pub use saturation::{entailed_delta, retracted_delta, saturate, saturated_copy, SaturationStats};
+pub use saturation::{entailed_delta, retracted_delta, saturate, saturated_copy};
 pub use schema::{Schema, SchemaStatement, StatementKind};
 
 use rdf_model::{vocab, Dictionary, Id};

@@ -50,24 +50,6 @@ use rdf_model::{prefix_range, FxHashSet, Id, IndexOrder, Triple, TripleStore};
 use crate::schema::Schema;
 use crate::VocabIds;
 
-/// Counters describing a saturation run.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SaturationStats {
-    /// Triples present before saturation.
-    pub explicit: usize,
-    /// Implicit triples added.
-    pub implicit: usize,
-    /// Worklist items processed (explicit + implicit).
-    pub processed: usize,
-}
-
-impl SaturationStats {
-    /// Total triples after saturation.
-    pub fn total(&self) -> usize {
-        self.explicit + self.implicit
-    }
-}
-
 /// The forward closure of `seeds` under the four rules, less the seeds
 /// themselves and everything `keep` refuses: each derived triple is
 /// offered to `keep` once per derivation, and only a kept one is reported
@@ -126,11 +108,6 @@ pub fn entailed_delta(
 /// Saturates `store` in place; returns the number of implicit triples
 /// added. The implicit triples are appended to the store's insertion
 /// order in derivation order, as one batch (one version bump).
-pub fn saturate(store: &mut TripleStore, schema: &Schema, vocab: &VocabIds) -> usize {
-    saturate_with_stats(store, schema, vocab).implicit
-}
-
-/// Saturates `store` in place and reports counters.
 ///
 /// This is [`entailed_delta`] seeded with the whole store, with the store
 /// moved into the worklist's set. A derived triple has `rdf:type` or a
@@ -146,11 +123,7 @@ pub fn saturate(store: &mut TripleStore, schema: &Schema, vocab: &VocabIds) -> u
 /// was kept before, exactly what the store and a set starting empty
 /// answered together (every seed is in the store, so no seed is ever kept
 /// or expanded twice).
-pub fn saturate_with_stats(
-    store: &mut TripleStore,
-    schema: &Schema,
-    vocab: &VocabIds,
-) -> SaturationStats {
+pub fn saturate(store: &mut TripleStore, schema: &Schema, vocab: &VocabIds) -> usize {
     let explicit = store.len();
     let derivable: Vec<Triple> = store
         .index(IndexOrder::Spo)
@@ -163,12 +136,7 @@ pub fn saturate_with_stats(
     met.extend(derivable);
     let implicit = forward_closure(store.triples(), schema, vocab, |t| met.insert(t));
     store.insert_batch(&implicit);
-    SaturationStats {
-        explicit,
-        implicit: implicit.len(),
-        // Every triple, given or derived, passes through the worklist once.
-        processed: explicit + implicit.len(),
-    }
+    implicit.len()
 }
 
 /// Applies each rule once to `t`, pushing consequents into `out`.
@@ -213,7 +181,7 @@ pub fn saturated_copy(store: &TripleStore, schema: &Schema, vocab: &VocabIds) ->
 ///
 /// Candidates are the removed triples and their forward closure, as far as
 /// `saturated` holds them; a candidate survives iff a remaining explicit
-/// triple derives it ([`Support::holds`]).
+/// triple derives it (`Support::holds`).
 pub fn retracted_delta(
     explicit: &TripleStore,
     saturated: &TripleStore,
@@ -381,15 +349,14 @@ mod tests {
 
         let mut store = TripleStore::new();
         store.insert([id("u"), id("hasPainted"), b]);
-        let stats = saturate_with_stats(&mut store, &schema, &f.vocab);
+        let implicit = saturate(&mut store, &schema, &f.vocab);
 
         let ty = f.vocab.rdf_type;
         assert!(store.contains([id("u"), id("hasCreated"), b]));
         assert!(store.contains([b, ty, id("painting")]));
         assert!(store.contains([b, ty, id("masterpiece")]));
         assert!(store.contains([b, ty, id("work")]));
-        assert_eq!(stats.explicit, 1);
-        assert_eq!(stats.implicit, 4);
+        assert_eq!(implicit, 4);
         assert_eq!(store.len(), 5);
     }
 
@@ -607,7 +574,7 @@ mod tests {
                 let schema = schema_of(&statements, &vocab);
                 let store = store_of(&data, &vocab);
                 let mut saturated = store.clone();
-                let stats = saturate_with_stats(&mut saturated, &schema, &vocab);
+                let implicit_count = saturate(&mut saturated, &schema, &vocab);
 
                 let explicit = store.triples();
                 let (prefix, implicit) = saturated.triples().split_at(explicit.len());
@@ -616,14 +583,7 @@ mod tests {
                 prop_assert_eq!(distinct.len(), implicit.len());
                 prop_assert!(implicit.iter().all(|&t| !store.contains(t)));
                 prop_assert_eq!(sorted(&saturated), naive_fixpoint(&store, &schema, &vocab));
-                prop_assert_eq!(
-                    stats,
-                    SaturationStats {
-                        explicit: explicit.len(),
-                        implicit: implicit.len(),
-                        processed: explicit.len() + implicit.len(),
-                    }
-                );
+                prop_assert_eq!(implicit_count, implicit.len());
                 // The general worklist derives the same triples in the
                 // same order.
                 prop_assert_eq!(entailed_delta(&store, explicit, &schema, &vocab), implicit);

@@ -13,7 +13,7 @@
 //! plus per-column distinct-value counts, min/max, and average term widths.
 //! Multi-atom view cardinalities are then estimated with the classic
 //! uniformity + independence formulas of the relational literature
-//! (Ramakrishnan & Gehrke [18]).
+//! (Ramakrishnan & Gehrke \[18\]).
 //!
 //! Three catalog flavors correspond to the paper's three reasoning
 //! scenarios (Section 4.3):

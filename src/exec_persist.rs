@@ -56,7 +56,7 @@
 //! view tables are assembled once, at the end. Replay is
 //! *deterministic*: the recovered state reproduces the pre-crash state
 //! bit-for-bit, proven by the 128-bit **state hash** (domain
-//! `rdfviews.state.v2`, over the canonical semantic sections). Torn tail
+//! `rdfviews.state.v3`, over the canonical semantic sections). Torn tail
 //! records are dropped gracefully; records already absorbed by a newer
 //! snapshot (a crash between checkpoint and WAL reset) are skipped by
 //! their version stamps.
@@ -82,7 +82,7 @@ pub const SNAPSHOT_FILE: &str = "snapshot.rdfb";
 pub const WAL_FILE: &str = "wal.rdfl";
 
 /// Domain string of the semantic state hash (see [`Deployment::content_hash`]).
-const STATE_DOMAIN: &str = "rdfviews.state.v2";
+const STATE_DOMAIN: &str = "rdfviews.state.v3";
 
 // Section tags, in their required file order.
 const SEC_DICT: u32 = 1;
@@ -963,7 +963,7 @@ impl Deployment {
     }
 
     /// The deployment's canonical 128-bit content fingerprint (domain
-    /// `rdfviews.state.v2`), over the same canonical encoding
+    /// `rdfviews.state.v3`), over the same canonical encoding
     /// [`Deployment::persist`] writes — equal hashes mean equal
     /// dictionary, store, recommendation, and view tables, **however they
     /// were reached**: the encoding is of the state (sorted sets and

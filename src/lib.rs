@@ -186,8 +186,9 @@
 //!
 //! ## Maintenance quickstart: batched updates
 //!
-//! Update feeds go through [`Deployment::insert_batch`] /
-//! [`Deployment::delete_batch`] (exec::Deployment): the whole batch
+//! Update feeds go through
+//! [`Deployment::insert_batch`](exec::Deployment::insert_batch) /
+//! [`Deployment::delete_batch`](exec::Deployment::delete_batch): the whole batch
 //! derives its RDFS consequences **once, from the batch alone** (each rule
 //! has a single instance premise, so an insertion adds the forward closure
 //! of its triples and a deletion re-checks only that closure), writes the
