@@ -207,8 +207,7 @@ impl<'s> Preparation<'s> {
             }
             ReasoningMode::PostReformulation => {
                 let (schema, vocab) = owned()?;
-                let triples = rdf_stats::postreform::saturated_triples(store, &schema, &vocab);
-                let cat = StatsCatalog::store_level_from_triples(triples.into_iter(), dict);
+                let cat = rdf_stats::collect_stats_post_reform(store, dict, &[], &schema, &vocab);
                 (PreparedReasoning::PostReformulation(schema, vocab), cat)
             }
         };
@@ -255,25 +254,29 @@ impl<'s> Preparation<'s> {
     /// record yet, counted against the prepared store (or its saturated
     /// copy); returns how many atom shapes were newly counted.
     pub fn extend(&mut self, queries: &[ConjunctiveQuery]) -> usize {
-        // Check coverage first: the common warm-session case must not
-        // deep-clone a catalog that recommendations still share.
-        if rdf_stats::stats_cover(&self.catalog, queries) {
+        // List the missing shapes first: the common warm-session case must
+        // not deep-clone a catalog that recommendations still share.
+        let missing = rdf_stats::missing_shapes(&self.catalog, queries);
+        if missing.is_empty() {
             return 0;
         }
         let catalog = Arc::make_mut(&mut self.catalog);
-        let added = match &self.reasoning {
-            PreparedReasoning::Plain | PreparedReasoning::PreReformulation(..) => {
-                rdf_stats::extend_stats(catalog, self.store, queries)
-            }
-            PreparedReasoning::Saturation(_, _, saturated) => {
-                rdf_stats::extend_stats(catalog, saturated, queries)
-            }
-            PreparedReasoning::PostReformulation(schema, vocab) => {
-                rdf_stats::extend_stats_post_reform(catalog, self.store, queries, schema, vocab)
-            }
-        };
-        self.stats_collections += added;
-        added
+        for &(key, atom) in &missing {
+            let count = match &self.reasoning {
+                PreparedReasoning::Plain | PreparedReasoning::PreReformulation(..) => {
+                    rdf_stats::count_atom(self.store, &atom)
+                }
+                PreparedReasoning::Saturation(_, _, saturated) => {
+                    rdf_stats::count_atom(saturated, &atom)
+                }
+                PreparedReasoning::PostReformulation(schema, vocab) => {
+                    rdf_stats::reformulated_atom_count(self.store, &atom, schema, vocab)
+                }
+            };
+            catalog.insert_count(key, count);
+        }
+        self.stats_collections += missing.len();
+        missing.len()
     }
 
     /// Records a finished session search as the warm-start cache entry.

@@ -72,13 +72,12 @@ impl MaintenanceStats {
     }
 }
 
-/// An update batch snapshotted for delta joins: the triples plus their
-/// 3-column table representation. Built **once** per batch and shared
-/// across every maintained view (a deployment maintains several), so the
-/// batch is not re-copied per view branch.
+/// An update batch snapshotted for delta joins: its triples as a 3-column
+/// table, duplicates folded. Built **once** per batch and shared across
+/// every maintained view (a deployment maintains several), so the batch is
+/// not re-copied per view branch.
 #[derive(Debug, Clone)]
 pub struct DeltaSet {
-    triples: Vec<Triple>,
     table: ViewTable,
 }
 
@@ -86,14 +85,8 @@ impl DeltaSet {
     /// Snapshots `batch` (duplicates are folded by the table).
     pub fn new(batch: &[Triple]) -> Self {
         Self {
-            triples: batch.to_vec(),
             table: ViewTable::from_rows(3, batch),
         }
-    }
-
-    /// The batch triples, as given.
-    pub fn triples(&self) -> &[Triple] {
-        &self.triples
     }
 
     /// The batch as a 3-column table. Exposed so callers (and tests) can
@@ -107,7 +100,7 @@ impl DeltaSet {
 
     /// Whether the batch is empty.
     pub fn is_empty(&self) -> bool {
-        self.triples.is_empty()
+        self.table.is_empty()
     }
 }
 
@@ -234,7 +227,7 @@ impl MaintainedView {
     pub fn prepare_delete_delta(&self, store: &TripleStore, delta: &DeltaSet) -> DeleteDelta {
         DeleteDelta {
             #[cfg(debug_assertions)]
-            triples: delta.triples.clone(),
+            triples: delta.table.rows().map(|t| [t[0], t[1], t[2]]).collect(),
             candidates: self.delta_join(store, delta),
         }
     }

@@ -1,6 +1,6 @@
 //! The statistics catalog.
 
-use rdf_model::{Dictionary, FxHashMap, FxHashSet, Id, TripleStore};
+use rdf_model::{Dictionary, FxHashMap, Id, TripleStore};
 use rdf_query::{Atom, QTerm};
 
 /// A renaming-invariant key for a triple atom: constants stay, variables
@@ -79,52 +79,6 @@ impl StatsCatalog {
             dataset_size: store.len() as u64,
             distinct: store.distinct_counts().map(|d| d as u64),
             min_max: store.min_max(),
-            avg_width: widths,
-        }
-    }
-
-    /// Builds store-level statistics from an explicit triple collection —
-    /// the post-reformulation path derives the *saturated* database's
-    /// statistics this way without materializing it in the store
-    /// (Section 6.5: "we gather them without actually saturating the
-    /// database").
-    pub fn store_level_from_triples(
-        triples: impl Iterator<Item = [Id; 3]>,
-        dict: &Dictionary,
-    ) -> Self {
-        let mut distinct_sets: [FxHashSet<Id>; 3] = Default::default();
-        let mut sums = [0u64; 3];
-        let mut min_max: Option<[(Id, Id); 3]> = None;
-        let mut count = 0u64;
-        for t in triples {
-            count += 1;
-            let mm = min_max.get_or_insert([(t[0], t[0]), (t[1], t[1]), (t[2], t[2])]);
-            for c in 0..3 {
-                distinct_sets[c].insert(t[c]);
-                sums[c] += dict.byte_width(t[c]) as u64;
-                if t[c] < mm[c].0 {
-                    mm[c].0 = t[c];
-                }
-                if t[c] > mm[c].1 {
-                    mm[c].1 = t[c];
-                }
-            }
-        }
-        let mut widths = [0.0f64; 3];
-        if count > 0 {
-            for c in 0..3 {
-                widths[c] = sums[c] as f64 / count as f64;
-            }
-        }
-        Self {
-            counts: FxHashMap::default(),
-            dataset_size: count,
-            distinct: [
-                distinct_sets[0].len() as u64,
-                distinct_sets[1].len() as u64,
-                distinct_sets[2].len() as u64,
-            ],
-            min_max,
             avg_width: widths,
         }
     }

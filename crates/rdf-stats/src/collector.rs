@@ -6,30 +6,28 @@
 //! obtained by removing constants (as SC does during the search)."
 //! — Section 3.3.
 
-use rdf_model::{Dictionary, StorePattern, TripleStore};
+use rdf_engine::evaluate;
+use rdf_model::{Dictionary, FxHashSet, StorePattern, TripleStore};
 use rdf_query::{Atom, ConjunctiveQuery, QTerm, Var};
 
 use crate::catalog::{AtomKey, StatsCatalog};
 
 /// Exact number of triples matching `atom` (honoring repeated variables,
 /// e.g. `t(X, p, X)` counts only self-loops).
+///
+/// Without a repeated variable the count is the length of the store's
+/// index range. With one, the engine filters the range: its answers over
+/// the atom's distinct variables are one per matching triple.
 pub fn count_atom(store: &TripleStore, atom: &Atom) -> u64 {
-    let [s, p, o] = atom.terms();
-    let pat = StorePattern::new(s.as_const(), p.as_const(), o.as_const());
-    // Intra-atom variable repetitions need post-filtering.
-    let eq_sp = matches!((s, p), (QTerm::Var(a), QTerm::Var(b)) if a == b);
-    let eq_so = matches!((s, o), (QTerm::Var(a), QTerm::Var(b)) if a == b);
-    let eq_po = matches!((p, o), (QTerm::Var(a), QTerm::Var(b)) if a == b);
-    if !(eq_sp || eq_so || eq_po) {
+    let mut q = ConjunctiveQuery::new(Vec::new(), vec![*atom]);
+    let vars = q.body_vars();
+    if vars.len() == atom.vars().count() {
+        let [s, p, o] = atom.terms();
+        let pat = StorePattern::new(s.as_const(), p.as_const(), o.as_const());
         return store.match_count(&pat) as u64;
     }
-    let mut n = 0u64;
-    store.for_each_match(&pat, |t| {
-        if (!eq_sp || t[0] == t[1]) && (!eq_so || t[0] == t[2]) && (!eq_po || t[1] == t[2]) {
-            n += 1;
-        }
-    });
-    n
+    q.head = vars.into_iter().map(QTerm::Var).collect();
+    evaluate(store, &q).len() as u64
 }
 
 /// All relaxations of an atom: every subset of its constants replaced by
@@ -59,6 +57,22 @@ pub fn relaxations_of(atom: &Atom) -> Vec<Atom> {
     out
 }
 
+/// The atom shapes `queries` can need — every atom and every relaxation
+/// thereof — that `cat` does not record yet, one per [`AtomKey`], in
+/// workload order. Empty exactly when the catalog already covers the
+/// workload, which is what lets a long-lived advisor session skip
+/// re-collection across `recommend` calls.
+pub fn missing_shapes(cat: &StatsCatalog, queries: &[ConjunctiveQuery]) -> Vec<(AtomKey, Atom)> {
+    let mut listed = FxHashSet::default();
+    queries
+        .iter()
+        .flat_map(|q| &q.atoms)
+        .flat_map(relaxations_of)
+        .map(|relaxed| (AtomKey::of(&relaxed), relaxed))
+        .filter(|(key, _)| cat.key_count(key).is_none() && listed.insert(*key))
+        .collect()
+}
+
 /// Collects the full catalog for a workload: store-level statistics plus
 /// exact counts of every query atom and every relaxation thereof.
 pub fn collect_stats(
@@ -67,47 +81,10 @@ pub fn collect_stats(
     queries: &[ConjunctiveQuery],
 ) -> StatsCatalog {
     let mut cat = StatsCatalog::store_level(store, dict);
-    extend_stats(&mut cat, store, queries);
-    cat
-}
-
-/// Whether `cat` already records every atom shape (including relaxations)
-/// that `queries` can need — the condition under which [`extend_stats`] /
-/// [`crate::extend_stats_post_reform`] would be a no-op. Kept here, next
-/// to the insertion loops, so the enumeration cannot drift from them.
-pub fn stats_cover(cat: &StatsCatalog, queries: &[ConjunctiveQuery]) -> bool {
-    queries.iter().all(|q| {
-        q.atoms.iter().all(|atom| {
-            relaxations_of(atom)
-                .iter()
-                .all(|r| cat.key_count(&AtomKey::of(r)).is_some())
-        })
-    })
-}
-
-/// Adds the counts for `queries` (atoms + relaxations) that `cat` does not
-/// already record, counting against `store`. Returns how many new atom
-/// shapes were actually counted — zero means the catalog already covered
-/// the workload and no store work happened, which is what lets a long-lived
-/// advisor session skip re-collection across `recommend` calls.
-pub fn extend_stats(
-    cat: &mut StatsCatalog,
-    store: &TripleStore,
-    queries: &[ConjunctiveQuery],
-) -> usize {
-    let mut added = 0;
-    for q in queries {
-        for atom in &q.atoms {
-            for relaxed in relaxations_of(atom) {
-                let key = AtomKey::of(&relaxed);
-                if cat.key_count(&key).is_none() {
-                    cat.insert_count(key, count_atom(store, &relaxed));
-                    added += 1;
-                }
-            }
-        }
+    for (key, atom) in missing_shapes(&cat, queries) {
+        cat.insert_count(key, count_atom(store, &atom));
     }
-    added
+    cat
 }
 
 #[cfg(test)]

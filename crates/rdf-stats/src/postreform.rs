@@ -7,93 +7,38 @@
 //! `|Reformulate(vᵢ, S)|` in every cost formula. "This results in having
 //! the same statistics as if the database was saturated", so the search
 //! finds the same best state as the saturation approach.
+//!
+//! Every count here is the length of an answer set of
+//! [`rdf_engine::evaluate_union`], the one UCQ evaluator, run on the
+//! non-saturated store; the store is never written. The saturated triple
+//! set exists only as the engine's transient answer to
+//! `Reformulate(t(X, Y, Z), S)`, from which the store-level statistics are
+//! read: on the Barton draw of the benchmark's `tune_reform` workload
+//! (39,859 triples) that union has 704 branches, 196,215 branch rows and
+//! 84,494 distinct triples.
 
-use rdf_model::{Dictionary, FxHashSet, Id, StorePattern, TripleStore};
-use rdf_query::{ConjunctiveQuery, QTerm, UnionQuery};
+use rdf_engine::evaluate_union;
+use rdf_model::{Dictionary, TripleStore};
+use rdf_query::{Atom, ConjunctiveQuery, Var};
+use rdf_reform::reformulate_atom;
 use rdf_schema::{Schema, VocabIds};
 
-use crate::catalog::{AtomKey, StatsCatalog};
-use crate::collector::relaxations_of;
+use crate::catalog::StatsCatalog;
+use crate::collector::missing_shapes;
 
-/// Evaluates a union of single-atom queries over the (non-saturated) store
-/// and counts the distinct answer tuples — `|Reformulate(vᵢ, S)|`.
+/// `|Reformulate(atom, S)|`: the saturated count of a single atom, computed
+/// on the non-saturated store.
 ///
 /// Branch heads may contain constants (rule 5/6 bindings); those constants
 /// participate in the answer tuples, which is what makes the union count
 /// equal the saturated count of the original atom.
-pub fn reformulated_union_count(store: &TripleStore, ucq: &UnionQuery) -> u64 {
-    let mut seen: FxHashSet<Vec<Id>> = FxHashSet::default();
-    for branch in ucq.branches() {
-        count_branch(store, branch, &mut seen);
-    }
-    seen.len() as u64
-}
-
-fn count_branch(store: &TripleStore, q: &ConjunctiveQuery, seen: &mut FxHashSet<Vec<Id>>) {
-    debug_assert_eq!(
-        q.atoms.len(),
-        1,
-        "post-reformulation atoms are 1-atom queries"
-    );
-    let atom = &q.atoms[0];
-    let [s, p, o] = *atom.terms();
-    let pat = StorePattern::new(s.as_const(), p.as_const(), o.as_const());
-    let eq_sp = matches!((s, p), (QTerm::Var(a), QTerm::Var(b)) if a == b);
-    let eq_so = matches!((s, o), (QTerm::Var(a), QTerm::Var(b)) if a == b);
-    let eq_po = matches!((p, o), (QTerm::Var(a), QTerm::Var(b)) if a == b);
-    store.for_each_match(&pat, |t| {
-        if (eq_sp && t[0] != t[1]) || (eq_so && t[0] != t[2]) || (eq_po && t[1] != t[2]) {
-            return;
-        }
-        let tuple: Vec<Id> = q
-            .head
-            .iter()
-            .map(|term| match term {
-                QTerm::Const(c) => *c,
-                QTerm::Var(v) => {
-                    let pos = atom
-                        .terms()
-                        .iter()
-                        .position(|x| x == &QTerm::Var(*v))
-                        // xlint: allow(X001, reason = "the head var of a safe 1-atom query occurs in its only atom")
-                        .expect("safe 1-atom query");
-                    t[pos]
-                }
-            })
-            .collect();
-        seen.insert(tuple);
-    });
-}
-
-/// `|Reformulate(atom, S)|`: the saturated count of a single atom, computed
-/// on the non-saturated store.
 pub fn reformulated_atom_count(
     store: &TripleStore,
-    atom: &rdf_query::Atom,
+    atom: &Atom,
     schema: &Schema,
     vocab: &VocabIds,
 ) -> u64 {
-    let ucq = rdf_reform::reformulate_atom(atom, schema, vocab);
-    reformulated_union_count(store, &ucq)
-}
-
-/// The saturated database's triple set, computed on the non-saturated
-/// store by evaluating `Reformulate(t(X, Y, Z), S)` — each entailed triple
-/// surfaces as an answer tuple whose head carries the rule bindings
-/// (Theorem 4.2).
-pub fn saturated_triples(
-    store: &TripleStore,
-    schema: &Schema,
-    vocab: &VocabIds,
-) -> FxHashSet<[Id; 3]> {
-    use rdf_query::{Atom, Var};
-    let all = Atom::new(Var(0), Var(1), Var(2));
-    let ucq = rdf_reform::reformulate_atom(&all, schema, vocab);
-    let mut seen: FxHashSet<Vec<Id>> = FxHashSet::default();
-    for branch in ucq.branches() {
-        count_branch(store, branch, &mut seen);
-    }
-    seen.into_iter().map(|t| [t[0], t[1], t[2]]).collect()
+    evaluate_union(store, &reformulate_atom(atom, schema, vocab)).len() as u64
 }
 
 /// Collects a catalog whose statistics reflect implicit triples — the
@@ -101,6 +46,12 @@ pub fn saturated_triples(
 /// store-level statistics (size, distincts, widths) equal those of the
 /// saturated database, so the search finds the same best state as the
 /// saturation approach without the database ever being saturated.
+///
+/// The store-level statistics are those of a store built from the answers
+/// to `Reformulate(t(X, Y, Z), S)`: each entailed triple surfaces as one
+/// answer tuple whose head carries the rule bindings (Theorem 4.2), and the
+/// answers come sorted and distinct, so they are adopted as that store's
+/// `Spo` run without a sort.
 pub fn collect_stats_post_reform(
     store: &TripleStore,
     dict: &Dictionary,
@@ -108,42 +59,22 @@ pub fn collect_stats_post_reform(
     schema: &Schema,
     vocab: &VocabIds,
 ) -> StatsCatalog {
-    let saturated = saturated_triples(store, schema, vocab);
-    let mut cat = StatsCatalog::store_level_from_triples(saturated.iter().copied(), dict);
-    extend_stats_post_reform(&mut cat, store, queries, schema, vocab);
-    cat
-}
-
-/// Adds the reformulated counts for `queries` that `cat` does not already
-/// record. Returns how many new atom shapes were counted (see
-/// [`crate::extend_stats`] for the session-reuse contract).
-pub fn extend_stats_post_reform(
-    cat: &mut StatsCatalog,
-    store: &TripleStore,
-    queries: &[ConjunctiveQuery],
-    schema: &Schema,
-    vocab: &VocabIds,
-) -> usize {
-    let mut added = 0;
-    for q in queries {
-        for atom in &q.atoms {
-            for relaxed in relaxations_of(atom) {
-                let key = AtomKey::of(&relaxed);
-                if cat.key_count(&key).is_none() {
-                    let n = reformulated_atom_count(store, &relaxed, schema, vocab);
-                    cat.insert_count(key, n);
-                    added += 1;
-                }
-            }
-        }
+    let all = Atom::new(Var(0), Var(1), Var(2));
+    let triples = evaluate_union(store, &reformulate_atom(&all, schema, vocab))
+        .rows()
+        .map(|t| [t[0], t[1], t[2]])
+        .collect();
+    let mut cat = StatsCatalog::store_level(&TripleStore::from_parts(triples, 0), dict);
+    for (key, atom) in missing_shapes(&cat, queries) {
+        cat.insert_count(key, reformulated_atom_count(store, &atom, schema, vocab));
     }
-    added
+    cat
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collector::collect_stats;
+    use crate::collector::{collect_stats, relaxations_of};
     use rdf_model::Dataset;
     use rdf_query::parser::parse_query;
     use rdf_schema::{saturated_copy, SchemaStatement};

@@ -268,8 +268,11 @@ struct DeployedView {
 
 impl DeployedView {
     /// The branch-union table. A one-branch view's rows are already the
-    /// table — distinct and in order — and are handed over as they are;
-    /// several branches are concatenated, sorted and deduplicated once.
+    /// table — distinct and in order — and are copied once, without a
+    /// re-sort: [`MaintainedView::to_answers`] clones them, so the branch
+    /// and the published table each hold the rows (removing that copy
+    /// belongs to ROADMAP direction 3). Several branches are concatenated,
+    /// sorted and deduplicated once.
     fn merged_table(&self) -> ViewTable {
         let branches = self.branches.iter().map(MaintainedView::to_answers);
         ViewTable::from_answers(self.arity, Answers::union_all(self.arity, branches))

@@ -6,6 +6,8 @@
 //! queries), so agreement over randomized inputs is strong evidence that
 //! both are correct.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
 use rdfviews::engine::{evaluate, evaluate_union};
@@ -13,6 +15,7 @@ use rdfviews::model::{Dataset, Id, Triple};
 use rdfviews::query::{Atom, ConjunctiveQuery, QTerm, Var};
 use rdfviews::reform::{reformulate, theorem_4_1_bound};
 use rdfviews::schema::{saturated_copy, Schema, SchemaStatement, VocabIds};
+use rdfviews::stats::{collect_stats, collect_stats_post_reform, StatsCatalog};
 
 /// Fixed vocabulary: 5 classes, 5 properties, 8 resources.
 struct Vocab {
@@ -169,6 +172,27 @@ proptest! {
         let rhs = evaluate_union(db.store(), &ucq);
 
         prop_assert_eq!(&lhs, &rhs, "query {:?}\nschema {:?}", &q, schema.statements());
+
+        // The same theorem on the statistics: the catalog counted on the
+        // saturated store and the post-reformulation catalog counted on
+        // the original store agree field by field.
+        let queries = std::slice::from_ref(&q);
+        let sat_cat = collect_stats(&saturated, db.dict(), queries);
+        let post_cat =
+            collect_stats_post_reform(db.store(), db.dict(), queries, &schema, &v.vocab);
+        prop_assert_eq!(sat_cat.dataset_size(), post_cat.dataset_size());
+        for col in 0..3 {
+            prop_assert_eq!(sat_cat.distinct(col), post_cat.distinct(col), "column {}", col);
+        }
+        prop_assert_eq!(sat_cat.min_max(), post_cat.min_max());
+        prop_assert_eq!(
+            sat_cat.avg_widths_raw().map(f64::to_bits),
+            post_cat.avg_widths_raw().map(f64::to_bits)
+        );
+        let counts = |cat: &StatsCatalog| -> HashMap<_, _> {
+            cat.counts().map(|(k, c)| (*k, c)).collect()
+        };
+        prop_assert_eq!(counts(&sat_cat), counts(&post_cat));
 
         // Structural invariants of Algorithm 1: every branch keeps the
         // original atom count and head arity (rules replace atoms 1:1).
