@@ -6,9 +6,13 @@
 //! Queries are grouped into connected components of a *sharing graph*:
 //! two queries are connected when they share an atom shape (same
 //! constants, same variable-repetition pattern — the unit View Fusion can
-//! factorize across queries). Since no transition can fuse views of
-//! queries in different components, searching the components independently
-//! loses nothing; the component searches are embarrassingly parallel.
+//! factorize across queries). The component searches are embarrassingly
+//! parallel, but partitioning is the paper's Section 8 *heuristic*, not a
+//! lossless decomposition: Selection Cut can relax any constant, after
+//! which View Fusion can merge views of queries in different components —
+//! a state no component search reaches. (Six queries `q_i(X) :- t(X, p,
+//! c_i)` form six groups; with a high maintenance weight the joint search
+//! fuses their cut views into one, the partitioned one keeps six.)
 //!
 //! The group searches run on one **bounded worker pool** sized by the one
 //! thread budget, [`crate::search::SearchConfig::parallelism`] (`0` = one
@@ -230,7 +234,7 @@ fn merge_recommendations(recs: Vec<Recommendation>) -> Result<Recommendation, Se
 mod tests {
     use super::*;
     use crate::pipeline::try_select_views;
-    use crate::search::SearchConfig;
+    use crate::search::{SearchConfig, StrategyKind};
     use rdf_model::{Dataset, Term};
     use rdf_query::parser::parse_query;
 
@@ -381,9 +385,10 @@ mod tests {
 
     #[test]
     fn partitioned_matches_joint_search_on_independent_groups() {
-        // For disjoint groups the search spaces are independent, so the
-        // sum of per-group best costs equals the joint search's best cost
-        // (given enough budget to explore both).
+        // On this workload the partitioned search finds the joint best
+        // cost: no view of one group gains by merging with the other's
+        // (given enough budget to explore both). Partitioning is not
+        // lossless in general — see the next test.
         let mut db = db();
         let queries = vec![
             parse_query("q0(X) :- t(X, <p0>, <o0>), t(X, <p0>, Y)", db.dict_mut())
@@ -412,6 +417,53 @@ mod tests {
             parted.outcome.best_cost
         );
     }
+    #[test]
+    fn a_joint_search_fuses_views_the_partitioned_one_cannot() {
+        // Six queries q_i(X) :- t(X, p, c_i) share no atom shape, so they
+        // form six groups. With maintenance weighing heavily, the joint
+        // search cuts the constants and fuses the six views into one;
+        // each group search keeps its own view.
+        let mut db = Dataset::new();
+        for k in 0..60 {
+            db.insert_terms(
+                Term::uri(format!("s{k}")),
+                Term::uri("p"),
+                Term::uri(format!("c{}", k % 6)),
+            );
+        }
+        let queries: Vec<_> = (0..6)
+            .map(|i| {
+                let text = format!("q{i}(X) :- t(X, <p>, <c{i}>)");
+                parse_query(&text, db.dict_mut()).unwrap().query
+            })
+            .collect();
+        assert_eq!(partition_workload(&queries).len(), 6);
+        let parted_opts = SelectionOptions {
+            weights: crate::cost::CostWeights {
+                cm: 200.0,
+                ..Default::default()
+            },
+            calibrate_cm: false,
+            ..Default::default()
+        };
+        let parted =
+            try_select_views_partitioned(db.store(), db.dict(), None, &queries, &parted_opts)
+                .unwrap();
+        assert_eq!(parted.views.len(), 6);
+        for strategy in [StrategyKind::Dfs, StrategyKind::ExStr] {
+            let mut opts = parted_opts.clone();
+            opts.search.strategy = strategy;
+            let joint = try_select_views(db.store(), db.dict(), None, &queries, &opts).unwrap();
+            assert!(
+                joint.outcome.best_cost < parted.outcome.best_cost,
+                "{strategy:?}: joint {} vs partitioned {}",
+                joint.outcome.best_cost,
+                parted.outcome.best_cost
+            );
+            assert_eq!(joint.views.len(), 1, "{strategy:?}");
+        }
+    }
+
     #[test]
     fn group_search_panic_is_captured_per_group() {
         // The scheduler takes jobs as given: a Cartesian-product job, which

@@ -4,7 +4,8 @@
 //! slot numbers, so the bindings frame is a flat `Vec<Id>`. [`execute`]
 //! then runs a backtracking join that places one atom per depth, choosing
 //! at every node the remaining atom with the fewest matching rows under the
-//! bindings so far.
+//! bindings so far — or, where that atom and others leave one variable
+//! open, places them together by intersecting their extents.
 //!
 //! **Extents.** The matching rows of an atom under given bindings are an
 //! [`Extent`]: a borrowed row-major slice and its row count. A view atom's
@@ -16,7 +17,10 @@
 //! once per binding of its variables, not once to be sized and again to be
 //! read. Store runs are fetched from the store once per call ([`Runs`]) and
 //! searched as plain slices: inside the join there is no lock and no
-//! reference count.
+//! reference count. Rows walked in a run's order look the next atom up in
+//! that order too, so a store lookup reuses or goes on from the step's
+//! last one: a repeated key costs no search and a nearby later one a few
+//! compares, not a search of the run.
 //!
 //! **Levels.** `levels[d]` holds the extent of every atom still unplaced at
 //! depth `d`. A row of the atom running at depth `d` that passes its
@@ -65,13 +69,30 @@
 //! lonely variable runs the plain loop: no settled-atom test in `fill`, no
 //! repeat compare per row.
 //!
+//! **Intersect nodes.** Where two or more remaining atoms each leave one
+//! term unbound, all the same variable `v`, each extent is already sorted
+//! on `v`: a store extent is a range of a run whose sort prefix is the
+//! other two columns, and a view extent is a bucket of the index on all
+//! the other columns, whose rows keep the table's lexicographic order. So
+//! when the smallest extent of a node is such an atom's, the node places
+//! the whole group at once: it gallops the extents side by side to the
+//! values they share, binds `v` to each and descends — it never walks one
+//! extent to probe the others. On a triangle, once `R(x, y)` is placed,
+//! `S(y, ·)` and `T(x, ·)` meet on `z` at the cost of their common values
+//! and the gaps between, not of one of the two blocks. Which atoms group
+//! is fixed by the bound slots, so it is worked out with the program that
+//! fills the level; whether a node intersects or runs an atom follows from
+//! which extent is smallest.
+//!
 //! All working memory — frame, programs, levels, staging — is pooled in
 //! [`EvalScratch`], so a call allocates nothing but its answer.
 
 use std::cell::OnceCell;
 use std::sync::Arc;
 
-use rdf_model::{prefix_range, Id, IndexOrder, StorePattern, Triple, TripleStore};
+use rdf_model::{
+    prefix_range, prefix_range_from, Id, IndexOrder, StorePattern, Triple, TripleStore,
+};
 use rdf_query::{QTerm, Var};
 
 use super::scratch::EvalScratch;
@@ -87,7 +108,7 @@ pub(super) enum CTerm {
 }
 
 /// A compiled atom: its access-path kind plus slot-resolved terms.
-pub(super) enum CAtom<'a> {
+enum CAtom<'a> {
     Store {
         terms: [CTerm; 3],
     },
@@ -99,20 +120,29 @@ pub(super) enum CAtom<'a> {
 
 impl CAtom<'_> {
     /// The atom's terms as a slice, whichever access path it uses.
-    pub(super) fn terms(&self) -> &[CTerm] {
+    fn terms(&self) -> &[CTerm] {
         match self {
             CAtom::Store { terms } => terms,
             CAtom::View { terms, .. } => terms,
         }
     }
+
+    /// The width of the rows its extents hold.
+    fn width(&self) -> usize {
+        match self {
+            CAtom::Store { .. } => 3,
+            // `max(1)`: a table without columns reports no rows, and an
+            // empty slice has no chunks of any width.
+            CAtom::View { table, .. } => table.arity().max(1),
+        }
+    }
 }
 
-/// A query compiled for the index-native core — shared by the backtracking
-/// executor here and the leapfrog executor in [`super::wcoj`].
+/// A query compiled for the index-native core.
 pub(super) struct CompiledPlan<'a> {
-    pub(super) atoms: Vec<CAtom<'a>>,
-    pub(super) head: Vec<CTerm>,
-    pub(super) n_slots: usize,
+    atoms: Vec<CAtom<'a>>,
+    head: Vec<CTerm>,
+    n_slots: usize,
     /// Bit `s`: slot `s` is lonely — its variable occurs once in the body
     /// and not in the head, so no answer depends on its value. Slots past
     /// 63, and every slot of a plan of more than 64 atoms (a program keeps
@@ -198,7 +228,7 @@ impl CompiledPlan<'_> {
 }
 
 /// Stages the head tuple the frame currently spells out.
-pub(super) fn emit(plan: &CompiledPlan, s: &mut EvalScratch) {
+fn emit(plan: &CompiledPlan, s: &mut EvalScratch) {
     assert!(plan.safe, "unsafe query: unbound head variable");
     s.tuple.clear();
     s.tuple
@@ -237,6 +267,78 @@ pub(super) struct Extent<'a> {
     rows: usize,
 }
 
+/// The remaining atoms a level's one open variable groups: the atoms that
+/// leave only that variable unbound, in one column each. Program `k` keeps
+/// one per remaining atom; `atoms` is empty unless the group has two (and
+/// in a plan of more than 64 atoms, which a mask cannot hold).
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct Group {
+    /// Bit `a`: remaining atom `a` belongs to the group.
+    atoms: u64,
+    /// The open variable.
+    slot: u32,
+    /// The column the atom holding this entry has it in.
+    col: u32,
+}
+
+/// One extent an intersect node walks, sorted on the column it binds, and
+/// the row the walk stands at.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Cursor<'a> {
+    ids: &'a [Id],
+    rows: usize,
+    width: usize,
+    col: usize,
+    at: usize,
+}
+
+impl Cursor<'_> {
+    #[inline(always)]
+    fn value_at(&self, row: usize) -> Id {
+        self.ids[row * self.width + self.col]
+    }
+
+    #[inline(always)]
+    fn value(&self) -> Id {
+        self.value_at(self.at)
+    }
+
+    /// Moves to the first row from here on whose value is not below
+    /// `target` by galloping — probing 1, 2, 4, … rows ahead, then
+    /// halving the last gap — so a seek costs the log of the distance it
+    /// covers. Returns whether such a row exists.
+    #[inline]
+    fn seek(&mut self, target: Id) -> bool {
+        if self.value() >= target {
+            return true;
+        }
+        // value_at(lo) < target <= value_at(hi), a row past the end
+        // standing for a value above them all.
+        let (mut lo, mut step) = (self.at, 1);
+        let mut hi = loop {
+            let probe = lo + step;
+            if probe >= self.rows {
+                break self.rows;
+            }
+            if self.value_at(probe) >= target {
+                break probe;
+            }
+            lo = probe;
+            step *= 2;
+        };
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if self.value_at(mid) < target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        self.at = hi;
+        hi < self.rows
+    }
+}
+
 /// How a program brings one remaining atom's extent up to date. `key` is
 /// the `(start, len)` of the lookup key's sources in the program's stretch
 /// of [`EvalScratch::srcs`].
@@ -259,8 +361,14 @@ pub(super) enum Step<'a> {
         key: (u32, u32),
     },
     /// A store atom with a sort prefix of `order` bound: a range of that
-    /// run.
-    Range { order: IndexOrder, key: (u32, u32) },
+    /// run. `last` is the key of the step's last search and the range it
+    /// found: the same key again costs no search, and a later one is
+    /// searched for from where that range ended.
+    Range {
+        order: IndexOrder,
+        key: (u32, u32),
+        last: Option<([Id; 3], usize, usize)>,
+    },
 }
 
 /// What the running atom does with a column its extent does not already
@@ -293,9 +401,10 @@ enum Next {
 }
 
 /// Everything about a node that depends only on which atoms are placed.
-/// Program `k` runs the atom placed at depth `k - 1` and fills level `k`;
-/// program 0 runs no atom and fills level 0 from the constants alone. Its
-/// column ops and its steps live in the `k`-th stretches of the scratch
+/// Program `k` runs the atom placed at depth `k - 1`, or intersects the
+/// group placed at depths `d..k`, and fills level `k`; program 0 runs no
+/// atom and fills level 0 from the constants alone. Its column ops, its
+/// steps and its groups live in the `k`-th stretches of the scratch
 /// arrays.
 #[derive(Debug, Clone, Copy, Default)]
 pub(super) struct Program {
@@ -331,6 +440,9 @@ struct Join<'j> {
     steps: Vec<Step<'j>>,
     /// `levels[d * n + a]`: the extent of atom `a` at depth `d`.
     levels: Vec<Extent<'j>>,
+    /// `cursors[d + i]`: the `i`-th extent of the intersect node at depth
+    /// `d`, which places the atoms at depths `d..k`.
+    cursors: Vec<Cursor<'j>>,
     n: usize,
     /// Widest atom: the length of a program's stretch of `ops`.
     max_arity: usize,
@@ -340,23 +452,27 @@ struct Join<'j> {
     rows_visited: u64,
     probes: u64,
     checks: u64,
+    seeks: u64,
 }
 
-/// Runs a compiled plan with pooled scratch memory. `stats.engine` is set
-/// by the caller; the row, probe and check counts accumulate here.
+/// Runs a compiled plan with pooled scratch memory; its counts accumulate
+/// in `stats`.
 pub(super) fn execute(store: &TripleStore, plan: &CompiledPlan, stats: &mut EvalStats) -> Answers {
     let runs = Runs {
         store,
         cells: Default::default(),
     };
     let mut s = EvalScratch::take(plan.n_slots, plan.atoms.len());
-    let (steps, levels) = (std::mem::take(&mut s.steps), std::mem::take(&mut s.levels));
+    let steps = std::mem::take(&mut s.steps);
+    let levels = std::mem::take(&mut s.levels);
+    let cursors = std::mem::take(&mut s.cursors);
     let mut join = Join {
         plan,
         runs: &runs,
         s: &mut s,
         steps,
         levels,
+        cursors,
         n: plan.atoms.len(),
         max_arity: plan
             .atoms
@@ -369,14 +485,17 @@ pub(super) fn execute(store: &TripleStore, plan: &CompiledPlan, stats: &mut Eval
         rows_visited: 0,
         probes: 0,
         checks: 0,
+        seeks: 0,
     };
     join.run();
     stats.rows_visited += join.rows_visited;
     stats.probes += join.probes;
     stats.checks += join.checks;
-    let (steps, levels) = (park(join.steps), park(join.levels));
+    stats.seeks += join.seeks;
+    let (steps, levels, cursors) = (park(join.steps), park(join.levels), park(join.cursors));
     s.steps = steps;
     s.levels = levels;
+    s.cursors = cursors;
     let (len, data) = s.out.drain();
     s.release();
     Answers::from_flat(plan.head.len(), len, data, true)
@@ -405,9 +524,22 @@ impl<'j> Join<'j> {
         self.steps.resize(n * n, Step::Inherit);
         self.levels.clear();
         self.levels.resize(n * n, Extent { ids: &[], rows: 0 });
+        self.cursors.clear();
+        self.cursors.resize(
+            n,
+            Cursor {
+                ids: &[],
+                rows: 0,
+                width: 1,
+                col: 0,
+                at: 0,
+            },
+        );
         let s = &mut *self.s;
         s.programs.clear();
         s.programs.resize(n + 1, Program::default());
+        s.groups.clear();
+        s.groups.resize(n * n, Group::default());
         s.ops.clear();
         s.ops
             .resize((n + 1) * self.max_arity, ColOp::Bind { col: 0, slot: 0 });
@@ -415,7 +547,7 @@ impl<'j> Join<'j> {
         s.srcs.resize(n * self.width, CTerm::Slot(0));
         s.stamps.clear();
         s.stamps.resize(self.plan.n_slots, 0);
-        self.build(0, 0, 0);
+        self.build(0, 0, 0, 0);
         let root = self.s.programs[0].id;
         if self.plan.lonely != 0 {
             self.descend::<true>(0, root);
@@ -437,7 +569,12 @@ impl<'j> Join<'j> {
             }
             Next::Run(pos) => {
                 self.s.order.swap(k, pos);
-                self.node::<LONELY>(k, parent)
+                let group = self.s.groups[k * self.n + self.s.order[k] as usize].atoms;
+                if group == 0 {
+                    self.node::<LONELY>(k, parent)
+                } else {
+                    self.intersect::<LONELY>(k, group, parent)
+                }
             }
         }
     }
@@ -451,7 +588,7 @@ impl<'j> Join<'j> {
         let a = self.s.order[d];
         let cached = self.s.programs[k];
         if cached.atom != a || cached.parent != parent {
-            self.build(k, a, parent);
+            self.build(k, d, a, parent);
         }
         let Program {
             id,
@@ -461,14 +598,12 @@ impl<'j> Join<'j> {
             n_ops,
             ..
         } = self.s.programs[k];
-        let extent = self.levels[d * n + a as usize];
-        let (ids, arity) = match (&self.plan.atoms[a as usize], scan) {
-            (CAtom::Store { .. }, Some(order)) => (self.runs.get(order).as_flattened(), 3),
-            (CAtom::Store { .. }, None) => (extent.ids, 3),
-            // `max(1)`: a table without columns reports no rows, and an
-            // empty slice has no chunks of any width.
-            (CAtom::View { table, .. }, _) => (extent.ids, table.arity().max(1)),
+        let atom = &self.plan.atoms[a as usize];
+        let ids = match scan {
+            Some(order) => self.runs.get(order).as_flattened(),
+            None => self.levels[d * n + a as usize].ids,
         };
+        let arity = atom.width();
         let ops = k * self.max_arity..k * self.max_arity + n_ops as usize;
         let skip_repeats = LONELY && skip_repeats;
         let mut prev: &[Id] = &[];
@@ -498,6 +633,92 @@ impl<'j> Join<'j> {
             }
         }
         found
+    }
+
+    /// Places the `group` of atoms that leave only one variable open, the
+    /// atom at `order[d]` among them, by intersection: binds the variable
+    /// to each value their extents in level `d` share, found by galloping
+    /// the extents side by side, and searches below each. Reports whether
+    /// any value led to a witness, stopping at the first when the head is
+    /// already decided. `parent` is the program that filled level `d`,
+    /// whose groups name the variable and its column in each atom.
+    fn intersect<const LONELY: bool>(&mut self, d: usize, group: u64, parent: u64) -> bool {
+        let n = self.n;
+        let a = self.s.order[d];
+        let mut k = d + 1;
+        for pos in d + 1..n {
+            if group >> self.s.order[pos] & 1 == 1 {
+                self.s.order.swap(k, pos);
+                k += 1;
+            }
+        }
+        let cached = self.s.programs[k];
+        if cached.atom != a || cached.parent != parent {
+            self.build(k, d, a, parent);
+        }
+        let Program { id, decided, .. } = self.s.programs[k];
+        let slot = self.s.groups[d * n + a as usize].slot as usize;
+        // Program `k` inherits from level `k - 1`; the atoms the variable
+        // does not reach have the extents there they had in level `d`.
+        for &b in &self.s.order[k..] {
+            let b = b as usize;
+            self.levels[(k - 1) * n + b] = self.levels[d * n + b];
+        }
+        for pos in d..k {
+            let b = self.s.order[pos] as usize;
+            let extent = self.levels[d * n + b];
+            self.cursors[pos] = Cursor {
+                ids: extent.ids,
+                rows: extent.rows,
+                width: self.plan.atoms[b].width(),
+                col: self.s.groups[d * n + b].col as usize,
+                at: 0,
+            };
+        }
+        // Leapfrog: seek the cursors in turn up to the largest value any
+        // of them stands at, until all of them stand at one value.
+        let (g, mut i, mut agree) = (k - d, 0, 1);
+        let mut value = self.cursors[d].value();
+        let mut found = false;
+        loop {
+            while agree < g {
+                i = (i + 1) % g;
+                let cursor = &mut self.cursors[d + i];
+                self.seeks += 1;
+                if !cursor.seek(value) {
+                    return found;
+                }
+                if cursor.value() == value {
+                    agree += 1;
+                } else {
+                    value = cursor.value();
+                    agree = 1;
+                }
+            }
+            self.rows_visited += 1;
+            self.s.frame[slot] = value;
+            let witness = if k == n {
+                emit(self.plan, self.s);
+                true
+            } else {
+                self.descend::<LONELY>(k, id)
+            };
+            if witness {
+                if decided {
+                    return true;
+                }
+                found = true;
+            }
+            // An extent holds a value once: the next row of any cursor
+            // is the next candidate.
+            let cursor = &mut self.cursors[d + i];
+            cursor.at += 1;
+            if cursor.at == cursor.rows {
+                return found;
+            }
+            value = cursor.value();
+            agree = 1;
+        }
     }
 
     /// Binds and checks one row's open columns. (`always`: with two
@@ -613,14 +834,31 @@ impl<'j> Join<'j> {
             Step::Range {
                 order,
                 key: (start, len),
+                last,
             } => {
                 let mut key = [Id(0); 3];
                 for (k, t) in key.iter_mut().zip(&srcs[start as usize..][..len as usize]) {
                     *k = value_of(*t, &s.frame);
                 }
-                self.probes += 1;
                 let run = self.runs.get(order);
-                let range = prefix_range(run, order, &key[..len as usize]);
+                let range = match last {
+                    Some((seen, from, to)) if seen == key => from..to,
+                    _ => {
+                        self.probes += 1;
+                        let range = match last {
+                            Some((seen, _, to)) if seen < key => {
+                                prefix_range_from(run, order, &key[..len as usize], to)
+                            }
+                            _ => prefix_range(run, order, &key[..len as usize]),
+                        };
+                        self.steps[at] = Step::Range {
+                            order,
+                            key: (start, len),
+                            last: Some((key, range.start, range.end)),
+                        };
+                        range
+                    }
+                };
                 Extent {
                     rows: range.len(),
                     ids: run[range].as_flattened(),
@@ -629,18 +867,20 @@ impl<'j> Join<'j> {
         }
     }
 
-    /// Builds program `k` for `atom`, chosen from the level `parent`
-    /// filled (`k == 0`: the root program, which has neither). One pass
+    /// Builds program `k` for `atom`, chosen from level `d`, which the
+    /// program `parent` filled: a node that runs `atom` when `k == d + 1`,
+    /// one that intersects the group of `atom` at depths `d..k` when `k`
+    /// is larger (`k == 0`: the root program, which has neither). One pass
     /// over the terms of the placed atoms, the head and the remaining
     /// atoms — what every *row* used to cost.
-    fn build(&mut self, k: usize, atom: u32, parent: u64) {
+    fn build(&mut self, k: usize, d: usize, atom: u32, parent: u64) {
         let (n, plan) = (self.n, self.plan);
         let s = &mut *self.s;
         // stamps[slot]: 0 while unbound, else 1 + the depth of the atom
-        // that binds it. This program's own atom stamps `k`.
+        // that binds it. This program's own atoms stamp `k`.
         let stamp = k as u32;
         s.stamps.fill(0);
-        for (depth, &placed) in s.order[..k.saturating_sub(1)].iter().enumerate() {
+        for (depth, &placed) in s.order[..d].iter().enumerate() {
             for t in plan.atoms[placed as usize].terms() {
                 if let CTerm::Slot(slot) = *t {
                     if s.stamps[slot as usize] == 0 {
@@ -654,7 +894,10 @@ impl<'j> Join<'j> {
             CTerm::Slot(slot) => s.stamps[slot as usize] != 0,
         });
         let (mut n_ops, mut scan, mut skip_repeats) = (0, None, false);
-        if k > 0 {
+        if k > d + 1 {
+            // The group's one open variable is all the node binds.
+            s.stamps[s.groups[d * n + atom as usize].slot as usize] = stamp;
+        } else if k > 0 {
             let running = &plan.atoms[atom as usize];
             let (mut open, mut lonely) = (0, 0);
             for (col, t) in running.terms().iter().enumerate() {
@@ -706,6 +949,19 @@ impl<'j> Join<'j> {
                 settled |= 1 << a;
                 settles += u32::from(touched);
             }
+            if n <= 64 {
+                // Marked with its own bit while it leaves one variable
+                // open; the pass below gathers the groups.
+                let mut open = terms.iter().enumerate().filter(|(_, t)| !bound(t));
+                s.groups[k * n + a] = match (open.next(), open.next()) {
+                    (Some((col, CTerm::Slot(slot))), None) => Group {
+                        atoms: 1 << a,
+                        slot: *slot,
+                        col: col as u32,
+                    },
+                    _ => Group::default(),
+                };
+            }
             let start = srcs_at;
             let out = &mut s.srcs[k * self.width..];
             self.steps[k * n + a] = if !touched {
@@ -739,9 +995,24 @@ impl<'j> Join<'j> {
                     Step::Range {
                         order,
                         key: (start as u32, len as u32),
+                        last: None,
                     }
                 }
             };
+        }
+        if n <= 64 && k < n {
+            let groups = &mut s.groups[k * n..][..n];
+            for &a in &s.order[k..] {
+                let Group { atoms, slot, .. } = groups[a as usize];
+                if atoms != 0 {
+                    let mates = (s.order[k..].iter())
+                        .map(|&b| groups[b as usize])
+                        .filter(|g| g.atoms != 0 && g.slot == slot)
+                        .fold(0, |m, g| m | g.atoms);
+                    // The bits of a group's members: their own, or all of it.
+                    groups[a as usize].atoms = if mates == atoms { 0 } else { mates };
+                }
+            }
         }
         s.programs[k] = Program {
             atom,

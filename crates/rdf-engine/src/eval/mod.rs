@@ -1,13 +1,13 @@
-//! The conjunctive-query evaluator: two join cores behind one router.
+//! The conjunctive-query evaluator: one join core with two kinds of node.
 //!
 //! A single pipeline serves both query shapes the paper needs: CQs over
 //! the triple table (atoms answered through the store's six permutation
 //! indexes) and rewritings over materialized views (atoms answered through
-//! the tables' cached hash indexes). Acyclic queries run the *compiled*
-//! core in [`compiled`]: each query is compiled once into dense variable
-//! slots; every atom's matching rows under the current bindings are looked
-//! up once, as a borrowed slice with its row count, which both sizes the
-//! atom for the adaptive choice of the next one and is what that atom then
+//! the tables' cached hash indexes). Every query runs the *compiled* core
+//! in [`compiled`]: each query is compiled once into dense variable slots;
+//! every atom's matching rows under the current bindings are looked up
+//! once, as a borrowed slice with its row count, which both sizes the atom
+//! for the adaptive choice of the next one and is what that atom then
 //! walks; everything about a join node that does not depend on the row in
 //! hand is worked out once per node, as a small program; enumeration stops
 //! at the first witness once every head term is bound (the remaining atoms
@@ -18,20 +18,19 @@
 //! answers being staged flat, so a call allocates nothing per row and
 //! nothing per tuple.
 //!
-//! Cyclic queries (triangles, diamonds, k-cycles) are routed to the
-//! worst-case-optimal leapfrog triejoin in [`wcoj`] instead: it joins one
-//! *variable* at a time by multi-way sorted intersection over the same
-//! permutation indexes, never materializing the binary-join intermediates
-//! that blow up on cyclic shapes. The routing decision — a GYO
-//! ear-removal acyclicity test — is made per query and observable through
-//! [`EvalStats::engine`]; [`evaluate_on`] forces either core.
+//! A node either *runs* an atom, walking its extent row by row, or
+//! *intersects* a group of atoms that each leave one variable open, the
+//! same one: their extents are sorted on it, so galloping over them side
+//! by side finds the values they share without walking any one of them.
+//! That is the step a cyclic query needs — a triangle's last two edges
+//! meet on one variable — and the node takes it when one of the group has
+//! the smallest extent. [`EvalStats::seeks`] counts its galloping seeks.
 //!
-//! Neither core is checked against the other alone: the reference is
-//! [`crate::oracle`], nested loops over full scans.
+//! The core is checked against [`crate::oracle`], nested loops over full
+//! scans.
 
 mod compiled;
 pub(crate) mod scratch;
-mod wcoj;
 
 use rdf_model::TripleStore;
 use rdf_query::{Atom, ConjunctiveQuery, QTerm, UnionQuery};
@@ -50,90 +49,37 @@ pub struct ViewAtom<'a> {
     pub args: &'a [QTerm],
 }
 
-/// Which join core answered a query (recorded in [`EvalStats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Compiled index-native backtracking core.
-    Compiled,
-    /// Worst-case-optimal leapfrog triejoin.
-    Wcoj,
-}
-
-impl Engine {
-    /// Stable lowercase name (bench/CI labels).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Engine::Compiled => "compiled",
-            Engine::Wcoj => "wcoj",
-        }
-    }
-}
-
-/// Per-call evaluation statistics: which engine ran, how many rows the
-/// compiled core visited, how many index lookups it made and how many
-/// atoms it settled without running them, and — for the
-/// leapfrog engine — how many galloping seeks it performed and how many
-/// (pre-dedup) head tuples it emitted. Benches and routing tests assert
-/// against these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Per-call evaluation statistics: how many rows the join core visited,
+/// how many index lookups it made, how many atoms it settled without
+/// running them and how many galloping seeks its intersect nodes made.
+/// Tests and benches hold the core's work to these.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// The core that answered the call.
-    pub engine: Engine,
-    /// Rows (index-range triples, view-bucket rows) the compiled core
-    /// tried to extend the current bindings with, over all join depths —
-    /// the work a projecting query saves by stopping at its first witness
-    /// (0 for the leapfrog engine).
+    /// Rows (index-range triples, view-bucket rows) the core tried to
+    /// extend the current bindings with, over all join depths, plus the
+    /// values its intersect nodes found shared — the work a projecting
+    /// query saves by stopping at its first witness.
     pub rows_visited: u64,
-    /// Index lookups by the compiled core: view-bucket probes plus store
-    /// range searches, constants' included. An atom is looked up once per
-    /// binding of its variables, so this grows with the bindings tried,
-    /// not with the atoms left at each of them (0 for the leapfrog engine).
+    /// Index lookups: view-bucket probes plus store range searches,
+    /// constants' included. An atom is looked up once per binding of its
+    /// variables, so this grows with the bindings tried, not with the
+    /// atoms left at each of them.
     pub probes: u64,
-    /// Remaining atoms the compiled core settled without running them:
-    /// atoms whose unbound variables are all lonely (used once in the body
-    /// and not in the head), which hold as soon as their extent is
-    /// non-empty. Counted once per join node that settles them, not per
-    /// row (0 for the leapfrog engine).
+    /// Remaining atoms the core settled without running them: atoms whose
+    /// unbound variables are all lonely (used once in the body and not in
+    /// the head), which hold as soon as their extent is non-empty. Counted
+    /// once per join node that settles them, not per row.
     pub checks: u64,
-    /// Leapfrog galloping seeks (0 for the compiled core).
-    pub lf_seeks: u64,
-    /// Head tuples emitted by the leapfrog executor before deduplication
-    /// (0 for the compiled core).
-    pub lf_emitted: u64,
-}
-
-impl EvalStats {
-    fn new(engine: Engine) -> Self {
-        Self {
-            engine,
-            rows_visited: 0,
-            probes: 0,
-            checks: 0,
-            lf_seeks: 0,
-            lf_emitted: 0,
-        }
-    }
+    /// Galloping seeks of the intersect nodes: each moves one extent's
+    /// cursor to the first value not below the candidate, a cursor already
+    /// there costing one compare.
+    pub seeks: u64,
 }
 
 /// Evaluates a conjunctive query over the triple table.
 pub fn evaluate(store: &TripleStore, q: &ConjunctiveQuery) -> Answers {
-    evaluate_mixed(store, &store_atoms(q), &q.head).0
-}
-
-/// Evaluates a conjunctive query on the given core, bypassing the
-/// acyclicity routing — the forcing hook of the differential tests and of
-/// the `join_throughput` bench's cyclic tier, which times both cores on
-/// the same shapes (the measurement that keeps both).
-pub fn evaluate_on(
-    engine: Engine,
-    store: &TripleStore,
-    q: &ConjunctiveQuery,
-) -> (Answers, EvalStats) {
-    run(store, &store_atoms(q), &q.head, Some(engine))
-}
-
-fn store_atoms(q: &ConjunctiveQuery) -> Vec<MixedAtom<'static>> {
-    q.atoms.iter().map(|a| MixedAtom::Store(*a)).collect()
+    let atoms: Vec<MixedAtom> = q.atoms.iter().map(|a| MixedAtom::Store(*a)).collect();
+    evaluate_mixed(store, &atoms, &q.head).0
 }
 
 /// Evaluates a union of conjunctive queries (set-union of branch answers).
@@ -147,7 +93,8 @@ pub fn evaluate_union(store: &TripleStore, ucq: &UnionQuery) -> Answers {
 /// This is the shape of a set-at-a-time delta join (`rdf_engine::maintain`):
 /// one atom position ranges over the Δ set — materialized as a small
 /// 3-column [`ViewTable`] and probed through its cached hash indexes —
-/// while every other atom ranges over the store.
+/// while every other atom ranges over the store. A rewriting over views
+/// alone is all [`MixedAtom::View`]s.
 #[derive(Debug, Clone, Copy)]
 pub enum MixedAtom<'a> {
     /// An atom answered from the triple store's permutation indexes.
@@ -157,54 +104,20 @@ pub enum MixedAtom<'a> {
 }
 
 /// Evaluates a conjunctive query whose atoms mix triple-table scans and
-/// view-table scans, returning the answers with the engine decision and
-/// the cores' counters — what the deployment layer records per executed
-/// plan branch. View tables are probed through their resident hash-index
-/// caches, so repeated calls against the same tables (a maintenance
-/// batch's per-atom-position delta joins, a served workload's repeated
-/// plans) build each index **once**.
+/// view-table scans, returning the answers with the core's counters — what
+/// the deployment layer records per executed plan branch. View tables are
+/// probed through their resident hash-index caches, so repeated calls
+/// against the same tables (a maintenance batch's per-atom-position delta
+/// joins, a served workload's repeated plans) build each index **once**.
+/// A query without store atoms reads nothing of `store`.
 pub fn evaluate_mixed(
     store: &TripleStore,
     atoms: &[MixedAtom<'_>],
     head: &[QTerm],
 ) -> (Answers, EvalStats) {
-    run(store, atoms, head, None)
-}
-
-/// Evaluates a rewriting: a conjunctive query whose atoms are view scans.
-pub fn evaluate_over_views(atoms: &[ViewAtom<'_>], head: &[QTerm]) -> Answers {
-    let atoms: Vec<MixedAtom> = atoms.iter().map(|va| MixedAtom::View(*va)).collect();
-    // The store is unused for pure view rewritings; an empty one satisfies
-    // the evaluator's signature.
-    thread_local! {
-        static EMPTY: TripleStore = TripleStore::new();
-    }
-    EMPTY.with(|store| run(store, &atoms, head, None).0)
-}
-
-/// Runs `engine`, or — when `None` — the core the acyclicity test picks:
-/// cyclic atom hypergraphs are where the backtracking core enumerates
-/// intermediates a worst-case-optimal join avoids; acyclic and selective
-/// shapes keep the compiled core.
-fn run(
-    store: &TripleStore,
-    atoms: &[MixedAtom<'_>],
-    head: &[QTerm],
-    engine: Option<Engine>,
-) -> (Answers, EvalStats) {
     let plan = compiled::compile(atoms, head);
-    let engine = engine.unwrap_or_else(|| {
-        if wcoj::is_cyclic(&plan) {
-            Engine::Wcoj
-        } else {
-            Engine::Compiled
-        }
-    });
-    let mut stats = EvalStats::new(engine);
-    let answers = match engine {
-        Engine::Compiled => compiled::execute(store, &plan, &mut stats),
-        Engine::Wcoj => wcoj::execute(store, &plan, &mut stats),
-    };
+    let mut stats = EvalStats::default();
+    let answers = compiled::execute(store, &plan, &mut stats);
     (answers, stats)
 }
 
@@ -216,9 +129,16 @@ mod tests {
     use rdf_query::parser::parse_query;
     use rdf_query::Var;
 
-    /// The routed evaluation of a store query, with its stats.
-    fn routed(store: &TripleStore, q: &ConjunctiveQuery) -> (Answers, EvalStats) {
-        evaluate_mixed(store, &store_atoms(q), &q.head)
+    /// The evaluation of a store query, with its stats.
+    fn with_stats(store: &TripleStore, q: &ConjunctiveQuery) -> (Answers, EvalStats) {
+        let atoms: Vec<MixedAtom> = q.atoms.iter().map(|a| MixedAtom::Store(*a)).collect();
+        evaluate_mixed(store, &atoms, &q.head)
+    }
+
+    /// The evaluation of a rewriting over views alone.
+    fn over_views(atoms: &[ViewAtom<'_>], head: &[QTerm]) -> Answers {
+        let atoms: Vec<MixedAtom> = atoms.iter().map(|va| MixedAtom::View(*va)).collect();
+        evaluate_mixed(&TripleStore::new(), &atoms, head).0
     }
 
     fn family() -> Dataset {
@@ -350,7 +270,7 @@ mod tests {
                 args: &yz,
             },
         ];
-        let via_views = evaluate_over_views(&atoms, &[x.into(), z.into()]);
+        let via_views = over_views(&atoms, &[x.into(), z.into()]);
         let direct = parse_query(
             "q(X, Z) :- t(X, <isParentOf>, Y), t(Y, <hasPainted>, Z)",
             db.dict_mut(),
@@ -372,7 +292,7 @@ mod tests {
             table: &t,
             args: &args,
         }];
-        let a = evaluate_over_views(&atoms, &[x.into()]);
+        let a = over_views(&atoms, &[x.into()]);
         assert_eq!(a.len(), 1);
     }
 
@@ -453,9 +373,6 @@ mod tests {
         .unwrap();
         let indexed = evaluate(db.store(), &q.query);
         assert_eq!(indexed, oracle::evaluate(db.store(), &q.query));
-        for engine in [Engine::Compiled, Engine::Wcoj] {
-            assert_eq!(evaluate_on(engine, db.store(), &q.query).0, indexed);
-        }
     }
 
     #[test]
@@ -477,7 +394,7 @@ mod tests {
                 args: &args_b,
             },
         ];
-        let ans = evaluate_over_views(&atoms, &[a.into(), b.into()]);
+        let ans = over_views(&atoms, &[a.into(), b.into()]);
         assert_eq!(ans.len(), 1); // 1×1 product
     }
 
@@ -507,29 +424,24 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_selector_routes_cyclic_to_wcoj() {
+    fn a_triangle_intersects_its_last_two_edges() {
         let mut db = triangle_db();
         let q = triangle_query(&mut db);
-        let (a, stats) = routed(db.store(), &q);
-        assert_eq!(stats.engine, Engine::Wcoj, "triangle routes to leapfrog");
-        assert!(stats.lf_seeks > 0, "leapfrog actually sought");
-        assert_eq!(stats.lf_emitted, a.len() as u64, "distinct emits");
+        let (a, stats) = with_stats(db.store(), &q);
+        assert!(stats.seeks > 0, "the last two edges meet by seeks");
         assert_eq!(a.len(), 6, "two triangles, three rotations each");
+        assert_eq!(a, oracle::evaluate(db.store(), &q));
     }
 
     #[test]
-    fn adaptive_selector_routes_acyclic_to_compiled() {
+    fn a_chain_never_seeks() {
         let mut db = triangle_db();
         let q = parse_query("q(X, Z) :- t(X, <e>, Y), t(Y, <e>, Z)", db.dict_mut())
             .unwrap()
             .query;
-        let (_, stats) = routed(db.store(), &q);
-        assert_eq!(
-            stats.engine,
-            Engine::Compiled,
-            "chain keeps the compiled core"
-        );
-        assert_eq!((stats.lf_seeks, stats.lf_emitted), (0, 0));
+        let (a, stats) = with_stats(db.store(), &q);
+        assert_eq!(stats.seeks, 0, "no two atoms leave one variable open");
+        assert_eq!(a, oracle::evaluate(db.store(), &q));
     }
 
     #[test]
@@ -555,8 +467,7 @@ mod tests {
         let q = parse_query("q(X) :- t(X, <p>, Y), t(X, <q>, Z)", db.dict_mut())
             .unwrap()
             .query;
-        let (a, stats) = routed(db.store(), &q);
-        assert_eq!(stats.engine, Engine::Compiled);
+        let (a, stats) = with_stats(db.store(), &q);
         assert_eq!(a.len() as u64, N);
         assert!(
             stats.rows_visited <= 2 * N * F,
@@ -572,7 +483,7 @@ mod tests {
         let full = parse_query("q(X, Z) :- t(X, <p>, Y), t(X, <q>, Z)", db.dict_mut())
             .unwrap()
             .query;
-        let (a, stats) = routed(db.store(), &full);
+        let (a, stats) = with_stats(db.store(), &full);
         assert_eq!(a.len() as u64, N * F);
         assert!(
             stats.rows_visited <= 2 * N * F,
@@ -585,13 +496,9 @@ mod tests {
         let any = parse_query("q() :- t(X, <p>, Y), t(X, <q>, Z)", db.dict_mut())
             .unwrap()
             .query;
-        let (a, stats) = routed(db.store(), &any);
+        let (a, stats) = with_stats(db.store(), &any);
         assert_eq!(a.len(), 1);
         assert!(stats.rows_visited <= 2, "{} rows", stats.rows_visited);
-
-        // The leapfrog engine does not count.
-        let (_, stats) = evaluate_on(Engine::Wcoj, db.store(), &q);
-        assert_eq!(stats.rows_visited, 0);
     }
 
     #[test]
@@ -620,15 +527,13 @@ mod tests {
         )
         .unwrap()
         .query;
-        let (a, stats) = routed(db.store(), &q);
-        assert_eq!(stats.engine, Engine::Compiled);
+        let (a, stats) = with_stats(db.store(), &q);
         assert_eq!(a.len() as u64, N);
         assert_eq!(stats.rows_visited, N);
         assert_eq!(stats.checks, 2 * N, "two atoms settled per subject");
         assert!(stats.probes <= 2 * N + 3, "{} probes", stats.probes);
         assert_eq!(a, oracle::evaluate(db.store(), &q));
-        let (b, stats) = evaluate_on(Engine::Wcoj, db.store(), &q);
-        assert_eq!((b, stats.probes), (a, 0), "only the compiled core counts");
+        assert_eq!(stats.seeks, 0, "lonely arms leave two terms open");
     }
 
     #[test]
@@ -667,8 +572,7 @@ mod tests {
         )
         .unwrap()
         .query;
-        let (a, stats) = routed(db.store(), &q);
-        assert_eq!(stats.engine, Engine::Compiled);
+        let (a, stats) = with_stats(db.store(), &q);
         assert_eq!(a, oracle::evaluate(db.store(), &q));
         assert_eq!(a.len() as u64, 2 * N);
         assert_eq!(stats.rows_visited, N + N + 2 * N);
@@ -687,30 +591,45 @@ mod tests {
     }
 
     #[test]
-    fn forced_engines_report_themselves() {
+    fn constant_arms_intersect_and_count_their_seeks() {
+        // q(X) :- t(X, e, b), t(X, e, c): both atoms leave only X open, in
+        // their subject column, so the root intersects them; their
+        // extents are the e-b and e-c subject lists.
         let mut db = triangle_db();
-        let q = parse_query("q(X, Z) :- t(X, <e>, Y), t(Y, <e>, Z)", db.dict_mut())
+        db.insert_terms(Term::uri("a2"), Term::uri("e"), Term::uri("c"));
+        let q = parse_query("q(X) :- t(X, <e>, <b>), t(X, <e>, <c>)", db.dict_mut())
             .unwrap()
             .query;
-        let want = oracle::evaluate(db.store(), &q);
-        for engine in [Engine::Wcoj, Engine::Compiled] {
-            let (a, stats) = evaluate_on(engine, db.store(), &q);
-            assert_eq!(stats.engine, engine);
-            assert_eq!(a, want, "{} agrees on the chain", engine.as_str());
+        let (a, stats) = with_stats(db.store(), &q);
+        assert_eq!(a, oracle::evaluate(db.store(), &q));
+        let a2 = db.dict().lookup_uri("a2").unwrap();
+        assert_eq!(a.tuples(), [&[a2][..]]);
+        assert!(stats.seeks > 0);
+        assert_eq!(stats.rows_visited, 1, "one shared subject");
+        assert_eq!(stats.probes, 2, "each extent is looked up once");
+    }
+
+    #[test]
+    fn cyclic_shapes_match_the_oracle() {
+        let mut db = triangle_db();
+        let queries = [
+            "q(X, Y, Z) :- t(X, <e>, Y), t(Y, <e>, Z), t(Z, <e>, X)",
+            // A 4-cycle and a diamond over the same edges.
+            "q(W, X, Y, Z) :- t(W, <e>, X), t(X, <e>, Y), t(Y, <e>, Z), t(Z, <e>, W)",
+            "q(W, Z) :- t(W, <e>, X), t(W, <e>, Y), t(X, <e>, Z), t(Y, <e>, Z)",
+        ];
+        for text in queries {
+            let q = parse_query(text, db.dict_mut()).unwrap().query;
+            assert_eq!(
+                evaluate(db.store(), &q),
+                oracle::evaluate(db.store(), &q),
+                "{text}"
+            );
         }
     }
 
     #[test]
-    fn wcoj_matches_other_engines_on_cyclic_shapes() {
-        let mut db = triangle_db();
-        let q = triangle_query(&mut db);
-        let want = oracle::evaluate(db.store(), &q);
-        assert_eq!(evaluate_on(Engine::Wcoj, db.store(), &q).0, want);
-        assert_eq!(evaluate_on(Engine::Compiled, db.store(), &q).0, want);
-    }
-
-    #[test]
-    fn wcoj_handles_constants_repeats_and_products() {
+    fn intersect_handles_constants_repeats_and_products() {
         let mut db = triangle_db();
         db.insert_terms(Term::uri("n"), Term::uri("e"), Term::uri("n"));
         let queries = [
@@ -724,20 +643,18 @@ mod tests {
             "q() :- t(X, <e>, Y), t(Y, <e>, Z), t(Z, <e>, X)",
             // Ground atom.
             "q(X) :- t(<a>, <e>, <b>), t(X, <e>, X)",
+            // Three atoms meeting on one open variable.
+            "q(X) :- t(X, <e>, <b>), t(<c>, <e>, X), t(X, <e>, <x>)",
         ];
         for text in queries {
             let q = parse_query(text, db.dict_mut()).unwrap().query;
             let want = oracle::evaluate(db.store(), &q);
-            assert_eq!(
-                evaluate_on(Engine::Wcoj, db.store(), &q).0,
-                want,
-                "wcoj parity on {text}"
-            );
+            assert_eq!(evaluate(db.store(), &q), want, "{text}");
         }
     }
 
     #[test]
-    fn wcoj_over_view_tables_matches_compiled() {
+    fn a_triangle_over_view_tables_intersects_buckets() {
         use crate::materialize;
         let mut db = triangle_db();
         let v = parse_query("v(X, Y) :- t(X, <e>, Y)", db.dict_mut()).unwrap();
@@ -758,21 +675,74 @@ mod tests {
         ];
         let head = [x.into(), y.into(), z.into()];
         let (a, stats) = evaluate_mixed(db.store(), &atoms, &head);
-        assert_eq!(stats.engine, Engine::Wcoj, "mixed triangle routes to wcoj");
         let direct = {
             let mut db2 = triangle_db();
             let q = triangle_query(&mut db2);
             evaluate(db2.store(), &q)
         };
         assert_eq!(a, direct);
-        assert!(
-            t.index_builds() >= 1,
-            "view atoms built sorted trie projections"
-        );
+        assert!(stats.seeks > 0, "a bucket and a range meet by seeks");
+        assert!(t.index_builds() >= 1, "view atoms probed their buckets");
         let builds = t.index_builds();
         let (b, _) = evaluate_mixed(db.store(), &atoms, &head);
         assert_eq!(b, direct);
-        assert_eq!(t.index_builds(), builds, "sorted projections are reused");
+        assert_eq!(t.index_builds(), builds, "bucket indexes are reused");
+    }
+
+    #[test]
+    fn the_block_triangle_visits_its_first_edges_and_its_answers() {
+        // The join_throughput triangle at a small scale: hub x has FY
+        // R-edges to y's, every y a BZ-long block of S-edges to z's, and
+        // every x a BZ-long block of T-edges — overlapping the S-blocks of
+        // its first two y's for one hub in 16, out of their reach for the
+        // rest. Once R binds (x, y), S(y, ·) and T(x, ·) share only z:
+        // intersected, they cost seeks, not a walk of one block with a
+        // probe per row, which would visit |R|·(1 + BZ) + answers rows.
+        const NX: u32 = 32;
+        const FY: u32 = 4;
+        const BZ: u32 = 16;
+        let (xb, yb, zb, zhi) = (3_000_000u32, 3_100_000u32, 3_200_000u32, 3_500_000u32);
+        let (pr, ps, pt) = (Id(2_000_000), Id(2_000_001), Id(2_000_002));
+        let mut batch = Vec::new();
+        for i in 0..NX {
+            let j0 = (i * FY) % NX;
+            for k in 0..FY {
+                batch.push([Id(xb + i), pr, Id(yb + j0 + k)]);
+            }
+            let t0 = if i % 16 == 0 {
+                zb + j0 * BZ + BZ - 8
+            } else {
+                zhi + i * BZ
+            };
+            for k in 0..BZ {
+                batch.push([Id(xb + i), pt, Id(t0 + k)]);
+            }
+            for k in 0..BZ {
+                batch.push([Id(yb + i), ps, Id(zb + i * BZ + k)]);
+            }
+        }
+        let mut store = TripleStore::new();
+        store.insert_batch(&batch);
+        let (x, y, z) = (QTerm::Var(Var(0)), QTerm::Var(Var(1)), QTerm::Var(Var(2)));
+        let q = ConjunctiveQuery::new(
+            vec![x, y, z],
+            vec![
+                Atom([x, QTerm::Const(pr), y]),
+                Atom([y, QTerm::Const(ps), z]),
+                Atom([x, QTerm::Const(pt), z]),
+            ],
+        );
+        let (a, stats) = with_stats(&store, &q);
+        assert_eq!(a, oracle::evaluate(&store, &q));
+        assert_eq!(a.len() as u64, u64::from(NX / 16 * BZ));
+        let r = u64::from(NX * FY);
+        assert!(
+            stats.rows_visited <= r + a.len() as u64,
+            "{} rows for |R| = {r} and {} answers",
+            stats.rows_visited,
+            a.len()
+        );
+        assert!(stats.seeks > 0);
     }
 
     #[test]

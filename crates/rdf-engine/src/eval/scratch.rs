@@ -27,7 +27,7 @@ use std::hash::Hasher;
 
 use rdf_model::{FxHasher, Id};
 
-use super::compiled::{CTerm, ColOp, Extent, Program, Step};
+use super::compiled::{CTerm, ColOp, Cursor, Extent, Group, Program, Step};
 
 /// A distinct-tuple staging set with O(1) clear.
 ///
@@ -173,21 +173,19 @@ pub(crate) struct EvalScratch {
     pub out: DedupSet,
     /// The cached node program of each depth (see `compiled::Program`),
     /// and, one stretch per program: its column ops, the sources of its
-    /// steps' lookup keys, its steps.
+    /// steps' lookup keys, its steps, the groups of the level it fills.
     pub(super) programs: Vec<Program>,
     pub(super) ops: Vec<ColOp>,
     pub(super) srcs: Vec<CTerm>,
     pub(super) steps: Vec<Step<'static>>,
+    pub(super) groups: Vec<Group>,
     /// Per slot, which depth's atom binds it — the working set of a
     /// program build.
     pub stamps: Vec<u32>,
     /// The extents of the unplaced atoms, one level per depth.
     pub(super) levels: Vec<Extent<'static>>,
-    /// Leapfrog range stacks, flat: cursor `c` keeps its per-trie-depth
-    /// `[lo, hi)` windows at `roff(c) + depth` (offsets assigned at setup).
-    pub lf_ranges: Vec<[u32; 2]>,
-    /// Leapfrog per-cursor position within the current level's window.
-    pub lf_pos: Vec<u32>,
+    /// The cursors of the intersect nodes, one per atom they place.
+    pub(super) cursors: Vec<Cursor<'static>>,
 }
 
 /// Pooled scratch values per thread; capped so idle threads don't hoard.

@@ -14,17 +14,14 @@
 //! * [`materialize`] / [`materialize_union`] — view materialization,
 //!   producing [`ViewTable`]s (Section 6.6 materializes both plain and
 //!   reformulated views);
-//! * [`evaluate_over_views`] — rewritings, i.e. conjunctive queries whose
-//!   atoms range over view tables (selections encoded by constants in the
-//!   arguments, joins by repeated variables), with hash indexes built on
-//!   demand per bound-column set and kept in the table;
-//! * [`evaluate_mixed`] — atoms mixing store scans and table scans: the
-//!   delta-join shape of set-at-a-time view maintenance ([`maintain`]),
-//!   where one atom position is bound to the whole update batch, and the
-//!   deployment layer's plan branches; it returns the [`EvalStats`] of the
-//!   call with its answers;
-//! * [`evaluate_on`] — a CQ on a forced join core, for the differential
-//!   tests and the benches that time one core against the other;
+//! * [`evaluate_mixed`] — atoms mixing store scans and table scans:
+//!   rewritings, whose atoms range over view tables (selections encoded
+//!   by constants in the arguments, joins by repeated variables, probed
+//!   through hash indexes built on demand per bound-column set and kept in
+//!   the table); the delta-join shape of set-at-a-time view maintenance
+//!   ([`maintain`]), where one atom position is bound to the whole update
+//!   batch; and the deployment layer's plan branches. It returns the
+//!   [`EvalStats`] of the call with its answers;
 //! * [`oracle::evaluate`] — the reference: nested loops over full scans.
 //!
 //! Answers use **set semantics**, matching the conjunctive-query formalism
@@ -32,12 +29,10 @@
 //!
 //! ## Evaluation internals
 //!
-//! There are two join cores and one oracle. Every entry point funnels into
-//! one router, which sends acyclic queries to the **compiled index-native
-//! core** (`eval::compiled`) and cyclic ones to the leapfrog triejoin
-//! below. The compiled core is built so that a read does the work its
-//! answer needs and no more — per query, per join node, per row and per
-//! answer tuple:
+//! There is one join core and one oracle. Every entry point funnels into
+//! the **compiled index-native core** (`eval::compiled`), which is built
+//! so that a read does the work its answer needs and no more — per query,
+//! per join node, per row and per answer tuple:
 //!
 //! * **per query**, variables get dense slot numbers, so the bindings
 //!   frame is a flat vector of ids. Store queries, view rewritings and
@@ -101,47 +96,36 @@
 //!   move. [`Answers::union_all`] hands a single branch's answers through
 //!   untouched and merges several by one concatenate-sort-dedup, which is
 //!   what [`evaluate_union`] and the deployment layer's plan executor use;
-//! * all working memory — frame, programs, slices, staging — comes from a
-//!   thread-local scratch pool, so a call that visits two rows costs about
-//!   as much as its two rows.
+//! * **a node runs an atom or intersects a group of atoms.** Where two or
+//!   more remaining atoms each leave one term unbound, all the same
+//!   variable in one column, their slices are already sorted on it — a
+//!   store slice is a range of a run whose sort prefix is the other two
+//!   columns, and a view slice is a bucket of the index on all the other
+//!   columns, whose rows keep the table's lexicographic order. When one of
+//!   them has the smallest slice, the node gallops the slices side by side
+//!   (exponential probe, then binary search) to the values they share,
+//!   binds the variable to each and descends, never walking one slice to
+//!   probe the others. That is the worst-case-optimal step a cyclic query
+//!   needs: a triangle's last two edges meet on one variable, and a
+//!   diamond's and a 4-cycle's last level likewise. No new index or run
+//!   serves it, and which step a node takes follows from its slice sizes,
+//!   not from a test of the query's shape;
+//! * all working memory — frame, programs, slices, cursors, staging — comes
+//!   from a thread-local scratch pool, so a call that visits two rows costs
+//!   about as much as its two rows.
 //!
-//! [`EvalStats::rows_visited`] counts the rows the core tried,
-//! [`EvalStats::probes`] the index lookups it made and
-//! [`EvalStats::checks`] the atoms it settled without running them, which
-//! is how tests hold the early exit, the once-per-binding rule and the
-//! settling of lonely variables to their bounds.
+//! [`EvalStats::rows_visited`] counts the rows the core tried and the
+//! values its intersect nodes found shared, [`EvalStats::probes`] the index
+//! lookups it made, [`EvalStats::checks`] the atoms it settled without
+//! running them and [`EvalStats::seeks`] its galloping seeks, which is how
+//! tests hold the early exit, the once-per-binding rule, the settling of
+//! lonely variables and the intersect step to their bounds.
 //!
-//! **Cyclic queries run a worst-case-optimal leapfrog triejoin instead**
-//! (`eval::wcoj`). The compiled core expands one *atom* at a time, so on a
-//! triangle it enumerates binary-join intermediates the output never
-//! needs; the leapfrog mode joins one *variable* at a time:
-//!
-//! * a global variable order is fixed up front — highest atom degree
-//!   first, smallest containing-atom extent as tie-break — and every atom
-//!   exposes its matches as a trie in that order: store atoms through the
-//!   permutation index whose sort sequence lists constants, then each
-//!   variable's column(s) consecutively
-//!   ([`rdf_model::IndexOrder::for_groups`]), view atoms through a cached
-//!   sorted-row projection ([`ViewTable::sorted_index_for_order`], built
-//!   once per column sequence and kept in the same kind of lock-free
-//!   chain as the hash indexes);
-//! * each level intersects the participating cursors by leapfrog:
-//!   galloping (exponential-probe + binary-search) seeks to the current
-//!   maximum until all agree, then bind, narrow each cursor to its
-//!   value-run, descend;
-//! * the router runs a GYO ear-removal acyclicity test on the atom
-//!   hypergraph per query: cyclic shapes (triangles, diamonds, k-cycles)
-//!   route to leapfrog, acyclic ones keep the compiled core, and
-//!   [`EvalStats::engine`] (from [`evaluate_mixed`]) records the decision
-//!   along with seek/emit counters. Its search loop enumerates every
-//!   binding of every variable; the early exit above is the compiled
-//!   core's alone. [`evaluate_on`] bypasses the test.
-//!
-//! The **oracle** ([`oracle::evaluate`]) shares nothing with either core:
+//! The **oracle** ([`oracle::evaluate`]) shares nothing with the core:
 //! nested loops over full scans of the triple list under a frame of
 //! optional bindings. It is the reference the differential property tests
-//! hold both cores (forced and routed) to, and the "plain clustered triple
-//! table" configuration of the paper's Figure 8.
+//! hold the core to, and the "plain clustered triple table" configuration
+//! of the paper's Figure 8.
 //!
 //! ```
 //! use rdf_model::{Dataset, Term};
@@ -164,12 +148,9 @@ pub mod oracle;
 mod view_table;
 
 pub use answers::Answers;
-pub use eval::{
-    evaluate, evaluate_mixed, evaluate_on, evaluate_over_views, evaluate_union, Engine, EvalStats,
-    MixedAtom, ViewAtom,
-};
+pub use eval::{evaluate, evaluate_mixed, evaluate_union, EvalStats, MixedAtom, ViewAtom};
 pub use maintain::{DeleteDelta, DeltaSet, MaintainedView, MaintenanceStats};
-pub use view_table::{ViewIndex, ViewSortedIndex, ViewTable};
+pub use view_table::{ViewIndex, ViewTable};
 
 use rdf_model::TripleStore;
 use rdf_query::{ConjunctiveQuery, UnionQuery};

@@ -11,16 +11,17 @@
 //!   compare — and the bucket it returns is a single row-major slice the
 //!   join core walks front to back, with no row-id indirection back into
 //!   the table. The copy costs `arity × 4` bytes per row per mask, less
-//!   than a heap-allocated key and row-id list per distinct key would;
-//! * a [`ViewSortedIndex`] is the leapfrog join's trie view of the table:
-//!   row numbers sorted by a column sequence;
-//! * both kinds live in an append-only chain of write-once nodes per
+//!   than a heap-allocated key and row-id list per distinct key would.
+//!   The rows of a bucket keep the table's order, which is lexicographic,
+//!   so a bucket of the index on all columns but one is sorted on that
+//!   column — what the join core's intersect nodes gallop over;
+//! * the indexes live in an append-only chain of write-once nodes per
 //!   table. A lookup walks the chain with acquire loads only — no lock,
 //!   no reference-count traffic — so reader threads probing the same
 //!   table never write to a cache line they share. A thread that finds
 //!   the chain's end builds the index and publishes it with one
 //!   compare-and-set; if another thread got there first it re-examines
-//!   the slot and adopts that one, so every `(table, key)` has exactly
+//!   the slot and adopts that one, so every `(table, mask)` has exactly
 //!   one published index and [`ViewTable::index_builds`] counts exactly
 //!   those.
 //!
@@ -28,7 +29,6 @@
 //! starts with an empty chain. A cloned table re-links the `Arc`s of the
 //! original's chain, so a cloned deployment stays warm.
 
-use std::borrow::Borrow;
 use std::slice::ChunksExact;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -167,109 +167,35 @@ impl ViewIndex {
     }
 }
 
-/// A sorted projection of a [`ViewTable`]: all row numbers, ordered
-/// lexicographically by the values of a fixed column sequence (ties broken
-/// by row number, so the order is total and deterministic).
-///
-/// This is the view-table analogue of the triple store's permutation
-/// indexes: the leapfrog join walks `rows` as a trie whose level `k` is
-/// column `cols[k]`, narrowing `[lo, hi)` windows by galloping binary
-/// search.
-#[derive(Debug)]
-pub struct ViewSortedIndex {
-    cols: Vec<usize>,
-    rows: Vec<u32>,
-}
-
-impl ViewSortedIndex {
-    fn build(table: &ViewTable, cols: &[usize]) -> Self {
-        let mut rows: Vec<u32> = (0..table.len() as u32).collect();
-        rows.sort_unstable_by(|&a, &b| {
-            let (ra, rb) = (table.row(a as usize), table.row(b as usize));
-            for &c in cols {
-                match ra[c].cmp(&rb[c]) {
-                    std::cmp::Ordering::Equal => continue,
-                    other => return other,
-                }
-            }
-            a.cmp(&b)
-        });
-        Self {
-            cols: cols.to_vec(),
-            rows,
-        }
-    }
-
-    /// The sort-column sequence (outermost first).
-    pub fn cols(&self) -> &[usize] {
-        &self.cols
-    }
-
-    /// All row numbers in sort order.
-    #[inline]
-    pub fn rows(&self) -> &[u32] {
-        &self.rows
-    }
-
-    /// The `[lo, hi)` window of rows whose first `key.len()` sort columns
-    /// equal `key` — the trie descent for a constant prefix.
-    pub fn prefix_range(&self, table: &ViewTable, key: &[Id]) -> (usize, usize) {
-        debug_assert!(key.len() <= self.cols.len());
-        let cmp = |r: u32| -> std::cmp::Ordering {
-            let row = table.row(r as usize);
-            for (k, want) in key.iter().enumerate() {
-                match row[self.cols[k]].cmp(want) {
-                    std::cmp::Ordering::Equal => continue,
-                    other => return other,
-                }
-            }
-            std::cmp::Ordering::Equal
-        };
-        let lo = self
-            .rows
-            .partition_point(|&r| cmp(r) == std::cmp::Ordering::Less);
-        let hi = self.rows[lo..].partition_point(|&r| cmp(r) != std::cmp::Ordering::Greater) + lo;
-        (lo, hi)
-    }
-}
-
 /// One published index of a [`Chain`].
 #[derive(Debug)]
-struct Node<K, V> {
-    key: K,
-    index: Arc<V>,
-    next: OnceLock<Box<Node<K, V>>>,
+struct Node {
+    mask: u64,
+    index: Arc<ViewIndex>,
+    next: OnceLock<Box<Node>>,
 }
 
 /// An append-only list of write-once nodes: the lock-free index cache.
 /// Nodes are never removed or changed, so a reference into the chain
 /// lives as long as the table does.
-#[derive(Debug)]
-struct Chain<K, V> {
-    head: OnceLock<Box<Node<K, V>>>,
+#[derive(Debug, Default)]
+struct Chain {
+    head: OnceLock<Box<Node>>,
 }
 
-impl<K, V> Default for Chain<K, V> {
-    fn default() -> Self {
-        Self {
-            head: OnceLock::new(),
-        }
-    }
-}
-
-impl<K: Clone, V> Clone for Chain<K, V> {
+impl Clone for Chain {
     /// A fresh chain over the same `Arc`s, in the same order.
     fn clone(&self) -> Self {
         let mut entries = Vec::new();
         let mut cur = self.head.get();
         while let Some(node) = cur {
-            entries.push((node.key.clone(), Arc::clone(&node.index)));
+            entries.push((node.mask, Arc::clone(&node.index)));
             cur = node.next.get();
         }
         let mut head = OnceLock::new();
-        for (key, index) in entries.into_iter().rev() {
+        for (mask, index) in entries.into_iter().rev() {
             head = OnceLock::from(Box::new(Node {
-                key,
+                mask,
                 index,
                 next: head,
             }));
@@ -278,26 +204,27 @@ impl<K: Clone, V> Clone for Chain<K, V> {
     }
 }
 
-impl<K, V> Chain<K, V> {
-    /// The index published under `key`, building and publishing it when
+impl Chain {
+    /// The index published under `mask`, building and publishing it when
     /// the chain has none. `builds` ticks once per *published* node: a
     /// thread that loses the publication race keeps its build in hand,
-    /// re-examines the slot, and drops the build if the winner's key is
+    /// re-examines the slot, and drops the build if the winner's mask is
     /// the one it wanted.
-    fn get_or_build<Q>(&self, key: &Q, builds: &AtomicUsize, build: impl Fn() -> V) -> &V
-    where
-        K: Borrow<Q>,
-        Q: ?Sized + PartialEq + ToOwned<Owned = K>,
-    {
-        let mut built: Option<Arc<V>> = None;
+    fn get_or_build(
+        &self,
+        mask: u64,
+        builds: &AtomicUsize,
+        build: impl Fn() -> ViewIndex,
+    ) -> &ViewIndex {
+        let mut built: Option<Arc<ViewIndex>> = None;
         let mut slot = &self.head;
         loop {
             match slot.get() {
-                Some(node) if node.key.borrow() == key => return &node.index,
+                Some(node) if node.mask == mask => return &node.index,
                 Some(node) => slot = &node.next,
                 None => {
                     let node = Box::new(Node {
-                        key: key.to_owned(),
+                        mask,
                         index: built.take().unwrap_or_else(|| Arc::new(build())),
                         next: OnceLock::new(),
                     });
@@ -313,13 +240,11 @@ impl<K, V> Chain<K, V> {
     }
 }
 
-/// The per-table index cache: one [`ViewIndex`] per bound-column mask and
-/// one [`ViewSortedIndex`] per column sequence, each built on first probe
-/// and kept for the table's lifetime.
+/// The per-table index cache: one [`ViewIndex`] per bound-column mask,
+/// built on first probe and kept for the table's lifetime.
 #[derive(Debug, Default)]
 struct IndexCache {
-    by_mask: Chain<u64, ViewIndex>,
-    by_order: Chain<Vec<usize>, ViewSortedIndex>,
+    by_mask: Chain,
     builds: AtomicUsize,
 }
 
@@ -329,7 +254,6 @@ impl Clone for IndexCache {
         // valid; sharing them keeps a cloned deployment warm.
         Self {
             by_mask: self.by_mask.clone(),
-            by_order: self.by_order.clone(),
             builds: AtomicUsize::new(self.builds.load(Ordering::Relaxed)),
         }
     }
@@ -344,6 +268,8 @@ impl Clone for IndexCache {
 pub struct ViewTable {
     arity: usize,
     /// Row-major storage: `data[r * arity .. (r + 1) * arity]` is row `r`.
+    /// The rows are distinct and in lexicographic order: a table is only
+    /// ever built from [`Answers`], which keep that order.
     data: Vec<Id>,
     cache: IndexCache,
 }
@@ -412,28 +338,12 @@ impl ViewTable {
         debug_assert!(self.arity <= 64, "mask-indexed tables cap at 64 columns");
         self.cache
             .by_mask
-            .get_or_build(&mask, &self.cache.builds, || ViewIndex::build(self, mask))
-    }
-
-    /// The sorted projection for the column sequence `cols` — the leapfrog
-    /// join's trie view of the table (constant columns first, then one
-    /// column per join variable in global order). Cached exactly like
-    /// [`ViewTable::index_for_mask`]: repeated evaluations over the same
-    /// table pay each sort once, and every build ticks the same
-    /// [`ViewTable::index_builds`] counter.
-    pub fn sorted_index_for_order(&self, cols: &[usize]) -> &ViewSortedIndex {
-        debug_assert!(cols.iter().all(|&c| c < self.arity), "column out of range");
-        self.cache
-            .by_order
-            .get_or_build(cols, &self.cache.builds, || {
-                ViewSortedIndex::build(self, cols)
-            })
+            .get_or_build(mask, &self.cache.builds, || ViewIndex::build(self, mask))
     }
 
     /// How many resident indexes this table has built so far — one per
-    /// probed hash mask or sorted column sequence, **not** one per
-    /// evaluator call. Tests and benches use this to assert that the
-    /// caches actually carry across calls.
+    /// probed mask, **not** one per evaluator call. Tests and benches use
+    /// this to assert that the caches actually carry across calls.
     pub fn index_builds(&self) -> usize {
         self.cache.builds.load(Ordering::Relaxed)
     }
@@ -578,47 +488,6 @@ mod tests {
             }
         }
         assert_eq!(t.index_builds(), 3, "lost races are not builds");
-    }
-
-    #[test]
-    fn sorted_index_orders_and_narrows() {
-        let t = table();
-        let idx = t.sorted_index_for_order(&[1, 0]);
-        assert_eq!(idx.cols(), &[1, 0]);
-        let sorted: Vec<Vec<Id>> = idx
-            .rows()
-            .iter()
-            .map(|&r| {
-                let row = t.row(r as usize);
-                vec![row[1], row[0]]
-            })
-            .collect();
-        let mut want = sorted.clone();
-        want.sort();
-        assert_eq!(sorted, want, "rows come out in column order");
-        let (lo, hi) = idx.prefix_range(&t, &[Id(10)]);
-        assert_eq!(hi - lo, 2);
-        let (lo, hi) = idx.prefix_range(&t, &[Id(10), Id(2)]);
-        assert_eq!(hi - lo, 1);
-        let (lo, hi) = idx.prefix_range(&t, &[Id(99)]);
-        assert_eq!(lo, hi);
-    }
-
-    #[test]
-    fn sorted_index_builds_once_per_order() {
-        let t = table();
-        let a = t.sorted_index_for_order(&[0, 1]);
-        let b = t.sorted_index_for_order(&[0, 1]);
-        assert!(std::ptr::eq(a, b), "same order shares one index");
-        assert_eq!(t.index_builds(), 1);
-        t.sorted_index_for_order(&[1, 0]);
-        assert_eq!(t.index_builds(), 2);
-        t.index_for_mask(1);
-        assert_eq!(
-            t.index_builds(),
-            3,
-            "hash and sorted builds share a counter"
-        );
     }
 
     #[test]

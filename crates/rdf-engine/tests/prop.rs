@@ -1,5 +1,5 @@
-//! Property tests for the evaluation engine: both join cores, forced and
-//! routed, must agree with the full-scan oracle; view rewritings of a
+//! Property tests for the evaluation engine: the join core must agree with
+//! the full-scan oracle; view rewritings of a
 //! decomposed query must equal direct evaluation; the maintenance deltas
 //! must keep views equal to rematerialization; a view index must return
 //! exactly the rows a filter would.
@@ -7,8 +7,7 @@
 use proptest::prelude::*;
 use rdf_engine::maintain::{DeltaSet, MaintainedView};
 use rdf_engine::{
-    evaluate, evaluate_mixed, evaluate_on, materialize, oracle, Answers, Engine, MixedAtom,
-    ViewAtom, ViewTable,
+    evaluate, evaluate_mixed, materialize, oracle, Answers, MixedAtom, ViewAtom, ViewTable,
 };
 use rdf_model::{Id, TripleStore};
 use rdf_query::{Atom, ConjunctiveQuery, QTerm, Var};
@@ -174,11 +173,10 @@ fn shaped_query_strategy() -> impl Strategy<Value = ConjunctiveQuery> {
     ]
 }
 
-/// Cyclic shapes — triangle, diamond, 4-cycle — the queries the adaptive
-/// selector hands to the leapfrog engine. The triangle variant sometimes
-/// anchors its shared corner with a constant, which *breaks* the cycle
-/// (GYO removes the two then-subsumed edge atoms), so the differential
-/// harness covers the selector's boundary from both sides.
+/// Cyclic shapes — triangle, diamond, 4-cycle — whose last atoms meet on
+/// one open variable, where the join core intersects their extents. The
+/// triangle variant sometimes anchors its shared corner with a constant,
+/// so that two of its atoms leave one variable open from the start.
 fn cyclic_query_strategy() -> impl Strategy<Value = ConjunctiveQuery> {
     let var = |v: u32| QTerm::Var(Var(v));
     let triangle = (
@@ -298,22 +296,13 @@ proptest! {
         triples in triples_strategy(),
         q in projected(shaped_query_strategy()),
     ) {
-        // Differential test of both cores against the full-scan oracle:
-        // the compiled index-native core and the leapfrog triejoin, each
-        // forced (so leapfrog also runs the acyclic shapes the router
-        // would send elsewhere). Shapes cover stars, chains, repeated
-        // variables, constant selections, cartesian products and the
-        // cyclic tier (triangles, diamonds, 4-cycles), under full and
-        // projecting heads. The routed default must agree too, whichever
-        // core it picked.
+        // Differential test of the join core against the full-scan
+        // oracle. Shapes cover stars, chains, repeated variables, constant
+        // selections, cartesian products and the cyclic tier (triangles,
+        // diamonds, 4-cycles), under full and projecting heads — nodes
+        // that run one atom and nodes that intersect several.
         let store = store_from(&triples);
-        let want = oracle::evaluate(&store, &q);
-        let (compiled, _) = evaluate_on(Engine::Compiled, &store, &q);
-        let (wcoj, _) = evaluate_on(Engine::Wcoj, &store, &q);
-        let auto = evaluate(&store, &q);
-        prop_assert_eq!(&compiled, &want);
-        prop_assert_eq!(&wcoj, &want);
-        prop_assert_eq!(&auto, &want);
+        prop_assert_eq!(evaluate(&store, &q), oracle::evaluate(&store, &q));
     }
 
     #[test]
@@ -322,18 +311,14 @@ proptest! {
         q in existential_query_strategy(),
         sources in any::<u64>(),
     ) {
-        // The compiled core settles atoms whose unbound variables are all
+        // The join core settles atoms whose unbound variables are all
         // lonely by their extents and skips rows that repeat what they
-        // bind; the leapfrog core and the oracle enumerate every variable.
-        // All must agree — forced, routed, and with some atoms answered
-        // from a 3-column table of all triples, whose lonely columns then
-        // sit in a view atom's bucket.
+        // bind; the oracle enumerates every variable. Both must agree —
+        // on the store, and with some atoms answered from a 3-column
+        // table of all triples, whose lonely columns then sit in a view
+        // atom's bucket.
         let store = store_from(&triples);
         let want = oracle::evaluate(&store, &q);
-        let (compiled, _) = evaluate_on(Engine::Compiled, &store, &q);
-        let (wcoj, _) = evaluate_on(Engine::Wcoj, &store, &q);
-        prop_assert_eq!(&compiled, &want);
-        prop_assert_eq!(&wcoj, &want);
         prop_assert_eq!(&evaluate(&store, &q), &want);
         let all = ViewTable::from_rows(3, store.triples().iter().map(|t| t.to_vec()));
         let atoms: Vec<MixedAtom> = q
@@ -583,24 +568,21 @@ fn million_triple_compiled_matches_baselines() {
         vec![Atom([anchor, p0, var(1)]), Atom([anchor, p1, var(2)])],
     );
     for (name, q) in [("single", &single), ("chain", &chain), ("star", &star)] {
-        let compiled = evaluate(&store, q);
-        let wcoj = evaluate_on(Engine::Wcoj, &store, q).0;
-        assert_eq!(compiled, wcoj, "{name}: compiled vs forced wcoj");
         let want = oracle::evaluate(&store, q);
-        assert_eq!(compiled, want, "{name}: compiled vs the oracle");
+        assert_eq!(evaluate(&store, q), want, "{name}: the core vs the oracle");
     }
 }
 
-/// Million-triple triangle stress test for the leapfrog engine: a 1M
+/// Million-triple triangle stress test for the intersect step: a 1M
 /// random background plus block-structured triangle edges whose answer
-/// count is known by construction. The router must send the triangle to
-/// leapfrog, and its answers must match the forced compiled core exactly
-/// and the oracle on the triangles of two hubs. Ignored by default (it
-/// wants release mode); CI runs it explicitly with
+/// count is known by construction. The triangle's last two edges must
+/// meet by seeks, its answer count must be the construction's, and its
+/// answers must match the oracle on the triangles of two hubs. Ignored by
+/// default (it wants release mode); CI runs it explicitly with
 /// `cargo test --release -- --ignored`.
 #[test]
 #[ignore = "1M-triple stress test: run in release mode with -- --ignored"]
-fn million_triple_triangle_wcoj_matches_compiled() {
+fn million_triple_triangle_matches_the_oracle_at_its_hubs() {
     let mut batch = million_random_triples();
     // Triangle tier (same construction as the join_throughput bench):
     // R: x→y fan-out FY, S: y→ contiguous BZ-long z-block, T: x→ BZ-long
@@ -648,21 +630,13 @@ fn million_triple_triangle_wcoj_matches_compiled() {
         ],
     );
     let atoms: Vec<MixedAtom> = tri.atoms.iter().map(|a| MixedAtom::Store(*a)).collect();
-    let (auto, stats) = evaluate_mixed(&store, &atoms, &tri.head);
+    let (got, stats) = evaluate_mixed(&store, &atoms, &tri.head);
+    assert!(stats.seeks > 0, "the last two edges meet by seeks");
     assert_eq!(
-        stats.engine,
-        Engine::Wcoj,
-        "triangle must route to leapfrog"
-    );
-    assert!(stats.lf_seeks > 0);
-    assert_eq!(stats.lf_emitted, auto.len() as u64);
-    assert_eq!(
-        auto.len(),
+        got.len(),
         (NX / 16 * BZ) as usize,
         "block construction fixes the triangle count"
     );
-    let (compiled, _) = evaluate_on(Engine::Compiled, &store, &tri);
-    assert_eq!(auto, compiled, "wcoj vs compiled at 1M scale");
     // The whole triangle is out of the oracle's reach at this scale (a
     // full scan per binding), so it checks the triangles of one hub that
     // has them and of one that has none: with the hub bound, each costs
@@ -671,7 +645,7 @@ fn million_triple_triangle_wcoj_matches_compiled() {
         let at_hub = [(Var(0), QTerm::Const(hub))].into_iter().collect();
         let want = oracle::evaluate(&store, &tri.substitute(&at_hub));
         assert_eq!(want.len(), count, "triangles at hub {hub:?}");
-        let got = Answers::from_tuples(3, auto.rows().filter(|r| r[0] == hub));
-        assert_eq!(got, want, "wcoj vs the oracle at hub {hub:?}");
+        let at = Answers::from_tuples(3, got.rows().filter(|r| r[0] == hub));
+        assert_eq!(at, want, "the core vs the oracle at hub {hub:?}");
     }
 }

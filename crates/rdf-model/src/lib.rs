@@ -43,7 +43,9 @@ pub use dict::Dictionary;
 pub use error::ModelError;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use pattern::StorePattern;
-pub use store::{prefix_range, IndexOrder, IndexRange, StoreSnapshot, Triple, TripleStore};
+pub use store::{
+    prefix_range, prefix_range_from, IndexOrder, IndexRange, StoreSnapshot, Triple, TripleStore,
+};
 pub use term::{Id, Term, TermKind};
 
 /// A dictionary plus a triple store: the paper's "RDF database".

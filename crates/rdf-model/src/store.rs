@@ -145,12 +145,11 @@ impl IndexOrder {
 
     /// The order whose sort sequence lists the given column `groups`
     /// consecutively, in the given group order (columns *within* a group
-    /// may appear in any order), and any column no group names last. This
-    /// is the trie-cursor selection of a leapfrog join: the first group
-    /// holds the constant-bound columns (the range key prefix) and each
-    /// later group holds the column(s) of one join variable, ordered by the
-    /// global variable order — the chosen permutation then exposes the
-    /// atom's matches as a trie sorted by variable depth.
+    /// may appear in any order), and any column no group names last. A
+    /// join uses it to make rows that agree on some columns adjacent: the
+    /// first group holds the columns bound when the atom is looked up (the
+    /// range key prefix), the next the columns its rows bind, so rows that
+    /// bind alike follow each other and the columns left over vary fastest.
     ///
     /// All six permutations exist, so every ordered partition of a subset
     /// of `{S, P, O}` has its order; a column named twice counts in its
@@ -207,13 +206,44 @@ impl IndexRange {
 }
 
 /// The positions of `sorted` — a run in `order`, such as
-/// [`TripleStore::index`] returns — whose leading sort columns equal `key`,
-/// found by binary search. A caller that holds a run for many probes (a
-/// join) searches the borrowed slice with this and never goes back to the
-/// store; [`TripleStore::range`] is the same search behind one fetch.
+/// [`TripleStore::index`] returns — whose leading sort columns equal `key`:
+/// the start found by binary search, the end by galloping from it, so a
+/// short range costs one search of the run and a few compares. A caller
+/// that holds a run for many probes (a join) searches the borrowed slice
+/// with this and never goes back to the store; [`TripleStore::range`] is
+/// the same search behind one fetch.
 pub fn prefix_range(sorted: &[Triple], order: IndexOrder, key: &[Id]) -> std::ops::Range<usize> {
+    let cmp = prefix_cmp(order, key);
+    let start = sorted.partition_point(|t| cmp(t).is_lt());
+    start..start + gallop(&sorted[start..], |t| cmp(t).is_eq())
+}
+
+/// [`prefix_range`] for a key that sorts after every row before `from`. A
+/// key whose rows start within the next 256 rows is found by galloping
+/// from `from`, at the cost of the log of the distance, so a join that
+/// probes keys in the run's order pays for the steps between them; any
+/// other costs one compare more than [`prefix_range`].
+pub fn prefix_range_from(
+    sorted: &[Triple],
+    order: IndexOrder,
+    key: &[Id],
+    from: usize,
+) -> std::ops::Range<usize> {
+    let cmp = prefix_cmp(order, key);
+    let before = |t: &Triple| cmp(t).is_lt();
+    let near = sorted.len().min(from + 256);
+    let start = if near < sorted.len() && before(&sorted[near]) {
+        near + 1 + sorted[near + 1..].partition_point(before)
+    } else {
+        from + gallop(&sorted[from..near], before)
+    };
+    start..start + gallop(&sorted[start..], |t| cmp(t).is_eq())
+}
+
+/// How a triple's leading sort columns in `order` compare with `key`.
+fn prefix_cmp(order: IndexOrder, key: &[Id]) -> impl Fn(&Triple) -> std::cmp::Ordering + '_ {
     let perm = order.perm();
-    let cmp_prefix = |t: &Triple| -> std::cmp::Ordering {
+    move |t| {
         for (k, &key_val) in key.iter().enumerate() {
             match t[perm[k]].cmp(&key_val) {
                 std::cmp::Ordering::Equal => continue,
@@ -221,11 +251,7 @@ pub fn prefix_range(sorted: &[Triple], order: IndexOrder, key: &[Id]) -> std::op
             }
         }
         std::cmp::Ordering::Equal
-    };
-    let start = sorted.partition_point(|t| cmp_prefix(t) == std::cmp::Ordering::Less);
-    let end =
-        start + sorted[start..].partition_point(|t| cmp_prefix(t) == std::cmp::Ordering::Equal);
-    start..end
+    }
 }
 
 /// A triple's columns in the comparison sequence of `perm`, packed into
@@ -937,6 +963,28 @@ impl TripleStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_search_from_a_finger_finds_what_a_whole_search_does() {
+        // Subjects 0..600 with 0..3 objects each under one predicate: keys
+        // near the finger, far from it, at it and absent.
+        let mut run: Vec<Triple> = (0..600u32)
+            .flat_map(|s| (0..s % 4).map(move |o| [Id(s), Id(1), Id(o)]))
+            .collect();
+        run.sort_unstable();
+        for from_s in [0u32, 5, 299] {
+            let from = prefix_range(&run, IndexOrder::Spo, &[Id(from_s)]).start;
+            for s in from_s..600 {
+                for key in [&[Id(s)][..], &[Id(s), Id(1)], &[Id(s), Id(2)]] {
+                    assert_eq!(
+                        prefix_range_from(&run, IndexOrder::Spo, key, from),
+                        prefix_range(&run, IndexOrder::Spo, key),
+                        "key {key:?} from subject {from_s}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn for_groups_lists_groups_consecutively() {

@@ -26,10 +26,9 @@
 //!   --policy views|hybrid|base       (query mode) answer policy for atoms
 //!                                    no view covers (default: hybrid)
 //!   --stats                          (query mode) print per-branch
-//!                                    evaluation statistics (engine, rows
+//!                                    evaluation statistics (rows
 //!                                    visited, index probes, atoms
-//!                                    settled, leapfrog seeks/emitted)
-//!                                    per query
+//!                                    settled, seeks) per query
 //!   --mode plain|saturate|pre|post   entailment handling (default: plain;
 //!                                    all but plain extract the RDFS from
 //!                                    the data triples)
@@ -502,13 +501,8 @@ fn main() -> ExitCode {
                     if args.stats {
                         for (i, s) in stats.iter().enumerate() {
                             println!(
-                                "#   branch {i}: engine {}, {} rows visited, {} index probes, {} atoms settled, {} leapfrog seeks, {} tuples emitted",
-                                s.engine.as_str(),
-                                s.rows_visited,
-                                s.probes,
-                                s.checks,
-                                s.lf_seeks,
-                                s.lf_emitted
+                                "#   branch {i}: {} rows visited, {} index probes, {} atoms settled, {} seeks",
+                                s.rows_visited, s.probes, s.checks, s.seeks
                             );
                         }
                     }

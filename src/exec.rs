@@ -18,8 +18,8 @@
 use std::sync::{Arc, OnceLock, RwLock};
 
 use rdf_engine::{
-    evaluate_mixed, evaluate_over_views, materialize_union, Answers, DeleteDelta, DeltaSet,
-    EvalStats, MaintainedView, MaintenanceStats, MixedAtom, ViewAtom, ViewTable,
+    evaluate_mixed, materialize_union, Answers, DeleteDelta, DeltaSet, EvalStats, MaintainedView,
+    MaintenanceStats, MixedAtom, ViewAtom, ViewTable,
 };
 use rdf_model::sync::{read_unpoisoned, write_unpoisoned};
 use rdf_model::{Dictionary, FxHashMap, StoreSnapshot, Triple, TripleStore};
@@ -112,15 +112,18 @@ pub fn materialize_recommendation(store: &TripleStore, rec: &Recommendation) -> 
 /// executing its rewriting.
 pub fn answer_query(state: &State, mv: &MaterializedViews, query_idx: usize) -> Answers {
     let r = &state.rewritings()[query_idx];
-    let atoms: Vec<ViewAtom<'_>> = r
+    let atoms: Vec<MixedAtom<'_>> = r
         .atoms
         .iter()
-        .map(|a| ViewAtom {
-            table: mv.table(a.view),
-            args: &a.args,
+        .map(|a| {
+            MixedAtom::View(ViewAtom {
+                table: mv.table(a.view),
+                args: &a.args,
+            })
         })
         .collect();
-    evaluate_over_views(&atoms, &r.head)
+    // A rewriting over views alone reads nothing of the store.
+    evaluate_mixed(&TripleStore::new(), &atoms, &r.head).0
 }
 
 /// How [`DeploymentSnapshot::plan_with`] treats query atoms the deployed
@@ -519,10 +522,11 @@ impl DeploymentSnapshot {
     }
 
     /// Like [`DeploymentSnapshot::answer_query`], also returning the
-    /// per-branch evaluation statistics: which join engine the adaptive
-    /// selector picked for each union branch — cyclic branch shapes route
-    /// to the worst-case-optimal leapfrog triejoin, acyclic ones to the
-    /// compiled backtracking core — plus leapfrog seek/emit counters.
+    /// per-branch evaluation statistics: for each union branch, the rows
+    /// the join core visited, its index probes, the atoms it settled and
+    /// the galloping seeks of its intersect nodes — which a cyclic branch
+    /// shape, whose last atoms meet on one variable, makes and a chain or
+    /// a star with open arms does not.
     pub fn answer_query_stats(
         &self,
         plan: &QueryPlan,
@@ -1297,8 +1301,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_engine_decision_surfaces_per_branch() {
-        use rdf_engine::Engine;
+    fn intersect_seeks_surface_per_branch() {
         let mut db = db();
         // A directed triangle among fresh nodes so a cyclic ad-hoc query
         // has answers to find.
@@ -1315,7 +1318,8 @@ mod tests {
         let snap = Deployment::new(db.store(), rec, &PreparedReasoning::Plain).snapshot();
 
         // Base-fallback keeps the whole query on the store, so the branch
-        // shape is the query shape: the triangle routes to leapfrog...
+        // shape is the query shape: the triangle's last two edges meet by
+        // seeks...
         let tri = parse_query(
             "q(X, Y, Z) :- t(X, <p>, Y), t(Y, <p>, Z), t(Z, <p>, X)",
             db.dict_mut(),
@@ -1327,11 +1331,9 @@ mod tests {
         assert_eq!(got, rdf_engine::evaluate(snap.store(), &tri));
         assert!(got.contains(&[a, b, c]));
         assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].engine, Engine::Wcoj);
-        assert!(stats[0].lf_seeks > 0);
-        assert_eq!(stats[0].lf_emitted, got.len() as u64);
+        assert!(stats[0].seeks > 0);
 
-        // ...while an acyclic chain stays on the compiled core.
+        // ...while a chain's atoms never leave one variable open together.
         let chain = parse_query("q(X, Z) :- t(X, <p>, Y), t(Y, <p>, Z)", db.dict_mut())
             .unwrap()
             .query;
@@ -1339,7 +1341,7 @@ mod tests {
         let (got, stats) = snap.answer_query_stats(&plan).unwrap();
         assert_eq!(got, rdf_engine::evaluate(snap.store(), &chain));
         assert!(!stats.is_empty());
-        assert!(stats.iter().all(|s| s.engine == Engine::Compiled));
+        assert!(stats.iter().all(|s| s.seeks == 0));
     }
 
     #[test]

@@ -98,11 +98,11 @@ fn query_mode_answers_every_query_from_one_pinned_generation() {
         ["# answers: 2", "# answers: 1"],
         "plain mode: <a> and <d> have <q> <c>; only <a> has an explicit <p>"
     );
-    let stats = lines_with(&stdout, "#   branch 0: engine ");
+    let stats = lines_with(&stdout, "#   branch 0: ");
     assert_eq!(stats.len(), 2, "one --stats line per one-branch query");
     assert!(stats
         .iter()
-        .all(|l| l.contains("rows visited") && l.contains("atoms settled")));
+        .all(|l| l.contains("rows visited") && l.contains("atoms settled") && l.contains("seeks")));
 }
 
 #[test]
