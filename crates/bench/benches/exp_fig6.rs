@@ -15,9 +15,7 @@
 
 use rdfviews::core::StrategyKind;
 use rdfviews::workload::{Commonality, Shape};
-use rdfviews_bench::{
-    env_secs, env_usize, env_usize_list, fmt_rcr, free_workload, run_strategy, Table,
-};
+use rdfviews_bench::{env_secs, env_usize, env_usize_list, free_workload, run_strategy, Table};
 
 fn main() {
     let budget = env_secs("RDFVIEWS_BUDGET_SECS", 2);
@@ -83,6 +81,5 @@ fn main() {
         }
         println!();
     }
-    let _ = fmt_rcr; // shared helper used by other figures
     println!("expected shape: chains/sparse ≥ dense/star; high commonality ≥ low; DFS ≥ GSTR.");
 }

@@ -10,8 +10,8 @@
 //! * the **Figure 5 counters** (`created` / `duplicates` / `discarded` /
 //!   `explored` / `transitions`) as relaxed atomics, plus the shared
 //!   `max_states` budget check folded into the `created` increment;
-//! * the **best tracker**: a lock-free cost gate (`best_bits`) in front of
-//!   a mutex slot holding the best state and the Figure 7 cost-over-time
+//! * the **best tracker**: a [`BestCell`] — a lock-free cost gate in front
+//!   of a mutex slot holding the best state and the Figure 7 cost-over-time
 //!   trace. Exact cost ties break on the state signature so the reported
 //!   best state is identical no matter how many explorers raced for it;
 //! * the **work-stealing scheduler**: each explorer owns a private
@@ -26,18 +26,17 @@
 //! thread over the exact node ordering of the classic sequential loops, so
 //! sequential results (and counters) are reproducible run over run.
 
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use std::collections::VecDeque;
-use std::sync::Arc;
-
+use rdf_model::sync::{lock_unpoisoned, unpoisoned};
 use rdf_model::FxHashMap;
 
 use crate::cost::CostModel;
 use crate::state::State;
-use crate::sync::lock_unpoisoned;
 use crate::transitions::{apply, enumerate, Transition, TransitionConfig, TransitionKind};
 
 use super::frontier::{CursorMode, Frontier, FrontierPolicy, Node};
@@ -68,47 +67,61 @@ pub(crate) enum Admission {
 
 /// A thread-safe "keep the minimum" cell: a lock-free cost gate in front
 /// of a mutex slot. Exact cost ties break on the smaller state signature,
-/// making the winner independent of arrival order.
+/// making the winner independent of arrival order. Each strict improvement
+/// is recorded, with the seconds since the cell's start, as the Figure 7
+/// cost-over-time trace.
 pub(crate) struct BestCell {
     bits: AtomicU64,
-    slot: Mutex<Option<(f64, u128, Arc<State>)>>,
+    start: Instant,
+    slot: Mutex<Best>,
+}
+
+/// What a [`BestCell`] holds.
+pub(crate) struct Best {
+    pub cost: f64,
+    sig: u128,
+    pub state: Arc<State>,
+    pub trace: Vec<(f64, f64)>,
 }
 
 impl BestCell {
-    pub fn new() -> Self {
+    /// A cell holding `state` at `cost`, its trace starting at `start`.
+    pub fn new(cost: f64, sig: u128, state: Arc<State>, start: Instant) -> Self {
         BestCell {
-            bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            slot: Mutex::new(None),
+            bits: AtomicU64::new(cost.to_bits()),
+            start,
+            slot: Mutex::new(Best {
+                cost,
+                sig,
+                state,
+                trace: vec![(0.0, cost)],
+            }),
         }
     }
 
-    /// Offers a candidate; keeps it iff it beats the current holder.
-    pub fn offer(&self, cost: f64, sig: u128, state: &Arc<State>) {
+    /// Offers a candidate; keeps it iff it beats the current holder, and
+    /// only then asks `state` for it.
+    pub fn offer(&self, cost: f64, sig: u128, state: impl FnOnce() -> Arc<State>) {
+        // Fast gate: strictly worse candidates never touch the lock.
         if cost > f64::from_bits(self.bits.load(Ordering::Relaxed)) {
             return;
         }
-        let mut slot = lock_unpoisoned(&self.slot);
-        let better = match &*slot {
-            None => true,
-            Some((c, g, _)) => cost < *c || (cost == *c && sig < *g),
-        };
-        if better {
+        let mut best = lock_unpoisoned(&self.slot);
+        if cost < best.cost {
+            best.trace.push((self.start.elapsed().as_secs_f64(), cost));
             self.bits.store(cost.to_bits(), Ordering::Relaxed);
-            *slot = Some((cost, sig, Arc::clone(state)));
+        } else if !(cost == best.cost && sig < best.sig) {
+            return;
         }
+        best.cost = cost;
+        best.sig = sig;
+        best.state = state();
     }
 
-    /// The current holder, if any.
-    pub fn take(&self) -> Option<Arc<State>> {
-        lock_unpoisoned(&self.slot).take().map(|(_, _, s)| s)
+    /// What the cell holds.
+    pub fn into_best(self) -> Best {
+        unpoisoned(self.slot.into_inner())
     }
-}
-
-struct BestSlot {
-    cost: f64,
-    sig: u128,
-    state: State,
-    trace: Vec<(f64, f64)>,
 }
 
 /// The shared bookkeeping core of one search run. All methods take
@@ -126,8 +139,7 @@ pub(crate) struct SearchCore<'m, 'a, 'c> {
     explored: AtomicU64,
     transitions: AtomicU64,
     reexpansions: AtomicU64,
-    best_bits: AtomicU64,
-    best: Mutex<BestSlot>,
+    best: BestCell,
     initial_cost: f64,
     start: Instant,
     deadline: Option<Instant>,
@@ -165,13 +177,7 @@ impl<'m, 'a, 'c> SearchCore<'m, 'a, 'c> {
             explored: AtomicU64::new(0),
             transitions: AtomicU64::new(0),
             reexpansions: AtomicU64::new(0),
-            best_bits: AtomicU64::new(initial_cost.to_bits()),
-            best: Mutex::new(BestSlot {
-                cost: initial_cost,
-                sig: s0.signature(),
-                state: s0.clone(),
-                trace: vec![(0.0, initial_cost)],
-            }),
+            best: BestCell::new(initial_cost, s0.signature(), Arc::new(s0.clone()), start),
             initial_cost,
             start,
             deadline: cfg.time_budget.map(|d| start + d),
@@ -247,29 +253,20 @@ impl<'m, 'a, 'c> SearchCore<'m, 'a, 'c> {
             return Admission::Discarded;
         }
         let sig = s.signature();
-        {
-            let mut shard = lock_unpoisoned(self.shard(sig));
-            match shard.entry(sig) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    self.count_duplicates(1);
-                    if phase < *e.get() {
-                        // Reached through an earlier phase: must re-expand
-                        // for the stratified strategies to stay exhaustive.
-                        e.insert(phase);
-                        self.reexpansions.fetch_add(1, Ordering::Relaxed);
-                        return Admission::Reexpand;
-                    }
-                    return Admission::Duplicate;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(phase);
-                }
+        if let Some(earlier) = self.mark(sig, phase) {
+            self.count_duplicates(1);
+            if phase >= earlier {
+                return Admission::Duplicate;
             }
+            // Reached through an earlier phase: must re-expand for the
+            // stratified strategies to stay exhaustive.
+            self.reexpansions.fetch_add(1, Ordering::Relaxed);
+            return Admission::Reexpand;
         }
-        // Cost estimation is the expensive part — do it outside the
+        // Cost estimation is the expensive part — done outside the
         // stripe lock.
         let cost = self.model.cost(s);
-        self.consider_best(s, cost, sig);
+        self.best.offer(cost, sig, || Arc::new(s.clone()));
         Admission::New { cost, sig }
     }
 
@@ -283,52 +280,32 @@ impl<'m, 'a, 'c> SearchCore<'m, 'a, 'c> {
     pub fn admit_seed(&self, s: &State, phase: u8) -> (f64, u128) {
         self.count_created(1);
         let sig = s.signature();
-        let known = {
-            let mut shard = lock_unpoisoned(self.shard(sig));
-            match shard.entry(sig) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    if phase < *e.get() {
-                        e.insert(phase);
-                    }
-                    true
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(phase);
-                    false
-                }
-            }
-        };
+        let known = self.mark(sig, phase).is_some();
         let cost = self.model.cost(s);
         if known {
             self.count_duplicates(1);
             self.reexpansions.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.consider_best(s, cost, sig);
+            self.best.offer(cost, sig, || Arc::new(s.clone()));
         }
         (cost, sig)
     }
 
-    fn shard(&self, sig: u128) -> &Mutex<FxHashMap<u128, u8>> {
-        &self.dedup[(sig as usize) & (DEDUP_SHARDS - 1)]
-    }
-
-    fn consider_best(&self, s: &State, cost: f64, sig: u128) {
-        // Fast gate: strictly worse candidates never touch the lock.
-        if cost > f64::from_bits(self.best_bits.load(Ordering::Relaxed)) {
-            return;
-        }
-        let mut best = lock_unpoisoned(&self.best);
-        if cost < best.cost {
-            best.cost = cost;
-            best.sig = sig;
-            best.state = s.clone();
-            best.trace.push((self.start.elapsed().as_secs_f64(), cost));
-            self.best_bits.store(cost.to_bits(), Ordering::Relaxed);
-        } else if cost == best.cost && sig < best.sig {
-            // Deterministic tie-break: among equal-cost states the smaller
-            // signature wins, whatever the exploration order was.
-            best.sig = sig;
-            best.state = s.clone();
+    /// Records `sig` as reached in `phase` in its dedup stripe, keeping the
+    /// earliest phase; returns the phase it was recorded with before, if
+    /// it was.
+    fn mark(&self, sig: u128, phase: u8) -> Option<u8> {
+        let mut shard = lock_unpoisoned(&self.dedup[(sig as usize) & (DEDUP_SHARDS - 1)]);
+        match shard.entry(sig) {
+            Entry::Occupied(mut e) => {
+                let earlier = *e.get();
+                e.insert(earlier.min(phase));
+                Some(earlier)
+            }
+            Entry::Vacant(e) => {
+                e.insert(phase);
+                None
+            }
         }
     }
 
@@ -383,7 +360,7 @@ impl<'m, 'a, 'c> SearchCore<'m, 'a, 'c> {
                 let (cost, sig) = self.admit_seed(&s, mode.seed_phase_tag());
                 let state = Arc::new(s);
                 if let Some(rb) = run_best {
-                    rb.offer(cost, sig, &state);
+                    rb.offer(cost, sig, || Arc::clone(&state));
                 }
                 self.pending.fetch_add(1, Ordering::Release);
                 Node::new(state, mode.seed_cursor())
@@ -465,10 +442,8 @@ impl<'m, 'a, 'c> SearchCore<'m, 'a, 'c> {
             };
             if let Some((cost, sig, fresh)) = schedule {
                 let child = Node::new(Arc::new(next), mode.successor_cursor(&t));
-                if fresh {
-                    if let Some(rb) = run_best {
-                        rb.offer(cost, sig, &child.state);
-                    }
+                if let Some(rb) = run_best.filter(|_| fresh) {
+                    rb.offer(cost, sig, || Arc::clone(&child.state));
                 }
                 self.pending.fetch_add(1, Ordering::Release);
                 // Freshly admitted nodes are the only ones guaranteed to
@@ -508,13 +483,10 @@ impl<'m, 'a, 'c> SearchCore<'m, 'a, 'c> {
 
     /// Collects the outcome. Call after every explorer has stopped.
     pub fn finish(self) -> SearchOutcome {
-        let best = self
-            .best
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
+        let best = self.best.into_best();
         let remaining = self.pending.into_inner() as u64;
         SearchOutcome {
-            best_state: best.state,
+            best_state: Arc::unwrap_or_clone(best.state),
             best_cost: best.cost,
             initial_cost: self.initial_cost,
             stats: SearchStats {

@@ -64,6 +64,7 @@ pub mod competitors;
 pub(crate) mod engine;
 pub(crate) mod frontier;
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::cost::CostModel;
@@ -299,7 +300,7 @@ pub fn search_seeded(
 /// best state for the next phase (the frontier collapses to *best-only*
 /// between phases).
 fn run_gstr(core: SearchCore<'_, '_, '_>, start: State) -> SearchOutcome {
-    let mut current = std::sync::Arc::new(start);
+    let mut current = Arc::new(start);
     for kind in TransitionKind::ALL {
         if core.check_halted() {
             break;
@@ -307,16 +308,20 @@ fn run_gstr(core: SearchCore<'_, '_, '_>, start: State) -> SearchOutcome {
         if core.cfg.avf && kind == TransitionKind::Vf {
             continue; // AVF keeps every state fusion-saturated already
         }
-        let phase_best = BestCell::new();
+        // Any offer beats the phase's start, and its seed is offered.
+        let phase_best = BestCell::new(
+            f64::INFINITY,
+            u128::MAX,
+            Arc::clone(&current),
+            std::time::Instant::now(),
+        );
         core.explore(
             vec![(*current).clone()],
             FrontierPolicy::BestOnly,
             CursorMode::Single(kind),
             Some(&phase_best),
         );
-        if let Some(winner) = phase_best.take() {
-            current = winner;
-        }
+        current = phase_best.into_best().state;
     }
     core.finish()
 }

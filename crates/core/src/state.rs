@@ -226,40 +226,46 @@ impl State {
     /// independent sub-queries instead).
     pub fn initial(queries: &[ConjunctiveQuery]) -> State {
         let mut views = BTreeMap::new();
-        let mut rewritings = Vec::with_capacity(queries.len());
-        for (qi, q) in queries.iter().enumerate() {
-            assert!(q.is_safe(), "workload query {qi} is unsafe");
-            assert!(
-                rdf_query::graph::JoinGraph::new(&q.atoms).is_connected(),
-                "workload query {qi} contains a Cartesian product; split it first"
-            );
-            let id = ViewId(qi as u32);
-            // The view head: the query's distinct head variables, in order.
-            let head = q.head_vars();
-            let head_set: FxHashSet<Var> = head.iter().copied().collect();
-            debug_assert_eq!(head_set.len(), head.len());
-            views.insert(
-                id,
-                View {
-                    id,
-                    head: head.clone(),
-                    atoms: q.atoms.clone(),
-                },
-            );
-            // Trivial rewriting: qi = π_head(vi) — a single view scan.
-            let args: Vec<QTerm> = head.iter().map(|&v| QTerm::Var(v)).collect();
-            rewritings.push(Rewriting {
-                query_index: qi,
-                head: q.head.clone(),
-                atoms: vec![RewAtom { view: id, args }],
-                next_var: q.max_var().map_or(0, |m| m + 1),
-            });
-        }
+        let rewritings = queries
+            .iter()
+            .enumerate()
+            .map(|(qi, q)| {
+                let (view, rewriting) = Self::scan_of(qi, ViewId(qi as u32), q);
+                views.insert(view.id, view);
+                rewriting
+            })
+            .collect();
         State {
             views,
             rewritings,
             next_view_id: queries.len() as u32,
         }
+    }
+
+    /// Query `qi`'s initial view, numbered `id` — the query itself, its
+    /// head the query's distinct head variables in order — and the trivial
+    /// rewriting that scans it: qi = π_head(vi).
+    fn scan_of(qi: usize, id: ViewId, q: &ConjunctiveQuery) -> (View, Rewriting) {
+        assert!(q.is_safe(), "workload query {qi} is unsafe");
+        assert!(
+            rdf_query::graph::JoinGraph::new(&q.atoms).is_connected(),
+            "workload query {qi} contains a Cartesian product; split it first"
+        );
+        let head = q.head_vars();
+        debug_assert_eq!(head.iter().collect::<FxHashSet<_>>().len(), head.len());
+        let args: Vec<QTerm> = head.iter().map(|&v| QTerm::Var(v)).collect();
+        let rewriting = Rewriting {
+            query_index: qi,
+            head: q.head.clone(),
+            atoms: vec![RewAtom { view: id, args }],
+            next_var: q.max_var().map_or(0, |m| m + 1),
+        };
+        let view = View {
+            id,
+            head,
+            atoms: q.atoms.clone(),
+        };
+        (view, rewriting)
     }
 
     /// Reassembles a state from persisted parts: the view set, one
@@ -471,29 +477,10 @@ impl State {
                     rewritings.push(r);
                 }
                 ReseedSource::Fresh => {
-                    assert!(q.is_safe(), "workload query {qi} is unsafe");
-                    assert!(
-                        rdf_query::graph::JoinGraph::new(&q.atoms).is_connected(),
-                        "workload query {qi} contains a Cartesian product; split it first"
-                    );
-                    let id = ViewId(next_view_id);
+                    let (view, rewriting) = Self::scan_of(qi, ViewId(next_view_id), q);
                     next_view_id += 1;
-                    let head = q.head_vars();
-                    views.insert(
-                        id,
-                        View {
-                            id,
-                            head: head.clone(),
-                            atoms: q.atoms.clone(),
-                        },
-                    );
-                    let args: Vec<QTerm> = head.iter().map(|&v| QTerm::Var(v)).collect();
-                    rewritings.push(Rewriting {
-                        query_index: qi,
-                        head: q.head.clone(),
-                        atoms: vec![RewAtom { view: id, args }],
-                        next_var: q.max_var().map_or(0, |m| m + 1),
-                    });
+                    views.insert(view.id, view);
+                    rewritings.push(rewriting);
                 }
             }
         }

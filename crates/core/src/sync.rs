@@ -1,25 +1,9 @@
-//! Poison-tolerant locking and the one scoped worker pool of the search
-//! core. (The `RwLock` counterparts of the locks live in
-//! `rdf_model::sync`, beside their first user.)
+//! The one scoped worker pool of the search core. (Its poison-tolerant
+//! locking lives in `rdf_model::sync`.)
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 
-/// Locks `m`, recovering the guard when the mutex is poisoned.
-///
-/// A poisoned stripe only means some explorer thread panicked while
-/// holding the lock. Every critical section in the search core keeps its
-/// protected value structurally valid at each step (dedup shards insert
-/// one owned entry, the injector pushes/pops whole nodes, the best slot
-/// swaps a complete tuple), and the panic itself is still surfaced to
-/// the caller as [`SelectionError::SearchPanicked`] by the thread-scope
-/// join. Recovering the guard therefore cannot observe a torn invariant,
-/// whereas `unwrap()` would escalate one worker's panic into a poison
-/// cascade that aborts every surviving explorer.
-///
-/// [`SelectionError::SearchPanicked`]: crate::error::SelectionError::SearchPanicked
-pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use rdf_model::sync::{lock_unpoisoned, unpoisoned};
 
 /// Maps `f` over `jobs` on at most `workers` scoped threads and returns
 /// the results in job order.
@@ -63,7 +47,7 @@ where
                 });
             }
         });
-        done.into_inner().unwrap_or_else(PoisonError::into_inner)
+        unpoisoned(done.into_inner())
     };
     done.sort_unstable_by_key(|&(i, _)| i);
     done.into_iter().map(|(_, r)| r).collect()

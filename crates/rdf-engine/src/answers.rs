@@ -4,8 +4,8 @@
 //! `data[r * arity..][..arity]`, rows are distinct and in lexicographic
 //! order. There is no vector per tuple, so building, comparing, cloning
 //! and dropping an answer set are each one pass over one allocation, and a
-//! [`ViewTable`](crate::ViewTable) — which has the same layout — takes the
-//! buffer over as it is. The row count is kept beside the buffer because a
+//! [`ViewTable`](crate::ViewTable) is an answer set plus its indexes. The
+//! row count is kept beside the buffer because a
 //! boolean query's answers have no columns: `len` is what tells its one
 //! empty tuple from none.
 //!
@@ -118,38 +118,40 @@ impl Answers {
         self.seek(0, tuple).1
     }
 
-    /// Adds the rows of `delta` (set union, in place); returns how many
-    /// were new. Each delta row's place is found by binary search in the
-    /// rows not yet passed and the stretch before it is copied whole:
-    /// O(|delta| log n) compares and one copy of the buffer, where
-    /// re-sorting the union would compare every row.
-    pub fn insert_all(&mut self, delta: &Answers) -> usize {
+    /// These rows with the rows of `delta` added (set union), or `None`
+    /// when `delta` adds nothing. Each delta row's place is found by binary
+    /// search in the rows not yet passed and the stretch before it is
+    /// copied whole: O(|delta| log n) compares and one copy of the buffer
+    /// into one allocation, where re-sorting the union would compare every
+    /// row.
+    pub fn plus(&self, delta: &Answers) -> Option<Answers> {
         self.splice(delta, true)
     }
 
-    /// Removes the rows of `doomed` (set difference, in place); returns
-    /// how many were present. The counterpart of [`Answers::insert_all`].
-    pub fn remove_all(&mut self, doomed: &Answers) -> usize {
+    /// These rows with the rows of `doomed` taken out (set difference), or
+    /// `None` when none of them is here. The counterpart of
+    /// [`Answers::plus`].
+    pub fn minus(&self, doomed: &Answers) -> Option<Answers> {
         self.splice(doomed, false)
     }
 
-    /// One pass over `delta` in order: after it, each of its rows is
-    /// present (`insert`) or absent. Returns how many rows changed sides.
-    fn splice(&mut self, delta: &Answers, insert: bool) -> usize {
+    /// One pass over `delta` in order: the rows with each of `delta`'s
+    /// present (`insert`) or absent, unless that is how they already are.
+    fn splice(&self, delta: &Answers, insert: bool) -> Option<Answers> {
         debug_assert_eq!(self.arity, delta.arity);
-        let before = self.len;
-        if self.arity == 0 {
-            // The empty tuple, there or not.
-            self.len = match insert {
-                true => before.max(delta.len),
-                false => before - before.min(delta.len),
-            };
-            return before.abs_diff(self.len);
-        }
-        if delta.is_empty() {
-            return 0;
-        }
         let arity = self.arity;
+        if delta.is_empty() {
+            return None;
+        }
+        if arity == 0 {
+            // The empty tuple, there or not.
+            let len = usize::from(insert);
+            return (len != self.len).then_some(Answers {
+                arity,
+                len,
+                data: Vec::new(),
+            });
+        }
         let mut out = Vec::with_capacity(self.data.len() + delta.data.len() * usize::from(insert));
         let mut at = 0;
         for row in delta.rows() {
@@ -161,9 +163,12 @@ impl Answers {
             }
         }
         out.extend_from_slice(&self.data[at * arity..]);
-        self.len = out.len() / arity;
-        self.data = out;
-        before.abs_diff(self.len)
+        let len = out.len() / arity;
+        (len != self.len).then_some(Answers {
+            arity,
+            len,
+            data: out,
+        })
     }
 
     /// Keeps the rows `keep` accepts, in order.
@@ -214,9 +219,9 @@ impl Answers {
         Answers::from_flat(arity, len, data, false)
     }
 
-    /// Consumes into the row-major buffer (the layout of a view table).
-    pub(crate) fn into_flat(self) -> Vec<Id> {
-        self.data
+    /// Every row, row-major, as one slice.
+    pub(crate) fn cells(&self) -> &[Id] {
+        &self.data
     }
 }
 
@@ -389,21 +394,22 @@ mod tests {
                     assert_ne!(u, a);
                 }
 
-                // In-place splices agree with the set operations, and the
-                // ordered constructor accepts exactly the ordered buffers.
-                let mut grown = a.clone();
-                assert_eq!(grown.insert_all(&b), both.len() - oracle.len());
+                // Splices agree with the set operations, answer `None`
+                // exactly when nothing changes, and the ordered constructor
+                // accepts exactly the ordered buffers.
+                let grown = a.plus(&b).unwrap_or_else(|| a.clone());
+                assert_eq!(a.plus(&b).is_none(), both.len() == oracle.len());
                 assert_eq!(grown, u);
-                assert_eq!(grown.insert_all(&b), 0, "a second union adds nothing");
+                assert_eq!(grown.plus(&b), None, "a second union adds nothing");
                 let less: BTreeSet<Vec<Id>> = oracle
                     .iter()
                     .filter(|t| !right.contains(t))
                     .cloned()
                     .collect();
-                let mut shrunk = a.clone();
-                assert_eq!(shrunk.remove_all(&b), oracle.len() - less.len());
+                let shrunk = a.minus(&b).unwrap_or_else(|| a.clone());
+                assert_eq!(a.minus(&b).is_none(), oracle.len() == less.len());
                 assert_eq!(shrunk, Answers::from_tuples(arity, &less));
-                assert_eq!(shrunk.remove_all(&b), 0);
+                assert_eq!(shrunk.minus(&b), None);
                 let mut kept = a.clone();
                 kept.retain(|t| !right.iter().any(|r| r.as_slice() == t));
                 assert_eq!(kept, shrunk);

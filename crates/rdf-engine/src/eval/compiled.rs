@@ -131,9 +131,7 @@ impl CAtom<'_> {
     fn width(&self) -> usize {
         match self {
             CAtom::Store { .. } => 3,
-            // `max(1)`: a table without columns reports no rows, and an
-            // empty slice has no chunks of any width.
-            CAtom::View { table, .. } => table.arity().max(1),
+            CAtom::View { table, .. } => table.arity(),
         }
     }
 }
@@ -598,17 +596,24 @@ impl<'j> Join<'j> {
             n_ops,
             ..
         } = self.s.programs[k];
-        let atom = &self.plan.atoms[a as usize];
-        let ids = match scan {
-            Some(order) => self.runs.get(order).as_flattened(),
-            None => self.levels[d * n + a as usize].ids,
+        let Extent { ids, rows } = match scan {
+            Some(order) => {
+                let run = self.runs.get(order);
+                Extent {
+                    ids: run.as_flattened(),
+                    rows: run.len(),
+                }
+            }
+            None => self.levels[d * n + a as usize],
         };
-        let arity = atom.width();
+        // Walked by count: a view without columns has one row, the empty
+        // tuple, and no ids to walk.
+        let width = self.plan.atoms[a as usize].width();
         let ops = k * self.max_arity..k * self.max_arity + n_ops as usize;
         let skip_repeats = LONELY && skip_repeats;
         let mut prev: &[Id] = &[];
         let mut found = false;
-        for row in ids.chunks_exact(arity) {
+        for row in (0..rows).map(|r| &ids[r * width..][..width]) {
             self.rows_visited += 1;
             if skip_repeats {
                 if self.repeats(ops.clone(), prev, row) {

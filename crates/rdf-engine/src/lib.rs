@@ -92,8 +92,8 @@
 //!   once served a million-answer query costs a microsecond-scale query
 //!   nothing); the arena becomes the [`Answers`] as it is, sorted by
 //!   packing each row into an integer that orders as the row does; and a
-//!   [`ViewTable`], which has the same layout, takes an answer buffer by
-//!   move. [`Answers::union_all`] hands a single branch's answers through
+//!   [`ViewTable`] is an [`Answers`] plus its indexes.
+//!   [`Answers::union_all`] hands a single branch's answers through
 //!   untouched and merges several by one concatenate-sort-dedup, which is
 //!   what [`evaluate_union`] and the deployment layer's plan executor use;
 //! * **a node runs an atom or intersects a group of atoms.** Where two or
@@ -158,13 +158,12 @@ use rdf_query::{ConjunctiveQuery, UnionQuery};
 /// Materializes a view (a CQ over the triple table) into a table whose
 /// columns follow the view's head.
 pub fn materialize(store: &TripleStore, view: &ConjunctiveQuery) -> ViewTable {
-    ViewTable::from_answers(view.head.len(), evaluate(store, view))
+    ViewTable::from_answers(evaluate(store, view))
 }
 
 /// Materializes a union view — e.g. a reformulated view in the
 /// post-reformulation pipeline (Section 4.3): the union of the branch
 /// results, deduplicated.
 pub fn materialize_union(store: &TripleStore, view: &UnionQuery) -> ViewTable {
-    let arity = view.branches().first().map_or(0, |b| b.head.len());
-    ViewTable::from_answers(arity, evaluate_union(store, view))
+    ViewTable::from_answers(evaluate_union(store, view))
 }

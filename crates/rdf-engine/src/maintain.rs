@@ -25,10 +25,16 @@
 //!
 //! A view's rows, a delta and a candidate set are all [`Answers`]: one
 //! row-major buffer of distinct rows in order, no vector per row. That is
-//! the layout the join core emits, the layout a [`ViewTable`] serves from
-//! and the order a snapshot bundle writes, so rows pass from one to the
-//! next without being re-sorted, and a delta is spliced into the rows at
-//! binary-searched positions.
+//! the layout the join core emits and the order a snapshot bundle writes,
+//! so rows pass from one to the next without being re-sorted, and a delta
+//! is spliced into the rows at binary-searched positions. A maintained
+//! view keeps its rows as one shared [`ViewTable`]: the very table a
+//! deployment publishes to its readers. A batch that changes the rows
+//! splices them into a new table, which replaces the `Arc` and leaves the
+//! old table to whoever still reads it; a batch that changes nothing keeps
+//! the table, and its warm indexes, as they are.
+
+use std::sync::Arc;
 
 use rdf_model::{FxHashMap, Id, Triple, TripleStore};
 use rdf_query::{ConjunctiveQuery, QTerm, Var};
@@ -37,11 +43,13 @@ use crate::answers::Answers;
 use crate::eval::{evaluate, evaluate_mixed, MixedAtom, ViewAtom};
 use crate::view_table::ViewTable;
 
-/// A maintainable materialized view: the definition plus its rows.
+/// A maintainable materialized view: the definition plus the table of its
+/// rows. Clones share the table; maintenance replaces it and never
+/// mutates it, so clones diverge.
 #[derive(Debug, Clone)]
 pub struct MaintainedView {
     def: ConjunctiveQuery,
-    rows: Answers,
+    table: Arc<ViewTable>,
 }
 
 /// Counters for one maintenance operation.
@@ -76,7 +84,7 @@ impl MaintenanceStats {
 /// table, duplicates folded. Built **once** per batch and shared across
 /// every maintained view (a deployment maintains several), so the batch is
 /// not re-copied per view branch.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DeltaSet {
     table: ViewTable,
 }
@@ -129,7 +137,7 @@ impl MaintainedView {
     /// Materializes the view over the current store.
     pub fn new(store: &TripleStore, def: ConjunctiveQuery) -> Self {
         let rows = evaluate(store, &def);
-        Self { def, rows }
+        Self::from_parts(def, rows)
     }
 
     /// Reassembles a maintained view from persisted parts without
@@ -139,13 +147,27 @@ impl MaintainedView {
     /// then replays the write-ahead log through the normal delta joins.
     pub fn from_parts(def: ConjunctiveQuery, rows: Answers) -> Self {
         debug_assert_eq!(def.head.len(), rows.arity());
-        Self { def, rows }
+        Self {
+            def,
+            table: Arc::new(ViewTable::from_answers(rows)),
+        }
     }
 
     /// The materialized rows, distinct and in lexicographic order — the
     /// order a serializer wants, so it writes them as they lie.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Id]> + Clone {
-        self.rows.rows()
+        self.table.rows()
+    }
+
+    /// The materialized rows, as answers.
+    pub fn answers(&self) -> &Answers {
+        self.table.answers()
+    }
+
+    /// The table of the rows: the one a deployment publishes, shared until
+    /// a batch changes the rows.
+    pub fn table(&self) -> &Arc<ViewTable> {
+        &self.table
     }
 
     /// The view definition.
@@ -155,17 +177,21 @@ impl MaintainedView {
 
     /// Number of rows currently stored.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.table.len()
     }
 
     /// Whether the view is empty.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.table.is_empty()
     }
 
-    /// Snapshot as sorted [`Answers`].
-    pub fn to_answers(&self) -> Answers {
-        self.rows.clone()
+    /// Replaces the rows with `rows`, when there are new ones; returns how
+    /// many rows changed sides.
+    fn replace(&mut self, rows: Option<Answers>) -> usize {
+        let Some(rows) = rows else { return 0 };
+        let changed = rows.len().abs_diff(self.len());
+        self.table = Arc::new(ViewTable::from_answers(rows));
+        changed
     }
 
     /// The delta-set join: Δv = ⋃_i π_head(a₁ ⋈ … ⋈ Δaᵢ ⋈ … ⋈ aₙ), with Δ
@@ -213,7 +239,7 @@ impl MaintainedView {
         let delta = self.delta_join(store, delta);
         MaintenanceStats {
             delta_tuples: delta.len(),
-            added: self.rows.insert_all(&delta),
+            added: self.replace(self.answers().plus(&delta)),
             ..MaintenanceStats::default()
         }
     }
@@ -246,10 +272,10 @@ impl MaintainedView {
             "commit_delete_batch runs after the batch leaves the store"
         );
         let mut lost = delta.candidates.clone();
-        lost.retain(|row| self.rows.contains(row) && !self.rederivable(store, row));
+        lost.retain(|row| self.answers().contains(row) && !self.rederivable(store, row));
         MaintenanceStats {
             delta_tuples: delta.candidates.len(),
-            removed: self.rows.remove_all(&lost),
+            removed: self.replace(self.answers().minus(&lost)),
             ..MaintenanceStats::default()
         }
     }
@@ -308,7 +334,7 @@ mod tests {
     /// a from-scratch rematerialization.
     fn assert_consistent(view: &MaintainedView, store: &TripleStore) {
         let fresh = evaluate(store, view.definition());
-        assert_eq!(view.to_answers(), fresh);
+        assert_eq!(view.answers(), &fresh);
     }
 
     #[test]
@@ -425,7 +451,7 @@ mod tests {
         for &t in &batch {
             pstats.merge(per_triple.apply_insert_delta(db.store(), &DeltaSet::new(&[t])));
         }
-        assert_eq!(batched.to_answers(), per_triple.to_answers());
+        assert_eq!(batched.answers(), per_triple.answers());
         assert_eq!(bstats.added, pstats.added);
         assert!(
             bstats.delta_tuples <= pstats.delta_tuples,
@@ -567,7 +593,7 @@ mod tests {
             seq_store.remove(t);
             pstats.merge(seq.commit_delete_batch(&seq_store, &d));
         }
-        assert_eq!(batched.to_answers(), seq.to_answers());
+        assert_eq!(batched.answers(), seq.answers());
         assert_eq!(bstats.removed, pstats.removed);
         assert!(
             bstats.delta_tuples <= pstats.delta_tuples,
@@ -576,8 +602,8 @@ mod tests {
             pstats.delta_tuples
         );
         assert_eq!(
-            batched.to_answers(),
-            evaluate(&batched_store, batched.definition())
+            batched.answers(),
+            &evaluate(&batched_store, batched.definition())
         );
     }
 

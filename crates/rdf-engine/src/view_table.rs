@@ -1,7 +1,10 @@
 //! Materialized view tables and their resident indexes.
 //!
-//! A [`ViewTable`] is immutable once built, which is what lets its indexes
-//! be shared without locks:
+//! A [`ViewTable`] is one [`Answers`] — the view's rows, distinct, in
+//! lexicographic order, row-major in one buffer — plus the cache of
+//! indexes built over them. It is immutable once built, which is what lets
+//! its indexes be shared without locks, and what lets a maintained view
+//! and every generation that publishes it hold the very same table:
 //!
 //! * a [`ViewIndex`] answers "which rows have these values in these
 //!   columns" for one bound-column mask. It stores the table's rows a
@@ -25,11 +28,12 @@
 //!   one published index and [`ViewTable::index_builds`] counts exactly
 //!   those.
 //!
-//! Maintenance never mutates a table: it produces a *new* one, which
-//! starts with an empty chain. A cloned table re-links the `Arc`s of the
-//! original's chain, so a cloned deployment stays warm.
+//! Maintenance never mutates a table: a batch that changes a view's rows
+//! wraps the new rows in a *new* table, which starts with an empty chain,
+//! and a batch that changes nothing keeps the table — and its warm
+//! indexes — as it is. A table without columns (a boolean view) holds at
+//! most one row, the empty tuple, and counts it.
 
-use std::slice::ChunksExact;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -43,7 +47,7 @@ use crate::eval::scratch::hash_ids;
 #[derive(Debug)]
 pub struct ViewIndex {
     cols: Vec<usize>,
-    /// Row width; `max(1)` so a chunked walk of an empty bucket is defined.
+    /// Row width: the table's arity.
     arity: usize,
     /// Open-addressing table: 0 is vacant, `k + 1` names distinct key `k`.
     /// Its length is a power of two at most half full.
@@ -61,10 +65,8 @@ pub struct ViewIndex {
 
 impl ViewIndex {
     fn build(table: &ViewTable, mask: u64) -> Self {
-        let arity = table.arity.max(1);
-        let cols: Vec<usize> = (0..table.arity)
-            .filter(|&c| mask & (1u64 << c) != 0)
-            .collect();
+        let arity = table.arity();
+        let cols: Vec<usize> = (0..arity).filter(|&c| mask & (1u64 << c) != 0).collect();
         let width = cols.len();
         let n = table.len();
         let cap = (n * 2).next_power_of_two().max(2);
@@ -156,9 +158,9 @@ impl ViewIndex {
     }
 
     /// [`ViewIndex::bucket`] row by row. `.len()` is the bucket's row count.
-    #[inline]
-    pub fn rows_for(&self, key: &[Id]) -> ChunksExact<'_, Id> {
-        self.bucket(key).0.chunks_exact(self.arity)
+    pub fn rows_for(&self, key: &[Id]) -> impl ExactSizeIterator<Item = &[Id]> {
+        let ((ids, rows), arity) = (self.bucket(key), self.arity);
+        (0..rows).map(move |r| &ids[r * arity..][..arity])
     }
 
     /// Number of distinct keys.
@@ -181,27 +183,6 @@ struct Node {
 #[derive(Debug, Default)]
 struct Chain {
     head: OnceLock<Box<Node>>,
-}
-
-impl Clone for Chain {
-    /// A fresh chain over the same `Arc`s, in the same order.
-    fn clone(&self) -> Self {
-        let mut entries = Vec::new();
-        let mut cur = self.head.get();
-        while let Some(node) = cur {
-            entries.push((node.mask, Arc::clone(&node.index)));
-            cur = node.next.get();
-        }
-        let mut head = OnceLock::new();
-        for (mask, index) in entries.into_iter().rev() {
-            head = OnceLock::from(Box::new(Node {
-                mask,
-                index,
-                next: head,
-            }));
-        }
-        Self { head }
-    }
 }
 
 impl Chain {
@@ -248,85 +229,67 @@ struct IndexCache {
     builds: AtomicUsize,
 }
 
-impl Clone for IndexCache {
-    fn clone(&self) -> Self {
-        // The data is identical in the clone, so the built indexes remain
-        // valid; sharing them keeps a cloned deployment warm.
-        Self {
-            by_mask: self.by_mask.clone(),
-            builds: AtomicUsize::new(self.builds.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// A materialized view: a fixed-arity table of id tuples, stored flat.
+/// A materialized view: one [`Answers`] — a fixed-arity set of id tuples,
+/// stored flat — and the indexes built over it.
 ///
 /// Indexes over arbitrary column subsets are built on demand and cached
 /// inside the table; rewriting evaluation and maintenance delta joins
 /// probe them for join lookups.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct ViewTable {
-    arity: usize,
-    /// Row-major storage: `data[r * arity .. (r + 1) * arity]` is row `r`.
-    /// The rows are distinct and in lexicographic order: a table is only
-    /// ever built from [`Answers`], which keep that order.
-    data: Vec<Id>,
+    rows: Answers,
     cache: IndexCache,
 }
 
 impl ViewTable {
-    /// Builds a table from answers, whose buffer — distinct rows, row-major
-    /// — becomes the table's own.
-    pub fn from_answers(arity: usize, answers: Answers) -> Self {
-        debug_assert_eq!(answers.arity(), arity);
+    /// Builds a table over answers, which become its rows as they are.
+    pub fn from_answers(rows: Answers) -> Self {
         Self {
-            arity,
-            data: answers.into_flat(),
+            rows,
             cache: IndexCache::default(),
         }
     }
 
     /// Builds a table from raw rows (deduplicating), owned or borrowed.
     pub fn from_rows<T: AsRef<[Id]>>(arity: usize, rows: impl IntoIterator<Item = T>) -> Self {
-        Self::from_answers(arity, Answers::from_tuples(arity, rows))
+        Self::from_answers(Answers::from_tuples(arity, rows))
+    }
+
+    /// The rows, as answers.
+    pub fn answers(&self) -> &Answers {
+        &self.rows
     }
 
     /// Number of columns.
     pub fn arity(&self) -> usize {
-        self.arity
+        self.rows.arity()
     }
 
-    /// Number of rows. A zero-arity table (boolean view) cannot encode its
-    /// row count in `data` and reports 0; such views are degenerate and not
-    /// produced by the selection pipeline.
+    /// Number of rows; a table without columns has one (the empty tuple)
+    /// or none.
     pub fn len(&self) -> usize {
-        self.data.len().checked_div(self.arity).unwrap_or(0)
+        self.rows.len()
     }
 
     /// Whether the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// The `r`-th row.
-    pub fn row(&self, r: usize) -> &[Id] {
-        &self.data[r * self.arity..(r + 1) * self.arity]
+        self.rows.is_empty()
     }
 
     /// Iterates rows.
-    pub fn rows(&self) -> impl Iterator<Item = &[Id]> {
-        self.data.chunks_exact(self.arity.max(1))
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Id]> + Clone {
+        self.rows.rows()
     }
 
     /// Size in tuples × columns (a proxy for storage bytes before width
     /// weighting).
     pub fn cell_count(&self) -> usize {
-        self.data.len()
+        self.rows.cells().len()
     }
 
     /// Every row, row-major, as one slice.
     pub(crate) fn cells(&self) -> &[Id] {
-        &self.data
+        self.rows.cells()
     }
 
     /// The hash index for the column set `mask` (bit `c` set ⇔ column `c`
@@ -335,7 +298,7 @@ impl ViewTable {
     /// the same table with the same bound columns pays the build exactly
     /// once, and concurrent readers of a built index share no writes.
     pub fn index_for_mask(&self, mask: u64) -> &ViewIndex {
-        debug_assert!(self.arity <= 64, "mask-indexed tables cap at 64 columns");
+        debug_assert!(self.arity() <= 64, "mask-indexed tables cap at 64 columns");
         self.cache
             .by_mask
             .get_or_build(mask, &self.cache.builds, || ViewIndex::build(self, mask))
@@ -388,7 +351,7 @@ mod tests {
                 .collect();
             let answers = Answers::from_tuples(arity, &rows);
             let n = answers.len();
-            let moved = ViewTable::from_answers(arity, answers.clone());
+            let moved = ViewTable::from_answers(answers.clone());
             let built = ViewTable::from_rows(arity, rows.iter().rev().chain(&rows));
             assert_eq!((moved.arity(), moved.len()), (arity, n));
             assert_eq!(moved.cell_count(), n * arity);
@@ -402,7 +365,8 @@ mod tests {
         let t = table();
         let rows: Vec<&[Id]> = t.rows().collect();
         assert_eq!(rows.len(), 3);
-        assert_eq!(t.row(0), rows[0]);
+        assert_eq!(t.rows().len(), 3);
+        assert_eq!(rows[0], [Id(1), Id(10)]);
     }
 
     #[test]
@@ -491,21 +455,23 @@ mod tests {
     }
 
     #[test]
-    fn clone_keeps_cache_warm() {
-        let t = table();
-        t.index_for_mask(1);
-        let cl = t.clone();
-        assert_eq!(cl.index_builds(), 1);
+    fn a_table_without_columns_counts_its_one_row() {
+        // A boolean view that holds: one empty tuple, no cells.
+        let yes = ViewTable::from_rows(0, [[Id(0); 0]; 2]);
+        assert_eq!((yes.arity(), yes.len(), yes.cell_count()), (0, 1, 0));
+        assert!(!yes.is_empty());
         assert!(
-            std::ptr::eq(cl.index_for_mask(1), t.index_for_mask(1)),
-            "clone reuses the built index"
+            yes.rows().eq([&[] as &[Id]]),
+            "a scan yields the empty tuple"
         );
-        assert_eq!(cl.index_builds(), 1, "a warm probe is not a build");
-        cl.index_for_mask(0b10);
-        assert_eq!(
-            (cl.index_builds(), t.index_builds()),
-            (2, 1),
-            "chains diverge"
-        );
+        let idx = yes.index_for_mask(0);
+        assert_eq!(idx.key_count(), 1);
+        assert_eq!(idx.bucket(&[]), (&[] as &[Id], 1));
+        assert!(idx.rows_for(&[]).eq([&[] as &[Id]]));
+        // One that does not: no rows, and an index with no key.
+        let no = ViewTable::from_rows(0, Vec::<Vec<Id>>::new());
+        assert_eq!((no.len(), no.rows().len()), (0, 0));
+        assert!(no.is_empty());
+        assert_eq!(no.index_for_mask(0).rows_for(&[]).len(), 0);
     }
 }

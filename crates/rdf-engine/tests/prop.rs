@@ -421,7 +421,7 @@ proptest! {
             }
         }
         let fresh = evaluate(&store, &q);
-        prop_assert_eq!(view.to_answers(), fresh);
+        prop_assert_eq!(view.answers(), &fresh);
     }
 
     #[test]
@@ -453,7 +453,7 @@ proptest! {
                 let added = store.insert_batch(&batch);
                 view.apply_insert_delta(&store, &DeltaSet::new(&added));
             }
-            prop_assert_eq!(view.to_answers(), evaluate(&store, &q));
+            prop_assert_eq!(view.answers(), &evaluate(&store, &q));
         }
     }
 
@@ -483,7 +483,7 @@ proptest! {
                 pstats.merge(seq.apply_insert_delta(&seq_store, &DeltaSet::new(&[t])));
             }
         }
-        prop_assert_eq!(batched.to_answers(), seq.to_answers());
+        prop_assert_eq!(batched.answers(), seq.answers());
         prop_assert_eq!(bstats.added, pstats.added);
         prop_assert!(
             bstats.delta_tuples <= pstats.delta_tuples,
@@ -491,7 +491,7 @@ proptest! {
             bstats.delta_tuples,
             pstats.delta_tuples
         );
-        prop_assert_eq!(batched.to_answers(), evaluate(&batched_store, &q));
+        prop_assert_eq!(batched.answers(), &evaluate(&batched_store, &q));
     }
 
     #[test]

@@ -32,12 +32,10 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            // xlint: allow(X001, reason = "chunks_exact(8) yields exactly 8-byte chunks")
-            self.add_to_hash(u64::from_le_bytes(chunk.try_into().unwrap()));
+        let (words, rem) = bytes.as_chunks::<8>();
+        for word in words {
+            self.add_to_hash(u64::from_le_bytes(*word));
         }
-        let rem = chunks.remainder();
         if !rem.is_empty() {
             let mut buf = [0u8; 8];
             buf[..rem.len()].copy_from_slice(rem);

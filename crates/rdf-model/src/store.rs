@@ -60,11 +60,11 @@
 //! a list nothing else holds is written in place, to its exact new length.
 //! A `Spo`-listed store writes no list at all.
 
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, RwLock};
 
 use crate::fxhash::FxHashSet;
 use crate::pattern::StorePattern;
-use crate::sync::{read_unpoisoned, write_unpoisoned};
+use crate::sync::{read_unpoisoned, unpoisoned, write_unpoisoned};
 use crate::term::Id;
 
 /// An encoded triple in `(s, p, o)` order.
@@ -677,10 +677,7 @@ impl TripleStore {
     fn carry(&mut self, delta: &[Triple], insert: bool) -> bool {
         let spo_listed = Arc::ptr_eq(&self.triples, &self.spo);
         let mut delta_in_order = delta.to_vec();
-        let slots = self
-            .indexes
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
+        let slots = unpoisoned(self.indexes.get_mut());
         for (entry, order) in slots.iter_mut().zip(&IndexOrder::ALL[1..]) {
             if let Some(run) = entry {
                 let perm = order.perm();

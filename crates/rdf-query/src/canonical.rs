@@ -67,27 +67,19 @@ impl CanonicalForm {
 
 /// Computes the canonical form of `q` under the given head mode.
 pub fn canonical_form(q: &ConjunctiveQuery, mode: HeadMode) -> CanonicalForm {
-    let mut search = Search {
-        q,
-        mode,
-        best: None,
-    };
+    let search = Search { q, mode };
     let mut state = PartialState {
         placed: vec![false; q.atoms.len()],
         mapping: FxHashMap::default(),
         next_num: 0,
         tokens: Vec::with_capacity(q.atoms.len() * 3 + q.head.len() + 1),
     };
-    search.rec(&mut state, q.atoms.len());
-    // xlint: allow(X001, reason = "rec() visits at least one complete placement, so best is always set")
-    let (key, var_map) = search.best.expect("canonical search always finds a leaf");
-    CanonicalForm { key, var_map }
+    search.rec(&mut state, q.atoms.len())
 }
 
 struct Search<'a> {
     q: &'a ConjunctiveQuery,
     mode: HeadMode,
-    best: Option<(Vec<CTok>, FxHashMap<Var, u32>)>,
 }
 
 struct PartialState {
@@ -98,10 +90,11 @@ struct PartialState {
 }
 
 impl Search<'_> {
-    fn rec(&mut self, st: &mut PartialState, remaining: usize) {
+    /// The smallest leaf below `st` — the first found among equals — when
+    /// `remaining` atoms are still to place.
+    fn rec(&self, st: &mut PartialState, remaining: usize) -> CanonicalForm {
         if remaining == 0 {
-            self.finish(st);
-            return;
+            return self.leaf(st);
         }
         // Encode each unplaced atom under the current mapping, numbering its
         // unseen variables on the fly.
@@ -128,33 +121,51 @@ impl Search<'_> {
                 },
             }
         }
-        for (i, enc) in ties {
-            st.placed[i] = true;
-            let token_mark = st.tokens.len();
-            st.tokens.extend_from_slice(&enc);
-            // Commit the new variable numbers this atom introduces.
-            let mut added: Vec<Var> = Vec::new();
-            let saved_next = st.next_num;
-            for term in self.q.atoms[i].terms() {
-                if let QTerm::Var(v) = term {
-                    if !st.mapping.contains_key(v) {
-                        st.mapping.insert(*v, st.next_num);
-                        st.next_num += 1;
-                        added.push(*v);
-                    }
-                }
+        // `remaining` atoms are unplaced, so at least one ties.
+        let mut best = self.place(st, ties[0], remaining);
+        for &tie in &ties[1..] {
+            let leaf = self.place(st, tie, remaining);
+            if leaf.key < best.key {
+                best = leaf;
             }
-            self.rec(st, remaining - 1);
-            for v in added {
-                st.mapping.remove(&v);
-            }
-            st.next_num = saved_next;
-            st.tokens.truncate(token_mark);
-            st.placed[i] = false;
         }
+        best
     }
 
-    fn finish(&mut self, st: &mut PartialState) {
+    /// Places atom `i`, encoded `enc`, and returns the smallest leaf below.
+    fn place(
+        &self,
+        st: &mut PartialState,
+        (i, enc): (usize, [CTok; 3]),
+        remaining: usize,
+    ) -> CanonicalForm {
+        st.placed[i] = true;
+        let token_mark = st.tokens.len();
+        st.tokens.extend_from_slice(&enc);
+        // Commit the new variable numbers this atom introduces.
+        let mut added: Vec<Var> = Vec::new();
+        let saved_next = st.next_num;
+        for term in self.q.atoms[i].terms() {
+            if let QTerm::Var(v) = term {
+                if !st.mapping.contains_key(v) {
+                    st.mapping.insert(*v, st.next_num);
+                    st.next_num += 1;
+                    added.push(*v);
+                }
+            }
+        }
+        let best = self.rec(st, remaining - 1);
+        for v in added {
+            st.mapping.remove(&v);
+        }
+        st.next_num = saved_next;
+        st.tokens.truncate(token_mark);
+        st.placed[i] = false;
+        best
+    }
+
+    /// The complete placement `st` as a canonical form.
+    fn leaf(&self, st: &PartialState) -> CanonicalForm {
         let mut key = st.tokens.clone();
         let mut mapping = st.mapping.clone();
         if self.mode != HeadMode::Ignore {
@@ -181,9 +192,9 @@ impl Search<'_> {
             }
             key.extend_from_slice(&head_toks);
         }
-        match &self.best {
-            Some((best_key, _)) if *best_key <= key => {}
-            _ => self.best = Some((key, mapping)),
+        CanonicalForm {
+            key,
+            var_map: mapping,
         }
     }
 }

@@ -40,7 +40,7 @@ pub use persist::{DurableDeployment, RecoveryReport, SNAPSHOT_FILE, WAL_FILE};
 /// Tables are held behind `Arc`s so a deployment generation can be
 /// published by cloning the map (one `Arc` bump per view): unchanged
 /// tables — and their resident hash / sorted index caches — are shared
-/// across generations, and only tables rebuilt by maintenance get fresh
+/// across generations, and only tables replaced by maintenance get fresh
 /// `Arc`s.
 #[derive(Debug, Clone, Default)]
 pub struct MaterializedViews {
@@ -261,7 +261,9 @@ impl QueryPlan {
 
 /// One materialized view kept incrementally consistent: a maintained
 /// instance per materialization branch (one for plain views, several for
-/// reformulated unions).
+/// reformulated unions). A one-branch view's table *is* its branch's:
+/// generations publish the branch's `Arc`, so the rows are held once and a
+/// publish copies none of them.
 #[derive(Debug, Clone)]
 struct DeployedView {
     id: ViewId,
@@ -270,15 +272,19 @@ struct DeployedView {
 }
 
 impl DeployedView {
-    /// The branch-union table. A one-branch view's rows are already the
-    /// table — distinct and in order — and are copied once, without a
-    /// re-sort: [`MaintainedView::to_answers`] clones them, so the branch
-    /// and the published table each hold the rows (removing that copy
-    /// belongs to ROADMAP direction 3). Several branches are concatenated,
-    /// sorted and deduplicated once.
-    fn merged_table(&self) -> ViewTable {
-        let branches = self.branches.iter().map(MaintainedView::to_answers);
-        ViewTable::from_answers(self.arity, Answers::union_all(self.arity, branches))
+    /// The table a generation publishes: the branch's own for one branch;
+    /// for several, their union — concatenated, sorted and deduplicated
+    /// once.
+    fn table(&self) -> Arc<ViewTable> {
+        match &self.branches[..] {
+            [branch] => Arc::clone(branch.table()),
+            branches => {
+                let runs = branches.iter().map(|b| b.answers().clone());
+                Arc::new(ViewTable::from_answers(Answers::union_all(
+                    self.arity, runs,
+                )))
+            }
+        }
     }
 }
 
@@ -346,23 +352,23 @@ impl Clone for Deployment {
 }
 
 /// What a deployment keeps consistent under writes: the maintenance base
-/// store, the deployed views and the reasoning they are maintained under.
+/// store, the deployed views and, under saturation, what keeps them
+/// entailment-aware.
 /// [`Maintained::insert_batch`] and [`Maintained::delete_batch`] are the
 /// one maintenance core: each applies a batch and returns the indexes of
 /// the views whose rows changed. A live [`Deployment`] then publishes
 /// those tables; recovery replays its log into a decoded `Maintained`
 /// before any generation exists, so nothing pins what a record replaces
-/// and no record rebuilds a table.
+/// and a replaced table is freed at once.
 #[derive(Debug, Clone)]
 struct Maintained {
     store: TripleStore,
     views: Vec<DeployedView>,
-    /// How implicit triples are served: under saturation the schema and
-    /// the explicit (unsaturated) triples from which `store` is
-    /// re-derivable, so writes stay entailment-aware; under pre/post
-    /// reformulation the schema that ad-hoc plans reformulate with (the
-    /// planning context holds the same pair, derived from this value).
-    reasoning: PreparedReasoning,
+    /// Under saturation, the schema and the explicit (unsaturated) triples
+    /// from which `store` is re-derivable, so writes stay
+    /// entailment-aware. (Under pre/post reformulation the schema belongs
+    /// to planning: [`PlanCtx`] holds it.)
+    entailment: Option<(Schema, VocabIds, TripleStore)>,
 }
 
 /// The immutable planning context of a deployment, `Arc`-shared between
@@ -373,8 +379,8 @@ struct Maintained {
 #[derive(Debug)]
 struct PlanCtx {
     rec: Recommendation,
-    /// The schema for ad-hoc query reformulation, taken from the
-    /// deployment's reasoning under pre/post reformulation, whose base
+    /// The schema for ad-hoc query reformulation, under pre/post
+    /// reformulation, whose base
     /// store is the *original* (unsaturated) one: hybrid plans reformulate
     /// the query so that base-store scans stay entailment-complete
     /// (Theorem 4.1).
@@ -643,16 +649,21 @@ impl Deployment {
     ///   queries, so hybrid plans' base-store scans stay
     ///   entailment-complete (Theorem 4.1).
     ///
-    /// This is the only constructor, and the deployment keeps the
-    /// reasoning as one value: a deployment that both maintains
-    /// entailments and reformulates queries cannot be built.
+    /// This is the only constructor, and it takes the reasoning as one
+    /// value: a deployment that both maintains entailments and
+    /// reformulates queries cannot be built.
     pub fn new(store: &TripleStore, rec: Recommendation, reasoning: &PreparedReasoning) -> Self {
-        let (store, reasoning) = match reasoning {
+        let (store, entailment, reform) = match reasoning {
             PreparedReasoning::Saturation(schema, vocab, saturated) => (
                 saturated.spo_listed(),
-                PreparedReasoning::Saturation(schema.clone(), *vocab, store.spo_listed()),
+                Some((schema.clone(), *vocab, store.spo_listed())),
+                None,
             ),
-            other => (store.spo_listed(), other.clone()),
+            PreparedReasoning::PreReformulation(schema, vocab)
+            | PreparedReasoning::PostReformulation(schema, vocab) => {
+                (store.spo_listed(), None, Some((schema.clone(), *vocab)))
+            }
+            PreparedReasoning::Plain => (store.spo_listed(), None, None),
         };
         let views = rec
             .views
@@ -669,25 +680,25 @@ impl Deployment {
             })
             .collect();
         let id = DEPLOYMENT_IDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let ctx = PlanCtx::new(rec, &reasoning, id, id);
+        let ctx = PlanCtx::new(rec, reform, id, id);
         Self::assemble(
             ctx,
             Maintained {
                 store,
                 views,
-                reasoning,
+                entailment,
             },
         )
     }
 
     /// A deployment serving `maintained` as its first generation, every
-    /// table assembled once from its maintained branches: how a built,
-    /// reopened or recovered deployment gets its generation slot.
+    /// table its view's ([`DeployedView::table`]): how a built, reopened or
+    /// recovered deployment gets its generation slot.
     fn assemble(ctx: PlanCtx, maintained: Maintained) -> Self {
         let tables = maintained
             .views
             .iter()
-            .map(|dv| (dv.id, Arc::new(dv.merged_table())))
+            .map(|dv| (dv.id, dv.table()))
             .collect();
         let generation = Generation {
             store: maintained.store.snapshot(),
@@ -739,8 +750,9 @@ impl Deployment {
     }
 
     /// Publishes the current store as the new read generation, with the
-    /// tables of the views at indexes `changed` rebuilt: pinned readers
-    /// keep their old `Arc`s, new pins get this one. Every other table is
+    /// views at indexes `changed` serving their new tables — a one-branch
+    /// view's is its branch's, no copy: pinned readers keep their old
+    /// `Arc`s, new pins get this one. Every other table is
     /// the previous generation's `Arc` (one bump per view), so unchanged
     /// tables — with their warm index caches — are shared across
     /// generations. Called once at the end of every batch that changed the
@@ -750,7 +762,7 @@ impl Deployment {
         let mut tables = MaterializedViews::clone(&self.current_generation().tables);
         for &i in changed {
             let dv = &self.maintained.views[i];
-            tables.tables.insert(dv.id, Arc::new(dv.merged_table()));
+            tables.tables.insert(dv.id, dv.table());
         }
         let generation = Arc::new(Generation {
             store: self.maintained.store.snapshot(),
@@ -783,16 +795,11 @@ impl Deployment {
 impl PlanCtx {
     fn new(
         rec: Recommendation,
-        reasoning: &PreparedReasoning,
+        reform: Option<(Schema, VocabIds)>,
         deployment_id: u64,
         lineage: u64,
     ) -> Self {
         let workload_plans = vec![OnceLock::new(); rec.original_query_count()];
-        let reform = match reasoning {
-            PreparedReasoning::PreReformulation(schema, vocab)
-            | PreparedReasoning::PostReformulation(schema, vocab) => Some((schema.clone(), *vocab)),
-            PreparedReasoning::Plain | PreparedReasoning::Saturation(..) => None,
-        };
         let est = CardinalityEstimator::new(&rec.catalog);
         let mut view_stats: Vec<(ViewId, RelStats)> = rec
             .views
@@ -1071,12 +1078,12 @@ impl Maintained {
     /// when the store did not change.
     fn delete_batch(&mut self, batch: &[Triple]) -> (MaintenanceStats, Option<Vec<usize>>) {
         let mut total = MaintenanceStats::default();
-        let doomed: Vec<Triple> = match &mut self.reasoning {
-            PreparedReasoning::Saturation(schema, vocab, explicit) => {
+        let doomed: Vec<Triple> = match &mut self.entailment {
+            Some((schema, vocab, explicit)) => {
                 let removed = explicit.remove_batch(batch);
                 retracted_delta(explicit, &self.store, &removed, schema, vocab)
             }
-            _ => {
+            None => {
                 let mut present = batch.to_vec();
                 present.sort_unstable();
                 present.dedup();
@@ -1123,8 +1130,8 @@ impl Maintained {
     /// when the store did not change.
     fn insert_batch(&mut self, batch: &[Triple]) -> (MaintenanceStats, Option<Vec<usize>>) {
         let mut total = MaintenanceStats::default();
-        let added: Vec<Triple> = match &mut self.reasoning {
-            PreparedReasoning::Saturation(schema, vocab, explicit) => {
+        let added: Vec<Triple> = match &mut self.entailment {
+            Some((schema, vocab, explicit)) => {
                 // What the base store gains: the newly explicit triples it
                 // did not already entail, and what follows from those. The
                 // store is saturated, so the consequences of a newly
@@ -1135,7 +1142,7 @@ impl Maintained {
                 gained.extend(entailed);
                 self.store.insert_batch(&gained)
             }
-            _ => self.store.insert_batch(batch),
+            None => self.store.insert_batch(batch),
         };
         if added.is_empty() {
             // Newly-explicit triples that were already entailed: the base
@@ -1297,6 +1304,68 @@ mod tests {
             dep.view_index_builds(),
             builds,
             "repeated answer_query must not rebuild view indexes"
+        );
+    }
+
+    /// A one-branch view's published table is its maintained branch's own,
+    /// and a cloned deployment shares both: it serves its first generation
+    /// warm — every index the original built serves it, and probing a plan
+    /// on it builds none — and a write to either replaces its own tables
+    /// only.
+    #[test]
+    fn clones_share_tables_and_serve_warm() {
+        let mut db = db();
+        let rec = recommend_queries(&mut db, &["q(X, Y) :- t(X, <p>, Y), t(X, <q>, <c>)"]);
+        let dep = Deployment::new(db.store(), rec, &PreparedReasoning::Plain);
+        let published = |dep: &Deployment| -> Vec<Arc<ViewTable>> {
+            let snap = dep.snapshot();
+            dep.maintained
+                .views
+                .iter()
+                .map(|dv| Arc::clone(&snap.generation.tables.tables[&dv.id]))
+                .collect()
+        };
+        let branch =
+            |dep: &Deployment, i: usize| Arc::clone(dep.maintained.views[i].branches[0].table());
+        for (i, table) in published(&dep).iter().enumerate() {
+            assert!(
+                Arc::ptr_eq(table, &branch(&dep, i)),
+                "view {i} is held once"
+            );
+        }
+        let adhoc = parse_query("q(X) :- t(X, <p>, <o1>), t(X, <q>, <c>)", db.dict_mut())
+            .unwrap()
+            .query;
+        let plan = dep.snapshot().plan(&adhoc).unwrap();
+        assert!(plan.is_views_only());
+        let first = dep.snapshot().answer_query(&plan).unwrap();
+        let builds = dep.view_index_builds();
+        assert!(builds > 0, "the plan probes a view index");
+
+        let mut fork = dep.clone();
+        assert_eq!(fork.view_index_builds(), builds);
+        assert_eq!(fork.snapshot().answer_query(&plan).unwrap(), first);
+        assert_eq!(
+            fork.view_index_builds(),
+            builds,
+            "a warm clone builds nothing"
+        );
+        for (mine, theirs) in published(&dep).iter().zip(&published(&fork)) {
+            assert!(Arc::ptr_eq(mine, theirs));
+        }
+
+        let [p, o1, q, c] = ["p", "o1", "q", "c"].map(|u| db.dict().lookup_uri(u).unwrap());
+        let fresh = db.dict_mut().intern_uri("fresh");
+        fork.insert_batch(&[[fresh, p, o1], [fresh, q, c]]);
+        assert_eq!(
+            fork.snapshot().answer_query(&plan).unwrap().len(),
+            first.len() + 1
+        );
+        assert_eq!(dep.snapshot().answer_query(&plan).unwrap(), first);
+        assert_eq!(
+            dep.view_index_builds(),
+            builds,
+            "the original stays as it was"
         );
     }
 

@@ -53,7 +53,7 @@
 //! deployment runs — the same joins, the same entailment deltas — before
 //! the first publish: no generation pins the decoded store while the log
 //! replays, so a record copies no run or list that it replaces, and the
-//! view tables are assembled once, at the end. Replay is
+//! first generation's view tables are published once, at the end. Replay is
 //! *deterministic*: the recovered state reproduces the pre-crash state
 //! bit-for-bit, proven by the 128-bit **state hash** (domain
 //! `rdfviews.state.v3`, over the canonical semantic sections). Torn tail
@@ -779,7 +779,7 @@ impl Deployment {
         let Maintained {
             store,
             views,
-            reasoning,
+            entailment,
         } = &self.maintained;
         let mut h = Hasher128::with_domain(STATE_DOMAIN);
         let mut w = Writer::new();
@@ -800,32 +800,20 @@ impl Deployment {
         emit(SEC_REC, &mut w);
         enc_deployed_views_into(&mut w, views);
         emit(SEC_VIEWS, &mut w);
-        // One flag-led section each for entailment and reformulation; the
-        // reasoning is one value, so at most one flag is ever set.
-        match reasoning {
-            PreparedReasoning::Saturation(schema, vocab, explicit) => {
-                w.bool(true);
-                enc_schema_into(&mut w, schema, vocab);
-                enc_subset_into(&mut w, explicit, &store.index(IndexOrder::Spo))?;
-                emit(SEC_ENTAIL, &mut w);
-                w.bool(false);
-                emit(SEC_REFORM, &mut w);
-            }
-            PreparedReasoning::PreReformulation(schema, vocab)
-            | PreparedReasoning::PostReformulation(schema, vocab) => {
-                w.bool(false);
-                emit(SEC_ENTAIL, &mut w);
-                w.bool(true);
-                enc_schema_into(&mut w, schema, vocab);
-                emit(SEC_REFORM, &mut w);
-            }
-            PreparedReasoning::Plain => {
-                w.bool(false);
-                emit(SEC_ENTAIL, &mut w);
-                w.bool(false);
-                emit(SEC_REFORM, &mut w);
-            }
+        // One flag-led section each for entailment and reformulation, each
+        // written from its one holder; a deployment is built from one
+        // reasoning, so at most one flag is ever set.
+        w.bool(entailment.is_some());
+        if let Some((schema, vocab, explicit)) = entailment {
+            enc_schema_into(&mut w, schema, vocab);
+            enc_subset_into(&mut w, explicit, &store.index(IndexOrder::Spo))?;
         }
+        emit(SEC_ENTAIL, &mut w);
+        w.bool(self.ctx.reform.is_some());
+        if let Some((schema, vocab)) = &self.ctx.reform {
+            enc_schema_into(&mut w, schema, vocab);
+        }
+        emit(SEC_REFORM, &mut w);
         w.u64(store.version());
         w.u64(self.ctx.lineage);
         emit(SEC_META, &mut w);
@@ -866,7 +854,7 @@ impl Deployment {
         let entailment = if ent_r.bool("entailment flag")? {
             let (schema, vocab) = dec_schema(&mut ent_r, dict.len())?;
             let explicit = dec_subset(&mut ent_r, &store.index(IndexOrder::Spo))?;
-            Some(PreparedReasoning::Saturation(schema, vocab, explicit))
+            Some((schema, vocab, explicit))
         } else {
             None
         };
@@ -874,23 +862,16 @@ impl Deployment {
 
         let mut ref_r = Reader::new(sections[5].1);
         let reform = if ref_r.bool("reformulation flag")? {
-            let (schema, vocab) = dec_schema(&mut ref_r, dict.len())?;
-            // The section does not record which reformulation mode chose
-            // the views; a deployment serves both alike.
-            Some(PreparedReasoning::PostReformulation(schema, vocab))
+            Some(dec_schema(&mut ref_r, dict.len())?)
         } else {
             None
         };
         ref_r.expect_exhausted("reformulation section")?;
-        let reasoning = match (entailment, reform) {
-            (Some(_), Some(_)) => {
-                return Err(corrupt(
-                    "both the entailment and the reformulation flag are set",
-                ))
-            }
-            (Some(r), None) | (None, Some(r)) => r,
-            (None, None) => PreparedReasoning::Plain,
-        };
+        if entailment.is_some() && reform.is_some() {
+            return Err(corrupt(
+                "both the entailment and the reformulation flag are set",
+            ));
+        }
 
         let mut meta_r = Reader::new(sections[6].1);
         let meta_version = meta_r.u64("maintained version")?;
@@ -911,14 +892,14 @@ impl Deployment {
         // not execute against the reloaded deployment.
         let ctx = PlanCtx::new(
             rec,
-            &reasoning,
+            reform,
             DEPLOYMENT_IDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             lineage,
         );
         let maintained = Maintained {
             store,
             views,
-            reasoning,
+            entailment,
         };
         Ok((ctx, maintained, dict))
     }
@@ -982,8 +963,8 @@ impl Deployment {
     /// yet, so nothing pins the store a record replaces — each spliced run
     /// frees its predecessor, and the decoded stores list their `Spo` runs
     /// (see [`TripleStore::from_parts`]), so no record writes a triple
-    /// list — and no record rebuilds a table. The first generation's tables are
-    /// assembled once, after the last record. A torn tail record — the
+    /// list — and a view table a record replaces is freed at once. The
+    /// first generation publishes the tables once, after the last record. A torn tail record — the
     /// signature of a crash mid-append — is dropped gracefully and
     /// reported; records already absorbed by a newer snapshot are skipped
     /// by their version stamps; a record from the *future* (version stamp
@@ -1600,7 +1581,7 @@ mod tests {
                 for (a, b) in views.iter().zip(&back) {
                     assert_eq!((a.id, a.arity), (b.id, b.arity));
                     assert_eq!(a.branches[0].definition(), b.branches[0].definition());
-                    assert_eq!(a.branches[0].to_answers(), b.branches[0].to_answers());
+                    assert_eq!(a.branches[0].answers(), b.branches[0].answers());
                 }
                 assert_eq!(views_section(&back), bytes);
             }
@@ -1624,7 +1605,7 @@ mod tests {
         };
         assert_eq!(with_rows(2, 0, &[]), empty);
         let rows_of = |bytes: &[u8]| {
-            dec_deployed_views(bytes, DICT_LEN).map(|views| views[0].branches[0].to_answers())
+            dec_deployed_views(bytes, DICT_LEN).map(|views| views[0].branches[0].answers().clone())
         };
         // (3,9), (3,10), (7,0): the first column is a difference.
         let good = rows_of(&with_rows(2, 3, &[3, 9, 0, 10, 4, 0])).unwrap();
@@ -1708,11 +1689,9 @@ mod tests {
     /// writes, when decoded from a bundle and after a replayed write.
     #[test]
     fn deployment_stores_list_their_spo_runs_built_written_and_decoded() {
-        let lists = |m: &Maintained| match &m.reasoning {
-            PreparedReasoning::Saturation(_, _, explicit) => {
-                lists_its_spo_run(&m.store) && lists_its_spo_run(explicit)
-            }
-            _ => false,
+        let lists = |m: &Maintained| match &m.entailment {
+            Some((_, _, explicit)) => lists_its_spo_run(&m.store) && lists_its_spo_run(explicit),
+            None => false,
         };
         let (mut dep, mut dict, _, vocab, [painting, x]) = pictures_deployment();
         assert!(lists(&dep.maintained), "deployed");
@@ -1735,8 +1714,9 @@ mod tests {
     #[test]
     fn entailment_and_reformulation_flags_together_are_refused() {
         // A saturation deployment's bundle, its reformulation section
-        // re-spelled with the flag set: a deployment holds one reasoning,
-        // so no encoder writes both flags and no decoder accepts them.
+        // re-spelled with the flag set: a deployment is built from one
+        // reasoning, so no encoder writes both flags and no decoder
+        // accepts them.
         let (dep, dict, schema, vocab, _) = pictures_deployment();
         let mut sections = Vec::new();
         dep.encode_sections(&dict, |tag, payload| sections.push((tag, payload.to_vec())))

@@ -48,6 +48,42 @@ fn boolean_query_workload() {
         let unfolded = rdfviews::core::unfold::unfold(&s1, 0);
         assert!(rdfviews::query::containment::equivalent(&unfolded, &q));
     }
+
+    // Deployed, its view has no columns and answers as the store does: one
+    // empty tuple for a true query, none for a false one — also once a
+    // batch makes the false one true, and after a persist/open round trip.
+    let never = parse_query("q() :- t(X, <p>, <o9>)", db.dict_mut())
+        .unwrap()
+        .query;
+    let ids = |uris: [&str; 3]| uris.map(|u| db.dict().lookup_uri(u).unwrap());
+    let making_true = ids(["s0", "p", "o9"]);
+    for (query, holds) in [(&q, true), (&never, false)] {
+        let rec = try_select_views(
+            db.store(),
+            db.dict(),
+            None,
+            std::slice::from_ref(query),
+            &SelectionOptions::recommended(),
+        )
+        .unwrap();
+        let agree = |dep: &Deployment| {
+            let want = evaluate(dep.store(), query);
+            let snap = dep.snapshot();
+            assert_eq!(snap.answer(0).unwrap(), want, "{query:?}");
+            assert_eq!(snap.answer_adhoc(query).unwrap(), want, "{query:?}");
+            want.len()
+        };
+        let mut dep = Deployment::new(db.store(), rec, &PreparedReasoning::Plain);
+        assert_eq!(agree(&dep), usize::from(holds));
+        dep.insert_batch(&[making_true]);
+        assert_eq!(agree(&dep), 1);
+        let dir =
+            std::env::temp_dir().join(format!("rdfviews-boolean-{}-{holds}", std::process::id()));
+        dep.persist(&dir, db.dict()).unwrap();
+        let (reopened, _) = Deployment::open(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(agree(&reopened), 1);
+    }
 }
 
 #[test]

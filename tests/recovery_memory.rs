@@ -3,13 +3,15 @@
 //! beyond what the recovered deployment keeps; a deployment's store lists
 //! its `Spo` run, one allocation for both, whether deployed, written to or
 //! recovered; and a live batch applied while a generation is pinned
-//! allocates the runs it splices and no copy of a triple list.
+//! allocates the runs it splices and no copy of a triple list, and the
+//! rows of a view it grows once: the view and the generation that
+//! publishes it share one table.
 //!
 //! Recovery replays the log into the decoded store, views and reasoning
 //! before the first generation is published, so no pinned copy of the
 //! store outlives a record: each spliced run frees its predecessor, the
-//! triple list grows in place, and the view tables are assembled once, at
-//! the end. A replay that copied the store for every record — the list and
+//! triple list grows in place, and the first generation publishes the
+//! view tables once, at the end. A replay that copied the store for every record — the list and
 //! every built run, held beside the generation that pins the originals —
 //! needs several runs' worth of transient heap and fails here.
 //!
@@ -18,15 +20,18 @@
 //! fresh allocation that frees the old block after the copy (the worst
 //! case of a moving `realloc`). While `RECORDING` is set it also notes the
 //! size of every large allocation and counts the large reallocations.
+//! The tests take turns (`SERIAL`), so one records none of another's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use rdfviews::exec::SNAPSHOT_FILE;
 use rdfviews::model::{Id, IndexOrder, Triple, TripleStore};
 use rdfviews::prelude::*;
+use rdfviews::query::{Atom, QTerm, Var};
 use rdfviews::workload::BartonDataset;
 
 struct Counting;
@@ -42,6 +47,26 @@ static RECORDING: AtomicBool = AtomicBool::new(false);
 static LARGE_SIZES: [AtomicUsize; 256] = [const { AtomicUsize::new(0) }; 256];
 static LARGE_COUNT: AtomicUsize = AtomicUsize::new(0);
 static LARGE_REALLOCS: AtomicUsize = AtomicUsize::new(0);
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// The sizes of the large allocations made while `f` runs.
+fn large_allocations<R>(f: impl FnOnce() -> R) -> (R, Vec<usize>) {
+    LARGE_COUNT.store(0, Ordering::Relaxed);
+    LARGE_REALLOCS.store(0, Ordering::Relaxed);
+    RECORDING.store(true, Ordering::Relaxed);
+    let out = f();
+    RECORDING.store(false, Ordering::Relaxed);
+    let recorded = LARGE_COUNT.load(Ordering::Relaxed);
+    assert!(
+        recorded <= LARGE_SIZES.len(),
+        "{recorded} large allocations"
+    );
+    let sizes = LARGE_SIZES[..recorded]
+        .iter()
+        .map(|size| size.load(Ordering::Relaxed))
+        .collect();
+    (out, sizes)
+}
 
 fn grew(bytes: usize) {
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
@@ -141,6 +166,7 @@ fn lists_its_spo_run(store: &TripleStore) -> bool {
 
 #[test]
 fn recovery_holds_at_most_one_run_and_one_snapshot_beyond_its_result() {
+    let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let data = generate_barton(&BartonSpec::default().with_size(4_000, 24_000));
     assert!(data.db.store().len() >= 20_000);
     let workload = generate_satisfiable(&data.db, &SatisfiableSpec::new(3, 3, Shape::Mixed));
@@ -225,18 +251,11 @@ fn recovery_holds_at_most_one_run_and_one_snapshot_beyond_its_result() {
     let pinned = dep.snapshot();
     let batch = fresh_batch(&mut dict, &data, &subjects, 64 * 4, 32);
     assert_eq!(batch.len(), 64);
-    RECORDING.store(true, Ordering::Relaxed);
-    let stats = dep.insert_batch(&batch);
-    RECORDING.store(false, Ordering::Relaxed);
+    let (stats, sizes) = large_allocations(|| dep.insert_batch(&batch));
     assert!(stats.batches > 0 && dep.store().len() > saturated);
-    let recorded = LARGE_COUNT.load(Ordering::Relaxed);
-    assert!(
-        recorded <= LARGE_SIZES.len(),
-        "{recorded} large allocations"
-    );
-    let list_sized = LARGE_SIZES[..recorded]
+    let list_sized = sizes
         .iter()
-        .filter(|size| size.load(Ordering::Relaxed) == 12 * dep.store().len())
+        .filter(|&&size| size == 12 * dep.store().len())
         .count();
     assert_eq!(
         list_sized,
@@ -250,6 +269,69 @@ fn recovery_holds_at_most_one_run_and_one_snapshot_beyond_its_result() {
     );
     assert!(lists_its_spo_run(dep.store()), "written while pinned");
     assert_eq!(pinned.store().len(), saturated);
+    drop(pinned);
+    drop((dep, dict));
+}
+
+/// A batch that grows a large one-branch view allocates the view's new
+/// rows once — the splice of the delta into them — although a generation
+/// pins the old ones: the new table is the maintained branch's, and the
+/// generation the batch publishes takes it as it is, no copy.
+#[test]
+fn a_grown_view_is_allocated_once_and_published_as_it_is() {
+    let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let data = generate_barton(&BartonSpec::default().with_size(2_000, 12_000));
+    // Every typed subject and each of its classes, saturated: a large
+    // view that every fresh typed item grows.
+    let typed = ConjunctiveQuery::new(
+        vec![QTerm::Var(Var(0)), QTerm::Var(Var(1))],
+        vec![Atom([
+            QTerm::Var(Var(0)),
+            QTerm::Const(data.vocab.rdf_type),
+            QTerm::Var(Var(1)),
+        ])],
+    );
+    let mut dict = data.db.dict().clone();
+    let mut advisor = Advisor::builder(&data.db)
+        .schema(&data.schema, &data.vocab)
+        .reasoning(ReasoningMode::Saturation)
+        .max_states(50)
+        .budget(Duration::from_secs(600))
+        .build()
+        .unwrap();
+    let rec = advisor.recommend(&[typed]).unwrap();
+    let mut dep = advisor.deploy(rec);
+    let ids: Vec<_> = dep.recommendation().views.iter().map(|v| v.id).collect();
+    let cells = |dep: &Deployment| -> Vec<usize> {
+        let snap = dep.snapshot();
+        ids.iter()
+            .map(|&id| snap.tables().table(id).cell_count())
+            .collect()
+    };
+    let old = cells(&dep);
+    let pinned = dep.snapshot();
+    let subjects: Vec<_> = data.db.store().triples()[..500]
+        .iter()
+        .map(|t| t[0])
+        .collect();
+    let batch = fresh_batch(&mut dict, &data, &subjects, 0, 64);
+    let (stats, sizes) = large_allocations(|| dep.insert_batch(&batch));
+    assert!(stats.added > 0);
+    let new = cells(&dep);
+    // The view that grew the most, and the bytes of its new rows.
+    let (grown, bytes) = (0..ids.len())
+        .filter(|&v| new[v] > old[v])
+        .map(|v| (v, 4 * new[v]))
+        .max_by_key(|&(_, bytes)| bytes)
+        .expect("the batch grows a view");
+    assert!(bytes >= LARGE, "a large view: {bytes} B");
+    let copies = sizes.iter().filter(|&&size| size == bytes).count();
+    assert_eq!(copies, 1, "view {grown}'s new rows, allocated: {sizes:?}");
+    assert_eq!(
+        pinned.tables().table(ids[grown]).cell_count(),
+        old[grown],
+        "the pin keeps the old rows"
+    );
     drop(pinned);
     drop((dep, dict));
 }
